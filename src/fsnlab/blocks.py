@@ -11,6 +11,7 @@ signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,13 +38,22 @@ class BlockDecomposition:
     cut_nodes: frozenset[int]
     tree_links: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _node_blocks(self) -> dict[int, tuple[int, ...]]:
+        """Per node, the indices of the blocks containing it, ascending."""
+        out: dict[int, list[int]] = {}
+        for b, members in enumerate(self.blocks):
+            for node in members:
+                out.setdefault(node, []).append(b)
+        return {node: tuple(bs) for node, bs in out.items()}
+
     def blocks_of(self, node: int) -> tuple[int, ...]:
-        return tuple(b for b, members in enumerate(self.blocks) if node in members)
+        return self._node_blocks.get(node, ())
 
     def block_of_edge(self, i: int, j: int) -> int:
         """Index of the unique block containing both endpoints."""
-        for b, members in enumerate(self.blocks):
-            if i in members and j in members:
+        for b in self.blocks_of(i):
+            if j in self.blocks[b]:
                 return b
         raise GraphError(f"no block contains edge ({i},{j})")
 

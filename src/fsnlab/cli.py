@@ -22,23 +22,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .blocks import ClassificationError, block_cut_tree, classify_fiedler
+from .blocks import ClassificationError
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
-                       empirical_rate, fan_fsn_consensus_value, simulate,
-                       steady_state_san)
+                       empirical_rate, simulate)
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, is_connected, laplacian,
-                     perturbed_laplacian, reduced_laplacian, signed_laplacian,
-                     signed_perturbed_laplacian, signed_reduced_laplacian,
-                     structural_balance_partition)
+                     signed_laplacian, structural_balance_partition)
+from .model import EIG_TOL, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, emit_trajectory,
                       fixture_text, parse_arc_file, parse_network_file,
                       serialize_arcs)
-from .selection import (ffn_san, fsn_fan, fsn_san, fsn_signed_san,
-                        reachable_from, reachable_from_inputs,
-                        reduced_spectrum)
-from .spectral import (SpectralError, fiedler_pair, principal_pair_perturbed,
-                       principal_pair_signed, smallest_eigenpairs)
+from .spectral import SpectralError, smallest_eigenpairs
 from .tempo import (TempoError, first_component_ratio, g_ratio_series,
                     run_algorithm1, run_distributed_fan_tree,
                     tempo_limit_from_eigvec)
@@ -47,7 +41,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 
-EIG_TOL = 1e-8          # eigen residual bound the solver enforces
 SIM_TOL = 1e-3          # convergence verification threshold
 RATE_TOL = 0.10         # relative tolerance on fitted rates
 TEMPO_TOL = 0.02        # tolerance on sampled tempo vs eigen ratio
@@ -61,7 +54,7 @@ def _load(source: str):
     """Load a network from a path or a bundled fixture name."""
     path = Path(source)
     if path.exists():
-        return parse_network_file(path.read_text())
+        return parse_network_file(path.read_bytes())
     if source in FIXTURE_NAMES:
         return parse_network_file(fixture_text(source))
     raise NetworkFileError(
@@ -78,10 +71,6 @@ def _resolve_x0(net: Network, cfg: Optional[SemiAutonomousConfig],
     return rng.random((net.n, d))
 
 
-def _q(value: float, tol: float) -> dict:
-    return {"value": float(value), "tolerance": float(tol)}
-
-
 def _fmt(value: float, tol: float) -> str:
     return f"{value:.6g} (tol {tol:g})"
 
@@ -91,36 +80,12 @@ def _print_arcs(dnet: DirectedNetwork) -> None:
         print(f"  {a.follower} <- {a.followed}   w={a.w:g}")
 
 
-def _generator(net: Network, cfg: Optional[SemiAutonomousConfig],
-               dnet: Optional[DirectedNetwork]):
-    """Pick the dynamics matrix for the given model and optional reduction."""
-    signed = net.is_signed or (cfg is not None and cfg.is_signed)
-    if dnet is None:
-        if cfg is None:
-            G = signed_laplacian(net) if signed else laplacian(net)
-        else:
-            G = (signed_perturbed_laplacian(net, cfg) if signed
-                 else perturbed_laplacian(net, cfg))
-    else:
-        G = (signed_reduced_laplacian(dnet) if signed
-             else reduced_laplacian(dnet))
-        if cfg is not None:
-            for link in cfg.leader_links:
-                G[link.node - 1, link.node - 1] += 1.0
-    drive = None
-    if cfg is not None:
-        drive = (cfg.input_matrix(net.n), cfg.input_vectors())
-    tag = ("signed-" if signed else "") + ("SAN" if cfg is not None else "FAN")
-    if dnet is not None:
-        tag += "-reduced"
-    return G, drive, tag
-
-
 # ---------------------------------------------------------------- analyze
 
 
 def cmd_analyze(args) -> int:
     net, cfg, _ = _load(args.network)
+    model = Model(net, cfg)
     print(f"network {net.name or args.network}: n={net.n}, "
           f"{len(net.edges)} edges, {'signed' if net.is_signed else 'unsigned'}")
     connected = is_connected(net)
@@ -143,28 +108,23 @@ def cmd_analyze(args) -> int:
             print(f"structural balance: balanced, partition {v1s} | {v2s}")
 
     if cfg is not None:
-        signed = net.is_signed or cfg.is_signed
-        M = (signed_perturbed_laplacian(net, cfg) if signed
-             else perturbed_laplacian(net, cfg))
-        pair = (principal_pair_signed(M) if signed
-                else principal_pair_perturbed(M))
+        pair = model.pair()
         print(f"leaders {sorted(cfg.leader_nodes)}; "
               f"smallest perturbed eigenvalue {pair.value:.6g}")
         print("principal eigenvector: "
               + " ".join(f"{v:.4f}" for v in pair.vector))
 
     if connected:
-        decomp = block_cut_tree(net)
+        decomp = model.blocks
         print(f"blocks ({len(decomp.blocks)}): "
               + "; ".join(str(sorted(b)) for b in decomp.blocks))
         print(f"cut nodes: {sorted(decomp.cut_nodes)}")
-        base = net.absolute() if net.is_signed else net
-        fied = fiedler_pair(laplacian(base))
+        fied = model.pair("fan-fsn")
         print(f"Fiedler value {fied.value:.6g}, "
               f"{'simple' if fied.is_simple else 'repeated (flagged)'}")
         if fied.is_simple:
             try:
-                cls = classify_fiedler(decomp, fied.vector)
+                cls = model.classification
             except ClassificationError as exc:
                 print(f"Fiedler classification failed: {exc}")
                 return EXIT_VERIFY
@@ -179,80 +139,9 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------- select
 
 
-def _select(net: Network, cfg: Optional[SemiAutonomousConfig], mode: str):
-    """Build the reduced network plus its before/after report."""
-    report: dict = {"mode": mode, "network": net.name, "checks": {}}
-    if mode in ("san-fsn", "san-ffn"):
-        if cfg is None:
-            raise GraphError(f"mode {mode} needs leaders in the input file")
-        L_B = perturbed_laplacian(net, cfg)
-        pair = principal_pair_perturbed(L_B)
-        dnet = (fsn_san if mode == "san-fsn" else ffn_san)(net, cfg, pair.vector)
-        reduced = reduced_spectrum(dnet, cfg=cfg)
-        report["original"] = {"lambda1": _q(pair.value, EIG_TOL)}
-        report["reduced"] = {"lambda1": _q(float(reduced[0]), EIG_TOL)}
-        report["eigenvector"] = {"entries": [float(v) for v in pair.vector],
-                                 "tolerance": EIG_TOL}
-        reach = reachable_from_inputs(dnet, cfg)
-        report["reachable"] = {str(k): bool(v) for k, v in reach.items()}
-        if mode == "san-fsn":
-            report["checks"]["all_reachable"] = all(reach.values())
-            report["checks"]["rate_not_worse"] = (
-                float(reduced[0]) >= pair.value - EIG_TOL)
-    elif mode == "fan-fsn":
-        base = net.absolute() if net.is_signed else net
-        pair = fiedler_pair(laplacian(base))
-        if not pair.is_simple:
-            raise SpectralError("second eigenvalue repeated; selection undefined")
-        decomp = block_cut_tree(base)
-        cls = classify_fiedler(decomp, pair.vector)
-        dnet = fsn_fan(net, pair.vector, cls)
-        reduced = reduced_spectrum(dnet)
-        report["original"] = {"lambda2": _q(pair.value, EIG_TOL)}
-        report["reduced"] = {"lambda2": _q(float(reduced[1]), EIG_TOL)}
-        report["eigenvector"] = {"entries": [float(v) for v in pair.vector],
-                                 "tolerance": EIG_TOL}
-        report["classification"] = (
-            {"case": "core-block",
-             "core": sorted(decomp.blocks[cls.core_block])}
-            if cls.case == "core-block"
-            else {"case": "core-node", "core": [cls.core_node]})
-        reach = reachable_from(dnet, cls.core_nodes)
-        report["reachable"] = {str(k): bool(v) for k, v in reach.items()}
-        report["checks"]["all_reachable_from_core"] = all(reach.values())
-    elif mode == "signed-san-fsn":
-        if cfg is None:
-            raise GraphError("mode signed-san-fsn needs leaders in the input file")
-        M = signed_perturbed_laplacian(net, cfg)
-        pair = principal_pair_signed(M)
-        dnet = fsn_signed_san(net, cfg, pair.vector)
-        reduced = reduced_spectrum(dnet, cfg=cfg, signed=True)
-        report["original"] = {"lambda1": _q(pair.value, EIG_TOL)}
-        report["reduced"] = {"lambda1": _q(float(reduced[0]), EIG_TOL)}
-        report["eigenvector"] = {"entries": [float(v) for v in pair.vector],
-                                 "tolerance": EIG_TOL}
-        reach = reachable_from_inputs(dnet, cfg)
-        report["reachable"] = {str(k): bool(v) for k, v in reach.items()}
-        report["checks"]["all_reachable"] = all(reach.values())
-        report["checks"]["rate_not_worse"] = (
-            float(reduced[0]) >= pair.value - EIG_TOL)
-    else:
-        raise GraphError(f"unknown mode {mode!r}")
-
-    kept = dnet.arc_set
-    removed = []
-    for e in net.edges:
-        for a, b in ((e.i, e.j), (e.j, e.i)):
-            if (a, b) not in kept:
-                removed.append([a, b])
-    report["arcs"] = [[a.follower, a.followed, a.w] for a in dnet.arcs]
-    report["removed"] = removed
-    return dnet, report
-
-
 def cmd_select(args) -> int:
     net, cfg, _ = _load(args.network)
-    dnet, report = _select(net, cfg, args.mode)
+    dnet, report = Model(net, cfg).reduce(args.mode)
     okey = "lambda1" if "lambda1" in report["original"] else "lambda2"
     print(f"mode {args.mode}: kept {len(dnet.arcs)} of {2*len(net.edges)} "
           f"directed choices")
@@ -282,11 +171,13 @@ def cmd_select(args) -> int:
 
 def cmd_simulate(args) -> int:
     net, cfg, x0 = _load(args.network)
-    dnet = parse_arc_file(Path(args.reduced).read_text()) if args.reduced else None
+    dnet = parse_arc_file(Path(args.reduced).read_bytes()) if args.reduced else None
     if dnet is not None and dnet.n != net.n:
         raise NetworkFileError(
             f"arc file has n={dnet.n}, network has n={net.n}")
-    G, drive, tag = _generator(net, cfg, dnet)
+    model = Model(net, cfg)
+    G, drive = model.generator(dnet), model.drive
+    tag = model.tag + ("-reduced" if dnet is not None else "")
     x0 = _resolve_x0(net, cfg, x0)
     if drive is not None and drive[1].shape[1] != x0.shape[1]:
         raise NetworkFileError(
@@ -324,20 +215,12 @@ def cmd_tempo(args) -> int:
     for i, j in pairs:
         if not (1 <= i <= net.n and 1 <= j <= net.n):
             raise NetworkFileError(f"pair {i}:{j} outside 1..{net.n}")
-    G, drive, tag = _generator(net, cfg, None)
+    model = Model(net, cfg)
+    G, drive = model.generator(), model.drive
     x0 = _resolve_x0(net, cfg, x0)
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon)
-    traj = simulate(G, drive, x0, simcfg, model=tag)
-
-    signed = net.is_signed or (cfg is not None and cfg.is_signed)
-    if cfg is not None:
-        M = (signed_perturbed_laplacian(net, cfg) if signed
-             else perturbed_laplacian(net, cfg))
-        vec = (principal_pair_signed(M) if signed
-               else principal_pair_perturbed(M)).vector
-    else:
-        base = net.absolute() if net.is_signed else net
-        vec = fiedler_pair(laplacian(base)).vector
+    traj = simulate(G, drive, x0, simcfg, model=model.tag)
+    vec = model.pair().vector
 
     rows = ["t,follower,followed,value"]
     ok = True
@@ -375,18 +258,14 @@ def cmd_distributed_select(args) -> int:
     if args.fan_tree:
         dnet, report = run_distributed_fan_tree(net, x0, delta=args.delta,
                                                 eps=args.eps)
-        base = net.absolute() if net.is_signed else net
-        pair = fiedler_pair(laplacian(base))
-        cls = classify_fiedler(block_cut_tree(base), pair.vector)
-        reference = fsn_fan(net, pair.vector, cls)
+    elif cfg is None:
+        raise GraphError("distributed selection needs leaders; "
+                         "use --fan-tree for autonomous trees")
     else:
-        if cfg is None:
-            raise GraphError("distributed selection needs leaders; "
-                             "use --fan-tree for autonomous trees")
         dnet, report = run_algorithm1(net, cfg, x0, delta=args.delta,
                                       eps=args.eps)
-        pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
-        reference = fsn_san(net, cfg, pair.vector)
+    reference = Model(net, cfg).select("fan-fsn" if args.fan_tree
+                                       else "san-fsn")
 
     rounds = max((e.rounds for e in report.entries), default=0)
     print(f"settled after {rounds} rounds (delta={args.delta}, eps={args.eps})")
@@ -445,14 +324,12 @@ def _rate_tolerance(G: np.ndarray, lam: float) -> float:
 
 def cmd_compare(args) -> int:
     net, cfg, x0 = _load(args.network)
-    signed = net.is_signed or (cfg is not None and cfg.is_signed)
+    model = Model(net, cfg)
     checks: dict[str, bool] = {}
     print(f"=== {net.name or args.network}: n={net.n}, {len(net.edges)} edges, "
-          f"{'signed ' if signed else ''}{'SAN' if cfg else 'FAN'} ===")
+          f"{'signed ' if model.signed else ''}{'SAN' if cfg else 'FAN'} ===")
 
-    mode = ("signed-san-fsn" if (cfg and signed)
-            else "san-fsn" if cfg else "fan-fsn")
-    dnet, report = _select(net, cfg, mode)
+    dnet, report = model.reduce()
     okey = "lambda1" if "lambda1" in report["original"] else "lambda2"
     lam_orig = report["original"][okey]["value"]
     lam_red = report["reduced"][okey]["value"]
@@ -460,21 +337,13 @@ def cmd_compare(args) -> int:
           + _fmt(lam_orig, EIG_TOL) + "  ->  reduced " + _fmt(lam_red, EIG_TOL))
     checks.update(report["checks"])
 
-    if cfg is not None:
-        M = (signed_perturbed_laplacian(net, cfg) if signed
-             else perturbed_laplacian(net, cfg))
-        vec = (principal_pair_signed(M) if signed
-               else principal_pair_perturbed(M)).vector
-    else:
-        base = net.absolute() if net.is_signed else net
-        vec = fiedler_pair(laplacian(base)).vector
+    vec = model.pair().vector
     print("selection eigenvector: " + " ".join(f"{v:.4f}" for v in vec))
     print(f"retained {len(dnet.arcs)} arcs:")
     _print_arcs(dnet)
 
     x0 = _resolve_x0(net, cfg, x0)
-    G0, drive, _ = _generator(net, cfg, None)
-    G1, _, _ = _generator(net, cfg, dnet)
+    G0, G1, drive = model.generator(), model.generator(dnet), model.drive
     h0 = _verification_horizon(lam_orig)
     h1 = _verification_horizon(lam_red)
     traj0 = simulate(G0, drive, x0, SimulationConfig(dt=0.01, horizon=h0),
@@ -483,23 +352,13 @@ def cmd_compare(args) -> int:
                      model="reduced")
 
     if cfg is not None:
-        target = steady_state_san(
-            signed_perturbed_laplacian(net, cfg) if signed
-            else perturbed_laplacian(net, cfg),
-            cfg.input_matrix(net.n), cfg.input_vectors())
-        err0 = float(np.abs(traj0.states[-1] - target).max())
-        Gr = (signed_reduced_laplacian(dnet) if signed
-              else reduced_laplacian(dnet))
-        for link in cfg.leader_links:
-            Gr[link.node - 1, link.node - 1] += 1.0
-        target1 = steady_state_san(Gr, cfg.input_matrix(net.n),
-                                   cfg.input_vectors())
-        err1 = float(np.abs(traj1.states[-1] - target1).max())
+        err0, err1 = (float(np.abs(traj.states[-1] - model.limit(G, x0)).max())
+                      for traj, G in ((traj0, G0), (traj1, G1)))
         print(f"steady state reached: original err {err0:.2e}, "
               f"reduced err {err1:.2e}  (tol {SIM_TOL:g})")
         checks["original_converged"] = err0 < SIM_TOL
         checks["reduced_converged"] = err1 < SIM_TOL
-        if signed:
+        if model.signed:
             u0 = cfg.input_vectors()[0]
             final = traj1.states[-1]
             plus = [i for i in range(1, net.n + 1)
@@ -510,11 +369,8 @@ def cmd_compare(args) -> int:
                   f"(tol {SIM_TOL:g})")
             checks["bipartite_consensus"] = len(plus) + len(minus) == net.n
     else:
-        decomp = block_cut_tree(net.absolute() if net.is_signed else net)
-        cls = classify_fiedler(decomp, vec)
-        value = fan_fsn_consensus_value(x0, cls)
-        final = traj1.states[-1]
-        err = float(np.abs(final - value[None, :]).max())
+        value = model.limit(G1, x0)
+        err = float(np.abs(traj1.states[-1] - value).max())
         print(f"reduced-network consensus: predicted "
               f"{np.array2string(value, precision=4)}, simulation err {err:.2e} "
               f"(tol {SIM_TOL:g})")
@@ -625,7 +481,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (NetworkFileError, FileNotFoundError) as exc:
+    except (NetworkFileError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GraphError, SpectralError, ClassificationError, SimulationError,

@@ -226,22 +226,20 @@ def perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
         raise GraphError("network has negative weights; use the signed variant")
     if cfg.is_signed:
         raise GraphError("leader link with negative sign; use the signed variant")
-    for link in cfg.leader_links:
-        if link.node > net.n:
-            raise GraphError(f"leader node {link.node} outside 1..{net.n}")
-    L = laplacian(net)
-    for link in cfg.leader_links:
-        L[link.node - 1, link.node - 1] += 1.0
-    return L
+    return _bump_leaders(laplacian(net), cfg)
 
 
 def signed_perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
     """Signed Laplacian plus unit diagonal bumps on leaders (sign-insensitive)."""
+    return _bump_leaders(signed_laplacian(net), cfg)
+
+
+def _bump_leaders(L: np.ndarray, cfg: SemiAutonomousConfig) -> np.ndarray:
+    """Add the unit leader gain to L's diagonal in place; returns L."""
+    n = L.shape[0]
     for link in cfg.leader_links:
-        if link.node > net.n:
-            raise GraphError(f"leader node {link.node} outside 1..{net.n}")
-    L = signed_laplacian(net)
-    for link in cfg.leader_links:
+        if link.node > n:
+            raise GraphError(f"leader node {link.node} outside 1..{n}")
         L[link.node - 1, link.node - 1] += 1.0
     return L
 

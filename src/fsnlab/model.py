@@ -1,0 +1,154 @@
+"""The model front door: a network, its leader wiring, and its kind.
+
+The paper applies one rule, follow the slower neighbor, to leader-driven
+(SAN), autonomous (FAN) and signed networks.  :class:`Model` settles which
+of these a network is once and supplies the matrices, eigenpairs,
+selections and limits that depend on it, so the command-line front end
+does not choose them by kind itself.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Optional
+
+import numpy as np
+
+from .blocks import (BlockDecomposition, FiedlerClassification,
+                     block_cut_tree, classify_fiedler)
+from .dynamics import fan_fsn_consensus_value, steady_state_san
+from .graphs import (DirectedNetwork, GraphError, Network,
+                     SemiAutonomousConfig, _bump_leaders, laplacian,
+                     perturbed_laplacian, reduced_laplacian, signed_laplacian,
+                     signed_perturbed_laplacian, signed_reduced_laplacian)
+from .selection import (ffn_san, fsn_fan, fsn_san, fsn_signed_san,
+                        reachable_from, reachable_from_inputs,
+                        reduced_spectrum)
+from .spectral import (EigenPair, SpectralError, fiedler_pair,
+                       principal_pair_perturbed, principal_pair_signed)
+
+EIG_TOL = 1e-8          # eigen residual bound the solver enforces
+
+
+def _q(value: float, tol: float) -> dict:
+    return {"value": float(value), "tolerance": float(tol)}
+
+
+class Model:
+    """A network and its leader wiring, with the model kind settled once.
+
+    The kind is signed or unsigned (negative edge weights or repelling
+    leader links) and leader-driven (SAN) or autonomous (FAN, ``cfg`` is
+    None).  Every kind-dependent choice the commands make comes from here:
+    the dynamics generator, the drive, the selection eigenpair, the
+    reduction for a selection mode, and the predicted limit.
+    """
+
+    def __init__(self, net: Network, cfg: Optional[SemiAutonomousConfig]):
+        self.net, self.cfg = net, cfg
+        self.signed = net.is_signed or (cfg is not None and cfg.is_signed)
+        self.tag = (("signed-" if self.signed else "")
+                    + ("SAN" if cfg is not None else "FAN"))
+        self.mode = ("fan-fsn" if cfg is None
+                     else "signed-san-fsn" if self.signed else "san-fsn")
+        self._pairs: dict[str, EigenPair] = {}
+
+    def generator(self, dnet: Optional[DirectedNetwork] = None) -> np.ndarray:
+        """Dynamics matrix of the network, or of its reduction ``dnet``."""
+        net, cfg = self.net, self.cfg
+        if dnet is not None:
+            G = (signed_reduced_laplacian(dnet) if self.signed
+                 else reduced_laplacian(dnet))
+            return G if cfg is None else _bump_leaders(G, cfg)
+        if cfg is None:
+            return signed_laplacian(net) if self.signed else laplacian(net)
+        return (signed_perturbed_laplacian(net, cfg) if self.signed
+                else perturbed_laplacian(net, cfg))
+
+    @property
+    def drive(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(B, u) of a leader-driven network, None for an autonomous one."""
+        if self.cfg is None:
+            return None
+        return self.cfg.input_matrix(self.net.n), self.cfg.input_vectors()
+
+    def pair(self, mode: Optional[str] = None) -> EigenPair:
+        """Selection eigenpair of a mode, by default of the model's own."""
+        mode = mode or self.mode
+        if mode not in self._pairs:
+            net, cfg = self.net, self.cfg
+            if mode == "fan-fsn":
+                pair = fiedler_pair(laplacian(net.absolute()))
+            elif cfg is None:
+                raise GraphError(f"mode {mode} needs leaders in the input file")
+            elif mode == "signed-san-fsn":
+                pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
+            else:
+                pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+            self._pairs[mode] = pair
+        return self._pairs[mode]
+
+    @cached_property
+    def blocks(self) -> BlockDecomposition:
+        return block_cut_tree(self.net)
+
+    @cached_property
+    def classification(self) -> FiedlerClassification:
+        return classify_fiedler(self.blocks, self.pair("fan-fsn").vector)
+
+    def select(self, mode: Optional[str] = None) -> DirectedNetwork:
+        """The reduced network a selection mode (by default the model's own)
+        keeps: the centralized construction."""
+        mode = mode or self.mode
+        pair = self.pair(mode)
+        if mode == "fan-fsn":
+            if not pair.is_simple:
+                raise SpectralError("second eigenvalue repeated; selection undefined")
+            return fsn_fan(self.net, pair.vector, self.classification)
+        rule = {"san-fsn": fsn_san, "san-ffn": ffn_san,
+                "signed-san-fsn": fsn_signed_san}[mode]
+        return rule(self.net, self.cfg, pair.vector)
+
+    def reduce(self, mode: Optional[str] = None) -> tuple[DirectedNetwork, dict]:
+        """:meth:`select` plus the before/after report of the reduction."""
+        mode = mode or self.mode
+        dnet, pair = self.select(mode), self.pair(mode)
+        checks: dict[str, bool] = {}
+        extra = {}
+        if mode == "fan-fsn":
+            key, lam = "lambda2", float(reduced_spectrum(dnet)[1])
+            cls = self.classification
+            extra["classification"] = {"case": cls.case,
+                                       "core": sorted(cls.core_nodes)}
+            reach = reachable_from(dnet, cls.core_nodes)
+            checks["all_reachable_from_core"] = all(reach.values())
+        else:
+            key = "lambda1"
+            lam = float(reduced_spectrum(dnet, cfg=self.cfg,
+                                         signed=mode == "signed-san-fsn")[0])
+            reach = reachable_from_inputs(dnet, self.cfg)
+            if mode != "san-ffn":
+                checks["all_reachable"] = all(reach.values())
+                checks["rate_not_worse"] = lam >= pair.value - EIG_TOL
+        kept = dnet.arc_set
+        report = {
+            "mode": mode, "network": self.net.name, "checks": checks,
+            "original": {key: _q(pair.value, EIG_TOL)},
+            "reduced": {key: _q(lam, EIG_TOL)},
+            "eigenvector": {"entries": [float(v) for v in pair.vector],
+                            "tolerance": EIG_TOL},
+            **extra,
+            "reachable": {str(k): bool(v) for k, v in reach.items()},
+            "arcs": [[a.follower, a.followed, a.w] for a in dnet.arcs],
+            "removed": [[a, b] for e in self.net.edges
+                        for a, b in ((e.i, e.j), (e.j, e.i))
+                        if (a, b) not in kept]}
+        return dnet, report
+
+    def limit(self, G: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """Predicted final state: the steady state of a leader-driven
+        generator G, or for an autonomous network the consensus value its
+        slower-neighbor reduction reaches from x0."""
+        if self.cfg is None:
+            return fan_fsn_consensus_value(x0, self.classification)
+        return steady_state_san(G, *self.drive)

@@ -47,10 +47,7 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
-def parse_network_file(
-        text: str | bytes,
-) -> tuple[Network, Optional[SemiAutonomousConfig], Optional[np.ndarray]]:
-    """Parse a network document into (Network, config or None, x0 or None)."""
+def _json_object(text: str | bytes) -> dict:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     try:
@@ -59,6 +56,14 @@ def parse_network_file(
         raise NetworkFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     _require(isinstance(doc, dict), "document", "top level must be an object")
+    return doc
+
+
+def parse_network_file(
+        text: str | bytes,
+) -> tuple[Network, Optional[SemiAutonomousConfig], Optional[np.ndarray]]:
+    """Parse a network document into (Network, config or None, x0 or None)."""
+    doc = _json_object(text)
     _only_keys(doc, {"name", "n", "directed", "edges", "leaders", "inputs", "x0"},
                "document")
     _require("n" in doc, "document", "missing required key 'n'")
@@ -170,17 +175,13 @@ def serialize_network(net: Network, cfg: Optional[SemiAutonomousConfig] = None,
 
 
 def parse_arc_file(text: str | bytes) -> DirectedNetwork:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    _require(isinstance(doc, dict), "document", "top level must be an object")
+    doc = _json_object(text)
     _only_keys(doc, {"name", "n", "arcs"}, "document")
     _require("n" in doc and "arcs" in doc, "document", "needs keys 'n' and 'arcs'")
     n = _as_int(doc["n"], "n")
+    name = doc.get("name", "")
+    _require(isinstance(name, str), "name", "must be a string")
+    _require(isinstance(doc["arcs"], list), "arcs", "must be a list")
     arcs = []
     for k, raw in enumerate(doc["arcs"]):
         where = f"arcs[{k}]"
@@ -192,7 +193,7 @@ def parse_arc_file(text: str | bytes) -> DirectedNetwork:
                         _as_int(raw["followed"], f"{where}.followed"),
                         _as_number(raw.get("w", 1.0), f"{where}.w")))
     try:
-        return DirectedNetwork(n, tuple(arcs), name=doc.get("name", ""))
+        return DirectedNetwork(n, tuple(arcs), name=name)
     except GraphError as exc:
         raise NetworkFileError(f"arcs: {exc}") from exc
 

@@ -16,9 +16,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .graphs import (Arc, DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, augmented_signed_network,
-                     reduced_laplacian, signed_reduced_laplacian,
-                     structural_balance_partition)
+                     SemiAutonomousConfig, _bump_leaders,
+                     augmented_signed_network, reduced_laplacian,
+                     signed_reduced_laplacian, structural_balance_partition)
 from .blocks import FiedlerClassification
 from .spectral import jacobi_eigh
 
@@ -48,6 +48,23 @@ def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
     return v1
 
 
+def _ratio_arcs(net: Network, v: np.ndarray, eps_tie: float,
+                faster: bool = False) -> DirectedNetwork:
+    """Arcs (i <- j) whose entry ratio v[i]/v[j] exceeds 1, edge by edge;
+    with ``faster`` the ratio is v[j]/v[i] instead."""
+    arcs = []
+    for e in net.edges:
+        a, b = v[e.i - 1], v[e.j - 1]
+        if faster:
+            a, b = b, a
+        if _follows(a, b, eps_tie):
+            arcs.append(Arc(e.i, e.j, e.w))
+        if _follows(b, a, eps_tie):
+            arcs.append(Arc(e.j, e.i, e.w))
+    suffix = "ffn" if faster else "fsn"
+    return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-{suffix}")
+
+
 def fsn_san(net: Network, cfg: SemiAutonomousConfig, v1: np.ndarray,
             eps_tie: float = EPS_TIE) -> DirectedNetwork:
     """Keep the slower neighbors of a leader-driven network.
@@ -56,14 +73,7 @@ def fsn_san(net: Network, cfg: SemiAutonomousConfig, v1: np.ndarray,
     Laplacian; the arc (i <- j) survives exactly when v1[i]/v1[j] > 1.
     The result is acyclic because retained arcs strictly descend in v1.
     """
-    v1 = _checked_positive_vector(net, cfg, v1)
-    arcs = []
-    for e in net.edges:
-        if _follows(v1[e.i - 1], v1[e.j - 1], eps_tie):
-            arcs.append(Arc(e.i, e.j, e.w))
-        if _follows(v1[e.j - 1], v1[e.i - 1], eps_tie):
-            arcs.append(Arc(e.j, e.i, e.w))
-    return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-fsn")
+    return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), eps_tie)
 
 
 def ffn_san(net: Network, cfg: SemiAutonomousConfig, v1: np.ndarray,
@@ -73,14 +83,8 @@ def ffn_san(net: Network, cfg: SemiAutonomousConfig, v1: np.ndarray,
     Isolates followers from the external inputs; ties are dropped on both
     sides exactly as in :func:`fsn_san`.
     """
-    v1 = _checked_positive_vector(net, cfg, v1)
-    arcs = []
-    for e in net.edges:
-        if _follows(v1[e.j - 1], v1[e.i - 1], eps_tie):
-            arcs.append(Arc(e.i, e.j, e.w))
-        if _follows(v1[e.i - 1], v1[e.j - 1], eps_tie):
-            arcs.append(Arc(e.j, e.i, e.w))
-    return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-ffn")
+    return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), eps_tie,
+                       faster=True)
 
 
 def fsn_fan(net: Network, v2: np.ndarray, cls: FiedlerClassification,
@@ -130,13 +134,7 @@ def fsn_signed_san(net: Network, cfg: SemiAutonomousConfig, v1s: np.ndarray,
         raise GraphError(f"eigenvector length {len(v1s)} != n={net.n}")
     if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
         raise GraphError("network plus input wiring is not structurally balanced")
-    arcs = []
-    for e in net.edges:
-        if _follows(abs(v1s[e.i - 1]), abs(v1s[e.j - 1]), eps_tie):
-            arcs.append(Arc(e.i, e.j, e.w))
-        if _follows(abs(v1s[e.j - 1]), abs(v1s[e.i - 1]), eps_tie):
-            arcs.append(Arc(e.j, e.i, e.w))
-    return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-fsn")
+    return _ratio_arcs(net, np.abs(v1s), eps_tie)
 
 
 def reachable_from(dnet: DirectedNetwork, sources: Iterable[int]) -> dict[int, bool]:
@@ -231,8 +229,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
     """
     L = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
     if cfg is not None:
-        for link in cfg.leader_links:
-            L[link.node - 1, link.node - 1] += 1.0
+        _bump_leaders(L, cfg)
     values: list[float] = []
     for comp in _strong_components(dnet):
         idx = np.array([c - 1 for c in comp])

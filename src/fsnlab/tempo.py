@@ -11,8 +11,8 @@ estimates stop moving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -104,48 +104,6 @@ def _change_settled(change: Optional[float], prev_change: Optional[float],
     return change == 0.0 or prev_change == 0.0 or change * prev_change > 0.0
 
 
-@dataclass
-class AgentState:
-    """Bookkeeping one agent carries while ranking its neighbors.
-
-    The agent only ever sees its own samples and its neighbors' samples;
-    ``g`` holds the latest ratio per neighbor (None until both difference
-    norms were usable at least once).
-    """
-
-    id: int
-    neighbors: tuple[int, ...]
-    eps: float
-    g: dict[int, Optional[float]] = field(default_factory=dict)
-    change: dict[int, Optional[float]] = field(default_factory=dict)
-    prev_change: dict[int, Optional[float]] = field(default_factory=dict)
-    streak: int = 0
-    done: bool = False
-    done_round: Optional[int] = None
-
-    def observe(self, diffs: dict[int, float], own: float, k: int,
-                eps_still: float, persistence: int) -> None:
-        if self.done:
-            return
-        settled = True
-        for j in self.neighbors:
-            old = self.g.get(j)
-            if diffs[j] >= eps_still:
-                self.g[j] = own / diffs[j]
-            # else: stalled, keep the last finite estimate
-            new = self.g.get(j)
-            self.prev_change[j] = self.change.get(j)
-            self.change[j] = (new - old) if (new is not None
-                                             and old is not None) else None
-            if not _change_settled(self.change[j], self.prev_change[j],
-                                   self.eps):
-                settled = False
-        self.streak = self.streak + 1 if settled else 0
-        if self.streak >= persistence:
-            self.done = True
-            self.done_round = k
-
-
 @dataclass(frozen=True)
 class TempoEstimate:
     follower: int
@@ -195,54 +153,12 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
     if x0.shape != (net.n, u.shape[1]):
         raise TempoError(f"x0 shape {x0.shape} does not match "
                          f"(n={net.n}, d={u.shape[1]})")
-
-    eps_map = eps if isinstance(eps, dict) else {i: eps for i in range(1, net.n + 1)}
-    agents = {i: AgentState(i, net.neighbors[i], eps_map[i])
-              for i in range(1, net.n + 1)}
-
-    prev = x0.copy()
-    cur = step_rk4(L_B, forcing, prev, delta)
-    k = 1
-    _exchange_round(agents, prev, cur, k, eps_still, persistence)
-    while not all(a.done for a in agents.values()):
-        if k >= round_cap:
-            undone = sorted(i for i, a in agents.items() if not a.done)
-            raise TempoError(
-                f"agents {undone} did not settle within {round_cap} rounds "
-                f"(delta={delta}, eps={eps_map})")
-        k += 1
-        nxt = step_rk4(L_B, forcing, cur, delta)
-        _exchange_round(agents, cur, nxt, k, eps_still, persistence)
-        prev, cur = cur, nxt
-
-    return _harvest(net, agents, tie_margin)
-
-
-def _exchange_round(agents: dict[int, AgentState], prev: np.ndarray,
-                    cur: np.ndarray, k: int, eps_still: float,
-                    persistence: int) -> None:
-    """Synchronous round barrier: each agent sees only its neighbors."""
-    diff = np.linalg.norm(cur - prev, axis=1)
-    for agent in agents.values():
-        visible = {j: float(diff[j - 1]) for j in agent.neighbors}
-        agent.observe(visible, float(diff[agent.id - 1]), k, eps_still,
-                      persistence)
-
-
-def _harvest(net: Network, agents: dict[int, AgentState],
-             tie_margin: float) -> tuple[DirectedNetwork, TempoReport]:
-    arcs = []
-    entries = []
-    for i in sorted(agents):
-        agent = agents[i]
-        for j in agent.neighbors:
-            g = agent.g.get(j)
-            retained = g is not None and g > 1.0 + tie_margin
-            entries.append(TempoEstimate(i, j, g, agent.done_round or 0, retained))
-            if retained:
-                arcs.append(Arc(i, j, net.weights[(i, j)]))
-    dnet = DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-fsn-distributed")
-    return dnet, TempoReport(tuple(entries))
+    eps_map = _eps_map(net, eps)
+    return _settle(net, L_B, forcing, x0,
+                   lambda prev, cur: np.linalg.norm(cur - prev, axis=1),
+                   math.inf, eps_map, delta, round_cap, tie_margin,
+                   persistence, eps_still,
+                   f" (delta={delta}, eps={eps_map})")
 
 
 def run_distributed_fan_tree(net: Network, x0: np.ndarray,
@@ -263,12 +179,15 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
     altogether (a zero-entry core node): the pair is flagged as divergent
     and retained without waiting for the estimate to settle.
 
-    Restricted to trees whose Laplacian has a well-separated second
-    eigenvalue and no edge joining two zero-entry nodes; stars and other
-    repeated-eigenvalue trees are rejected.
+    Restricted to trees with nonnegative weights whose Laplacian has a
+    well-separated second eigenvalue and no edge joining two zero-entry
+    nodes; stars and other repeated-eigenvalue trees are rejected.
     """
     if len(net.edges) != net.n - 1 or not is_connected(net):
         raise TempoError("distributed autonomous selection needs a tree")
+    if net.is_signed:
+        raise TempoError("distributed autonomous selection needs nonnegative "
+                         "weights; the tree has antagonistic (negative) links")
     L = laplacian(net)
     pair = fiedler_pair(L)
     if not pair.is_simple:
@@ -286,86 +205,105 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
         x0 = x0[:, None]
     if x0.shape[0] != net.n:
         raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
-    eps_map = eps if isinstance(eps, dict) else {i: eps for i in range(1, net.n + 1)}
+    return _settle(net, L, np.zeros_like(x0), x0,
+                   lambda prev, cur: cur[:, 0] - prev[:, 0],
+                   divergence_threshold, _eps_map(net, eps), delta, round_cap,
+                   tie_margin, persistence, eps_still,
+                   "; the ratio sign may not be separating on this tree")
 
-    ratio: dict[tuple[int, int], Optional[float]] = {}
-    change: dict[tuple[int, int], Optional[float]] = {}
-    prev_change: dict[tuple[int, int], Optional[float]] = {}
-    divergent: dict[tuple[int, int], bool] = {}
-    growth: dict[tuple[int, int], int] = {}
-    for i in range(1, net.n + 1):
-        for j in net.neighbors[i]:
-            ratio[(i, j)] = None
-            change[(i, j)] = None
-            prev_change[(i, j)] = None
-            divergent[(i, j)] = False
-            growth[(i, j)] = 0
-    streak = {i: 0 for i in range(1, net.n + 1)}
-    done = {i: False for i in range(1, net.n + 1)}
-    done_round = {i: 0 for i in range(1, net.n + 1)}
-    forcing = np.zeros_like(x0)
 
-    prev = x0.copy()
-    cur = step_rk4(L, forcing, prev, delta)
+def _eps_map(net: Network, eps: float | dict[int, float]) -> dict[int, float]:
+    return eps if isinstance(eps, dict) else {i: eps for i in range(1, net.n + 1)}
+
+
+def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
+            observable: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            divergence_threshold: float, eps_map: dict[int, float],
+            delta: float, round_cap: int, tie_margin: float,
+            persistence: int, eps_still: float,
+            stall_hint: str) -> tuple[DirectedNetwork, TempoReport]:
+    """The settle-and-retain loop both distributed selections share.
+
+    Every round advances x' = forcing - G x by one RK4 step of ``delta``
+    and reduces the sample difference to one ``observable`` value per
+    agent.  Agent i's estimate for neighbor j is the ratio of the two
+    values, kept from the last round where j's value cleared ``eps_still``.
+    An estimate whose magnitude grew past ``divergence_threshold`` for
+    three rounds in a row is frozen as divergent.  An agent is done after
+    ``persistence`` rounds in which every live estimate settled, and keeps
+    the neighbors whose estimate diverged, exceeds 1 + ``tie_margin`` or
+    lies below -``tie_margin``; a difference norm is never negative, so
+    with a nonnegative margin only the second case can hold for it.
+    Per-arc state is kept in plain lists, arcs grouped by follower.
+    """
+    n = net.n
+    followed = [j for i in range(1, n + 1) for j in net.neighbors[i]]
+    first = [0]
+    for i in range(1, n + 1):
+        first.append(first[-1] + len(net.neighbors[i]))
+    ratio: list[Optional[float]] = [None] * len(followed)
+    change: list[Optional[float]] = [None] * len(followed)
+    prev_change: list[Optional[float]] = [None] * len(followed)
+    growth = [0] * len(followed)
+    divergent = [False] * len(followed)
+    streak = [0] * n
+    done_round = [0] * n
+    active = list(range(1, n + 1))
+
+    prev, cur = x0, step_rk4(G, forcing, x0, delta)
     k = 1
     while True:
-        d1 = cur[:, 0] - prev[:, 0]
-        for i in range(1, net.n + 1):
-            if done[i]:
-                continue
+        obs = observable(prev, cur).tolist()
+        waiting = []
+        for i in active:
+            own, eps = obs[i - 1], eps_map[i]
             settled = True
-            for j in net.neighbors[i]:
-                key = (i, j)
-                if divergent[key]:
+            for a in range(first[i - 1], first[i]):
+                if divergent[a]:
                     continue
-                old = ratio[key]
-                if abs(d1[j - 1]) >= eps_still:
-                    ratio[key] = float(d1[i - 1] / d1[j - 1])
-                new = ratio[key]
-                if (new is not None and old is not None
-                        and abs(new) > divergence_threshold
+                old = ratio[a]
+                other = obs[followed[a] - 1]
+                if abs(other) >= eps_still:
+                    ratio[a] = own / other
+                new = ratio[a]
+                known = new is not None and old is not None
+                if (known and abs(new) > divergence_threshold
                         and abs(new) > abs(old)):
-                    growth[key] += 1
-                    if growth[key] >= 3:
-                        divergent[key] = True
+                    growth[a] += 1
+                    if growth[a] >= 3:
+                        divergent[a] = True
                         continue
                 else:
-                    growth[key] = 0
-                prev_change[key] = change[key]
-                change[key] = (new - old) if (new is not None
-                                              and old is not None) else None
-                if not _change_settled(change[key], prev_change[key],
-                                       eps_map[i]):
+                    growth[a] = 0
+                prev_change[a] = change[a]
+                change[a] = new - old if known else None
+                if not _change_settled(change[a], prev_change[a], eps):
                     settled = False
-            streak[i] = streak[i] + 1 if settled else 0
-            if streak[i] >= persistence:
-                done[i] = True
-                done_round[i] = k
-        if all(done.values()):
+            streak[i - 1] = streak[i - 1] + 1 if settled else 0
+            if streak[i - 1] >= persistence:
+                done_round[i - 1] = k
+            else:
+                waiting.append(i)
+        active = waiting
+        if not active:
             break
         if k >= round_cap:
-            undone = sorted(i for i in done if not done[i])
-            raise TempoError(
-                f"agents {undone} did not settle within {round_cap} rounds; "
-                "the ratio sign may not be separating on this tree")
+            raise TempoError(f"agents {active} did not settle within "
+                             f"{round_cap} rounds{stall_hint}")
         k += 1
-        prev, cur = cur, step_rk4(L, forcing, cur, delta)
+        prev, cur = cur, step_rk4(G, forcing, cur, delta)
 
     arcs = []
     entries = []
-    for i in range(1, net.n + 1):
-        for j in net.neighbors[i]:
-            key = (i, j)
-            r = ratio[key]
-            if divergent[key]:
-                retained = True
-            else:
-                retained = r is not None and (r > 1.0 + tie_margin
-                                              or r < -tie_margin)
-            entries.append(TempoEstimate(i, j, r, done_round[i], retained))
+    for i in range(1, n + 1):
+        for a in range(first[i - 1], first[i]):
+            j, g = followed[a], ratio[a]
+            retained = divergent[a] or (g is not None and (g > 1.0 + tie_margin
+                                                           or g < -tie_margin))
+            entries.append(TempoEstimate(i, j, g, done_round[i - 1], retained))
             if retained:
                 arcs.append(Arc(i, j, net.weights[(i, j)]))
-    dnet = DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-fsn-distributed")
+    dnet = DirectedNetwork(n, tuple(arcs), name=f"{net.name}-fsn-distributed")
     return dnet, TempoReport(tuple(entries))
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fsnlab import parse_arc_file, parse_trajectory
 from fsnlab.cli import main
@@ -31,6 +32,22 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "no-such-network")
         assert code == 2
         assert "neither a readable file nor a bundled fixture" in err
+
+
+@pytest.mark.parametrize("case", ["network-is-directory", "network-not-utf8",
+                                  "out-is-directory"])
+def test_unreadable_or_unwritable_path_is_input_error(case, capsys, tmp_path):
+    if case == "network-is-directory":
+        argv = ["analyze", str(tmp_path)]
+    elif case == "network-not-utf8":
+        path = tmp_path / "net.json"
+        path.write_bytes(b'{"n": 2, "name": "\xff\xfe", "edges": []}')
+        argv = ["analyze", str(path)]
+    else:
+        argv = ["select", "g8", "--mode", "san-fsn", "--out", str(tmp_path)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 class TestSelect:

@@ -123,6 +123,15 @@ class TestRoundTrip:
         with pytest.raises(NetworkFileError, match="duplicate"):
             parse_arc_file(doc)
 
+    @pytest.mark.parametrize("doc,field", [
+        ('{"n": 2, "arcs": 5}', "arcs"),
+        ('{"n": 2, "arcs": {"follower": 1, "followed": 2}}', "arcs"),
+        ('{"n": 2, "arcs": [], "name": 7}', "name"),
+    ])
+    def test_arc_file_type_errors_name_field(self, doc, field):
+        with pytest.raises(NetworkFileError, match=f"^{field}: "):
+            parse_arc_file(doc)
+
 
 class TestTrajectoryCsv:
     def test_single_step_row_count(self):

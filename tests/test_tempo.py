@@ -284,6 +284,13 @@ class TestDistributedFanTree:
         assert dnet.arc_set == ref.arc_set
         assert not dnet.retained[3]
 
+    def test_signed_tree_rejected_with_cause(self):
+        net = Network(6, tuple(Edge(i, i + 1, -1.0 if i == 3 else 1.0)
+                               for i in range(1, 6)))
+        x0 = np.random.default_rng(4).random(6)
+        with pytest.raises(TempoError, match="negative"):
+            run_distributed_fan_tree(net, x0)
+
     def test_matches_centralized_on_random_trees(self):
         rng = np.random.default_rng(31)
         checked = 0
@@ -393,3 +400,87 @@ class TestTempoOracle:
             series = g_ratio_series(traj, i, j)
             finite = series[~np.isnan(series)]
             assert abs(finite[-1] - want) < 1e-3
+
+
+# (follower, followed, settle round, retained, g) of every report entry of
+# three reference runs.  Rounds and flags must repeat exactly: they decide
+# the arc set; g may move only in its last bits.
+PINNED_G8 = [
+    (1, 6, 793, True, 1.1552608326493088),
+    (2, 3, 673, True, 1.2364349667148644),
+    (2, 6, 673, False, 0.9602297860587911),
+    (3, 2, 758, False, 0.8077510932765993),
+    (3, 4, 758, True, 1.849117667765273),
+    (3, 6, 758, False, 0.7716789329304621),
+    (3, 7, 758, False, 0.9457815014731149),
+    (3, 8, 758, True, 1.3860289529291856),
+    (4, 3, 615, False, 0.5474437479487135),
+    (5, 6, 437, True, 1.1515133558196193),
+    (6, 1, 761, False, 0.867845118168888),
+    (6, 2, 761, True, 1.0468721284229392),
+    (6, 3, 761, True, 1.296071632260353),
+    (6, 5, 761, False, 0.8592994253736522),
+    (6, 7, 761, True, 1.2257906554032072),
+    (7, 3, 675, True, 1.0569819253422643),
+    (7, 6, 675, False, 0.8206929921199732),
+    (7, 8, 675, True, 1.4615219170744953),
+    (8, 3, 559, False, 0.7288938894074326),
+    (8, 7, 559, False, 0.6903050320411903),
+]
+PINNED_T12 = [
+    (1, 4, 484, True, 4.2368142939088855),
+    (1, 11, 484, False, 0.7812115657563279),
+    (1, 12, 484, False, 0.7881760280280102),
+    (2, 4, 637, True, 1.2818342925974355),
+    (3, 4, 904, True, 1.2829272290736538),
+    (4, 1, 871, False, 0.23731394018687918),
+    (4, 2, 871, False, 0.7851168236944297),
+    (4, 3, 871, False, 0.7775944348781554),
+    (4, 5, 871, False, 0.7961856033091392),
+    (4, 6, 871, True, -0.3082957426309247),
+    (5, 4, 930, True, 1.262125000216641),
+    (6, 4, 718, True, -3.2474093339910315),
+    (6, 7, 718, False, 0.7796563462282923),
+    (6, 8, 718, False, 0.7821558342663117),
+    (6, 9, 718, False, 0.7842081449425851),
+    (6, 10, 718, False, 0.7955852838012499),
+    (7, 6, 702, True, 1.2838518366837415),
+    (8, 6, 628, True, 1.283802945639161),
+    (9, 6, 497, True, 1.2836778233087363),
+    (10, 6, 776, True, 1.2629613077148347),
+    (11, 1, 406, True, 1.2849944663380088),
+    (12, 1, 405, True, 1.264052537557247),
+]
+PINNED_P5 = [
+    (1, 2, 785, True, 1.6102269654708181),
+    (2, 1, 990, False, 0.6184186291269985),
+    (2, 3, 990, True, 1023.2765038090888),
+    (3, 2, 759, False, 0.007728380370511813),
+    (3, 4, 759, False, -0.007765471391605496),
+    (4, 3, 990, True, -1022.6584698102088),
+    (4, 5, 990, False, 0.6176496623489183),
+    (5, 4, 786, True, 1.6257871485165438),
+]
+
+
+class TestEnginePinned:
+    def check(self, report, pinned):
+        got = [(e.follower, e.followed, e.rounds, e.retained)
+               for e in report.entries]
+        assert got == [p[:4] for p in pinned]
+        for e, p in zip(report.entries, pinned):
+            assert e.g == pytest.approx(p[4], rel=1e-12, abs=0)
+
+    def test_g8(self, g8):
+        net, cfg, _ = g8
+        x0 = np.random.default_rng(7).random((8, 3))
+        self.check(run_algorithm1(net, cfg, x0)[1], PINNED_G8)
+
+    def test_t12(self, t12):
+        net, _, x0 = t12
+        self.check(run_distributed_fan_tree(net, x0)[1], PINNED_T12)
+
+    def test_p5_core_node(self):
+        net = Network(5, tuple(Edge(i, i + 1) for i in range(1, 5)))
+        x0 = np.random.default_rng(9).random(5)
+        self.check(run_distributed_fan_tree(net, x0)[1], PINNED_P5)
