@@ -16,9 +16,8 @@ from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                      signed_perturbed_laplacian, signed_reduced_laplacian,
                      structural_balance_partition)
 from .spectral import (EigenPair, SpectralError, entry_ratio, fiedler_pair,
-                       jacobi_eigh, principal_pair_perturbed,
-                       principal_pair_signed, sign_normalize,
-                       smallest_eigenpairs)
+                       principal_pair_perturbed, principal_pair_signed,
+                       sign_normalize, smallest_eigenpairs, symmetric_eigh)
 from .blocks import (BlockDecomposition, ClassificationError,
                      FiedlerClassification, block_cut_tree, classify_fiedler)
 from .selection import (ffn_san, fiedler_lower_bound, fsn_fan, fsn_san,

@@ -291,19 +291,21 @@ def _verification_horizon(rate: float, foldings: float = 9.0) -> float:
     return float(min(600.0, max(60.0, foldings / max(rate, 1e-3))))
 
 
-def _rate_of(G, drive, x0, label: str, rate_hint: float) -> float:
-    """Fitted decay rate toward the numerically converged steady state.
-
-    The run continues past the fitting window so its endpoint can serve as
-    the converged target; slower systems get proportionally longer windows.
-    """
-    fit_h = _verification_horizon(rate_hint)
-    long = simulate(G, drive, x0, SimulationConfig(dt=0.01, horizon=1.5 * fit_h),
+def _verification_runs(G, drive, x0, label: str,
+                       h: float) -> tuple[Trajectory, Trajectory]:
+    """One simulation to 1.5 * h, and its first h as a run of its own; the
+    endpoint of the long run serves :func:`_rate_of` as converged target."""
+    long = simulate(G, drive, x0, SimulationConfig(dt=0.01, horizon=1.5 * h),
                     model=label)
-    target = long.states[-1]
+    k = SimulationConfig(dt=0.01, horizon=h).steps + 1
+    return Trajectory(long.times[:k], long.states[:k], model=label), long
+
+
+def _rate_of(long: Trajectory, fit_h: float) -> float:
+    """Fitted decay rate over [0, fit_h] toward the run's final state."""
     keep = long.times <= fit_h + 1e-12
-    window = Trajectory(long.times[keep], long.states[keep], model=label)
-    return empirical_rate(window, target)
+    window = Trajectory(long.times[keep], long.states[keep], model=long.model)
+    return empirical_rate(window, long.states[-1])
 
 
 def _rate_tolerance(G: np.ndarray, lam: float) -> float:
@@ -346,10 +348,8 @@ def cmd_compare(args) -> int:
     G0, G1, drive = model.generator(), model.generator(dnet), model.drive
     h0 = _verification_horizon(lam_orig)
     h1 = _verification_horizon(lam_red)
-    traj0 = simulate(G0, drive, x0, SimulationConfig(dt=0.01, horizon=h0),
-                     model="original")
-    traj1 = simulate(G1, drive, x0, SimulationConfig(dt=0.01, horizon=h1),
-                     model="reduced")
+    traj0, long0 = _verification_runs(G0, drive, x0, "original", h0)
+    traj1, long1 = _verification_runs(G1, drive, x0, "reduced", h1)
 
     if cfg is not None:
         err0, err1 = (float(np.abs(traj.states[-1] - model.limit(G, x0)).max())
@@ -377,8 +377,8 @@ def cmd_compare(args) -> int:
         checks["consensus_value"] = err < SIM_TOL
 
     try:
-        rate0 = _rate_of(G0, drive, x0, "original", lam_orig)
-        rate1 = _rate_of(G1, drive, x0, "reduced", lam_red)
+        rate0 = _rate_of(long0, h0)
+        rate1 = _rate_of(long1, h1)
         tol0 = _rate_tolerance(G0, lam_orig)
         tol1 = _rate_tolerance(G1, lam_red)
         print(f"fitted decay rates: original {rate0:.4g} (predicted {lam_orig:.4g}"

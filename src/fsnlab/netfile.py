@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -48,10 +49,12 @@ def _as_number(value, where: str) -> float:
 
 
 def _json_object(text: str | bytes) -> dict:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         doc = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise NetworkFileError(f"document is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise NetworkFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -222,8 +225,8 @@ def emit_trajectory(traj: Trajectory) -> str:
 
 def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "t,agent,dim,value":
-        raise NetworkFileError("trajectory csv must start with 't,agent,dim,value'")
+    if len(lines) < 2 or lines[0] != "t,agent,dim,value":
+        raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
     rows = []
     for k, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
@@ -234,19 +237,27 @@ def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
                          float(parts[3])))
         except ValueError as exc:
             raise NetworkFileError(f"line {k}: {exc}") from exc
-    n = max(r[1] for r in rows)
-    d = max(r[2] for r in rows)
+    try:
+        t, agent, dim, value = np.fromiter(
+            chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4).T
+    except OverflowError as exc:
+        raise NetworkFileError(f"agent or dim id out of range: {exc}") from exc
+    if min(agent.min(), dim.min()) < 1:
+        raise NetworkFileError("agent and dim ids must be at least 1")
+    n, d = int(agent.max()), int(dim.max())
     if len(rows) % (n * d) != 0:
         raise NetworkFileError(f"row count {len(rows)} is not a multiple of n*d")
-    samples = len(rows) // (n * d)
-    times = np.empty(samples)
-    states = np.empty((samples, n, d))
-    for k in range(samples):
-        block = rows[k * n * d:(k + 1) * n * d]
-        times[k] = block[0][0]
-        for t, agent, dim, value in block:
-            states[k, agent - 1, dim - 1] = value
-    return Trajectory(times, states, model=model)
+    shape = (len(rows) // (n * d), n * d)
+    t = t.reshape(shape)
+    slot = ((agent - 1) * d + dim - 1).astype(np.intp).reshape(shape)
+    bad = ((t != t[:, :1]) | (np.sort(slot, axis=1) != np.arange(n * d))).any(axis=1)
+    if bad.any():
+        raise NetworkFileError(
+            f"sample {int(np.argmax(bad)) + 1}: its rows must share one time value "
+            f"and list each (agent, dim) pair exactly once")
+    states = np.empty(shape)
+    np.put_along_axis(states, slot, value.reshape(shape), axis=1)
+    return Trajectory(t[:, 0], states.reshape(shape[0], n, d), model=model)
 
 
 def fixture_text(name: str) -> str:

@@ -20,7 +20,7 @@ from .graphs import (Arc, DirectedNetwork, GraphError, Network,
                      augmented_signed_network, reduced_laplacian,
                      signed_reduced_laplacian, structural_balance_partition)
 from .blocks import FiedlerClassification
-from .spectral import jacobi_eigh
+from .spectral import symmetric_eigh
 
 EPS_TIE = 1e-10
 
@@ -242,7 +242,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
                 raise GraphError(
                     "strongly connected component has an asymmetric generator "
                     "block; spectrum cannot be read structurally")
-            w, _ = jacobi_eigh(block)
+            w, _ = symmetric_eigh(block)
             values.extend(float(x) for x in w)
     return np.sort(np.array(values))
 
@@ -261,17 +261,12 @@ def reduced_symmetric_fiedler(dnet: DirectedNetwork,
         raise GraphError("symmetrized Fiedler data needs at least two nodes")
     L = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
     M = (L + L.T) / 2.0
-    w, _ = jacobi_eigh(M)
+    w, _ = symmetric_eigh(M)
     lam2 = float(w[1])
-    # Orthonormal basis of the mean-free subspace, from Householder applied
-    # to the all-ones direction: columns 2..n of the reflector.
-    e = np.zeros(n)
-    e[0] = 1.0
-    ones = np.ones(n) / math.sqrt(n)
-    u = ones - e
-    H = np.eye(n) - 2.0 * np.outer(u, u) / float(u @ u)
-    P = H[:, 1:]
-    wq, Vq = jacobi_eigh(P.T @ M @ P)
+    # Orthonormal basis of the mean-free subspace: the eigenvectors of I - J/n
+    # after the first, the all-ones direction (eigenvalue 0; the rest are 1).
+    P = symmetric_eigh(np.eye(n) - 1.0 / n)[1][:, 1:]
+    wq, Vq = symmetric_eigh(P.T @ M @ P)
     vbar = P @ Vq[:, 0]
     vbar = vbar / np.linalg.norm(vbar)
     return lam2, vbar
@@ -288,7 +283,7 @@ def fiedler_lower_bound(L: np.ndarray, dnet: DirectedNetwork,
     L = np.asarray(L, dtype=float)
     vbar = np.asarray(vbar, dtype=float)
     n = dnet.n
-    w, _ = jacobi_eigh(L)
+    w, _ = symmetric_eigh(L)
     lam2 = float(w[1])
     total = 0.0
     kept = dnet.arc_set

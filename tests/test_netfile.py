@@ -133,6 +133,12 @@ class TestRoundTrip:
             parse_arc_file(doc)
 
 
+@pytest.mark.parametrize("parse", [parse_network_file, parse_arc_file])
+def test_non_utf8_document_is_network_file_error(parse):
+    with pytest.raises(NetworkFileError, match="not UTF-8"):
+        parse(b"\xff{}")
+
+
 class TestTrajectoryCsv:
     def test_single_step_row_count(self):
         net = Network(2, (Edge(1, 2),))
@@ -162,3 +168,20 @@ class TestTrajectoryCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(NetworkFileError, match="header|start"):
             parse_trajectory("time,agent,dim,value\n0,1,1,0.5")
+
+    def test_header_only_rejected(self):
+        with pytest.raises(NetworkFileError, match="and rows"):
+            parse_trajectory("t,agent,dim,value\n")
+
+    def test_agent_zero_rejected(self):
+        with pytest.raises(NetworkFileError, match="at least 1"):
+            parse_trajectory("t,agent,dim,value\n0,0,1,0.5\n0,1,1,0.5\n")
+
+    def test_block_with_two_times_rejected(self):
+        with pytest.raises(NetworkFileError, match="sample 1: "):
+            parse_trajectory("t,agent,dim,value\n0,1,1,0.5\n0.1,2,1,0.5\n")
+
+    def test_repeated_and_missing_pair_rejected(self):
+        with pytest.raises(NetworkFileError, match="sample 2: "):
+            parse_trajectory("t,agent,dim,value\n0,1,1,0.5\n0,2,1,0.5\n"
+                             "1,2,1,0.5\n1,2,1,0.5\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsnlab import (Edge, LeaderLink, Network, SemiAutonomousConfig,
-                    SpectralError, entry_ratio, fiedler_pair, jacobi_eigh,
+                    SpectralError, entry_ratio, fiedler_pair, symmetric_eigh,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
                     sign_normalize, smallest_eigenpairs)
 
@@ -42,7 +42,7 @@ def char_poly_root_path3_leader1():
 
 class TestJacobi:
     def test_two_by_two_closed_form(self):
-        w, V = jacobi_eigh(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        w, V = symmetric_eigh(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         assert np.abs(w - [0.0, 2.0]).max() < 1e-12
         v2 = V[:, 1]
         expect = np.array([1.0, -1.0]) / math.sqrt(2)
@@ -54,7 +54,7 @@ class TestJacobi:
             n = int(rng.integers(1, 15))
             A = rng.normal(size=(n, n))
             A = (A + A.T) / 2
-            w, V = jacobi_eigh(A)
+            w, V = symmetric_eigh(A)
             assert np.abs(w - np.linalg.eigvalsh(A)).max() < 1e-10
             assert np.abs(V.T @ V - np.eye(n)).max() < 1e-8
             assert np.abs(A @ V - V @ np.diag(w)).max() < 1e-8 * max(
@@ -62,15 +62,29 @@ class TestJacobi:
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(SpectralError, match="not symmetric"):
-            jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(9, 9))
         A = (A + A.T) / 2
-        w1, V1 = jacobi_eigh(A.copy())
-        w2, V2 = jacobi_eigh(A.copy())
+        w1, V1 = symmetric_eigh(A.copy())
+        w2, V2 = symmetric_eigh(A.copy())
         assert np.array_equal(w1, w2) and np.array_equal(V1, V2)
+
+
+class TestSymmetricEighInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(SpectralError, match="non-finite"):
+            symmetric_eigh(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_lapack_failure_is_spectral_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(SpectralError, match="did not converge"):
+            symmetric_eigh(np.eye(2))
 
 
 class TestSmallestEigenpairs:
@@ -93,7 +107,7 @@ class TestSmallestEigenpairs:
         for _ in range(30):
             net = random_connected_net(rng, int(rng.integers(2, 13)))
             L = laplacian(net)
-            w, V = jacobi_eigh(L)
+            w, V = symmetric_eigh(L)
             assert np.abs(V.T @ V - np.eye(net.n)).max() < 1e-8
             for k in range(net.n):
                 res = np.abs(L @ V[:, k] - w[k] * V[:, k]).max()
@@ -178,6 +192,13 @@ class TestFiedlerPair:
             once = sign_normalize(v)
             twice = sign_normalize(once)
             assert np.array_equal(once, twice)
+
+    def test_sign_convention_ignores_rounding_noise_in_ties(self):
+        # The later entry is larger by one ulp (about 1e-16 relative); the
+        # first index of the tie decides the sign.
+        v = np.array([0.6, -np.nextafter(0.6, 1.0), 0.2])
+        assert sign_normalize(v)[0] > 0
+        assert sign_normalize(-v)[0] > 0
 
     def test_fiedler_level_sets_stay_connected(self):
         # For any threshold r >= 0, the nodes with entry >= -r induce a
