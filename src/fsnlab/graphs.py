@@ -8,6 +8,7 @@ that remain after a selection step.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,6 +31,12 @@ class Edge:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
 
 
+def _overflow_error(node: int, weights: list[float]) -> GraphError:
+    """The refusal of a node whose Laplacian diagonal, sum |w|, overflows."""
+    return GraphError(f"node {node}: the magnitudes of its weights {weights} "
+                      "do not sum to a finite float")
+
+
 @dataclass(frozen=True)
 class Network:
     """Undirected weighted graph, possibly signed (negative weights)."""
@@ -43,16 +50,22 @@ class Network:
             raise GraphError(f"node count must be positive, got {self.n}")
         object.__setattr__(self, "edges", tuple(self.edges))
         seen = set()
+        load: dict[int, float] = {}
         for e in self.edges:
             if e.i == e.j:
                 raise GraphError(f"self-loop at node {e.i}")
             if not (1 <= e.i <= self.n and 1 <= e.j <= self.n):
                 raise GraphError(f"edge ({e.i},{e.j}) outside 1..{self.n}")
-            if e.w == 0 or not np.isfinite(e.w):
+            if e.w == 0 or not math.isfinite(e.w):
                 raise GraphError(f"edge ({e.i},{e.j}) has invalid weight {e.w}")
             if e.key() in seen:
                 raise GraphError(f"duplicate edge ({e.i},{e.j})")
             seen.add(e.key())
+            for node in (e.i, e.j):
+                total = load[node] = load.get(node, 0.0) + abs(e.w)
+                if not math.isfinite(total):
+                    raise _overflow_error(node, [f.w for f in self.edges
+                                                 if node in (f.i, f.j)])
 
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
@@ -170,6 +183,7 @@ class DirectedNetwork:
     def __post_init__(self):
         object.__setattr__(self, "arcs", tuple(self.arcs))
         seen = set()
+        load: dict[int, float] = {}
         for a in self.arcs:
             if a.follower == a.followed:
                 raise GraphError(f"self-arc at node {a.follower}")
@@ -178,6 +192,10 @@ class DirectedNetwork:
             if (a.follower, a.followed) in seen:
                 raise GraphError(f"duplicate arc ({a.follower},{a.followed})")
             seen.add((a.follower, a.followed))
+            total = load[a.follower] = load.get(a.follower, 0.0) + abs(a.w)
+            if not math.isfinite(total):
+                raise _overflow_error(a.follower, [b.w for b in self.arcs
+                                                   if b.follower == a.follower])
 
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:

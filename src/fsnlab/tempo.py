@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, step_rk4
+from .dynamics import Trajectory, step_map
 from .graphs import (Arc, DirectedNetwork, Network, SemiAutonomousConfig,
                      is_connected, laplacian, perturbed_laplacian)
 from .spectral import default_eps_gap, fiedler_pair, symmetric_eigh
@@ -224,16 +224,17 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             stall_hint: str) -> tuple[DirectedNetwork, TempoReport]:
     """The settle-and-retain loop both distributed selections share.
 
-    Every round advances x' = forcing - G x by one RK4 step of ``delta``
-    and reduces the sample difference to one ``observable`` value per
-    agent.  Agent i's estimate for neighbor j is the ratio of the two
-    values, kept from the last round where j's value cleared ``eps_still``.
-    An estimate whose magnitude grew past ``divergence_threshold`` for
-    three rounds in a row is frozen as divergent.  An agent is done after
-    ``persistence`` rounds in which every live estimate settled, and keeps
-    the neighbors whose estimate diverged, exceeds 1 + ``tie_margin`` or
-    lies below -``tie_margin``; a difference norm is never negative, so
-    with a nonnegative margin only the second case can hold for it.
+    Every round advances x' = forcing - G x by one RK4 step of ``delta``,
+    applied as its affine map (:func:`step_map`), and reduces the sample
+    difference to one ``observable`` value per agent.  Agent i's estimate
+    for neighbor j is the ratio of the two values, kept from the last
+    round where j's value cleared ``eps_still``.  An estimate whose
+    magnitude grew past ``divergence_threshold`` for three rounds in a row
+    is frozen as divergent.  An agent is done after ``persistence`` rounds
+    in which every live estimate settled, and keeps the neighbors whose
+    estimate diverged, exceeds 1 + ``tie_margin`` or lies below
+    -``tie_margin``; a difference norm is never negative, so with a
+    nonnegative margin only the second case can hold for it.
     Per-arc state is kept in plain lists, arcs grouped by follower.
     """
     n = net.n
@@ -250,9 +251,10 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     done_round = [0] * n
     active = list(range(1, n + 1))
 
-    prev, cur = x0, step_rk4(G, forcing, x0, delta)
-    k = 1
-    while True:
+    R, c = step_map(G, forcing, delta, "rk4")
+    cur = x0
+    for k in range(1, round_cap + 1):
+        prev, cur = cur, R @ cur + c
         obs = observable(prev, cur).tolist()
         waiting = []
         for i in active:
@@ -287,11 +289,9 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
         active = waiting
         if not active:
             break
-        if k >= round_cap:
-            raise TempoError(f"agents {active} did not settle within "
-                             f"{round_cap} rounds{stall_hint}")
-        k += 1
-        prev, cur = cur, step_rk4(G, forcing, cur, delta)
+    else:
+        raise TempoError(f"agents {active} did not settle within "
+                         f"{round_cap} rounds{stall_hint}")
 
     arcs = []
     entries = []

@@ -50,13 +50,14 @@ def test_unreadable_or_unwritable_path_is_input_error(case, capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-def test_overflowing_weights_are_verification_error(capsys, tmp_path):
+def test_overflowing_weights_are_input_error(capsys, tmp_path):
     path = tmp_path / "net.json"
     path.write_text(json.dumps({"n": 3, "edges": [{"i": 1, "j": 2, "w": 1e308},
                                                   {"i": 2, "j": 3, "w": 1e308}]}))
     code, _, err = run(capsys, "analyze", str(path))
-    assert code == 1
-    assert "error: matrix has non-finite entries" in err
+    assert code == 2
+    assert ("error: edges: node 2: the magnitudes of its weights "
+            "[1e+308, 1e+308] do not sum to a finite float") in err
     assert "Traceback" not in err
 
 

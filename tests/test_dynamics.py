@@ -28,6 +28,18 @@ def reduced_generator(dnet, cfg=None, signed=False):
     return G
 
 
+def ref_step_euler(generator, forcing, x, dt):
+    return x + dt * (forcing - generator @ x)
+
+
+def ref_step_rk4(generator, forcing, x, dt):
+    k1 = forcing - generator @ x
+    k2 = forcing - generator @ (x + 0.5 * dt * k1)
+    k3 = forcing - generator @ (x + 0.5 * dt * k2)
+    k4 = forcing - generator @ (x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestSimulate:
     def test_g8_consensus_on_homogeneous_input(self, g8):
         net, cfg, _ = g8
@@ -70,6 +82,32 @@ class TestSimulate:
         xe = simulate(G, drive, x0, cfg_e).states[-1]
         xr = simulate(G, drive, x0, cfg_r).states[-1]
         assert np.abs(xe - xr).max() < 5 * 0.01
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("name", ["g6", "g8", "g8-signed", "g12", "t12"])
+    def test_matches_reference_steppers(self, name, method, request):
+        # The step map against the stage formulas, column by column.
+        net, cfg, x0 = request.getfixturevalue(name.replace("-", "_"))
+        if cfg is None:
+            G, drive, d = laplacian(net), None, 1
+        else:
+            G = signed_perturbed_laplacian(net, cfg)
+            drive = (cfg.input_matrix(net.n), cfg.input_vectors())
+            d = cfg.d
+        if x0 is None:
+            x0 = np.random.default_rng(8).random((net.n, d))
+        forcing = np.zeros_like(x0) if drive is None else drive[0] @ drive[1]
+        sim = SimulationConfig(dt=0.01, horizon=20.0, method=method)
+        got = simulate(G, drive, x0, sim).states
+        step = ref_step_euler if method == "euler" else ref_step_rk4
+        want = np.empty_like(got)
+        want[0] = x0
+        for dim in range(x0.shape[1]):
+            x = x0[:, dim].copy()
+            for k in range(sim.steps):
+                x = step(G, forcing[:, dim], x, sim.dt)
+                want[k + 1, :, dim] = x
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     def test_coordinates_evolve_independently(self, g8):
         # A d=3 run must be bit-identical to three stacked d=1 runs.

@@ -39,6 +39,12 @@ class TestNetworkModel:
         with pytest.raises(GraphError, match="weight"):
             Network(2, (Edge(1, 2, 0.0),))
 
+    @pytest.mark.parametrize("w", [1e308, -1e308])
+    def test_rejects_overflowing_degree(self, w):
+        # Node 2's Laplacian diagonal, 1e308 + |w|, is past the float range.
+        with pytest.raises(GraphError, match=r"node 2: .* \[1e\+308, "):
+            Network(3, (Edge(1, 2, 1e308), Edge(2, 3, w)))
+
     def test_duplicate_arc_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             DirectedNetwork(2, (Arc(1, 2), Arc(1, 2)))

@@ -123,6 +123,12 @@ class TestRoundTrip:
         with pytest.raises(NetworkFileError, match="duplicate"):
             parse_arc_file(doc)
 
+    def test_arc_file_rejects_overflowing_degree(self):
+        doc = ('{"n": 3, "arcs": [{"follower": 1, "followed": 2, "w": 1e308}, '
+               '{"follower": 1, "followed": 3, "w": 1e308}]}')
+        with pytest.raises(NetworkFileError, match="^arcs: node 1: .*finite"):
+            parse_arc_file(doc)
+
     @pytest.mark.parametrize("doc,field", [
         ('{"n": 2, "arcs": 5}', "arcs"),
         ('{"n": 2, "arcs": {"follower": 1, "followed": 2}}', "arcs"),

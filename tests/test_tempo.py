@@ -428,33 +428,33 @@ PINNED_G8 = [
     (8, 7, 559, False, 0.6903050320411903),
 ]
 PINNED_T12 = [
-    (1, 4, 484, True, 4.2368142939088855),
+    (1, 4, 484, True, 4.236814293898755),
     (1, 11, 484, False, 0.7812115657563279),
     (1, 12, 484, False, 0.7881760280280102),
-    (2, 4, 637, True, 1.2818342925974355),
-    (3, 4, 904, True, 1.2829272290736538),
-    (4, 1, 871, False, 0.23731394018687918),
-    (4, 2, 871, False, 0.7851168236944297),
-    (4, 3, 871, False, 0.7775944348781554),
-    (4, 5, 871, False, 0.7961856033091392),
-    (4, 6, 871, True, -0.3082957426309247),
-    (5, 4, 930, True, 1.262125000216641),
+    (2, 4, 637, True, 1.281834292593188),
+    (3, 4, 904, True, 1.2829272290661284),
+    (4, 1, 871, False, 0.23731394018817625),
+    (4, 2, 871, False, 0.7851168237020898),
+    (4, 3, 871, False, 0.7775944348824053),
+    (4, 5, 871, False, 0.7961856033100262),
+    (4, 6, 871, True, -0.3082957426326097),
+    (5, 4, 930, True, 1.2621250002042377),
     (6, 4, 718, True, -3.2474093339910315),
     (6, 7, 718, False, 0.7796563462282923),
-    (6, 8, 718, False, 0.7821558342663117),
+    (6, 8, 718, False, 0.7821558342670539),
     (6, 9, 718, False, 0.7842081449425851),
     (6, 10, 718, False, 0.7955852838012499),
     (7, 6, 702, True, 1.2838518366837415),
-    (8, 6, 628, True, 1.283802945639161),
-    (9, 6, 497, True, 1.2836778233087363),
-    (10, 6, 776, True, 1.2629613077148347),
-    (11, 1, 406, True, 1.2849944663380088),
+    (8, 6, 628, True, 1.2838029456385192),
+    (9, 6, 497, True, 1.2836778233083588),
+    (10, 6, 776, True, 1.2629613077141477),
+    (11, 1, 406, True, 1.2849944663386221),
     (12, 1, 405, True, 1.264052537557247),
 ]
 PINNED_P5 = [
     (1, 2, 785, True, 1.6102269654708181),
-    (2, 1, 990, False, 0.6184186291269985),
-    (2, 3, 990, True, 1023.2765038090888),
+    (2, 1, 990, False, 0.6184186291033923),
+    (2, 3, 990, True, 1023.2765038803619),
     (3, 2, 759, False, 0.007728380370511813),
     (3, 4, 759, False, -0.007765471391605496),
     (4, 3, 990, True, -1022.6584698102088),
