@@ -29,9 +29,9 @@ from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, is_connected, laplacian,
                      signed_laplacian, structural_balance_partition)
 from .model import EIG_TOL, Model
-from .netfile import (FIXTURE_NAMES, NetworkFileError, emit_trajectory,
-                      fixture_text, parse_arc_file, parse_network_file,
-                      serialize_arcs)
+from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
+                      emit_trajectory, fixture_text, parse_arc_file,
+                      parse_network_file, serialize_arcs)
 from .spectral import SpectralError, smallest_eigenpairs
 from .tempo import (TempoError, first_component_ratio, g_ratio_series,
                     run_algorithm1, run_distributed_fan_tree,
@@ -222,14 +222,14 @@ def cmd_tempo(args) -> int:
     traj = simulate(G, drive, x0, simcfg, model=model.tag)
     vec = model.pair().vector
 
-    rows = ["t,follower,followed,value"]
+    rows = ["t,follower,followed,value\n"]
     ok = True
     print(f"{'pair':>7}  {'sampled g (final)':>18}  {'eigvec ratio':>12}")
     for i, j in pairs:
         series = (first_component_ratio(traj, i, j) if args.first_component
                   else g_ratio_series(traj, i, j))
-        for k, v in enumerate(series):
-            rows.append(f"{traj.times[k+1]:.17g},{i},{j},{v:.17g}")
+        if args.out:
+            rows.extend(csv_rows(traj.times[1:], [f"{i},{j}"], series[:, None]))
         finite = series[~np.isnan(series)]
         final = float(finite[-1]) if len(finite) else float("nan")
         if args.first_component:
@@ -240,7 +240,7 @@ def cmd_tempo(args) -> int:
         if np.isfinite(ref) and abs(final - ref) > TEMPO_TOL * max(1.0, abs(ref)):
             ok = False
     if args.out:
-        Path(args.out).write_text("\n".join(rows) + "\n")
+        Path(args.out).write_text("".join(rows))
         print(f"wrote series to {args.out}")
     if not ok:
         print(f"FAILED: sampled tempo differs from eigenvector ratio by more "

@@ -114,9 +114,11 @@ def simulate(generator: np.ndarray,
         forcing = np.zeros((n, d))
     else:
         B, u = np.asarray(drive[0], dtype=float), np.asarray(drive[1], dtype=float)
-        if B.shape[0] != n or B.shape[1] != u.shape[0]:
+        if (B.ndim != 2 or u.ndim != 2 or B.shape[0] != n
+                or B.shape[1] != u.shape[0]):
             raise SimulationError(
-                f"drive shapes B{B.shape} and u{u.shape} do not match n={n}")
+                f"drive shapes B{B.shape} and u{u.shape} do not match n={n}: "
+                f"need B (n, m) and u (m, d)")
         forcing = B @ u
         if forcing.shape[1] != d:
             raise SimulationError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 from itertools import chain
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig)
 
 FIXTURE_NAMES = ("g6", "g8", "g8-signed", "g12", "t12")
+CSV_BLOCK = 512         # samples formatted per block by csv_rows
 
 
 class NetworkFileError(ValueError):
@@ -208,19 +209,46 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def emit_trajectory(traj: Trajectory) -> str:
-    """Trajectory as CSV, time-major then agent then dimension.
+def csv_rows(times: np.ndarray, ids: list[str],
+             values: np.ndarray) -> Iterator[str]:
+    """CSV rows ``t,<id>,value`` of samples, one joined string per block.
 
-    Values carry 17 significant digits, enough to reproduce the binary
-    doubles exactly on re-parse.
+    ``values`` is (samples, len(ids)); sample k gives one row per id, in
+    order, each stamped with ``times[k]``.  Times and values are written
+    as ``%.17g``, which a re-parse turns back into the same doubles.  The
+    rows of one sample come from one ``%``-template with the ids baked in,
+    and each time stamp is formatted once.  Samples are converted to
+    Python floats ``CSV_BLOCK`` at a time, so the transient strings and
+    floats stay bounded by one block whatever the trajectory's length.
     """
-    lines = ["t,agent,dim,value"]
-    for k, t in enumerate(traj.times):
-        for agent in range(1, traj.n + 1):
-            for dim in range(1, traj.d + 1):
-                v = traj.states[k, agent - 1, dim - 1]
-                lines.append(f"{t:.17g},{agent},{dim},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    m = len(ids)
+    template = "".join("%%s,%s,%%.17g\n" % i for i in ids)
+    args = [None] * (2 * m)
+    for k in range(0, len(times), CSV_BLOCK):
+        out = []
+        for t, row in zip(times[k:k + CSV_BLOCK].tolist(),
+                          values[k:k + CSV_BLOCK].tolist()):
+            args[0::2] = ("%.17g" % t,) * m
+            args[1::2] = row
+            out.append(template % tuple(args))
+        yield "".join(out)
+
+
+def emit_trajectory(traj: Trajectory) -> str:
+    """Trajectory as CSV: header ``t,agent,dim,value``, then one row per value.
+
+    Rows run time-major, then by agent, then by dimension.  Agents and
+    dimensions are 1-based plain integers; times and values are written as
+    ``%.17g``, enough digits to reproduce the binary doubles exactly on
+    re-parse (``parse_trajectory``).  Rows are formatted ``CSV_BLOCK``
+    (512) samples at a time by ``csv_rows``: the per-value floats and row
+    strings alive at once never exceed one block, so the transient memory
+    beside the text itself stays bounded whatever the trajectory's length.
+    """
+    ids = [f"{agent},{dim}" for agent in range(1, traj.n + 1)
+           for dim in range(1, traj.d + 1)]
+    values = traj.states.reshape(len(traj.times), traj.n * traj.d)
+    return "".join(["t,agent,dim,value\n", *csv_rows(traj.times, ids, values)])
 
 
 def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fsnlab import parse_arc_file, parse_trajectory
+from fsnlab import (SimulationConfig, first_component_ratio, g_ratio_series,
+                    load_fixture, parse_arc_file, parse_trajectory, simulate)
 from fsnlab.cli import main
+from fsnlab.model import Model
 
 from conftest import G8_FSN
 
@@ -138,6 +140,29 @@ class TestTempo:
     def test_bad_pair_spec(self, capsys):
         code, _, err = run(capsys, "tempo", "g8", "--pairs", "7;3")
         assert code == 2
+
+    @pytest.mark.parametrize("first_component", [False, True])
+    def test_series_csv_bytes(self, first_component, capsys, tmp_path,
+                              monkeypatch):
+        # The CSV must hold exactly the rows the original per-row f-string
+        # loop wrote, rebuilt here from the same trajectory.
+        monkeypatch.setenv("FSNLAB_SEED", "7")
+        path = tmp_path / "g.csv"
+        argv = ["tempo", "g8", "--pairs", "7:3,7:6,7:8", "--out", str(path)]
+        if first_component:
+            argv.append("--first-component")
+        code, _, _ = run(capsys, *argv)
+        net, cfg, _ = load_fixture("g8")
+        model = Model(net, cfg)
+        x0 = np.random.default_rng(7).random((net.n, cfg.d))
+        traj = simulate(model.generator(), model.drive, x0, SimulationConfig())
+        ratio = first_component_ratio if first_component else g_ratio_series
+        rows = ["t,follower,followed,value"]
+        for i, j in [(7, 3), (7, 6), (7, 8)]:
+            for k, v in enumerate(ratio(traj, i, j)):
+                rows.append(f"{traj.times[k+1]:.17g},{i},{j},{v:.17g}")
+        assert path.read_text() == "\n".join(rows) + "\n"
+        assert code == 0
 
 
 class TestDistributedSelect:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,15 @@ class TestSimulate:
         L_B, B, u = san_system(net, cfg)
         with pytest.raises(SimulationError, match="dimension"):
             simulate(L_B, (B, u), np.zeros((8, 2)), SimulationConfig())
+
+    @pytest.mark.parametrize("which,shapes", [
+        ("u", "B(8, 2) and u(2,)"), ("B", "B(8,) and u(1, 3)")])
+    def test_one_dimensional_drive_rejected(self, g8, which, shapes):
+        net, cfg, _ = g8
+        L_B, B, _ = san_system(net, cfg)
+        drive = (B, np.ones(2)) if which == "u" else (B[:, 0], np.ones((1, 3)))
+        with pytest.raises(SimulationError, match=re.escape(shapes)):
+            simulate(L_B, drive, np.zeros((8, 1)), SimulationConfig())
 
     def test_trajectory_shape_and_times(self):
         traj = simulate(laplacian(K2), None, np.array([1.0, 0.0]),

@@ -1,12 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fsnlab import (FIXTURE_NAMES, NetworkFileError, SimulationConfig,
-                    emit_trajectory, laplacian, load_fixture,
+                    Trajectory, emit_trajectory, laplacian, load_fixture,
                     parse_arc_file, parse_network_file, parse_trajectory,
                     serialize_arcs, serialize_network, simulate)
 from fsnlab.graphs import Edge, Network
-from fsnlab.netfile import fixture_text
+from fsnlab.model import Model
+from fsnlab.netfile import CSV_BLOCK, fixture_text
+
+
+def ref_emit_trajectory(traj):
+    """The original writer: one f-string per value, in three nested loops."""
+    lines = ["t,agent,dim,value"]
+    for k, t in enumerate(traj.times):
+        for agent in range(1, traj.n + 1):
+            for dim in range(1, traj.d + 1):
+                v = traj.states[k, agent - 1, dim - 1]
+                lines.append(f"{t:.17g},{agent},{dim},{v:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_doubles(got, want):
+    """Bit-for-bit equality, except that any NaN matches any NaN."""
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 class TestFixtures:
@@ -191,3 +213,50 @@ class TestTrajectoryCsv:
         with pytest.raises(NetworkFileError, match="sample 2: "):
             parse_trajectory("t,agent,dim,value\n0,1,1,0.5\n0,2,1,0.5\n"
                              "1,2,1,0.5\n1,2,1,0.5\n")
+
+
+class TestTrajectoryWriter:
+    """emit_trajectory must match the original three-loop writer byte for byte."""
+
+    @pytest.mark.parametrize("name,d", [
+        ("g6", 1), ("g8", 3), ("g8-signed", 3), ("g12", 1), ("g12", 3),
+        ("t12", 1), ("t12", 3)])
+    def test_fixture_simulations(self, name, d):
+        net, cfg, _ = load_fixture(name)
+        model = Model(net, cfg)
+        x0 = np.random.default_rng(5).random((net.n, d))
+        traj = simulate(model.generator(), model.drive, x0,
+                        SimulationConfig(horizon=12.0))
+        assert emit_trajectory(traj) == ref_emit_trajectory(traj)
+
+    def test_partial_last_block(self):
+        samples = 2 * CSV_BLOCK + 1
+        rng = np.random.default_rng(3)
+        traj = Trajectory(np.arange(samples) * 0.01, rng.normal(size=(samples, 3, 2)))
+        assert emit_trajectory(traj) == ref_emit_trajectory(traj)
+
+    def test_special_values(self):
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, 1e22,
+                   1.7976931348623157e308]
+        states = np.array(special + [-v for v in special]).reshape(4, 2, 2)
+        traj = Trajectory(np.array([-0.0, 5e-324, 1e22, np.inf]), states)
+        text = emit_trajectory(traj)
+        assert text == ref_emit_trajectory(traj)
+        assert "\n-0,1,2,inf\n-0,2,1,-inf\n-0,2,2,-0\n" in text
+        assert "\ninf,2,2,-1.7976931348623157e+308\n" in text
+        again = parse_trajectory(text)
+        assert_same_doubles(again.times, traj.times)
+        assert_same_doubles(again.states, traj.states)
+
+    @given(st.integers(1, 1100), st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_doubles_round_trip(self, samples, n, d, data):
+        times = data.draw(hnp.arrays(np.float64, samples,
+                                     elements=st.floats(allow_nan=False)))
+        states = data.draw(hnp.arrays(np.float64, (samples, n, d)))
+        traj = Trajectory(times, states)
+        text = emit_trajectory(traj)
+        assert text == ref_emit_trajectory(traj)
+        again = parse_trajectory(text)
+        assert_same_doubles(again.times, traj.times)
+        assert_same_doubles(again.states, traj.states)
