@@ -463,8 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("distributed-select",
                        help="neighbor selection from sampled data only")
     d.add_argument("network")
-    d.add_argument("--delta", type=float, default=0.01)
-    d.add_argument("--eps", type=float, default=1e-4)
+    d.add_argument("--delta", type=float, default=0.01,
+                   help="simulated time between sampling rounds "
+                        "(finite, positive)")
+    d.add_argument("--eps", type=float, default=1e-4,
+                   help="relative accuracy of each tempo estimate: it is "
+                        "updated while the neighbor's sample difference "
+                        "exceeds unit roundoff times the largest state seen, "
+                        "over eps (finite, positive)")
     d.add_argument("--fan-tree", action="store_true",
                    help="autonomous tree variant (signed ratio rule)")
     d.add_argument("--out", help="write the arc list (JSON) here")

@@ -13,6 +13,7 @@ is scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,9 @@ class SimulationConfig:
             raise SimulationError(f"dt must be positive, got {self.dt}")
         if self.horizon < self.dt:
             raise SimulationError(f"horizon {self.horizon} shorter than dt {self.dt}")
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise SimulationError(f"dt and horizon must be finite, got dt={self.dt}, "
+                                  f"horizon={self.horizon}")
         if self.method not in ("euler", "rk4"):
             raise SimulationError(f"unknown method {self.method!r}")
 

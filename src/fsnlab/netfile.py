@@ -278,7 +278,8 @@ def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
     shape = (len(rows) // (n * d), n * d)
     t = t.reshape(shape)
     slot = ((agent - 1) * d + dim - 1).astype(np.intp).reshape(shape)
-    bad = ((t != t[:, :1]) | (np.sort(slot, axis=1) != np.arange(n * d))).any(axis=1)
+    same_time = (t == t[:, :1]) | (np.isnan(t) & np.isnan(t[:, :1]))
+    bad = (~same_time | (np.sort(slot, axis=1) != np.arange(n * d))).any(axis=1)
     if bad.any():
         raise NetworkFileError(
             f"sample {int(np.argmax(bad)) + 1}: its rows must share one time value "

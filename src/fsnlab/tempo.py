@@ -4,8 +4,10 @@ The relative tempo of two agent groups is the limiting ratio of their
 state-derivative norms; it equals the corresponding entry-norm ratio of the
 eigenvector that dominates the derivative decay.  Agents can therefore rank
 their neighbors from sampled data alone: each agent keeps a per-neighbor
-ratio of successive sample differences and freezes its choice once the
-estimates stop moving.
+ratio of successive sample differences, updates it while the neighbor's
+difference stands above the rounding noise of the states (a floor of unit
+roundoff times the largest state seen, over the agent's ``eps``), and
+decides on the last such estimate.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ EPS_STILL = 1e-14      # below this difference norm an agent counts as stalled
 DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
 DEFAULT_TIE_MARGIN = 0.02
-DEFAULT_PERSISTENCE = 25
 ROUND_CAP = 100_000
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+BLOCK = 64             # rounds evaluated per product of stacked step powers
 
 
 class TempoError(ValueError):
@@ -83,27 +86,6 @@ def first_component_ratio(traj: Trajectory, u: int, v: int,
     return out
 
 
-def _change_settled(change: Optional[float], prev_change: Optional[float],
-                    eps: float) -> bool:
-    """Whether one per-round estimate change looks like a converged tail.
-
-    Small alone is not enough: an estimate crawling through a flat local
-    extremum also changes slowly, but there the change flips sign and then
-    grows again.  A genuine exponential tail keeps a constant sign with a
-    non-increasing magnitude, which is what we insist on (deeply
-    sub-threshold noise is exempt from the sign test).
-    """
-    if change is None or prev_change is None:
-        return False
-    if abs(change) >= eps:
-        return False
-    if abs(change) <= 1e-3 * eps:
-        return True
-    if abs(change) > abs(prev_change) + 1e-18:
-        return False
-    return change == 0.0 or prev_change == 0.0 or change * prev_change > 0.0
-
-
 @dataclass(frozen=True)
 class TempoEstimate:
     follower: int
@@ -126,20 +108,21 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
                    eps: float | dict[int, float] = DEFAULT_EPS,
                    round_cap: int = ROUND_CAP,
                    tie_margin: float = DEFAULT_TIE_MARGIN,
-                   persistence: int = DEFAULT_PERSISTENCE,
-                   eps_still: float = EPS_STILL,
                    ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection from sampled state data.
 
     Rounds are synchronous: every ``delta`` of simulated time each agent
-    receives its neighbors' new samples, updates the difference-norm ratio
-    per neighbor, and stops once all its ratios have stayed put (change
-    below its threshold) for ``persistence`` consecutive rounds.  An agent
-    then keeps exactly the neighbors whose final ratio exceeds
-    1 + ``tie_margin``; the margin absorbs the finite termination accuracy
-    so symmetric pairs (true ratio 1) are dropped from both sides.
+    receives its neighbors' new samples and updates the difference-norm
+    ratio per neighbor while that neighbor's difference is above the
+    noise floor (see :func:`_settle`); ``eps`` is the relative accuracy
+    each estimate is resolved to.  An agent then keeps exactly the
+    neighbors whose last estimate exceeds 1 + ``tie_margin``; the margin
+    absorbs that accuracy so symmetric pairs (true ratio 1) are dropped
+    from both sides.  An entry's ``rounds`` is the round of its agent's
+    last estimate.
 
-    Raises when some agent has not settled after ``round_cap`` rounds.
+    Raises when ``delta`` or some ``eps`` is not finite and positive, and
+    when some estimate is still above its floor after ``round_cap`` rounds.
     """
     if not is_connected(net):
         raise TempoError("distributed selection requires a connected network")
@@ -155,9 +138,8 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
                          f"(n={net.n}, d={u.shape[1]})")
     eps_map = _eps_map(net, eps)
     return _settle(net, L_B, forcing, x0,
-                   lambda prev, cur: np.linalg.norm(cur - prev, axis=1),
-                   math.inf, eps_map, delta, round_cap, tie_margin,
-                   persistence, eps_still,
+                   lambda dx: np.linalg.norm(dx, axis=2),
+                   eps_map, delta, round_cap, tie_margin,
                    f" (delta={delta}, eps={eps_map})")
 
 
@@ -166,22 +148,20 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
                              eps: float | dict[int, float] = DEFAULT_EPS,
                              round_cap: int = 2 * ROUND_CAP,
                              tie_margin: float = DEFAULT_TIE_MARGIN,
-                             persistence: int = DEFAULT_PERSISTENCE,
-                             eps_still: float = EPS_STILL,
-                             divergence_threshold: float = 1e3,
                              ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection on an autonomous tree.
 
-    Agents track the signed first-coordinate difference ratio per neighbor
-    and keep those with a settled ratio above 1 + ``tie_margin`` or below
-    -``tie_margin``.  A ratio whose magnitude keeps growing past
-    ``divergence_threshold`` marks a neighbor that is about to stop moving
-    altogether (a zero-entry core node): the pair is flagged as divergent
-    and retained without waiting for the estimate to settle.
+    Agents track the signed first-coordinate difference ratio per neighbor,
+    decide on its last estimate above the noise floor (see :func:`_settle`),
+    and keep those above 1 + ``tie_margin`` or below -``tie_margin``.  A
+    zero-entry core neighbor needs no special case: its difference falls
+    below the floor first, so the follower's last ratio is large and the
+    neighbor is kept.
 
     Restricted to trees with nonnegative weights whose Laplacian has a
     well-separated second eigenvalue and no edge joining two zero-entry
-    nodes; stars and other repeated-eigenvalue trees are rejected.
+    nodes; stars and other repeated-eigenvalue trees are rejected, and so
+    are a ``delta`` or an ``eps`` that is not finite and positive.
     """
     if len(net.edges) != net.n - 1 or not is_connected(net):
         raise TempoError("distributed autonomous selection needs a tree")
@@ -205,104 +185,98 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
         x0 = x0[:, None]
     if x0.shape[0] != net.n:
         raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
-    return _settle(net, L, np.zeros_like(x0), x0,
-                   lambda prev, cur: cur[:, 0] - prev[:, 0],
-                   divergence_threshold, _eps_map(net, eps), delta, round_cap,
-                   tie_margin, persistence, eps_still,
+    return _settle(net, L, np.zeros_like(x0), x0, lambda dx: dx[:, :, 0],
+                   _eps_map(net, eps), delta, round_cap, tie_margin,
                    "; the ratio sign may not be separating on this tree")
 
 
 def _eps_map(net: Network, eps: float | dict[int, float]) -> dict[int, float]:
-    return eps if isinstance(eps, dict) else {i: eps for i in range(1, net.n + 1)}
+    eps_map = eps if isinstance(eps, dict) else {i: eps for i in range(1, net.n + 1)}
+    for i, e in eps_map.items():
+        if not (math.isfinite(e) and e > 0):
+            raise TempoError(f"eps must be finite and positive, got {e} "
+                             f"for agent {i}")
+    return eps_map
 
 
 def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
-            observable: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            divergence_threshold: float, eps_map: dict[int, float],
-            delta: float, round_cap: int, tie_margin: float,
-            persistence: int, eps_still: float,
+            observable: Callable[[np.ndarray], np.ndarray],
+            eps_map: dict[int, float], delta: float, round_cap: int,
+            tie_margin: float,
             stall_hint: str) -> tuple[DirectedNetwork, TempoReport]:
-    """The settle-and-retain loop both distributed selections share.
+    """The decide-and-retain loop both distributed selections share.
 
     Every round advances x' = forcing - G x by one RK4 step of ``delta``,
-    applied as its affine map (:func:`step_map`), and reduces the sample
-    difference to one ``observable`` value per agent.  Agent i's estimate
-    for neighbor j is the ratio of the two values, kept from the last
-    round where j's value cleared ``eps_still``.  An estimate whose
-    magnitude grew past ``divergence_threshold`` for three rounds in a row
-    is frozen as divergent.  An agent is done after ``persistence`` rounds
-    in which every live estimate settled, and keeps the neighbors whose
-    estimate diverged, exceeds 1 + ``tie_margin`` or lies below
-    -``tie_margin``; a difference norm is never negative, so with a
-    nonnegative margin only the second case can hold for it.
-    Per-arc state is kept in plain lists, arcs grouped by follower.
+    applied as its affine map (:func:`step_map`), and reduces each agent's
+    sample difference to one ``observable`` value.  Agent i's estimate for
+    neighbor j is g = obs_i / obs_j, updated in every round where
+    |obs_j| > u M_ij / eps_i, with u the unit roundoff and M_ij the largest
+    |x_i|, |x_j| seen so far (over coordinates and rounds, data agent i
+    has).  A difference of two states of size M carries a rounding error
+    of about u M, so above that floor obs_j, and with it g, is resolved to
+    a relative accuracy of about eps_i; below it g would be noise.  The
+    running maximum keeps the floor from sinking with states that decay
+    toward zero.  Each arc decides on its last such estimate, and an
+    agent's ``rounds`` is the round of its last estimate.  The run ends
+    after the first block of rounds in which no arc is above its floor.
+    An agent keeps the neighbors whose estimate exceeds 1 + ``tie_margin``
+    or lies below -``tie_margin``; a difference norm is never negative, so
+    with a nonnegative margin only the first case can hold for it.
+
+    Rounds are evaluated ``BLOCK`` at a time (fewer on large networks, so
+    the stack holds at most 2**20 doubles): the states of a block are one
+    product of the stacked powers [R; R^2; ...] with the block's first
+    state, plus the matching stacked offsets.
     """
-    n = net.n
-    followed = [j for i in range(1, n + 1) for j in net.neighbors[i]]
-    first = [0]
-    for i in range(1, n + 1):
-        first.append(first[-1] + len(net.neighbors[i]))
-    ratio: list[Optional[float]] = [None] * len(followed)
-    change: list[Optional[float]] = [None] * len(followed)
-    prev_change: list[Optional[float]] = [None] * len(followed)
-    growth = [0] * len(followed)
-    divergent = [False] * len(followed)
-    streak = [0] * n
-    done_round = [0] * n
-    active = list(range(1, n + 1))
+    if not (math.isfinite(delta) and delta > 0):
+        raise TempoError(f"delta must be finite and positive, got {delta}")
+    n, d = x0.shape
+    arc_i = np.repeat(np.arange(n), [len(net.neighbors[i]) for i in range(1, n + 1)])
+    arc_j = np.array([j - 1 for i in range(1, n + 1) for j in net.neighbors[i]],
+                     dtype=np.intp)
+    floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])
 
     R, c = step_map(G, forcing, delta, "rk4")
-    cur = x0
-    for k in range(1, round_cap + 1):
-        prev, cur = cur, R @ cur + c
-        obs = observable(prev, cur).tolist()
-        waiting = []
-        for i in active:
-            own, eps = obs[i - 1], eps_map[i]
-            settled = True
-            for a in range(first[i - 1], first[i]):
-                if divergent[a]:
-                    continue
-                old = ratio[a]
-                other = obs[followed[a] - 1]
-                if abs(other) >= eps_still:
-                    ratio[a] = own / other
-                new = ratio[a]
-                known = new is not None and old is not None
-                if (known and abs(new) > divergence_threshold
-                        and abs(new) > abs(old)):
-                    growth[a] += 1
-                    if growth[a] >= 3:
-                        divergent[a] = True
-                        continue
-                else:
-                    growth[a] = 0
-                prev_change[a] = change[a]
-                change[a] = new - old if known else None
-                if not _change_settled(change[a], prev_change[a], eps):
-                    settled = False
-            streak[i - 1] = streak[i - 1] + 1 if settled else 0
-            if streak[i - 1] >= persistence:
-                done_round[i - 1] = k
-            else:
-                waiting.append(i)
-        active = waiting
-        if not active:
-            break
-    else:
-        raise TempoError(f"agents {active} did not settle within "
-                         f"{round_cap} rounds{stall_hint}")
+    block = max(1, min(BLOCK, 2**20 // n**2))
+    powers, offsets = [R], [c]
+    for _ in range(block - 1):
+        powers.append(R @ powers[-1])
+        offsets.append(R @ offsets[-1] + c)
+    P, C = np.vstack(powers), np.vstack(offsets)
 
+    g = np.zeros(len(arc_j))
+    last = np.zeros(len(arc_j), dtype=int)
+    hit = np.ones(len(arc_j), dtype=bool)
+    cur, peak = x0, np.abs(x0).max(axis=1)
+    for start in range(0, round_cap, block):
+        b = min(block, round_cap - start)
+        states = (P[:b * n] @ cur + C[:b * n]).reshape(b, n, d)
+        obs = observable(np.diff(states, axis=0, prepend=cur[None]))
+        seen = np.maximum.accumulate(
+            np.vstack([peak, np.abs(states).max(axis=2)]), axis=0)[1:]
+        scale = np.maximum(seen[:, arc_i], seen[:, arc_j])
+        above = np.abs(obs[:, arc_j]) > floor * scale
+        cur, peak = states[-1], seen[-1]
+        hit = above.any(axis=0)
+        if not hit.any():
+            break
+        k = b - 1 - np.argmax(above[::-1, hit], axis=0)
+        g[hit] = obs[k, arc_i[hit]] / obs[k, arc_j[hit]]
+        last[hit] = start + 1 + k
+    else:
+        raise TempoError(f"agents {sorted(set((arc_i[hit] + 1).tolist()))} did "
+                         f"not settle within {round_cap} rounds{stall_hint}")
+
+    rounds = np.zeros(n, dtype=int)
+    np.maximum.at(rounds, arc_i, last)
     arcs = []
     entries = []
-    for i in range(1, n + 1):
-        for a in range(first[i - 1], first[i]):
-            j, g = followed[a], ratio[a]
-            retained = divergent[a] or (g is not None and (g > 1.0 + tie_margin
-                                                           or g < -tie_margin))
-            entries.append(TempoEstimate(i, j, g, done_round[i - 1], retained))
-            if retained:
-                arcs.append(Arc(i, j, net.weights[(i, j)]))
+    for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
+        ga = float(g[a]) if last[a] else None
+        retained = ga is not None and (ga > 1.0 + tie_margin or ga < -tie_margin)
+        entries.append(TempoEstimate(i + 1, j + 1, ga, int(rounds[i]), retained))
+        if retained:
+            arcs.append(Arc(i + 1, j + 1, net.weights[(i + 1, j + 1)]))
     dnet = DirectedNetwork(n, tuple(arcs), name=f"{net.name}-fsn-distributed")
     return dnet, TempoReport(tuple(entries))
 

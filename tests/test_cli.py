@@ -122,6 +122,18 @@ class TestSimulate:
         assert "unstable" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "g8", "--dt", "nan"], ["simulate", "g8", "--horizon", "nan"],
+    ["simulate", "g8", "--horizon", "inf"],
+    ["tempo", "g8", "--pairs", "7:3", "--horizon", "nan"]])
+def test_non_finite_simulation_time_is_refused(argv, capsys, tmp_path):
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: dt and horizon must be finite")
+
+
 class TestTempo:
     def test_g8_pairs_match_eigvec(self, capsys, tmp_path):
         series = tmp_path / "g.csv"
@@ -183,6 +195,14 @@ class TestDistributedSelect:
         code, out, _ = run(capsys, "distributed-select", "t12", "--fan-tree")
         assert code == 0
         assert "matches the centralized construction" in out
+
+    @pytest.mark.parametrize("flags", [["--delta", "0"], ["--eps", "-1"],
+                                       ["--fan-tree", "--eps", "nan"]])
+    def test_bad_delta_or_eps_is_refused(self, capsys, flags):
+        net = "t12" if "--fan-tree" in flags else "g8"
+        code, _, err = run(capsys, "distributed-select", net, *flags)
+        assert code == 1
+        assert "must be finite and positive" in err
 
     def test_fan_fixture_without_leaders_needs_flag(self, capsys):
         code, _, err = run(capsys, "distributed-select", "g12")

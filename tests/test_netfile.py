@@ -209,6 +209,12 @@ class TestTrajectoryCsv:
         with pytest.raises(NetworkFileError, match="sample 1: "):
             parse_trajectory("t,agent,dim,value\n0,1,1,0.5\n0.1,2,1,0.5\n")
 
+    def test_nan_time_round_trips(self):
+        traj = Trajectory(np.array([0.0, np.nan]), np.arange(4.0).reshape(2, 2, 1))
+        again = parse_trajectory(emit_trajectory(traj))
+        assert_same_doubles(again.times, traj.times)
+        assert_same_doubles(again.states, traj.states)
+
     def test_repeated_and_missing_pair_rejected(self):
         with pytest.raises(NetworkFileError, match="sample 2: "):
             parse_trajectory("t,agent,dim,value\n0,1,1,0.5\n0,2,1,0.5\n"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,17 +177,22 @@ class TestAlgorithm1:
             signs = np.sign(tail - 1.0)
             assert len(set(signs.tolist())) == 1
 
-    def test_matches_centralized_on_random_networks(self):
-        # 100 random leader-driven networks with generic initial data.
+    @pytest.mark.parametrize("seed,sizes,dims,count", [
+        (30, (3, 10), (1,), 100), (30, (8, 24), (1, 3), 60)],
+        ids=["small", "large"])
+    def test_matches_centralized_on_random_networks(self, seed, sizes, dims,
+                                                    count):
+        # Random leader-driven networks with generic initial data.
         # Near-ties are excluded, scaled to what the termination accuracy
         # eps/(delta*gap) can separate at the default settings.
         from fsnlab import smallest_eigenpairs
-        rng = np.random.default_rng(30)
+        rng = np.random.default_rng(seed)
         checked = 0
-        while checked < 100:
-            n = int(rng.integers(3, 11))
+        while checked < count:
+            n = int(rng.integers(sizes[0], sizes[1] + 1))
+            d = int(rng.choice(dims))
             net = random_connected_net(rng, n)
-            cfg = random_leader_cfg(rng, n, homogeneous=False)
+            cfg = random_leader_cfg(rng, n, d=d, homogeneous=False)
             L_B = perturbed_laplacian(net, cfg)
             pair = principal_pair_perturbed(L_B)
             lam = smallest_eigenpairs(L_B, 2)
@@ -199,9 +206,54 @@ class TestAlgorithm1:
             if min(margins) < max(0.05, 8.0 * accuracy):
                 continue
             checked += 1
-            x0 = rng.random((n, 1))
+            x0 = rng.random((n, d))
             dnet, _ = run_algorithm1(net, cfg, x0)
             assert dnet.arc_set == fsn_san(net, cfg, pair.vector).arc_set
+
+    def test_g8_estimates_match_eigvec_ratios(self, g8):
+        net, cfg, _ = g8
+        v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
+        x0 = np.random.default_rng(7).random((8, 3))
+        _, report = run_algorithm1(net, cfg, x0)
+        for e in report.entries:
+            assert abs(e.g - v1[e.follower - 1] / v1[e.followed - 1]) < 1e-3
+
+    def test_g8_zero_inputs(self, g8):
+        # The states decay to zero with the signal; the floor must not.
+        net, cfg, _ = g8
+        cfg = dataclasses.replace(cfg, inputs=((0.0,) * 3,) * cfg.m)
+        x0 = np.random.default_rng(7).random((8, 3))
+        assert run_algorithm1(net, cfg, x0)[0].arc_set == G8_FSN
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_g8_scale_invariant(self, g8, scale):
+        net, cfg, _ = g8
+        x0 = np.random.default_rng(7).random((8, 3))
+        scaled = dataclasses.replace(
+            cfg, inputs=tuple(tuple(scale * v for v in u) for u in cfg.inputs))
+        want_net, want = run_algorithm1(net, cfg, x0)
+        got_net, got = run_algorithm1(net, scaled, scale * x0)
+        assert got_net.arc_set == want_net.arc_set
+        assert [e.rounds for e in got.entries] == [e.rounds for e in want.entries]
+
+    @pytest.mark.parametrize("kind", ["leaders", "tree"])
+    @pytest.mark.parametrize("arg,value", [
+        ("delta", 0.0), ("delta", -0.01), ("delta", np.nan), ("delta", np.inf),
+        ("eps", 0.0), ("eps", -1.0), ("eps", np.nan), ("eps", np.inf),
+        pytest.param("eps", {i: 1e-4 if i != 5 else -1e-4 for i in range(1, 13)},
+                     id="eps-one-agent-negative")])
+    def test_bad_delta_or_eps_rejected(self, g8, t12, kind, arg, value):
+        if kind == "leaders":
+            net, cfg, _ = g8
+            run = run_algorithm1
+            args = (net, cfg, np.random.default_rng(7).random((8, 3)))
+        else:
+            net, _, x0 = t12
+            run, args = run_distributed_fan_tree, (net, x0)
+        bad = value[5] if isinstance(value, dict) else value
+        with pytest.raises(TempoError, match=f"{arg} must be finite and "
+                                             f"positive, got {bad}"):
+            run(*args, **{arg: value})
 
 
 class TestSampledTempoMatchesEigvec:
@@ -402,66 +454,65 @@ class TestTempoOracle:
             assert abs(finite[-1] - want) < 1e-3
 
 
-# (follower, followed, settle round, retained, g) of every report entry of
-# three reference runs.  Rounds and flags must repeat exactly: they decide
-# the arc set; g may move only in its last bits.
+# (follower, followed, round of the agent's last estimate, retained, g) of
+# every report entry of three reference runs.  Rounds and flags must repeat
+# exactly: they decide the arc set; g may move only in its last bits.
 PINNED_G8 = [
-    (1, 6, 793, True, 1.1552608326493088),
-    (2, 3, 673, True, 1.2364349667148644),
-    (2, 6, 673, False, 0.9602297860587911),
-    (3, 2, 758, False, 0.8077510932765993),
-    (3, 4, 758, True, 1.849117667765273),
-    (3, 6, 758, False, 0.7716789329304621),
-    (3, 7, 758, False, 0.9457815014731149),
-    (3, 8, 758, True, 1.3860289529291856),
-    (4, 3, 615, False, 0.5474437479487135),
-    (5, 6, 437, True, 1.1515133558196193),
-    (6, 1, 761, False, 0.867845118168888),
-    (6, 2, 761, True, 1.0468721284229392),
-    (6, 3, 761, True, 1.296071632260353),
-    (6, 5, 761, False, 0.8592994253736522),
-    (6, 7, 761, True, 1.2257906554032072),
-    (7, 3, 675, True, 1.0569819253422643),
-    (7, 6, 675, False, 0.8206929921199732),
-    (7, 8, 675, True, 1.4615219170744953),
-    (8, 3, 559, False, 0.7288938894074326),
-    (8, 7, 559, False, 0.6903050320411903),
+    (1, 6, 14328, True, 1.164857266885098),
+    (2, 3, 14328, True, 1.239526981738169),
+    (2, 6, 14328, False, 0.9505913940906774),
+    (3, 2, 14364, False, 0.8066910569172745),
+    (3, 4, 14364, True, 1.8582992094101258),
+    (3, 6, 14364, False, 0.7670425307562654),
+    (3, 7, 14364, False, 0.9453630590267769),
+    (3, 8, 14364, True, 1.3893271794364201),
+    (4, 3, 14212, False, 0.5379986190856696),
+    (5, 6, 14328, True, 1.164831187019237),
+    (6, 1, 14436, False, 0.8585986853950062),
+    (6, 2, 14436, True, 1.0519296023548048),
+    (6, 3, 14436, True, 1.303551656535167),
+    (6, 5, 14436, False, 0.8585814030259592),
+    (6, 7, 14436, True, 1.2325643582446015),
+    (7, 3, 14328, True, 1.0575538916227252),
+    (7, 6, 14328, False, 0.8112270419559726),
+    (7, 8, 14328, True, 1.469215792472492),
+    (8, 3, 14212, False, 0.7196916198066734),
+    (8, 7, 14212, False, 0.6804925317501868),
 ]
 PINNED_T12 = [
-    (1, 4, 484, True, 4.236814293898755),
-    (1, 11, 484, False, 0.7812115657563279),
-    (1, 12, 484, False, 0.7881760280280102),
-    (2, 4, 637, True, 1.281834292593188),
-    (3, 4, 904, True, 1.2829272290661284),
-    (4, 1, 871, False, 0.23731394018817625),
-    (4, 2, 871, False, 0.7851168237020898),
-    (4, 3, 871, False, 0.7775944348824053),
-    (4, 5, 871, False, 0.7961856033100262),
-    (4, 6, 871, True, -0.3082957426326097),
-    (5, 4, 930, True, 1.2621250002042377),
-    (6, 4, 718, True, -3.2474093339910315),
-    (6, 7, 718, False, 0.7796563462282923),
-    (6, 8, 718, False, 0.7821558342670539),
-    (6, 9, 718, False, 0.7842081449425851),
-    (6, 10, 718, False, 0.7955852838012499),
-    (7, 6, 702, True, 1.2838518366837415),
-    (8, 6, 628, True, 1.2838029456385192),
-    (9, 6, 497, True, 1.2836778233083588),
-    (10, 6, 776, True, 1.2629613077141477),
-    (11, 1, 406, True, 1.2849944663386221),
-    (12, 1, 405, True, 1.264052537557247),
+    (1, 4, 9450, True, 4.1992003280705354),
+    (1, 11, 9450, False, 0.7850400164169916),
+    (1, 12, 9450, False, 0.7850400164169916),
+    (2, 4, 8858, True, 1.273468759618344),
+    (3, 4, 8761, True, 1.27339747594652),
+    (4, 1, 9338, False, 0.23826158430083222),
+    (4, 2, 9338, False, 0.784847087751652),
+    (4, 3, 9338, False, 0.7853220169745382),
+    (4, 5, 9338, False, 0.7855034437520498),
+    (4, 6, 9338, True, -0.3089588377723971),
+    (5, 4, 8887, True, 1.2735910878112713),
+    (6, 4, 9406, True, -3.2359632139399808),
+    (6, 7, 9406, False, 0.7852641783809986),
+    (6, 8, 9406, False, 0.7852641783809986),
+    (6, 9, 9406, False, 0.7852641783809986),
+    (6, 10, 9406, False, 0.7852641783809986),
+    (7, 6, 9293, True, 1.273365617433414),
+    (8, 6, 9293, True, 1.2734866828087168),
+    (9, 6, 9293, True, 1.2734866828087168),
+    (10, 6, 9293, True, 1.2734866828087168),
+    (11, 1, 9338, True, 1.2735025172094934),
+    (12, 1, 9338, True, 1.273605260454125),
 ]
 PINNED_P5 = [
-    (1, 2, 785, True, 1.6102269654708181),
-    (2, 1, 990, False, 0.6184186291033923),
-    (2, 3, 990, True, 1023.2765038803619),
-    (3, 2, 759, False, 0.007728380370511813),
-    (3, 4, 759, False, -0.007765471391605496),
-    (4, 3, 990, True, -1022.6584698102088),
-    (4, 5, 990, False, 0.6176496623489183),
-    (5, 4, 786, True, 1.6257871485165438),
+    (1, 2, 4895, True, 1.6177584031203396),
+    (2, 1, 5021, False, 0.6179710810190499),
+    (2, 3, 5021, True, 433897.5680536504),
+    (3, 2, 4971, False, 0.00015339776039269826),
+    (3, 4, 4971, False, 0.00012818869375721061),
+    (4, 3, 5050, True, -381014.44943963323),
+    (4, 5, 5050, False, 0.6181258812972695),
+    (5, 4, 4924, True, 1.6182540699910268),
 ]
-
 
 class TestEnginePinned:
     def check(self, report, pinned):
