@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .blocks import ClassificationError
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
-                       empirical_rate, simulate)
+                       empirical_rate, fit_window, simulate)
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, is_connected, laplacian,
                      signed_laplacian, structural_balance_partition)
@@ -301,27 +301,30 @@ def _verification_runs(G, drive, x0, label: str,
     return Trajectory(long.times[:k], long.states[:k], model=label), long
 
 
-def _rate_of(long: Trajectory, fit_h: float) -> float:
-    """Fitted decay rate over [0, fit_h] toward the run's final state."""
+def _rate_of(long: Trajectory, fit_h: float) -> tuple[float, float]:
+    """Fitted decay rate over [0, fit_h] toward the run's final state, and
+    the mean time of the samples it was fitted on."""
     keep = long.times <= fit_h + 1e-12
     window = Trajectory(long.times[keep], long.states[keep], model=long.model)
-    return empirical_rate(window, long.states[-1])
+    rate = empirical_rate(window, long.states[-1])
+    _, usable = fit_window(window, long.states[-1])
+    return rate, float(window.times[usable].mean())
 
 
-def _rate_tolerance(G: np.ndarray, lam: float) -> float:
+def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:
     """Acceptance band for a fitted rate against its predicted eigenvalue.
 
     A defective eigenvalue decays like t^(depth-1) e^(-lam t), which biases
-    the fitted slope low by about (depth-1)/t over the usable window; the
-    band widens by that computable amount on top of the base tolerance.
+    the fitted slope low by about (depth-1)/t_fit, t_fit the mean time of
+    the fitted samples; the band widens by that computable amount on top
+    of the base tolerance.
     """
     n = G.shape[0]
     eigs = np.linalg.eigvals(G).real
     algebraic = int(np.sum(np.abs(eigs - lam) < 1e-6 * max(1.0, abs(lam))))
     geometric = n - np.linalg.matrix_rank(G - lam * np.eye(n), tol=1e-9)
     depth = max(1, algebraic - max(int(geometric), 1) + 1)
-    t_effective = 0.6 * _verification_horizon(lam)
-    return RATE_TOL + (depth - 1) / max(lam * t_effective, 1e-9)
+    return RATE_TOL + (depth - 1) / max(lam * t_fit, 1e-9)
 
 
 def cmd_compare(args) -> int:
@@ -377,17 +380,18 @@ def cmd_compare(args) -> int:
         checks["consensus_value"] = err < SIM_TOL
 
     try:
-        rate0 = _rate_of(long0, h0)
-        rate1 = _rate_of(long1, h1)
-        tol0 = _rate_tolerance(G0, lam_orig)
-        tol1 = _rate_tolerance(G1, lam_red)
+        (rate0, t0), (rate1, t1) = _rate_of(long0, h0), _rate_of(long1, h1)
+    except SimulationError as exc:
+        print(f"rate fit failed: {exc}")
+        checks["rate_fit"] = False
+    else:
+        tol0 = _rate_tolerance(G0, lam_orig, t0)
+        tol1 = _rate_tolerance(G1, lam_red, t1)
         print(f"fitted decay rates: original {rate0:.4g} (predicted {lam_orig:.4g}"
               f", tol {tol0:.0%}), reduced {rate1:.4g} (predicted {lam_red:.4g}"
               f", tol {tol1:.0%})")
         checks["rate_original"] = abs(rate0 - lam_orig) <= tol0 * lam_orig
         checks["rate_reduced"] = abs(rate1 - lam_red) <= tol1 * lam_red
-    except SimulationError as exc:
-        print(f"rate fit skipped: {exc}")
 
     hub = max(range(1, net.n + 1), key=lambda i: (len(net.neighbors[i]), -i))
     print(f"tempo at node {hub} (sampled at t=10 and settled, vs eigenvector "

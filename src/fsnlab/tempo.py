@@ -18,7 +18,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, step_map
+from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, step_map,
+                       step_powers)
 from .graphs import (Arc, DirectedNetwork, Network, SemiAutonomousConfig,
                      is_connected, laplacian, perturbed_laplacian)
 from .spectral import default_eps_gap, fiedler_pair, symmetric_eigh
@@ -28,8 +29,6 @@ DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
 DEFAULT_TIE_MARGIN = 0.02
 ROUND_CAP = 100_000
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
-BLOCK = 64             # rounds evaluated per product of stacked step powers
 
 
 class TempoError(ValueError):
@@ -136,11 +135,11 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
     if x0.shape != (net.n, u.shape[1]):
         raise TempoError(f"x0 shape {x0.shape} does not match "
                          f"(n={net.n}, d={u.shape[1]})")
-    eps_map = _eps_map(net, eps)
+    shown = sorted(set(eps.values())) if isinstance(eps, dict) else eps
     return _settle(net, L_B, forcing, x0,
                    lambda dx: np.linalg.norm(dx, axis=2),
-                   eps_map, delta, round_cap, tie_margin,
-                   f" (delta={delta}, eps={eps_map})")
+                   _eps_map(net, eps), delta, round_cap, tie_margin,
+                   f" (delta={delta}, eps={shown})")
 
 
 def run_distributed_fan_tree(net: Network, x0: np.ndarray,
@@ -225,8 +224,8 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
 
     Rounds are evaluated ``BLOCK`` at a time (fewer on large networks, so
     the stack holds at most 2**20 doubles): the states of a block are one
-    product of the stacked powers [R; R^2; ...] with the block's first
-    state, plus the matching stacked offsets.
+    product of the stacked powers of :func:`step_powers` with the block's
+    first state, plus the matching stacked offsets.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise TempoError(f"delta must be finite and positive, got {delta}")
@@ -238,11 +237,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
 
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
-    powers, offsets = [R], [c]
-    for _ in range(block - 1):
-        powers.append(R @ powers[-1])
-        offsets.append(R @ offsets[-1] + c)
-    P, C = np.vstack(powers), np.vstack(offsets)
+    P, C = step_powers(R, c, block)
 
     g = np.zeros(len(arc_j))
     last = np.zeros(len(arc_j), dtype=int)

@@ -5,6 +5,7 @@ import pytest
 
 from fsnlab import (SimulationConfig, first_component_ratio, g_ratio_series,
                     load_fixture, parse_arc_file, parse_trajectory, simulate)
+from fsnlab import cli
 from fsnlab.cli import main
 from fsnlab.model import Model
 
@@ -227,6 +228,57 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "g8-signed")
         assert code == 0
         assert "[1, 2, 5, 6] -> +u | [3, 4, 7, 8] -> -u" in out
+
+
+FIXTURES = ["g6", "g8", "g8-signed", "g12", "t12"]
+
+
+class TestCompareNoiseFloor:
+    @pytest.mark.parametrize("seed", range(1, 13))
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_all_checks_pass(self, name, seed, capsys, monkeypatch):
+        # Covers g6 seed 4 (a rate fitted in rounding noise) and g12 seeds 8
+        # and 11 (no sample above the old floor, so the fit was skipped).
+        monkeypatch.setenv("FSNLAB_SEED", str(seed))
+        code, out, _ = run(capsys, "compare", name)
+        assert code == 0, out
+        assert "all checks passed" in out
+
+    def _compare(self, capsys, monkeypatch, name, perturb):
+        rates = []
+        fit, resolve = cli.empirical_rate, cli._resolve_x0
+        monkeypatch.setattr(cli, "empirical_rate",
+                            lambda traj, target: rates.append(fit(traj, target))
+                            or rates[-1])
+        monkeypatch.setattr(cli, "_resolve_x0",
+                            lambda net, cfg, x0: perturb(resolve(net, cfg, x0)))
+        code, out, _ = run(capsys, "compare", name)
+        return code, out.splitlines()[-1], np.array(rates)
+
+    @pytest.mark.parametrize("seed", [1, 4, 7, 11])
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_verdicts_and_rates_survive_roundoff_perturbation(
+            self, name, seed, capsys, monkeypatch):
+        monkeypatch.setenv("FSNLAB_SEED", str(seed))
+        code, verdict, rates = self._compare(capsys, monkeypatch, name,
+                                             lambda x0: x0)
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(12, 3))
+        code_p, verdict_p, rates_p = self._compare(
+            capsys, monkeypatch, name,
+            lambda x0: x0 * (1 + 1e-13 * signs[:x0.shape[0], :x0.shape[1]]))
+        assert (code_p, verdict_p) == (code, verdict)
+        assert len(rates) == len(rates_p) == 2
+        assert np.all(np.abs(rates_p - rates) < 1e-3 * rates)
+
+    def test_failed_rate_fit_is_a_failed_check(self, capsys, monkeypatch):
+        def no_fit(traj, target):
+            raise cli.SimulationError("error signal already at numerical floor")
+        monkeypatch.setattr(cli, "empirical_rate", no_fit)
+        code, out, _ = run(capsys, "compare", "g8")
+        assert code == 1
+        assert "rate fit failed: error signal already at numerical floor" in out
+        assert "'rate_fit'" in out
+        assert "all checks passed" not in out
 
 
 class TestSeedEnv:

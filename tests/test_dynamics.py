@@ -12,7 +12,9 @@ from fsnlab import (Arc, DirectedNetwork, Edge, Network,
                     signed_perturbed_laplacian, signed_reduced_laplacian,
                     simulate, steady_state_san, fsn_signed_san)
 
-from conftest import T12_FSN, random_connected_net
+from fsnlab.dynamics import step_powers
+
+from conftest import T12_FSN, random_connected_net, random_leader_cfg
 
 K2 = Network(2, (Edge(1, 2),))
 
@@ -154,6 +156,61 @@ class TestSimulate:
         assert traj.states.shape == (5, 2, 1)
         assert np.array_equal(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert np.array_equal(traj.at(1.0), traj.states[2])
+
+
+def stepped(generator, forcing, x0, dt, steps, step):
+    """Reference trajectory: ``step`` applied one step at a time per column."""
+    want = np.empty((steps + 1,) + x0.shape)
+    want[0] = x0
+    for dim in range(x0.shape[1]):
+        x = x0[:, dim].copy()
+        for k in range(steps):
+            x = step(generator, forcing[:, dim], x, dt)
+            want[k + 1, :, dim] = x
+    return want
+
+
+class TestBlockStepping:
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 100])
+    def test_partial_and_single_blocks_match_reference(self, g8, steps, method):
+        net, cfg, _ = g8
+        L_B, B, u = san_system(net, cfg)
+        x0 = np.random.default_rng(21).random((8, 3))
+        sim = SimulationConfig(dt=0.01, horizon=0.01 * steps, method=method)
+        assert sim.steps == steps
+        got = simulate(L_B, (B, u), x0, sim).states
+        step = ref_step_euler if method == "euler" else ref_step_rk4
+        want = stepped(L_B, B @ u, x0, sim.dt, steps, step)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_block_cap_binds_on_large_network(self):
+        rng = np.random.default_rng(22)
+        n = 150
+        assert 2**20 // n**2 < 64
+        net = random_connected_net(rng, n)
+        cfg = random_leader_cfg(rng, n, d=2)
+        L_B, B, u = san_system(net, cfg)
+        x0 = rng.random((n, 2))
+        sim = SimulationConfig(dt=0.01, horizon=1.0)
+        got = simulate(L_B, (B, u), x0, sim).states
+        want = stepped(L_B, B @ u, x0, sim.dt, sim.steps, ref_step_rk4)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_step_powers_are_matrix_power_stacks(self):
+        rng = np.random.default_rng(23)
+        n, b = 5, 7
+        R = np.eye(n) + 0.1 * rng.standard_normal((n, n))
+        c = rng.standard_normal((n, 2))
+        P, C = step_powers(R, c, b)
+        assert P.shape == (b * n, n) and C.shape == (b * n, 2)
+        offset = np.zeros_like(c)
+        for k in range(1, b + 1):
+            offset = offset + np.linalg.matrix_power(R, k - 1) @ c
+            rows = slice((k - 1) * n, k * n)
+            np.testing.assert_allclose(P[rows], np.linalg.matrix_power(R, k),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(C[rows], offset, rtol=1e-12, atol=1e-12)
 
 
 class TestSteadyState:

@@ -162,6 +162,17 @@ class TestAlgorithm1:
         with pytest.raises(TempoError, match="did not settle"):
             run_algorithm1(net, cfg, x0, round_cap=10)
 
+    def test_round_cap_message_shows_the_eps_passed(self, g8):
+        net, cfg, _ = g8
+        x0 = np.random.default_rng(7).random((8, 3))
+        with pytest.raises(TempoError) as exc:
+            run_algorithm1(net, cfg, x0, round_cap=10)
+        assert str(exc.value).endswith("within 10 rounds (delta=0.01, eps=0.0001)")
+        eps = {i: (1e-4 if i < 5 else 1e-3) for i in range(1, 9)}
+        with pytest.raises(TempoError) as exc:
+            run_algorithm1(net, cfg, x0, eps=eps, round_cap=10)
+        assert str(exc.value).endswith("(delta=0.01, eps=[0.0001, 0.001])")
+
     def test_ordering_settles_before_termination(self, g8):
         # The sign of (g - 1) is fixed over the last quarter of the rounds:
         # agents know their ranking well before the estimates stop moving.
