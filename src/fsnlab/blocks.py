@@ -188,19 +188,19 @@ def _label_block(members: frozenset[int], signs: tuple[int, ...],
     return None
 
 
-def classify_fiedler(decomp: BlockDecomposition, v2: np.ndarray,
-                     eps_zero: float | None = None) -> FiedlerClassification:
+def classify_fiedler(decomp: BlockDecomposition,
+                     v2: np.ndarray) -> FiedlerClassification:
     """Locate the core block or core node of a Fiedler vector.
 
     Exactly one of the two admissible sign patterns must hold; anything
-    else means the eigenvector is unusable (repeated eigenvalue, wrong
-    vector, or a zero tolerance set far off scale) and raises.
+    else means the eigenvector is unusable (a repeated eigenvalue or a
+    wrong vector) and raises.  An entry is zero within
+    :func:`default_eps_zero`.
     """
     v2 = np.asarray(v2, dtype=float)
     if len(v2) != decomp.n:
         raise ClassificationError(f"vector length {len(v2)} != n={decomp.n}")
-    if eps_zero is None:
-        eps_zero = default_eps_zero(v2)
+    eps_zero = default_eps_zero(v2)
     signs = tuple(0 if abs(x) <= eps_zero else (1 if x > 0 else -1) for x in v2)
 
     mixed = [b for b, members in enumerate(decomp.blocks)

@@ -32,7 +32,7 @@ from .model import EIG_TOL, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       emit_trajectory, fixture_text, parse_arc_file,
                       parse_network_file, serialize_arcs)
-from .spectral import SpectralError, smallest_eigenpairs
+from .spectral import SpectralError, entry_ratio, smallest_eigenpairs
 from .tempo import (TempoError, first_component_ratio, g_ratio_series,
                     run_algorithm1, run_distributed_fan_tree,
                     tempo_limit_from_eigvec)
@@ -232,10 +232,8 @@ def cmd_tempo(args) -> int:
             rows.extend(csv_rows(traj.times[1:], [f"{i},{j}"], series[:, None]))
         finite = series[~np.isnan(series)]
         final = float(finite[-1]) if len(finite) else float("nan")
-        if args.first_component:
-            ref = float(vec[i - 1] / vec[j - 1]) if vec[j - 1] != 0 else float("inf")
-        else:
-            ref = tempo_limit_from_eigvec(vec, [i], [j])
+        ref = (entry_ratio(vec, i, j) if args.first_component
+               else tempo_limit_from_eigvec(vec, [i], [j]))
         print(f"{i:>3}:{j:<3}  {final:>18.6g}  {ref:>12.6g}")
         if np.isfinite(ref) and abs(final - ref) > TEMPO_TOL * max(1.0, abs(ref)):
             ok = False
@@ -286,9 +284,10 @@ def cmd_distributed_select(args) -> int:
 # ---------------------------------------------------------------- compare
 
 
-def _verification_horizon(rate: float, foldings: float = 9.0) -> float:
-    """Simulated time for the error to decay well below the check tolerance."""
-    return float(min(600.0, max(60.0, foldings / max(rate, 1e-3))))
+def _verification_horizon(rate: float) -> float:
+    """Simulated time for the error to decay by nine e-foldings, well below
+    the check tolerance, clamped to [60, 600]."""
+    return float(min(600.0, max(60.0, 9.0 / max(rate, 1e-3))))
 
 
 def _verification_runs(G, drive, x0, label: str,
@@ -495,7 +494,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GraphError, SpectralError, ClassificationError, SimulationError,
-            TempoError) as exc:
+            TempoError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -47,6 +47,9 @@ class SimulationConfig:
         if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
             raise SimulationError(f"dt and horizon must be finite, got dt={self.dt}, "
                                   f"horizon={self.horizon}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise SimulationError(f"horizon {self.horizon} over dt {self.dt} is "
+                                  f"not a finite number of steps")
         if self.method not in ("euler", "rk4"):
             raise SimulationError(f"unknown method {self.method!r}")
 
@@ -120,13 +123,15 @@ def simulate(generator: np.ndarray,
 
     ``drive`` is (B, u) for leader-driven models and None for autonomous
     ones.  The step map R, c is built once.  Each state column then
-    advances on its own, b = max(1, min(``BLOCK``, steps, 2**20 // n**2))
-    steps per product with the stacks of :func:`step_powers`, built from
-    that column's offset alone so that columns never share a product
-    (the stack holds at most 2**20 doubles).  States agree with stepping
-    x <- R x + c one at a time to a few units of roundoff per block.
-    Forward Euler is rejected up front when dt exceeds the
-    safe bound 1/(2 max_ii G), which a Gershgorin argument turns into a
+    advances on its own, b = max(1, min(``BLOCK``, steps // n,
+    2**20 // n**2)) steps per product with the stacks of
+    :func:`step_powers`, built from that column's offset alone so that
+    columns never share a product.  Building the stack costs (b - 1) n^3
+    flops, which b <= steps // n keeps below the steps n^2 of the stepping
+    it replaces; the stack holds at most 2**20 doubles.  States agree with
+    stepping x <- R x + c one at a time to a few units of roundoff per
+    block.  Forward Euler is rejected up front when dt exceeds the safe
+    bound 1/(2 max_ii G), which a Gershgorin argument turns into a
     stability guarantee for Laplacian-type generators.
     """
     G = np.asarray(generator, dtype=float)
@@ -162,7 +167,7 @@ def simulate(generator: np.ndarray,
     R, c = step_map(G, forcing, cfg.dt, cfg.method)
 
     steps = cfg.steps
-    block = max(1, min(BLOCK, steps, 2**20 // max(n, 1)**2))
+    block = max(1, min(BLOCK, steps // max(n, 1), 2**20 // max(n, 1)**2))
     states = np.empty((steps + 1, n, d))
     states[0] = x0
     for dim in range(d):

@@ -25,12 +25,12 @@ from .spectral import symmetric_eigh
 EPS_TIE = 1e-10
 
 
-def _follows(vi: float, vj: float, eps_tie: float) -> bool:
-    """Strictly-greater ratio test with a symmetric tie guard."""
+def _follows(vi: float, vj: float) -> bool:
+    """Strictly-greater ratio test with a symmetric tie guard of ``EPS_TIE``."""
     if vj == 0:
         return False
     r = vi / vj
-    if abs(r - 1.0) < eps_tie:
+    if abs(r - 1.0) < EPS_TIE:
         return False
     return r > 1.0
 
@@ -48,7 +48,7 @@ def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
     return v1
 
 
-def _ratio_arcs(net: Network, v: np.ndarray, eps_tie: float,
+def _ratio_arcs(net: Network, v: np.ndarray,
                 faster: bool = False) -> DirectedNetwork:
     """Arcs (i <- j) whose entry ratio v[i]/v[j] exceeds 1, edge by edge;
     with ``faster`` the ratio is v[j]/v[i] instead."""
@@ -57,38 +57,37 @@ def _ratio_arcs(net: Network, v: np.ndarray, eps_tie: float,
         a, b = v[e.i - 1], v[e.j - 1]
         if faster:
             a, b = b, a
-        if _follows(a, b, eps_tie):
+        if _follows(a, b):
             arcs.append(Arc(e.i, e.j, e.w))
-        if _follows(b, a, eps_tie):
+        if _follows(b, a):
             arcs.append(Arc(e.j, e.i, e.w))
     suffix = "ffn" if faster else "fsn"
     return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-{suffix}")
 
 
-def fsn_san(net: Network, cfg: SemiAutonomousConfig, v1: np.ndarray,
-            eps_tie: float = EPS_TIE) -> DirectedNetwork:
+def fsn_san(net: Network, cfg: SemiAutonomousConfig,
+            v1: np.ndarray) -> DirectedNetwork:
     """Keep the slower neighbors of a leader-driven network.
 
     ``v1`` is the positive principal eigenvector of the perturbed
     Laplacian; the arc (i <- j) survives exactly when v1[i]/v1[j] > 1.
     The result is acyclic because retained arcs strictly descend in v1.
     """
-    return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), eps_tie)
+    return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1))
 
 
-def ffn_san(net: Network, cfg: SemiAutonomousConfig, v1: np.ndarray,
-            eps_tie: float = EPS_TIE) -> DirectedNetwork:
+def ffn_san(net: Network, cfg: SemiAutonomousConfig,
+            v1: np.ndarray) -> DirectedNetwork:
     """Keep the faster neighbors instead: the arc reversal of the slower rule.
 
     Isolates followers from the external inputs; ties are dropped on both
     sides exactly as in :func:`fsn_san`.
     """
-    return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), eps_tie,
-                       faster=True)
+    return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), faster=True)
 
 
-def fsn_fan(net: Network, v2: np.ndarray, cls: FiedlerClassification,
-            eps_tie: float = EPS_TIE) -> DirectedNetwork:
+def fsn_fan(net: Network, v2: np.ndarray,
+            cls: FiedlerClassification) -> DirectedNetwork:
     """Slower-neighbor reduction of an autonomous network via its Fiedler vector.
 
     Edges of the core block and of zero blocks stay bidirectional; inside a
@@ -116,13 +115,13 @@ def fsn_fan(net: Network, v2: np.ndarray, cls: FiedlerClassification,
             if sa == 0:
                 continue  # ratio 0 lies in [0, 1]: dropped
             r = v2[a - 1] / v2[b - 1]
-            if r < 0 or (r > 1.0 and abs(r - 1.0) >= eps_tie):
+            if r < 0 or (r > 1.0 and abs(r - 1.0) >= EPS_TIE):
                 arcs.append(Arc(a, b, e.w))
     return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-fsn")
 
 
-def fsn_signed_san(net: Network, cfg: SemiAutonomousConfig, v1s: np.ndarray,
-                   eps_tie: float = EPS_TIE) -> DirectedNetwork:
+def fsn_signed_san(net: Network, cfg: SemiAutonomousConfig,
+                   v1s: np.ndarray) -> DirectedNetwork:
     """Slower-neighbor reduction of a signed leader-driven network.
 
     Requires the network plus its input wiring to be structurally balanced;
@@ -134,7 +133,7 @@ def fsn_signed_san(net: Network, cfg: SemiAutonomousConfig, v1s: np.ndarray,
         raise GraphError(f"eigenvector length {len(v1s)} != n={net.n}")
     if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
         raise GraphError("network plus input wiring is not structurally balanced")
-    return _ratio_arcs(net, np.abs(v1s), eps_tie)
+    return _ratio_arcs(net, np.abs(v1s))
 
 
 def reachable_from(dnet: DirectedNetwork, sources: Iterable[int]) -> dict[int, bool]:

@@ -19,8 +19,11 @@ class SpectralError(ValueError):
     """Eigen-computation failed or a spectral precondition is violated."""
 
 
-# Tolerance policies.  All are overridable per call; the defaults scale with
-# the matrix (or vector) magnitude so unit-weight and weighted graphs behave
+# Tolerance policies, one module policy per thresholded decision, read by
+# every function that makes it: is an eigenvalue simple or zero
+# (default_eps_gap), is an eigenvector entry zero (default_eps_zero), is a
+# principal eigenvector positive (EPS_POS).  The first two scale with the
+# matrix (or vector) magnitude so unit-weight and weighted graphs behave
 # alike.
 def default_eps_gap(M: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.abs(M).max()))
@@ -91,12 +94,6 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
 
 
-def _simplicity(w: np.ndarray, idx: int, eps_gap: float) -> bool:
-    lo_ok = idx == 0 or (w[idx] - w[idx - 1]) > eps_gap
-    hi_ok = idx == len(w) - 1 or (w[idx + 1] - w[idx]) > eps_gap
-    return lo_ok and hi_ok
-
-
 def _check_residual(M: np.ndarray, pair: EigenPair) -> None:
     res = float(np.abs(M @ pair.vector - pair.value * pair.vector).max())
     bound = _RESIDUAL_FACTOR * max(1.0, float(np.abs(M).max()))
@@ -104,26 +101,24 @@ def _check_residual(M: np.ndarray, pair: EigenPair) -> None:
         raise SpectralError(f"eigen residual {res:.3e} exceeds {bound:.3e}")
 
 
-def smallest_eigenpairs(M: np.ndarray, k: int,
-                        eps_gap: float | None = None) -> list[EigenPair]:
+def smallest_eigenpairs(M: np.ndarray, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of a symmetric matrix, ascending."""
     M = np.asarray(M, dtype=float)
     if not 1 <= k <= M.shape[0]:
         raise SpectralError(f"k={k} outside 1..{M.shape[0]}")
-    if eps_gap is None:
-        eps_gap = default_eps_gap(M)
     w, V = symmetric_eigh(M)
+    # apart[i]: w[i-1] and w[i] are separated (the ends have no neighbor).
+    apart = np.concatenate(([True], np.diff(w) > default_eps_gap(M), [True]))
     pairs = []
     for idx in range(k):
-        pair = EigenPair(float(w[idx]), V[:, idx], _simplicity(w, idx, eps_gap))
+        simple = bool(apart[idx] and apart[idx + 1])
+        pair = EigenPair(float(w[idx]), V[:, idx], simple)
         _check_residual(M, pair)
         pairs.append(pair)
     return pairs
 
 
-def principal_pair_perturbed(L_B: np.ndarray,
-                             eps_gap: float | None = None,
-                             eps_pos: float = EPS_POS) -> EigenPair:
+def principal_pair_perturbed(L_B: np.ndarray) -> EigenPair:
     """Smallest eigenpair of a leader-perturbed Laplacian, sign-fixed positive.
 
     For a connected network with at least one leader this eigenvalue is
@@ -131,35 +126,30 @@ def principal_pair_perturbed(L_B: np.ndarray,
     positive; violations of either property signal a bad input (disconnected
     network, no leader, or a non-Laplacian matrix) and raise.
     """
-    if eps_gap is None:
-        eps_gap = default_eps_gap(L_B)
-    pair = smallest_eigenpairs(L_B, 1, eps_gap=eps_gap)[0]
-    if pair.value <= eps_gap:
+    pair = smallest_eigenpairs(L_B, 1)[0]
+    if pair.value <= default_eps_gap(L_B):
         raise SpectralError(
             f"smallest eigenvalue {pair.value:.3e} is not positive; "
             "the network is disconnected or has no leader")
     if not pair.is_simple:
         raise SpectralError("smallest eigenvalue is numerically repeated")
     vec = sign_normalize(pair.vector)
-    if float(vec.min()) <= eps_pos:
+    if float(vec.min()) <= EPS_POS:
         raise SpectralError(
             "eigenvector is not strictly positive; "
             "the network is disconnected or the matrix is not a perturbed Laplacian")
     return EigenPair(pair.value, vec, True)
 
 
-def principal_pair_signed(L_Bs: np.ndarray,
-                          eps_gap: float | None = None) -> EigenPair:
+def principal_pair_signed(L_Bs: np.ndarray) -> EigenPair:
     """Smallest eigenpair of a signed perturbed Laplacian.
 
     Entries carry both signs; the global sign is fixed by
     :func:`sign_normalize`.  Requires a positive simple eigenvalue, which a
     structurally balanced wiring guarantees.
     """
-    if eps_gap is None:
-        eps_gap = default_eps_gap(L_Bs)
-    pair = smallest_eigenpairs(L_Bs, 1, eps_gap=eps_gap)[0]
-    if pair.value <= eps_gap:
+    pair = smallest_eigenpairs(L_Bs, 1)[0]
+    if pair.value <= default_eps_gap(L_Bs):
         raise SpectralError(
             f"smallest eigenvalue {pair.value:.3e} is not positive; "
             "the wiring is unbalanced, disconnected, or leaderless")
@@ -168,7 +158,7 @@ def principal_pair_signed(L_Bs: np.ndarray,
     return EigenPair(pair.value, sign_normalize(pair.vector), True)
 
 
-def fiedler_pair(L: np.ndarray, eps_gap: float | None = None) -> EigenPair:
+def fiedler_pair(L: np.ndarray) -> EigenPair:
     """Second-smallest eigenpair of a graph Laplacian.
 
     Raises when the graph is disconnected (second eigenvalue numerically
@@ -176,21 +166,17 @@ def fiedler_pair(L: np.ndarray, eps_gap: float | None = None) -> EigenPair:
     back with ``is_simple`` False and the caller must treat vector-based
     constructions as undefined.
     """
-    if eps_gap is None:
-        eps_gap = default_eps_gap(L)
     if L.shape[0] < 2:
         raise SpectralError("Fiedler pair needs at least two nodes")
-    pairs = smallest_eigenpairs(L, 2, eps_gap=eps_gap)
-    lam2 = pairs[1]
-    if lam2.value <= eps_gap:
+    lam2 = smallest_eigenpairs(L, 2)[1]
+    if lam2.value <= default_eps_gap(L):
         raise SpectralError(
             f"second eigenvalue {lam2.value:.3e} is numerically zero; "
             "the network is disconnected")
     return EigenPair(lam2.value, sign_normalize(lam2.vector), lam2.is_simple)
 
 
-def entry_ratio(v: np.ndarray, i: int, j: int,
-                eps_zero: float | None = None) -> float:
+def entry_ratio(v: np.ndarray, i: int, j: int) -> float:
     """Ratio of eigenvector entries v[i]/v[j] with 1-based indices.
 
     Total by convention: a zero denominator yields a signed infinity
@@ -198,8 +184,7 @@ def entry_ratio(v: np.ndarray, i: int, j: int,
     inside regions whose edges are retained unconditionally).
     """
     v = np.asarray(v, dtype=float)
-    if eps_zero is None:
-        eps_zero = default_eps_zero(v)
+    eps_zero = default_eps_zero(v)
     num, den = float(v[i - 1]), float(v[j - 1])
     num_zero = abs(num) <= eps_zero
     den_zero = abs(den) <= eps_zero

@@ -22,7 +22,8 @@ from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, step_map,
                        step_powers)
 from .graphs import (Arc, DirectedNetwork, Network, SemiAutonomousConfig,
                      is_connected, laplacian, perturbed_laplacian)
-from .spectral import default_eps_gap, fiedler_pair, symmetric_eigh
+from .spectral import (default_eps_gap, default_eps_zero, fiedler_pair,
+                       symmetric_eigh)
 
 EPS_STILL = 1e-14      # below this difference norm an agent counts as stalled
 DEFAULT_DELTA = 0.01
@@ -37,14 +38,18 @@ class TempoError(ValueError):
 
 def tempo_limit_from_eigvec(v: np.ndarray, group1: Iterable[int],
                             group2: Iterable[int]) -> float:
-    """Entry-norm ratio ||v[group1]|| / ||v[group2]|| with 1-based groups."""
+    """Entry-norm ratio ||v[group1]|| / ||v[group2]|| with 1-based groups.
+
+    Raises when the second group's norm is zero within
+    :func:`default_eps_zero`, the test the selections apply to one entry.
+    """
     v = np.asarray(v, dtype=float)
     idx1 = [i - 1 for i in group1]
     idx2 = [j - 1 for j in group2]
     if not idx1 or not idx2:
         raise TempoError("both groups must be nonempty")
     den = float(np.linalg.norm(v[idx2]))
-    if den <= 1e-12 * float(np.abs(v).max()):
+    if den <= default_eps_zero(v):
         raise TempoError("second group selects only zero entries")
     return float(np.linalg.norm(v[idx1])) / den
 
@@ -106,7 +111,6 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
                    delta: float = DEFAULT_DELTA,
                    eps: float | dict[int, float] = DEFAULT_EPS,
                    round_cap: int = ROUND_CAP,
-                   tie_margin: float = DEFAULT_TIE_MARGIN,
                    ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection from sampled state data.
 
@@ -115,10 +119,10 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
     ratio per neighbor while that neighbor's difference is above the
     noise floor (see :func:`_settle`); ``eps`` is the relative accuracy
     each estimate is resolved to.  An agent then keeps exactly the
-    neighbors whose last estimate exceeds 1 + ``tie_margin``; the margin
-    absorbs that accuracy so symmetric pairs (true ratio 1) are dropped
-    from both sides.  An entry's ``rounds`` is the round of its agent's
-    last estimate.
+    neighbors whose last estimate exceeds 1 + ``DEFAULT_TIE_MARGIN``; the
+    margin absorbs that accuracy so symmetric pairs (true ratio 1) are
+    dropped from both sides.  An entry's ``rounds`` is the round of its
+    agent's last estimate.
 
     Raises when ``delta`` or some ``eps`` is not finite and positive, and
     when some estimate is still above its floor after ``round_cap`` rounds.
@@ -138,7 +142,7 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
     shown = sorted(set(eps.values())) if isinstance(eps, dict) else eps
     return _settle(net, L_B, forcing, x0,
                    lambda dx: np.linalg.norm(dx, axis=2),
-                   _eps_map(net, eps), delta, round_cap, tie_margin,
+                   _eps_map(net, eps), delta, round_cap,
                    f" (delta={delta}, eps={shown})")
 
 
@@ -146,16 +150,15 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
                              delta: float = DEFAULT_DELTA,
                              eps: float | dict[int, float] = DEFAULT_EPS,
                              round_cap: int = 2 * ROUND_CAP,
-                             tie_margin: float = DEFAULT_TIE_MARGIN,
                              ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection on an autonomous tree.
 
     Agents track the signed first-coordinate difference ratio per neighbor,
     decide on its last estimate above the noise floor (see :func:`_settle`),
-    and keep those above 1 + ``tie_margin`` or below -``tie_margin``.  A
-    zero-entry core neighbor needs no special case: its difference falls
-    below the floor first, so the follower's last ratio is large and the
-    neighbor is kept.
+    and keep those above 1 + ``DEFAULT_TIE_MARGIN`` or below
+    -``DEFAULT_TIE_MARGIN``.  A zero-entry core neighbor needs no special
+    case: its difference falls below the floor first, so the follower's
+    last ratio is large and the neighbor is kept.
 
     Restricted to trees with nonnegative weights whose Laplacian has a
     well-separated second eigenvalue and no edge joining two zero-entry
@@ -172,10 +175,9 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
     if not pair.is_simple:
         raise TempoError("second Laplacian eigenvalue is repeated; "
                          "the selection rule is undefined on this tree")
-    eps_zero = 1e-8 * float(np.abs(pair.vector).max())
+    zero = np.abs(pair.vector) <= default_eps_zero(pair.vector)
     for e in net.edges:
-        if (abs(pair.vector[e.i - 1]) <= eps_zero
-                and abs(pair.vector[e.j - 1]) <= eps_zero):
+        if zero[e.i - 1] and zero[e.j - 1]:
             raise TempoError(f"edge ({e.i},{e.j}) joins two zero entries "
                              "(zero block); not supported distributively")
 
@@ -185,7 +187,7 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
     if x0.shape[0] != net.n:
         raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
     return _settle(net, L, np.zeros_like(x0), x0, lambda dx: dx[:, :, 0],
-                   _eps_map(net, eps), delta, round_cap, tie_margin,
+                   _eps_map(net, eps), delta, round_cap,
                    "; the ratio sign may not be separating on this tree")
 
 
@@ -201,7 +203,6 @@ def _eps_map(net: Network, eps: float | dict[int, float]) -> dict[int, float]:
 def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             observable: Callable[[np.ndarray], np.ndarray],
             eps_map: dict[int, float], delta: float, round_cap: int,
-            tie_margin: float,
             stall_hint: str) -> tuple[DirectedNetwork, TempoReport]:
     """The decide-and-retain loop both distributed selections share.
 
@@ -218,9 +219,10 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     toward zero.  Each arc decides on its last such estimate, and an
     agent's ``rounds`` is the round of its last estimate.  The run ends
     after the first block of rounds in which no arc is above its floor.
-    An agent keeps the neighbors whose estimate exceeds 1 + ``tie_margin``
-    or lies below -``tie_margin``; a difference norm is never negative, so
-    with a nonnegative margin only the first case can hold for it.
+    An agent keeps the neighbors whose estimate exceeds
+    1 + ``DEFAULT_TIE_MARGIN`` or lies below -``DEFAULT_TIE_MARGIN``; a
+    difference norm is never negative, so only the first case can hold
+    for it.
 
     Rounds are evaluated ``BLOCK`` at a time (fewer on large networks, so
     the stack holds at most 2**20 doubles): the states of a block are one
@@ -268,7 +270,8 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     entries = []
     for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
         ga = float(g[a]) if last[a] else None
-        retained = ga is not None and (ga > 1.0 + tie_margin or ga < -tie_margin)
+        retained = ga is not None and (ga > 1.0 + DEFAULT_TIE_MARGIN
+                                       or ga < -DEFAULT_TIE_MARGIN)
         entries.append(TempoEstimate(i + 1, j + 1, ga, int(rounds[i]), retained))
         if retained:
             arcs.append(Arc(i + 1, j + 1, net.weights[(i + 1, j + 1)]))
@@ -277,21 +280,19 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
 
 
 def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],
-                       group2: Iterable[int],
-                       eps_gap: float | None = None,
-                       min_projection: float = 1e-6) -> float:
+                       group2: Iterable[int]) -> float:
     """Closed-form limit of the difference-norm ratio for x' = M x.
 
     Works directly from the eigendecomposition of the symmetric generator:
     only the eigenspace of the largest nonzero eigenvalue survives in the
     derivative as t grows, and the limit is a quadratic-form ratio over
     that eigenspace.  Serves as an independent check on simulated ratios,
-    including the case of a repeated dominant eigenvalue.
+    including the case of a repeated dominant eigenvalue.  Raises when the
+    projection of x0 on that eigenspace is at most 1e-6 max(1, ||x0||).
     """
     M = np.asarray(M, dtype=float)
     x0 = np.asarray(x0, dtype=float).ravel()
-    if eps_gap is None:
-        eps_gap = default_eps_gap(M)
+    eps_gap = default_eps_gap(M)
     w, V = symmetric_eigh(M)
     nonzero = [i for i in range(len(w)) if abs(w[i]) > eps_gap]
     if not nonzero:
@@ -301,7 +302,7 @@ def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],
 
     beta = V.T @ x0
     proj = math.sqrt(sum(beta[i] ** 2 for i in dom))
-    if proj <= min_projection * max(1.0, float(np.linalg.norm(x0))):
+    if proj <= 1e-6 * max(1.0, float(np.linalg.norm(x0))):
         raise TempoError("initial state is orthogonal to the dominant "
                          "eigenspace; the limit formula degenerates")
 

@@ -18,6 +18,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def spider_file(tmp_path):
+    """A tree whose Fiedler vector is zero on nodes 1 and 6 (a zero block)."""
+    path = tmp_path / "spider.json"
+    path.write_text(json.dumps({"n": 6, "edges": [
+        {"i": i, "j": j} for i, j in [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)]]}))
+    return str(path)
+
+
 class TestAnalyze:
     def test_g8_summary(self, capsys):
         code, out, _ = run(capsys, "analyze", "g8")
@@ -135,6 +143,24 @@ def test_non_finite_simulation_time_is_refused(argv, capsys, tmp_path):
     assert err.startswith("error: dt and horizon must be finite")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "g8", "--dt", "1e-300", "--horizon", "1e300"],
+     "error: horizon 1e+300 over dt 1e-300 is not a finite number of steps"),
+    # 6e14 samples: the state array is larger than any address space, so
+    # the allocation is refused at once and no memory is touched.
+    (["simulate", "g8", "--dt", "1e-13"], "error: "),
+    (["tempo", "g8", "--pairs", "7:3", "--dt", "1e-13"], "error: ")],
+    ids=["steps-overflow", "simulate-memory", "tempo-memory"])
+def test_impossible_step_count_is_refused(argv, message, capsys, tmp_path):
+    out_csv = tmp_path / "x.csv"
+    if argv[0] == "simulate":
+        argv = [*argv, "--out", str(out_csv)]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith(message)
+    assert not out_csv.exists()
+
+
 class TestTempo:
     def test_g8_pairs_match_eigvec(self, capsys, tmp_path):
         series = tmp_path / "g.csv"
@@ -149,6 +175,14 @@ class TestTempo:
                            "--first-component")
         assert code == 0
         assert "-0.30" in out
+
+    def test_first_component_zero_neighbor_diverges(self, capsys, tmp_path):
+        # Entry 1 is zero within default_eps_zero (7.6e-17 of 0.6), so its
+        # ratio is infinite and has no limit to check against.
+        code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
+                           "2:1", "--first-component")
+        assert code == 0
+        assert out.splitlines()[1].split()[-1] == "inf"
 
     def test_bad_pair_spec(self, capsys):
         code, _, err = run(capsys, "tempo", "g8", "--pairs", "7;3")
@@ -204,6 +238,13 @@ class TestDistributedSelect:
         code, _, err = run(capsys, "distributed-select", net, *flags)
         assert code == 1
         assert "must be finite and positive" in err
+
+    def test_tree_with_zero_block_is_refused(self, capsys, tmp_path):
+        code, _, err = run(capsys, "distributed-select", spider_file(tmp_path),
+                           "--fan-tree")
+        assert code == 1
+        assert err == ("error: edge (1,6) joins two zero entries (zero block); "
+                       "not supported distributively\n")
 
     def test_fan_fixture_without_leaders_needs_flag(self, capsys):
         code, _, err = run(capsys, "distributed-select", "g12")

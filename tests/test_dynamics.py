@@ -12,6 +12,7 @@ from fsnlab import (Arc, DirectedNetwork, Edge, Network,
                     signed_perturbed_laplacian, signed_reduced_laplacian,
                     simulate, steady_state_san, fsn_signed_san)
 
+from fsnlab import dynamics
 from fsnlab.dynamics import step_powers
 
 from conftest import T12_FSN, random_connected_net, random_leader_cfg
@@ -88,10 +89,18 @@ class TestSimulate:
         assert np.abs(xe - xr).max() < 5 * 0.01
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
-    @pytest.mark.parametrize("name", ["g6", "g8", "g8-signed", "g12", "t12"])
+    @pytest.mark.parametrize("name", ["g6", "g8", "g8-signed", "g12", "t12",
+                                      "rand40"])
     def test_matches_reference_steppers(self, name, method, request):
-        # The step map against the stage formulas, column by column.
-        net, cfg, x0 = request.getfixturevalue(name.replace("-", "_"))
+        # The step map against the stage formulas, column by column.  On
+        # rand40, 30 steps of a 40-node network, the stack collapses to b = 1.
+        horizon = 20.0
+        if name == "rand40":
+            rng = np.random.default_rng(40)
+            net, cfg, x0 = random_connected_net(rng, 40), None, rng.random((40, 1))
+            horizon = 0.3
+        else:
+            net, cfg, x0 = request.getfixturevalue(name.replace("-", "_"))
         if cfg is None:
             G, drive, d = laplacian(net), None, 1
         else:
@@ -101,7 +110,7 @@ class TestSimulate:
         if x0 is None:
             x0 = np.random.default_rng(8).random((net.n, d))
         forcing = np.zeros_like(x0) if drive is None else drive[0] @ drive[1]
-        sim = SimulationConfig(dt=0.01, horizon=20.0, method=method)
+        sim = SimulationConfig(dt=0.01, horizon=horizon, method=method)
         got = simulate(G, drive, x0, sim).states
         step = ref_step_euler if method == "euler" else ref_step_rk4
         want = np.empty_like(got)
@@ -192,10 +201,29 @@ class TestBlockStepping:
         cfg = random_leader_cfg(rng, n, d=2)
         L_B, B, u = san_system(net, cfg)
         x0 = rng.random((n, 2))
-        sim = SimulationConfig(dt=0.01, horizon=1.0)
+        # 6900 steps, so that steps // n does not bind before 2**20 // n**2.
+        sim = SimulationConfig(dt=0.01, horizon=69.0)
+        assert sim.steps // n >= 2**20 // n**2
         got = simulate(L_B, (B, u), x0, sim).states
         want = stepped(L_B, B @ u, x0, sim.dt, sim.steps, ref_step_rk4)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("n, steps", [(40, 30), (256, 50)])
+    def test_stack_costs_no_more_than_stepping(self, n, steps, monkeypatch):
+        # Building b powers costs (b - 1) n^3 flops and stepping steps n^2,
+        # so with steps < 2 n a stack of more than one power never pays.
+        built = []
+
+        def spy(R, c, size):
+            built.append(size)
+            return step_powers(R, c, size)
+
+        monkeypatch.setattr(dynamics, "step_powers", spy)
+        rng = np.random.default_rng(n)
+        G = laplacian(random_connected_net(rng, n))
+        simulate(G, None, rng.random((n, 1)),
+                 SimulationConfig(dt=0.01, horizon=0.01 * steps))
+        assert built == [1]
 
     def test_step_powers_are_matrix_power_stacks(self):
         rng = np.random.default_rng(23)

@@ -1,13 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from fsnlab import (Edge, Network, SemiAutonomousConfig, LeaderLink,
                     SimulationConfig, TempoError, block_cut_tree,
-                    classify_fiedler, fiedler_pair, first_component_ratio,
-                    fsn_fan, fsn_san, g_ratio_series, laplacian,
-                    perturbed_laplacian, principal_pair_perturbed,
+                    classify_fiedler, entry_ratio, fiedler_pair,
+                    first_component_ratio, fsn_fan, fsn_san, g_ratio_series,
+                    laplacian, perturbed_laplacian, principal_pair_perturbed,
                     run_algorithm1, run_distributed_fan_tree, simulate,
                     tempo_limit_from_eigvec, tempo_limit_oracle)
 
@@ -45,8 +46,12 @@ class TestTempoLimit:
         assert abs(tempo_limit_from_eigvec(v2, [1], [11]) - 0.785) < 1e-2
 
     def test_zero_group_rejected(self):
-        with pytest.raises(TempoError, match="zero"):
-            tempo_limit_from_eigvec(np.array([1.0, 0.0]), [1], [2])
+        # An entry 1e-10 of the largest is zero to the selections as well.
+        for small in (0.0, 1e-10):
+            v = np.array([1.0, small])
+            assert entry_ratio(v, 1, 2) == math.inf
+            with pytest.raises(TempoError, match="zero"):
+                tempo_limit_from_eigvec(v, [1], [2])
 
 
 class TestGRatioSeries:
@@ -322,6 +327,15 @@ class TestDistributedFanTree:
         x0 = np.random.default_rng(1).random(4)
         with pytest.raises(TempoError, match="repeated"):
             run_distributed_fan_tree(star, x0)
+
+    def test_zero_block_rejected(self):
+        # Fiedler value 0.382 is simple; the vector is zero on nodes 1 and 6.
+        spider = Network(6, tuple(Edge(i, j) for i, j in
+                                  [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)]))
+        pair = fiedler_pair(laplacian(spider))
+        assert pair.is_simple and abs(pair.value - 0.381966) < 1e-6
+        with pytest.raises(TempoError, match=r"edge \(1,6\) joins two zero"):
+            run_distributed_fan_tree(spider, np.arange(6.0))
 
     def test_non_tree_rejected(self):
         net = Network(3, (Edge(1, 2), Edge(2, 3), Edge(1, 3)))
