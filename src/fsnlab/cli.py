@@ -32,7 +32,8 @@ from .model import EIG_TOL, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       emit_trajectory, fixture_text, parse_arc_file,
                       parse_network_file, serialize_arcs)
-from .spectral import SpectralError, entry_ratio, smallest_eigenpairs
+from .spectral import (SpectralError, default_eps_zero, entry_ratio,
+                       smallest_eigenpairs)
 from .tempo import (TempoError, first_component_ratio, g_ratio_series,
                     run_algorithm1, run_distributed_fan_tree,
                     tempo_limit_from_eigvec)
@@ -221,6 +222,7 @@ def cmd_tempo(args) -> int:
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon)
     traj = simulate(G, drive, x0, simcfg, model=model.tag)
     vec = model.pair().vector
+    zero = np.abs(vec) <= default_eps_zero(vec)
 
     rows = ["t,follower,followed,value\n"]
     ok = True
@@ -232,10 +234,21 @@ def cmd_tempo(args) -> int:
             rows.extend(csv_rows(traj.times[1:], [f"{i},{j}"], series[:, None]))
         finite = series[~np.isnan(series)]
         final = float(finite[-1]) if len(finite) else float("nan")
-        ref = (entry_ratio(vec, i, j) if args.first_component
-               else tempo_limit_from_eigvec(vec, [i], [j]))
-        print(f"{i:>3}:{j:<3}  {final:>18.6g}  {ref:>12.6g}")
-        if np.isfinite(ref) and abs(final - ref) > TEMPO_TOL * max(1.0, abs(ref)):
+        ref = None
+        if args.first_component and zero[i - 1] and zero[j - 1]:
+            # Both sit in a zero block, whose sampled ratio follows another
+            # mode: entry_ratio's 0/0 = 1 is a convention, not a limit.
+            shown = "none (both entries sit at zero: no eigenvector limit)"
+        else:
+            try:
+                ref = (entry_ratio(vec, i, j) if args.first_component
+                       else tempo_limit_from_eigvec(vec, [i], [j]))
+                shown = f"{ref:>12.6g}"
+            except TempoError:
+                shown = "diverges (neighbor sits at a zero entry)"
+        print(f"{i:>3}:{j:<3}  {final:>18.6g}  {shown}")
+        if (ref is not None and np.isfinite(ref)
+                and abs(final - ref) > TEMPO_TOL * max(1.0, abs(ref))):
             ok = False
     if args.out:
         Path(args.out).write_text("".join(rows))

@@ -253,12 +253,15 @@ def signed_perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.nd
 
 
 def _bump_leaders(L: np.ndarray, cfg: SemiAutonomousConfig) -> np.ndarray:
-    """Add the unit leader gain to L's diagonal in place; returns L."""
+    """Add the unit leader gain to L's diagonal in place; returns L.
+
+    L is a matrix, or the vector of its diagonal.
+    """
     n = L.shape[0]
     for link in cfg.leader_links:
         if link.node > n:
             raise GraphError(f"leader node {link.node} outside 1..{n}")
-        L[link.node - 1, link.node - 1] += 1.0
+        L[(link.node - 1,) * L.ndim] += 1.0
     return L
 
 

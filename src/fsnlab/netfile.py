@@ -9,6 +9,7 @@ parsing what we emit reproduces the parsed model exactly.
 from __future__ import annotations
 
 import json
+import sys
 from importlib import resources
 from itertools import chain
 from typing import Iterator, Optional
@@ -21,6 +22,9 @@ from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
 
 FIXTURE_NAMES = ("g6", "g8", "g8-signed", "g12", "t12")
 CSV_BLOCK = 512         # samples formatted per block by csv_rows
+
+_ARC_TEMPLATE = ('    {\n      "follower": %d,\n      "followed": %d,\n'
+                 '      "w": %s\n    }')
 
 
 class NetworkFileError(ValueError):
@@ -46,7 +50,12 @@ def _as_int(value, where: str) -> int:
 def _as_number(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise NetworkFileError(
+            f"{where}: integer of {value.bit_length()} bits is too large "
+            "for a float") from None
 
 
 def _json_object(text: str | bytes) -> dict:
@@ -59,8 +68,39 @@ def _json_object(text: str | bytes) -> dict:
     except json.JSONDecodeError as exc:
         raise NetworkFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise NetworkFileError(f"document: {exc}") from exc
+    except RecursionError:
+        raise NetworkFileError("document nests too deeply") from None
     _require(isinstance(doc, dict), "document", "top level must be an object")
     return doc
+
+
+def _records(raws: list, field: str, kind: str, a: str, b: str, make) -> list:
+    """``make(a, b, w)`` of each record of an edge or arc list, w default 1.0.
+
+    A record of exactly the right types (a dict of known keys, exact-int
+    ids, a float weight or an int within the float range) is built
+    directly; any other goes through the per-field checks, which raise a
+    ``NetworkFileError`` naming its first bad field.
+    """
+    keys = frozenset({a, b, "w"})
+    out = []
+    for k, raw in enumerate(raws):
+        if (type(raw) is dict and raw.keys() <= keys
+                and type(i := raw.get(a)) is int and type(j := raw.get(b)) is int
+                and (type(w := raw.get("w", 1.0)) is float
+                     or type(w) is int and abs(w) <= sys.float_info.max)):
+            out.append(make(i, j, float(w)))
+            continue
+        where = f"{field}[{k}]"
+        _require(isinstance(raw, dict), where, f"each {kind} must be an object")
+        _only_keys(raw, keys, where)
+        _require(a in raw and b in raw, where, f"needs keys '{a}' and '{b}'")
+        out.append(make(_as_int(raw[a], f"{where}.{a}"),
+                        _as_int(raw[b], f"{where}.{b}"),
+                        _as_number(raw.get("w", 1.0), f"{where}.w")))
+    return out
 
 
 def parse_network_file(
@@ -82,16 +122,7 @@ def parse_network_file(
     _require(isinstance(name, str), "name", "must be a string")
 
     _require(isinstance(doc["edges"], list), "edges", "must be a list")
-    edges = []
-    for k, raw in enumerate(doc["edges"]):
-        where = f"edges[{k}]"
-        _require(isinstance(raw, dict), where, "each edge must be an object")
-        _only_keys(raw, {"i", "j", "w"}, where)
-        _require("i" in raw and "j" in raw, where, "needs keys 'i' and 'j'")
-        i = _as_int(raw["i"], f"{where}.i")
-        j = _as_int(raw["j"], f"{where}.j")
-        w = _as_number(raw.get("w", 1.0), f"{where}.w")
-        edges.append(Edge(i, j, w))
+    edges = _records(doc["edges"], "edges", "edge", "i", "j", Edge)
 
     cfg = None
     if "leaders" in doc:
@@ -186,16 +217,7 @@ def parse_arc_file(text: str | bytes) -> DirectedNetwork:
     name = doc.get("name", "")
     _require(isinstance(name, str), "name", "must be a string")
     _require(isinstance(doc["arcs"], list), "arcs", "must be a list")
-    arcs = []
-    for k, raw in enumerate(doc["arcs"]):
-        where = f"arcs[{k}]"
-        _require(isinstance(raw, dict), where, "each arc must be an object")
-        _only_keys(raw, {"follower", "followed", "w"}, where)
-        _require("follower" in raw and "followed" in raw, where,
-                 "needs keys 'follower' and 'followed'")
-        arcs.append(Arc(_as_int(raw["follower"], f"{where}.follower"),
-                        _as_int(raw["followed"], f"{where}.followed"),
-                        _as_number(raw.get("w", 1.0), f"{where}.w")))
+    arcs = _records(doc["arcs"], "arcs", "arc", "follower", "followed", Arc)
     try:
         return DirectedNetwork(n, tuple(arcs), name=name)
     except GraphError as exc:
@@ -203,10 +225,19 @@ def parse_arc_file(text: str | bytes) -> DirectedNetwork:
 
 
 def serialize_arcs(dnet: DirectedNetwork) -> str:
-    doc = {"name": dnet.name, "n": dnet.n,
-           "arcs": [{"follower": a.follower, "followed": a.followed, "w": a.w}
-                    for a in dnet.arcs]}
-    return json.dumps(doc, indent=2) + "\n"
+    """The arc document, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
+    of ``{"name", "n", "arcs": [{"follower", "followed", "w"}, ...]}``.
+
+    Each arc fills one ``%``-template; a float weight is written with
+    ``float.__repr__``, as the json module writes it.
+    """
+    arcs = ",\n".join([
+        _ARC_TEMPLATE % (a.follower, a.followed,
+                         float.__repr__(a.w) if type(a.w) is float
+                         else json.dumps(a.w))
+        for a in dnet.arcs])
+    return '{\n  "name": %s,\n  "n": %d,\n  "arcs": %s\n}\n' % (
+        json.dumps(dnet.name), dnet.n, f"[\n{arcs}\n  ]" if arcs else "[]")
 
 
 def csv_rows(times: np.ndarray, ids: list[str],

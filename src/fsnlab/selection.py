@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -225,25 +226,48 @@ def reduced_spectrum(dnet: DirectedNetwork,
     triangular, so its spectrum is the union of the diagonal blocks'
     spectra; every nontrivial component our constructions produce is
     symmetric, so no general non-symmetric solve is ever needed.
+
+    The generator itself is never built.  Its diagonal comes from one
+    ``bincount`` over the arcs in arc order (the additions
+    :func:`reduced_laplacian` makes, in its order), a singleton component's
+    eigenvalue is its diagonal entry, and a nontrivial component's block is
+    filled from that diagonal and the component's own arcs.
     """
-    L = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
+    n, m = dnet.n, len(dnet.arcs)
+    follower = np.fromiter((a.follower for a in dnet.arcs), np.intp, m) - 1
+    followed = np.fromiter((a.followed for a in dnet.arcs), np.intp, m) - 1
+    w = np.fromiter((a.w for a in dnet.arcs), float, m)
+    diag = np.bincount(follower, weights=np.abs(w) if signed else w,
+                       minlength=n).astype(float, copy=False)  # int when m = 0
     if cfg is not None:
-        _bump_leaders(L, cfg)
-    values: list[float] = []
-    for comp in _strong_components(dnet):
-        idx = np.array([c - 1 for c in comp])
-        block = L[np.ix_(idx, idx)]
-        if len(comp) == 1:
-            values.append(float(block[0, 0]))
-        else:
-            sym_defect = float(np.abs(block - block.T).max())
-            if sym_defect > 1e-9 * max(1.0, float(np.abs(block).max())):
-                raise GraphError(
-                    "strongly connected component has an asymmetric generator "
-                    "block; spectrum cannot be read structurally")
-            w, _ = symmetric_eigh(block)
-            values.extend(float(x) for x in w)
-    return np.sort(np.array(values))
+        _bump_leaders(diag, cfg)
+
+    comps = _strong_components(dnet)
+    sizes = np.fromiter(map(len, comps), np.intp, len(comps))
+    members = np.fromiter(chain.from_iterable(comps), np.intp, n) - 1
+    starts = np.cumsum(sizes) - sizes
+    comp_of = np.empty(n, np.intp)
+    comp_of[members] = np.repeat(np.arange(len(comps)), sizes)
+    slot = np.empty(n, np.intp)
+    slot[members] = np.arange(n) - np.repeat(starts, sizes)
+    # Eigenvalues in component order, as the blocks are visited; a
+    # nontrivial component's entries are overwritten by its block's.
+    values = diag[members]
+    inner = np.flatnonzero(comp_of[follower] == comp_of[followed])
+    inner = inner[np.argsort(comp_of[follower[inner]])]
+    bounds = np.searchsorted(comp_of[follower[inner]], np.arange(len(comps) + 1))
+    for c in np.flatnonzero(sizes > 1):
+        part = slice(starts[c], starts[c] + sizes[c])
+        arcs = inner[bounds[c]:bounds[c + 1]]
+        block = np.diag(diag[members[part]])
+        block[slot[follower[arcs]], slot[followed[arcs]]] -= w[arcs]
+        sym_defect = float(np.abs(block - block.T).max())
+        if sym_defect > 1e-9 * max(1.0, float(np.abs(block).max())):
+            raise GraphError(
+                "strongly connected component has an asymmetric generator "
+                "block; spectrum cannot be read structurally")
+        values[part] = symmetric_eigh(block)[0]
+    return np.sort(values)
 
 
 def reduced_symmetric_fiedler(dnet: DirectedNetwork,

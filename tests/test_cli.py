@@ -184,6 +184,32 @@ class TestTempo:
         assert code == 0
         assert out.splitlines()[1].split()[-1] == "inf"
 
+    def test_zero_neighbor_diverges_and_run_goes_on(self, capsys, tmp_path):
+        # Pair 2:1 has no norm-ratio limit (entry 1 is zero); the command
+        # reports it as compare does and still writes every pair's series.
+        series = tmp_path / "f.csv"
+        code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
+                           "2:3,2:1", "--out", str(series))
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[1].split()[0] == "2:3" and rows[1].split()[-1] == "0.618034"
+        assert rows[2].split()[0] == "2:1"
+        assert rows[2].endswith("  diverges (neighbor sits at a zero entry)")
+        lines = series.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 6000
+        assert lines[6001].split(",")[1:3] == ["2", "1"]
+
+    def test_first_component_two_zero_entries_have_no_limit(self, capsys,
+                                                          tmp_path):
+        # Entries 6 and 1 both sit in the zero block: 0/0 = 1 is only
+        # entry_ratio's convention, so the sampled ratio is not checked.
+        code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
+                           "6:1", "--first-component")
+        assert code == 0
+        assert out.splitlines()[1].endswith(
+            "  none (both entries sit at zero: no eigenvector limit)")
+        assert "FAILED" not in out
+
     def test_bad_pair_spec(self, capsys):
         code, _, err = run(capsys, "tempo", "g8", "--pairs", "7;3")
         assert code == 2

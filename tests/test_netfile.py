@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fsnlab import (FIXTURE_NAMES, NetworkFileError, SimulationConfig,
-                    Trajectory, emit_trajectory, laplacian, load_fixture,
-                    parse_arc_file, parse_network_file, parse_trajectory,
-                    serialize_arcs, serialize_network, simulate)
+from fsnlab import (FIXTURE_NAMES, Arc, DirectedNetwork, NetworkFileError,
+                    SimulationConfig, Trajectory, emit_trajectory, laplacian,
+                    load_fixture, parse_arc_file, parse_network_file,
+                    parse_trajectory, serialize_arcs, serialize_network,
+                    simulate)
+from fsnlab.cli import main
 from fsnlab.graphs import Edge, Network
 from fsnlab.model import Model
 from fsnlab.netfile import CSV_BLOCK, fixture_text
@@ -139,6 +143,25 @@ class TestRoundTrip:
         again = parse_arc_file(serialize_arcs(dnet))
         assert again == dnet
 
+    @given(st.text(), st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6),
+                  st.one_of(st.integers(-10**20, 10**20),
+                            st.floats(-1e307, 1e307),
+                            st.sampled_from([5e-324, -5e-324, 1e-300, 1e307,
+                                             -0.0, 0.1, 1.0, 1e16]))),
+        max_size=12, unique_by=lambda t: t[:2]))
+    @example("", [])
+    @example('q"uo\\te \u00e9\u4e2d\U0001f600\n', [(1, 2, 1), (2, 1, -2.5)])
+    @settings(max_examples=120, deadline=None)
+    def test_serialize_arcs_is_json_dumps(self, name, arcs):
+        """The template writer gives the bytes of the json module."""
+        arcs = [Arc(i, j, w) for i, j, w in arcs if i != j]
+        dnet = DirectedNetwork(6, tuple(arcs), name=name)
+        doc = {"name": name, "n": 6,
+               "arcs": [{"follower": a.follower, "followed": a.followed, "w": a.w}
+                        for a in arcs]}
+        assert serialize_arcs(dnet) == json.dumps(doc, indent=2) + "\n"
+
     def test_arc_file_rejects_duplicates(self):
         doc = ('{"n": 2, "arcs": [{"follower": 1, "followed": 2}, '
                '{"follower": 1, "followed": 2}]}')
@@ -165,6 +188,50 @@ class TestRoundTrip:
 def test_non_utf8_document_is_network_file_error(parse):
     with pytest.raises(NetworkFileError, match="not UTF-8"):
         parse(b"\xff{}")
+
+
+HUGE = "1" + "0" * 400          # an integer literal past the float range
+REFUSALS = {
+    "edge-w": (parse_network_file,
+               '{"n": 2, "edges": [{"i": 1, "j": 2, "w": %s}]}' % HUGE,
+               r"^edges\[0\]\.w: integer of 1329 bits is too large for a float$"),
+    "arc-w": (parse_arc_file,
+              '{"n": 6, "arcs": [{"follower": 1, "followed": 2, "w": %s}]}' % HUGE,
+              r"^arcs\[0\]\.w: integer .* too large"),
+    "x0": (parse_network_file,
+           '{"n": 2, "edges": [{"i": 1, "j": 2}], "x0": [1, -%s]}' % HUGE,
+           r"^x0\[1\]: integer .* too large"),
+    "x0-row": (parse_network_file,
+               '{"n": 2, "edges": [{"i": 1, "j": 2}], "x0": [[%s], [1]]}' % HUGE,
+               r"^x0\[0\]\[0\]: integer .* too large"),
+    "inputs": (parse_network_file,
+               '{"n": 2, "edges": [{"i": 1, "j": 2}], '
+               '"leaders": [{"node": 1, "input": 1}], "inputs": [[0.5, %s]]}' % HUGE,
+               r"^inputs\[0\]\[1\]: integer .* too large"),
+    "digit-limit": (parse_network_file, '{"n": %s, "edges": []}' % ("7" * 5000),
+                    r"^document: Exceeds the limit"),
+    "deep-network": (parse_network_file, "[" * 100000,
+                     r"^document nests too deeply$"),
+    "deep-arcs": (parse_arc_file, '{"n": 2, "arcs": ' + "[" * 100000,
+                  r"^document nests too deeply$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_unreadable_number_or_nesting_is_refused(case, tmp_path, capsys):
+    """An integer no float holds, or a document nested past the recursion
+    limit, is a NetworkFileError naming the field, and exit 2 in the CLI."""
+    parse, text, message = REFUSALS[case]
+    with pytest.raises(NetworkFileError, match=message):
+        parse(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = (["analyze", str(path)] if parse is parse_network_file else
+            ["simulate", "g6", "--reduced", str(path),
+             "--out", str(tmp_path / "x.csv")])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestTrajectoryCsv:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,15 @@ from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     Network, SemiAutonomousConfig, block_cut_tree,
                     classify_fiedler, diameter, ffn_san, fiedler_lower_bound,
                     fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
-                    laplacian, perturbed_laplacian,
+                    laplacian, load_fixture, perturbed_laplacian,
                     principal_pair_perturbed, principal_pair_signed,
                     reachable_from, reachable_from_inputs, reduced_spectrum,
-                    reduced_symmetric_fiedler, signed_perturbed_laplacian,
+                    reduced_laplacian, reduced_symmetric_fiedler,
+                    signed_perturbed_laplacian, signed_reduced_laplacian,
                     tree_diameter_bound)
+from fsnlab.model import Model
+from fsnlab.selection import _strong_components
+from fsnlab.spectral import SpectralError, symmetric_eigh
 
 from conftest import (G6_FSN, G8_FFN, G8_FSN, G12_FSN, T12_FSN,
                       random_balanced_signed_net, random_connected_net,
@@ -354,3 +360,105 @@ class TestTreeDiameterBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             tree_diameter_bound(0)
+
+
+def dense_reduced_spectrum(dnet, cfg=None, signed=False):
+    """The spectrum as first written: the dense n x n generator, with its
+    diagonal blocks cut out of it one strongly connected component at a time."""
+    L = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
+    if cfg is not None:
+        for link in cfg.leader_links:
+            L[link.node - 1, link.node - 1] += 1.0
+    values = []
+    for comp in _strong_components(dnet):
+        idx = np.array([c - 1 for c in comp])
+        block = L[np.ix_(idx, idx)]
+        if len(comp) == 1:
+            values.append(float(block[0, 0]))
+        else:
+            sym_defect = float(np.abs(block - block.T).max())
+            if sym_defect > 1e-9 * max(1.0, float(np.abs(block).max())):
+                raise GraphError(
+                    "strongly connected component has an asymmetric generator "
+                    "block; spectrum cannot be read structurally")
+            w, _ = symmetric_eigh(block)
+            values.extend(float(x) for x in w)
+    return np.sort(np.array(values))
+
+
+def assert_same_spectrum(dnet, cfg=None, signed=False):
+    """reduced_spectrum equals the dense construction bit for bit, or both
+    refuse with the same message."""
+    try:
+        want = dense_reduced_spectrum(dnet, cfg, signed)
+    except GraphError as exc:
+        with pytest.raises(GraphError, match=f"^{exc}$"):
+            reduced_spectrum(dnet, cfg, signed)
+        return
+    got = reduced_spectrum(dnet, cfg, signed)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestReducedSpectrumOracle:
+    """reduced_spectrum never builds the dense generator, yet returns its
+    block spectrum bit for bit."""
+
+    @pytest.mark.parametrize("name", ["g6", "g8", "g8-signed", "g12", "t12"])
+    def test_fixtures_every_mode(self, name):
+        net, cfg, _ = load_fixture(name)
+        model = Model(net, cfg)
+        checked = 0
+        for mode in ("san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn"):
+            try:
+                dnet = model.select(mode)
+            except (GraphError, SpectralError):
+                continue  # not a mode of this fixture
+            checked += 1
+            for signed in (False, True):
+                assert_same_spectrum(dnet, None, signed)
+                if cfg is not None:
+                    assert_same_spectrum(dnet, cfg, signed)
+        assert checked >= 1
+
+    def test_random_reductions(self):
+        # Every edge kept one way, both ways or not at all, with signed
+        # weights: acyclic parts, symmetric components and asymmetric cycles.
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            n = int(rng.integers(1, 14))
+            net = random_connected_net(rng, n, weights=lambda r: r.uniform(-2, 2))
+            arcs = []
+            for e in net.edges:
+                keep = int(rng.integers(0, 4))
+                if keep & 1:
+                    arcs.append(Arc(e.i, e.j, e.w))
+                if keep & 2:
+                    arcs.append(Arc(e.j, e.i, e.w))
+            rng.shuffle(arcs)
+            dnet = DirectedNetwork(n, tuple(arcs))
+            cfg = random_leader_cfg(rng, n)
+            for signed in (False, True):
+                assert_same_spectrum(dnet, None, signed)
+                assert_same_spectrum(dnet, cfg, signed)
+
+    def test_random_fan_selections(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            net = random_connected_net(rng, int(rng.integers(3, 13)))
+            pair = fiedler_pair(laplacian(net))
+            if pair.is_simple:
+                assert_same_spectrum(fan_selection(net)[0])
+
+    def test_no_dense_generator(self):
+        # The dense generator of a 4000-node path alone is 128 MB.
+        n = 4000
+        dnet = DirectedNetwork(n, tuple(Arc(i + 1, i, 1.0) for i in range(1, n)))
+        tracemalloc.start()
+        try:
+            values = reduced_spectrum(dnet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values[0] == 0.0 and values[-1] == 1.0
+        assert peak < 16e6
