@@ -10,13 +10,13 @@ signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .graphs import GraphError, Network, is_connected
+from .graphs import GraphError, Network
 from .spectral import default_eps_zero
 
 
@@ -30,32 +30,33 @@ class BlockDecomposition:
 
     ``tree_links`` pairs a block index with a cut node contained in it.
     Blocks are ordered by their smallest member so the decomposition is
-    stable under re-runs.
+    stable under re-runs.  ``edge_keys`` holds the sorted keys
+    (lo - 1) * n + (hi - 1) of the decomposed network's edges {lo < hi},
+    and ``edge_block`` the block of each.
     """
 
     n: int
     blocks: tuple[frozenset[int], ...]
     cut_nodes: frozenset[int]
     tree_links: tuple[tuple[int, int], ...]
+    edge_keys: np.ndarray = field(compare=False, repr=False)
+    edge_block: np.ndarray = field(compare=False, repr=False)
 
-    @cached_property
-    def _node_blocks(self) -> dict[int, tuple[int, ...]]:
-        """Per node, the indices of the blocks containing it, ascending."""
-        out: dict[int, list[int]] = {}
-        for b, members in enumerate(self.blocks):
-            for node in members:
-                out.setdefault(node, []).append(b)
-        return {node: tuple(bs) for node, bs in out.items()}
-
-    def blocks_of(self, node: int) -> tuple[int, ...]:
-        return self._node_blocks.get(node, ())
+    def blocks_of_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Index of the block of each edge (i[k], j[k]) of the network."""
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        keys = (lo - 1) * self.n + (hi - 1)
+        pos = np.searchsorted(self.edge_keys, keys)
+        found = (lo >= 1) & (hi <= self.n) & (pos < len(self.edge_keys))
+        found[found] = self.edge_keys[pos[found]] == keys[found]
+        if not found.all():
+            k = int(np.argmin(found))
+            raise GraphError(f"no block contains edge ({i[k]},{j[k]})")
+        return self.edge_block[pos]
 
     def block_of_edge(self, i: int, j: int) -> int:
-        """Index of the unique block containing both endpoints."""
-        for b in self.blocks_of(i):
-            if j in self.blocks[b]:
-                return b
-        raise GraphError(f"no block contains edge ({i},{j})")
+        """Index of the block containing the edge (i, j)."""
+        return int(self.blocks_of_edges(np.array([i]), np.array([j]))[0])
 
 
 def block_cut_tree(net: Network) -> BlockDecomposition:
@@ -64,77 +65,95 @@ def block_cut_tree(net: Network) -> BlockDecomposition:
     Iterative depth-first low-link computation with an explicit stack, so
     long path graphs do not hit the recursion limit.
     """
-    if not is_connected(net):
-        raise GraphError("block decomposition requires a connected network")
-
+    disconnected = GraphError("block decomposition requires a connected network")
     n = net.n
-    disc = {u: 0 for u in range(1, n + 1)}  # 0 = unvisited
-    low = {}
-    parent: dict[int, int | None] = {}
-    edge_stack: list[tuple[int, int]] = []
-    blocks: list[frozenset[int]] = []
-    cut_nodes: set[int] = set()
-    timer = 1
-
+    if len(net.w) < n - 1:
+        raise disconnected
     if n == 1:
-        return BlockDecomposition(1, (frozenset({1}),), frozenset(), ())
-
-    root = 1
-    disc[root] = low[root] = timer
-    timer += 1
-    parent[root] = None
+        none = np.zeros(0, dtype=np.intp)
+        return BlockDecomposition(1, (frozenset({1}),), frozenset(), (), none, none)
+    indptr, cols, edge = (a.tolist() for a in net.adjacency)
+    nxt = indptr[:-1]               # next CSR entry to scan, per node
+    disc = [0] * n                  # discovery time from 1; 0 = unvisited
+    low = [0] * n
+    tree_edge = [-1] * n            # the edge that discovered each node
+    at = [0] * n                    # edge_stack length when it was pushed
+    edge_stack: list[int] = []
+    edge_blocks: list[list[int]] = []
+    cut_nodes: set[int] = set()
+    disc[0] = low[0] = 1
+    timer = 2
     root_children = 0
-    # Each stack frame holds the node and an iterator over its neighbors.
-    stack = [(root, iter(net.neighbors[root]))]
+    stack = [0]
     while stack:
-        u, it = stack[-1]
-        advanced = False
-        for v in it:
-            if disc[v] == 0:
-                parent[v] = u
-                edge_stack.append((u, v))
+        u = stack[-1]
+        k, end = nxt[u], indptr[u + 1]
+        while k < end:
+            v, e = cols[k], edge[k]
+            k += 1
+            if not disc[v]:
+                tree_edge[v], at[v] = e, len(edge_stack)
+                edge_stack.append(e)
                 disc[v] = low[v] = timer
                 timer += 1
-                if u == root:
-                    root_children += 1
-                stack.append((v, iter(net.neighbors[v])))
-                advanced = True
+                root_children += u == 0
+                stack.append(v)
                 break
-            elif v != parent[u] and disc[v] < disc[u]:
-                edge_stack.append((u, v))
+            if e != tree_edge[u] and disc[v] < disc[u]:
+                edge_stack.append(e)
                 low[u] = min(low[u], disc[v])
-        if advanced:
+        nxt[u] = k
+        if stack[-1] != u:
             continue
         stack.pop()
         if stack:
-            p = stack[-1][0]
+            p = stack[-1]
             low[p] = min(low[p], low[u])
             if low[u] >= disc[p]:
-                # p separates the subtree at u: pop one block.
-                members: set[int] = set()
-                while edge_stack:
-                    a, b = edge_stack[-1]
-                    if disc[a] >= disc[u] or (a == p and b == u):
-                        edge_stack.pop()
-                        members.update((a, b))
-                        if (a, b) == (p, u):
-                            break
-                    else:
-                        break
-                blocks.append(frozenset(members))
-                if p != root or root_children > 1:
-                    cut_nodes.add(p)
-
+                # p separates the subtree at u: the edges pushed since the
+                # tree edge (p, u) form one block.
+                edge_blocks.append(edge_stack[at[u]:])
+                del edge_stack[at[u]:]
+                if p != 0 or root_children > 1:
+                    cut_nodes.add(p + 1)
+    if timer <= n:
+        raise disconnected
     if edge_stack:
-        members = set()
-        for a, b in edge_stack:
-            members.update((a, b))
-        blocks.append(frozenset(members))
+        edge_blocks.append(edge_stack)
 
-    blocks.sort(key=lambda b: (min(b), sorted(b)))
-    links = tuple((bi, c) for bi, members in enumerate(blocks)
-                  for c in sorted(cut_nodes & members))
-    return BlockDecomposition(n, tuple(blocks), frozenset(cut_nodes), links)
+    m = len(net.w)
+    block = np.empty(m, dtype=np.intp)
+    block[np.fromiter(chain.from_iterable(edge_blocks), np.intp, m)] = np.repeat(
+        np.arange(len(edge_blocks)), [len(es) for es in edge_blocks])
+    # The (block, node) incidences, sorted by block, then node.
+    inc = np.sort(np.concatenate((block * n + net.i - 1, block * n + net.j - 1)))
+    inc = inc[_run_starts(inc)]
+    of, node = inc // n, inc % n + 1
+    starts = np.flatnonzero(_run_starts(of))
+    # Two blocks share at most one node, so the two smallest members of a
+    # block order it as its whole sorted member list does.
+    order = np.lexsort((node[starts + 1], node[starts]))
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    ids, bounds = node.tolist(), np.append(starts, len(node)).tolist()
+    blocks = tuple(frozenset(ids[bounds[b]:bounds[b + 1]]) for b in order.tolist())
+    is_cut = np.zeros(n + 1, dtype=bool)
+    is_cut[list(cut_nodes)] = True
+    link = np.flatnonzero(is_cut[node])
+    link = link[np.lexsort((node[link], rank[of[link]]))]
+    links = tuple(zip(rank[of[link]].tolist(), node[link].tolist()))
+    lo, hi = np.minimum(net.i, net.j), np.maximum(net.i, net.j)
+    keys = (lo - 1) * n + (hi - 1)
+    by_key = np.argsort(keys)
+    return BlockDecomposition(n, blocks, frozenset(cut_nodes), links,
+                              keys[by_key], rank[block[by_key]])
+
+
+def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the entries that differ from their predecessor."""
+    first = np.ones(len(sorted_values), dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return first
 
 
 @dataclass(frozen=True)
@@ -175,17 +194,11 @@ class FiedlerClassification:
         return frozenset(out)
 
 
-def _label_block(members: frozenset[int], signs: tuple[int, ...],
-                 exempt: Optional[int]) -> Optional[str]:
-    """positive/negative/zero if pure (ignoring the exempt node), else None."""
-    vals = {signs[m - 1] for m in members if m != exempt}
-    if vals <= {1}:
-        return "positive"
-    if vals <= {-1}:
-        return "negative"
-    if vals <= {0}:
-        return "zero"
-    return None
+def _labels(pos: np.ndarray, neg: np.ndarray, zero: np.ndarray) -> np.ndarray:
+    """Per block, positive/negative/zero if its counted nodes are all of
+    that sign (a block with none counted is positive), else ""."""
+    return np.select([(neg == 0) & (zero == 0), (pos == 0) & (zero == 0),
+                      (pos == 0) & (neg == 0)], ["positive", "negative", "zero"], "")
 
 
 def classify_fiedler(decomp: BlockDecomposition,
@@ -201,53 +214,51 @@ def classify_fiedler(decomp: BlockDecomposition,
     if len(v2) != decomp.n:
         raise ClassificationError(f"vector length {len(v2)} != n={decomp.n}")
     eps_zero = default_eps_zero(v2)
-    signs = tuple(0 if abs(x) <= eps_zero else (1 if x > 0 else -1) for x in v2)
+    sign = np.where(np.abs(v2) <= eps_zero, 0, np.where(v2 > 0, 1, -1))
+    signs = tuple(sign.tolist())
 
-    mixed = [b for b, members in enumerate(decomp.blocks)
-             if any(signs[m - 1] > 0 for m in members)
-             and any(signs[m - 1] < 0 for m in members)]
+    # Block memberships, and the count of each sign per block.
+    sizes = [len(members) for members in decomp.blocks]
+    member = np.fromiter(chain.from_iterable(decomp.blocks), np.intp, sum(sizes))
+    of = np.repeat(np.arange(len(sizes)), sizes)
+    pos, neg, zero = (np.bincount(of[sign[member - 1] == s], minlength=len(sizes))
+                      for s in (1, -1, 0))
+    mixed = np.flatnonzero((pos > 0) & (neg > 0))
 
     if len(mixed) > 1:
         raise ClassificationError(
             f"{len(mixed)} blocks mix positive and negative nodes; expected one")
 
     if len(mixed) == 1:
-        core = mixed[0]
-        labels = []
-        for b, members in enumerate(decomp.blocks):
-            if b == core:
-                labels.append("core")
-                continue
-            label = _label_block(members, signs, exempt=None)
-            if label is None:
-                raise ClassificationError(
-                    f"block {sorted(members)} mixes signs outside the core block")
-            labels.append(label)
-        cls = FiedlerClassification(signs, tuple(labels), "core-block", decomp,
-                                    core_block=core, eps_zero=eps_zero)
+        core = int(mixed[0])
+        labels = _labels(pos, neg, zero)
+        labels[core] = "core"
+        bad = np.flatnonzero(labels == "")
+        if len(bad):
+            raise ClassificationError(f"block {sorted(decomp.blocks[bad[0]])} "
+                                      "mixes signs outside the core block")
+        cls = FiedlerClassification(signs, tuple(labels.tolist()), "core-block",
+                                    decomp, core_block=core, eps_zero=eps_zero)
     else:
-        zero_cuts = [c for c in sorted(decomp.cut_nodes) if signs[c - 1] == 0]
-        candidates = []
-        for c in zero_cuts:
-            touches_nonzero = any(
-                any(signs[m - 1] != 0 for m in decomp.blocks[b] if m != c)
-                for b in decomp.blocks_of(c))
-            if touches_nonzero:
-                candidates.append(c)
+        # A zero cut node touches a nonzero node when one of its blocks has one.
+        cut = np.zeros(decomp.n + 1, dtype=bool)
+        cut[list(decomp.cut_nodes)] = True
+        touching = (cut[member] & (sign[member - 1] == 0)
+                    & (pos + neg > 0)[of])
+        candidates = sorted(set(member[touching].tolist()))
         if len(candidates) != 1:
             raise ClassificationError(
                 f"expected exactly one zero cut node adjacent to nonzero nodes, "
                 f"found {candidates}")
         w = candidates[0]
-        labels = []
-        for members in decomp.blocks:
-            label = _label_block(members, signs, exempt=w if w in members else None)
-            if label is None:
-                raise ClassificationError(
-                    f"block {sorted(members)} mixes signs away from the core node")
-            labels.append(label)
-        cls = FiedlerClassification(signs, tuple(labels), "core-node", decomp,
-                                    core_node=w, eps_zero=eps_zero)
+        zero[of[member == w]] -= 1      # the core node is exempt from its blocks
+        labels = _labels(pos, neg, zero)
+        bad = np.flatnonzero(labels == "")
+        if len(bad):
+            raise ClassificationError(f"block {sorted(decomp.blocks[bad[0]])} "
+                                      "mixes signs away from the core node")
+        cls = FiedlerClassification(signs, tuple(labels.tolist()), "core-node",
+                                    decomp, core_node=w, eps_zero=eps_zero)
 
     violations = _audit_monotonicity(cls, v2)
     if any(v[0] > 10 * eps_zero for v in violations):
@@ -267,34 +278,42 @@ def _audit_monotonicity(cls: FiedlerClassification,
     """
     decomp = cls.decomposition
     eps = cls.eps_zero
-    # Bipartite tree nodes: ("B", idx) and ("C", cut node).
-    adj: dict[tuple, list[tuple]] = {}
+    values = v2.tolist()
+    # Bipartite tree nodes: blocks 0..B-1, then the cut nodes (``cut``
+    # lists their ids) in the order of their first link.
+    adj: list[list[int]] = [[] for _ in decomp.blocks]
+    cut: list[int] = []
+    slot: dict[int, int] = {}
     for b, c in decomp.tree_links:
-        adj.setdefault(("B", b), []).append(("C", c))
-        adj.setdefault(("C", c), []).append(("B", b))
-    for b in range(len(decomp.blocks)):
-        adj.setdefault(("B", b), [])
+        if c not in slot:
+            slot[c] = len(adj)
+            adj.append([])
+            cut.append(c)
+        adj[b].append(slot[c])
+        adj[slot[c]].append(b)
 
-    root = ("B", cls.core_block) if cls.case == "core-block" else ("C", cls.core_node)
+    B = len(decomp.blocks)
+    root = cls.core_block if cls.case == "core-block" else slot[cls.core_node]
     out: list[tuple[float, str]] = []
     # DFS carrying the last cut-node entry seen on the path from the root.
     stack = [(root, None)]
-    seen = {root}
+    seen = [False] * len(adj)
+    seen[root] = True
     while stack:
         node, last = stack.pop()
-        new_last = last
-        if node[0] == "C" and node != root:
-            val = float(v2[node[1] - 1])
+        if node >= B and node != root:
+            c = cut[node - B]
+            val = values[c - 1]
             if last is not None:
                 drop = abs(last) - abs(val)
                 opposite = abs(last) > eps and abs(val) > eps and last * val < 0
                 if drop > eps or opposite:
                     out.append((max(drop, 0.0) + (abs(val) if opposite else 0.0),
-                                f"cut node {node[1]}: |{val:.6f}| after "
+                                f"cut node {c}: |{val:.6f}| after "
                                 f"|{last:.6f}| on a path leaving the core"))
-            new_last = val
-        for nxt in adj.get(node, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, new_last))
+            last = val
+        for nxt in adj[node]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, last))
     return out

@@ -405,11 +405,12 @@ def cmd_compare(args) -> int:
         checks["rate_original"] = abs(rate0 - lam_orig) <= tol0 * lam_orig
         checks["rate_reduced"] = abs(rate1 - lam_red) <= tol1 * lam_red
 
-    hub = max(range(1, net.n + 1), key=lambda i: (len(net.neighbors[i]), -i))
+    indptr, nbr, _ = net.adjacency
+    hub = int(np.argmax(np.diff(indptr))) + 1
     print(f"tempo at node {hub} (sampled at t=10 and settled, vs eigenvector "
           f"ratio, tol {TEMPO_TOL:g} on the settled value):")
     k10 = int(np.argmin(np.abs(traj0.times - 10.0)))
-    for j in net.neighbors[hub]:
+    for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
         series = g_ratio_series(traj0, hub, j)
         finite = series[~np.isnan(series)]
         sampled10 = float(series[k10 - 1])

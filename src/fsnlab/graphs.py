@@ -4,6 +4,13 @@ Nodes are 1-based integer ids throughout, matching the usual drawing
 convention for small consensus networks.  Undirected edges are stored once
 per unordered pair; a DirectedNetwork stores the per-agent neighbor choices
 that remain after a selection step.
+
+Both kinds of graph are stored as arrays, one entry per edge or arc: int
+arrays ``i`` and ``j`` (for an arc, follower and followed) and a float
+array ``w``.  The passes over edges (validation, Laplacians, traversals,
+selection) work on these arrays and on a CSR adjacency built from them on
+first use; the tuples of ``Edge`` or ``Arc`` records and the per-node
+dicts are views, built only when read.
 """
 
 from __future__ import annotations
@@ -12,17 +19,23 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
+
+# The largest node count whose dense n-by-n float64 generator has a byte
+# size an index can address; a larger n is refused before any per-node work.
+MAX_NODES = math.isqrt(np.iinfo(np.intp).max // 8)
+_LOAD_BOUND = np.finfo(float).max / 4
 
 
 class GraphError(ValueError):
     """Invalid graph construction or a violated precondition."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     i: int
     j: int
     w: float = 1.0
@@ -31,27 +44,202 @@ class Edge:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
 
 
+class Arc(NamedTuple):
+    """A retained neighbor choice: ``follower`` keeps listening to ``followed``."""
+
+    follower: int
+    followed: int
+    w: float = 1.0
+
+
 def _overflow_error(node: int, weights: list[float]) -> GraphError:
     """The refusal of a node whose Laplacian diagonal, sum |w|, overflows."""
     return GraphError(f"node {node}: the magnitudes of its weights {weights} "
                       "do not sum to a finite float")
 
 
-@dataclass(frozen=True)
-class Network:
+def _is_id(x) -> bool:
+    return isinstance(x, (int, np.integer))
+
+
+def _check_node_count(n: int) -> None:
+    """Refuse a node count below 1 or above ``MAX_NODES``."""
+    if n < 1:
+        raise GraphError(f"node count must be positive, got {n}")
+    if n > MAX_NODES:
+        raise GraphError(f"node count {n} is above {MAX_NODES}: its dense "
+                         "n-by-n float64 generator cannot be addressed")
+
+
+def _columns(i, j, w) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Copies of the id and weight columns as int64 and float arrays, or
+    None when an id is not an int64 or a weight not a float."""
+    try:
+        i, j, w = np.asarray(i), np.asarray(j), np.array(w, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    ids = []
+    for a in (i, j):
+        if a.size and a.dtype.kind not in "iu" or a.ndim != 1:
+            return None
+        ids.append(a.astype(np.int64))
+    return (*ids, w) if ids[0].shape == ids[1].shape == w.shape else None
+
+
+def _distinct(keys: np.ndarray) -> bool:
+    """Whether no key repeats."""
+    s = np.sort(keys)
+    return bool((s[1:] != s[:-1]).all())
+
+
+def _loads_finite(nodes: np.ndarray, a: np.ndarray) -> bool:
+    """Whether every node's sum of the magnitudes ``a``, taken in entry
+    order, is finite; ``nodes`` gives each entry's node.
+
+    The nodes are numbered densely first, so no array spans 1..n.  The
+    constructors call this only when len(a) * max(a) reaches
+    ``_LOAD_BOUND``: below it every such sum is finite, since rounding
+    grows a sum of k terms by at most a factor (1 + u)^k.
+    """
+    with np.errstate(over="ignore"):
+        dense = np.unique(nodes, return_inverse=True)[1]
+        return bool(np.isfinite(np.bincount(dense, weights=a)).all())
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray):
+    """CSR of the entries (rows[k], cols[k]), 0-based and without repeats:
+    (indptr, cols in row-major order, k of each entry)."""
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], order
+
+
+def _reach(indptr: np.ndarray, cols: np.ndarray, start) -> list[bool]:
+    """Per node (0-based), whether it is reachable from the ``start`` nodes
+    along CSR rows: a depth-first search over the rows as Python lists."""
+    ptr, nbr = indptr.tolist(), cols.tolist()
+    seen = [False] * (len(ptr) - 1)
+    stack = []
+    for s in start:
+        if not seen[s]:
+            seen[s] = True
+            stack.append(s)
+    while stack:
+        u = stack.pop()
+        for v in nbr[ptr[u]:ptr[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return seen
+
+
+class _Graph:
+    """Storage shared by :class:`Network` and :class:`DirectedNetwork`.
+
+    ``i``, ``j`` (int64 node ids) and ``w`` (float) are read-only arrays
+    with one entry per edge or arc.  The records view is the tuple given to
+    the constructor, or is built from the arrays when first read.  Instances
+    are immutable; two are equal when their node counts, names and arrays
+    are.
+    """
+
+    _record: type           # Edge or Arc
+    _view: str              # "edges" or "arcs"
+
+    @classmethod
+    def from_arrays(cls, n: int, i, j, w, name: str = ""):
+        """The graph of parallel id and weight columns (arrays or lists),
+        validated as the constructor validates records; no record is built."""
+        graph = cls.__new__(cls)
+        graph._build(n, (i, j, w), name, None)
+        return graph
+
+    @classmethod
+    def _valid_arrays(cls, n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+                      name: str):
+        """The graph of new int64 and float arrays that are valid by
+        construction; they are stored without a check."""
+        graph = cls.__new__(cls)
+        graph._store(n, name, (i, j, w))
+        return graph
+
+    def _store(self, n, name, arrays) -> None:
+        for a in arrays:
+            a.flags.writeable = False
+        d = self.__dict__
+        d["n"], d["name"] = n, name
+        d["i"], d["j"], d["w"] = arrays
+
+    def _build(self, n, cols, name, records) -> None:
+        _check_node_count(n)
+        if records is not None:
+            self.__dict__[self._view] = records
+        arrays = _columns(*cols)
+        if arrays is None or not self._valid(*arrays, n):
+            self.__dict__["n"] = n
+            if records is None:
+                self.__dict__[self._view] = tuple(map(self._record, *(
+                    c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
+            self._refuse()
+            raise GraphError(f"{self._view} cannot be stored as arrays")
+        self._store(n, name, arrays)
+
+    def _records(self) -> tuple:
+        """The records view built from the arrays, as Python ints and floats."""
+        columns = zip(self.i.tolist(), self.j.tolist(), self.w.tolist())
+        return tuple(map(tuple.__new__, repeat(self._record), columns))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n == other.n and self.name == other.name
+                and all(np.array_equal(a, b) for a, b in
+                        ((self.i, other.i), (self.j, other.j), (self.w, other.w))))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(n={self.n}, "
+                f"{self._view}={getattr(self, self._view)!r}, name={self.name!r})")
+
+
+class Network(_Graph):
     """Undirected weighted graph, possibly signed (negative weights)."""
 
-    n: int
-    edges: tuple[Edge, ...]
-    name: str = ""
+    _record, _view = Edge, "edges"
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise GraphError(f"node count must be positive, got {self.n}")
-        object.__setattr__(self, "edges", tuple(self.edges))
+    def __init__(self, n: int, edges: Iterable[Edge] = (), name: str = ""):
+        edges = tuple(edges)
+        self._build(n, [list(map(attrgetter(f), edges)) for f in "ijw"], name, edges)
+
+    @staticmethod
+    def _valid(i, j, w, n) -> bool:
+        if not len(w):
+            return True
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        a = np.abs(w)
+        top = float(a.max())
+        # a.min() > 0 and top < inf also fail on a NaN.
+        if not (lo.min() >= 1 and hi.max() <= n and a.min() > 0
+                and top < math.inf and (lo != hi).all()
+                and _distinct(lo * n + hi)):
+            return False
+        # Each node's load gathers its edges' weights in edge order.
+        return (len(a) * top < _LOAD_BOUND or _loads_finite(
+            np.stack((i, j), axis=1).ravel(), np.repeat(a, 2)))
+
+    def _refuse(self) -> None:
+        """Raise the refusal of the first bad edge, checking edge by edge."""
         seen = set()
         load: dict[int, float] = {}
         for e in self.edges:
+            if not (_is_id(e.i) and _is_id(e.j)):
+                raise GraphError(f"edge ({e.i},{e.j}) has a node id that is not "
+                                 "an integer")
             if e.i == e.j:
                 raise GraphError(f"self-loop at node {e.i}")
             if not (1 <= e.i <= self.n and 1 <= e.j <= self.n):
@@ -68,30 +256,46 @@ class Network:
                                                  if node in (f.i, f.j)])
 
     @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return self._records()
+
+    @cached_property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR neighbor lists, 0-based: (indptr, neighbor, edge index).
+
+        Row u lists u's neighbors ascending, each with the index of the
+        edge that joins them.
+        """
+        m = len(self.w)
+        indptr, cols, order = _csr(self.n, np.concatenate((self.i, self.j)) - 1,
+                                   np.concatenate((self.j, self.i)) - 1)
+        return indptr, cols, order % m if m else order
+
+    @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for e in self.edges:
-            adj[e.i].append(e.j)
-            adj[e.j].append(e.i)
-        return {i: tuple(sorted(v)) for i, v in adj.items()}
+        indptr, cols, _ = self.adjacency
+        return _row_tuples(indptr, cols)
 
     @cached_property
     def weights(self) -> dict[tuple[int, int], float]:
         """Weight lookup for both orientations of every edge."""
-        w = {}
-        for e in self.edges:
-            w[(e.i, e.j)] = e.w
-            w[(e.j, e.i)] = e.w
-        return w
+        i, j, w = self.i.tolist(), self.j.tolist(), self.w.tolist()
+        return {**dict(zip(zip(i, j), w)), **dict(zip(zip(j, i), w))}
 
     @property
     def is_signed(self) -> bool:
-        return any(e.w < 0 for e in self.edges)
+        return bool((self.w < 0).any())
 
     def absolute(self) -> "Network":
         """The same topology with all weights replaced by their magnitude."""
-        return Network(self.n, tuple(Edge(e.i, e.j, abs(e.w)) for e in self.edges),
-                       name=self.name)
+        return Network.from_arrays(self.n, self.i, self.j, np.abs(self.w),
+                                   name=self.name)
+
+
+def _row_tuples(indptr: np.ndarray, cols: np.ndarray) -> dict[int, tuple[int, ...]]:
+    """Per 1-based node, the 1-based ids of its CSR row."""
+    ids, ptr = (cols + 1).tolist(), indptr.tolist()
+    return {u + 1: tuple(ids[ptr[u]:ptr[u + 1]]) for u in range(len(ptr) - 1)}
 
 
 @dataclass(frozen=True)
@@ -165,26 +369,34 @@ class SemiAutonomousConfig:
         return np.array(self.inputs, dtype=float)
 
 
-@dataclass(frozen=True)
-class Arc:
-    """A retained neighbor choice: ``follower`` keeps listening to ``followed``."""
+class DirectedNetwork(_Graph):
+    """Reduced network: ``i`` follows ``j`` along each arc, with weight ``w``."""
 
-    follower: int
-    followed: int
-    w: float = 1.0
+    _record, _view = Arc, "arcs"
 
+    def __init__(self, n: int, arcs: Iterable[Arc] = (), name: str = ""):
+        arcs = tuple(arcs)
+        self._build(n, [list(map(attrgetter(f), arcs)) for f in Arc._fields],
+                    name, arcs)
 
-@dataclass(frozen=True)
-class DirectedNetwork:
-    n: int
-    arcs: tuple[Arc, ...]
-    name: str = ""
+    @staticmethod
+    def _valid(i, j, w, n) -> bool:
+        if not len(w):
+            return True
+        if not (min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n
+                and (i != j).all() and _distinct(i * n + j)):
+            return False
+        a = np.abs(w)
+        return len(a) * float(a.max()) < _LOAD_BOUND or _loads_finite(i, a)
 
-    def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def _refuse(self) -> None:
+        """Raise the refusal of the first bad arc, checking arc by arc."""
         seen = set()
         load: dict[int, float] = {}
         for a in self.arcs:
+            if not (_is_id(a.follower) and _is_id(a.followed)):
+                raise GraphError(f"arc ({a.follower},{a.followed}) has a node id "
+                                 "that is not an integer")
             if a.follower == a.followed:
                 raise GraphError(f"self-arc at node {a.follower}")
             if not (1 <= a.follower <= self.n and 1 <= a.followed <= self.n):
@@ -198,40 +410,54 @@ class DirectedNetwork:
                                                    if b.follower == a.follower])
 
     @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        return self._records()
+
+    @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset((a.follower, a.followed) for a in self.arcs)
+        return frozenset(zip(self.i.tolist(), self.j.tolist()))
+
+    @cached_property
+    def successors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR of the followed nodes per follower, 0-based: (indptr,
+        followed, arc index), each row ascending."""
+        return _csr(self.n, self.i - 1, self.j - 1)
+
+    @cached_property
+    def followers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR of the followers per followed node, the direction influence
+        travels, 0-based: (indptr, follower, arc index)."""
+        return _csr(self.n, self.j - 1, self.i - 1)
 
     @cached_property
     def retained(self) -> dict[int, tuple[int, ...]]:
         """Per node, the neighbors it still follows."""
-        out: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for a in self.arcs:
-            out[a.follower].append(a.followed)
-        return {i: tuple(sorted(v)) for i, v in out.items()}
+        indptr, cols, _ = self.successors
+        return _row_tuples(indptr, cols)
+
+
+def _with_diagonal(L: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Set L's diagonal to the sums of ``w`` per 0-based node, each sum
+    taken in entry order as an entry-by-entry ``L[u, u] += w`` takes it."""
+    L.flat[::L.shape[0] + 1] = np.bincount(nodes, weights=w, minlength=L.shape[0])
+    return L
+
+
+def _undirected_laplacian(net: Network, diag_w: np.ndarray) -> np.ndarray:
+    i, j = net.i - 1, net.j - 1
+    L = np.zeros((net.n, net.n))
+    L[i, j] = L[j, i] = -net.w
+    return _with_diagonal(L, np.stack((i, j), axis=1).ravel(), np.repeat(diag_w, 2))
 
 
 def laplacian(net: Network) -> np.ndarray:
     """Graph Laplacian: degree (weight sum) on the diagonal, -w off it."""
-    L = np.zeros((net.n, net.n))
-    for e in net.edges:
-        i, j = e.i - 1, e.j - 1
-        L[i, j] -= e.w
-        L[j, i] -= e.w
-        L[i, i] += e.w
-        L[j, j] += e.w
-    return L
+    return _undirected_laplacian(net, net.w)
 
 
 def signed_laplacian(net: Network) -> np.ndarray:
     """Laplacian variant for signed graphs: |w| on the diagonal, -w off it."""
-    L = np.zeros((net.n, net.n))
-    for e in net.edges:
-        i, j = e.i - 1, e.j - 1
-        L[i, j] -= e.w
-        L[j, i] -= e.w
-        L[i, i] += abs(e.w)
-        L[j, j] += abs(e.w)
-    return L
+    return _undirected_laplacian(net, np.abs(net.w))
 
 
 def perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
@@ -270,34 +496,31 @@ def reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
 
     Rows of agents that retain nobody are zero.
     """
-    L = np.zeros((dnet.n, dnet.n))
-    for a in dnet.arcs:
-        i, j = a.follower - 1, a.followed - 1
-        L[i, i] += a.w
-        L[i, j] -= a.w
-    return L
+    return _reduced_laplacian(dnet, dnet.w)
 
 
 def signed_reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
     """Reduced Laplacian with |w| accumulated on the diagonal (signed graphs)."""
+    return _reduced_laplacian(dnet, np.abs(dnet.w))
+
+
+def _reduced_laplacian(dnet: DirectedNetwork, diag_w: np.ndarray) -> np.ndarray:
+    i, j = dnet.i - 1, dnet.j - 1
     L = np.zeros((dnet.n, dnet.n))
-    for a in dnet.arcs:
-        i, j = a.follower - 1, a.followed - 1
-        L[i, i] += abs(a.w)
-        L[i, j] -= a.w
-    return L
+    L[i, j] -= dnet.w
+    return _with_diagonal(L, i, diag_w)
 
 
 def is_connected(net: Network) -> bool:
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in net.neighbors[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == net.n
+    """Whether every node is reachable from node 1.
+
+    A network with fewer than n - 1 edges is disconnected; it is answered
+    without a traversal.
+    """
+    if len(net.w) < net.n - 1:
+        return False
+    indptr, cols, _ = net.adjacency
+    return all(_reach(indptr, cols, [0]))
 
 
 def diameter(net: Network) -> int:
@@ -325,22 +548,31 @@ def structural_balance_partition(
     Returns (V1, V2) with node 1 anchored in V1, or None when no such
     bipartition exists.  An all-positive graph yields an empty V2.
     """
-    if not is_connected(net):
-        raise GraphError("balance partition requires a connected network")
-    color = {1: 0}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in net.neighbors[u]:
-            want = color[u] if net.weights[(u, v)] > 0 else 1 - color[u]
-            if v not in color:
-                color[v] = want
-                queue.append(v)
-            elif color[v] != want:
-                return None
-    v1 = frozenset(i for i, c in color.items() if c == 0)
-    v2 = frozenset(i for i, c in color.items() if c == 1)
-    return v1, v2
+    disconnected = GraphError("balance partition requires a connected network")
+    if len(net.w) < net.n - 1:
+        raise disconnected
+    # Color a depth-first tree from node 1, each node by its parent's
+    # color and the sign of the tree edge, then test every edge.
+    indptr, cols, edge = (a.tolist() for a in net.adjacency)
+    negative = net.w < 0
+    flip = negative.tolist()
+    colors = [-1] * net.n
+    colors[0] = 0
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for k in range(indptr[u], indptr[u + 1]):
+            v = cols[k]
+            if colors[v] < 0:
+                colors[v] = colors[u] ^ flip[edge[k]]
+                stack.append(v)
+    if -1 in colors:
+        raise disconnected
+    color = np.array(colors, dtype=bool)
+    if ((color[net.i - 1] ^ color[net.j - 1]) != negative).any():
+        return None
+    return (frozenset((np.flatnonzero(~color) + 1).tolist()),
+            frozenset((np.flatnonzero(color) + 1).tolist()))
 
 
 def gauge_matrix(partition: tuple[Iterable[int], Iterable[int]]) -> np.ndarray:
@@ -361,7 +593,10 @@ def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network
     Used to test structural balance of the leader wiring together with the
     network itself; input nodes get ids n+1 .. n+m.
     """
-    edges = list(net.edges)
-    for link in cfg.leader_links:
-        edges.append(Edge(link.node, net.n + link.input_index, float(link.sign)))
-    return Network(net.n + cfg.m, tuple(edges), name=f"{net.name}+inputs")
+    links = cfg.leader_links
+    return Network.from_arrays(
+        net.n + cfg.m,
+        np.concatenate((net.i, [link.node for link in links])),
+        np.concatenate((net.j, [net.n + link.input_index for link in links])),
+        np.concatenate((net.w, [float(link.sign) for link in links])),
+        name=f"{net.name}+inputs")

@@ -8,6 +8,7 @@ parsing what we emit reproduces the parsed model exactly.
 
 from __future__ import annotations
 
+import io
 import json
 import sys
 from importlib import resources
@@ -17,11 +18,15 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dynamics import Trajectory
-from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
+from .graphs import (MAX_NODES, DirectedNetwork, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig)
 
 FIXTURE_NAMES = ("g6", "g8", "g8-signed", "g12", "t12")
 CSV_BLOCK = 512         # samples formatted per block by csv_rows
+
+_TRAJECTORY_HEADER = "t,agent,dim,value"
+_CSV_DTYPE = [("t", "f8"), ("agent", "i8"), ("dim", "i8"), ("value", "f8")]
+_PLAIN_CSV = b"0123456789+-.eE,\n"     # every byte of a plain-number CSV body
 
 _ARC_TEMPLATE = ('    {\n      "follower": %d,\n      "followed": %d,\n'
                  '      "w": %s\n    }')
@@ -76,31 +81,41 @@ def _json_object(text: str | bytes) -> dict:
     return doc
 
 
-def _records(raws: list, field: str, kind: str, a: str, b: str, make) -> list:
-    """``make(a, b, w)`` of each record of an edge or arc list, w default 1.0.
+def _node_count(doc: dict) -> int:
+    n = _as_int(doc["n"], "n")
+    _require(n >= 1, "n", f"must be positive, got {n}")
+    _require(n <= MAX_NODES, "n", f"{n} is above {MAX_NODES}: its dense n-by-n "
+             "float64 generator cannot be addressed")
+    return n
+
+
+def _records(raws: list, field: str, kind: str, a: str,
+             b: str) -> tuple[list[int], list[int], list[float]]:
+    """The ``a`` ids, ``b`` ids and weights (default 1.0) of the records of
+    an edge or arc list, as three columns.
 
     A record of exactly the right types (a dict of known keys, exact-int
-    ids, a float weight or an int within the float range) is built
+    ids, a float weight or an int within the float range) is read
     directly; any other goes through the per-field checks, which raise a
     ``NetworkFileError`` naming its first bad field.
     """
     keys = frozenset({a, b, "w"})
-    out = []
+    ia, ib, ws = [], [], []
     for k, raw in enumerate(raws):
-        if (type(raw) is dict and raw.keys() <= keys
+        if not (type(raw) is dict and raw.keys() <= keys
                 and type(i := raw.get(a)) is int and type(j := raw.get(b)) is int
                 and (type(w := raw.get("w", 1.0)) is float
                      or type(w) is int and abs(w) <= sys.float_info.max)):
-            out.append(make(i, j, float(w)))
-            continue
-        where = f"{field}[{k}]"
-        _require(isinstance(raw, dict), where, f"each {kind} must be an object")
-        _only_keys(raw, keys, where)
-        _require(a in raw and b in raw, where, f"needs keys '{a}' and '{b}'")
-        out.append(make(_as_int(raw[a], f"{where}.{a}"),
-                        _as_int(raw[b], f"{where}.{b}"),
-                        _as_number(raw.get("w", 1.0), f"{where}.w")))
-    return out
+            where = f"{field}[{k}]"
+            _require(isinstance(raw, dict), where, f"each {kind} must be an object")
+            _only_keys(raw, keys, where)
+            _require(a in raw and b in raw, where, f"needs keys '{a}' and '{b}'")
+            i, j = _as_int(raw[a], f"{where}.{a}"), _as_int(raw[b], f"{where}.{b}")
+            w = _as_number(raw.get("w", 1.0), f"{where}.w")
+        ia.append(i)
+        ib.append(j)
+        ws.append(float(w))
+    return ia, ib, ws
 
 
 def parse_network_file(
@@ -113,8 +128,7 @@ def parse_network_file(
     _require("n" in doc, "document", "missing required key 'n'")
     _require("edges" in doc, "document", "missing required key 'edges'")
 
-    n = _as_int(doc["n"], "n")
-    _require(n >= 1, "n", f"must be positive, got {n}")
+    n = _node_count(doc)
     if "directed" in doc:
         _require(doc["directed"] is False, "directed",
                  "only undirected inputs are supported")
@@ -122,7 +136,7 @@ def parse_network_file(
     _require(isinstance(name, str), "name", "must be a string")
 
     _require(isinstance(doc["edges"], list), "edges", "must be a list")
-    edges = _records(doc["edges"], "edges", "edge", "i", "j", Edge)
+    edges = _records(doc["edges"], "edges", "edge", "i", "j")
 
     cfg = None
     if "leaders" in doc:
@@ -186,7 +200,7 @@ def parse_network_file(
                      f"dimension {x0.shape[1]} != input dimension {cfg.d}")
 
     try:
-        net = Network(n, tuple(edges), name=name)
+        net = Network.from_arrays(n, *edges, name=name)
     except GraphError as exc:
         raise NetworkFileError(f"edges: {exc}") from exc
     return net, cfg, x0
@@ -213,13 +227,13 @@ def parse_arc_file(text: str | bytes) -> DirectedNetwork:
     doc = _json_object(text)
     _only_keys(doc, {"name", "n", "arcs"}, "document")
     _require("n" in doc and "arcs" in doc, "document", "needs keys 'n' and 'arcs'")
-    n = _as_int(doc["n"], "n")
+    n = _node_count(doc)
     name = doc.get("name", "")
     _require(isinstance(name, str), "name", "must be a string")
     _require(isinstance(doc["arcs"], list), "arcs", "must be a list")
-    arcs = _records(doc["arcs"], "arcs", "arc", "follower", "followed", Arc)
+    arcs = _records(doc["arcs"], "arcs", "arc", "follower", "followed")
     try:
-        return DirectedNetwork(n, tuple(arcs), name=name)
+        return DirectedNetwork.from_arrays(n, *arcs, name=name)
     except GraphError as exc:
         raise NetworkFileError(f"arcs: {exc}") from exc
 
@@ -279,12 +293,40 @@ def emit_trajectory(traj: Trajectory) -> str:
     ids = [f"{agent},{dim}" for agent in range(1, traj.n + 1)
            for dim in range(1, traj.d + 1)]
     values = traj.states.reshape(len(traj.times), traj.n * traj.d)
-    return "".join(["t,agent,dim,value\n", *csv_rows(traj.times, ids, values)])
+    return "".join([_TRAJECTORY_HEADER, "\n", *csv_rows(traj.times, ids, values)])
 
 
-def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
+def _plain_columns(text: str) -> Optional[tuple[np.ndarray, ...]]:
+    """The (t, agent, dim, value) float columns of a trajectory CSV whose
+    body holds only plain numbers, read by ``np.loadtxt``; None for any
+    other text, or when ``loadtxt`` refuses it.
+
+    On such a body (digits, signs, points, exponents, commas and newlines,
+    at least one row) ``loadtxt`` reads each field as ``float`` and ``int``
+    do, and refuses what they refuse.  Any other text, such as ``nan``
+    values, spaces or ``#`` lines (which ``loadtxt`` would skip as
+    comments), goes to the row-by-row parser.
+    """
+    head = _TRAJECTORY_HEADER + "\n"
+    if not (isinstance(text, str) and text.startswith(head) and text.isascii()):
+        return None
+    body = text[len(head):].encode("ascii")
+    if body.translate(None, _PLAIN_CSV) or not body.strip(b"\n"):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=_CSV_DTYPE,
+                          comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    return (rows["t"], rows["agent"].astype(float), rows["dim"].astype(float),
+            rows["value"])
+
+
+def _row_columns(text: str) -> tuple[np.ndarray, ...]:
+    """The (t, agent, dim, value) float columns of a trajectory CSV, read
+    line by line; raises on the first bad line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != "t,agent,dim,value":
+    if len(lines) < 2 or lines[0] != _TRAJECTORY_HEADER:
         raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
     rows = []
     for k, ln in enumerate(lines[1:], start=2):
@@ -297,16 +339,23 @@ def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
         except ValueError as exc:
             raise NetworkFileError(f"line {k}: {exc}") from exc
     try:
-        t, agent, dim, value = np.fromiter(
-            chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4).T
+        return tuple(np.fromiter(
+            chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4).T)
     except OverflowError as exc:
         raise NetworkFileError(f"agent or dim id out of range: {exc}") from exc
+
+
+def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
+    """Read a trajectory CSV as ``emit_trajectory`` writes it; raises
+    ``NetworkFileError`` naming the first problem."""
+    columns = _plain_columns(text)
+    t, agent, dim, value = columns if columns is not None else _row_columns(text)
     if min(agent.min(), dim.min()) < 1:
         raise NetworkFileError("agent and dim ids must be at least 1")
     n, d = int(agent.max()), int(dim.max())
-    if len(rows) % (n * d) != 0:
-        raise NetworkFileError(f"row count {len(rows)} is not a multiple of n*d")
-    shape = (len(rows) // (n * d), n * d)
+    if len(t) % (n * d) != 0:
+        raise NetworkFileError(f"row count {len(t)} is not a multiple of n*d")
+    shape = (len(t) // (n * d), n * d)
     t = t.reshape(shape)
     slot = ((agent - 1) * d + dim - 1).astype(np.intp).reshape(shape)
     same_time = (t == t[:, :1]) | (np.isnan(t) & np.isnan(t[:, :1]))

@@ -10,14 +10,13 @@ bidirectional; the signed variant compares entry magnitudes.
 from __future__ import annotations
 
 import math
-from collections import deque
 from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import (Arc, DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, _bump_leaders,
+from .graphs import (DirectedNetwork, GraphError, Network,
+                     SemiAutonomousConfig, _bump_leaders, _reach,
                      augmented_signed_network, reduced_laplacian,
                      signed_reduced_laplacian, structural_balance_partition)
 from .blocks import FiedlerClassification
@@ -26,14 +25,27 @@ from .spectral import symmetric_eigh
 EPS_TIE = 1e-10
 
 
-def _follows(vi: float, vj: float) -> bool:
-    """Strictly-greater ratio test with a symmetric tie guard of ``EPS_TIE``."""
-    if vj == 0:
-        return False
-    r = vi / vj
-    if abs(r - 1.0) < EPS_TIE:
-        return False
-    return r > 1.0
+def _follows(vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
+    """Strictly-greater ratio test with a symmetric tie guard of ``EPS_TIE``,
+    entry by entry; a zero denominator never follows."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = vi / vj
+    return (vj != 0) & (r > 1.0) & ~(np.abs(r - 1.0) < EPS_TIE)
+
+
+def _edge_arcs(net: Network, keep: np.ndarray, name: str) -> DirectedNetwork:
+    """The arcs of the edges where ``keep`` holds, (i <- j) in its first row
+    and (j <- i) in its second, in edge order, an edge's forward arc first.
+
+    Each is an orientation of a distinct edge of a valid network, and a
+    follower's load sums part of its edges' weights in edge order, so the
+    arcs are valid by construction and are not checked again.
+    """
+    keep = keep.ravel(order="F")
+    ends = np.stack((net.i, net.j))
+    return DirectedNetwork._valid_arrays(
+        net.n, ends.ravel(order="F")[keep], ends[::-1].ravel(order="F")[keep],
+        np.repeat(net.w, 2)[keep], name)
 
 
 def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
@@ -53,17 +65,11 @@ def _ratio_arcs(net: Network, v: np.ndarray,
                 faster: bool = False) -> DirectedNetwork:
     """Arcs (i <- j) whose entry ratio v[i]/v[j] exceeds 1, edge by edge;
     with ``faster`` the ratio is v[j]/v[i] instead."""
-    arcs = []
-    for e in net.edges:
-        a, b = v[e.i - 1], v[e.j - 1]
-        if faster:
-            a, b = b, a
-        if _follows(a, b):
-            arcs.append(Arc(e.i, e.j, e.w))
-        if _follows(b, a):
-            arcs.append(Arc(e.j, e.i, e.w))
+    ends = v[np.stack((net.i, net.j)) - 1]
+    if faster:
+        ends = ends[::-1]
     suffix = "ffn" if faster else "fsn"
-    return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-{suffix}")
+    return _edge_arcs(net, _follows(ends, ends[::-1]), f"{net.name}-{suffix}")
 
 
 def fsn_san(net: Network, cfg: SemiAutonomousConfig,
@@ -100,25 +106,21 @@ def fsn_fan(net: Network, v2: np.ndarray,
     v2 = np.asarray(v2, dtype=float)
     if len(v2) != net.n:
         raise GraphError(f"eigenvector length {len(v2)} != n={net.n}")
-    decomp = cls.decomposition
-    arcs = []
-    for e in net.edges:
-        label = cls.block_labels[decomp.block_of_edge(e.i, e.j)]
-        if label in ("core", "zero"):
-            arcs.append(Arc(e.i, e.j, e.w))
-            arcs.append(Arc(e.j, e.i, e.w))
-            continue
-        for a, b in ((e.i, e.j), (e.j, e.i)):
-            sa, sb = cls.sign_of(a), cls.sign_of(b)
-            if sb == 0 and sa != 0:
-                arcs.append(Arc(a, b, e.w))  # ratio diverges: retained
-                continue
-            if sa == 0:
-                continue  # ratio 0 lies in [0, 1]: dropped
-            r = v2[a - 1] / v2[b - 1]
-            if r < 0 or (r > 1.0 and abs(r - 1.0) >= EPS_TIE):
-                arcs.append(Arc(a, b, e.w))
-    return DirectedNetwork(net.n, tuple(arcs), name=f"{net.name}-fsn")
+    labels = np.array(cls.block_labels)
+    both = ((labels == "core") | (labels == "zero"))[
+        cls.decomposition.blocks_of_edges(net.i, net.j)]
+    sign = np.array(cls.node_sign)
+
+    # Row 0 tests the arcs (i <- j), row 1 the arcs (j <- i).  A zero
+    # follower's ratio 0 lies in [0, 1]: dropped; a zero followed node's
+    # ratio diverges: retained.
+    a = np.stack((net.i, net.j)) - 1
+    b = a[::-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = v2[a] / v2[b]
+    keep = (sign[a] != 0) & ((sign[b] == 0) | (r < 0)
+                             | ((r > 1.0) & (np.abs(r - 1.0) >= EPS_TIE)))
+    return _edge_arcs(net, both | keep, f"{net.name}-fsn")
 
 
 def fsn_signed_san(net: Network, cfg: SemiAutonomousConfig,
@@ -142,24 +144,13 @@ def reachable_from(dnet: DirectedNetwork, sources: Iterable[int]) -> dict[int, b
 
     Influence travels from a followed node to its follower.
     """
-    influence: dict[int, list[int]] = {i: [] for i in range(1, dnet.n + 1)}
-    for a in dnet.arcs:
-        influence[a.followed].append(a.follower)
-    seen = set()
-    queue = deque()
+    start = []
     for s in sources:
         if not 1 <= s <= dnet.n:
             raise GraphError(f"source {s} outside 1..{dnet.n}")
-        if s not in seen:
-            seen.add(s)
-            queue.append(s)
-    while queue:
-        u = queue.popleft()
-        for v in influence[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return {i: i in seen for i in range(1, dnet.n + 1)}
+        start.append(s - 1)
+    indptr, cols, _ = dnet.followers
+    return dict(zip(range(1, dnet.n + 1), _reach(indptr, cols, start)))
 
 
 def reachable_from_inputs(dnet: DirectedNetwork,
@@ -169,51 +160,51 @@ def reachable_from_inputs(dnet: DirectedNetwork,
 
 
 def _strong_components(dnet: DirectedNetwork) -> list[list[int]]:
-    """Strongly connected components of the arc digraph (iterative Tarjan)."""
-    out = dnet.retained
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    """Strongly connected components of the arc digraph (iterative Tarjan
+    over the CSR successor lists), each as its sorted 1-based node ids."""
+    indptr, cols = (a.tolist() for a in dnet.successors[:2])
+    nxt = indptr[:-1]                   # next successor entry to scan
+    index = [0] * dnet.n                # visit order from 1; 0 = unvisited
+    low = [0] * dnet.n
+    at = [-1] * dnet.n                  # position on comp_stack while on it
     comp_stack: list[int] = []
     comps: list[list[int]] = []
-    counter = 0
-    for start in range(1, dnet.n + 1):
-        if start in index:
+    counter = 1
+    for start in range(dnet.n):
+        if index[start]:
             continue
-        work = [(start, iter(out[start]))]
+        work = [start]
         index[start] = low[start] = counter
         counter += 1
+        at[start] = len(comp_stack)
         comp_stack.append(start)
-        on_stack.add(start)
         while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if v not in index:
+            u = work[-1]
+            k, end = nxt[u], indptr[u + 1]
+            while k < end:
+                v = cols[k]
+                k += 1
+                if not index[v]:
                     index[v] = low[v] = counter
                     counter += 1
+                    at[v] = len(comp_stack)
                     comp_stack.append(v)
-                    on_stack.add(v)
-                    work.append((v, iter(out[v])))
-                    advanced = True
+                    work.append(v)
                     break
-                elif v in on_stack:
-                    low[u] = min(low[u], index[v])
-            if advanced:
+                if at[v] >= 0 and index[v] < low[u]:
+                    low[u] = index[v]
+            nxt[u] = k
+            if work[-1] != u:
                 continue
             work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
+            if work and low[u] < low[work[-1]]:
+                low[work[-1]] = low[u]
             if low[u] == index[u]:
-                comp = []
-                while True:
-                    w = comp_stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == u:
-                        break
-                comps.append(sorted(comp))
+                comp = comp_stack[at[u]:]
+                del comp_stack[at[u]:]
+                for w in comp:
+                    at[w] = -1
+                comps.append(sorted(w + 1 for w in comp))
     return comps
 
 
@@ -233,10 +224,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
     eigenvalue is its diagonal entry, and a nontrivial component's block is
     filled from that diagonal and the component's own arcs.
     """
-    n, m = dnet.n, len(dnet.arcs)
-    follower = np.fromiter((a.follower for a in dnet.arcs), np.intp, m) - 1
-    followed = np.fromiter((a.followed for a in dnet.arcs), np.intp, m) - 1
-    w = np.fromiter((a.w for a in dnet.arcs), float, m)
+    n, follower, followed, w = dnet.n, dnet.i - 1, dnet.j - 1, dnet.w
     diag = np.bincount(follower, weights=np.abs(w) if signed else w,
                        minlength=n).astype(float, copy=False)  # int when m = 0
     if cfg is not None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, step_map,
                        step_powers)
-from .graphs import (Arc, DirectedNetwork, Network, SemiAutonomousConfig,
+from .graphs import (DirectedNetwork, Network, SemiAutonomousConfig,
                      is_connected, laplacian, perturbed_laplacian)
 from .spectral import (default_eps_gap, default_eps_zero, fiedler_pair,
                        symmetric_eigh)
@@ -232,9 +232,8 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     if not (math.isfinite(delta) and delta > 0):
         raise TempoError(f"delta must be finite and positive, got {delta}")
     n, d = x0.shape
-    arc_i = np.repeat(np.arange(n), [len(net.neighbors[i]) for i in range(1, n + 1)])
-    arc_j = np.array([j - 1 for i in range(1, n + 1) for j in net.neighbors[i]],
-                     dtype=np.intp)
+    indptr, arc_j, edge = net.adjacency
+    arc_i = np.repeat(np.arange(n), np.diff(indptr))
     floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])
 
     R, c = step_map(G, forcing, delta, "rk4")
@@ -266,16 +265,16 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
 
     rounds = np.zeros(n, dtype=int)
     np.maximum.at(rounds, arc_i, last)
-    arcs = []
     entries = []
     for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
         ga = float(g[a]) if last[a] else None
         retained = ga is not None and (ga > 1.0 + DEFAULT_TIE_MARGIN
                                        or ga < -DEFAULT_TIE_MARGIN)
         entries.append(TempoEstimate(i + 1, j + 1, ga, int(rounds[i]), retained))
-        if retained:
-            arcs.append(Arc(i + 1, j + 1, net.weights[(i + 1, j + 1)]))
-    dnet = DirectedNetwork(n, tuple(arcs), name=f"{net.name}-fsn-distributed")
+    kept = np.array([e.retained for e in entries], dtype=bool)
+    dnet = DirectedNetwork.from_arrays(n, arc_i[kept] + 1, arc_j[kept] + 1,
+                                       net.w[edge[kept]],
+                                       name=f"{net.name}-fsn-distributed")
     return dnet, TempoReport(tuple(entries))
 
 

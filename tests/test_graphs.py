@@ -1,11 +1,17 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     Network, SemiAutonomousConfig, augmented_signed_network,
                     diameter, gauge_matrix, is_connected, laplacian,
                     perturbed_laplacian, reduced_laplacian, signed_laplacian,
                     signed_reduced_laplacian, structural_balance_partition)
+from fsnlab.graphs import MAX_NODES
 from fsnlab.selection import fsn_san
 from fsnlab.spectral import principal_pair_perturbed
 
@@ -48,6 +54,49 @@ class TestNetworkModel:
     def test_duplicate_arc_rejected(self):
         with pytest.raises(GraphError, match="duplicate"):
             DirectedNetwork(2, (Arc(1, 2), Arc(1, 2)))
+
+    @pytest.mark.parametrize("make", [Network, DirectedNetwork])
+    @pytest.mark.parametrize("n,message", [
+        (0, "node count must be positive, got 0"),
+        (-3, "node count must be positive, got -3"),
+        (MAX_NODES + 1, "cannot be addressed"),
+        (10**20, "cannot be addressed")])
+    def test_rejects_node_count(self, make, n, message):
+        with pytest.raises(GraphError, match=message):
+            make(n, ())
+
+    def test_largest_node_count_needs_no_per_node_work(self):
+        t0 = time.perf_counter()
+        net = Network(MAX_NODES, (Edge(1, MAX_NODES),))
+        assert not is_connected(net) and not net.is_signed
+        assert "adjacency" not in vars(net)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("make,record", [(Network, Edge), (DirectedNetwork, Arc)])
+    def test_rejects_non_integer_node_id(self, make, record):
+        with pytest.raises(GraphError, match=r"\(1.5,2\) has a node id that is "
+                                             "not an integer"):
+            make(3, (record(1, 2), record(1.5, 2)))
+
+    def test_arrays_and_views(self):
+        net = Network.from_arrays(3, [1, 2], [2, 3], [1, -2.5], name="p")
+        assert net == Network(3, (Edge(1, 2, 1.0), Edge(2, 3, -2.5)), name="p")
+        assert net != Network(3, (Edge(2, 1, 1.0), Edge(2, 3, -2.5)), name="p")
+        assert net.edges == (Edge(1, 2, 1.0), Edge(2, 3, -2.5))
+        assert [type(v) for v in net.edges[0]] == [int, int, float]
+        assert net.neighbors == {1: (2,), 2: (1, 3), 3: (2,)}
+        assert net.weights == {(1, 2): 1.0, (2, 1): 1.0, (2, 3): -2.5, (3, 2): -2.5}
+        dnet = DirectedNetwork.from_arrays(3, np.array([2, 2]), np.array([3, 1]),
+                                           np.array([1.0, 2.0]))
+        assert dnet.arcs == (Arc(2, 3, 1.0), Arc(2, 1, 2.0))
+        assert dnet.retained == {1: (), 2: (1, 3), 3: ()}
+        assert dnet.arc_set == {(2, 3), (2, 1)}
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            PATH3.n = 4
+        with pytest.raises(ValueError):
+            PATH3.w[0] = 2.0
 
     def test_leader_appears_once(self):
         with pytest.raises(GraphError, match="twice"):
@@ -272,3 +321,65 @@ class TestAugmented:
         assert aug.n == net.n + cfg.m
         assert len(aug.edges) == len(net.edges) + len(cfg.leader_links)
         assert aug.weights[(4, 9)] == -1.0
+
+
+def reference_network_check(n, edges):
+    """The per-edge check the array validation replaced, as the reference."""
+    seen, load = set(), {}
+    for e in edges:
+        if e.i == e.j:
+            return f"self-loop at node {e.i}"
+        if not (1 <= e.i <= n and 1 <= e.j <= n):
+            return f"edge ({e.i},{e.j}) outside 1..{n}"
+        if e.w == 0 or not math.isfinite(e.w):
+            return f"edge ({e.i},{e.j}) has invalid weight {e.w}"
+        if e.key() in seen:
+            return f"duplicate edge ({e.i},{e.j})"
+        seen.add(e.key())
+        for node in (e.i, e.j):
+            load[node] = load.get(node, 0.0) + abs(e.w)
+            if not math.isfinite(load[node]):
+                return f"node {node}: "
+    return None
+
+
+def reference_arc_check(n, arcs):
+    seen, load = set(), {}
+    for a in arcs:
+        if a.follower == a.followed:
+            return f"self-arc at node {a.follower}"
+        if not (1 <= a.follower <= n and 1 <= a.followed <= n):
+            return f"arc ({a.follower},{a.followed}) outside 1..{n}"
+        if (a.follower, a.followed) in seen:
+            return f"duplicate arc ({a.follower},{a.followed})"
+        seen.add((a.follower, a.followed))
+        load[a.follower] = load.get(a.follower, 0.0) + abs(a.w)
+        if not math.isfinite(load[a.follower]):
+            return f"node {a.follower}: "
+    return None
+
+
+WEIGHTS = st.one_of(st.sampled_from([1.0, -2.0, 0.0, -0.0, 1e308, -1e308, 9e307,
+                                     math.inf, math.nan]),
+                    st.floats(-3, 3))
+RECORDS = st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6), WEIGHTS),
+                   max_size=10)
+
+
+@given(st.integers(1, 5), RECORDS)
+@settings(max_examples=400, deadline=None)
+def test_array_validation_refuses_as_the_per_edge_check(n, records):
+    """Constructor and from_arrays accept what the per-edge check accepts and
+    refuse the rest with its message for the first bad edge or arc."""
+    for make, record, reference in ((Network, Edge, reference_network_check),
+                                    (DirectedNetwork, Arc, reference_arc_check)):
+        want = reference(n, [record(*r) for r in records])
+        for build in (lambda: make(n, [record(*r) for r in records]),
+                      lambda: make.from_arrays(n, *(list(c) for c in zip(*records)))
+                      if records else make.from_arrays(n, [], [], [])):
+            if want is None:
+                assert len(build().w) == len(records)
+            else:
+                with pytest.raises(GraphError) as err:
+                    build()
+                assert str(err.value).startswith(want)

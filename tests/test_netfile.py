@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +209,12 @@ REFUSALS = {
                '{"n": 2, "edges": [{"i": 1, "j": 2}], '
                '"leaders": [{"node": 1, "input": 1}], "inputs": [[0.5, %s]]}' % HUGE,
                r"^inputs\[0\]\[1\]: integer .* too large"),
+    "arc-n": (parse_arc_file, '{"n": -3, "arcs": []}', r"^n: must be positive, got -3$"),
+    "huge-n": (parse_network_file, '{"n": 100000000000000000000, "edges": []}',
+               r"^n: 100000000000000000000 is above \d+: its dense n-by-n float64 "
+               r"generator cannot be addressed$"),
+    "arc-huge-n": (parse_arc_file, '{"n": 100000000000000000000, "arcs": []}',
+                   r"^n: .* cannot be addressed$"),
     "digit-limit": (parse_network_file, '{"n": %s, "edges": []}' % ("7" * 5000),
                     r"^document: Exceeds the limit"),
     "deep-network": (parse_network_file, "[" * 100000,
@@ -229,7 +236,9 @@ def test_unreadable_number_or_nesting_is_refused(case, tmp_path, capsys):
     argv = (["analyze", str(path)] if parse is parse_network_file else
             ["simulate", "g6", "--reduced", str(path),
              "--out", str(tmp_path / "x.csv")])
+    t0 = time.perf_counter()
     assert main(argv) == 2
+    assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -263,6 +272,10 @@ class TestTrajectoryCsv:
     def test_bad_header_rejected(self):
         with pytest.raises(NetworkFileError, match="header|start"):
             parse_trajectory("time,agent,dim,value\n0,1,1,0.5")
+
+    def test_bytes_rejected_as_a_header_mismatch(self):
+        with pytest.raises(NetworkFileError, match="needs header"):
+            parse_trajectory(b"t,agent,dim,value\n0,1,1,1\n")
 
     def test_header_only_rejected(self):
         with pytest.raises(NetworkFileError, match="and rows"):

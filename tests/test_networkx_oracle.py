@@ -1,0 +1,93 @@
+"""Graph passes against networkx on seeded random graphs.
+
+Trees with chords and graphs split into several components (a tree with
+some of its edges removed, plus chords) are checked for connectivity,
+blocks and cut nodes, reachability along retained arcs, and strongly
+connected components of the arc digraph.
+"""
+
+import numpy as np
+import pytest
+
+from fsnlab import (DirectedNetwork, Network, block_cut_tree, is_connected,
+                    reachable_from)
+from fsnlab.selection import _strong_components
+
+nx = pytest.importorskip("networkx")
+
+SEEDS = range(200)
+
+
+def random_graph(rng) -> Network:
+    """A uniform-attachment tree on 1..n, some tree edges cut, plus chords."""
+    n = int(rng.integers(1, 40))
+    cut = rng.choice([0.0, 0.15])
+    keys = {(int(rng.integers(1, k)), k) for k in range(2, n + 1)
+            if rng.random() >= cut}
+    for _ in range(int(rng.integers(0, n + 1))):
+        a, b = (int(v) for v in rng.integers(1, n + 1, size=2))
+        if a != b:
+            keys.add((min(a, b), max(a, b)))
+    pairs = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[rng.permutation(len(pairs))]
+    return Network.from_arrays(n, pairs[:, 0], pairs[:, 1],
+                               rng.uniform(0.5, 2, len(pairs)))
+
+
+def undirected(net: Network):
+    g = nx.Graph()
+    g.add_nodes_from(range(1, net.n + 1))
+    g.add_edges_from(zip(net.i.tolist(), net.j.tolist()))
+    return g
+
+
+def random_arcs(rng, net: Network) -> DirectedNetwork:
+    """Each orientation of each edge kept with probability 1/2."""
+    keep = rng.random((len(net.w), 2)) < 0.5
+    follower = np.stack((net.i, net.j), axis=1)[keep]
+    followed = np.stack((net.j, net.i), axis=1)[keep]
+    return DirectedNetwork.from_arrays(net.n, follower, followed,
+                                       np.ones(len(follower)))
+
+
+def test_connectivity_and_blocks():
+    connected = 0
+    for seed in SEEDS:
+        net = random_graph(np.random.default_rng(seed))
+        g = undirected(net)
+        assert is_connected(net) == nx.is_connected(g), seed
+        if nx.is_connected(g):
+            connected += 1
+            check_blocks(net, g)
+    assert 0.2 * len(SEEDS) < connected < 0.8 * len(SEEDS)
+
+
+def check_blocks(net: Network, g) -> None:
+    decomp = block_cut_tree(net)
+    assert decomp.cut_nodes == frozenset(nx.articulation_points(g))
+    want = {frozenset(c) for c in nx.biconnected_components(g)} or {frozenset({1})}
+    assert set(decomp.blocks) == want and len(decomp.blocks) == len(want)
+    for e, b in zip(net.edges, decomp.blocks_of_edges(net.i, net.j)):
+        assert {e.i, e.j} <= decomp.blocks[b]
+        assert decomp.block_of_edge(e.j, e.i) == b
+
+
+def test_reachability_and_strong_components():
+    for seed in SEEDS:
+        check_arcs(np.random.default_rng([seed, 1]))
+
+
+def check_arcs(rng) -> None:
+    dnet = random_arcs(rng, random_graph(rng))
+    arcs = nx.DiGraph()
+    arcs.add_nodes_from(range(1, dnet.n + 1))
+    arcs.add_edges_from(zip(dnet.i.tolist(), dnet.j.tolist()))
+    sources = {int(s) for s in rng.integers(1, dnet.n + 1, size=int(rng.integers(0, 4)))}
+    influence = arcs.reverse()
+    want = set(sources).union(*(nx.descendants(influence, s) for s in sources))
+    assert reachable_from(dnet, sources) == {
+        v: v in want for v in range(1, dnet.n + 1)}
+    comps = _strong_components(dnet)
+    assert {frozenset(c) for c in comps} == {
+        frozenset(c) for c in nx.strongly_connected_components(arcs)}
+    assert all(c == sorted(c) for c in comps)
