@@ -443,9 +443,22 @@ def _with_diagonal(L: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarra
     return L
 
 
+def _dense_zeros(n: int) -> np.ndarray:
+    """The n x n zero matrix a dense Laplacian builder fills.
+
+    Raises GraphError, naming n and the bytes needed, when it cannot be
+    allocated.
+    """
+    try:
+        return np.zeros((n, n))
+    except MemoryError:
+        raise GraphError(f"the dense {n} x {n} Laplacian needs {8 * n * n} "
+                         "bytes, more than can be allocated") from None
+
+
 def _undirected_laplacian(net: Network, diag_w: np.ndarray) -> np.ndarray:
     i, j = net.i - 1, net.j - 1
-    L = np.zeros((net.n, net.n))
+    L = _dense_zeros(net.n)
     L[i, j] = L[j, i] = -net.w
     return _with_diagonal(L, np.stack((i, j), axis=1).ravel(), np.repeat(diag_w, 2))
 
@@ -506,7 +519,7 @@ def signed_reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
 
 def _reduced_laplacian(dnet: DirectedNetwork, diag_w: np.ndarray) -> np.ndarray:
     i, j = dnet.i - 1, dnet.j - 1
-    L = np.zeros((dnet.n, dnet.n))
+    L = _dense_zeros(dnet.n)
     L[i, j] -= dnet.w
     return _with_diagonal(L, i, diag_w)
 

@@ -30,6 +30,7 @@ DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
 DEFAULT_TIE_MARGIN = 0.02
 ROUND_CAP = 100_000
+SPAN_ELEMENTS = 2**14  # doubles per array of one super-block of _settle
 
 
 class TempoError(ValueError):
@@ -103,9 +104,6 @@ class TempoEstimate:
 class TempoReport:
     entries: tuple[TempoEstimate, ...]
 
-    def by_pair(self) -> dict[tuple[int, int], TempoEstimate]:
-        return {(e.follower, e.followed): e for e in self.entries}
-
 
 def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
                    delta: float = DEFAULT_DELTA,
@@ -141,7 +139,7 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
                          f"(n={net.n}, d={u.shape[1]})")
     shown = sorted(set(eps.values())) if isinstance(eps, dict) else eps
     return _settle(net, L_B, forcing, x0,
-                   lambda dx: np.linalg.norm(dx, axis=2),
+                   _norm_over_d,
                    _eps_map(net, eps), delta, round_cap,
                    f" (delta={delta}, eps={shown})")
 
@@ -186,7 +184,7 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
         x0 = x0[:, None]
     if x0.shape[0] != net.n:
         raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
-    return _settle(net, L, np.zeros_like(x0), x0, lambda dx: dx[:, :, 0],
+    return _settle(net, L, np.zeros_like(x0), x0, lambda dx: dx[:, 0],
                    _eps_map(net, eps), delta, round_cap,
                    "; the ratio sign may not be separating on this tree")
 
@@ -224,43 +222,72 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     difference norm is never negative, so only the first case can hold
     for it.
 
-    Rounds are evaluated ``BLOCK`` at a time (fewer on large networks, so
+    Rounds are stepped ``BLOCK`` at a time (fewer on large networks, so
     the stack holds at most 2**20 doubles): the states of a block are one
-    product of the stacked powers of :func:`step_powers` with the block's
-    first state, plus the matching stacked offsets.
+    product of the stacked powers of :func:`step_powers` with the last
+    state of the block before, plus the matching stacked offsets.  The
+    bookkeeping runs once per super-block of consecutive blocks, as many
+    as keep the per-arc and per-coordinate arrays of a pass (arcs x rounds
+    and agents x d x rounds) within ``SPAN_ELEMENTS`` doubles, and at
+    least one.  It lays the super-block out agent-major, so that reading
+    an arc's two agents copies whole rows, takes the observable, the
+    running maximum and the floor test over all its rounds, and then
+    applies the termination rule block by block: the arcs decide on
+    their last estimate before the first block with none above its floor,
+    and the rounds computed after that block are discarded.
+    ``observable`` maps the differences of a super-block, agents x d x
+    rounds, to agents x rounds.
     """
     if not (math.isfinite(delta) and delta > 0):
         raise TempoError(f"delta must be finite and positive, got {delta}")
     n, d = x0.shape
     indptr, arc_j, edge = net.adjacency
     arc_i = np.repeat(np.arange(n), np.diff(indptr))
-    floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])
+    m = len(arc_j)
+    floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])[:, None]
 
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
     P, C = step_powers(R, c, block)
+    span = block * max(1, SPAN_ELEMENTS // (block * max(m, n * d)))
 
-    g = np.zeros(len(arc_j))
-    last = np.zeros(len(arc_j), dtype=int)
-    hit = np.ones(len(arc_j), dtype=bool)
+    g = np.zeros(m)
+    last = np.zeros(m, dtype=int)
+    unsettled = np.ones(m, dtype=bool)      # arcs above their floor in the last block
     cur, peak = x0, np.abs(x0).max(axis=1)
-    for start in range(0, round_cap, block):
-        b = min(block, round_cap - start)
-        states = (P[:b * n] @ cur + C[:b * n]).reshape(b, n, d)
-        obs = observable(np.diff(states, axis=0, prepend=cur[None]))
-        seen = np.maximum.accumulate(
-            np.vstack([peak, np.abs(states).max(axis=2)]), axis=0)[1:]
-        scale = np.maximum(seen[:, arc_i], seen[:, arc_j])
-        above = np.abs(obs[:, arc_j]) > floor * scale
-        cur, peak = states[-1], seen[-1]
-        hit = above.any(axis=0)
-        if not hit.any():
+    for start in range(0, round_cap, span):
+        length = min(span, round_cap - start)
+        x = np.empty(((length + 1) * n, d))
+        x[:n] = cur
+        firsts = np.arange(0, length, block)
+        for s in firsts.tolist():
+            b = min(block, length - s)
+            np.add(P[:b * n] @ cur, C[:b * n], out=x[(s + 1) * n:(s + b + 1) * n])
+            cur = x[(s + b) * n:(s + b + 1) * n]
+        xt = np.ascontiguousarray(x.reshape(length + 1, n * d).T)
+        xt = xt.reshape(n, d, length + 1)       # agents x d x rounds
+        obs = observable(xt[:, :, 1:] - xt[:, :, :-1])
+        seen = _abs_max_over_d(xt)
+        seen[:, 0] = peak
+        seen = np.maximum.accumulate(seen, axis=1)
+        peak = seen[:, -1]
+        scale = np.maximum(seen[arc_i, 1:], seen[arc_j, 1:])
+        scale *= floor
+        above = np.abs(obs)[arc_j] > scale
+        quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
+        done = quiet.any()
+        end = firsts[quiet.argmax()] if done else length
+        if end:
+            k = end - 1 - above[:, end - 1::-1].argmax(axis=1)
+            hit = above[np.arange(m), k]
+            k = k[hit]
+            g[hit] = obs[arc_i[hit], k] / obs[arc_j[hit], k]
+            last[hit] = start + 1 + k
+        if done:
             break
-        k = b - 1 - np.argmax(above[::-1, hit], axis=0)
-        g[hit] = obs[k, arc_i[hit]] / obs[k, arc_j[hit]]
-        last[hit] = start + 1 + k
+        unsettled = above[:, firsts[-1]:].any(axis=1)
     else:
-        raise TempoError(f"agents {sorted(set((arc_i[hit] + 1).tolist()))} did "
+        raise TempoError(f"agents {sorted(set((arc_i[unsettled] + 1).tolist()))} did "
                          f"not settle within {round_cap} rounds{stall_hint}")
 
     rounds = np.zeros(n, dtype=int)
@@ -276,6 +303,52 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
                                        net.w[edge[kept]],
                                        name=f"{net.name}-fsn-distributed")
     return dnet, TempoReport(tuple(entries))
+
+
+def _norm_over_d(dx: np.ndarray) -> np.ndarray:
+    """Euclidean norm over axis 1 of an (agents, d, rounds) array.
+
+    Bit for bit ``np.linalg.norm`` over a contiguous d axis: one square
+    per coordinate slice, summed in the order numpy's ``add.reduce`` sums
+    a contiguous run (see :func:`_sum_in_numpy_order`).
+    """
+    return np.sqrt(_sum_in_numpy_order([dx[:, k] * dx[:, k]
+                                        for k in range(dx.shape[1])]))
+
+
+def _sum_in_numpy_order(terms: list[np.ndarray]) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays in numpy's pairwise order.
+
+    Fewer than 8 terms are added left to right; up to 128 go into 8
+    interleaved partial sums joined as a balanced tree, with the last
+    len % 8 added after; longer lists are split at a multiple of 8 near
+    the middle and the two halves summed the same way.
+    """
+    t = len(terms)
+    if t < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if t <= 128:
+        part = terms[:8]
+        for a in range(8, t - t % 8, 8):
+            part = [p + term for p, term in zip(part, terms[a:a + 8])]
+        total = (((part[0] + part[1]) + (part[2] + part[3]))
+                 + ((part[4] + part[5]) + (part[6] + part[7])))
+        for term in terms[t - t % 8:]:
+            total = total + term
+        return total
+    half = t // 2 - t // 2 % 8
+    return _sum_in_numpy_order(terms[:half]) + _sum_in_numpy_order(terms[half:])
+
+
+def _abs_max_over_d(x: np.ndarray) -> np.ndarray:
+    """``np.abs(x).max(axis=1)`` of an (agents, d, rounds) array, by slices."""
+    out = np.abs(x[:, 0])
+    for k in range(1, x.shape[1]):
+        np.maximum(out, np.abs(x[:, k]), out=out)
+    return out
 
 
 def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],

@@ -72,6 +72,18 @@ def test_overflowing_weights_are_input_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_unallocatable_laplacian_is_refused_by_name(capsys, tmp_path):
+    # n passes the parser's addressability cap, but its 8e16-byte dense
+    # Laplacian cannot be allocated.
+    path = tmp_path / "net.json"
+    path.write_text('{"n": 100000000, "edges": []}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "connected: False" in out
+    assert err == ("error: the dense 100000000 x 100000000 Laplacian needs "
+                   "80000000000000000 bytes, more than can be allocated\n")
+
+
 class TestSelect:
     def test_g8_fsn_arcs_and_report(self, capsys, tmp_path):
         arcs = tmp_path / "arcs.json"

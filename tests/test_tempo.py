@@ -1,8 +1,12 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fsnlab import (Edge, Network, SemiAutonomousConfig, LeaderLink,
                     SimulationConfig, TempoError, block_cut_tree,
@@ -12,8 +16,12 @@ from fsnlab import (Edge, Network, SemiAutonomousConfig, LeaderLink,
                     run_algorithm1, run_distributed_fan_tree, simulate,
                     tempo_limit_from_eigvec, tempo_limit_oracle)
 
+from fsnlab import tempo
+from fsnlab.dynamics import BLOCK, UNIT_ROUNDOFF, step_map, step_powers
+from fsnlab.graphs import DirectedNetwork
+
 from conftest import (G6_FSN, G8_FSN, T12_FSN, random_connected_net,
-                      random_leader_cfg)
+                      random_leader_cfg, random_tree)
 
 
 def san_traj(net, cfg, x0, horizon=60.0, dt=0.01):
@@ -560,3 +568,186 @@ class TestEnginePinned:
         net = Network(5, tuple(Edge(i, i + 1) for i in range(1, 5)))
         x0 = np.random.default_rng(9).random(5)
         self.check(run_distributed_fan_tree(net, x0)[1], PINNED_P5)
+
+
+# ------------------------------------------- super-blocked settle vs per-block
+
+
+def per_block_settle(net, G, forcing, x0, observable, eps_map, delta,
+                     round_cap, stall_hint):
+    """The settle loop with all bookkeeping once per block, as it was before
+    super-blocks, kept as the reference the super-blocked loop must match.
+
+    ``observable`` is the engine's (agent-major); the reference takes the
+    same quantity from its round-major differences with numpy's own
+    reductions.
+    """
+    if observable is tempo._norm_over_d:
+        observable = lambda dx: np.linalg.norm(dx, axis=2)  # noqa: E731
+    else:
+        observable = lambda dx: dx[:, :, 0]  # noqa: E731
+    if not (math.isfinite(delta) and delta > 0):
+        raise TempoError(f"delta must be finite and positive, got {delta}")
+    n, d = x0.shape
+    indptr, arc_j, edge = net.adjacency
+    arc_i = np.repeat(np.arange(n), np.diff(indptr))
+    floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])
+
+    R, c = step_map(G, forcing, delta, "rk4")
+    block = max(1, min(BLOCK, 2**20 // n**2))
+    P, C = step_powers(R, c, block)
+
+    g = np.zeros(len(arc_j))
+    last = np.zeros(len(arc_j), dtype=int)
+    hit = np.ones(len(arc_j), dtype=bool)
+    cur, peak = x0, np.abs(x0).max(axis=1)
+    for start in range(0, round_cap, block):
+        b = min(block, round_cap - start)
+        states = (P[:b * n] @ cur + C[:b * n]).reshape(b, n, d)
+        obs = observable(np.diff(states, axis=0, prepend=cur[None]))
+        seen = np.maximum.accumulate(
+            np.vstack([peak, np.abs(states).max(axis=2)]), axis=0)[1:]
+        scale = np.maximum(seen[:, arc_i], seen[:, arc_j])
+        above = np.abs(obs[:, arc_j]) > floor * scale
+        cur, peak = states[-1], seen[-1]
+        hit = above.any(axis=0)
+        if not hit.any():
+            break
+        k = b - 1 - np.argmax(above[::-1, hit], axis=0)
+        g[hit] = obs[k, arc_i[hit]] / obs[k, arc_j[hit]]
+        last[hit] = start + 1 + k
+    else:
+        raise TempoError(f"agents {sorted(set((arc_i[hit] + 1).tolist()))} did "
+                         f"not settle within {round_cap} rounds{stall_hint}")
+
+    rounds = np.zeros(n, dtype=int)
+    np.maximum.at(rounds, arc_i, last)
+    entries = []
+    for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
+        ga = float(g[a]) if last[a] else None
+        retained = ga is not None and (ga > 1.0 + tempo.DEFAULT_TIE_MARGIN
+                                       or ga < -tempo.DEFAULT_TIE_MARGIN)
+        entries.append(tempo.TempoEstimate(i + 1, j + 1, ga, int(rounds[i]),
+                                           retained))
+    kept = np.array([e.retained for e in entries], dtype=bool)
+    dnet = DirectedNetwork.from_arrays(n, arc_i[kept] + 1, arc_j[kept] + 1,
+                                       net.w[edge[kept]],
+                                       name=f"{net.name}-fsn-distributed")
+    return dnet, tempo.TempoReport(tuple(entries))
+
+
+def outcome(run, *args, **kwargs):
+    """(arcs, report) of a run, or the text of the TempoError it raised."""
+    try:
+        dnet, report = run(*args, **kwargs)
+    except TempoError as exc:
+        return str(exc)
+    arcs = (dnet.n, dnet.name, dnet.i.tolist(), dnet.j.tolist(),
+            dnet.w.tolist())
+    return arcs, report
+
+
+def settle_span(net, d):
+    """Rounds per super-block of a run on ``net`` with d coordinates."""
+    n = net.n
+    block = max(1, min(BLOCK, 2**20 // n**2))
+    m = 2 * len(net.edges)
+    return block * max(1, tempo.SPAN_ELEMENTS // (block * max(m, n * d)))
+
+
+@st.composite
+def settle_cases(draw):
+    n = draw(st.integers(3, 24))
+    d = draw(st.integers(1, 3))
+    tree = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if tree:
+        net, cfg = random_tree(rng, n), None
+    else:
+        net = random_connected_net(rng, n)
+        cfg = random_leader_cfg(rng, n, d=d)
+    x0 = rng.random((n, d))
+    eps = draw(st.one_of(
+        st.sampled_from([1e-3, 1e-4, 1e-5]),
+        st.builds(lambda e: dict(enumerate(e, start=1)),
+                  st.lists(st.sampled_from([1e-3, 1e-4, 1e-5]),
+                           min_size=n, max_size=n))))
+    span = settle_span(net, d)
+    cap = draw(st.one_of(st.none(), st.sampled_from(
+        [1, BLOCK - 1, BLOCK, BLOCK + 1, span - 1, span, span + 1,
+         2 * span - 1, 2 * span + 1, 3 * span])))
+    return net, cfg, x0, eps, cap
+
+
+@given(settle_cases())
+@settings(max_examples=100, deadline=None)
+def test_super_blocked_settle_matches_per_block_loop(case):
+    net, cfg, x0, eps, cap = case
+    if cfg is None:
+        run, args = run_distributed_fan_tree, (net, x0)
+        cap = 2 * tempo.ROUND_CAP if cap is None else cap
+    else:
+        run, args = run_algorithm1, (net, cfg, x0)
+        cap = tempo.ROUND_CAP if cap is None else cap
+    got = outcome(run, *args, eps=eps, round_cap=cap)
+    with mock.patch.object(tempo, "_settle", per_block_settle):
+        want = outcome(run, *args, eps=eps, round_cap=cap)
+    assert got == want
+
+
+def fixture_run(name, g8, t12):
+    if name == "g8":
+        net, cfg, _ = g8
+        return net, run_algorithm1, (net, cfg, np.random.default_rng(7).random((8, 3)))
+    net, _, x0 = t12
+    return net, run_distributed_fan_tree, (net, x0)
+
+
+@pytest.mark.parametrize("name", ["g8", "t12"])
+def test_super_blocked_settle_ends_inside_a_super_block(name, g8, t12):
+    # At the default caps the fixtures settle in a later super-block than
+    # the first, with blocks computed past the first quiet one.
+    net, run, args = fixture_run(name, g8, t12)
+    got = outcome(run, *args)
+    with mock.patch.object(tempo, "_settle", per_block_settle):
+        assert got == outcome(run, *args)
+    per_span = settle_span(net, args[-1].reshape(net.n, -1).shape[1]) // BLOCK
+    quiet = (max(e.rounds for e in got[1].entries) - 1) // BLOCK + 1
+    assert quiet >= per_span and (quiet + 1) % per_span != 0
+
+
+@pytest.mark.parametrize("cap", [8900, 9000, 9100, 9400])
+def test_super_blocked_settle_names_agents_of_the_last_block(cap, g8, t12):
+    # t12's agents settle between rounds 8761 and 9450: at these caps some
+    # were last above their floor inside the final super-block but not in
+    # its last block, and the message leaves them out.
+    _, run, args = fixture_run("t12", g8, t12)
+    got = outcome(run, *args, round_cap=cap)
+    with mock.patch.object(tempo, "_settle", per_block_settle):
+        assert got == outcome(run, *args, round_cap=cap)
+    assert "did not settle" in got
+
+
+def _agent_major(x):
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
+WIDE = np.random.default_rng(3).standard_normal((2, 3, 300))
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5),
+                                        st.integers(1, 20)),
+                  elements=st.floats(allow_nan=False)))
+@example(np.array([[[5e-324, 2.2e-308, -1e-310], [1e300, -1e200, 3e154]]]))
+@example(WIDE[:, :, :129] * 1e-160)
+@example(WIDE * 1e150)
+@settings(max_examples=300, deadline=None)
+def test_reductions_over_d_match_numpy_bit_for_bit(x):
+    # x is (rounds, agents, d), the engine's reductions read (agents, d,
+    # rounds); subnormal and huge entries underflow or overflow the squares.
+    with np.errstate(over="ignore", under="ignore"):
+        norm = np.linalg.norm(x, axis=2).T
+        got = tempo._norm_over_d(_agent_major(x))
+    assert got.tobytes() == np.ascontiguousarray(norm).tobytes()
+    peak = np.ascontiguousarray(np.abs(x).max(axis=2).T)
+    assert tempo._abs_max_over_d(_agent_major(x)).tobytes() == peak.tobytes()
