@@ -13,9 +13,9 @@ unreadable/invalid input file.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -26,14 +26,13 @@ from .blocks import ClassificationError
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
                        empirical_rate, fit_window, simulate)
 from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, is_connected, laplacian,
-                     signed_laplacian, structural_balance_partition)
+                     SemiAutonomousConfig, is_connected,
+                     structural_balance_partition)
 from .model import EIG_TOL, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
-                      emit_trajectory, fixture_text, parse_arc_file,
-                      parse_network_file, serialize_arcs)
-from .spectral import (SpectralError, default_eps_zero, entry_ratio,
-                       smallest_eigenpairs)
+                      emit_trajectory, fixture_text, json_text,
+                      parse_arc_file, parse_network_file, serialize_arcs)
+from .spectral import SpectralError, default_eps_zero, entry_ratio
 from .tempo import (TempoError, first_component_ratio, g_ratio_series,
                     run_algorithm1, run_distributed_fan_tree,
                     tempo_limit_from_eigvec)
@@ -77,8 +76,8 @@ def _fmt(value: float, tol: float) -> str:
 
 
 def _print_arcs(dnet: DirectedNetwork) -> None:
-    for a in dnet.arcs:
-        print(f"  {a.follower} <- {a.followed}   w={a.w:g}")
+    print("".join([f"  {i} <- {j}   w={w:g}\n" for i, j, w in zip(
+        dnet.i.tolist(), dnet.j.tolist(), dnet.w.tolist())]), end="")
 
 
 # ---------------------------------------------------------------- analyze
@@ -92,8 +91,7 @@ def cmd_analyze(args) -> int:
     connected = is_connected(net)
     print(f"connected: {connected}")
 
-    matrix = signed_laplacian(net) if net.is_signed else laplacian(net)
-    pairs = smallest_eigenpairs(matrix, min(net.n, 3))
+    pairs = model.spectrum(min(net.n, 3))
     label = "signed Laplacian" if net.is_signed else "Laplacian"
     vals = ", ".join(f"{p.value:.6g}" for p in pairs)
     print(f"{label} spectrum (smallest {len(pairs)}): {vals}  "
@@ -158,7 +156,7 @@ def cmd_select(args) -> int:
         Path(args.out).write_text(serialize_arcs(dnet))
         print(f"wrote arcs to {args.out}")
     if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+        Path(args.report).write_text(json_text(report) + "\n")
         print(f"wrote report to {args.report}")
     failed = [k for k, v in report["checks"].items() if not v]
     if failed:
@@ -448,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="spectral and structural summary")
     a.add_argument("network")
-    a.set_defaults(fn=cmd_analyze)
 
     s = sub.add_parser("select", help="build a reduced network")
     s.add_argument("network")
@@ -456,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn"])
     s.add_argument("--out", help="write the arc list (JSON) here")
     s.add_argument("--report", help="write the full report (JSON) here")
-    s.set_defaults(fn=cmd_select)
 
     m = sub.add_parser("simulate", help="integrate the network dynamics")
     m.add_argument("network")
@@ -465,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--horizon", type=float, default=60.0)
     m.add_argument("--method", choices=["euler", "rk4"], default="rk4")
     m.add_argument("--out", required=True, help="trajectory CSV path")
-    m.set_defaults(fn=cmd_simulate)
 
     t = sub.add_parser("tempo", help="sampled relative-tempo series")
     t.add_argument("network")
@@ -475,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dt", type=float, default=0.01)
     t.add_argument("--horizon", type=float, default=60.0)
     t.add_argument("--out", help="write the series CSV here")
-    t.set_defaults(fn=cmd_tempo)
 
     d = sub.add_parser("distributed-select",
                        help="neighbor selection from sampled data only")
@@ -491,19 +485,29 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--fan-tree", action="store_true",
                    help="autonomous tree variant (signed ratio rule)")
     d.add_argument("--out", help="write the arc list (JSON) here")
-    d.set_defaults(fn=cmd_distributed_select)
 
     c = sub.add_parser("compare",
                        help="end-to-end before/after report for a network")
     c.add_argument("network")
-    c.set_defaults(fn=cmd_compare)
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The parser is built on the first call and reused.  The handler is
+    looked up by name at each call, so a ``cmd_*`` function rebound in this
+    module after that (a wrapper, a test double) is the one that runs.
+    """
+    args = _parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (NetworkFileError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

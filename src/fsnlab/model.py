@@ -25,7 +25,8 @@ from .selection import (ffn_san, fsn_fan, fsn_san, fsn_signed_san,
                         reachable_from, reachable_from_inputs,
                         reduced_spectrum)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
-                       principal_pair_perturbed, principal_pair_signed)
+                       principal_pair_perturbed, principal_pair_signed,
+                       smallest_eigenpairs)
 
 EIG_TOL = 1e-8          # eigen residual bound the solver enforces
 
@@ -52,6 +53,9 @@ class Model:
         self.mode = ("fan-fsn" if cfg is None
                      else "signed-san-fsn" if self.signed else "san-fsn")
         self._pairs: dict[str, EigenPair] = {}
+        # (L, its smallest eigenpairs) once spectrum() has decomposed the
+        # Laplacian of an unsigned network, the matrix of the Fiedler pair.
+        self._laplacian_pairs: Optional[tuple[np.ndarray, list[EigenPair]]] = None
 
     def generator(self, dnet: Optional[DirectedNetwork] = None) -> np.ndarray:
         """Dynamics matrix of the network, or of its reduction ``dnet``."""
@@ -72,13 +76,28 @@ class Model:
             return None
         return self.cfg.input_matrix(self.net.n), self.cfg.input_vectors()
 
+    def spectrum(self, k: int) -> list[EigenPair]:
+        """The k smallest eigenpairs of the network's Laplacian, signed on a
+        signed network.  On an unsigned network, with k >= 2, the Fiedler
+        pair of :meth:`pair` is then taken from them."""
+        net = self.net
+        if net.is_signed:
+            return smallest_eigenpairs(signed_laplacian(net), k)
+        L = laplacian(net)
+        pairs = smallest_eigenpairs(L, k)
+        if k >= 2:
+            self._laplacian_pairs = L, pairs
+        return pairs
+
     def pair(self, mode: Optional[str] = None) -> EigenPair:
         """Selection eigenpair of a mode, by default of the model's own."""
         mode = mode or self.mode
         if mode not in self._pairs:
             net, cfg = self.net, self.cfg
             if mode == "fan-fsn":
-                pair = fiedler_pair(laplacian(net.absolute()))
+                L, pairs = (self._laplacian_pairs
+                            or (laplacian(net.absolute()), None))
+                pair = fiedler_pair(L, pairs)
             elif cfg is None:
                 raise GraphError(f"mode {mode} needs leaders in the input file")
             elif mode == "signed-san-fsn":

@@ -13,7 +13,8 @@ import json
 import sys
 from importlib import resources
 from itertools import chain
-from typing import Iterator, Optional
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -27,6 +28,9 @@ CSV_BLOCK = 512         # samples formatted per block by csv_rows
 _TRAJECTORY_HEADER = "t,agent,dim,value"
 _CSV_DTYPE = [("t", "f8"), ("agent", "i8"), ("dim", "i8"), ("value", "f8")]
 _PLAIN_CSV = b"0123456789+-.eE,\n"     # every byte of a plain-number CSV body
+
+# float.__repr__ of the non-finite floats, as the json module spells them.
+_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 _ARC_TEMPLATE = ('    {\n      "follower": %d,\n      "followed": %d,\n'
                  '      "w": %s\n    }')
@@ -242,16 +246,103 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
     """The arc document, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
     of ``{"name", "n", "arcs": [{"follower", "followed", "w"}, ...]}``.
 
-    Each arc fills one ``%``-template; a float weight is written with
-    ``float.__repr__``, as the json module writes it.
+    Each arc fills one ``%``-template; the weights are written together,
+    as :func:`json_text` writes a list of scalars (a float by
+    ``float.__repr__``), which is how the json module writes them.
     """
-    arcs = ",\n".join([
-        _ARC_TEMPLATE % (a.follower, a.followed,
-                         float.__repr__(a.w) if type(a.w) is float
-                         else json.dumps(a.w))
-        for a in dnet.arcs])
+    records = dnet.arcs
+    weights = _json_items([a.w for a in records], "")
+    arcs = ",\n".join([_ARC_TEMPLATE % (a.follower, a.followed, w)
+                        for a, w in zip(records, weights)])
     return '{\n  "name": %s,\n  "n": %d,\n  "arcs": %s\n}\n' % (
         json.dumps(dnet.name), dnet.n, f"[\n{arcs}\n  ]" if arcs else "[]")
+
+
+def _json_float(value: float) -> str:
+    text = float.__repr__(value)
+    return _JSON_FLOAT_WORDS.get(text, text)
+
+
+# The writer of each scalar type, as json.dumps writes it.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+                 float: _json_float, bool: {True: "true", False: "false"}.get,
+                 type(None): lambda value: "null"}
+
+
+def _json_scalar(value) -> str:
+    writer = _JSON_SCALARS.get(type(value))
+    if writer is not None:
+        return writer(value)
+    for base in (str, int, float):      # a subclass is written as its base
+        if isinstance(value, base):
+            return _JSON_SCALARS[base](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a value built of
+    dicts with string keys, lists, tuples, strings, ints, floats, bools and
+    None, without the json module's pure-Python indenting encoder.
+
+    The items of a container that holds only scalars are written by one
+    ``map``, and a list of equal-length rows of numbers (a table) by one
+    ``%``-template.  Ints and floats are written by ``repr``, which is
+    ``float.__repr__`` for a float, with NaN and the infinities spelled as
+    json spells them.
+    """
+    return _json_value(value, "\n")
+
+
+def _json_value(value, indent: str) -> str:
+    """:func:`json_text` of a value that starts after ``indent``, a newline
+    and the indentation of its line."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [k + ": " + v for k, v in zip(
+            map(encode_basestring_ascii, value),
+            _json_items(value.values(), inner))]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        body = (_json_table(value, inner)
+                or ("," + inner).join(_json_items(value, inner)))
+        return "[" + inner + body + indent + "]"
+    return _json_scalar(value)
+
+
+def _json_items(values, inner: str) -> Iterable[str]:
+    """The texts of the items of one container, each starting after
+    ``inner``."""
+    kinds = set(map(type, values))
+    if kinds <= {int, float}:
+        return _json_numbers(values)
+    if kinds <= _JSON_SCALARS.keys():
+        return map(_json_scalar, values)
+    return [_json_value(v, inner) for v in values]
+
+
+def _json_table(rows, inner: str) -> Optional[str]:
+    """The items of a list of equal-length rows of ints and floats, joined
+    as a list at ``inner`` joins them, from one ``%``-template; None for
+    any other list."""
+    if not (set(map(type, rows)) <= {list, tuple}
+            and len(widths := set(map(len, rows))) == 1):
+        return None
+    cells = list(chain.from_iterable(rows))
+    if not cells or not set(map(type, cells)) <= {int, float}:
+        return None
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%s"] * widths.pop()) + inner + "]"
+    return ("," + inner).join([row] * len(rows)) % tuple(_json_numbers(cells))
+
+
+def _json_numbers(values) -> list[str]:
+    texts = list(map(repr, values))
+    return list(map(_JSON_FLOAT_WORDS.get, texts, texts))
 
 
 def csv_rows(times: np.ndarray, ids: list[str],

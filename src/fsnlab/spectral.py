@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,7 +78,11 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a real symmetric matrix by LAPACK.
 
     Returns (eigenvalues ascending, eigenvectors as columns).  Non-square,
-    non-symmetric and non-finite input is refused with SpectralError.
+    non-symmetric and non-finite input is refused with SpectralError, and
+    so is a decomposition that is not finite (eigenvalues past the float
+    range).  An exactly symmetric matrix, as every Laplacian builder
+    returns, goes to LAPACK as it is; any other is first replaced by
+    (M + M^T) / 2.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
@@ -89,15 +94,19 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if asym > _SYMMETRY_TOL * max(1.0, float(np.abs(M).max())):
         raise SpectralError(f"matrix is not symmetric: |M - M^T| = {asym:.3e}")
     try:
-        return np.linalg.eigh((M + M.T) / 2.0)
+        w, V = np.linalg.eigh(M if asym == 0.0 else (M + M.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigensolver failed: {exc}") from exc
+    if not (np.isfinite(w).all() and np.isfinite(V).all()):
+        raise SpectralError("eigendecomposition is not finite: the eigenvalues "
+                            "exceed the float range")
+    return w, V
 
 
 def _check_residual(M: np.ndarray, pair: EigenPair) -> None:
     res = float(np.abs(M @ pair.vector - pair.value * pair.vector).max())
     bound = _RESIDUAL_FACTOR * max(1.0, float(np.abs(M).max()))
-    if res > bound:
+    if not res <= bound:    # a NaN residual fails too
         raise SpectralError(f"eigen residual {res:.3e} exceeds {bound:.3e}")
 
 
@@ -158,17 +167,20 @@ def principal_pair_signed(L_Bs: np.ndarray) -> EigenPair:
     return EigenPair(pair.value, sign_normalize(pair.vector), True)
 
 
-def fiedler_pair(L: np.ndarray) -> EigenPair:
+def fiedler_pair(L: np.ndarray,
+                 pairs: Optional[list[EigenPair]] = None) -> EigenPair:
     """Second-smallest eigenpair of a graph Laplacian.
 
     Raises when the graph is disconnected (second eigenvalue numerically
     zero).  A repeated second eigenvalue is not an error: the pair comes
     back with ``is_simple`` False and the caller must treat vector-based
-    constructions as undefined.
+    constructions as undefined.  ``pairs``, when given, are at least the
+    two smallest eigenpairs of L from :func:`smallest_eigenpairs`, which
+    then is not run again.
     """
     if L.shape[0] < 2:
         raise SpectralError("Fiedler pair needs at least two nodes")
-    lam2 = smallest_eigenpairs(L, 2)[1]
+    lam2 = (pairs or smallest_eigenpairs(L, 2))[1]
     if lam2.value <= default_eps_gap(L):
         raise SpectralError(
             f"second eigenvalue {lam2.value:.3e} is numerically zero; "

@@ -372,3 +372,112 @@ class TestSeedEnv:
         run(capsys, "simulate", "g8", "--horizon", "1", "--out", str(c))
         assert a.read_text() == b.read_text()
         assert a.read_text() != c.read_text()
+
+
+def test_spectrum_past_the_float_range_is_refused(capsys, tmp_path):
+    """Weight 1e308 is finite, the Laplacian's eigenvalue 2e308 is not: the
+    decomposition is refused instead of printed as nan with exit 0."""
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": 2, "edges": [{"i": 1, "j": 2, "w": 1e308}]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert "nan" not in out
+    assert err == ("error: eigendecomposition is not finite: the eigenvalues "
+                   "exceed the float range\n")
+
+
+def test_spectrum_near_the_float_range_is_printed(capsys, tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"n": 2, "edges": [{"i": 1, "j": 2, "w": 6e307}]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert "Laplacian spectrum (smallest 2): 0, 1.2e+308  " in out
+    assert "Fiedler value 1.2e+308, simple" in out
+
+
+@pytest.mark.parametrize("name, solves", [("g8", 2), ("g8-signed", 3)])
+def test_analyze_decomposes_each_matrix_once(name, solves, capsys, monkeypatch):
+    """An unsigned network's Laplacian is also the matrix of its Fiedler
+    pair, so with the perturbed Laplacian g8 needs two decompositions; the
+    signed g8 has a signed, an absolute and a perturbed matrix."""
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    code, _, _ = run(capsys, "analyze", name)
+    assert code == 0
+    assert len(calls) == solves
+
+
+# Every fixture and mode whose selection is defined (the others need leaders).
+DEFINED_SELECTIONS = ([(name, mode) for name in ("g6", "g8")
+                       for mode in ("san-fsn", "san-ffn", "fan-fsn",
+                                    "signed-san-fsn")]
+                      + [("g8-signed", "fan-fsn"), ("g8-signed", "signed-san-fsn"),
+                         ("g12", "fan-fsn"), ("t12", "fan-fsn")])
+
+
+@pytest.mark.parametrize("name, mode", DEFINED_SELECTIONS)
+def test_report_file_is_json_dumps_of_the_reduction(name, mode, capsys, tmp_path):
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "select", name, "--mode", mode,
+                     "--report", str(report))
+    assert code in (0, 1)
+    net, cfg, _ = load_fixture(name)
+    want = json.dumps(Model(net, cfg).reduce(mode)[1], indent=2) + "\n"
+    assert report.read_text() == want
+
+
+class TestParserReuse:
+    # Flags set by one command must not leak into the next, and a usage
+    # error or --version (both SystemExit) must not spoil the parser.
+    SEQUENCE = [
+        ["select", "g8", "--mode", "san-fsn", "--out", "{tmp}/arcs.json",
+         "--report", "{tmp}/report.json"],
+        ["select", "g8", "--mode", "san-fsn"],
+        ["tempo", "g8", "--pairs", "7:3,7:6", "--first-component",
+         "--horizon", "20", "--out", "{tmp}/first.csv"],
+        ["select", "g8", "--mode", "no-such-mode"],
+        ["--version"],
+        ["tempo", "g8", "--pairs", "7:3,7:6", "--horizon", "20",
+         "--out", "{tmp}/norm.csv"],
+        ["analyze", "g8-signed"],
+        ["distributed-select", "t12", "--fan-tree", "--out", "{tmp}/dist.json"],
+    ]
+
+    def run_sequence(self, capsys, tmp):
+        tmp.mkdir()
+        runs = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main([a.format(tmp=tmp) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            runs.append((code, out.out.replace(str(tmp), "TMP"), out.err))
+        return runs, {p.name: p.read_bytes() for p in sorted(tmp.iterdir())}
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, tmp_path,
+                                                 monkeypatch):
+        build, builds = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        reused = self.run_sequence(capsys, tmp_path / "reused")
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_parser", build)   # a new parser per call
+        fresh = self.run_sequence(capsys, tmp_path / "fresh")
+        assert reused == fresh
+        runs, files = reused
+        assert [code for code, _, _ in runs] == [0, 0, 0, 2, 0, 0, 0, 0]
+        assert "wrote report" in runs[0][1] and "wrote report" not in runs[1][1]
+        assert runs[2][1] != runs[5][1]
+        assert "invalid choice: 'no-such-mode'" in runs[3][2]
+        assert runs[4][1].startswith("fsnlab ")
+        assert sorted(files) == ["arcs.json", "dist.json", "first.csv",
+                                 "norm.csv", "report.json"]
+
+    def test_handler_rebound_after_the_first_call_runs(self, capsys,
+                                                       monkeypatch):
+        assert run(capsys, "analyze", "g8")[0] == 0
+        monkeypatch.setattr(cli, "cmd_compare",
+                            lambda args: 42 if args.network == "g8" else 0)
+        assert run(capsys, "compare", "g8")[0] == 42

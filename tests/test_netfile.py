@@ -1,4 +1,5 @@
 import json
+import math
 import time
 
 import numpy as np
@@ -15,7 +16,23 @@ from fsnlab import (FIXTURE_NAMES, Arc, DirectedNetwork, NetworkFileError,
 from fsnlab.cli import main
 from fsnlab.graphs import Edge, Network
 from fsnlab.model import Model
-from fsnlab.netfile import CSV_BLOCK, fixture_text
+from fsnlab.netfile import CSV_BLOCK, fixture_text, json_text
+
+
+JSON_NUMBERS = st.one_of(
+    st.integers(-10**30, 10**30), st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan,
+                     math.inf, -math.inf]))
+# Lists of equal-length rows of numbers, which json_text writes as a table.
+JSON_TABLES = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(JSON_NUMBERS, min_size=k, max_size=k)
+    | st.tuples(*[JSON_NUMBERS] * k), min_size=1, max_size=5))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text() | JSON_TABLES,
+    lambda items: (st.lists(items, max_size=5)
+                   | st.lists(items, max_size=5).map(tuple)
+                   | st.dictionaries(st.text(), items, max_size=5)),
+    max_leaves=30)
 
 
 def ref_emit_trajectory(traj):
@@ -162,6 +179,20 @@ class TestRoundTrip:
                "arcs": [{"follower": a.follower, "followed": a.followed, "w": a.w}
                         for a in arcs]}
         assert serialize_arcs(dnet) == json.dumps(doc, indent=2) + "\n"
+
+    @given(JSON_VALUES)
+    @example({"nested": {"list": [1, [2.5, []], {}], "empty": {}},
+              "floats": [-0.0, 5e-324, 1.7976931348623157e308, math.nan,
+                         math.inf, -math.inf],
+              "table": [[1, -0.0, math.nan], [10**30, math.inf, 5e-324]],
+              "not a table": [[True, 1], [None, 2.5], [1, 2, 3]],
+              "scalars": [10**40, -10**40, True, False, None, ""],
+              "strings": ["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\"\\/\n\t"]})
+    @example([(1, 2.0), (3, 4.0)])
+    @example({"": [0], "0": [0]})     # dict values that would make a table
+    @settings(max_examples=300, deadline=None)
+    def test_json_text_is_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2)
 
     def test_arc_file_rejects_duplicates(self):
         doc = ('{"n": 2, "arcs": [{"follower": 1, "followed": 2}, '

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsnlab import (Edge, LeaderLink, Network, SemiAutonomousConfig,
+from fsnlab import (EigenPair, Edge, LeaderLink, Network, SemiAutonomousConfig,
                     SpectralError, entry_ratio, fiedler_pair, symmetric_eigh,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
                     sign_normalize, smallest_eigenpairs)
+from fsnlab.spectral import _check_residual
 
 from conftest import G8_V1, T12_V2, random_connected_net, random_leader_cfg
 
@@ -85,6 +86,18 @@ class TestSymmetricEighInput:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(SpectralError, match="did not converge"):
             symmetric_eigh(np.eye(2))
+
+    def test_eigenvalues_past_the_float_range_rejected(self):
+        # Finite entries, eigenvalue 2e308; symmetrizing by (M + M^T) / 2
+        # would overflow on the way.
+        M = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        with pytest.raises(SpectralError, match="not finite"):
+            symmetric_eigh(M)
+
+    def test_nan_residual_rejected(self):
+        pair = EigenPair(math.nan, np.array([1.0, 0.0]))
+        with pytest.raises(SpectralError, match="residual nan"):
+            _check_residual(np.eye(2), pair)
 
 
 class TestSmallestEigenpairs:
