@@ -176,9 +176,6 @@ class FiedlerClassification:
     eps_zero: float = 0.0
     violations: tuple[str, ...] = ()
 
-    def sign_of(self, node: int) -> int:
-        return self.node_sign[node - 1]
-
     @property
     def core_nodes(self) -> frozenset[int]:
         if self.case == "core-block":

@@ -33,9 +33,8 @@ from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
 from .spectral import SpectralError, default_eps_zero, entry_ratio
-from .tempo import (TempoError, first_component_ratio, g_ratio_series,
-                    run_algorithm1, run_distributed_fan_tree,
-                    tempo_limit_from_eigvec)
+from .tempo import (TempoError, g_ratio_series, run_algorithm1,
+                    run_distributed_fan_tree, tempo_limit_from_eigvec)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -226,12 +225,10 @@ def cmd_tempo(args) -> int:
     ok = True
     print(f"{'pair':>7}  {'sampled g (final)':>18}  {'eigvec ratio':>12}")
     for i, j in pairs:
-        series = (first_component_ratio(traj, i, j) if args.first_component
-                  else g_ratio_series(traj, i, j))
+        series = g_ratio_series(traj, i, j, args.first_component)
         if args.out:
             rows.extend(csv_rows(traj.times[1:], [f"{i},{j}"], series[:, None]))
-        finite = series[~np.isnan(series)]
-        final = float(finite[-1]) if len(finite) else float("nan")
+        final = float(series[-1])
         ref = None
         if args.first_component and zero[i - 1] and zero[j - 1]:
             # Both sit in a zero block, whose sampled ratio follows another
@@ -244,9 +241,11 @@ def cmd_tempo(args) -> int:
                 shown = f"{ref:>12.6g}"
             except TempoError:
                 shown = "diverges (neighbor sits at a zero entry)"
-        print(f"{i:>3}:{j:<3}  {final:>18.6g}  {shown}")
+        held = ("none (no sample above the noise floor)" if np.isnan(final)
+                else f"{final:.6g}")
+        print(f"{i:>3}:{j:<3}  {held:>18}  {shown}")
         if (ref is not None and np.isfinite(ref)
-                and abs(final - ref) > TEMPO_TOL * max(1.0, abs(ref))):
+                and not abs(final - ref) <= TEMPO_TOL * max(1.0, abs(ref))):
             ok = False
     if args.out:
         Path(args.out).write_text("".join(rows))
@@ -410,9 +409,7 @@ def cmd_compare(args) -> int:
     k10 = int(np.argmin(np.abs(traj0.times - 10.0)))
     for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
         series = g_ratio_series(traj0, hub, j)
-        finite = series[~np.isnan(series)]
-        sampled10 = float(series[k10 - 1])
-        settled = float(finite[-1]) if len(finite) else float("nan")
+        sampled10, settled = float(series[k10 - 1]), float(series[-1])
         try:
             ref = tempo_limit_from_eigvec(vec, [hub], [j])
         except TempoError:

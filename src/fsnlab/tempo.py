@@ -7,7 +7,8 @@ their neighbors from sampled data alone: each agent keeps a per-neighbor
 ratio of successive sample differences, updates it while the neighbor's
 difference stands above the rounding noise of the states (a floor of unit
 roundoff times the largest state seen, over the agent's ``eps``), and
-decides on the last such estimate.
+decides on the last such estimate.  :func:`g_ratio_series` gives, under
+the same floor, the estimate held at each sample of a simulated trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .graphs import (DirectedNetwork, Network, SemiAutonomousConfig,
 from .spectral import (default_eps_gap, default_eps_zero, fiedler_pair,
                        symmetric_eigh)
 
-EPS_STILL = 1e-14      # below this difference norm an agent counts as stalled
 DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
 DEFAULT_TIE_MARGIN = 0.02
@@ -56,39 +56,28 @@ def tempo_limit_from_eigvec(v: np.ndarray, group1: Iterable[int],
 
 
 def g_ratio_series(traj: Trajectory, i: int, j: int,
-                   eps_still: float = EPS_STILL) -> np.ndarray:
-    """Per-sample ratio of difference norms between agents i and j.
+                   first_component: bool = False) -> np.ndarray:
+    """Per-sample estimate of g_ij held by agent i, as in :func:`_settle`.
 
-    Entry k compares the step into sample k+1.  Rounds where agent j moved
-    less than ``eps_still`` produce NaN (the stalled sentinel).
+    The observable is a sample difference's norm, or with ``first_component``
+    its signed first coordinate (opposite-moving agents, the two ends of a
+    core pair, then show a negative limit).  Entry k is obs_i / obs_j of the
+    last step into samples 1..k+1 whose obs_j is above the noise floor at
+    ``DEFAULT_EPS``, NaN before the first such step.
     """
     if len(traj.times) < 2:
         raise TempoError("trajectory too short for difference ratios")
-    di = np.diff(traj.states[:, i - 1, :], axis=0)
-    dj = np.diff(traj.states[:, j - 1, :], axis=0)
-    num = np.linalg.norm(di, axis=1)
-    den = np.linalg.norm(dj, axis=1)
-    out = np.full(len(num), np.nan)
-    ok = den >= eps_still
-    out[ok] = num[ok] / den[ok]
-    return out
-
-
-def first_component_ratio(traj: Trajectory, u: int, v: int,
-                          eps_still: float = EPS_STILL) -> np.ndarray:
-    """Signed ratio of first-coordinate differences between agents u and v.
-
-    Unlike the norm ratio this preserves sign, so opposite-moving agents
-    (the two ends of a core pair) show a negative limit.
-    """
-    if len(traj.times) < 2:
-        raise TempoError("trajectory too short for difference ratios")
-    du = np.diff(traj.states[:, u - 1, 0])
-    dv = np.diff(traj.states[:, v - 1, 0])
-    out = np.full(len(du), np.nan)
-    ok = np.abs(dv) >= eps_still
-    out[ok] = du[ok] / dv[ok]
-    return out
+    observable = _first_coordinate if first_component else _norm_over_d
+    obs, seen = np.empty((2, len(traj.times) - 1)), np.empty((2, len(traj.times)))
+    for row, a in enumerate((i, j)):    # views of one agent, no gathered copy
+        x = traj.states[:, a - 1].T[None]                 # 1 x d x samples
+        obs[row], seen[row] = observable(np.diff(x))[0], _abs_max_over_d(x)[0]
+    seen = np.maximum.accumulate(seen, axis=1)[:, 1:]
+    above = _above_floor(obs, seen, 0, 1, UNIT_ROUNDOFF / DEFAULT_EPS)
+    ratio = np.divide(obs[0], obs[1], out=np.full(len(above), np.nan),
+                      where=above)
+    k = np.maximum.accumulate(np.where(above, np.arange(len(above)), -1))
+    return np.where(k >= 0, ratio[k], np.nan)
 
 
 @dataclass(frozen=True)
@@ -138,10 +127,8 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
         raise TempoError(f"x0 shape {x0.shape} does not match "
                          f"(n={net.n}, d={u.shape[1]})")
     shown = sorted(set(eps.values())) if isinstance(eps, dict) else eps
-    return _settle(net, L_B, forcing, x0,
-                   _norm_over_d,
-                   _eps_map(net, eps), delta, round_cap,
-                   f" (delta={delta}, eps={shown})")
+    return _settle(net, L_B, forcing, x0, _norm_over_d, _eps_map(net, eps),
+                   delta, round_cap, f" (delta={delta}, eps={shown})")
 
 
 def run_distributed_fan_tree(net: Network, x0: np.ndarray,
@@ -184,7 +171,7 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
         x0 = x0[:, None]
     if x0.shape[0] != net.n:
         raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
-    return _settle(net, L, np.zeros_like(x0), x0, lambda dx: dx[:, 0],
+    return _settle(net, L, np.zeros_like(x0), x0, _first_coordinate,
                    _eps_map(net, eps), delta, round_cap,
                    "; the ratio sign may not be separating on this tree")
 
@@ -271,9 +258,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
         seen[:, 0] = peak
         seen = np.maximum.accumulate(seen, axis=1)
         peak = seen[:, -1]
-        scale = np.maximum(seen[arc_i, 1:], seen[arc_j, 1:])
-        scale *= floor
-        above = np.abs(obs)[arc_j] > scale
+        above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, floor)
         quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
         done = quiet.any()
         end = firsts[quiet.argmax()] if done else length
@@ -303,6 +288,20 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
                                        net.w[edge[kept]],
                                        name=f"{net.name}-fsn-distributed")
     return dnet, TempoReport(tuple(entries))
+
+
+def _above_floor(obs: np.ndarray, seen: np.ndarray, i, j, floor) -> np.ndarray:
+    """The noise-floor test |obs_j| > u M_ij / eps on rows i and j (indices
+    or index arrays) of ``obs`` and of the running maxima ``seen``, with
+    ``floor`` = u / eps; gathered here, the rows live no longer than needed."""
+    scale = np.maximum(seen[i], seen[j])
+    scale *= floor
+    return np.abs(obs)[j] > scale
+
+
+def _first_coordinate(dx: np.ndarray) -> np.ndarray:
+    """First coordinate of an (agents, d, rounds) array, sign kept."""
+    return dx[:, 0]
 
 
 def _norm_over_d(dx: np.ndarray) -> np.ndarray:

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from fsnlab import (SimulationConfig, first_component_ratio, g_ratio_series,
-                    load_fixture, parse_arc_file, parse_trajectory, simulate)
+from fsnlab import (SimulationConfig, g_ratio_series, load_fixture,
+                    parse_arc_file, parse_trajectory, simulate,
+                    tempo_limit_from_eigvec)
 from fsnlab import cli
 from fsnlab.cli import main
 from fsnlab.model import Model
+from fsnlab.netfile import fixture_text
+from fsnlab.tempo import DEFAULT_EPS
 
 from conftest import G8_FSN
 
@@ -241,10 +244,9 @@ class TestTempo:
         model = Model(net, cfg)
         x0 = np.random.default_rng(7).random((net.n, cfg.d))
         traj = simulate(model.generator(), model.drive, x0, SimulationConfig())
-        ratio = first_component_ratio if first_component else g_ratio_series
         rows = ["t,follower,followed,value"]
         for i, j in [(7, 3), (7, 6), (7, 8)]:
-            for k, v in enumerate(ratio(traj, i, j)):
+            for k, v in enumerate(g_ratio_series(traj, i, j, first_component)):
                 rows.append(f"{traj.times[k+1]:.17g},{i},{j},{v:.17g}")
         assert path.read_text() == "\n".join(rows) + "\n"
         assert code == 0
@@ -358,6 +360,86 @@ class TestCompareNoiseFloor:
         assert "rate fit failed: error signal already at numerical floor" in out
         assert "'rate_fit'" in out
         assert "all checks passed" not in out
+
+
+def g12_hub_pairs():
+    net, _, _ = load_fixture("g12")
+    indptr, nbr, _ = net.adjacency
+    hub = int(np.argmax(np.diff(indptr))) + 1
+    return [(hub, j) for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist()]
+
+
+class TestHeldEstimate:
+    @pytest.mark.parametrize("first_component", [False, True])
+    def test_pair_without_estimate_fails(self, first_component, capsys,
+                                         tmp_path):
+        # A consensus x0 never moves, so no sample difference clears the
+        # noise floor and neither pair gets an estimate to check.
+        doc = json.loads(fixture_text("t12"))
+        doc["x0"] = [0.5] * 12
+        path = tmp_path / "still.json"
+        path.write_text(json.dumps(doc))
+        argv = ["tempo", str(path), "--pairs", "1:3,4:6"]
+        if first_component:
+            argv.append("--first-component")
+        code, out, _ = run(capsys, *argv)
+        rows = out.splitlines()
+        assert code == 1
+        for row in rows[1:3]:
+            assert "  none (no sample above the noise floor)  " in row
+        assert rows[3].startswith("FAILED")
+
+    @pytest.mark.parametrize("seed", [70, 240])
+    def test_g12_hub_pairs_end_on_the_eigenvector_ratio(
+            self, seed, capsys, tmp_path, monkeypatch):
+        # At these seeds every ratio of g12's last 50 samples lies below the
+        # noise floor; the held estimate still ends on the limit.
+        monkeypatch.setenv("FSNLAB_SEED", str(seed))
+        pairs = g12_hub_pairs()
+        path = tmp_path / "g12.csv"
+        code, _, _ = run(capsys, "tempo", "g12", "--pairs",
+                         ",".join(f"{i}:{j}" for i, j in pairs),
+                         "--out", str(path))
+        assert code == 0
+        net, cfg, _ = load_fixture("g12")
+        vec = Model(net, cfg).pair().vector
+        rows = path.read_text().splitlines()[1:]
+        steps = len(rows) // len(pairs)
+        for p, (i, j) in enumerate(pairs):
+            last = float(rows[(p + 1) * steps - 1].rsplit(",", 1)[1])
+            ref = tempo_limit_from_eigvec(vec, [i], [j])
+            assert abs(last - ref) <= cli.TEMPO_TOL * max(1.0, ref)
+
+    @pytest.mark.parametrize("seed", [13, 39])
+    def test_held_finals_survive_roundoff_perturbation(self, seed, capsys,
+                                                       monkeypatch):
+        # The final held estimate of every g12 hub pair, in tempo and in
+        # compare, moves by at most 10 eps relative when x0 moves by 1e-13
+        # relative.  At these seeds the last raw ratio above an absolute
+        # 1e-14 moved by more (1.9e-3 and 1.8e-3).
+        monkeypatch.setenv("FSNLAB_SEED", str(seed))
+        series, resolve = cli.g_ratio_series, cli._resolve_x0
+        pairs = ",".join(f"{i}:{j}" for i, j in g12_hub_pairs())
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(12, 1))
+
+        def finals(scale):
+            got = []
+
+            def record(*args):
+                held = series(*args)
+                got.append(held[-1])
+                return held
+
+            monkeypatch.setattr(cli, "g_ratio_series", record)
+            monkeypatch.setattr(cli, "_resolve_x0", lambda net, cfg, x0:
+                                resolve(net, cfg, x0) * (1 + scale * signs))
+            assert run(capsys, "tempo", "g12", "--pairs", pairs)[0] == 0
+            assert run(capsys, "compare", "g12")[0] == 0
+            return np.array(got)
+
+        base, moved = finals(0.0), finals(1e-13)
+        assert len(base) == 12 and np.isfinite(base).all()
+        assert np.all(np.abs(moved - base) <= 10 * DEFAULT_EPS * np.abs(base))
 
 
 class TestSeedEnv:

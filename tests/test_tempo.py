@@ -10,9 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from fsnlab import (Edge, Network, SemiAutonomousConfig, LeaderLink,
                     SimulationConfig, TempoError, block_cut_tree,
-                    classify_fiedler, entry_ratio, fiedler_pair,
-                    first_component_ratio, fsn_fan, fsn_san, g_ratio_series,
-                    laplacian, perturbed_laplacian, principal_pair_perturbed,
+                    classify_fiedler, entry_ratio, fiedler_pair, fsn_fan,
+                    fsn_san, g_ratio_series, laplacian, perturbed_laplacian, principal_pair_perturbed,
                     run_algorithm1, run_distributed_fan_tree, simulate,
                     tempo_limit_from_eigvec, tempo_limit_oracle)
 
@@ -89,6 +88,33 @@ class TestGRatioSeries:
         with pytest.raises(TempoError, match="short"):
             g_ratio_series(single, 1, 2)
 
+    @pytest.mark.parametrize("first_component", [False, True])
+    def test_holds_the_last_ratio_above_the_noise_floor(self, g8,
+                                                        first_component):
+        # Per-sample reference: M is the running maximum of |x| over both
+        # agents' coordinates from x0 on, and a step updates the estimate
+        # only while |obs_j| > u M / eps.  By t = 400 the differences of g8
+        # have sunk below that floor, so the tail repeats the last estimate.
+        net, cfg, _ = g8
+        x0 = np.random.default_rng(7).random((8, 3))
+        traj = san_traj(net, cfg, x0, horizon=400.0, dt=0.05)
+        x = traj.states[:, [6, 2]]
+        peak, held, want, below = float(np.abs(x[0]).max()), np.nan, [], 0
+        for k in range(1, len(x)):
+            peak = max(peak, float(np.abs(x[k]).max()))
+            dx = x[k] - x[k - 1]
+            obs = (dx[:, 0] if first_component
+                   else [math.sqrt(sum(v * v for v in row.tolist()))
+                         for row in dx])
+            if abs(obs[1]) > peak * (UNIT_ROUNDOFF / tempo.DEFAULT_EPS):
+                held = obs[0] / obs[1]
+            else:
+                below += 1
+            want.append(held)
+        got = g_ratio_series(traj, 7, 3, first_component)
+        assert below > 1000
+        assert got.tobytes() == np.array(want).tobytes()
+
     def test_stalled_rounds_marked_nan(self):
         from fsnlab import Trajectory
         states = np.zeros((3, 2, 1))
@@ -103,7 +129,7 @@ class TestFirstComponentRatio:
         net, _, x0 = t12
         traj = simulate(laplacian(net), None, x0,
                         SimulationConfig(horizon=60.0))
-        series = first_component_ratio(traj, 4, 6)
+        series = g_ratio_series(traj, 4, 6, first_component=True)
         v2 = fiedler_pair(laplacian(net)).vector
         expect = v2[3] / v2[5]
         assert abs(series[-1] - expect) < 1e-3
@@ -114,7 +140,7 @@ class TestFirstComponentRatio:
         net, _, x0 = t12
         traj = simulate(laplacian(net), None, x0,
                         SimulationConfig(horizon=5.0))
-        series = first_component_ratio(traj, 4, 4)
+        series = g_ratio_series(traj, 4, 4, first_component=True)
         assert np.allclose(series[~np.isnan(series)], 1.0)
 
     def test_core_node_denominator_diverges(self):
@@ -124,7 +150,7 @@ class TestFirstComponentRatio:
         x0 = np.random.default_rng(3).random(5)
         traj = simulate(laplacian(net), None, x0,
                         SimulationConfig(horizon=40.0))
-        series = first_component_ratio(traj, 2, 3)
+        series = g_ratio_series(traj, 2, 3, first_component=True)
         finite = series[~np.isnan(series)]
         assert abs(finite[-1]) > 100.0
 
@@ -297,7 +323,7 @@ class TestSampledTempoMatchesEigvec:
             gap = max(lam[1].value - lam[0].value, 0.05)
             # The ratio error shrinks like exp(-gap t) but the derivative
             # signal itself dies like exp(-lam1 t); skip cases where it
-            # drops below the stall floor before the ratio can settle.
+            # drops below the noise floor before the ratio can settle.
             stall_time = np.log(5e8 * max(lam[0].value, 1e-3)) / lam[0].value
             if np.exp(-gap * stall_time) > 5e-3:
                 continue
@@ -306,20 +332,20 @@ class TestSampledTempoMatchesEigvec:
             traj = simulate(L_B, (cfg.input_matrix(n), cfg.input_vectors()),
                             x0, SimulationConfig(dt=0.05, horizon=horizon))
             edge = net.edges[int(rng.integers(0, len(net.edges)))]
-            # A large stall threshold keeps the tail clear of float
-            # cancellation in the sample differences.
-            series = g_ratio_series(traj, edge.i, edge.j, eps_still=1e-10)
-            finite = series[~np.isnan(series)]
-            if len(finite) < 40:
+            series = g_ratio_series(traj, edge.i, edge.j)
+            # The above-floor estimates, without the held repeats between.
+            fresh = series[~np.isnan(series)]
+            fresh = fresh[np.r_[True, fresh[1:] != fresh[:-1]]]
+            if len(fresh) < 40:
                 continue
             # Only a series that visibly settled can be compared; an
             # unluckily weak dominant mode may die before converging.
-            tail = finite[-40:]
+            tail = fresh[-40:]
             if float(tail.max() - tail.min()) > 1e-3:
                 continue
             evaluated += 1
             want = tempo_limit_from_eigvec(pair.vector, [edge.i], [edge.j])
-            assert abs(float(finite[-1]) - want) < 1e-2 * max(1.0, want)
+            assert abs(float(series[-1]) - want) < 1e-2 * max(1.0, want)
         assert evaluated >= 60
 
 
