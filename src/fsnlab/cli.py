@@ -222,7 +222,7 @@ def cmd_tempo(args) -> int:
     zero = np.abs(vec) <= default_eps_zero(vec)
 
     rows = ["t,follower,followed,value\n"]
-    ok = True
+    far, unheld = False, []
     print(f"{'pair':>7}  {'sampled g (final)':>18}  {'eigvec ratio':>12}")
     for i, j in pairs:
         series = g_ratio_series(traj, i, j, args.first_component)
@@ -244,17 +244,22 @@ def cmd_tempo(args) -> int:
         held = ("none (no sample above the noise floor)" if np.isnan(final)
                 else f"{final:.6g}")
         print(f"{i:>3}:{j:<3}  {held:>18}  {shown}")
-        if (ref is not None and np.isfinite(ref)
-                and not abs(final - ref) <= TEMPO_TOL * max(1.0, abs(ref))):
-            ok = False
+        if ref is None or not np.isfinite(ref):
+            continue
+        if np.isnan(final):
+            unheld.append(f"{i}:{j}")
+        elif not abs(final - ref) <= TEMPO_TOL * max(1.0, abs(ref)):
+            far = True
     if args.out:
         Path(args.out).write_text("".join(rows))
         print(f"wrote series to {args.out}")
-    if not ok:
+    if unheld:
+        print(f"FAILED: no sampled tempo for {', '.join(unheld)}: no sample "
+              "difference of the followed agent rose above the noise floor")
+    if far:
         print(f"FAILED: sampled tempo differs from eigenvector ratio by more "
               f"than {TEMPO_TOL:g} (lengthen --horizon?)")
-        return EXIT_VERIFY
-    return EXIT_OK
+    return EXIT_VERIFY if unheld or far else EXIT_OK
 
 
 # ------------------------------------------------------- distributed-select

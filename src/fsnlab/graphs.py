@@ -138,8 +138,8 @@ class _Graph:
     """Storage shared by :class:`Network` and :class:`DirectedNetwork`.
 
     ``i``, ``j`` (int64 node ids) and ``w`` (float) are read-only arrays
-    with one entry per edge or arc.  The records view is the tuple given to
-    the constructor, or is built from the arrays when first read.  Instances
+    with one entry per edge or arc.  The records view is built from the
+    arrays when first read, so equal graphs have equal records.  Instances
     are immutable; two are equal when their node counts, names and arrays
     are.
     """
@@ -152,7 +152,7 @@ class _Graph:
         """The graph of parallel id and weight columns (arrays or lists),
         validated as the constructor validates records; no record is built."""
         graph = cls.__new__(cls)
-        graph._build(n, (i, j, w), name, None)
+        graph._build(n, (i, j, w), name)
         return graph
 
     @classmethod
@@ -171,16 +171,13 @@ class _Graph:
         d["n"], d["name"] = n, name
         d["i"], d["j"], d["w"] = arrays
 
-    def _build(self, n, cols, name, records) -> None:
+    def _build(self, n, cols, name) -> None:
         _check_node_count(n)
-        if records is not None:
-            self.__dict__[self._view] = records
         arrays = _columns(*cols)
         if arrays is None or not self._valid(*arrays, n):
             self.__dict__["n"] = n
-            if records is None:
-                self.__dict__[self._view] = tuple(map(self._record, *(
-                    c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
+            self.__dict__[self._view] = tuple(map(self._record, *(
+                c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
             self._refuse()
             raise GraphError(f"{self._view} cannot be stored as arrays")
         self._store(n, name, arrays)
@@ -214,7 +211,7 @@ class Network(_Graph):
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), name: str = ""):
         edges = tuple(edges)
-        self._build(n, [list(map(attrgetter(f), edges)) for f in "ijw"], name, edges)
+        self._build(n, [list(map(attrgetter(f), edges)) for f in "ijw"], name)
 
     @staticmethod
     def _valid(i, j, w, n) -> bool:
@@ -376,8 +373,7 @@ class DirectedNetwork(_Graph):
 
     def __init__(self, n: int, arcs: Iterable[Arc] = (), name: str = ""):
         arcs = tuple(arcs)
-        self._build(n, [list(map(attrgetter(f), arcs)) for f in Arc._fields],
-                    name, arcs)
+        self._build(n, [list(map(attrgetter(f), arcs)) for f in Arc._fields], name)
 
     @staticmethod
     def _valid(i, j, w, n) -> bool:

@@ -250,10 +250,9 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
     as :func:`json_text` writes a list of scalars (a float by
     ``float.__repr__``), which is how the json module writes them.
     """
-    records = dnet.arcs
-    weights = _json_items([a.w for a in records], "")
-    arcs = ",\n".join([_ARC_TEMPLATE % (a.follower, a.followed, w)
-                        for a, w in zip(records, weights)])
+    weights = _json_items(dnet.w.tolist(), "")
+    arcs = ",\n".join([_ARC_TEMPLATE % arc for arc in
+                        zip(dnet.i.tolist(), dnet.j.tolist(), weights)])
     return '{\n  "name": %s,\n  "n": %d,\n  "arcs": %s\n}\n' % (
         json.dumps(dnet.name), dnet.n, f"[\n{arcs}\n  ]" if arcs else "[]")
 

@@ -6,7 +6,7 @@ eigenvector that dominates the derivative decay.  Agents can therefore rank
 their neighbors from sampled data alone: each agent keeps a per-neighbor
 ratio of successive sample differences, updates it while the neighbor's
 difference stands above the rounding noise of the states (a floor of unit
-roundoff times the largest state seen, over the agent's ``eps``), and
+roundoff times the largest state seen, over ``eps``), and
 decides on the last such estimate.  :func:`g_ratio_series` gives, under
 the same floor, the estimate held at each sample of a simulated trajectory.
 """
@@ -68,12 +68,12 @@ def g_ratio_series(traj: Trajectory, i: int, j: int,
     if len(traj.times) < 2:
         raise TempoError("trajectory too short for difference ratios")
     observable = _first_coordinate if first_component else _norm_over_d
-    obs, seen = np.empty((2, len(traj.times) - 1)), np.empty((2, len(traj.times)))
-    for row, a in enumerate((i, j)):    # views of one agent, no gathered copy
-        x = traj.states[:, a - 1].T[None]                 # 1 x d x samples
-        obs[row], seen[row] = observable(np.diff(x))[0], _abs_max_over_d(x)[0]
-    seen = np.maximum.accumulate(seen, axis=1)[:, 1:]
-    above = _above_floor(obs, seen, 0, 1, UNIT_ROUNDOFF / DEFAULT_EPS)
+    # 2 x d x samples, agent-major as _settle lays out its states: numpy then
+    # reduces d in the engine's order, and faster than over a contiguous d.
+    x = np.array([traj.states[:, a - 1].T for a in (i, j)])
+    obs = observable(np.diff(x))
+    seen = np.maximum.accumulate(np.abs(x).max(axis=1), axis=1)[:, 1:]
+    above = _above_floor(obs, seen, 0, 1, DEFAULT_EPS)
     ratio = np.divide(obs[0], obs[1], out=np.full(len(above), np.nan),
                       where=above)
     k = np.maximum.accumulate(np.where(above, np.arange(len(above)), -1))
@@ -96,7 +96,7 @@ class TempoReport:
 
 def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
                    delta: float = DEFAULT_DELTA,
-                   eps: float | dict[int, float] = DEFAULT_EPS,
+                   eps: float = DEFAULT_EPS,
                    round_cap: int = ROUND_CAP,
                    ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection from sampled state data.
@@ -111,7 +111,7 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
     dropped from both sides.  An entry's ``rounds`` is the round of its
     agent's last estimate.
 
-    Raises when ``delta`` or some ``eps`` is not finite and positive, and
+    Raises when ``delta`` or ``eps`` is not finite and positive, and
     when some estimate is still above its floor after ``round_cap`` rounds.
     """
     if not is_connected(net):
@@ -126,14 +126,13 @@ def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
     if x0.shape != (net.n, u.shape[1]):
         raise TempoError(f"x0 shape {x0.shape} does not match "
                          f"(n={net.n}, d={u.shape[1]})")
-    shown = sorted(set(eps.values())) if isinstance(eps, dict) else eps
-    return _settle(net, L_B, forcing, x0, _norm_over_d, _eps_map(net, eps),
-                   delta, round_cap, f" (delta={delta}, eps={shown})")
+    return _settle(net, L_B, forcing, x0, _norm_over_d, eps, delta,
+                   round_cap, f" (delta={delta}, eps={eps})")
 
 
 def run_distributed_fan_tree(net: Network, x0: np.ndarray,
                              delta: float = DEFAULT_DELTA,
-                             eps: float | dict[int, float] = DEFAULT_EPS,
+                             eps: float = DEFAULT_EPS,
                              round_cap: int = 2 * ROUND_CAP,
                              ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection on an autonomous tree.
@@ -171,23 +170,14 @@ def run_distributed_fan_tree(net: Network, x0: np.ndarray,
         x0 = x0[:, None]
     if x0.shape[0] != net.n:
         raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
-    return _settle(net, L, np.zeros_like(x0), x0, _first_coordinate,
-                   _eps_map(net, eps), delta, round_cap,
+    return _settle(net, L, np.zeros_like(x0), x0, _first_coordinate, eps,
+                   delta, round_cap,
                    "; the ratio sign may not be separating on this tree")
-
-
-def _eps_map(net: Network, eps: float | dict[int, float]) -> dict[int, float]:
-    eps_map = eps if isinstance(eps, dict) else {i: eps for i in range(1, net.n + 1)}
-    for i, e in eps_map.items():
-        if not (math.isfinite(e) and e > 0):
-            raise TempoError(f"eps must be finite and positive, got {e} "
-                             f"for agent {i}")
-    return eps_map
 
 
 def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             observable: Callable[[np.ndarray], np.ndarray],
-            eps_map: dict[int, float], delta: float, round_cap: int,
+            eps: float, delta: float, round_cap: int,
             stall_hint: str) -> tuple[DirectedNetwork, TempoReport]:
     """The decide-and-retain loop both distributed selections share.
 
@@ -195,11 +185,11 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     applied as its affine map (:func:`step_map`), and reduces each agent's
     sample difference to one ``observable`` value.  Agent i's estimate for
     neighbor j is g = obs_i / obs_j, updated in every round where
-    |obs_j| > u M_ij / eps_i, with u the unit roundoff and M_ij the largest
+    |obs_j| > u M_ij / eps, with u the unit roundoff and M_ij the largest
     |x_i|, |x_j| seen so far (over coordinates and rounds, data agent i
     has).  A difference of two states of size M carries a rounding error
     of about u M, so above that floor obs_j, and with it g, is resolved to
-    a relative accuracy of about eps_i; below it g would be noise.  The
+    a relative accuracy of about eps; below it g would be noise.  The
     running maximum keeps the floor from sinking with states that decay
     toward zero.  Each arc decides on its last such estimate, and an
     agent's ``rounds`` is the round of its last estimate.  The run ends
@@ -223,15 +213,17 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     their last estimate before the first block with none above its floor,
     and the rounds computed after that block are discarded.
     ``observable`` maps the differences of a super-block, agents x d x
-    rounds, to agents x rounds.
+    rounds, to agents x rounds.  numpy reduces that strided d axis in
+    coordinate order, so for d >= 8 a norm may differ in its last bits
+    from ``np.linalg.norm`` over a contiguous d axis, which sums pairwise.
     """
-    if not (math.isfinite(delta) and delta > 0):
-        raise TempoError(f"delta must be finite and positive, got {delta}")
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise TempoError(f"{name} must be finite and positive, got {value}")
     n, d = x0.shape
     indptr, arc_j, edge = net.adjacency
     arc_i = np.repeat(np.arange(n), np.diff(indptr))
     m = len(arc_j)
-    floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])[:, None]
 
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
@@ -254,11 +246,11 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
         xt = np.ascontiguousarray(x.reshape(length + 1, n * d).T)
         xt = xt.reshape(n, d, length + 1)       # agents x d x rounds
         obs = observable(xt[:, :, 1:] - xt[:, :, :-1])
-        seen = _abs_max_over_d(xt)
+        seen = np.abs(xt).max(axis=1)
         seen[:, 0] = peak
         seen = np.maximum.accumulate(seen, axis=1)
         peak = seen[:, -1]
-        above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, floor)
+        above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
         quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
         done = quiet.any()
         end = firsts[quiet.argmax()] if done else length
@@ -290,12 +282,13 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     return dnet, TempoReport(tuple(entries))
 
 
-def _above_floor(obs: np.ndarray, seen: np.ndarray, i, j, floor) -> np.ndarray:
+def _above_floor(obs: np.ndarray, seen: np.ndarray, i, j,
+                 eps: float) -> np.ndarray:
     """The noise-floor test |obs_j| > u M_ij / eps on rows i and j (indices
-    or index arrays) of ``obs`` and of the running maxima ``seen``, with
-    ``floor`` = u / eps; gathered here, the rows live no longer than needed."""
+    or index arrays) of ``obs`` and of the running maxima ``seen``; gathered
+    here, the rows live no longer than needed."""
     scale = np.maximum(seen[i], seen[j])
-    scale *= floor
+    scale *= UNIT_ROUNDOFF / eps
     return np.abs(obs)[j] > scale
 
 
@@ -305,49 +298,8 @@ def _first_coordinate(dx: np.ndarray) -> np.ndarray:
 
 
 def _norm_over_d(dx: np.ndarray) -> np.ndarray:
-    """Euclidean norm over axis 1 of an (agents, d, rounds) array.
-
-    Bit for bit ``np.linalg.norm`` over a contiguous d axis: one square
-    per coordinate slice, summed in the order numpy's ``add.reduce`` sums
-    a contiguous run (see :func:`_sum_in_numpy_order`).
-    """
-    return np.sqrt(_sum_in_numpy_order([dx[:, k] * dx[:, k]
-                                        for k in range(dx.shape[1])]))
-
-
-def _sum_in_numpy_order(terms: list[np.ndarray]) -> np.ndarray:
-    """Elementwise sum of equal-shape arrays in numpy's pairwise order.
-
-    Fewer than 8 terms are added left to right; up to 128 go into 8
-    interleaved partial sums joined as a balanced tree, with the last
-    len % 8 added after; longer lists are split at a multiple of 8 near
-    the middle and the two halves summed the same way.
-    """
-    t = len(terms)
-    if t < 8:
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        return total
-    if t <= 128:
-        part = terms[:8]
-        for a in range(8, t - t % 8, 8):
-            part = [p + term for p, term in zip(part, terms[a:a + 8])]
-        total = (((part[0] + part[1]) + (part[2] + part[3]))
-                 + ((part[4] + part[5]) + (part[6] + part[7])))
-        for term in terms[t - t % 8:]:
-            total = total + term
-        return total
-    half = t // 2 - t // 2 % 8
-    return _sum_in_numpy_order(terms[:half]) + _sum_in_numpy_order(terms[half:])
-
-
-def _abs_max_over_d(x: np.ndarray) -> np.ndarray:
-    """``np.abs(x).max(axis=1)`` of an (agents, d, rounds) array, by slices."""
-    out = np.abs(x[:, 0])
-    for k in range(1, x.shape[1]):
-        np.maximum(out, np.abs(x[:, k]), out=out)
-    return out
+    """Euclidean norm over axis 1 of an (agents, d, rounds) array."""
+    return np.linalg.norm(dx, axis=1)
 
 
 def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],

@@ -161,6 +161,20 @@ class TestRoundTrip:
         again = parse_arc_file(serialize_arcs(dnet))
         assert again == dnet
 
+    def test_equal_graphs_write_the_same_bytes(self):
+        # Records and arrays give equal graphs, so they must give equal
+        # records and equal files: an int weight is stored as a float.
+        dnet = DirectedNetwork(2, (Arc(1, 2, 1),))
+        same = DirectedNetwork.from_arrays(2, [1], [2], [1])
+        assert dnet == same and dnet.arcs == same.arcs
+        assert type(dnet.arcs[0].w) is float
+        assert serialize_arcs(dnet) == serialize_arcs(same)
+        assert '"w": 1.0\n' in serialize_arcs(dnet)
+        net = Network(2, (Edge(1, 2, 3),))
+        again = Network.from_arrays(2, [1], [2], [3])
+        assert net.edges == again.edges and type(net.edges[0].w) is float
+        assert serialize_network(net) == serialize_network(again)
+
     @given(st.text(), st.lists(
         st.tuples(st.integers(1, 6), st.integers(1, 6),
                   st.one_of(st.integers(-10**20, 10**20),
@@ -172,12 +186,13 @@ class TestRoundTrip:
     @example('q"uo\\te \u00e9\u4e2d\U0001f600\n', [(1, 2, 1), (2, 1, -2.5)])
     @settings(max_examples=120, deadline=None)
     def test_serialize_arcs_is_json_dumps(self, name, arcs):
-        """The template writer gives the bytes of the json module."""
+        """The template writer gives the bytes of the json module; a
+        weight is stored, and written, as a float."""
         arcs = [Arc(i, j, w) for i, j, w in arcs if i != j]
         dnet = DirectedNetwork(6, tuple(arcs), name=name)
         doc = {"name": name, "n": 6,
-               "arcs": [{"follower": a.follower, "followed": a.followed, "w": a.w}
-                        for a in arcs]}
+               "arcs": [{"follower": a.follower, "followed": a.followed,
+                         "w": float(a.w)} for a in arcs]}
         assert serialize_arcs(dnet) == json.dumps(doc, indent=2) + "\n"
 
     @given(JSON_VALUES)

@@ -207,10 +207,9 @@ class TestAlgorithm1:
         with pytest.raises(TempoError) as exc:
             run_algorithm1(net, cfg, x0, round_cap=10)
         assert str(exc.value).endswith("within 10 rounds (delta=0.01, eps=0.0001)")
-        eps = {i: (1e-4 if i < 5 else 1e-3) for i in range(1, 9)}
         with pytest.raises(TempoError) as exc:
-            run_algorithm1(net, cfg, x0, eps=eps, round_cap=10)
-        assert str(exc.value).endswith("(delta=0.01, eps=[0.0001, 0.001])")
+            run_algorithm1(net, cfg, x0, eps=1e-3, round_cap=10)
+        assert str(exc.value).endswith("within 10 rounds (delta=0.01, eps=0.001)")
 
     def test_ordering_settles_before_termination(self, g8):
         # The sign of (g - 1) is fixed over the last quarter of the rounds:
@@ -289,9 +288,7 @@ class TestAlgorithm1:
     @pytest.mark.parametrize("kind", ["leaders", "tree"])
     @pytest.mark.parametrize("arg,value", [
         ("delta", 0.0), ("delta", -0.01), ("delta", np.nan), ("delta", np.inf),
-        ("eps", 0.0), ("eps", -1.0), ("eps", np.nan), ("eps", np.inf),
-        pytest.param("eps", {i: 1e-4 if i != 5 else -1e-4 for i in range(1, 13)},
-                     id="eps-one-agent-negative")])
+        ("eps", 0.0), ("eps", -1.0), ("eps", np.nan), ("eps", np.inf)])
     def test_bad_delta_or_eps_rejected(self, g8, t12, kind, arg, value):
         if kind == "leaders":
             net, cfg, _ = g8
@@ -300,9 +297,8 @@ class TestAlgorithm1:
         else:
             net, _, x0 = t12
             run, args = run_distributed_fan_tree, (net, x0)
-        bad = value[5] if isinstance(value, dict) else value
         with pytest.raises(TempoError, match=f"{arg} must be finite and "
-                                             f"positive, got {bad}"):
+                                             f"positive, got {value}$"):
             run(*args, **{arg: value})
 
 
@@ -599,7 +595,7 @@ class TestEnginePinned:
 # ------------------------------------------- super-blocked settle vs per-block
 
 
-def per_block_settle(net, G, forcing, x0, observable, eps_map, delta,
+def per_block_settle(net, G, forcing, x0, observable, eps, delta,
                      round_cap, stall_hint):
     """The settle loop with all bookkeeping once per block, as it was before
     super-blocks, kept as the reference the super-blocked loop must match.
@@ -612,12 +608,13 @@ def per_block_settle(net, G, forcing, x0, observable, eps_map, delta,
         observable = lambda dx: np.linalg.norm(dx, axis=2)  # noqa: E731
     else:
         observable = lambda dx: dx[:, :, 0]  # noqa: E731
-    if not (math.isfinite(delta) and delta > 0):
-        raise TempoError(f"delta must be finite and positive, got {delta}")
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise TempoError(f"{name} must be finite and positive, got {value}")
     n, d = x0.shape
     indptr, arc_j, edge = net.adjacency
     arc_i = np.repeat(np.arange(n), np.diff(indptr))
-    floor = UNIT_ROUNDOFF / np.array([eps_map[i + 1] for i in arc_i])
+    floor = UNIT_ROUNDOFF / eps
 
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
@@ -693,11 +690,7 @@ def settle_cases(draw):
         net = random_connected_net(rng, n)
         cfg = random_leader_cfg(rng, n, d=d)
     x0 = rng.random((n, d))
-    eps = draw(st.one_of(
-        st.sampled_from([1e-3, 1e-4, 1e-5]),
-        st.builds(lambda e: dict(enumerate(e, start=1)),
-                  st.lists(st.sampled_from([1e-3, 1e-4, 1e-5]),
-                           min_size=n, max_size=n))))
+    eps = draw(st.sampled_from([1e-3, 1e-4, 1e-5]))
     span = settle_span(net, d)
     cap = draw(st.one_of(st.none(), st.sampled_from(
         [1, BLOCK - 1, BLOCK, BLOCK + 1, span - 1, span, span + 1,
@@ -758,22 +751,34 @@ def _agent_major(x):
     return np.ascontiguousarray(x.transpose(1, 2, 0))
 
 
-WIDE = np.random.default_rng(3).standard_normal((2, 3, 300))
-
-
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 5),
-                                        st.integers(1, 20)),
+                                        st.integers(1, 7)),
                   elements=st.floats(allow_nan=False)))
 @example(np.array([[[5e-324, 2.2e-308, -1e-310], [1e300, -1e200, 3e154]]]))
-@example(WIDE[:, :, :129] * 1e-160)
-@example(WIDE * 1e150)
 @settings(max_examples=300, deadline=None)
 def test_reductions_over_d_match_numpy_bit_for_bit(x):
-    # x is (rounds, agents, d), the engine's reductions read (agents, d,
-    # rounds); subnormal and huge entries underflow or overflow the squares.
+    # x is (rounds, agents, d), the engine's norm reads (agents, d, rounds);
+    # subnormal and huge entries underflow or overflow the squares.  Below
+    # d = 8 numpy sums a contiguous d axis in order too (the wider case is
+    # test_wide_leader_network_matches_centralized).
     with np.errstate(over="ignore", under="ignore"):
         norm = np.linalg.norm(x, axis=2).T
         got = tempo._norm_over_d(_agent_major(x))
     assert got.tobytes() == np.ascontiguousarray(norm).tobytes()
-    peak = np.ascontiguousarray(np.abs(x).max(axis=2).T)
-    assert tempo._abs_max_over_d(_agent_major(x)).tobytes() == peak.tobytes()
+
+
+def test_wide_leader_network_matches_centralized(g8):
+    # d = 12: the engine reduces the strided d axis in coordinate order,
+    # round-major np.linalg.norm sums it pairwise; they may differ by rounding.
+    net, cfg, _ = g8
+    rng = np.random.default_rng(12)
+    cfg = dataclasses.replace(cfg, inputs=tuple(
+        tuple(rng.random(12).tolist()) for _ in range(cfg.m)))
+    x0 = rng.random((8, 12))
+    dnet, _ = run_algorithm1(net, cfg, x0)
+    v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
+    assert dnet.arc_set == fsn_san(net, cfg, v1).arc_set == G8_FSN
+    dx = np.diff(san_traj(net, cfg, x0, horizon=20.0).states, axis=0)
+    want = np.linalg.norm(dx, axis=2).T
+    got = tempo._norm_over_d(_agent_major(dx))
+    assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
