@@ -27,9 +27,9 @@ from .selection import (ffn_san, fiedler_lower_bound, fsn_fan, fsn_san,
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
                        empirical_rate, fan_fsn_consensus_value, simulate,
                        steady_state_san)
-from .tempo import (TempoError, TempoEstimate, TempoReport, g_ratio_series,
-                    run_algorithm1, run_distributed_fan_tree,
-                    tempo_limit_from_eigvec, tempo_limit_oracle)
+from .model import Model
+from .tempo import (TempoError, TempoEstimate, TempoReport, distributed_select,
+                    g_ratio_series, tempo_limit_from_eigvec, tempo_limit_oracle)
 from .netfile import (FIXTURE_NAMES, NetworkFileError, emit_trajectory,
                       load_fixture, parse_arc_file, parse_network_file,
                       parse_trajectory, serialize_arcs, serialize_network)

@@ -33,8 +33,8 @@ from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
 from .spectral import SpectralError, default_eps_zero, entry_ratio
-from .tempo import (TempoError, g_ratio_series, run_algorithm1,
-                    run_distributed_fan_tree, tempo_limit_from_eigvec)
+from .tempo import (TempoError, distributed_select, g_ratio_series,
+                    tempo_limit_from_eigvec)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -268,17 +268,12 @@ def cmd_tempo(args) -> int:
 def cmd_distributed_select(args) -> int:
     net, cfg, x0 = _load(args.network)
     x0 = _resolve_x0(net, cfg, x0)
-    if args.fan_tree:
-        dnet, report = run_distributed_fan_tree(net, x0, delta=args.delta,
-                                                eps=args.eps)
-    elif cfg is None:
+    if cfg is None and not args.fan_tree:
         raise GraphError("distributed selection needs leaders; "
                          "use --fan-tree for autonomous trees")
-    else:
-        dnet, report = run_algorithm1(net, cfg, x0, delta=args.delta,
-                                      eps=args.eps)
-    reference = Model(net, cfg).select("fan-fsn" if args.fan_tree
-                                       else "san-fsn")
+    model = Model(net, None if args.fan_tree else cfg)
+    dnet, report = distributed_select(model, x0, delta=args.delta, eps=args.eps)
+    reference = model.select()
 
     rounds = max((e.rounds for e in report.entries), default=0)
     print(f"settled after {rounds} rounds (delta={args.delta}, eps={args.eps})")

@@ -24,10 +24,10 @@ class SpectralError(ValueError):
 # every function that makes it: is an eigenvalue simple or zero
 # (default_eps_gap), is an eigenvector entry zero (default_eps_zero), is a
 # principal eigenvector positive (EPS_POS).  The first two scale with the
-# matrix (or vector) magnitude so unit-weight and weighted graphs behave
-# alike.
+# matrix (or vector) magnitude and have no absolute floor, so multiplying
+# every weight by a constant changes none of these decisions.
 def default_eps_gap(M: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.abs(M).max()))
+    return 1e-8 * float(np.abs(M).max())
 
 
 def default_eps_zero(v: np.ndarray) -> float:
@@ -105,7 +105,7 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_residual(M: np.ndarray, pair: EigenPair) -> None:
     res = float(np.abs(M @ pair.vector - pair.value * pair.vector).max())
-    bound = _RESIDUAL_FACTOR * max(1.0, float(np.abs(M).max()))
+    bound = _RESIDUAL_FACTOR * float(np.abs(M).max())
     if not res <= bound:    # a NaN residual fails too
         raise SpectralError(f"eigen residual {res:.3e} exceeds {bound:.3e}")
 

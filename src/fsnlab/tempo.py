@@ -21,10 +21,9 @@ import numpy as np
 
 from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, step_map,
                        step_powers)
-from .graphs import (DirectedNetwork, Network, SemiAutonomousConfig,
-                     is_connected, laplacian, perturbed_laplacian)
-from .spectral import (default_eps_gap, default_eps_zero, fiedler_pair,
-                       symmetric_eigh)
+from .graphs import DirectedNetwork, Network, is_connected
+from .model import Model
+from .spectral import default_eps_gap, default_eps_zero, symmetric_eigh
 
 DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
@@ -94,92 +93,75 @@ class TempoReport:
     entries: tuple[TempoEstimate, ...]
 
 
-def run_algorithm1(net: Network, cfg: SemiAutonomousConfig, x0: np.ndarray,
-                   delta: float = DEFAULT_DELTA,
-                   eps: float = DEFAULT_EPS,
-                   round_cap: int = ROUND_CAP,
-                   ) -> tuple[DirectedNetwork, TempoReport]:
+def distributed_select(model: Model, x0: np.ndarray,
+                       delta: float = DEFAULT_DELTA, eps: float = DEFAULT_EPS,
+                       round_cap: Optional[int] = None,
+                       ) -> tuple[DirectedNetwork, TempoReport]:
     """Distributed slower-neighbor selection from sampled state data.
 
     Rounds are synchronous: every ``delta`` of simulated time each agent
-    receives its neighbors' new samples and updates the difference-norm
-    ratio per neighbor while that neighbor's difference is above the
-    noise floor (see :func:`_settle`); ``eps`` is the relative accuracy
-    each estimate is resolved to.  An agent then keeps exactly the
-    neighbors whose last estimate exceeds 1 + ``DEFAULT_TIE_MARGIN``; the
-    margin absorbs that accuracy so symmetric pairs (true ratio 1) are
-    dropped from both sides.  An entry's ``rounds`` is the round of its
+    receives its neighbors' new samples of x' = B u - G x (G and B u from
+    ``model``) and updates a ratio per neighbor while that neighbor's
+    sample difference is above the noise floor (see :func:`_settle`);
+    ``eps`` is the relative accuracy each estimate is resolved to.  With
+    leaders the ratio is of difference norms, which a gauge D = diag(+-1)
+    of a balanced signed network leaves unchanged; an agent keeps the
+    neighbors whose last estimate exceeds 1 + ``DEFAULT_TIE_MARGIN``, a
+    margin that drops symmetric pairs (true ratio 1) from both sides.
+    Without leaders the ratio is of signed first coordinates, and an
+    estimate below -``DEFAULT_TIE_MARGIN`` is kept too: a zero-entry core
+    neighbor's difference falls below the floor first, so its follower's
+    last ratio is large and it is kept.  That case is restricted to trees
+    with nonnegative weights, a simple Fiedler value and no edge joining
+    two zero entries.  ``round_cap`` defaults to ``ROUND_CAP`` with leaders
+    and twice that without.  An entry's ``rounds`` is the round of its
     agent's last estimate.
 
-    Raises when ``delta`` or ``eps`` is not finite and positive, and
-    when some estimate is still above its floor after ``round_cap`` rounds.
+    Raises when ``delta`` or ``eps`` is not finite and positive, when x0
+    does not fit the network, and when some estimate is still above its
+    floor after ``round_cap`` rounds.
     """
-    if not is_connected(net):
-        raise TempoError("distributed selection requires a connected network")
-    L_B = perturbed_laplacian(net, cfg)
-    u = cfg.input_vectors()
-    B = cfg.input_matrix(net.n)
-    forcing = B @ u
+    net, drive = model.net, model.drive
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = x0[:, None]
-    if x0.shape != (net.n, u.shape[1]):
-        raise TempoError(f"x0 shape {x0.shape} does not match "
-                         f"(n={net.n}, d={u.shape[1]})")
-    return _settle(net, L_B, forcing, x0, _norm_over_d, eps, delta,
-                   round_cap, f" (delta={delta}, eps={eps})")
-
-
-def run_distributed_fan_tree(net: Network, x0: np.ndarray,
-                             delta: float = DEFAULT_DELTA,
-                             eps: float = DEFAULT_EPS,
-                             round_cap: int = 2 * ROUND_CAP,
-                             ) -> tuple[DirectedNetwork, TempoReport]:
-    """Distributed slower-neighbor selection on an autonomous tree.
-
-    Agents track the signed first-coordinate difference ratio per neighbor,
-    decide on its last estimate above the noise floor (see :func:`_settle`),
-    and keep those above 1 + ``DEFAULT_TIE_MARGIN`` or below
-    -``DEFAULT_TIE_MARGIN``.  A zero-entry core neighbor needs no special
-    case: its difference falls below the floor first, so the follower's
-    last ratio is large and the neighbor is kept.
-
-    Restricted to trees with nonnegative weights whose Laplacian has a
-    well-separated second eigenvalue and no edge joining two zero-entry
-    nodes; stars and other repeated-eigenvalue trees are rejected, and so
-    are a ``delta`` or an ``eps`` that is not finite and positive.
-    """
-    if len(net.edges) != net.n - 1 or not is_connected(net):
-        raise TempoError("distributed autonomous selection needs a tree")
-    if net.is_signed:
-        raise TempoError("distributed autonomous selection needs nonnegative "
-                         "weights; the tree has antagonistic (negative) links")
-    L = laplacian(net)
-    pair = fiedler_pair(L)
-    if not pair.is_simple:
-        raise TempoError("second Laplacian eigenvalue is repeated; "
-                         "the selection rule is undefined on this tree")
-    zero = np.abs(pair.vector) <= default_eps_zero(pair.vector)
-    for e in net.edges:
-        if zero[e.i - 1] and zero[e.j - 1]:
-            raise TempoError(f"edge ({e.i},{e.j}) joins two zero entries "
-                             "(zero block); not supported distributively")
-
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
-    if x0.shape[0] != net.n:
-        raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
-    return _settle(net, L, np.zeros_like(x0), x0, _first_coordinate, eps,
-                   delta, round_cap,
-                   "; the ratio sign may not be separating on this tree")
+    if drive is None:
+        if len(net.edges) != net.n - 1 or not is_connected(net):
+            raise TempoError("distributed autonomous selection needs a tree")
+        if net.is_signed:
+            raise TempoError("distributed autonomous selection needs nonnegative "
+                             "weights; the tree has antagonistic (negative) links")
+        pair = model.pair("fan-fsn")
+        if not pair.is_simple:
+            raise TempoError("second Laplacian eigenvalue is repeated; "
+                             "the selection rule is undefined on this tree")
+        zero = np.abs(pair.vector) <= default_eps_zero(pair.vector)
+        for e in net.edges:
+            if zero[e.i - 1] and zero[e.j - 1]:
+                raise TempoError(f"edge ({e.i},{e.j}) joins two zero entries "
+                                 "(zero block); not supported distributively")
+        if x0.shape[0] != net.n:
+            raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
+        forcing, observable = np.zeros_like(x0), _first_coordinate
+        cap, hint = 2 * ROUND_CAP, "; the ratio sign may not be separating on this tree"
+    else:
+        if not is_connected(net):
+            raise TempoError("distributed selection requires a connected network")
+        B, u = drive
+        if x0.shape != (net.n, u.shape[1]):
+            raise TempoError(f"x0 shape {x0.shape} does not match "
+                             f"(n={net.n}, d={u.shape[1]})")
+        forcing, observable = B @ u, _norm_over_d
+        cap, hint = ROUND_CAP, f" (delta={delta}, eps={eps})"
+    return _settle(net, model.generator(), forcing, x0, observable, eps, delta,
+                   cap if round_cap is None else round_cap, hint)
 
 
 def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             observable: Callable[[np.ndarray], np.ndarray],
             eps: float, delta: float, round_cap: int,
             stall_hint: str) -> tuple[DirectedNetwork, TempoReport]:
-    """The decide-and-retain loop both distributed selections share.
+    """The decide-and-retain loop of :func:`distributed_select`.
 
     Every round advances x' = forcing - G x by one RK4 step of ``delta``,
     applied as its affine map (:func:`step_map`), and reduces each agent's

@@ -9,14 +9,15 @@ import time
 
 import numpy as np
 
-from fsnlab import (block_cut_tree, classify_fiedler, diameter,
-                    fan_fsn_consensus_value, ffn_san, fiedler_lower_bound,
+from fsnlab import (Model, block_cut_tree, classify_fiedler, diameter,
+                    distributed_select, fan_fsn_consensus_value, ffn_san,
+                    fiedler_lower_bound,
                     fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
                     g_ratio_series, gauge_matrix, laplacian,
                     perturbed_laplacian, principal_pair_perturbed,
                     principal_pair_signed, reachable_from,
                     reachable_from_inputs, reduced_laplacian, reduced_spectrum,
-                    reduced_symmetric_fiedler, run_algorithm1, signed_laplacian,
+                    reduced_symmetric_fiedler, signed_laplacian,
                     signed_perturbed_laplacian, signed_reduced_laplacian,
                     simulate, structural_balance_partition,
                     tempo_limit_from_eigvec, tempo_limit_oracle,
@@ -106,10 +107,10 @@ def test_criterion_4_tempo_numbers(g8):
 def test_criterion_5_distributed_equivalence(g6, g8):
     net8, cfg8, _ = g8
     x08 = np.random.default_rng(7).random((8, 3))
-    arcs8, _ = run_algorithm1(net8, cfg8, x08)
+    arcs8, _ = distributed_select(Model(net8, cfg8), x08)
     net6, cfg6, _ = g6
     x06 = np.random.default_rng(11).random((6, 1))
-    arcs6, _ = run_algorithm1(net6, cfg6, x06)
+    arcs6, _ = distributed_select(Model(net6, cfg6), x06)
     report(5, {
         "g8_matches_drawing": arcs8.arc_set == G8_FSN,
         "g6_matches_drawing": arcs6.arc_set == G6_FSN,

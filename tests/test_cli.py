@@ -3,16 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from fsnlab import (SimulationConfig, g_ratio_series, load_fixture,
-                    parse_arc_file, parse_trajectory, simulate,
-                    tempo_limit_from_eigvec)
+from fsnlab import (Network, SimulationConfig, g_ratio_series, load_fixture,
+                    parse_arc_file, parse_trajectory, serialize_network,
+                    simulate, tempo_limit_from_eigvec)
 from fsnlab import cli
 from fsnlab.cli import main
 from fsnlab.model import Model
 from fsnlab.netfile import fixture_text
 from fsnlab.tempo import DEFAULT_EPS
 
-from conftest import G8_FSN
+from conftest import G8_FSN, G12_FSN
 
 
 def run(capsys, *argv):
@@ -290,6 +290,56 @@ class TestDistributedSelect:
         code, _, err = run(capsys, "distributed-select", "g12")
         assert code == 1
         assert "fan-tree" in err
+
+
+class TestSignedDistributedSelect:
+    def test_g8_signed_matches_centralized(self, capsys, tmp_path):
+        arcs = tmp_path / "arcs.json"
+        code, out, err = run(capsys, "distributed-select", "g8-signed",
+                             "--out", str(arcs))
+        assert (code, err) == (0, "")
+        assert "matches the centralized construction" in out
+        want = tmp_path / "want.json"
+        assert run(capsys, "select", "g8-signed", "--mode", "signed-san-fsn",
+                   "--out", str(want))[0] == 0
+        got, want = (set(parse_arc_file(p.read_text()).arcs) for p in (arcs, want))
+        assert got == want and min(a.w for a in got) < 0
+
+    def test_unbalanced_leader_network_is_refused(self, capsys, tmp_path):
+        # A triangle with one antagonistic edge, plus a pendant node.
+        path = tmp_path / "unbalanced.json"
+        path.write_text(json.dumps({
+            "n": 4, "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3},
+                              {"i": 1, "j": 3, "w": -1.0}, {"i": 3, "j": 4}],
+            "leaders": [{"node": 1, "input": 1}], "inputs": [[0.5]]}))
+        code, _, err = run(capsys, "distributed-select", str(path))
+        assert code == 1
+        assert err == ("error: network plus input wiring is not "
+                       "structurally balanced\n")
+
+    def test_signed_tree_keeps_the_fan_tree_refusal(self, capsys, tmp_path):
+        path = tmp_path / "signed-tree.json"
+        path.write_text(json.dumps({"n": 6, "edges": [
+            {"i": i, "j": i + 1, "w": -1.0 if i == 3 else 1.0}
+            for i in range(1, 6)]}))
+        code, _, err = run(capsys, "distributed-select", str(path),
+                           "--fan-tree")
+        assert code == 1
+        assert err == ("error: distributed autonomous selection needs "
+                       "nonnegative weights; the tree has antagonistic "
+                       "(negative) links\n")
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])
+def test_fan_selection_of_scaled_weights(scale, capsys, tmp_path):
+    net, _, _ = load_fixture("g12")
+    path, arcs = tmp_path / "scaled.json", tmp_path / "arcs.json"
+    path.write_text(serialize_network(
+        Network.from_arrays(net.n, net.i, net.j, scale * net.w)))
+    code, _, err = run(capsys, "select", str(path), "--mode", "fan-fsn",
+                       "--out", str(arcs))
+    assert (code, err) == (0, "")
+    assert parse_arc_file(arcs.read_text()).arc_set == G12_FSN
 
 
 class TestCompare:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
@@ -274,6 +274,20 @@ class TestFsnFanProperties:
             net = random_tree(rng, int(rng.integers(2, 13)))
             lam2 = fiedler_pair(laplacian(net)).value
             assert lam2 <= tree_diameter_bound(diameter(net)) + 1e-9
+
+
+@pytest.mark.parametrize("name", ["g6", "g8", "g12", "t12"])
+@given(exponent=st.floats(-12.0, 12.0))
+@example(exponent=-12.0)
+@example(exponent=-9.0)
+@example(exponent=12.0)
+@settings(max_examples=30, deadline=None)
+def test_fan_arcs_do_not_depend_on_the_weight_scale(name, exponent):
+    # Every tolerance of the FAN path is relative to the matrix or vector
+    # it judges, so scaling all weights by s changes no decision.
+    net, _, _ = load_fixture(name)
+    scaled = Network.from_arrays(net.n, net.i, net.j, 10.0**exponent * net.w)
+    assert fan_selection(scaled)[0].arc_set == fan_selection(net)[0].arc_set
 
 
 class TestSignedProperties:

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fsnlab import (Edge, Network, SemiAutonomousConfig, LeaderLink,
+from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
                     SimulationConfig, TempoError, block_cut_tree,
-                    classify_fiedler, entry_ratio, fiedler_pair, fsn_fan,
-                    fsn_san, g_ratio_series, laplacian, perturbed_laplacian, principal_pair_perturbed,
-                    run_algorithm1, run_distributed_fan_tree, simulate,
+                    classify_fiedler, distributed_select, entry_ratio,
+                    fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
+                    g_ratio_series, laplacian, perturbed_laplacian,
+                    principal_pair_perturbed, principal_pair_signed,
+                    signed_perturbed_laplacian, simulate,
                     tempo_limit_from_eigvec, tempo_limit_oracle)
 
 from fsnlab import tempo
@@ -159,14 +161,14 @@ class TestAlgorithm1:
     def test_g8_matches_centralized(self, g8):
         net, cfg, _ = g8
         x0 = np.random.default_rng(7).random((8, 3))
-        dnet, report = run_algorithm1(net, cfg, x0)
+        dnet, report = distributed_select(Model(net, cfg), x0)
         assert dnet.arc_set == G8_FSN
         assert all(e.rounds > 0 for e in report.entries)
 
     def test_g6_matches_centralized(self, g6):
         net, cfg, _ = g6
         x0 = np.random.default_rng(11).random((6, 1))
-        dnet, _ = run_algorithm1(net, cfg, x0)
+        dnet, _ = distributed_select(Model(net, cfg), x0)
         assert dnet.arc_set == G6_FSN
 
     def test_all_leaders_retain_nothing(self):
@@ -175,7 +177,7 @@ class TestAlgorithm1:
             3, tuple(LeaderLink(i, i) for i in (1, 2, 3)),
             ((0.5,), (0.5,), (0.5,)))
         x0 = np.random.default_rng(5).random((3, 1))
-        dnet, report = run_algorithm1(net, cfg, x0)
+        dnet, report = distributed_select(Model(net, cfg), x0)
         assert dnet.arc_set == frozenset()
         for e in report.entries:
             assert abs(e.g - 1.0) < 0.02
@@ -183,14 +185,14 @@ class TestAlgorithm1:
     def test_report_is_deterministic(self, g6):
         net, cfg, _ = g6
         x0 = np.random.default_rng(2).random((6, 1))
-        _, r1 = run_algorithm1(net, cfg, x0)
-        _, r2 = run_algorithm1(net, cfg, x0)
+        _, r1 = distributed_select(Model(net, cfg), x0)
+        _, r2 = distributed_select(Model(net, cfg), x0)
         assert r1 == r2
 
     def test_retained_flag_matches_threshold(self, g8):
         net, cfg, _ = g8
         x0 = np.random.default_rng(7).random((8, 3))
-        dnet, report = run_algorithm1(net, cfg, x0)
+        dnet, report = distributed_select(Model(net, cfg), x0)
         for e in report.entries:
             assert e.retained == ((e.follower, e.followed) in dnet.arc_set)
             assert e.retained == (e.g is not None and e.g > 1.02)
@@ -199,16 +201,16 @@ class TestAlgorithm1:
         net, cfg, _ = g8
         x0 = np.random.default_rng(7).random((8, 3))
         with pytest.raises(TempoError, match="did not settle"):
-            run_algorithm1(net, cfg, x0, round_cap=10)
+            distributed_select(Model(net, cfg), x0, round_cap=10)
 
     def test_round_cap_message_shows_the_eps_passed(self, g8):
         net, cfg, _ = g8
         x0 = np.random.default_rng(7).random((8, 3))
         with pytest.raises(TempoError) as exc:
-            run_algorithm1(net, cfg, x0, round_cap=10)
+            distributed_select(Model(net, cfg), x0, round_cap=10)
         assert str(exc.value).endswith("within 10 rounds (delta=0.01, eps=0.0001)")
         with pytest.raises(TempoError) as exc:
-            run_algorithm1(net, cfg, x0, eps=1e-3, round_cap=10)
+            distributed_select(Model(net, cfg), x0, eps=1e-3, round_cap=10)
         assert str(exc.value).endswith("within 10 rounds (delta=0.01, eps=0.001)")
 
     def test_ordering_settles_before_termination(self, g8):
@@ -216,7 +218,7 @@ class TestAlgorithm1:
         # agents know their ranking well before the estimates stop moving.
         net, cfg, _ = g8
         x0 = np.random.default_rng(7).random((8, 3))
-        _, report = run_algorithm1(net, cfg, x0)
+        _, report = distributed_select(Model(net, cfg), x0)
         rounds = max(e.rounds for e in report.entries)
         traj = san_traj(net, cfg, x0, horizon=rounds * 0.01, dt=0.01)
         for e in report.entries:
@@ -256,14 +258,14 @@ class TestAlgorithm1:
                 continue
             checked += 1
             x0 = rng.random((n, d))
-            dnet, _ = run_algorithm1(net, cfg, x0)
+            dnet, _ = distributed_select(Model(net, cfg), x0)
             assert dnet.arc_set == fsn_san(net, cfg, pair.vector).arc_set
 
     def test_g8_estimates_match_eigvec_ratios(self, g8):
         net, cfg, _ = g8
         v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
         x0 = np.random.default_rng(7).random((8, 3))
-        _, report = run_algorithm1(net, cfg, x0)
+        _, report = distributed_select(Model(net, cfg), x0)
         for e in report.entries:
             assert abs(e.g - v1[e.follower - 1] / v1[e.followed - 1]) < 1e-3
 
@@ -272,7 +274,7 @@ class TestAlgorithm1:
         net, cfg, _ = g8
         cfg = dataclasses.replace(cfg, inputs=((0.0,) * 3,) * cfg.m)
         x0 = np.random.default_rng(7).random((8, 3))
-        assert run_algorithm1(net, cfg, x0)[0].arc_set == G8_FSN
+        assert distributed_select(Model(net, cfg), x0)[0].arc_set == G8_FSN
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_g8_scale_invariant(self, g8, scale):
@@ -280,8 +282,8 @@ class TestAlgorithm1:
         x0 = np.random.default_rng(7).random((8, 3))
         scaled = dataclasses.replace(
             cfg, inputs=tuple(tuple(scale * v for v in u) for u in cfg.inputs))
-        want_net, want = run_algorithm1(net, cfg, x0)
-        got_net, got = run_algorithm1(net, scaled, scale * x0)
+        want_net, want = distributed_select(Model(net, cfg), x0)
+        got_net, got = distributed_select(Model(net, scaled), scale * x0)
         assert got_net.arc_set == want_net.arc_set
         assert [e.rounds for e in got.entries] == [e.rounds for e in want.entries]
 
@@ -292,11 +294,11 @@ class TestAlgorithm1:
     def test_bad_delta_or_eps_rejected(self, g8, t12, kind, arg, value):
         if kind == "leaders":
             net, cfg, _ = g8
-            run = run_algorithm1
-            args = (net, cfg, np.random.default_rng(7).random((8, 3)))
+            run = distributed_select
+            args = (Model(net, cfg), np.random.default_rng(7).random((8, 3)))
         else:
             net, _, x0 = t12
-            run, args = run_distributed_fan_tree, (net, x0)
+            run, args = distributed_select, (Model(net, None), x0)
         with pytest.raises(TempoError, match=f"{arg} must be finite and "
                                              f"positive, got {value}$"):
             run(*args, **{arg: value})
@@ -348,7 +350,7 @@ class TestSampledTempoMatchesEigvec:
 class TestDistributedFanTree:
     def test_t12_matches_reference_drawing(self, t12):
         net, _, x0 = t12
-        dnet, report = run_distributed_fan_tree(net, x0)
+        dnet, report = distributed_select(Model(net, None), x0)
         assert dnet.arc_set == T12_FSN
         assert max(e.rounds for e in report.entries) > 0
 
@@ -356,7 +358,7 @@ class TestDistributedFanTree:
         star = Network(4, (Edge(1, 2), Edge(1, 3), Edge(1, 4)))
         x0 = np.random.default_rng(1).random(4)
         with pytest.raises(TempoError, match="repeated"):
-            run_distributed_fan_tree(star, x0)
+            distributed_select(Model(star, None), x0)
 
     def test_zero_block_rejected(self):
         # Fiedler value 0.382 is simple; the vector is zero on nodes 1 and 6.
@@ -365,12 +367,12 @@ class TestDistributedFanTree:
         pair = fiedler_pair(laplacian(spider))
         assert pair.is_simple and abs(pair.value - 0.381966) < 1e-6
         with pytest.raises(TempoError, match=r"edge \(1,6\) joins two zero"):
-            run_distributed_fan_tree(spider, np.arange(6.0))
+            distributed_select(Model(spider, None), np.arange(6.0))
 
     def test_non_tree_rejected(self):
         net = Network(3, (Edge(1, 2), Edge(2, 3), Edge(1, 3)))
         with pytest.raises(TempoError, match="tree"):
-            run_distributed_fan_tree(net, np.zeros(3))
+            distributed_select(Model(net, None), np.zeros(3))
 
     def test_p4_matches_centralized(self):
         net = Network(4, tuple(Edge(i, i + 1) for i in range(1, 4)))
@@ -378,7 +380,7 @@ class TestDistributedFanTree:
         cls = classify_fiedler(block_cut_tree(net), pair.vector)
         ref = fsn_fan(net, pair.vector, cls)
         x0 = np.random.default_rng(3).random(4)
-        dnet, _ = run_distributed_fan_tree(net, x0)
+        dnet, _ = distributed_select(Model(net, None), x0)
         assert dnet.arc_set == ref.arc_set
 
     def test_p5_core_node_handled_via_divergence(self):
@@ -387,7 +389,7 @@ class TestDistributedFanTree:
         cls = classify_fiedler(block_cut_tree(net), pair.vector)
         ref = fsn_fan(net, pair.vector, cls)
         x0 = np.random.default_rng(9).random(5)
-        dnet, _ = run_distributed_fan_tree(net, x0)
+        dnet, _ = distributed_select(Model(net, None), x0)
         assert dnet.arc_set == ref.arc_set
         assert not dnet.retained[3]
 
@@ -396,7 +398,7 @@ class TestDistributedFanTree:
                                for i in range(1, 6)))
         x0 = np.random.default_rng(4).random(6)
         with pytest.raises(TempoError, match="negative"):
-            run_distributed_fan_tree(net, x0)
+            distributed_select(Model(net, None), x0)
 
     def test_matches_centralized_on_random_trees(self):
         rng = np.random.default_rng(31)
@@ -426,7 +428,7 @@ class TestDistributedFanTree:
             cls = classify_fiedler(block_cut_tree(net), v2)
             ref = fsn_fan(net, v2, cls)
             x0 = rng.random(n)
-            dnet, _ = run_distributed_fan_tree(net, x0, eps=1e-6)
+            dnet, _ = distributed_select(Model(net, None), x0, eps=1e-6)
             assert dnet.arc_set == ref.arc_set
 
 
@@ -580,16 +582,16 @@ class TestEnginePinned:
     def test_g8(self, g8):
         net, cfg, _ = g8
         x0 = np.random.default_rng(7).random((8, 3))
-        self.check(run_algorithm1(net, cfg, x0)[1], PINNED_G8)
+        self.check(distributed_select(Model(net, cfg), x0)[1], PINNED_G8)
 
     def test_t12(self, t12):
         net, _, x0 = t12
-        self.check(run_distributed_fan_tree(net, x0)[1], PINNED_T12)
+        self.check(distributed_select(Model(net, None), x0)[1], PINNED_T12)
 
     def test_p5_core_node(self):
         net = Network(5, tuple(Edge(i, i + 1) for i in range(1, 5)))
         x0 = np.random.default_rng(9).random(5)
-        self.check(run_distributed_fan_tree(net, x0)[1], PINNED_P5)
+        self.check(distributed_select(Model(net, None), x0)[1], PINNED_P5)
 
 
 # ------------------------------------------- super-blocked settle vs per-block
@@ -703,10 +705,10 @@ def settle_cases(draw):
 def test_super_blocked_settle_matches_per_block_loop(case):
     net, cfg, x0, eps, cap = case
     if cfg is None:
-        run, args = run_distributed_fan_tree, (net, x0)
+        run, args = distributed_select, (Model(net, None), x0)
         cap = 2 * tempo.ROUND_CAP if cap is None else cap
     else:
-        run, args = run_algorithm1, (net, cfg, x0)
+        run, args = distributed_select, (Model(net, cfg), x0)
         cap = tempo.ROUND_CAP if cap is None else cap
     got = outcome(run, *args, eps=eps, round_cap=cap)
     with mock.patch.object(tempo, "_settle", per_block_settle):
@@ -717,9 +719,9 @@ def test_super_blocked_settle_matches_per_block_loop(case):
 def fixture_run(name, g8, t12):
     if name == "g8":
         net, cfg, _ = g8
-        return net, run_algorithm1, (net, cfg, np.random.default_rng(7).random((8, 3)))
+        return net, distributed_select, (Model(net, cfg), np.random.default_rng(7).random((8, 3)))
     net, _, x0 = t12
-    return net, run_distributed_fan_tree, (net, x0)
+    return net, distributed_select, (Model(net, None), x0)
 
 
 @pytest.mark.parametrize("name", ["g8", "t12"])
@@ -775,10 +777,71 @@ def test_wide_leader_network_matches_centralized(g8):
     cfg = dataclasses.replace(cfg, inputs=tuple(
         tuple(rng.random(12).tolist()) for _ in range(cfg.m)))
     x0 = rng.random((8, 12))
-    dnet, _ = run_algorithm1(net, cfg, x0)
+    dnet, _ = distributed_select(Model(net, cfg), x0)
     v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
     assert dnet.arc_set == fsn_san(net, cfg, v1).arc_set == G8_FSN
     dx = np.diff(san_traj(net, cfg, x0, horizon=20.0).states, axis=0)
     want = np.linalg.norm(dx, axis=2).T
     got = tempo._norm_over_d(_agent_major(dx))
     assert (np.abs(got - want) <= 4 * np.spacing(want)).all()
+
+
+# ------------------------------------------------ signed leader networks
+
+
+@st.composite
+def gauged_leader_cases(draw):
+    """A leader network whose eigenvector ratios clear 1 by what the default
+    settings resolve (as in test_matches_centralized_on_random_networks),
+    its x0, and a gauge: the nodes whose sign flips."""
+    n = draw(st.integers(3, 16))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        net = random_connected_net(rng, n)
+        cfg = random_leader_cfg(rng, n, d=d)
+        L_B = perturbed_laplacian(net, cfg)
+        w = np.linalg.eigvalsh(L_B)
+        v = principal_pair_perturbed(L_B).vector
+        r = v[net.i - 1] / v[net.j - 1]
+        accuracy = 1e-4 / (0.01 * max(w[1] - w[0], 1e-6))
+        if np.abs(np.r_[r, 1.0 / r] - 1.0).min() >= max(0.05, 8.0 * accuracy):
+            break
+    flip = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return net, cfg, rng.random((n, d)), flip
+
+
+@given(gauged_leader_cases())
+@settings(max_examples=100, deadline=None)
+def test_gauged_leader_network_runs_as_the_unsigned_one(case):
+    # Flipping the sign of the nodes of V2 (the edges across the cut, the
+    # leader links of V2 and the rows of x0) gives a balanced signed network
+    # whose states are D x with D = diag(+-1): every difference norm, and
+    # with it the whole report, is the unsigned run's, and so is the
+    # centralized selection.  The signed run therefore equals
+    # fsn_signed_san wherever the unsigned run equals fsn_san.
+    net, cfg, x0, flip = case
+    side = np.where(flip, -1.0, 1.0)
+    signed = Network.from_arrays(net.n, net.i, net.j,
+                                 net.w * side[net.i - 1] * side[net.j - 1])
+    links = tuple(dataclasses.replace(link, sign=int(side[link.node - 1]))
+                  for link in cfg.leader_links)
+    signed_cfg = dataclasses.replace(cfg, leader_links=links)
+    dnet, report = distributed_select(Model(signed, signed_cfg),
+                                      side[:, None] * x0)
+    assert report == distributed_select(Model(net, cfg), x0)[1]
+    assert all(a.w == signed.weights[(a.follower, a.followed)]
+               for a in dnet.arcs)
+    pair = principal_pair_signed(signed_perturbed_laplacian(signed, signed_cfg))
+    v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
+    assert (fsn_signed_san(signed, signed_cfg, pair.vector).arc_set
+            == fsn_san(net, cfg, v1).arc_set)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_g8_signed_matches_signed_centralized(g8_signed, seed):
+    net, cfg, _ = g8_signed
+    x0 = np.random.default_rng(seed).random((net.n, cfg.d or 1))
+    pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
+    dnet, _ = distributed_select(Model(net, cfg), x0)
+    assert dnet.arc_set == fsn_signed_san(net, cfg, pair.vector).arc_set
