@@ -383,9 +383,11 @@ def cmd_compare(args) -> int:
     else:
         value = model.limit(G1, x0)
         err = float(np.abs(traj1.states[-1] - value).max())
-        print(f"reduced-network consensus: predicted "
-              f"{np.array2string(value, precision=4)}, simulation err {err:.2e} "
-              f"(tol {SIM_TOL:g})")
+        shown = np.array2string(value, precision=4)
+        if value.ndim > 1:
+            shown = shown.replace("\n", "")
+        print(f"reduced-network consensus: predicted {shown}, simulation err "
+              f"{err:.2e} (tol {SIM_TOL:g})")
         checks["consensus_value"] = err < SIM_TOL
 
     try:

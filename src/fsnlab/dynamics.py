@@ -1,9 +1,9 @@
 """Fixed-step simulation of diffusive network dynamics.
 
 All models integrate x' = -(G (x) I_d) x [+ (B (x) I_d) u] for a generator
-matrix G that may be a Laplacian, a leader-perturbed Laplacian, a signed
-variant, or a reduced directed generator.  On this linear system one
-fixed step of size dt is exactly the affine map x <- R x + c, with
+G that is a Laplacian of any sign (sum |w| on the diagonal), leader-
+perturbed or not, or a reduced directed generator.  On this linear system
+one fixed step of size dt is exactly the affine map x <- R x + c, with
 A = -dt G, R = sum_{k<=K} A^k / k! and c = dt sum_{k<K} A^k / (k+1)! B u:
 K = 4 is classical RK4 and K = 1 forward Euler.  The Kronecker structure
 is never materialized: the d coordinates evolve independently, each column

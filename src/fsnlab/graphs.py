@@ -10,7 +10,8 @@ arrays ``i`` and ``j`` (for an arc, follower and followed) and a float
 array ``w``.  The passes over edges (validation, Laplacians, traversals,
 selection) work on these arrays and on a CSR adjacency built from them on
 first use; the tuples of ``Edge`` or ``Arc`` records and the per-node
-dicts are views, built only when read.
+dicts are views, built only when read.  Every Laplacian has sum |w| on its
+diagonal and -w off it, for every sign: no builder has a signed variant.
 """
 
 from __future__ import annotations
@@ -452,39 +453,28 @@ def _dense_zeros(n: int) -> np.ndarray:
                          "bytes, more than can be allocated") from None
 
 
-def _undirected_laplacian(net: Network, diag_w: np.ndarray) -> np.ndarray:
+def laplacian(net: Network) -> np.ndarray:
+    """Graph Laplacian: sum |w| on the diagonal, -w off it (also signed)."""
     i, j = net.i - 1, net.j - 1
     L = _dense_zeros(net.n)
     L[i, j] = L[j, i] = -net.w
-    return _with_diagonal(L, np.stack((i, j), axis=1).ravel(), np.repeat(diag_w, 2))
-
-
-def laplacian(net: Network) -> np.ndarray:
-    """Graph Laplacian: degree (weight sum) on the diagonal, -w off it."""
-    return _undirected_laplacian(net, net.w)
-
-
-def signed_laplacian(net: Network) -> np.ndarray:
-    """Laplacian variant for signed graphs: |w| on the diagonal, -w off it."""
-    return _undirected_laplacian(net, np.abs(net.w))
+    return _with_diagonal(L, np.stack((i, j), axis=1).ravel(),
+                          np.repeat(np.abs(net.w), 2))
 
 
 def perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
-    """Laplacian plus a unit diagonal bump on every leader node.
-
-    Only the unsigned variant: negative edge weights or repelling leader
-    links must go through :func:`signed_perturbed_laplacian`.
-    """
+    """:func:`signed_perturbed_laplacian` of unsigned input only: negative
+    edge weights or repelling leader links are refused."""
     if net.is_signed:
         raise GraphError("network has negative weights; use the signed variant")
     if cfg.is_signed:
         raise GraphError("leader link with negative sign; use the signed variant")
-    return _bump_leaders(laplacian(net), cfg)
+    return signed_perturbed_laplacian(net, cfg)
 
 
 def signed_perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
-    """Signed Laplacian plus unit diagonal bumps on leaders (sign-insensitive)."""
-    return _bump_leaders(signed_laplacian(net), cfg)
+    """Laplacian plus a unit diagonal bump on every leader node, any sign."""
+    return _bump_leaders(laplacian(net), cfg)
 
 
 def _bump_leaders(L: np.ndarray, cfg: SemiAutonomousConfig) -> np.ndarray:
@@ -501,23 +491,19 @@ def _bump_leaders(L: np.ndarray, cfg: SemiAutonomousConfig) -> np.ndarray:
 
 
 def reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
-    """Laplacian of a reduced network: each row sums retained weights only.
+    """Laplacian of a reduced network: each row sums retained |w| only.
 
     Rows of agents that retain nobody are zero.
     """
-    return _reduced_laplacian(dnet, dnet.w)
-
-
-def signed_reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
-    """Reduced Laplacian with |w| accumulated on the diagonal (signed graphs)."""
-    return _reduced_laplacian(dnet, np.abs(dnet.w))
-
-
-def _reduced_laplacian(dnet: DirectedNetwork, diag_w: np.ndarray) -> np.ndarray:
     i, j = dnet.i - 1, dnet.j - 1
     L = _dense_zeros(dnet.n)
     L[i, j] -= dnet.w
-    return _with_diagonal(L, i, diag_w)
+    return _with_diagonal(L, i, np.abs(dnet.w))
+
+
+# Earlier names of the builders, kept for callers that import them.
+signed_laplacian = laplacian
+signed_reduced_laplacian = reduced_laplacian
 
 
 def is_connected(net: Network) -> bool:

@@ -18,9 +18,9 @@ from .blocks import (BlockDecomposition, FiedlerClassification,
                      block_cut_tree, classify_fiedler)
 from .dynamics import fan_fsn_consensus_value, steady_state_san
 from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, _bump_leaders, laplacian,
-                     perturbed_laplacian, reduced_laplacian, signed_laplacian,
-                     signed_perturbed_laplacian, signed_reduced_laplacian)
+                     SemiAutonomousConfig, _bump_leaders, gauge_matrix,
+                     laplacian, perturbed_laplacian, reduced_laplacian,
+                     signed_perturbed_laplacian, structural_balance_partition)
 from .selection import (ffn_san, fsn_fan, fsn_san, fsn_signed_san,
                         reachable_from, reachable_from_inputs,
                         reduced_spectrum)
@@ -59,15 +59,8 @@ class Model:
 
     def generator(self, dnet: Optional[DirectedNetwork] = None) -> np.ndarray:
         """Dynamics matrix of the network, or of its reduction ``dnet``."""
-        net, cfg = self.net, self.cfg
-        if dnet is not None:
-            G = (signed_reduced_laplacian(dnet) if self.signed
-                 else reduced_laplacian(dnet))
-            return G if cfg is None else _bump_leaders(G, cfg)
-        if cfg is None:
-            return signed_laplacian(net) if self.signed else laplacian(net)
-        return (signed_perturbed_laplacian(net, cfg) if self.signed
-                else perturbed_laplacian(net, cfg))
+        G = laplacian(self.net) if dnet is None else reduced_laplacian(dnet)
+        return G if self.cfg is None else _bump_leaders(G, self.cfg)
 
     @property
     def drive(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -77,15 +70,12 @@ class Model:
         return self.cfg.input_matrix(self.net.n), self.cfg.input_vectors()
 
     def spectrum(self, k: int) -> list[EigenPair]:
-        """The k smallest eigenpairs of the network's Laplacian, signed on a
-        signed network.  On an unsigned network, with k >= 2, the Fiedler
-        pair of :meth:`pair` is then taken from them."""
-        net = self.net
-        if net.is_signed:
-            return smallest_eigenpairs(signed_laplacian(net), k)
-        L = laplacian(net)
+        """The k smallest eigenpairs of the network's Laplacian.  On an
+        unsigned network, with k >= 2, the Fiedler pair of :meth:`pair` is
+        then taken from them; a signed one's comes from L(|W|)."""
+        L = laplacian(self.net)
         pairs = smallest_eigenpairs(L, k)
-        if k >= 2:
+        if k >= 2 and not self.net.is_signed:
             self._laplacian_pairs = L, pairs
         return pairs
 
@@ -143,8 +133,7 @@ class Model:
             checks["all_reachable_from_core"] = all(reach.values())
         else:
             key = "lambda1"
-            lam = float(reduced_spectrum(dnet, cfg=self.cfg,
-                                         signed=mode == "signed-san-fsn")[0])
+            lam = float(reduced_spectrum(dnet, cfg=self.cfg)[0])
             reach = reachable_from_inputs(dnet, self.cfg)
             if mode != "san-ffn":
                 checks["all_reachable"] = all(reach.values())
@@ -167,7 +156,16 @@ class Model:
     def limit(self, G: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Predicted final state: the steady state of a leader-driven
         generator G, or for an autonomous network the consensus value its
-        slower-neighbor reduction reaches from x0."""
-        if self.cfg is None:
+        slower-neighbor reduction reaches from x0; on a signed one, gauged
+        by the balance partition's sigma, one row per node: sigma * (that
+        value from sigma * x0).  An unbalanced network is refused."""
+        if self.cfg is not None:
+            return steady_state_san(G, *self.drive)
+        if not self.net.is_signed:
             return fan_fsn_consensus_value(x0, self.classification)
-        return steady_state_san(G, *self.drive)
+        if (partition := structural_balance_partition(self.net)) is None:
+            raise GraphError("signed network is not structurally balanced; "
+                             "its consensus limit is undefined")
+        sigma = np.diag(gauge_matrix(partition))[:, None]
+        x0 = np.reshape(x0, (self.net.n, -1))
+        return sigma * fan_fsn_consensus_value(sigma * x0, self.classification)

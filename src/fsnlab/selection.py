@@ -18,7 +18,7 @@ import numpy as np
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, _bump_leaders, _reach,
                      augmented_signed_network, reduced_laplacian,
-                     signed_reduced_laplacian, structural_balance_partition)
+                     structural_balance_partition)
 from .blocks import FiedlerClassification
 from .spectral import symmetric_eigh
 
@@ -209,8 +209,7 @@ def _strong_components(dnet: DirectedNetwork) -> list[list[int]]:
 
 
 def reduced_spectrum(dnet: DirectedNetwork,
-                     cfg: Optional[SemiAutonomousConfig] = None,
-                     signed: bool = False) -> np.ndarray:
+                     cfg: Optional[SemiAutonomousConfig] = None) -> np.ndarray:
     """Eigenvalues of the reduced generator, read off its block structure.
 
     After condensing strongly connected components the generator is block
@@ -225,7 +224,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
     filled from that diagonal and the component's own arcs.
     """
     n, follower, followed, w = dnet.n, dnet.i - 1, dnet.j - 1, dnet.w
-    diag = np.bincount(follower, weights=np.abs(w) if signed else w,
+    diag = np.bincount(follower, weights=np.abs(w),
                        minlength=n).astype(float, copy=False)  # int when m = 0
     if cfg is not None:
         _bump_leaders(diag, cfg)
@@ -250,7 +249,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
         block = np.diag(diag[members[part]])
         block[slot[follower[arcs]], slot[followed[arcs]]] -= w[arcs]
         sym_defect = float(np.abs(block - block.T).max())
-        if sym_defect > 1e-9 * max(1.0, float(np.abs(block).max())):
+        if sym_defect > 1e-9 * float(np.abs(block).max()):
             raise GraphError(
                 "strongly connected component has an asymmetric generator "
                 "block; spectrum cannot be read structurally")
@@ -258,8 +257,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
     return np.sort(values)
 
 
-def reduced_symmetric_fiedler(dnet: DirectedNetwork,
-                              signed: bool = False) -> tuple[float, np.ndarray]:
+def reduced_symmetric_fiedler(dnet: DirectedNetwork) -> tuple[float, np.ndarray]:
     """Second eigenvalue of the symmetrized reduced generator, and the
     mean-free unit vector minimizing its quadratic form.
 
@@ -270,7 +268,7 @@ def reduced_symmetric_fiedler(dnet: DirectedNetwork,
     n = dnet.n
     if n < 2:
         raise GraphError("symmetrized Fiedler data needs at least two nodes")
-    L = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
+    L = reduced_laplacian(dnet)
     M = (L + L.T) / 2.0
     w, _ = symmetric_eigh(M)
     lam2 = float(w[1])

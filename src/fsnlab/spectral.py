@@ -91,7 +91,7 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(M).all():
         raise SpectralError("matrix has non-finite entries")
     asym = float(np.abs(M - M.T).max()) if n else 0.0
-    if asym > _SYMMETRY_TOL * max(1.0, float(np.abs(M).max())):
+    if asym > _SYMMETRY_TOL * float(np.abs(M).max()):
         raise SpectralError(f"matrix is not symmetric: |M - M^T| = {asym:.3e}")
     try:
         w, V = np.linalg.eigh(M if asym == 0.0 else (M + M.T) / 2.0)

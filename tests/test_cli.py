@@ -114,6 +114,18 @@ class TestSelect:
         assert code == 0
         assert "all nodes reachable" in out
 
+    def test_signed_fan_reduced_lambda2_is_that_of_its_magnitudes(
+            self, capsys, tmp_path):
+        # g8-signed is balanced: its fan-fsn reduction is the gauge image of
+        # that of |W|, whose reduced lambda2 is 1.
+        report = tmp_path / "report.json"
+        code, out, _ = run(capsys, "select", "g8-signed", "--mode", "fan-fsn",
+                           "--report", str(report))
+        assert code == 0
+        assert "reduced  lambda2 = 1 (tol 1e-08)" in out
+        doc = json.loads(report.read_text())
+        assert doc["reduced"]["lambda2"]["value"] == 1.0
+
     def test_san_mode_needs_leaders(self, capsys):
         code, _, err = run(capsys, "select", "g12", "--mode", "san-fsn")
         assert code == 1
@@ -359,6 +371,32 @@ class TestCompare:
         code, out, _ = run(capsys, "compare", "g8-signed")
         assert code == 0
         assert "[1, 2, 5, 6] -> +u | [3, 4, 7, 8] -> -u" in out
+
+    def test_signed_autonomous_path(self, capsys, tmp_path):
+        # Every edge antagonistic: the limit alternates in sign along the
+        # path, one value per node on one line.
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"n": 6, "edges": [
+            {"i": i, "j": i + 1, "w": -1.0} for i in range(1, 6)],
+            "x0": [0.9, 0.1, 0.5, 0.3, 0.7, 0.2]}))
+        code, out, err = run(capsys, "compare", str(path))
+        assert (code, err) == (0, "")
+        assert ("predicted [[ 0.1] [-0.1] [ 0.1] [-0.1] [ 0.1] [-0.1]], "
+                "simulation err") in out
+        assert "->  reduced 1 (tol 1e-08)" in out
+        assert "all checks passed" in out
+
+    def test_unbalanced_autonomous_network_is_refused(self, capsys, tmp_path):
+        # A triangle with one antagonistic edge, plus a pendant so that the
+        # Fiedler value of |W| is simple.
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({"n": 4, "edges": [
+            {"i": 1, "j": 2, "w": -1.0}, {"i": 2, "j": 3}, {"i": 1, "j": 3},
+            {"i": 3, "j": 4, "w": 2.0}]}))
+        code, _, err = run(capsys, "compare", str(path))
+        assert code == 1
+        assert err == ("error: signed network is not structurally balanced; "
+                       "its consensus limit is undefined\n")
 
 
 FIXTURES = ["g6", "g8", "g8-signed", "g12", "t12"]

@@ -15,7 +15,7 @@ from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     reduced_laplacian, reduced_symmetric_fiedler,
                     signed_perturbed_laplacian, signed_reduced_laplacian,
                     tree_diameter_bound)
-from fsnlab.model import Model
+from fsnlab.model import EIG_TOL, Model
 from fsnlab.selection import _strong_components
 from fsnlab.spectral import SpectralError, symmetric_eigh
 
@@ -315,8 +315,31 @@ class TestSignedProperties:
             cfg = random_leader_cfg(rng, n)
             pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
             dnet = fsn_signed_san(net, cfg, pair.vector)
-            lam_red = float(reduced_spectrum(dnet, cfg=cfg, signed=True)[0])
+            lam_red = float(reduced_spectrum(dnet, cfg=cfg)[0])
             assert lam_red >= pair.value - 1e-9
+
+
+    def test_fan_reduction_is_gauge_invariant(self):
+        # The Laplacian of a balanced signed network is the gauge image of
+        # the Laplacian of |W|, and so is that of its fan-fsn reduction:
+        # the same arcs and the same reduced lambda2.
+        rng = np.random.default_rng(28)
+        checked = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            net, _ = random_balanced_signed_net(rng, n)
+            absolute = Model(net.absolute(), None)
+            if not absolute.pair("fan-fsn").is_simple:
+                continue
+            dnet_u, report_u = absolute.reduce("fan-fsn")
+            dnet_s, report_s = Model(net, None).reduce("fan-fsn")
+            assert dnet_s.arc_set == dnet_u.arc_set
+            scale = float(np.abs(laplacian(net)).max())
+            lam_s = report_s["reduced"]["lambda2"]["value"]
+            lam_u = report_u["reduced"]["lambda2"]["value"]
+            assert abs(lam_s - lam_u) <= EIG_TOL * scale
+            checked += 1
+        assert checked >= 100
 
 
 class TestFiedlerLowerBound:
@@ -407,9 +430,9 @@ def assert_same_spectrum(dnet, cfg=None, signed=False):
         want = dense_reduced_spectrum(dnet, cfg, signed)
     except GraphError as exc:
         with pytest.raises(GraphError, match=f"^{exc}$"):
-            reduced_spectrum(dnet, cfg, signed)
+            reduced_spectrum(dnet, cfg)
         return
-    got = reduced_spectrum(dnet, cfg, signed)
+    got = reduced_spectrum(dnet, cfg)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -463,6 +486,15 @@ class TestReducedSpectrumOracle:
             pair = fiedler_pair(laplacian(net))
             if pair.is_simple:
                 assert_same_spectrum(fan_selection(net)[0])
+
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_asymmetric_cycle_is_refused_at_every_scale(self, exponent):
+        # A directed 3-cycle has eigenvalues 1.5 w +- 0.866 w i; no weight
+        # scale may let its block pass as symmetric.
+        w = 10.0**exponent
+        dnet = DirectedNetwork(3, (Arc(1, 2, w), Arc(2, 3, w), Arc(3, 1, w)))
+        with pytest.raises(GraphError, match="asymmetric generator block"):
+            reduced_spectrum(dnet)
 
     def test_no_dense_generator(self):
         # The dense generator of a 4000-node path alone is 128 MB.

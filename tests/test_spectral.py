@@ -65,6 +65,14 @@ class TestJacobi:
         with pytest.raises(SpectralError, match="not symmetric"):
             symmetric_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_symmetry_bound_is_relative_to_the_matrix(self, exponent):
+        # An asymmetry of 1e-6 of the largest entry is refused at every
+        # scale, not only where the entries are above 1.
+        M = 10.0**exponent * np.array([[1.0, 1e-6], [0.0, 1.0]])
+        with pytest.raises(SpectralError, match="not symmetric"):
+            symmetric_eigh(M)
+
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         A = rng.normal(size=(9, 9))
