@@ -63,11 +63,10 @@ def _load(source: str):
 
 def _resolve_x0(net: Network, cfg: Optional[SemiAutonomousConfig],
                 x0: Optional[np.ndarray]) -> np.ndarray:
-    if x0 is not None:
-        return x0 if x0.ndim == 2 else x0[:, None]
-    d = cfg.d if cfg is not None and cfg.d is not None else 1
-    rng = np.random.default_rng(_seed())
-    return rng.random((net.n, d))
+    if x0 is None:
+        d = cfg.d if cfg is not None and cfg.d is not None else 1
+        x0 = np.random.default_rng(_seed()).random((net.n, d))
+    return x0
 
 
 def _fmt(value: float, tol: float) -> str:

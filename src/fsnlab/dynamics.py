@@ -88,6 +88,12 @@ class Trajectory:
         return self.states[k]
 
 
+def as_columns(x) -> np.ndarray:
+    """x as a float array, a 1-D state taken as one column."""
+    x = np.asarray(x, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
+
+
 def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
              method: str) -> tuple[np.ndarray, np.ndarray]:
     """R, c of one step x <- R x + c of x' = forcing - G x (see the module)."""
@@ -138,9 +144,7 @@ def simulate(generator: np.ndarray,
     n = G.shape[0]
     if G.shape != (n, n):
         raise SimulationError(f"generator must be square, got {G.shape}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
+    x0 = as_columns(x0)
     if x0.shape[0] != n:
         raise SimulationError(f"x0 has {x0.shape[0]} rows, generator has n={n}")
     d = x0.shape[1]
@@ -191,14 +195,11 @@ def steady_state_san(L_B: np.ndarray, B: np.ndarray, u: np.ndarray) -> np.ndarra
     """
     L_B = np.asarray(L_B, dtype=float)
     B = np.asarray(B, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = as_columns(u)
     try:
-        out = np.linalg.solve(L_B, B @ u)
+        return np.linalg.solve(L_B, B @ u)
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"perturbed Laplacian is singular: {exc}") from exc
-    return out
 
 
 def fan_fsn_consensus_value(x0: np.ndarray,
@@ -209,9 +210,7 @@ def fan_fsn_consensus_value(x0: np.ndarray,
     blocks (core-block case) or over the core node plus all zero blocks
     (core-node case).
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
+    x0 = as_columns(x0)
     members = sorted(cls.core_nodes | cls.zero_block_nodes)
     return x0[[m - 1 for m in members], :].mean(axis=0)
 
@@ -234,9 +233,7 @@ def fit_window(traj: Trajectory,
     above the measured level, and a relative perturbation of 1e-13 of the
     states moves the lowest fitted sample by about 1e-3 of itself.
     """
-    target = np.asarray(target, dtype=float)
-    if target.ndim == 1:
-        target = target[:, None]
+    target = as_columns(target)
     errs = np.linalg.norm(
         (traj.states - target[None, :, :]).reshape(len(traj.times), -1), axis=1)
     scale = max(float(np.abs(traj.states).max(initial=0.0)),

@@ -16,17 +16,15 @@ import numpy as np
 
 from .blocks import (BlockDecomposition, FiedlerClassification,
                      block_cut_tree, classify_fiedler)
-from .dynamics import fan_fsn_consensus_value, steady_state_san
+from .dynamics import as_columns, fan_fsn_consensus_value, steady_state_san
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, _bump_leaders, gauge_matrix,
                      laplacian, perturbed_laplacian, reduced_laplacian,
                      signed_perturbed_laplacian, structural_balance_partition)
-from .selection import (ffn_san, fsn_fan, fsn_san, fsn_signed_san,
-                        reachable_from, reachable_from_inputs,
-                        reduced_spectrum)
+from .selection import (ffn_san, fsn_fan, fsn_san, reachable_from,
+                        reachable_from_inputs, reduced_spectrum)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
-                       principal_pair_perturbed, principal_pair_signed,
-                       smallest_eigenpairs)
+                       principal_pair_perturbed, smallest_eigenpairs)
 
 EIG_TOL = 1e-8          # eigen residual bound the solver enforces
 
@@ -90,12 +88,20 @@ class Model:
                 pair = fiedler_pair(L, pairs)
             elif cfg is None:
                 raise GraphError(f"mode {mode} needs leaders in the input file")
-            elif mode == "signed-san-fsn":
-                pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
             else:
-                pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+                build = (signed_perturbed_laplacian if mode == "signed-san-fsn"
+                         else perturbed_laplacian)
+                pair = principal_pair_perturbed(build(net, cfg))
             self._pairs[mode] = pair
         return self._pairs[mode]
+
+    @cached_property
+    def gauge(self) -> np.ndarray:
+        """The balance gauge sigma = +-1 as a column; refuses an unbalanced network."""
+        if (partition := structural_balance_partition(self.net)) is None:
+            raise GraphError("signed network is not structurally balanced; "
+                             "its consensus limit is undefined")
+        return np.diag(gauge_matrix(partition))[:, None]
 
     @cached_property
     def blocks(self) -> BlockDecomposition:
@@ -111,11 +117,12 @@ class Model:
         mode = mode or self.mode
         pair = self.pair(mode)
         if mode == "fan-fsn":
+            if self.net.is_signed:
+                self.gauge      # refuses an unbalanced network
             if not pair.is_simple:
                 raise SpectralError("second eigenvalue repeated; selection undefined")
             return fsn_fan(self.net, pair.vector, self.classification)
-        rule = {"san-fsn": fsn_san, "san-ffn": ffn_san,
-                "signed-san-fsn": fsn_signed_san}[mode]
+        rule = ffn_san if mode == "san-ffn" else fsn_san
         return rule(self.net, self.cfg, pair.vector)
 
     def reduce(self, mode: Optional[str] = None) -> tuple[DirectedNetwork, dict]:
@@ -157,15 +164,12 @@ class Model:
         """Predicted final state: the steady state of a leader-driven
         generator G, or for an autonomous network the consensus value its
         slower-neighbor reduction reaches from x0; on a signed one, gauged
-        by the balance partition's sigma, one row per node: sigma * (that
-        value from sigma * x0).  An unbalanced network is refused."""
+        by :attr:`gauge`, one row per node: sigma * (that value from
+        sigma * x0)."""
         if self.cfg is not None:
             return steady_state_san(G, *self.drive)
         if not self.net.is_signed:
             return fan_fsn_consensus_value(x0, self.classification)
-        if (partition := structural_balance_partition(self.net)) is None:
-            raise GraphError("signed network is not structurally balanced; "
-                             "its consensus limit is undefined")
-        sigma = np.diag(gauge_matrix(partition))[:, None]
-        x0 = np.reshape(x0, (self.net.n, -1))
-        return sigma * fan_fsn_consensus_value(sigma * x0, self.classification)
+        sigma = self.gauge
+        return sigma * fan_fsn_consensus_value(sigma * as_columns(x0),
+                                               self.classification)

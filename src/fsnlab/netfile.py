@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import Trajectory, as_columns
 from .graphs import (MAX_NODES, DirectedNetwork, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig)
 
@@ -220,10 +220,7 @@ def serialize_network(net: Network, cfg: Optional[SemiAutonomousConfig] = None,
         if cfg.inputs is not None:
             doc["inputs"] = [list(u) for u in cfg.inputs]
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim == 1:
-            x0 = x0[:, None]
-        doc["x0"] = [list(map(float, row)) for row in x0]
+        doc["x0"] = [list(map(float, row)) for row in as_columns(x0)]
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -4,7 +4,9 @@ Each agent keeps only the neighbors whose eigenvector entry is smaller than
 its own (the "slower" neighbors); ties are dropped on both sides so that
 mutually symmetric agents never follow each other.  The fully-autonomous
 variant works blockwise on the Fiedler vector and keeps the core region
-bidirectional; the signed variant compares entry magnitudes.
+bidirectional.  The leader-driven rules serve every sign: on a structurally
+balanced signed network they compare entry magnitudes, which is the
+unsigned rule on the magnitude network after gauging the signs away.
 """
 
 from __future__ import annotations
@@ -50,14 +52,19 @@ def _edge_arcs(net: Network, keep: np.ndarray, name: str) -> DirectedNetwork:
 
 def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
                              v1: np.ndarray) -> np.ndarray:
+    """v1, or its magnitudes on a balanced signed wiring; refused unless positive."""
     v1 = np.asarray(v1, dtype=float)
     if len(v1) != net.n:
         raise GraphError(f"eigenvector length {len(v1)} != n={net.n}")
-    if float(v1.min()) <= 0:
-        raise GraphError("principal eigenvector must be strictly positive")
     for node in cfg.leader_nodes:
         if node > net.n:
             raise GraphError(f"leader node {node} outside 1..{net.n}")
+    if net.is_signed or cfg.is_signed:
+        if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
+            raise GraphError("network plus input wiring is not structurally balanced")
+        v1 = np.abs(v1)
+    if float(v1.min()) <= 0:
+        raise GraphError("principal eigenvector must be strictly positive")
     return v1
 
 
@@ -74,11 +81,15 @@ def _ratio_arcs(net: Network, v: np.ndarray,
 
 def fsn_san(net: Network, cfg: SemiAutonomousConfig,
             v1: np.ndarray) -> DirectedNetwork:
-    """Keep the slower neighbors of a leader-driven network.
+    """Keep the slower neighbors of a leader-driven network of any sign.
 
-    ``v1`` is the positive principal eigenvector of the perturbed
-    Laplacian; the arc (i <- j) survives exactly when v1[i]/v1[j] > 1.
-    The result is acyclic because retained arcs strictly descend in v1.
+    ``v1`` is the principal eigenvector of the perturbed Laplacian; the arc
+    (i <- j) survives exactly when |v1[i]|/|v1[j]| > 1.  A signed network
+    plus its input wiring must be structurally balanced: its gauge
+    D = diag(+-1) then maps v1 onto the positive vector of the magnitude
+    network, so the rule keeps that network's arcs.  An unsigned v1 must
+    be positive.  The result is acyclic because retained arcs strictly
+    descend in |v1|.
     """
     return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1))
 
@@ -91,6 +102,10 @@ def ffn_san(net: Network, cfg: SemiAutonomousConfig,
     sides exactly as in :func:`fsn_san`.
     """
     return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), faster=True)
+
+
+# Earlier name of the rule, kept for callers that import it.
+fsn_signed_san = fsn_san
 
 
 def fsn_fan(net: Network, v2: np.ndarray,
@@ -121,22 +136,6 @@ def fsn_fan(net: Network, v2: np.ndarray,
     keep = (sign[a] != 0) & ((sign[b] == 0) | (r < 0)
                              | ((r > 1.0) & (np.abs(r - 1.0) >= EPS_TIE)))
     return _edge_arcs(net, both | keep, f"{net.name}-fsn")
-
-
-def fsn_signed_san(net: Network, cfg: SemiAutonomousConfig,
-                   v1s: np.ndarray) -> DirectedNetwork:
-    """Slower-neighbor reduction of a signed leader-driven network.
-
-    Requires the network plus its input wiring to be structurally balanced;
-    retention compares entry magnitudes, which matches gauging the signs
-    away and applying the unsigned rule.
-    """
-    v1s = np.asarray(v1s, dtype=float)
-    if len(v1s) != net.n:
-        raise GraphError(f"eigenvector length {len(v1s)} != n={net.n}")
-    if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
-        raise GraphError("network plus input wiring is not structurally balanced")
-    return _ratio_arcs(net, np.abs(v1s))
 
 
 def reachable_from(dnet: DirectedNetwork, sources: Iterable[int]) -> dict[int, bool]:

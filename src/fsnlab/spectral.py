@@ -1,6 +1,8 @@
 """Dense symmetric eigensolver and the eigenpairs the selection rules consume.
 
 Every eigenpair comes from one full LAPACK decomposition (``numpy.linalg.eigh``).
+One leader-driven pair serves every sign: on a structurally balanced
+signed network it is the gauge image of the pair of the magnitude network.
 Several selection rules are undefined when the relevant eigenvalue is
 repeated; detecting a repeat needs eigenvalues accurate to O(u * |M|), u the
 unit roundoff, which the backward-stable LAPACK solver delivers, eight orders
@@ -128,12 +130,14 @@ def smallest_eigenpairs(M: np.ndarray, k: int) -> list[EigenPair]:
 
 
 def principal_pair_perturbed(L_B: np.ndarray) -> EigenPair:
-    """Smallest eigenpair of a leader-perturbed Laplacian, sign-fixed positive.
+    """Smallest eigenpair of a leader-perturbed Laplacian of any sign.
 
     For a connected network with at least one leader this eigenvalue is
-    strictly positive and simple, and the eigenvector can be taken entrywise
-    positive; violations of either property signal a bad input (disconnected
-    network, no leader, or a non-Laplacian matrix) and raise.
+    strictly positive and simple, and the sign-normalized vector is D v for
+    a positive v and the balance gauge D = diag(+-1), D = I when unsigned.
+    Violations (disconnected network, no leader, a zero entry, or a
+    non-Laplacian matrix) raise; the selection rules refuse an unsigned
+    vector that is not positive.
     """
     pair = smallest_eigenpairs(L_B, 1)[0]
     if pair.value <= default_eps_gap(L_B):
@@ -143,28 +147,15 @@ def principal_pair_perturbed(L_B: np.ndarray) -> EigenPair:
     if not pair.is_simple:
         raise SpectralError("smallest eigenvalue is numerically repeated")
     vec = sign_normalize(pair.vector)
-    if float(vec.min()) <= EPS_POS:
+    if float(np.abs(vec).min()) <= EPS_POS:
         raise SpectralError(
             "eigenvector is not strictly positive; "
             "the network is disconnected or the matrix is not a perturbed Laplacian")
     return EigenPair(pair.value, vec, True)
 
 
-def principal_pair_signed(L_Bs: np.ndarray) -> EigenPair:
-    """Smallest eigenpair of a signed perturbed Laplacian.
-
-    Entries carry both signs; the global sign is fixed by
-    :func:`sign_normalize`.  Requires a positive simple eigenvalue, which a
-    structurally balanced wiring guarantees.
-    """
-    pair = smallest_eigenpairs(L_Bs, 1)[0]
-    if pair.value <= default_eps_gap(L_Bs):
-        raise SpectralError(
-            f"smallest eigenvalue {pair.value:.3e} is not positive; "
-            "the wiring is unbalanced, disconnected, or leaderless")
-    if not pair.is_simple:
-        raise SpectralError("smallest eigenvalue is numerically repeated")
-    return EigenPair(pair.value, sign_normalize(pair.vector), True)
+# Earlier name of the pair, kept for callers that import it.
+principal_pair_signed = principal_pair_perturbed
 
 
 def fiedler_pair(L: np.ndarray,

@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, step_map,
-                       step_powers)
+from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, as_columns,
+                       step_map, step_powers)
 from .graphs import DirectedNetwork, Network, is_connected
 from .model import Model
 from .spectral import default_eps_gap, default_eps_zero, symmetric_eigh
@@ -122,9 +122,7 @@ def distributed_select(model: Model, x0: np.ndarray,
     floor after ``round_cap`` rounds.
     """
     net, drive = model.net, model.drive
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
+    x0 = as_columns(x0)
     if drive is None:
         if len(net.edges) != net.n - 1 or not is_connected(net):
             raise TempoError("distributed autonomous selection needs a tree")

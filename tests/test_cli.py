@@ -29,6 +29,16 @@ def spider_file(tmp_path):
     return str(path)
 
 
+def unbalanced_triangle_file(tmp_path):
+    """A triangle with one antagonistic edge, plus a pendant so that the
+    Fiedler value of |W| is simple: no structural balance."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"n": 4, "edges": [
+        {"i": 1, "j": 2, "w": -1.0}, {"i": 2, "j": 3}, {"i": 1, "j": 3},
+        {"i": 3, "j": 4, "w": 2.0}]}))
+    return str(path)
+
+
 class TestAnalyze:
     def test_g8_summary(self, capsys):
         code, out, _ = run(capsys, "analyze", "g8")
@@ -130,6 +140,34 @@ class TestSelect:
         code, _, err = run(capsys, "select", "g12", "--mode", "san-fsn")
         assert code == 1
         assert "needs leaders" in err
+
+    def test_unbalanced_autonomous_network_is_refused(self, capsys, tmp_path):
+        # analyze reports the imbalance; select refuses and writes nothing.
+        path = unbalanced_triangle_file(tmp_path)
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == 0
+        assert "structural balance: unbalanced" in out
+        arcs, report = tmp_path / "arcs.json", tmp_path / "report.json"
+        code, out, err = run(capsys, "select", path, "--mode", "fan-fsn",
+                             "--out", str(arcs), "--report", str(report))
+        assert (code, out) == (1, "")
+        assert err == ("error: signed network is not structurally balanced; "
+                       "its consensus limit is undefined\n")
+        assert not arcs.exists() and not report.exists()
+
+    def test_leaderless_signed_component_is_refused(self, capsys, tmp_path):
+        # Two antagonistic pairs, a leader on the first only: the perturbed
+        # Laplacian is singular, whatever the signs.
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"n": 4, "edges": [
+            {"i": 1, "j": 2, "w": -1.0}, {"i": 3, "j": 4, "w": -1.0}],
+            "leaders": [{"node": 1, "input": 1}], "inputs": [[1.0]]}))
+        code, out, err = run(capsys, "select", str(path),
+                             "--mode", "signed-san-fsn")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: smallest eigenvalue ")
+        assert err.endswith("is not positive; the network is disconnected "
+                            "or has no leader\n")
 
 
 class TestSimulate:
@@ -397,6 +435,16 @@ class TestCompare:
         assert code == 1
         assert err == ("error: signed network is not structurally balanced; "
                        "its consensus limit is undefined\n")
+
+    def test_unbalanced_autonomous_network_is_refused_before_simulating(
+            self, capsys, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "_verification_runs",
+                            lambda *args: runs.append(args))
+        code, out, err = run(capsys, "compare", unbalanced_triangle_file(tmp_path))
+        assert (code, runs) == (1, [])
+        assert "structurally balanced" in err
+        assert "retained" not in out
 
 
 FIXTURES = ["g6", "g8", "g8-signed", "g12", "t12"]

@@ -162,6 +162,10 @@ class TestFsnSignedSan:
         ref = fsn_san(unsigned, cfg, np.abs(gauge @ pair.vector))
         assert dnet.arc_set == ref.arc_set == frozenset({(2, 1)})
 
+    def test_old_names_are_the_same_functions(self):
+        assert fsn_signed_san is fsn_san
+        assert principal_pair_signed is principal_pair_perturbed
+
     def test_unbalanced_rejected(self):
         net = Network(3, (Edge(1, 2), Edge(2, 3), Edge(1, 3, -1.0)))
         cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),))
@@ -306,6 +310,29 @@ class TestSignedProperties:
             assert dnet_s.arc_set == dnet_u.arc_set
             for arc in dnet_s.arcs:
                 assert abs(arc.w) == absnet.weights[(arc.follower, arc.followed)]
+
+    def test_unsigned_rules_accept_signed_pair(self):
+        # fsn_san and ffn_san take the signed network and the pair of its
+        # own perturbed Laplacian, and keep the arcs of |W|'s reduction.
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            net, _ = random_balanced_signed_net(rng, n)
+            cfg = random_leader_cfg(rng, n)
+            v1 = principal_pair_perturbed(signed_perturbed_laplacian(net, cfg)).vector
+            absnet = net.absolute()
+            v1_abs = san_pair(absnet, cfg).vector
+            for rule in (fsn_san, ffn_san):
+                assert (rule(net, cfg, v1).arc_set
+                        == rule(absnet, cfg, v1_abs).arc_set)
+
+    def test_signed_vector_with_zero_magnitude_rejected(self):
+        net = Network(3, (Edge(1, 2, -1.0), Edge(2, 3)))
+        cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),))
+        for rule in (fsn_signed_san, ffn_san):
+            assert rule(net, cfg, np.array([0.5, -0.4, -0.3])).arcs
+            with pytest.raises(GraphError, match="strictly positive"):
+                rule(net, cfg, np.array([0.5, -0.4, 0.0]))
 
     def test_signed_rate_never_degrades(self):
         rng = np.random.default_rng(27)
