@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig, augmented_signed_network,
-                     diameter, gauge_matrix, is_connected, laplacian,
-                     perturbed_laplacian, reduced_laplacian, signed_laplacian,
+                     is_connected, laplacian, perturbed_laplacian,
+                     reduced_laplacian, signed_laplacian,
                      signed_perturbed_laplacian, signed_reduced_laplacian,
                      structural_balance_partition)
 from .spectral import (EigenPair, SpectralError, entry_ratio, fiedler_pair,
@@ -20,16 +20,14 @@ from .spectral import (EigenPair, SpectralError, entry_ratio, fiedler_pair,
                        sign_normalize, smallest_eigenpairs, symmetric_eigh)
 from .blocks import (BlockDecomposition, ClassificationError,
                      FiedlerClassification, block_cut_tree, classify_fiedler)
-from .selection import (ffn_san, fiedler_lower_bound, fsn_fan, fsn_san,
-                        fsn_signed_san, reachable_from, reachable_from_inputs,
-                        reduced_spectrum, reduced_symmetric_fiedler,
-                        tree_diameter_bound)
+from .selection import (ffn_san, fsn_fan, fsn_san, fsn_signed_san,
+                        reachable_from, reachable_from_inputs, reduced_spectrum)
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
                        empirical_rate, fan_fsn_consensus_value, simulate,
                        steady_state_san)
 from .model import Model
 from .tempo import (TempoError, TempoEstimate, TempoReport, distributed_select,
-                    g_ratio_series, tempo_limit_from_eigvec, tempo_limit_oracle)
+                    g_ratio_series, tempo_limit_from_eigvec)
 from .netfile import (FIXTURE_NAMES, NetworkFileError, emit_trajectory,
                       load_fixture, parse_arc_file, parse_network_file,
                       parse_trajectory, serialize_arcs, serialize_network)

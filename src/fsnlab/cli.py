@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
         raise NetworkFileError(
             f"x0 dimension {x0.shape[1]} != input dimension {drive[1].shape[1]}")
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon, method=args.method)
-    traj = simulate(G, drive, x0, simcfg, model=tag)
+    traj = simulate(G, drive, x0, simcfg)
     final = traj.states[-1]
     spread = float(np.abs(final - final.mean(axis=0)).max())
     print(f"{tag}: {simcfg.steps} steps of {args.method}, dt={args.dt}, "
@@ -216,8 +216,12 @@ def cmd_tempo(args) -> int:
     G, drive = model.generator(), model.drive
     x0 = _resolve_x0(net, cfg, x0)
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon)
-    traj = simulate(G, drive, x0, simcfg, model=model.tag)
+    traj = simulate(G, drive, x0, simcfg)
     vec = model.pair().vector
+    if args.first_component and cfg is None and net.is_signed:
+        # The states are the gauge image of those of |W|, whose Fiedler
+        # vector this is; norm ratios do not see the gauge.
+        vec = model.gauge[:, 0] * vec
     zero = np.abs(vec) <= default_eps_zero(vec)
 
     rows = ["t,follower,followed,value\n"]
@@ -299,21 +303,19 @@ def _verification_horizon(rate: float) -> float:
     return float(min(600.0, max(60.0, 9.0 / max(rate, 1e-3))))
 
 
-def _verification_runs(G, drive, x0, label: str,
-                       h: float) -> tuple[Trajectory, Trajectory]:
+def _verification_runs(G, drive, x0, h: float) -> tuple[Trajectory, Trajectory]:
     """One simulation to 1.5 * h, and its first h as a run of its own; the
     endpoint of the long run serves :func:`_rate_of` as converged target."""
-    long = simulate(G, drive, x0, SimulationConfig(dt=0.01, horizon=1.5 * h),
-                    model=label)
+    long = simulate(G, drive, x0, SimulationConfig(dt=0.01, horizon=1.5 * h))
     k = SimulationConfig(dt=0.01, horizon=h).steps + 1
-    return Trajectory(long.times[:k], long.states[:k], model=label), long
+    return Trajectory(long.times[:k], long.states[:k]), long
 
 
 def _rate_of(long: Trajectory, fit_h: float) -> tuple[float, float]:
     """Fitted decay rate over [0, fit_h] toward the run's final state, and
     the mean time of the samples it was fitted on."""
     keep = long.times <= fit_h + 1e-12
-    window = Trajectory(long.times[keep], long.states[keep], model=long.model)
+    window = Trajectory(long.times[keep], long.states[keep])
     rate = empirical_rate(window, long.states[-1])
     _, usable = fit_window(window, long.states[-1])
     return rate, float(window.times[usable].mean())
@@ -359,8 +361,8 @@ def cmd_compare(args) -> int:
     G0, G1, drive = model.generator(), model.generator(dnet), model.drive
     h0 = _verification_horizon(lam_orig)
     h1 = _verification_horizon(lam_red)
-    traj0, long0 = _verification_runs(G0, drive, x0, "original", h0)
-    traj1, long1 = _verification_runs(G1, drive, x0, "reduced", h1)
+    traj0, long0 = _verification_runs(G0, drive, x0, h0)
+    traj1, long1 = _verification_runs(G1, drive, x0, h1)
 
     if cfg is not None:
         err0, err1 = (float(np.abs(traj.states[-1] - model.limit(G, x0)).max())

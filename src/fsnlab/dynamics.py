@@ -64,7 +64,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    model: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -123,8 +122,7 @@ def step_powers(R: np.ndarray, c: np.ndarray,
 def simulate(generator: np.ndarray,
              drive: Optional[tuple[np.ndarray, np.ndarray]],
              x0: np.ndarray,
-             cfg: SimulationConfig = SimulationConfig(),
-             model: str = "") -> Trajectory:
+             cfg: SimulationConfig = SimulationConfig()) -> Trajectory:
     """Integrate the network ODE from x0 and record every step.
 
     ``drive`` is (B, u) for leader-driven models and None for autonomous
@@ -183,7 +181,7 @@ def simulate(generator: np.ndarray,
             states[start + 1:start + 1 + m, :, dim] = run
             x = run[-1][:, None]
     times = np.arange(steps + 1) * cfg.dt
-    return Trajectory(times, states, model=model)
+    return Trajectory(times, states)
 
 
 def steady_state_san(L_B: np.ndarray, B: np.ndarray, u: np.ndarray) -> np.ndarray:

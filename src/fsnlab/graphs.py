@@ -17,7 +17,6 @@ diagonal and -w off it, for every sign: no builder has a signed variant.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -518,24 +517,6 @@ def is_connected(net: Network) -> bool:
     return all(_reach(indptr, cols, [0]))
 
 
-def diameter(net: Network) -> int:
-    """Longest shortest-path length (in hops); requires connectivity."""
-    if not is_connected(net):
-        raise GraphError("diameter undefined for a disconnected network")
-    best = 0
-    for s in range(1, net.n + 1):
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in net.neighbors[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, max(dist.values()))
-    return best
-
-
 def structural_balance_partition(
         net: Network) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """Two-color the nodes so positive edges join same-color endpoints.
@@ -568,18 +549,6 @@ def structural_balance_partition(
         return None
     return (frozenset((np.flatnonzero(~color) + 1).tolist()),
             frozenset((np.flatnonzero(color) + 1).tolist()))
-
-
-def gauge_matrix(partition: tuple[Iterable[int], Iterable[int]]) -> np.ndarray:
-    """Diagonal +-1 matrix that conjugates the signed Laplacian onto L(|W|)."""
-    v1, v2 = frozenset(partition[0]), frozenset(partition[1])
-    n = len(v1) + len(v2)
-    if v1 | v2 != frozenset(range(1, n + 1)) or (v1 & v2):
-        raise GraphError("partition must split 1..n into two disjoint sets")
-    sigma = np.ones(n)
-    for i in v2:
-        sigma[i - 1] = -1.0
-    return np.diag(sigma)
 
 
 def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network:

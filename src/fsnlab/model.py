@@ -18,11 +18,12 @@ from .blocks import (BlockDecomposition, FiedlerClassification,
                      block_cut_tree, classify_fiedler)
 from .dynamics import as_columns, fan_fsn_consensus_value, steady_state_san
 from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, _bump_leaders, gauge_matrix,
-                     laplacian, perturbed_laplacian, reduced_laplacian,
+                     SemiAutonomousConfig, _bump_leaders,
+                     augmented_signed_network, is_connected, laplacian,
+                     perturbed_laplacian, reduced_laplacian,
                      signed_perturbed_laplacian, structural_balance_partition)
-from .selection import (ffn_san, fsn_fan, fsn_san, reachable_from,
-                        reachable_from_inputs, reduced_spectrum)
+from .selection import (_check_balanced, ffn_san, fsn_fan, fsn_san,
+                        reachable_from, reachable_from_inputs, reduced_spectrum)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
                        principal_pair_perturbed, smallest_eigenpairs)
 
@@ -89,6 +90,12 @@ class Model:
             elif cfg is None:
                 raise GraphError(f"mode {mode} needs leaders in the input file")
             else:
+                # Refuse an unbalanced wiring by name before the solve, whose
+                # eigen checks would fail on it first; a disconnected one is
+                # left to the solve, which names the missing leader.
+                if mode == "signed-san-fsn" and self.signed and is_connected(
+                        augmented_signed_network(net, cfg)):
+                    _check_balanced(net, cfg)
                 build = (signed_perturbed_laplacian if mode == "signed-san-fsn"
                          else perturbed_laplacian)
                 pair = principal_pair_perturbed(build(net, cfg))
@@ -101,7 +108,9 @@ class Model:
         if (partition := structural_balance_partition(self.net)) is None:
             raise GraphError("signed network is not structurally balanced; "
                              "its consensus limit is undefined")
-        return np.diag(gauge_matrix(partition))[:, None]
+        sigma = np.ones((self.net.n, 1))
+        sigma[[i - 1 for i in partition[1]]] = -1.0
+        return sigma
 
     @cached_property
     def blocks(self) -> BlockDecomposition:

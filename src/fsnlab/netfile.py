@@ -432,7 +432,7 @@ def _row_columns(text: str) -> tuple[np.ndarray, ...]:
         raise NetworkFileError(f"agent or dim id out of range: {exc}") from exc
 
 
-def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
+def parse_trajectory(text: str) -> Trajectory:
     """Read a trajectory CSV as ``emit_trajectory`` writes it; raises
     ``NetworkFileError`` naming the first problem."""
     columns = _plain_columns(text)
@@ -453,7 +453,7 @@ def parse_trajectory(text: str, model: str = "csv-import") -> Trajectory:
             f"and list each (agent, dim) pair exactly once")
     states = np.empty(shape)
     np.put_along_axis(states, slot, value.reshape(shape), axis=1)
-    return Trajectory(t[:, 0], states.reshape(shape[0], n, d), model=model)
+    return Trajectory(t[:, 0], states.reshape(shape[0], n, d))
 
 
 def fixture_text(name: str) -> str:

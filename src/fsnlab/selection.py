@@ -11,7 +11,6 @@ unsigned rule on the magnitude network after gauging the signs away.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import Iterable, Optional
 
@@ -19,8 +18,7 @@ import numpy as np
 
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, _bump_leaders, _reach,
-                     augmented_signed_network, reduced_laplacian,
-                     structural_balance_partition)
+                     augmented_signed_network, structural_balance_partition)
 from .blocks import FiedlerClassification
 from .spectral import symmetric_eigh
 
@@ -50,6 +48,13 @@ def _edge_arcs(net: Network, keep: np.ndarray, name: str) -> DirectedNetwork:
         np.repeat(net.w, 2)[keep], name)
 
 
+def _check_balanced(net: Network, cfg: SemiAutonomousConfig) -> None:
+    """Refuse a signed network or input wiring that, taken together, is not
+    structurally balanced; the test needs the two together connected."""
+    if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
+        raise GraphError("network plus input wiring is not structurally balanced")
+
+
 def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
                              v1: np.ndarray) -> np.ndarray:
     """v1, or its magnitudes on a balanced signed wiring; refused unless positive."""
@@ -60,8 +65,7 @@ def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
         if node > net.n:
             raise GraphError(f"leader node {node} outside 1..{net.n}")
     if net.is_signed or cfg.is_signed:
-        if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
-            raise GraphError("network plus input wiring is not structurally balanced")
+        _check_balanced(net, cfg)
         v1 = np.abs(v1)
     if float(v1.min()) <= 0:
         raise GraphError("principal eigenvector must be strictly positive")
@@ -126,15 +130,13 @@ def fsn_fan(net: Network, v2: np.ndarray,
         cls.decomposition.blocks_of_edges(net.i, net.j)]
     sign = np.array(cls.node_sign)
 
-    # Row 0 tests the arcs (i <- j), row 1 the arcs (j <- i).  A zero
-    # follower's ratio 0 lies in [0, 1]: dropped; a zero followed node's
-    # ratio diverges: retained.
-    a = np.stack((net.i, net.j)) - 1
-    b = a[::-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = v2[a] / v2[b]
-    keep = (sign[a] != 0) & ((sign[b] == 0) | (r < 0)
-                             | ((r > 1.0) & (np.abs(r - 1.0) >= EPS_TIE)))
+    # Row 0 tests the arcs (i <- j), row 1 the arcs (j <- i), so the
+    # reversed rows hold the followed nodes.  A zero follower is dropped; a
+    # zero followed node is retained, and so is a neighbor of the other
+    # sign, whose ratio is negative.
+    ends = np.stack((net.i, net.j)) - 1
+    s, v = sign[ends], v2[ends]
+    keep = (s != 0) & ((s[::-1] == 0) | (s != s[::-1]) | _follows(v, v[::-1]))
     return _edge_arcs(net, both | keep, f"{net.name}-fsn")
 
 
@@ -254,52 +256,3 @@ def reduced_spectrum(dnet: DirectedNetwork,
                 "block; spectrum cannot be read structurally")
         values[part] = symmetric_eigh(block)[0]
     return np.sort(values)
-
-
-def reduced_symmetric_fiedler(dnet: DirectedNetwork) -> tuple[float, np.ndarray]:
-    """Second eigenvalue of the symmetrized reduced generator, and the
-    mean-free unit vector minimizing its quadratic form.
-
-    The minimizer over vectors orthogonal to the all-ones direction is the
-    certificate the convergence lower bound is evaluated on; for a symmetric
-    reduced generator it coincides with the ordinary Fiedler vector.
-    """
-    n = dnet.n
-    if n < 2:
-        raise GraphError("symmetrized Fiedler data needs at least two nodes")
-    L = reduced_laplacian(dnet)
-    M = (L + L.T) / 2.0
-    w, _ = symmetric_eigh(M)
-    lam2 = float(w[1])
-    # Orthonormal basis of the mean-free subspace: the eigenvectors of I - J/n
-    # after the first, the all-ones direction (eigenvalue 0; the rest are 1).
-    P = symmetric_eigh(np.eye(n) - 1.0 / n)[1][:, 1:]
-    wq, Vq = symmetric_eigh(P.T @ M @ P)
-    vbar = P @ Vq[:, 0]
-    vbar = vbar / np.linalg.norm(vbar)
-    return lam2, vbar
-
-
-def fiedler_lower_bound(L: np.ndarray, dnet: DirectedNetwork,
-                        vbar: np.ndarray) -> float:
-    """Lower bound on the reduced network's algebraic connectivity.
-
-    Adds, over every dropped neighbor choice (i, j), the weighted term
-    w_ij * vbar[i] * (vbar[j] - vbar[i]) to the original second eigenvalue.
-    With nothing dropped the bound is that eigenvalue itself.
-    """
-    L = np.asarray(L, dtype=float)
-    vbar = np.asarray(vbar, dtype=float)
-    w, _ = symmetric_eigh(L)
-    dropped = L != 0.0
-    np.fill_diagonal(dropped, False)
-    dropped[dnet.i - 1, dnet.j - 1] = False
-    i, j = np.nonzero(dropped)
-    return float(w[1]) + float(np.sum(-L[i, j] * vbar[i] * (vbar[j] - vbar[i])))
-
-
-def tree_diameter_bound(diam: int) -> float:
-    """Upper bound on a tree's algebraic connectivity from its diameter."""
-    if diam < 1:
-        raise ValueError(f"diameter must be at least 1, got {diam}")
-    return 2.0 * (1.0 - math.cos(math.pi / (diam + 1)))

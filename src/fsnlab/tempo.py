@@ -23,7 +23,7 @@ from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, as_columns,
                        step_map, step_powers)
 from .graphs import DirectedNetwork, Network, is_connected
 from .model import Model
-from .spectral import default_eps_gap, default_eps_zero, symmetric_eigh
+from .spectral import default_eps_zero
 
 DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
@@ -280,44 +280,3 @@ def _first_coordinate(dx: np.ndarray) -> np.ndarray:
 def _norm_over_d(dx: np.ndarray) -> np.ndarray:
     """Euclidean norm over axis 1 of an (agents, d, rounds) array."""
     return np.linalg.norm(dx, axis=1)
-
-
-def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],
-                       group2: Iterable[int]) -> float:
-    """Closed-form limit of the difference-norm ratio for x' = M x.
-
-    Works directly from the eigendecomposition of the symmetric generator:
-    only the eigenspace of the largest nonzero eigenvalue survives in the
-    derivative as t grows, and the limit is a quadratic-form ratio over
-    that eigenspace.  Serves as an independent check on simulated ratios,
-    including the case of a repeated dominant eigenvalue.  Raises when the
-    projection of x0 on that eigenspace is at most 1e-6 max(1, ||x0||).
-    """
-    M = np.asarray(M, dtype=float)
-    x0 = np.asarray(x0, dtype=float).ravel()
-    eps_gap = default_eps_gap(M)
-    w, V = symmetric_eigh(M)
-    nonzero = [i for i in range(len(w)) if abs(w[i]) > eps_gap]
-    if not nonzero:
-        raise TempoError("generator has no nonzero eigenvalue")
-    lam_dom = max(w[i] for i in nonzero)
-    dom = [i for i in nonzero if abs(w[i] - lam_dom) <= eps_gap]
-
-    beta = V.T @ x0
-    proj = math.sqrt(sum(beta[i] ** 2 for i in dom))
-    if proj <= 1e-6 * max(1.0, float(np.linalg.norm(x0))):
-        raise TempoError("initial state is orthogonal to the dominant "
-                         "eigenspace; the limit formula degenerates")
-
-    idx1 = [i - 1 for i in group1]
-    idx2 = [j - 1 for j in group2]
-    if not idx1 or not idx2:
-        raise TempoError("both groups must be nonempty")
-
-    y = V[:, dom] @ (w[dom] * beta[dom])
-    num = float(y[idx1] @ y[idx1])
-    den = float(y[idx2] @ y[idx2])
-    if den <= 0.0 or den < 1e-24 * max(num, 1.0):
-        raise TempoError("second group has no component on the dominant "
-                         "eigenspace; the limit formula degenerates")
-    return math.sqrt(num / den)

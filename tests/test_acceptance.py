@@ -9,21 +9,22 @@ import time
 
 import numpy as np
 
-from fsnlab import (Model, block_cut_tree, classify_fiedler, diameter,
+from fsnlab import (Model, block_cut_tree, classify_fiedler,
                     distributed_select, fan_fsn_consensus_value, ffn_san,
-                    fiedler_lower_bound,
                     fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
-                    g_ratio_series, gauge_matrix, laplacian,
+                    g_ratio_series, laplacian,
                     perturbed_laplacian, principal_pair_perturbed,
                     principal_pair_signed, reachable_from,
                     reachable_from_inputs, reduced_laplacian, reduced_spectrum,
-                    reduced_symmetric_fiedler, signed_laplacian,
+                    signed_laplacian,
                     signed_perturbed_laplacian, signed_reduced_laplacian,
                     simulate, structural_balance_partition,
-                    tempo_limit_from_eigvec, tempo_limit_oracle,
-                    tree_diameter_bound, SimulationConfig)
+                    tempo_limit_from_eigvec, SimulationConfig)
 from fsnlab.cli import main as cli_main
 
+from oracles import (diameter, fiedler_lower_bound, gauge_matrix,
+                     reduced_symmetric_fiedler, tempo_limit_oracle,
+                     tree_diameter_bound)
 from conftest import (G6_FSN, G8_FFN, G8_FSN, G8_V1, G12_FSN, T12_FSN, T12_V2,
                       random_balanced_signed_net, random_connected_net,
                       random_leader_cfg, random_tree)

@@ -275,6 +275,20 @@ class TestTempo:
             "  none (both entries sit at zero: no eigenvector limit)")
         assert "FAILED" not in out
 
+    def test_first_component_of_a_gauged_autonomous_path(self, capsys,
+                                                         tmp_path):
+        # Every edge antagonistic: the states are the gauge image of the
+        # all-positive path's, so the first-coordinate ratio of neighbors
+        # is negative, and so is the reference.
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"n": 6, "edges": [
+            {"i": i, "j": i + 1, "w": -1.0} for i in range(1, 6)],
+            "x0": [0.9, 0.1, 0.5, 0.3, 0.7, 0.2]}))
+        code, out, err = run(capsys, "tempo", str(path), "--pairs", "1:2",
+                             "--first-component")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split() == ["1:2", "-1.36603", "-1.36603"]
+
     def test_bad_pair_spec(self, capsys):
         code, _, err = run(capsys, "tempo", "g8", "--pairs", "7;3")
         assert code == 2
@@ -378,6 +392,23 @@ class TestSignedDistributedSelect:
         assert err == ("error: distributed autonomous selection needs "
                        "nonnegative weights; the tree has antagonistic "
                        "(negative) links\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--mode", "signed-san-fsn"], ["compare"],
+    ["tempo", "--pairs", "1:2"], ["distributed-select"], ["analyze"]])
+def test_unbalanced_leader_network_is_refused_by_name(argv, capsys, tmp_path):
+    # The triangle with one antagonistic edge, plus a pendant that holds the
+    # leader: the perturbed Laplacian's smallest eigenvalue is repeated, so
+    # the balance test has to come before the eigen checks.
+    path = tmp_path / "unbalanced.json"
+    path.write_text(json.dumps({
+        "n": 4, "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3},
+                          {"i": 1, "j": 3, "w": -1.0}, {"i": 3, "j": 4}],
+        "leaders": [{"node": 4, "input": 1}], "inputs": [[1.0]]}))
+    code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 1
+    assert err == "error: network plus input wiring is not structurally balanced\n"
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e9, 1e12])

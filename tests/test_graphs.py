@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     Network, SemiAutonomousConfig, augmented_signed_network,
-                    diameter, gauge_matrix, is_connected, laplacian,
+                    is_connected, laplacian,
                     perturbed_laplacian, reduced_laplacian, signed_laplacian,
                     signed_reduced_laplacian, structural_balance_partition)
 from fsnlab.graphs import MAX_NODES
 from fsnlab.selection import fsn_san
 from fsnlab.spectral import principal_pair_perturbed
 
+from oracles import diameter, gauge_matrix
 from conftest import T12_FSN, random_connected_net, random_balanced_signed_net
 
 K2 = Network(2, (Edge(1, 2),))

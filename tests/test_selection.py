@@ -7,18 +7,19 @@ from hypothesis import strategies as st
 
 from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     Network, SemiAutonomousConfig, block_cut_tree,
-                    classify_fiedler, diameter, ffn_san, fiedler_lower_bound,
+                    classify_fiedler, ffn_san,
                     fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
                     laplacian, load_fixture, perturbed_laplacian,
                     principal_pair_perturbed, principal_pair_signed,
                     reachable_from, reachable_from_inputs, reduced_spectrum,
-                    reduced_laplacian, reduced_symmetric_fiedler,
-                    signed_perturbed_laplacian, signed_reduced_laplacian,
-                    tree_diameter_bound)
+                    reduced_laplacian,
+                    signed_perturbed_laplacian, signed_reduced_laplacian)
 from fsnlab.model import EIG_TOL, Model
 from fsnlab.selection import _strong_components
 from fsnlab.spectral import SpectralError, symmetric_eigh
 
+from oracles import (diameter, fiedler_lower_bound, reduced_symmetric_fiedler,
+                     tree_diameter_bound)
 from conftest import (G6_FSN, G8_FFN, G8_FSN, G12_FSN, T12_FSN,
                       random_balanced_signed_net, random_connected_net,
                       random_leader_cfg, random_tree)

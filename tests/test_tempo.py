@@ -15,12 +15,13 @@ from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
                     g_ratio_series, laplacian, perturbed_laplacian,
                     principal_pair_perturbed, principal_pair_signed,
                     signed_perturbed_laplacian, simulate,
-                    tempo_limit_from_eigvec, tempo_limit_oracle)
+                    tempo_limit_from_eigvec)
 
 from fsnlab import tempo
 from fsnlab.dynamics import BLOCK, UNIT_ROUNDOFF, step_map, step_powers
 from fsnlab.graphs import DirectedNetwork
 
+from oracles import tempo_limit_oracle
 from conftest import (G6_FSN, G8_FSN, T12_FSN, random_connected_net,
                       random_leader_cfg, random_tree)
 
