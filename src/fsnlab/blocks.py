@@ -54,10 +54,6 @@ class BlockDecomposition:
             raise GraphError(f"no block contains edge ({i[k]},{j[k]})")
         return self.edge_block[pos]
 
-    def block_of_edge(self, i: int, j: int) -> int:
-        """Index of the block containing the edge (i, j)."""
-        return int(self.blocks_of_edges(np.array([i]), np.array([j]))[0])
-
 
 def block_cut_tree(net: Network) -> BlockDecomposition:
     """Split a connected network into blocks and cut nodes.

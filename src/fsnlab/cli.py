@@ -216,12 +216,15 @@ def cmd_tempo(args) -> int:
     G, drive = model.generator(), model.drive
     x0 = _resolve_x0(net, cfg, x0)
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon)
-    traj = simulate(G, drive, x0, simcfg)
     vec = model.pair().vector
-    if args.first_component and cfg is None and net.is_signed:
-        # The states are the gauge image of those of |W|, whose Fiedler
-        # vector this is; norm ratios do not see the gauge.
-        vec = model.gauge[:, 0] * vec
+    if cfg is None and net.is_signed:
+        # model.gauge refuses an unbalanced network before simulating.  The
+        # states are the gauge image of those of |W|, whose Fiedler vector
+        # this is; norm ratios do not see the gauge.
+        sigma = model.gauge[:, 0]
+        if args.first_component:
+            vec = sigma * vec
+    traj = simulate(G, drive, x0, simcfg)
     zero = np.abs(vec) <= default_eps_zero(vec)
 
     rows = ["t,follower,followed,value\n"]

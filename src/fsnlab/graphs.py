@@ -17,6 +17,7 @@ diagonal and -w off it, for every sign: no builder has a signed variant.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -52,23 +53,12 @@ class Arc(NamedTuple):
     w: float = 1.0
 
 
-def _overflow_error(node: int, weights: list[float]) -> GraphError:
-    """The refusal of a node whose Laplacian diagonal, sum |w|, overflows."""
-    return GraphError(f"node {node}: the magnitudes of its weights {weights} "
-                      "do not sum to a finite float")
-
-
-def _is_id(x) -> bool:
-    return isinstance(x, (int, np.integer))
-
-
-def _check_node_count(n: int) -> None:
-    """Refuse a node count below 1 or above ``MAX_NODES``."""
-    if n < 1:
-        raise GraphError(f"node count must be positive, got {n}")
-    if n > MAX_NODES:
-        raise GraphError(f"node count {n} is above {MAX_NODES}: its dense "
-                         "n-by-n float64 generator cannot be addressed")
+def _number(x) -> Optional[float]:
+    """x as a float, or None when it is not a number."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def _columns(i, j, w) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -90,20 +80,6 @@ def _distinct(keys: np.ndarray) -> bool:
     """Whether no key repeats."""
     s = np.sort(keys)
     return bool((s[1:] != s[:-1]).all())
-
-
-def _loads_finite(nodes: np.ndarray, a: np.ndarray) -> bool:
-    """Whether every node's sum of the magnitudes ``a``, taken in entry
-    order, is finite; ``nodes`` gives each entry's node.
-
-    The nodes are numbered densely first, so no array spans 1..n.  The
-    constructors call this only when len(a) * max(a) reaches
-    ``_LOAD_BOUND``: below it every such sum is finite, since rounding
-    grows a sum of k terms by at most a factor (1 + u)^k.
-    """
-    with np.errstate(over="ignore"):
-        dense = np.unique(nodes, return_inverse=True)[1]
-        return bool(np.isfinite(np.bincount(dense, weights=a)).all())
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -145,7 +121,10 @@ class _Graph:
     """
 
     _record: type           # Edge or Arc
-    _view: str              # "edges" or "arcs"
+    _word: str              # "edge" or "arc"; the records view is its plural
+    _loop: str              # "self-loop" or "self-arc"
+    _ordered: bool          # (i, j) and (j, i) differ; only i carries the load
+    _finite_nonzero: bool   # a weight must be finite and nonzero
 
     @classmethod
     def from_arrays(cls, n: int, i, j, w, name: str = ""):
@@ -172,15 +151,96 @@ class _Graph:
         d["i"], d["j"], d["w"] = arrays
 
     def _build(self, n, cols, name) -> None:
-        _check_node_count(n)
+        if n < 1:
+            raise GraphError(f"node count must be positive, got {n}")
+        if n > MAX_NODES:
+            raise GraphError(f"node count {n} is above {MAX_NODES}: its dense "
+                             "n-by-n float64 generator cannot be addressed")
         arrays = _columns(*cols)
-        if arrays is None or not self._valid(*arrays, n):
-            self.__dict__["n"] = n
-            self.__dict__[self._view] = tuple(map(self._record, *(
-                c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
-            self._refuse()
-            raise GraphError(f"{self._view} cannot be stored as arrays")
+        if arrays is None or self._broken(*arrays, n):
+            raise self._refusal(n, cols)
         self._store(n, name, arrays)
+
+    def _loads(self, i, j, a) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct nodes and each one's load, the sum of the magnitudes
+        ``a`` of its records (an arc's goes to its follower) in record
+        order, numbered densely so no array spans 1..n.  The array checks
+        need this only when len(a) * max(a) reaches ``_LOAD_BOUND``: below
+        it every such sum is finite, since rounding grows a sum of k terms
+        by at most a factor (1 + u)^k."""
+        if not self._ordered:
+            i, a = np.stack((i, j), axis=1).ravel(), np.repeat(a, 2)
+        with np.errstate(over="ignore"):
+            distinct, dense = np.unique(i, return_inverse=True)
+            return distinct, np.bincount(dense, weights=a)
+
+    def _broken(self, i, j, w, n) -> Optional[str]:
+        """The first rule the records break, in the order self-loop, range,
+        weight, duplicate, load (a node's sum of |w| is not finite); None
+        when they break none."""
+        if not len(w):
+            return None
+        if self._ordered:
+            lo, hi = i, j
+            low, high = min(i.min(), j.min()), max(i.max(), j.max())
+        else:
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            low, high = lo.min(), hi.max()
+        a = np.abs(w)
+        top = float(a.max())
+        if not (lo != hi).all():
+            return "self-loop"
+        if not (low >= 1 and high <= n):
+            return "range"
+        # a.min() > 0 and top < inf also fail on a NaN.
+        if self._finite_nonzero and not (a.min() > 0 and top < math.inf):
+            return "weight"
+        if not _distinct(lo * n + hi):
+            return "duplicate"
+        finite = len(a) * top < _LOAD_BOUND or np.isfinite(
+            self._loads(i, j, a)[1]).all()
+        return None if finite else "load"
+
+    def _refusal(self, n: int, cols) -> GraphError:
+        """The refusal of the first bad record of columns the array checks
+        failed: an id that is not an integer, else the first rule of
+        :meth:`_broken` it breaks.  A bisection finds the shortest prefix
+        :meth:`_broken` refuses; its arrays hold 0 for an id that is not an
+        integer and NaN for a weight that is not a number, which breaks the
+        weight rule of an edge and the load rule of an arc."""
+        word, ints = self._word, (int, np.integer)
+        i, j, w = (c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols)
+        m = len(w)
+        if not len(i) == len(j) == m:
+            return GraphError(f"{word}s cannot be stored as arrays")
+        ids = [[int(x) if isinstance(x, ints) else 0 for x in c] for c in (i, j)]
+        try:
+            ids = np.array(ids, dtype=np.int64)
+        except OverflowError:           # ids past int64 stay Python ints
+            ids = np.array(ids, dtype=object)
+        numbers = list(map(_number, w))
+        arrays = [*ids, np.array(numbers, dtype=float)]
+        r = bisect_left(range(1, m + 1), True, key=lambda p: bool(
+            self._broken(*(c[:p] for c in arrays), n)))
+        if r == m:
+            return GraphError(f"{word}s cannot be stored as arrays")
+        a, b = i[r], j[r]
+        if not (isinstance(a, ints) and isinstance(b, ints)):
+            return GraphError(f"{word} ({a},{b}) has a node id that is not an integer")
+        prefix = [c[:r + 1] for c in arrays]
+        rule = self._broken(*prefix, n)
+        if rule == "load" and numbers[r] is not None:
+            # Record r took the load of one of its ends past the float range.
+            nodes, loads = self._loads(*prefix[:2], np.abs(prefix[2]))
+            node = a if a in nodes[~np.isfinite(loads)].tolist() else b
+            ends = zip(i) if self._ordered else zip(i, j)
+            weights = [x for x, e in zip(w, ends) if node in e]
+            return GraphError(f"node {node}: the magnitudes of its weights "
+                              f"{weights} do not sum to a finite float")
+        return GraphError({"self-loop": f"{self._loop} at node {a}",
+                           "range": f"{word} ({a},{b}) outside 1..{n}",
+                           "duplicate": f"duplicate {word} ({a},{b})"}.get(
+            rule, f"{word} ({a},{b}) has invalid weight {w[r]}"))
 
     def _records(self) -> tuple:
         """The records view built from the arrays, as Python ints and floats."""
@@ -200,57 +260,20 @@ class _Graph:
     __hash__ = None
 
     def __repr__(self) -> str:
+        view = self._word + "s"
         return (f"{type(self).__name__}(n={self.n}, "
-                f"{self._view}={getattr(self, self._view)!r}, name={self.name!r})")
+                f"{view}={getattr(self, view)!r}, name={self.name!r})")
 
 
 class Network(_Graph):
     """Undirected weighted graph, possibly signed (negative weights)."""
 
-    _record, _view = Edge, "edges"
+    _record, _word, _loop = Edge, "edge", "self-loop"
+    _ordered, _finite_nonzero = False, True
 
     def __init__(self, n: int, edges: Iterable[Edge] = (), name: str = ""):
         edges = tuple(edges)
         self._build(n, [list(map(attrgetter(f), edges)) for f in "ijw"], name)
-
-    @staticmethod
-    def _valid(i, j, w, n) -> bool:
-        if not len(w):
-            return True
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        a = np.abs(w)
-        top = float(a.max())
-        # a.min() > 0 and top < inf also fail on a NaN.
-        if not (lo.min() >= 1 and hi.max() <= n and a.min() > 0
-                and top < math.inf and (lo != hi).all()
-                and _distinct(lo * n + hi)):
-            return False
-        # Each node's load gathers its edges' weights in edge order.
-        return (len(a) * top < _LOAD_BOUND or _loads_finite(
-            np.stack((i, j), axis=1).ravel(), np.repeat(a, 2)))
-
-    def _refuse(self) -> None:
-        """Raise the refusal of the first bad edge, checking edge by edge."""
-        seen = set()
-        load: dict[int, float] = {}
-        for e in self.edges:
-            if not (_is_id(e.i) and _is_id(e.j)):
-                raise GraphError(f"edge ({e.i},{e.j}) has a node id that is not "
-                                 "an integer")
-            if e.i == e.j:
-                raise GraphError(f"self-loop at node {e.i}")
-            if not (1 <= e.i <= self.n and 1 <= e.j <= self.n):
-                raise GraphError(f"edge ({e.i},{e.j}) outside 1..{self.n}")
-            if e.w == 0 or not math.isfinite(e.w):
-                raise GraphError(f"edge ({e.i},{e.j}) has invalid weight {e.w}")
-            if e.key() in seen:
-                raise GraphError(f"duplicate edge ({e.i},{e.j})")
-            seen.add(e.key())
-            for node in (e.i, e.j):
-                total = load[node] = load.get(node, 0.0) + abs(e.w)
-                if not math.isfinite(total):
-                    raise _overflow_error(node, [f.w for f in self.edges
-                                                 if node in (f.i, f.j)])
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -369,41 +392,12 @@ class SemiAutonomousConfig:
 class DirectedNetwork(_Graph):
     """Reduced network: ``i`` follows ``j`` along each arc, with weight ``w``."""
 
-    _record, _view = Arc, "arcs"
+    _record, _word, _loop = Arc, "arc", "self-arc"
+    _ordered, _finite_nonzero = True, False
 
     def __init__(self, n: int, arcs: Iterable[Arc] = (), name: str = ""):
         arcs = tuple(arcs)
         self._build(n, [list(map(attrgetter(f), arcs)) for f in Arc._fields], name)
-
-    @staticmethod
-    def _valid(i, j, w, n) -> bool:
-        if not len(w):
-            return True
-        if not (min(i.min(), j.min()) >= 1 and max(i.max(), j.max()) <= n
-                and (i != j).all() and _distinct(i * n + j)):
-            return False
-        a = np.abs(w)
-        return len(a) * float(a.max()) < _LOAD_BOUND or _loads_finite(i, a)
-
-    def _refuse(self) -> None:
-        """Raise the refusal of the first bad arc, checking arc by arc."""
-        seen = set()
-        load: dict[int, float] = {}
-        for a in self.arcs:
-            if not (_is_id(a.follower) and _is_id(a.followed)):
-                raise GraphError(f"arc ({a.follower},{a.followed}) has a node id "
-                                 "that is not an integer")
-            if a.follower == a.followed:
-                raise GraphError(f"self-arc at node {a.follower}")
-            if not (1 <= a.follower <= self.n and 1 <= a.followed <= self.n):
-                raise GraphError(f"arc ({a.follower},{a.followed}) outside 1..{self.n}")
-            if (a.follower, a.followed) in seen:
-                raise GraphError(f"duplicate arc ({a.follower},{a.followed})")
-            seen.add((a.follower, a.followed))
-            total = load[a.follower] = load.get(a.follower, 0.0) + abs(a.w)
-            if not math.isfinite(total):
-                raise _overflow_error(a.follower, [b.w for b in self.arcs
-                                                   if b.follower == a.follower])
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:

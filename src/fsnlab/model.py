@@ -90,17 +90,21 @@ class Model:
             elif cfg is None:
                 raise GraphError(f"mode {mode} needs leaders in the input file")
             else:
-                # Refuse an unbalanced wiring by name before the solve, whose
-                # eigen checks would fail on it first; a disconnected one is
-                # left to the solve, which names the missing leader.
-                if mode == "signed-san-fsn" and self.signed and is_connected(
-                        augmented_signed_network(net, cfg)):
-                    _check_balanced(net, cfg)
+                if mode == "signed-san-fsn":
+                    self.check_balanced()
                 build = (signed_perturbed_laplacian if mode == "signed-san-fsn"
                          else perturbed_laplacian)
                 pair = principal_pair_perturbed(build(net, cfg))
             self._pairs[mode] = pair
         return self._pairs[mode]
+
+    def check_balanced(self) -> None:
+        """Refuse an unbalanced signed leader wiring by name, before a solve
+        whose eigen checks would fail on it first; a disconnected wiring is
+        left to the solve, which names the missing leader."""
+        if self.signed and self.cfg is not None and is_connected(
+                augmented_signed_network(self.net, self.cfg)):
+            _check_balanced(self.net, self.cfg)
 
     @cached_property
     def gauge(self) -> np.ndarray:

@@ -118,8 +118,9 @@ def distributed_select(model: Model, x0: np.ndarray,
     agent's last estimate.
 
     Raises when ``delta`` or ``eps`` is not finite and positive, when x0
-    does not fit the network, and when some estimate is still above its
-    floor after ``round_cap`` rounds.
+    does not fit the network, when a signed leader network and its input
+    wiring are not structurally balanced (before the first round), and
+    when some estimate is still above its floor after ``round_cap`` rounds.
     """
     net, drive = model.net, model.drive
     x0 = as_columns(x0)
@@ -151,6 +152,10 @@ def distributed_select(model: Model, x0: np.ndarray,
                              f"(n={net.n}, d={u.shape[1]})")
         forcing, observable = B @ u, _norm_over_d
         cap, hint = ROUND_CAP, f" (delta={delta}, eps={eps})"
+    for name, value in (("eps", eps), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise TempoError(f"{name} must be finite and positive, got {value}")
+    model.check_balanced()      # refuse by name before any round runs
     return _settle(net, model.generator(), forcing, x0, observable, eps, delta,
                    cap if round_cap is None else round_cap, hint)
 
@@ -197,9 +202,6 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     coordinate order, so for d >= 8 a norm may differ in its last bits
     from ``np.linalg.norm`` over a contiguous d axis, which sums pairwise.
     """
-    for name, value in (("eps", eps), ("delta", delta)):
-        if not (math.isfinite(value) and value > 0):
-            raise TempoError(f"{name} must be finite and positive, got {value}")
     n, d = x0.shape
     indptr, arc_j, edge = net.adjacency
     arc_i = np.repeat(np.arange(n), np.diff(indptr))

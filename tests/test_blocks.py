@@ -108,7 +108,8 @@ class TestClassifyFiedler:
         assert cls.case == "core-node"
         assert cls.core_node == 3
         assert cls.zero_block_nodes == frozenset({3, 6, 7})
-        assert cls.block_labels[decomp.block_of_edge(6, 7)] == "zero"
+        [block] = decomp.blocks_of_edges(np.array([6]), np.array([7]))
+        assert cls.block_labels[block] == "zero"
 
     def test_exactly_one_case_on_random_graphs(self):
         rng = np.random.default_rng(12)

@@ -6,7 +6,7 @@ import pytest
 from fsnlab import (Network, SimulationConfig, g_ratio_series, load_fixture,
                     parse_arc_file, parse_trajectory, serialize_network,
                     simulate, tempo_limit_from_eigvec)
-from fsnlab import cli
+from fsnlab import cli, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
 from fsnlab.netfile import fixture_text
@@ -315,6 +315,32 @@ class TestTempo:
         assert path.read_text() == "\n".join(rows) + "\n"
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--first-component"]])
+    def test_unbalanced_autonomous_network_is_refused_before_simulating(
+            self, flags, capsys, tmp_path, monkeypatch):
+        # Norm ratios have a limit only on a balanced network: both modes
+        # refuse with the gauge's message instead of a tempo mismatch.
+        runs = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: runs.append(args))
+        code, out, err = run(capsys, "tempo", unbalanced_triangle_file(tmp_path),
+                             "--pairs", "1:3,3:4", *flags)
+        assert (code, out, runs) == (1, "", [])
+        assert err == ("error: signed network is not structurally balanced; "
+                       "its consensus limit is undefined\n")
+
+    def test_balanced_signed_autonomous_network_in_norm_mode(self, capsys,
+                                                            tmp_path):
+        # Every edge antagonistic: the norm ratios are those of |W|.
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({"n": 6, "edges": [
+            {"i": i, "j": i + 1, "w": -1.0} for i in range(1, 6)],
+            "x0": [0.9, 0.1, 0.5, 0.3, 0.7, 0.2]}))
+        code, out, err = run(capsys, "tempo", str(path), "--pairs", "2:1,3:2,3:4")
+        assert (code, err) == (0, "")
+        assert [row.split() for row in out.splitlines()[1:]] == [
+            ["2:1", "0.732051", "0.732051"], ["3:2", "0.366025", "0.366025"],
+            ["3:4", "1", "1"]]
+
 
 class TestDistributedSelect:
     def test_g8_matches_centralized(self, capsys, tmp_path):
@@ -392,6 +418,22 @@ class TestSignedDistributedSelect:
         assert err == ("error: distributed autonomous selection needs "
                        "nonnegative weights; the tree has antagonistic "
                        "(negative) links\n")
+
+    def test_unbalanced_leader_network_is_refused_before_the_rounds(
+            self, capsys, tmp_path, monkeypatch):
+        def rounds(*args):
+            raise AssertionError("the round loop ran")
+
+        monkeypatch.setattr(tempo, "_settle", rounds)
+        path = tmp_path / "unbalanced.json"
+        path.write_text(json.dumps({
+            "n": 4, "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3, "w": -1.0},
+                              {"i": 1, "j": 3}, {"i": 3, "j": 4, "w": 2.0}],
+            "leaders": [{"node": 4, "input": 1}], "inputs": [[1.0]]}))
+        code, out, err = run(capsys, "distributed-select", str(path))
+        assert (code, out) == (1, "")
+        assert err == ("error: network plus input wiring is not "
+                       "structurally balanced\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -79,6 +79,26 @@ class TestNetworkModel:
                                              "not an integer"):
             make(3, (record(1, 2), record(1.5, 2)))
 
+    @pytest.mark.parametrize("make,record", [(Network, Edge), (DirectedNetwork, Arc)])
+    @pytest.mark.parametrize("w", ["heavy", None])
+    def test_weight_that_is_not_a_number_is_refused(self, make, record, w):
+        for build in (lambda: make(3, (record(1, 2), record(2, 3, w))),
+                      lambda: make.from_arrays(3, [1, 2], [2, 3], [1.0, w])):
+            with pytest.raises(GraphError, match=rf"\(2,3\) has invalid weight {w}$"):
+                build()
+
+    @pytest.mark.parametrize("make,record", [(Network, Edge), (DirectedNetwork, Arc)])
+    def test_first_bad_record_wins_over_a_later_non_integer_id(self, make, record):
+        loop = "self-loop" if make is Network else "self-arc"
+        for records, message in (
+                ([(1, 1), (1.5, 2)], f"^{loop} at node 1$"),
+                ([(1, 2), (1.5, 2), (1, 1)],
+                 r"\(1.5,2\) has a node id that is not an integer$")):
+            with pytest.raises(GraphError, match=message):
+                make(3, [record(*r) for r in records])
+            with pytest.raises(GraphError, match=message):
+                make.from_arrays(3, *zip(*records), [1.0] * len(records))
+
     def test_arrays_and_views(self):
         net = Network.from_arrays(3, [1, 2], [2, 3], [1, -2.5], name="p")
         assert net == Network(3, (Edge(1, 2, 1.0), Edge(2, 3, -2.5)), name="p")
