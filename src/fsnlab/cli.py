@@ -45,10 +45,6 @@ RATE_TOL = 0.10         # relative tolerance on fitted rates
 TEMPO_TOL = 0.02        # tolerance on sampled tempo vs eigen ratio
 
 
-def _seed() -> int:
-    return int(os.environ.get("FSNLAB_SEED", "7"))
-
-
 def _load(source: str):
     """Load a network from a path or a bundled fixture name."""
     path = Path(source)
@@ -65,7 +61,8 @@ def _resolve_x0(net: Network, cfg: Optional[SemiAutonomousConfig],
                 x0: Optional[np.ndarray]) -> np.ndarray:
     if x0 is None:
         d = cfg.d if cfg is not None and cfg.d is not None else 1
-        x0 = np.random.default_rng(_seed()).random((net.n, d))
+        seed = int(os.environ.get("FSNLAB_SEED", "7"))
+        x0 = np.random.default_rng(seed).random((net.n, d))
     return x0
 
 
@@ -194,21 +191,16 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- tempo
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
+def cmd_tempo(args) -> int:
+    net, cfg, x0 = _load(args.network)
     pairs = []
-    for chunk in text.split(","):
+    for chunk in args.pairs.split(","):
         try:
             i, j = chunk.strip().split(":")
             pairs.append((int(i), int(j)))
         except ValueError as exc:
             raise NetworkFileError(
                 f"--pairs expects 'i:j,i:j,...', bad chunk {chunk!r}") from exc
-    return pairs
-
-
-def cmd_tempo(args) -> int:
-    net, cfg, x0 = _load(args.network)
-    pairs = _parse_pairs(args.pairs)
     for i, j in pairs:
         if not (1 <= i <= net.n and 1 <= j <= net.n):
             raise NetworkFileError(f"pair {i}:{j} outside 1..{net.n}")

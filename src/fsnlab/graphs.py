@@ -11,7 +11,8 @@ array ``w``.  The passes over edges (validation, Laplacians, traversals,
 selection) work on these arrays and on a CSR adjacency built from them on
 first use; the tuples of ``Edge`` or ``Arc`` records and the per-node
 dicts are views, built only when read.  Every Laplacian has sum |w| on its
-diagonal and -w off it, for every sign: no builder has a signed variant.
+diagonal and -w off it, for every sign, and one builder per matrix: the
+graph Laplacian, its leader-perturbed form and the reduced Laplacian.
 """
 
 from __future__ import annotations
@@ -53,19 +54,16 @@ class Arc(NamedTuple):
     w: float = 1.0
 
 
-def _number(x) -> Optional[float]:
-    """x as a float, or None when it is not a number."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def _columns(i, j, w) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Copies of the id and weight columns as int64 and float arrays, or
-    None when an id is not an int64 or a weight not a float."""
+    None when an id is not an int64 or a weight not a real number.  A
+    string is not one, although a float cast would parse it."""
     try:
-        i, j, w = np.asarray(i), np.asarray(j), np.array(w, dtype=float)
+        i, j, w = np.asarray(i), np.asarray(j), np.asarray(w)
+        if w.dtype.kind not in "biufO" or w.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes)) for x in w.flat):
+            return None
+        w = w.astype(float)
     except (TypeError, ValueError, OverflowError):
         return None
     ids = []
@@ -74,12 +72,6 @@ def _columns(i, j, w) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
             return None
         ids.append(a.astype(np.int64))
     return (*ids, w) if ids[0].shape == ids[1].shape == w.shape else None
-
-
-def _distinct(keys: np.ndarray) -> bool:
-    """Whether no key repeats."""
-    s = np.sort(keys)
-    return bool((s[1:] != s[:-1]).all())
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -195,7 +187,8 @@ class _Graph:
         # a.min() > 0 and top < inf also fail on a NaN.
         if self._finite_nonzero and not (a.min() > 0 and top < math.inf):
             return "weight"
-        if not _distinct(lo * n + hi):
+        keys = np.sort(lo * n + hi)
+        if not (keys[1:] != keys[:-1]).all():
             return "duplicate"
         finite = len(a) * top < _LOAD_BOUND or np.isfinite(
             self._loads(i, j, a)[1]).all()
@@ -218,7 +211,12 @@ class _Graph:
             ids = np.array(ids, dtype=np.int64)
         except OverflowError:           # ids past int64 stay Python ints
             ids = np.array(ids, dtype=object)
-        numbers = list(map(_number, w))
+        numbers = []        # None for a weight that is not a number
+        for x in w:
+            try:
+                numbers.append(None if isinstance(x, (str, bytes)) else float(x))
+            except (TypeError, ValueError, OverflowError):
+                numbers.append(None)
         arrays = [*ids, np.array(numbers, dtype=float)]
         r = bisect_left(range(1, m + 1), True, key=lambda p: bool(
             self._broken(*(c[:p] for c in arrays), n)))
@@ -456,17 +454,8 @@ def laplacian(net: Network) -> np.ndarray:
 
 
 def perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
-    """:func:`signed_perturbed_laplacian` of unsigned input only: negative
-    edge weights or repelling leader links are refused."""
-    if net.is_signed:
-        raise GraphError("network has negative weights; use the signed variant")
-    if cfg.is_signed:
-        raise GraphError("leader link with negative sign; use the signed variant")
-    return signed_perturbed_laplacian(net, cfg)
-
-
-def signed_perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
-    """Laplacian plus a unit diagonal bump on every leader node, any sign."""
+    """Laplacian plus a unit diagonal bump on every leader node, for every
+    sign of the edge weights and leader links."""
     return _bump_leaders(laplacian(net), cfg)
 
 
@@ -492,11 +481,6 @@ def reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
     L = _dense_zeros(dnet.n)
     L[i, j] -= dnet.w
     return _with_diagonal(L, i, np.abs(dnet.w))
-
-
-# Earlier names of the builders, kept for callers that import them.
-signed_laplacian = laplacian
-signed_reduced_laplacian = reduced_laplacian
 
 
 def is_connected(net: Network) -> bool:

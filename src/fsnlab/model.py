@@ -21,7 +21,7 @@ from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, _bump_leaders,
                      augmented_signed_network, is_connected, laplacian,
                      perturbed_laplacian, reduced_laplacian,
-                     signed_perturbed_laplacian, structural_balance_partition)
+                     structural_balance_partition)
 from .selection import (_check_balanced, ffn_san, fsn_fan, fsn_san,
                         reachable_from, reachable_from_inputs, reduced_spectrum)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
@@ -79,7 +79,9 @@ class Model:
         return pairs
 
     def pair(self, mode: Optional[str] = None) -> EigenPair:
-        """Selection eigenpair of a mode, by default of the model's own."""
+        """Selection eigenpair of a mode, by default of the model's own.
+        The unsigned leader-driven modes refuse a signed network, then a
+        signed leader wiring."""
         mode = mode or self.mode
         if mode not in self._pairs:
             net, cfg = self.net, self.cfg
@@ -92,9 +94,13 @@ class Model:
             else:
                 if mode == "signed-san-fsn":
                     self.check_balanced()
-                build = (signed_perturbed_laplacian if mode == "signed-san-fsn"
-                         else perturbed_laplacian)
-                pair = principal_pair_perturbed(build(net, cfg))
+                elif net.is_signed:
+                    raise GraphError("network has negative weights; "
+                                     "use the signed variant")
+                elif cfg.is_signed:
+                    raise GraphError("leader link with negative sign; "
+                                     "use the signed variant")
+                pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
             self._pairs[mode] = pair
         return self._pairs[mode]
 

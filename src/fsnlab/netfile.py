@@ -254,14 +254,11 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
         json.dumps(dnet.name), dnet.n, f"[\n{arcs}\n  ]" if arcs else "[]")
 
 
-def _json_float(value: float) -> str:
-    text = float.__repr__(value)
-    return _JSON_FLOAT_WORDS.get(text, text)
-
-
 # The writer of each scalar type, as json.dumps writes it.
 _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-                 float: _json_float, bool: {True: "true", False: "false"}.get,
+                 float: lambda value: _JSON_FLOAT_WORDS.get(
+                     text := float.__repr__(value), text),
+                 bool: {True: "true", False: "false"}.get,
                  type(None): lambda value: "null"}
 
 
@@ -304,8 +301,17 @@ def _json_value(value, indent: str) -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        body = (_json_table(value, inner)
-                or ("," + inner).join(_json_items(value, inner)))
+        # A table, equal-length rows of ints and floats, is written from
+        # one %-template.
+        cells = (list(chain.from_iterable(value))
+                 if set(map(type, value)) <= {list, tuple}
+                 and len(widths := set(map(len, value))) == 1 else [])
+        if cells and set(map(type, cells)) <= {int, float}:
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%s"] * widths.pop()) + inner + "]"
+            body = ("," + inner).join([row] * len(value)) % tuple(_json_numbers(cells))
+        else:
+            body = ("," + inner).join(_json_items(value, inner))
         return "[" + inner + body + indent + "]"
     return _json_scalar(value)
 
@@ -319,21 +325,6 @@ def _json_items(values, inner: str) -> Iterable[str]:
     if kinds <= _JSON_SCALARS.keys():
         return map(_json_scalar, values)
     return [_json_value(v, inner) for v in values]
-
-
-def _json_table(rows, inner: str) -> Optional[str]:
-    """The items of a list of equal-length rows of ints and floats, joined
-    as a list at ``inner`` joins them, from one ``%``-template; None for
-    any other list."""
-    if not (set(map(type, rows)) <= {list, tuple}
-            and len(widths := set(map(len, rows))) == 1):
-        return None
-    cells = list(chain.from_iterable(rows))
-    if not cells or not set(map(type, cells)) <= {int, float}:
-        return None
-    cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(["%s"] * widths.pop()) + inner + "]"
-    return ("," + inner).join([row] * len(rows)) % tuple(_json_numbers(cells))
 
 
 def _json_numbers(values) -> list[str]:

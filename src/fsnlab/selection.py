@@ -108,10 +108,6 @@ def ffn_san(net: Network, cfg: SemiAutonomousConfig,
     return _ratio_arcs(net, _checked_positive_vector(net, cfg, v1), faster=True)
 
 
-# Earlier name of the rule, kept for callers that import it.
-fsn_signed_san = fsn_san
-
-
 def fsn_fan(net: Network, v2: np.ndarray,
             cls: FiedlerClassification) -> DirectedNetwork:
     """Slower-neighbor reduction of an autonomous network via its Fiedler vector.

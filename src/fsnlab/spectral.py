@@ -154,10 +154,6 @@ def principal_pair_perturbed(L_B: np.ndarray) -> EigenPair:
     return EigenPair(pair.value, vec, True)
 
 
-# Earlier name of the pair, kept for callers that import it.
-principal_pair_signed = principal_pair_perturbed
-
-
 def fiedler_pair(L: np.ndarray,
                  pairs: Optional[list[EigenPair]] = None) -> EigenPair:
     """Second-smallest eigenpair of a graph Laplacian.

@@ -11,13 +11,11 @@ import numpy as np
 
 from fsnlab import (Model, block_cut_tree, classify_fiedler,
                     distributed_select, fan_fsn_consensus_value, ffn_san,
-                    fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
+                    fiedler_pair, fsn_fan, fsn_san,
                     g_ratio_series, laplacian,
                     perturbed_laplacian, principal_pair_perturbed,
-                    principal_pair_signed, reachable_from,
+                    reachable_from,
                     reachable_from_inputs, reduced_laplacian, reduced_spectrum,
-                    signed_laplacian,
-                    signed_perturbed_laplacian, signed_reduced_laplacian,
                     simulate, structural_balance_partition,
                     tempo_limit_from_eigvec, SimulationConfig)
 from fsnlab.cli import main as cli_main
@@ -164,10 +162,10 @@ def test_criterion_7_t12_tree(t12):
 def test_criterion_8_signed_suite(g8_signed):
     net, cfg, _ = g8_signed
     part = structural_balance_partition(net)
-    pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
+    pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
     signs = np.sign(pair.vector)
-    dnet = fsn_signed_san(net, cfg, pair.vector)
-    G = signed_reduced_laplacian(dnet)
+    dnet = fsn_san(net, cfg, pair.vector)
+    G = reduced_laplacian(dnet)
     for link in cfg.leader_links:
         G[link.node - 1, link.node - 1] += 1.0
     x0 = np.random.default_rng(15).random((8, 3))
@@ -331,7 +329,7 @@ def test_criterion_9_property_suites():
         net, _ = random_balanced_signed_net(rng, int(rng.integers(2, 13)))
         part = structural_balance_partition(net)
         G = gauge_matrix(part)
-        defect = float(np.abs(G @ signed_laplacian(net) @ G
+        defect = float(np.abs(G @ laplacian(net) @ G
                               - laplacian(net.absolute())).max())
         good &= defect < 1e-12
     ok["gauge_identity_1e-12"] = good

@@ -136,6 +136,12 @@ class TestSelect:
         doc = json.loads(report.read_text())
         assert doc["reduced"]["lambda2"]["value"] == 1.0
 
+    @pytest.mark.parametrize("mode", ["san-fsn", "san-ffn"])
+    def test_unsigned_san_mode_refuses_signed_network(self, mode, capsys):
+        code, out, err = run(capsys, "select", "g8-signed", "--mode", mode)
+        assert (code, out) == (1, "")
+        assert err == "error: network has negative weights; use the signed variant\n"
+
     def test_san_mode_needs_leaders(self, capsys):
         code, _, err = run(capsys, "select", "g12", "--mode", "san-fsn")
         assert code == 1

@@ -8,9 +8,7 @@ from fsnlab import (Arc, DirectedNetwork, Edge, Network,
                     block_cut_tree, classify_fiedler, empirical_rate,
                     fan_fsn_consensus_value, fiedler_pair, fsn_fan, fsn_san,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
-                    principal_pair_signed, reduced_laplacian,
-                    signed_perturbed_laplacian, signed_reduced_laplacian,
-                    simulate, steady_state_san, fsn_signed_san)
+                    reduced_laplacian, simulate, steady_state_san)
 
 from fsnlab import dynamics
 from fsnlab.dynamics import step_powers
@@ -25,8 +23,8 @@ def san_system(net, cfg):
             cfg.input_vectors())
 
 
-def reduced_generator(dnet, cfg=None, signed=False):
-    G = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
+def reduced_generator(dnet, cfg=None):
+    G = reduced_laplacian(dnet)
     if cfg is not None:
         for link in cfg.leader_links:
             G[link.node - 1, link.node - 1] += 1.0
@@ -72,10 +70,8 @@ class TestSimulate:
     @pytest.mark.parametrize("name", ["g6", "g8", "g8-signed", "g12", "t12"])
     def test_euler_agrees_with_rk4_to_first_order(self, name, request):
         net, cfg, x0 = request.getfixturevalue(name.replace("-", "_"))
-        from fsnlab import signed_perturbed_laplacian
         if cfg is not None:
-            G = (signed_perturbed_laplacian(net, cfg) if net.is_signed
-                 or cfg.is_signed else perturbed_laplacian(net, cfg))
+            G = perturbed_laplacian(net, cfg)
             drive = (cfg.input_matrix(net.n), cfg.input_vectors())
             d = cfg.d
         else:
@@ -104,7 +100,7 @@ class TestSimulate:
         if cfg is None:
             G, drive, d = laplacian(net), None, 1
         else:
-            G = signed_perturbed_laplacian(net, cfg)
+            G = perturbed_laplacian(net, cfg)
             drive = (cfg.input_matrix(net.n), cfg.input_vectors())
             d = cfg.d
         if x0 is None:
@@ -379,9 +375,9 @@ class TestEmpiricalRate:
 class TestBipartiteConsensus:
     def test_g8_signed_reduced_splits_to_plus_minus_u(self, g8_signed):
         net, cfg, _ = g8_signed
-        pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
-        dnet = fsn_signed_san(net, cfg, pair.vector)
-        G = reduced_generator(dnet, cfg, signed=True)
+        pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+        dnet = fsn_san(net, cfg, pair.vector)
+        G = reduced_generator(dnet, cfg)
         B, u = cfg.input_matrix(8), cfg.input_vectors()
         x0 = np.random.default_rng(15).random((8, 3))
         traj = simulate(G, (B, u), x0, SimulationConfig(horizon=60.0))

@@ -1,3 +1,8 @@
+import ast
+import importlib
+import inspect
+import pkgutil
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,19 +10,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fsnlab
 from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     Network, SemiAutonomousConfig, block_cut_tree,
                     classify_fiedler, ffn_san,
-                    fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
+                    fiedler_pair, fsn_fan, fsn_san,
                     laplacian, load_fixture, perturbed_laplacian,
-                    principal_pair_perturbed, principal_pair_signed,
+                    principal_pair_perturbed,
                     reachable_from, reachable_from_inputs, reduced_spectrum,
-                    reduced_laplacian,
-                    signed_perturbed_laplacian, signed_reduced_laplacian)
+                    reduced_laplacian)
 from fsnlab.model import EIG_TOL, Model
 from fsnlab.selection import _strong_components
 from fsnlab.spectral import SpectralError, symmetric_eigh
 
+from test_perfbench_names import SCRIPTS, package_reads
 from oracles import (diameter, fiedler_lower_bound, reduced_symmetric_fiedler,
                      tree_diameter_bound)
 from conftest import (G6_FSN, G8_FFN, G8_FSN, G12_FSN, T12_FSN,
@@ -140,8 +146,8 @@ class TestFsnFan:
 class TestFsnSignedSan:
     def test_g8_signed_matches_reference_drawing(self, g8_signed):
         net, cfg, _ = g8_signed
-        pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
-        dnet = fsn_signed_san(net, cfg, pair.vector)
+        pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+        dnet = fsn_san(net, cfg, pair.vector)
         assert dnet.arc_set == G8_FSN
         negatives = {(a.follower, a.followed) for a in dnet.arcs if a.w < 0}
         assert negatives == {(2, 3), (6, 3), (6, 7)}
@@ -149,29 +155,75 @@ class TestFsnSignedSan:
     def test_all_positive_input_reduces_to_unsigned_rule(self, g8):
         net, cfg, _ = g8
         v1 = san_pair(net, cfg).vector
-        assert fsn_signed_san(net, cfg, v1).arc_set == \
+        assert fsn_san(net, cfg, v1).arc_set == \
             fsn_san(net, cfg, v1).arc_set
 
     def test_two_node_negative_edge(self):
         net = Network(2, (Edge(1, 2, -1.0),))
         cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),))
-        pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
-        dnet = fsn_signed_san(net, cfg, pair.vector)
+        pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+        dnet = fsn_san(net, cfg, pair.vector)
         # Gauge oracle: flip node 2, solve the unsigned problem, map back.
         gauge = np.diag([1.0, -1.0])
         unsigned = Network(2, (Edge(1, 2, 1.0),))
         ref = fsn_san(unsigned, cfg, np.abs(gauge @ pair.vector))
         assert dnet.arc_set == ref.arc_set == frozenset({(2, 1)})
 
-    def test_old_names_are_the_same_functions(self):
-        assert fsn_signed_san is fsn_san
-        assert principal_pair_signed is principal_pair_perturbed
-
     def test_unbalanced_rejected(self):
         net = Network(3, (Edge(1, 2), Edge(2, 3), Edge(1, 3, -1.0)))
         cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),))
         with pytest.raises(GraphError, match="balanced"):
-            fsn_signed_san(net, cfg, np.array([0.5, 0.5, 0.7]))
+            fsn_san(net, cfg, np.array([0.5, 0.5, 0.7]))
+
+
+class TestModelPair:
+    """The unsigned leader-driven modes refuse signed input by name."""
+
+    K2 = Network(2, (Edge(1, 2),))
+
+    def test_rejects_signed_leader_link(self):
+        cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1, -1),))
+        for mode in ("san-fsn", "san-ffn"):
+            with pytest.raises(GraphError, match="signed variant"):
+                Model(self.K2, cfg).pair(mode)
+
+    def test_rejects_signed_network(self):
+        net = Network(2, (Edge(1, 2, -1.0),))
+        cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),))
+        for mode in ("san-fsn", "san-ffn"):
+            with pytest.raises(GraphError, match="signed variant"):
+                Model(net, cfg).pair(mode)
+
+    def test_network_is_checked_before_leader_links(self):
+        net = Network(2, (Edge(1, 2, -1.0),))
+        cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1, -1),))
+        with pytest.raises(GraphError, match="^network has negative weights"):
+            Model(net, cfg).pair("san-fsn")
+
+
+def test_one_name_per_function():
+    """Every function of the package is bound under its own name in the
+    module that defines it.  ``fsnlab`` itself binds other names only for
+    the functions the benchmark harness reads by an older name, and each
+    of those is the canonical function."""
+    for info in pkgutil.iter_modules(fsnlab.__path__):
+        module = importlib.import_module(f"fsnlab.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) and obj.__module__ == module.__name__
+                    and not obj.__name__.startswith("_")):
+                assert name == obj.__name__, f"{module.__name__}.{name}"
+    reads = set()
+    for script in SCRIPTS:
+        reads |= package_reads(ast.parse(script.read_text(), str(script)))
+    harness = {name for _, name in (d.split(".", 1) for d in reads if d.count(".") == 1)
+               if inspect.isfunction(obj := getattr(fsnlab, name)) and name != obj.__name__}
+    aliases = {name for name, obj in vars(fsnlab).items()
+               if inspect.isfunction(obj) and name != obj.__name__}
+    assert aliases == harness
+    for name in aliases:
+        canonical = getattr(fsnlab, name)
+        assert canonical is getattr(fsnlab, canonical.__name__)
+        assert canonical is getattr(sys.modules[canonical.__module__], canonical.__name__)
 
 
 class TestReachability:
@@ -304,8 +356,8 @@ class TestSignedProperties:
             n = int(rng.integers(2, 13))
             net, _ = random_balanced_signed_net(rng, n)
             cfg = random_leader_cfg(rng, n)
-            pair_s = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
-            dnet_s = fsn_signed_san(net, cfg, pair_s.vector)
+            pair_s = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+            dnet_s = fsn_san(net, cfg, pair_s.vector)
             absnet = net.absolute()
             dnet_u = fsn_san(absnet, cfg, san_pair(absnet, cfg).vector)
             assert dnet_s.arc_set == dnet_u.arc_set
@@ -320,7 +372,7 @@ class TestSignedProperties:
             n = int(rng.integers(2, 13))
             net, _ = random_balanced_signed_net(rng, n)
             cfg = random_leader_cfg(rng, n)
-            v1 = principal_pair_perturbed(signed_perturbed_laplacian(net, cfg)).vector
+            v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
             absnet = net.absolute()
             v1_abs = san_pair(absnet, cfg).vector
             for rule in (fsn_san, ffn_san):
@@ -330,7 +382,7 @@ class TestSignedProperties:
     def test_signed_vector_with_zero_magnitude_rejected(self):
         net = Network(3, (Edge(1, 2, -1.0), Edge(2, 3)))
         cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),))
-        for rule in (fsn_signed_san, ffn_san):
+        for rule in (fsn_san, ffn_san):
             assert rule(net, cfg, np.array([0.5, -0.4, -0.3])).arcs
             with pytest.raises(GraphError, match="strictly positive"):
                 rule(net, cfg, np.array([0.5, -0.4, 0.0]))
@@ -341,8 +393,8 @@ class TestSignedProperties:
             n = int(rng.integers(2, 13))
             net, _ = random_balanced_signed_net(rng, n)
             cfg = random_leader_cfg(rng, n)
-            pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
-            dnet = fsn_signed_san(net, cfg, pair.vector)
+            pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
+            dnet = fsn_san(net, cfg, pair.vector)
             lam_red = float(reduced_spectrum(dnet, cfg=cfg)[0])
             assert lam_red >= pair.value - 1e-9
 
@@ -427,10 +479,10 @@ class TestTreeDiameterBound:
             tree_diameter_bound(0)
 
 
-def dense_reduced_spectrum(dnet, cfg=None, signed=False):
+def dense_reduced_spectrum(dnet, cfg=None):
     """The spectrum as first written: the dense n x n generator, with its
     diagonal blocks cut out of it one strongly connected component at a time."""
-    L = signed_reduced_laplacian(dnet) if signed else reduced_laplacian(dnet)
+    L = reduced_laplacian(dnet)
     if cfg is not None:
         for link in cfg.leader_links:
             L[link.node - 1, link.node - 1] += 1.0
@@ -451,11 +503,11 @@ def dense_reduced_spectrum(dnet, cfg=None, signed=False):
     return np.sort(np.array(values))
 
 
-def assert_same_spectrum(dnet, cfg=None, signed=False):
+def assert_same_spectrum(dnet, cfg=None):
     """reduced_spectrum equals the dense construction bit for bit, or both
     refuse with the same message."""
     try:
-        want = dense_reduced_spectrum(dnet, cfg, signed)
+        want = dense_reduced_spectrum(dnet, cfg)
     except GraphError as exc:
         with pytest.raises(GraphError, match=f"^{exc}$"):
             reduced_spectrum(dnet, cfg)
@@ -480,10 +532,9 @@ class TestReducedSpectrumOracle:
             except (GraphError, SpectralError):
                 continue  # not a mode of this fixture
             checked += 1
-            for signed in (False, True):
-                assert_same_spectrum(dnet, None, signed)
-                if cfg is not None:
-                    assert_same_spectrum(dnet, cfg, signed)
+            assert_same_spectrum(dnet, None)
+            if cfg is not None:
+                assert_same_spectrum(dnet, cfg)
         assert checked >= 1
 
     def test_random_reductions(self):
@@ -503,9 +554,8 @@ class TestReducedSpectrumOracle:
             rng.shuffle(arcs)
             dnet = DirectedNetwork(n, tuple(arcs))
             cfg = random_leader_cfg(rng, n)
-            for signed in (False, True):
-                assert_same_spectrum(dnet, None, signed)
-                assert_same_spectrum(dnet, cfg, signed)
+            assert_same_spectrum(dnet, None)
+            assert_same_spectrum(dnet, cfg)
 
     def test_random_fan_selections(self):
         rng = np.random.default_rng(41)

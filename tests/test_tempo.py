@@ -11,10 +11,9 @@ from hypothesis.extra import numpy as hnp
 from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
                     SimulationConfig, TempoError, block_cut_tree,
                     classify_fiedler, distributed_select, entry_ratio,
-                    fiedler_pair, fsn_fan, fsn_san, fsn_signed_san,
+                    fiedler_pair, fsn_fan, fsn_san,
                     g_ratio_series, laplacian, perturbed_laplacian,
-                    principal_pair_perturbed, principal_pair_signed,
-                    signed_perturbed_laplacian, simulate,
+                    principal_pair_perturbed, simulate,
                     tempo_limit_from_eigvec)
 
 from fsnlab import tempo
@@ -819,8 +818,8 @@ def test_gauged_leader_network_runs_as_the_unsigned_one(case):
     # leader links of V2 and the rows of x0) gives a balanced signed network
     # whose states are D x with D = diag(+-1): every difference norm, and
     # with it the whole report, is the unsigned run's, and so is the
-    # centralized selection.  The signed run therefore equals
-    # fsn_signed_san wherever the unsigned run equals fsn_san.
+    # centralized selection.  The signed run therefore equals fsn_san on the
+    # signed network wherever the unsigned run equals it on the unsigned one.
     net, cfg, x0, flip = case
     side = np.where(flip, -1.0, 1.0)
     signed = Network.from_arrays(net.n, net.i, net.j,
@@ -833,9 +832,9 @@ def test_gauged_leader_network_runs_as_the_unsigned_one(case):
     assert report == distributed_select(Model(net, cfg), x0)[1]
     assert all(a.w == signed.weights[(a.follower, a.followed)]
                for a in dnet.arcs)
-    pair = principal_pair_signed(signed_perturbed_laplacian(signed, signed_cfg))
+    pair = principal_pair_perturbed(perturbed_laplacian(signed, signed_cfg))
     v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
-    assert (fsn_signed_san(signed, signed_cfg, pair.vector).arc_set
+    assert (fsn_san(signed, signed_cfg, pair.vector).arc_set
             == fsn_san(net, cfg, v1).arc_set)
 
 
@@ -843,6 +842,6 @@ def test_gauged_leader_network_runs_as_the_unsigned_one(case):
 def test_g8_signed_matches_signed_centralized(g8_signed, seed):
     net, cfg, _ = g8_signed
     x0 = np.random.default_rng(seed).random((net.n, cfg.d or 1))
-    pair = principal_pair_signed(signed_perturbed_laplacian(net, cfg))
+    pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
     dnet, _ = distributed_select(Model(net, cfg), x0)
-    assert dnet.arc_set == fsn_signed_san(net, cfg, pair.vector).arc_set
+    assert dnet.arc_set == fsn_san(net, cfg, pair.vector).arc_set
