@@ -25,7 +25,7 @@ from .dynamics import (SimulationConfig, SimulationError, Trajectory,
                        steady_state_san)
 from .model import Model
 from .tempo import (TempoError, TempoEstimate, TempoReport, distributed_select,
-                    g_ratio_series, tempo_limit_from_eigvec)
+                    g_ratio_series)
 from .netfile import (FIXTURE_NAMES, NetworkFileError, emit_trajectory,
                       load_fixture, parse_arc_file, parse_network_file,
                       parse_trajectory, serialize_arcs, serialize_network)

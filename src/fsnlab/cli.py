@@ -28,13 +28,12 @@ from .dynamics import (SimulationConfig, SimulationError, Trajectory,
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, is_connected,
                      structural_balance_partition)
-from .model import EIG_TOL, Model
+from .model import EIG_TOL, MODES, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
-from .spectral import SpectralError, default_eps_zero, entry_ratio
-from .tempo import (TempoError, distributed_select, g_ratio_series,
-                    tempo_limit_from_eigvec)
+from .spectral import SpectralError, entry_ratio, zero_entries
+from .tempo import TempoError, distributed_select, g_ratio_series
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -73,6 +72,21 @@ def _fmt(value: float, tol: float) -> str:
 def _print_arcs(dnet: DirectedNetwork) -> None:
     print("".join([f"  {i} <- {j}   w={w:g}\n" for i, j, w in zip(
         dnet.i.tolist(), dnet.j.tolist(), dnet.w.tolist())]), end="")
+
+
+def _reference(vec: np.ndarray, i: int, j: int,
+               signed: bool) -> tuple[Optional[float], str]:
+    """The eigenvector limit of agent i's sampled tempo for neighbor j:
+    :func:`entry_ratio`'s v_i/v_j if ``signed``, else its magnitude.  With
+    v_j zero there is none, and the second value says why: the ratio
+    diverges, or both entries sit in a zero block, whose sampled ratio
+    follows another mode."""
+    zero = zero_entries(vec)
+    if zero[j - 1]:
+        return None, ("none (both entries sit at zero: no eigenvector limit)"
+                      if zero[i - 1] else "diverges (neighbor sits at a zero entry)")
+    ref = entry_ratio(vec, i, j)
+    return (ref if signed else abs(ref)), ""
 
 
 # ---------------------------------------------------------------- analyze
@@ -208,16 +222,8 @@ def cmd_tempo(args) -> int:
     G, drive = model.generator(), model.drive
     x0 = _resolve_x0(net, cfg, x0)
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon)
-    vec = model.pair().vector
-    if cfg is None and net.is_signed:
-        # model.gauge refuses an unbalanced network before simulating.  The
-        # states are the gauge image of those of |W|, whose Fiedler vector
-        # this is; norm ratios do not see the gauge.
-        sigma = model.gauge[:, 0]
-        if args.first_component:
-            vec = sigma * vec
+    vec = model.tempo_vector    # refuses an unbalanced network before simulating
     traj = simulate(G, drive, x0, simcfg)
-    zero = np.abs(vec) <= default_eps_zero(vec)
 
     rows = ["t,follower,followed,value\n"]
     far, unheld = False, []
@@ -227,22 +233,11 @@ def cmd_tempo(args) -> int:
         if args.out:
             rows.extend(csv_rows(traj.times[1:], [f"{i},{j}"], series[:, None]))
         final = float(series[-1])
-        ref = None
-        if args.first_component and zero[i - 1] and zero[j - 1]:
-            # Both sit in a zero block, whose sampled ratio follows another
-            # mode: entry_ratio's 0/0 = 1 is a convention, not a limit.
-            shown = "none (both entries sit at zero: no eigenvector limit)"
-        else:
-            try:
-                ref = (entry_ratio(vec, i, j) if args.first_component
-                       else tempo_limit_from_eigvec(vec, [i], [j]))
-                shown = f"{ref:>12.6g}"
-            except TempoError:
-                shown = "diverges (neighbor sits at a zero entry)"
+        ref, reason = _reference(vec, i, j, args.first_component)
         held = ("none (no sample above the noise floor)" if np.isnan(final)
                 else f"{final:.6g}")
-        print(f"{i:>3}:{j:<3}  {held:>18}  {shown}")
-        if ref is None or not np.isfinite(ref):
+        print(f"{i:>3}:{j:<3}  {held:>18}  {reason or f'{ref:>12.6g}'}")
+        if ref is None:
             continue
         if np.isnan(final):
             unheld.append(f"{i}:{j}")
@@ -408,10 +403,9 @@ def cmd_compare(args) -> int:
     for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
         series = g_ratio_series(traj0, hub, j)
         sampled10, settled = float(series[k10 - 1]), float(series[-1])
-        try:
-            ref = tempo_limit_from_eigvec(vec, [hub], [j])
-        except TempoError:
-            print(f"  g_{hub},{j}: diverges (neighbor sits at a zero entry)")
+        ref, reason = _reference(vec, hub, j, False)
+        if ref is None:
+            print(f"  g_{hub},{j}: {reason}")
             continue
         ok = abs(settled - ref) <= TEMPO_TOL * max(1.0, ref)
         flag = "" if ok else "  <-- off"
@@ -444,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("select", help="build a reduced network")
     s.add_argument("network")
-    s.add_argument("--mode", required=True,
-                   choices=["san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn"])
+    s.add_argument("--mode", required=True, choices=MODES)
     s.add_argument("--out", help="write the arc list (JSON) here")
     s.add_argument("--report", help="write the full report (JSON) here")
 

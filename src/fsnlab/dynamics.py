@@ -81,11 +81,6 @@ class Trajectory:
     def d(self) -> int:
         return self.states.shape[2]
 
-    def at(self, t: float) -> np.ndarray:
-        """State at the sample closest to time t."""
-        k = int(np.argmin(np.abs(self.times - t)))
-        return self.states[k]
-
 
 def as_columns(x) -> np.ndarray:
     """x as a float array, a 1-D state taken as one column."""

@@ -28,6 +28,7 @@ from .spectral import (EigenPair, SpectralError, fiedler_pair,
                        principal_pair_perturbed, smallest_eigenpairs)
 
 EIG_TOL = 1e-8          # eigen residual bound the solver enforces
+MODES = ("san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn")   # selection modes
 
 
 def _q(value: float, tol: float) -> dict:
@@ -40,8 +41,9 @@ class Model:
     The kind is signed or unsigned (negative edge weights or repelling
     leader links) and leader-driven (SAN) or autonomous (FAN, ``cfg`` is
     None).  Every kind-dependent choice the commands make comes from here:
-    the dynamics generator, the drive, the selection eigenpair, the
-    reduction for a selection mode, and the predicted limit.
+    the dynamics generator, the drive, the selection eigenpair and the
+    vector the sampled tempo approaches, the reduction for a selection
+    mode, and the predicted limit.
     """
 
     def __init__(self, net: Network, cfg: Optional[SemiAutonomousConfig]):
@@ -80,11 +82,14 @@ class Model:
 
     def pair(self, mode: Optional[str] = None) -> EigenPair:
         """Selection eigenpair of a mode, by default of the model's own.
-        The unsigned leader-driven modes refuse a signed network, then a
-        signed leader wiring."""
+        Refuses a mode not in ``MODES``; the unsigned leader-driven modes
+        refuse a signed network, then a signed leader wiring."""
         mode = mode or self.mode
         if mode not in self._pairs:
             net, cfg = self.net, self.cfg
+            if mode not in MODES:
+                raise GraphError(f"unknown mode {mode!r}; valid modes: "
+                                 + ", ".join(MODES))
             if mode == "fan-fsn":
                 L, pairs = (self._laplacian_pairs
                             or (laplacian(net.absolute()), None))
@@ -121,6 +126,17 @@ class Model:
         sigma = np.ones((self.net.n, 1))
         sigma[[i - 1 for i in partition[1]]] = -1.0
         return sigma
+
+    @property
+    def tempo_vector(self) -> np.ndarray:
+        """The eigenvector whose entry ratios the sampled tempo approaches:
+        that of :meth:`pair`, on a signed autonomous network times
+        :attr:`gauge` (so this refuses an unbalanced one), since its states
+        are the gauge image of those of |W|, whose Fiedler vector that is."""
+        vec = self.pair().vector
+        if self.cfg is None and self.net.is_signed:
+            vec = self.gauge[:, 0] * vec
+        return vec
 
     @cached_property
     def blocks(self) -> BlockDecomposition:

@@ -24,16 +24,23 @@ class SpectralError(ValueError):
 
 # Tolerance policies, one module policy per thresholded decision, read by
 # every function that makes it: is an eigenvalue simple or zero
-# (default_eps_gap), is an eigenvector entry zero (default_eps_zero), is a
-# principal eigenvector positive (EPS_POS).  The first two scale with the
-# matrix (or vector) magnitude and have no absolute floor, so multiplying
-# every weight by a constant changes none of these decisions.
+# (default_eps_gap), is an eigenvector entry zero (default_eps_zero, as
+# zero_entries applies it), is a principal eigenvector positive (EPS_POS).
+# The first two scale with the matrix (or vector) magnitude and have no
+# absolute floor, so multiplying every weight by a constant changes none of
+# these decisions.
 def default_eps_gap(M: np.ndarray) -> float:
     return 1e-8 * float(np.abs(M).max())
 
 
 def default_eps_zero(v: np.ndarray) -> float:
     return 1e-8 * float(np.abs(v).max())
+
+
+def zero_entries(v: np.ndarray) -> np.ndarray:
+    """Mask of the entries of v that are zero within :func:`default_eps_zero`."""
+    v = np.asarray(v, dtype=float)
+    return np.abs(v) <= default_eps_zero(v)
 
 
 EPS_POS = 1e-10
@@ -183,10 +190,8 @@ def entry_ratio(v: np.ndarray, i: int, j: int) -> float:
     inside regions whose edges are retained unconditionally).
     """
     v = np.asarray(v, dtype=float)
-    eps_zero = default_eps_zero(v)
     num, den = float(v[i - 1]), float(v[j - 1])
-    num_zero = abs(num) <= eps_zero
-    den_zero = abs(den) <= eps_zero
+    num_zero, den_zero = zero_entries(v)[[i - 1, j - 1]]
     if den_zero:
         if num_zero:
             return 1.0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, as_columns,
                        step_map, step_powers)
 from .graphs import DirectedNetwork, Network, is_connected
 from .model import Model
-from .spectral import default_eps_zero
+from .spectral import zero_entries
 
 DEFAULT_DELTA = 0.01
 DEFAULT_EPS = 1e-4
@@ -34,24 +34,6 @@ SPAN_ELEMENTS = 2**14  # doubles per array of one super-block of _settle
 
 class TempoError(ValueError):
     """Tempo estimation failed or a precondition is violated."""
-
-
-def tempo_limit_from_eigvec(v: np.ndarray, group1: Iterable[int],
-                            group2: Iterable[int]) -> float:
-    """Entry-norm ratio ||v[group1]|| / ||v[group2]|| with 1-based groups.
-
-    Raises when the second group's norm is zero within
-    :func:`default_eps_zero`, the test the selections apply to one entry.
-    """
-    v = np.asarray(v, dtype=float)
-    idx1 = [i - 1 for i in group1]
-    idx2 = [j - 1 for j in group2]
-    if not idx1 or not idx2:
-        raise TempoError("both groups must be nonempty")
-    den = float(np.linalg.norm(v[idx2]))
-    if den <= default_eps_zero(v):
-        raise TempoError("second group selects only zero entries")
-    return float(np.linalg.norm(v[idx1])) / den
 
 
 def g_ratio_series(traj: Trajectory, i: int, j: int,
@@ -125,7 +107,7 @@ def distributed_select(model: Model, x0: np.ndarray,
     net, drive = model.net, model.drive
     x0 = as_columns(x0)
     if drive is None:
-        if len(net.edges) != net.n - 1 or not is_connected(net):
+        if len(net.w) != net.n - 1 or not is_connected(net):
             raise TempoError("distributed autonomous selection needs a tree")
         if net.is_signed:
             raise TempoError("distributed autonomous selection needs nonnegative "
@@ -134,11 +116,12 @@ def distributed_select(model: Model, x0: np.ndarray,
         if not pair.is_simple:
             raise TempoError("second Laplacian eigenvalue is repeated; "
                              "the selection rule is undefined on this tree")
-        zero = np.abs(pair.vector) <= default_eps_zero(pair.vector)
-        for e in net.edges:
-            if zero[e.i - 1] and zero[e.j - 1]:
-                raise TempoError(f"edge ({e.i},{e.j}) joins two zero entries "
-                                 "(zero block); not supported distributively")
+        zero = zero_entries(pair.vector)
+        both = zero[net.i - 1] & zero[net.j - 1]
+        if both.any():
+            i, j = net.i[both][0], net.j[both][0]
+            raise TempoError(f"edge ({i},{j}) joins two zero entries "
+                             "(zero block); not supported distributively")
         if x0.shape[0] != net.n:
             raise TempoError(f"x0 has {x0.shape[0]} rows, tree has n={net.n}")
         forcing, observable = np.zeros_like(x0), _first_coordinate

@@ -2,8 +2,9 @@
 
 None of these is run by a command: they are independent checks (a
 breadth-first diameter, the explicit gauge matrix, the symmetrized Fiedler
-data and lower bound of the rate certificate, the tree-diameter bound and
-the closed-form tempo limit) kept next to the tests that use them.
+data and lower bound of the rate certificate, the tree-diameter bound, the
+entry-norm tempo limit of an eigenvector and the closed-form tempo limit)
+kept next to the tests that use them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from fsnlab.graphs import (DirectedNetwork, GraphError, Network, is_connected,
                            reduced_laplacian)
-from fsnlab.spectral import default_eps_gap, symmetric_eigh
+from fsnlab.spectral import default_eps_gap, default_eps_zero, symmetric_eigh
 from fsnlab.tempo import TempoError
 
 
@@ -97,6 +98,24 @@ def tree_diameter_bound(diam: int) -> float:
     if diam < 1:
         raise ValueError(f"diameter must be at least 1, got {diam}")
     return 2.0 * (1.0 - math.cos(math.pi / (diam + 1)))
+
+
+def tempo_limit_from_eigvec(v: np.ndarray, group1: Iterable[int],
+                            group2: Iterable[int]) -> float:
+    """Entry-norm ratio ||v[group1]|| / ||v[group2]|| with 1-based groups.
+
+    Raises when the second group's norm is zero within
+    :func:`default_eps_zero`, the test the selections apply to one entry.
+    """
+    v = np.asarray(v, dtype=float)
+    idx1 = [i - 1 for i in group1]
+    idx2 = [j - 1 for j in group2]
+    if not idx1 or not idx2:
+        raise TempoError("both groups must be nonempty")
+    den = float(np.linalg.norm(v[idx2]))
+    if den <= default_eps_zero(v):
+        raise TempoError("second group selects only zero entries")
+    return float(np.linalg.norm(v[idx1])) / den
 
 
 def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],

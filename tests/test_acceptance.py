@@ -16,13 +16,12 @@ from fsnlab import (Model, block_cut_tree, classify_fiedler,
                     perturbed_laplacian, principal_pair_perturbed,
                     reachable_from,
                     reachable_from_inputs, reduced_laplacian, reduced_spectrum,
-                    simulate, structural_balance_partition,
-                    tempo_limit_from_eigvec, SimulationConfig)
+                    simulate, structural_balance_partition, SimulationConfig)
 from fsnlab.cli import main as cli_main
 
 from oracles import (diameter, fiedler_lower_bound, gauge_matrix,
-                     reduced_symmetric_fiedler, tempo_limit_oracle,
-                     tree_diameter_bound)
+                     reduced_symmetric_fiedler, tempo_limit_from_eigvec,
+                     tempo_limit_oracle, tree_diameter_bound)
 from conftest import (G6_FSN, G8_FFN, G8_FSN, G8_V1, G12_FSN, T12_FSN, T12_V2,
                       random_balanced_signed_net, random_connected_net,
                       random_leader_cfg, random_tree)

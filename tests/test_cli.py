@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fsnlab import (Network, SimulationConfig, g_ratio_series, load_fixture,
-                    parse_arc_file, parse_trajectory, serialize_network,
-                    simulate, tempo_limit_from_eigvec)
+from fsnlab import (DirectedNetwork, Network, SimulationConfig, TempoReport,
+                    g_ratio_series, load_fixture, parse_arc_file,
+                    parse_trajectory, serialize_network, simulate)
 from fsnlab import cli, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
@@ -13,6 +13,7 @@ from fsnlab.netfile import fixture_text
 from fsnlab.tempo import DEFAULT_EPS
 
 from conftest import G8_FSN, G12_FSN
+from oracles import tempo_limit_from_eigvec
 
 
 def run(capsys, *argv):
@@ -26,6 +27,14 @@ def spider_file(tmp_path):
     path = tmp_path / "spider.json"
     path.write_text(json.dumps({"n": 6, "edges": [
         {"i": i, "j": j} for i, j in [(1, 2), (2, 3), (1, 4), (4, 5), (1, 6)]]}))
+    return str(path)
+
+
+def path3_file(tmp_path):
+    """The path 1-2-3, whose Fiedler vector is zero on node 2."""
+    path = tmp_path / "path3.json"
+    path.write_text(json.dumps({"n": 3, "edges": [{"i": 1, "j": 2},
+                                                  {"i": 2, "j": 3}]}))
     return str(path)
 
 
@@ -56,6 +65,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "no-such-network")
         assert code == 2
         assert "neither a readable file nor a bundled fixture" in err
+
+    def test_core_node_classification(self, capsys, tmp_path):
+        # The 3-node path's Fiedler vector is zero on its middle node.
+        code, out, err = run(capsys, "analyze", path3_file(tmp_path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "Fiedler classification: core node 2"
 
 
 @pytest.mark.parametrize("case", ["network-is-directory", "network-not-utf8",
@@ -195,6 +210,26 @@ class TestSimulate:
         traj = parse_trajectory(out_csv.read_text())
         assert np.abs(traj.states[-1] - np.array([0.7, 0.8, 0.9])).max() < 1e-3
 
+    def test_arc_file_of_another_size_is_refused(self, capsys, tmp_path):
+        arcs = tmp_path / "arcs.json"
+        run(capsys, "select", "g6", "--mode", "san-fsn", "--out", str(arcs))
+        code, out, err = run(capsys, "simulate", "g8", "--reduced", str(arcs),
+                             "--out", str(tmp_path / "traj.csv"))
+        assert (code, out, err) == (2, "", "error: arc file has n=6, network "
+                                           "has n=8\n")
+
+    def test_x0_of_another_dimension_is_refused(self, capsys, tmp_path,
+                                                monkeypatch):
+        # The file parser refuses such an x0 first; this is the command's
+        # own check, for a loader that hands over an unchecked one.
+        net, cfg, _ = load_fixture("g8")
+        monkeypatch.setattr(cli, "_load",
+                            lambda source: (net, cfg, np.zeros((8, 2))))
+        code, out, err = run(capsys, "simulate", "g8",
+                             "--out", str(tmp_path / "traj.csv"))
+        assert (code, out, err) == (2, "", "error: x0 dimension 2 != input "
+                                           "dimension 3\n")
+
     def test_unstable_euler_is_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "g8", "--method", "euler",
                            "--dt", "0.2", "--out", str(tmp_path / "t.csv"))
@@ -248,12 +283,36 @@ class TestTempo:
         assert "-0.30" in out
 
     def test_first_component_zero_neighbor_diverges(self, capsys, tmp_path):
-        # Entry 1 is zero within default_eps_zero (7.6e-17 of 0.6), so its
-        # ratio is infinite and has no limit to check against.
+        # Entry 1 is zero within default_eps_zero (7.6e-17 of 0.6), so the
+        # ratio has no limit to check against, as in norm mode.
         code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
                            "2:1", "--first-component")
         assert code == 0
-        assert out.splitlines()[1].split()[-1] == "inf"
+        assert out.splitlines()[1].endswith(
+            "  diverges (neighbor sits at a zero entry)")
+
+    @pytest.mark.parametrize("flags", [[], ["--first-component"]])
+    def test_zero_entries_read_alike_in_both_modes(self, flags, capsys,
+                                                   tmp_path):
+        # Entries 1 and 6 are zero: a zero follower's reference is 0, a zero
+        # neighbor diverges, and two zero entries have no limit.
+        code, out, err = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
+                             "1:2,2:1,1:6", *flags)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert rows[0].startswith("  1:2  ") and rows[0].split()[-1] == "0"
+        assert rows[1].startswith("  2:1  ") and rows[1].endswith(
+            "  diverges (neighbor sits at a zero entry)")
+        assert rows[2].startswith("  1:6  ") and rows[2].endswith(
+            "  none (both entries sit at zero: no eigenvector limit)")
+        assert len(rows) == 3
+
+    def test_pair_outside_the_network_is_refused(self, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: runs.append(args))
+        code, out, err = run(capsys, "tempo", "g8", "--pairs", "7:3,9:3")
+        assert (code, out, err, runs) == (
+            2, "", "error: pair 9:3 outside 1..8\n", [])
 
     def test_zero_neighbor_diverges_and_run_goes_on(self, capsys, tmp_path):
         # Pair 2:1 has no norm-ratio limit (entry 1 is zero); the command
@@ -381,6 +440,21 @@ class TestDistributedSelect:
         assert code == 1
         assert err == ("error: edge (1,6) joins two zero entries (zero block); "
                        "not supported distributively\n")
+
+    def test_disagreement_is_reported(self, capsys, monkeypatch):
+        # An engine that keeps one centralized arc, (2, 3), and one arc
+        # the centralized construction drops, (3, 2).
+        dnet = DirectedNetwork.from_arrays(8, [2, 3], [3, 2], [1.0, 1.0])
+        monkeypatch.setattr(cli, "distributed_select",
+                            lambda *args, **kw: (dnet, TempoReport(())))
+        code, out, err = run(capsys, "distributed-select", "g8")
+        assert (code, err) == (1, "")
+        missing = sorted(G8_FSN - {(2, 3)})
+        assert out.splitlines() == [
+            "settled after 0 rounds (delta=0.01, eps=0.0001)",
+            "  2 <- 3   w=1", "  3 <- 2   w=1",
+            f"FAILED: differs from centralized construction (extra [(3, 2)], "
+            f"missing {missing})"]
 
     def test_fan_fixture_without_leaders_needs_flag(self, capsys):
         code, _, err = run(capsys, "distributed-select", "g12")
@@ -514,6 +588,19 @@ class TestCompare:
         assert code == 1
         assert err == ("error: signed network is not structurally balanced; "
                        "its consensus limit is undefined\n")
+
+    def test_zero_entries_at_the_hub(self, capsys, tmp_path):
+        # The spider's hub, node 1, sits at a zero entry, and so does its
+        # neighbor 6: references 0 for the nonzero neighbors, none for 6.
+        code, out, err = run(capsys, "compare", spider_file(tmp_path))
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[-4:]
+        for row, j in zip(rows, (2, 4)):
+            assert row.startswith(f"  g_1,{j}: t=10 ")
+            assert row.endswith(", eigen 0.0000")
+        assert rows[2:] == [
+            "  g_1,6: none (both entries sit at zero: no eigenvector limit)",
+            "all checks passed"]
 
     def test_unbalanced_autonomous_network_is_refused_before_simulating(
             self, capsys, tmp_path, monkeypatch):

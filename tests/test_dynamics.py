@@ -160,7 +160,6 @@ class TestSimulate:
                         SimulationConfig(dt=0.5, horizon=2.0))
         assert traj.states.shape == (5, 2, 1)
         assert np.array_equal(traj.times, [0.0, 0.5, 1.0, 1.5, 2.0])
-        assert np.array_equal(traj.at(1.0), traj.states[2])
 
 
 def stepped(generator, forcing, x0, dt, steps, step):

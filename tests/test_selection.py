@@ -19,7 +19,8 @@ from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     principal_pair_perturbed,
                     reachable_from, reachable_from_inputs, reduced_spectrum,
                     reduced_laplacian)
-from fsnlab.model import EIG_TOL, Model
+from fsnlab import cli
+from fsnlab.model import EIG_TOL, MODES, Model
 from fsnlab.selection import _strong_components
 from fsnlab.spectral import SpectralError, symmetric_eigh
 
@@ -199,6 +200,30 @@ class TestModelPair:
         cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1, -1),))
         with pytest.raises(GraphError, match="^network has negative weights"):
             Model(net, cfg).pair("san-fsn")
+
+
+class TestModelModes:
+    """A mode outside ``MODES`` is refused by name, never run as another."""
+
+    UNKNOWN = ("unknown mode {!r}; valid modes: san-fsn, san-ffn, fan-fsn, "
+               "signed-san-fsn")
+
+    @pytest.mark.parametrize("call", ["pair", "select", "reduce"])
+    def test_unknown_mode_is_refused(self, g8, call):
+        with pytest.raises(GraphError) as info:
+            getattr(Model(*g8[:2]), call)("san-fsm")
+        assert str(info.value) == self.UNKNOWN.format("san-fsm")
+
+    def test_unknown_mode_of_an_autonomous_model_is_not_a_leader_refusal(
+            self, g12):
+        with pytest.raises(GraphError) as info:
+            Model(g12[0], None).pair("bogus")
+        assert str(info.value) == self.UNKNOWN.format("bogus")
+
+    def test_select_parser_offers_every_mode(self):
+        parser = cli.build_parser()
+        for mode in MODES:
+            assert parser.parse_args(["select", "g8", "--mode", mode]).mode == mode
 
 
 def test_one_name_per_function():

@@ -9,7 +9,7 @@ from fsnlab import (EigenPair, Edge, LeaderLink, Network, SemiAutonomousConfig,
                     SpectralError, entry_ratio, fiedler_pair, symmetric_eigh,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
                     sign_normalize, smallest_eigenpairs)
-from fsnlab.spectral import _check_residual
+from fsnlab.spectral import _check_residual, zero_entries
 
 from conftest import G8_V1, T12_V2, random_connected_net, random_leader_cfg
 
@@ -276,6 +276,13 @@ class TestEntryRatio:
     def test_zero_over_zero_is_one(self):
         v = np.array([0.0, 0.0, 1.0])
         assert entry_ratio(v, 1, 2) == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_zero_entries_is_relative_to_the_largest(self, scale):
+        v = scale * np.array([1.0, -1e-8, 1.1e-8, 0.0])
+        assert zero_entries(v).tolist() == [False, True, False, True]
+        assert [math.isinf(entry_ratio(v, 1, j)) for j in (2, 3, 4)] == [
+            True, False, True]
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     @settings(max_examples=60, deadline=None)

@@ -13,14 +13,13 @@ from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
                     classify_fiedler, distributed_select, entry_ratio,
                     fiedler_pair, fsn_fan, fsn_san,
                     g_ratio_series, laplacian, perturbed_laplacian,
-                    principal_pair_perturbed, simulate,
-                    tempo_limit_from_eigvec)
+                    principal_pair_perturbed, simulate)
 
 from fsnlab import tempo
 from fsnlab.dynamics import BLOCK, UNIT_ROUNDOFF, step_map, step_powers
 from fsnlab.graphs import DirectedNetwork
 
-from oracles import tempo_limit_oracle
+from oracles import tempo_limit_from_eigvec, tempo_limit_oracle
 from conftest import (G6_FSN, G8_FSN, T12_FSN, random_connected_net,
                       random_leader_cfg, random_tree)
 
