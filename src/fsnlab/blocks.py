@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import GraphError, Network
-from .spectral import default_eps_zero
+from .spectral import default_eps_zero, zero_entries
 
 
 class ClassificationError(ValueError):
@@ -75,7 +75,8 @@ def block_cut_tree(net: Network) -> BlockDecomposition:
     tree_edge = [-1] * n            # the edge that discovered each node
     at = [0] * n                    # edge_stack length when it was pushed
     edge_stack: list[int] = []
-    edge_blocks: list[list[int]] = []
+    block = [0] * len(net.w)        # block of each edge, in completion order
+    blocks_done = 0
     cut_nodes: set[int] = set()
     disc[0] = low[0] = 1
     timer = 2
@@ -107,20 +108,18 @@ def block_cut_tree(net: Network) -> BlockDecomposition:
             low[p] = min(low[p], low[u])
             if low[u] >= disc[p]:
                 # p separates the subtree at u: the edges pushed since the
-                # tree edge (p, u) form one block.
-                edge_blocks.append(edge_stack[at[u]:])
+                # tree edge (p, u) form one block.  The root has the least
+                # discovery time, so each of its subtrees empties the stack.
+                for e in edge_stack[at[u]:]:
+                    block[e] = blocks_done
                 del edge_stack[at[u]:]
+                blocks_done += 1
                 if p != 0 or root_children > 1:
                     cut_nodes.add(p + 1)
     if timer <= n:
         raise disconnected
-    if edge_stack:
-        edge_blocks.append(edge_stack)
 
-    m = len(net.w)
-    block = np.empty(m, dtype=np.intp)
-    block[np.fromiter(chain.from_iterable(edge_blocks), np.intp, m)] = np.repeat(
-        np.arange(len(edge_blocks)), [len(es) for es in edge_blocks])
+    block = np.array(block, dtype=np.intp)
     # The (block, node) incidences, sorted by block, then node.
     inc = np.sort(np.concatenate((block * n + net.i - 1, block * n + net.j - 1)))
     inc = inc[_run_starts(inc)]
@@ -207,7 +206,7 @@ def classify_fiedler(decomp: BlockDecomposition,
     if len(v2) != decomp.n:
         raise ClassificationError(f"vector length {len(v2)} != n={decomp.n}")
     eps_zero = default_eps_zero(v2)
-    sign = np.where(np.abs(v2) <= eps_zero, 0, np.where(v2 > 0, 1, -1))
+    sign = np.where(zero_entries(v2), 0, np.where(v2 > 0, 1, -1))
     signs = tuple(sign.tolist())
 
     # Block memberships, and the count of each sign per block.

@@ -60,8 +60,11 @@ def _resolve_x0(net: Network, cfg: Optional[SemiAutonomousConfig],
                 x0: Optional[np.ndarray]) -> np.ndarray:
     if x0 is None:
         d = cfg.d if cfg is not None and cfg.d is not None else 1
-        seed = int(os.environ.get("FSNLAB_SEED", "7"))
-        x0 = np.random.default_rng(seed).random((net.n, d))
+        seed = os.environ.get("FSNLAB_SEED", "7")
+        if not seed.isdecimal():
+            raise NetworkFileError(
+                f"FSNLAB_SEED must be a non-negative integer, got {seed!r}")
+        x0 = np.random.default_rng(int(seed)).random((net.n, d))
     return x0
 
 
@@ -96,7 +99,7 @@ def cmd_analyze(args) -> int:
     net, cfg, _ = _load(args.network)
     model = Model(net, cfg)
     print(f"network {net.name or args.network}: n={net.n}, "
-          f"{len(net.edges)} edges, {'signed' if net.is_signed else 'unsigned'}")
+          f"{len(net.w)} edges, {'signed' if net.is_signed else 'unsigned'}")
     connected = is_connected(net)
     print(f"connected: {connected}")
 
@@ -151,7 +154,7 @@ def cmd_select(args) -> int:
     net, cfg, _ = _load(args.network)
     dnet, report = Model(net, cfg).reduce(args.mode)
     okey = "lambda1" if "lambda1" in report["original"] else "lambda2"
-    print(f"mode {args.mode}: kept {len(dnet.arcs)} of {2*len(net.edges)} "
+    print(f"mode {args.mode}: kept {len(dnet.w)} of {2*len(net.w)} "
           f"directed choices")
     print(f"original {okey} = "
           + _fmt(report['original'][okey]['value'], EIG_TOL))
@@ -187,9 +190,6 @@ def cmd_simulate(args) -> int:
     G, drive = model.generator(dnet), model.drive
     tag = model.tag + ("-reduced" if dnet is not None else "")
     x0 = _resolve_x0(net, cfg, x0)
-    if drive is not None and drive[1].shape[1] != x0.shape[1]:
-        raise NetworkFileError(
-            f"x0 dimension {x0.shape[1]} != input dimension {drive[1].shape[1]}")
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon, method=args.method)
     traj = simulate(G, drive, x0, simcfg)
     final = traj.states[-1]
@@ -331,7 +331,7 @@ def cmd_compare(args) -> int:
     net, cfg, x0 = _load(args.network)
     model = Model(net, cfg)
     checks: dict[str, bool] = {}
-    print(f"=== {net.name or args.network}: n={net.n}, {len(net.edges)} edges, "
+    print(f"=== {net.name or args.network}: n={net.n}, {len(net.w)} edges, "
           f"{'signed ' if model.signed else ''}{'SAN' if cfg else 'FAN'} ===")
 
     dnet, report = model.reduce()
@@ -344,7 +344,7 @@ def cmd_compare(args) -> int:
 
     vec = model.pair().vector
     print("selection eigenvector: " + " ".join(f"{v:.4f}" for v in vec))
-    print(f"retained {len(dnet.arcs)} arcs:")
+    print(f"retained {len(dnet.w)} arcs:")
     _print_arcs(dnet)
 
     x0 = _resolve_x0(net, cfg, x0)

@@ -11,7 +11,6 @@ unsigned rule on the magnitude network after gauging the signs away.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -156,16 +155,17 @@ def reachable_from_inputs(dnet: DirectedNetwork,
     return reachable_from(dnet, cfg.leader_nodes)
 
 
-def _strong_components(dnet: DirectedNetwork) -> list[list[int]]:
+def _strong_components(dnet: DirectedNetwork) -> np.ndarray:
     """Strongly connected components of the arc digraph (iterative Tarjan
-    over the CSR successor lists), each as its sorted 1-based node ids."""
+    over the CSR successor lists): the component of each node, numbered
+    from 0 in completion order."""
     indptr, cols = (a.tolist() for a in dnet.successors[:2])
     nxt = indptr[:-1]                   # next successor entry to scan
     index = [0] * dnet.n                # visit order from 1; 0 = unvisited
     low = [0] * dnet.n
-    at = [-1] * dnet.n                  # position on comp_stack while on it
+    comp = [-1] * dnet.n                # -1 until its component completes
     comp_stack: list[int] = []
-    comps: list[list[int]] = []
+    label = 0
     counter = 1
     for start in range(dnet.n):
         if index[start]:
@@ -173,7 +173,6 @@ def _strong_components(dnet: DirectedNetwork) -> list[list[int]]:
         work = [start]
         index[start] = low[start] = counter
         counter += 1
-        at[start] = len(comp_stack)
         comp_stack.append(start)
         while work:
             u = work[-1]
@@ -184,11 +183,10 @@ def _strong_components(dnet: DirectedNetwork) -> list[list[int]]:
                 if not index[v]:
                     index[v] = low[v] = counter
                     counter += 1
-                    at[v] = len(comp_stack)
                     comp_stack.append(v)
                     work.append(v)
                     break
-                if at[v] >= 0 and index[v] < low[u]:
+                if comp[v] < 0 and index[v] < low[u]:   # v is on comp_stack
                     low[u] = index[v]
             nxt[u] = k
             if work[-1] != u:
@@ -197,12 +195,12 @@ def _strong_components(dnet: DirectedNetwork) -> list[list[int]]:
             if work and low[u] < low[work[-1]]:
                 low[work[-1]] = low[u]
             if low[u] == index[u]:
-                comp = comp_stack[at[u]:]
-                del comp_stack[at[u]:]
-                for w in comp:
-                    at[w] = -1
-                comps.append(sorted(w + 1 for w in comp))
-    return comps
+                w = -1
+                while w != u:
+                    w = comp_stack.pop()
+                    comp[w] = label
+                label += 1
+    return np.array(comp, dtype=np.intp)
 
 
 def reduced_spectrum(dnet: DirectedNetwork,
@@ -226,29 +224,20 @@ def reduced_spectrum(dnet: DirectedNetwork,
     if cfg is not None:
         _bump_leaders(diag, cfg)
 
-    comps = _strong_components(dnet)
-    sizes = np.fromiter(map(len, comps), np.intp, len(comps))
-    members = np.fromiter(chain.from_iterable(comps), np.intp, n) - 1
-    starts = np.cumsum(sizes) - sizes
-    comp_of = np.empty(n, np.intp)
-    comp_of[members] = np.repeat(np.arange(len(comps)), sizes)
-    slot = np.empty(n, np.intp)
-    slot[members] = np.arange(n) - np.repeat(starts, sizes)
-    # Eigenvalues in component order, as the blocks are visited; a
-    # nontrivial component's entries are overwritten by its block's.
-    values = diag[members]
-    inner = np.flatnonzero(comp_of[follower] == comp_of[followed])
-    inner = inner[np.argsort(comp_of[follower[inner]])]
-    bounds = np.searchsorted(comp_of[follower[inner]], np.arange(len(comps) + 1))
-    for c in np.flatnonzero(sizes > 1):
-        part = slice(starts[c], starts[c] + sizes[c])
-        arcs = inner[bounds[c]:bounds[c + 1]]
-        block = np.diag(diag[members[part]])
-        block[slot[follower[arcs]], slot[followed[arcs]]] -= w[arcs]
+    # A singleton's eigenvalue is its diagonal entry; a nontrivial
+    # component's entries are overwritten by its block's eigenvalues once
+    # the block has read them.
+    comp = _strong_components(dnet)
+    for c in np.flatnonzero(np.bincount(comp) > 1):
+        nodes = np.flatnonzero(comp == c)
+        arcs = np.flatnonzero((comp[follower] == c) & (comp[followed] == c))
+        block = np.diag(diag[nodes])
+        block[np.searchsorted(nodes, follower[arcs]),
+              np.searchsorted(nodes, followed[arcs])] -= w[arcs]
         sym_defect = float(np.abs(block - block.T).max())
         if sym_defect > 1e-9 * float(np.abs(block).max()):
             raise GraphError(
                 "strongly connected component has an asymmetric generator "
                 "block; spectrum cannot be read structurally")
-        values[part] = symmetric_eigh(block)[0]
-    return np.sort(values)
+        diag[nodes] = symmetric_eigh(block)[0]
+    return np.sort(diag)

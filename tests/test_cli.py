@@ -218,17 +218,24 @@ class TestSimulate:
         assert (code, out, err) == (2, "", "error: arc file has n=6, network "
                                            "has n=8\n")
 
-    def test_x0_of_another_dimension_is_refused(self, capsys, tmp_path,
-                                                monkeypatch):
-        # The file parser refuses such an x0 first; this is the command's
-        # own check, for a loader that hands over an unchecked one.
-        net, cfg, _ = load_fixture("g8")
-        monkeypatch.setattr(cli, "_load",
-                            lambda source: (net, cfg, np.zeros((8, 2))))
+    def test_x0_of_another_dimension_is_refused(self, capsys, tmp_path):
+        doc = json.loads(fixture_text("g8"))
+        doc["x0"] = [[0.0, 0.0]] * 8
+        path = tmp_path / "g8-x0.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "simulate", str(path),
+                             "--out", str(tmp_path / "traj.csv"))
+        assert (code, out, err) == (2, "", "error: x0: dimension 2 != input "
+                                           "dimension 3\n")
+
+    @pytest.mark.parametrize("seed", ["abc", "-1"])
+    def test_malformed_seed_is_refused(self, seed, capsys, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setenv("FSNLAB_SEED", seed)
         code, out, err = run(capsys, "simulate", "g8",
                              "--out", str(tmp_path / "traj.csv"))
-        assert (code, out, err) == (2, "", "error: x0 dimension 2 != input "
-                                           "dimension 3\n")
+        assert (code, out, err) == (2, "", "error: FSNLAB_SEED must be a "
+                                    f"non-negative integer, got {seed!r}\n")
 
     def test_unstable_euler_is_rejected(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "g8", "--method", "euler",

@@ -88,7 +88,11 @@ def check_arcs(rng) -> None:
     want = set(sources).union(*(nx.descendants(influence, s) for s in sources))
     assert reachable_from(dnet, sources) == {
         v: v in want for v in range(1, dnet.n + 1)}
-    comps = _strong_components(dnet)
-    assert {frozenset(c) for c in comps} == {
+    comp = _strong_components(dnet)
+    assert comp.dtype == np.intp and comp.shape == (dnet.n,)
+    assert set(comp.tolist()) == set(range(comp.max() + 1))
+    # Completion order: a component completes after those its arcs lead to.
+    assert (comp[dnet.i - 1] >= comp[dnet.j - 1]).all()
+    assert {frozenset((np.flatnonzero(comp == c) + 1).tolist())
+            for c in range(comp.max() + 1)} == {
         frozenset(c) for c in nx.strongly_connected_components(arcs)}
-    assert all(c == sorted(c) for c in comps)

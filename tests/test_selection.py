@@ -21,7 +21,6 @@ from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     reduced_laplacian)
 from fsnlab import cli
 from fsnlab.model import EIG_TOL, MODES, Model
-from fsnlab.selection import _strong_components
 from fsnlab.spectral import SpectralError, symmetric_eigh
 
 from test_perfbench_names import SCRIPTS, package_reads
@@ -511,8 +510,12 @@ def dense_reduced_spectrum(dnet, cfg=None):
     if cfg is not None:
         for link in cfg.leader_links:
             L[link.node - 1, link.node - 1] += 1.0
+    nx = pytest.importorskip("networkx")
+    arcs = nx.DiGraph()
+    arcs.add_nodes_from(range(1, dnet.n + 1))
+    arcs.add_edges_from(zip(dnet.i.tolist(), dnet.j.tolist()))
     values = []
-    for comp in _strong_components(dnet):
+    for comp in map(sorted, nx.strongly_connected_components(arcs)):
         idx = np.array([c - 1 for c in comp])
         block = L[np.ix_(idx, idx)]
         if len(comp) == 1:
@@ -589,6 +592,32 @@ class TestReducedSpectrumOracle:
             pair = fiedler_pair(laplacian(net))
             if pair.is_simple:
                 assert_same_spectrum(fan_selection(net)[0])
+
+    def test_chained_mutual_pairs(self):
+        # 200 two-node components, each pair following the next one way:
+        # every block is nontrivial and every pair is its own component.
+        rng = np.random.default_rng(42)
+        pairs = 200
+        arcs = []
+        for k in range(pairs):
+            a, b, w = 2 * k + 1, 2 * k + 2, float(rng.uniform(0.5, 2))
+            arcs += [Arc(a, b, w), Arc(b, a, w)]
+            if k + 1 < pairs:
+                arcs.append(Arc(b, b + 1, float(rng.uniform(0.5, 2))))
+        dnet = DirectedNetwork(2 * pairs, tuple(arcs))
+        assert_same_spectrum(dnet, None)
+        assert_same_spectrum(dnet, random_leader_cfg(rng, 2 * pairs))
+
+    def test_large_fan_selection(self):
+        rng = np.random.default_rng(43)
+        while True:
+            net = random_connected_net(rng, 300)
+            if fiedler_pair(laplacian(net)).is_simple:
+                break
+        dnet = fan_selection(net)[0]
+        arcs = set(zip(dnet.i.tolist(), dnet.j.tolist()))
+        assert {(j, i) for i, j in arcs} & arcs     # a nontrivial component
+        assert_same_spectrum(dnet)
 
     @pytest.mark.parametrize("exponent", range(-12, 13))
     def test_asymmetric_cycle_is_refused_at_every_scale(self, exponent):
