@@ -30,7 +30,7 @@ from .graphs import (DirectedNetwork, GraphError, Network,
                      structural_balance_partition)
 from .model import EIG_TOL, MODES, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
-                      emit_trajectory, fixture_text, json_text,
+                      csv_stamps, emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
 from .spectral import SpectralError, entry_ratio, zero_entries
 from .tempo import TempoError, distributed_select, g_ratio_series
@@ -226,12 +226,13 @@ def cmd_tempo(args) -> int:
     traj = simulate(G, drive, x0, simcfg)
 
     rows = ["t,follower,followed,value\n"]
+    stamps = csv_stamps(traj.times[1:]) if args.out else None
     far, unheld = False, []
     print(f"{'pair':>7}  {'sampled g (final)':>18}  {'eigvec ratio':>12}")
     for i, j in pairs:
         series = g_ratio_series(traj, i, j, args.first_component)
         if args.out:
-            rows.extend(csv_rows(traj.times[1:], [f"{i},{j}"], series[:, None]))
+            rows.extend(csv_rows(stamps, [f"{i},{j}"], series[:, None]))
         final = float(series[-1])
         ref, reason = _reference(vec, i, j, args.first_component)
         held = ("none (no sample above the noise floor)" if np.isnan(final)

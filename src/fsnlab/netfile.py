@@ -23,7 +23,7 @@ from .graphs import (MAX_NODES, DirectedNetwork, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig)
 
 FIXTURE_NAMES = ("g6", "g8", "g8-signed", "g12", "t12")
-CSV_BLOCK = 512         # samples formatted per block by csv_rows
+CSV_BLOCK = 1 << 16     # values formatted per block by csv_rows
 
 _TRAJECTORY_HEADER = "t,agent,dim,value"
 _CSV_DTYPE = [("t", "f8"), ("agent", "i8"), ("dim", "i8"), ("value", "f8")]
@@ -332,29 +332,37 @@ def _json_numbers(values) -> list[str]:
     return list(map(_JSON_FLOAT_WORDS.get, texts, texts))
 
 
-def csv_rows(times: np.ndarray, ids: list[str],
-             values: np.ndarray) -> Iterator[str]:
-    """CSV rows ``t,<id>,value`` of samples, one joined string per block.
+def csv_stamps(times: np.ndarray) -> np.ndarray:
+    """The time stamps of ``csv_rows``: each time formatted once as
+    ``%.17g``, which a re-parse turns back into the same double."""
+    return np.array(list(map("%.17g".__mod__, times.tolist())), dtype=object)
 
-    ``values`` is (samples, len(ids)); sample k gives one row per id, in
-    order, each stamped with ``times[k]``.  Times and values are written
-    as ``%.17g``, which a re-parse turns back into the same doubles.  The
-    rows of one sample come from one ``%``-template with the ids baked in,
-    and each time stamp is formatted once.  Samples are converted to
-    Python floats ``CSV_BLOCK`` at a time, so the transient strings and
-    floats stay bounded by one block whatever the trajectory's length.
+
+def csv_rows(stamps: np.ndarray, ids: list[str],
+             values: np.ndarray) -> Iterator[str]:
+    """CSV rows ``<stamp>,<id>,value`` of samples, one joined string per block.
+
+    ``values`` is (samples, len(ids)) and ``stamps`` the ``csv_stamps`` of
+    the sample times; sample k gives one row per id, in order, each stamped
+    with ``stamps[k]``.  Values are written as ``%.17g``.  A block of
+    samples is one ``%``-template, the row template with the ids baked in
+    repeated once per sample, filled from one object array of stamps and
+    values interleaved row by row.  Blocks are sized by values: at most
+    ``CSV_BLOCK`` unless a single sample is wider, and at least one sample,
+    so the transient floats and strings stay bounded whatever the length.
     """
     m = len(ids)
     template = "".join("%%s,%s,%%.17g\n" % i for i in ids)
-    args = [None] * (2 * m)
-    for k in range(0, len(times), CSV_BLOCK):
-        out = []
-        for t, row in zip(times[k:k + CSV_BLOCK].tolist(),
-                          values[k:k + CSV_BLOCK].tolist()):
-            args[0::2] = ("%.17g" % t,) * m
-            args[1::2] = row
-            out.append(template % tuple(args))
-        yield "".join(out)
+    # Samples per block: CSV_BLOCK over the width rounded up to a power of
+    # two, by a shift rather than a division, so width 0 needs no case of
+    # its own (its blocks are empty strings).
+    step = max(1, CSV_BLOCK >> (m - 1).bit_length())
+    for k in range(0, len(stamps), step):
+        rows = values[k:k + step]
+        block = np.empty((len(rows), m, 2), dtype=object)
+        block[:, :, 0] = stamps[k:k + step, None]
+        block[:, :, 1] = rows
+        yield template * len(rows) % tuple(block.ravel().tolist())
 
 
 def emit_trajectory(traj: Trajectory) -> str:
@@ -363,15 +371,16 @@ def emit_trajectory(traj: Trajectory) -> str:
     Rows run time-major, then by agent, then by dimension.  Agents and
     dimensions are 1-based plain integers; times and values are written as
     ``%.17g``, enough digits to reproduce the binary doubles exactly on
-    re-parse (``parse_trajectory``).  Rows are formatted ``CSV_BLOCK``
-    (512) samples at a time by ``csv_rows``: the per-value floats and row
-    strings alive at once never exceed one block, so the transient memory
-    beside the text itself stays bounded whatever the trajectory's length.
+    re-parse (``parse_trajectory``).  Each time is formatted once
+    (``csv_stamps``) and the rows go through ``csv_rows`` in blocks of at
+    most ``CSV_BLOCK`` values, so the transient memory beside the text
+    itself stays bounded whatever the trajectory's length.
     """
     ids = [f"{agent},{dim}" for agent in range(1, traj.n + 1)
            for dim in range(1, traj.d + 1)]
     values = traj.states.reshape(len(traj.times), traj.n * traj.d)
-    return "".join([_TRAJECTORY_HEADER, "\n", *csv_rows(traj.times, ids, values)])
+    return "".join([_TRAJECTORY_HEADER, "\n",
+                    *csv_rows(csv_stamps(traj.times), ids, values)])
 
 
 def _plain_columns(text: str) -> Optional[tuple[np.ndarray, ...]]:

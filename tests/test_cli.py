@@ -266,9 +266,7 @@ def test_non_finite_simulation_time_is_refused(argv, capsys, tmp_path):
     ids=["steps-overflow", "simulate-memory", "tempo-memory"])
 def test_impossible_step_count_is_refused(argv, message, capsys, tmp_path):
     out_csv = tmp_path / "x.csv"
-    if argv[0] == "simulate":
-        argv = [*argv, "--out", str(out_csv)]
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *argv, "--out", str(out_csv))
     assert code == 1
     assert err.startswith(message)
     assert not out_csv.exists()

@@ -13,10 +13,11 @@ from fsnlab import (FIXTURE_NAMES, Arc, DirectedNetwork, NetworkFileError,
                     load_fixture, parse_arc_file, parse_network_file,
                     parse_trajectory, serialize_arcs, serialize_network,
                     simulate)
+from fsnlab import netfile
 from fsnlab.cli import main
 from fsnlab.graphs import Edge, Network
 from fsnlab.model import Model
-from fsnlab.netfile import CSV_BLOCK, fixture_text, json_text
+from fsnlab.netfile import csv_rows, csv_stamps, fixture_text, json_text
 
 
 JSON_NUMBERS = st.one_of(
@@ -44,6 +45,19 @@ def ref_emit_trajectory(traj):
                 v = traj.states[k, agent - 1, dim - 1]
                 lines.append(f"{t:.17g},{agent},{dim},{v:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def ref_csv_rows(times, ids, values):
+    """One f-string per row: what ``csv_rows`` over ``csv_stamps(times)``
+    must write."""
+    return "".join(f"{t:.17g},{i},{v:.17g}\n" for t, row in zip(times, values)
+                   for i, v in zip(ids, row))
+
+
+# The doubles whose text is easiest to get wrong, drawn often.
+SPECIAL_DOUBLES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                   1.7976931348623157e308])
+CSV_DOUBLES = SPECIAL_DOUBLES | st.floats()
 
 
 def assert_same_doubles(got, want):
@@ -361,11 +375,47 @@ class TestTrajectoryWriter:
                         SimulationConfig(horizon=12.0))
         assert emit_trajectory(traj) == ref_emit_trajectory(traj)
 
-    def test_partial_last_block(self):
-        samples = 2 * CSV_BLOCK + 1
+    def test_partial_last_block(self, monkeypatch):
+        # 64 values over a width of 6 (rounded up to 8) is 8 samples a
+        # block, so 17 samples end on a block of one.
+        monkeypatch.setattr(netfile, "CSV_BLOCK", 64)
+        samples = 17
         rng = np.random.default_rng(3)
         traj = Trajectory(np.arange(samples) * 0.01, rng.normal(size=(samples, 3, 2)))
+        blocks = list(csv_rows(csv_stamps(traj.times), list("abcdef"),
+                               traj.states.reshape(samples, 6)))
+        assert [b.count("\n") for b in blocks] == [48, 48, 6]
         assert emit_trajectory(traj) == ref_emit_trajectory(traj)
+        no_agents = Trajectory(traj.times, np.empty((samples, 0, 2)))
+        assert emit_trajectory(no_agents) == "t,agent,dim,value\n"
+
+    @given(st.sampled_from([4, 16, 64]), st.integers(0, 70), st.integers(0, 40),
+           st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_match_row_by_row_reference(self, block, width, samples,
+                                               held, data):
+        # Widths 0, 1, a few and past the block size; sample counts across
+        # several block ends; the special doubles drawn often.  A held
+        # series is tempo's shape: NaN until a first estimate, then each
+        # estimate repeated until the next.
+        times = data.draw(hnp.arrays(np.float64, samples, elements=CSV_DOUBLES))
+        values = data.draw(hnp.arrays(np.float64, (samples, width),
+                                      elements=CSV_DOUBLES))
+        if held:
+            fresh = data.draw(hnp.arrays(bool, samples))
+            prefix = data.draw(st.integers(0, samples))
+            fresh[:prefix], values[:prefix] = True, np.nan
+            values = values[np.maximum.accumulate(
+                np.where(fresh, np.arange(samples), 0))]
+        ids = [f"{k},{k % 3}" for k in range(width)]
+        split = data.draw(st.sampled_from([(width, 1), (1, width)]))
+        traj = Trajectory(times, values.reshape(samples, *split))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netfile, "CSV_BLOCK", block)
+            rows = "".join(csv_rows(csv_stamps(times), ids, values))
+            text = emit_trajectory(traj)
+        assert rows == ref_csv_rows(times, ids, values)
+        assert text == ref_emit_trajectory(traj)
 
     def test_special_values(self):
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, 1e22,
