@@ -4,6 +4,11 @@ Network files are JSON objects with keys ``n``, ``directed`` (must be
 false), ``edges``, and optional ``name``, ``leaders``, ``inputs``, ``x0``.
 Unknown keys are rejected so typos fail loudly.  Serialization round-trips:
 parsing what we emit reproduces the parsed model exactly.
+
+Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
+v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
+for magnitudes in [1e-4, 1e16), and by one batched ``"%.17g"`` call for
+every other double.  ``parse_trajectory`` reads them back bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from functools import cache
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -23,7 +29,7 @@ from .graphs import (MAX_NODES, DirectedNetwork, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig)
 
 FIXTURE_NAMES = ("g6", "g8", "g8-signed", "g12", "t12")
-CSV_BLOCK = 1 << 16     # values formatted per block by csv_rows
+CSV_BLOCK = 1 << 13     # values formatted per block by csv_rows
 
 _TRAJECTORY_HEADER = "t,agent,dim,value"
 _CSV_DTYPE = [("t", "f8"), ("agent", "i8"), ("dim", "i8"), ("value", "f8")]
@@ -67,13 +73,20 @@ def _as_number(value, where: str) -> float:
             "for a float") from None
 
 
-def _json_object(text: str | bytes) -> dict:
+def _decoded(text: str | bytes) -> str:
+    """The text of a document given as str or as UTF-8 bytes."""
+    if isinstance(text, str):
+        return text
     try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        doc = json.loads(text)
+        return text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NetworkFileError(f"document is not UTF-8: {exc}") from exc
+
+
+def _json_object(text: str | bytes) -> dict:
+    text = _decoded(text)
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
@@ -332,37 +345,218 @@ def _json_numbers(values) -> list[str]:
     return list(map(_JSON_FLOAT_WORDS.get, texts, texts))
 
 
+# "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is
+# written in fixed notation, which "%.17g" uses for every such x: its 17
+# significant digits, the integer n in [10**16, 10**17), and its decimal
+# exponent e come from array arithmetic that is exact (_digits17), and the
+# text from four-digit words looked up in _word_table().  Every other
+# double (0, -0, NaN, the infinities, subnormals, and magnitudes outside
+# that range) is written by one batched "%.17g" call.
+_FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
+_POW10 = np.array([10.0 ** k for k in range(22)])   # exact: 5**21 < 2**53
+_POW10_INT = np.array([10 ** k for k in range(18)], np.int64)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into hi + lo, each of at most 26
+    significant bits, so that products of two halves are exact."""
+    c = a * 134217729.0             # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+@cache
+def _word_table() -> np.ndarray:
+    """The words that ``_fixed_words`` writes, four ASCII bytes each read
+    as one uint32, a blank written as NUL (the rows of a CSV block are
+    joined with their NULs deleted).  Built on first use, so commands that
+    write no CSV never build it.
+
+    From _PLAIN, _LEAD, _UNITS and _TRAIL on, the four-digit group k: in
+    full, with leading zeros blank (0 is all blank), as the units group of
+    an integer part (0 is "   0"), and with trailing zeros blank (0 is all
+    blank, 1000 * d the single digit d).  From _POINT, the point followed
+    by 0 to 3 zeros, then blank; from _SIGN, blank and then a minus sign.
+    """
+    k = np.arange(10000, dtype=np.int16)[:, None]
+    place = np.array([1000, 100, 10, 1], np.int16)
+    digits = (k // place % 10 + ord("0")).astype(np.uint8)
+    groups = [digits, np.where(k < place, 0, digits),
+              np.where(k < place * [1, 1, 1, 0], 0, digits),
+              np.where(k % (10 * place) == 0, 0, digits)]
+    marks = np.frombuffer(b".\0\0\0.0\0\0.00\0.000" + bytes(11) + b"-", np.uint8)
+    return np.concatenate([*groups, marks.reshape(-1, 4)]).view(np.uint32).ravel()
+
+
+_PLAIN, _LEAD, _UNITS, _TRAIL, _POINT, _SIGN = 0, 10000, 20000, 30000, 40000, 40005
+
+
+def _floor_scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
+    """floor(a * 10**(16 - e)) as int64 when the product is at least 2**53,
+    with err and floor(err) for the exact product p + err.
+
+    p = fl(a * 10**k) and err = a * 10**k - p (Dekker's product: 10**k
+    and a are split in halves whose products are exact), so for p >= 2**53,
+    an integer, the floor is p + floor(err).  A smaller product (e too
+    large) gives a result below 10**16, which is all its callers test.
+    """
+    k = 16 - e
+    p = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    floor_err = np.floor(err)
+    return p.astype(np.int64) + floor_err.astype(np.int64), err, floor_err
+
+
+def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 significant digits (int64 in [10**16, 10**17)) and decimal
+    exponent of each a in [1e-4, 1e16), rounded as "%.17g" rounds: to
+    nearest, ties to even, a carry to 10**17 moving into the exponent.
+
+    log10 can miss the exponent by one next to a power of ten, so each
+    value whose floor falls outside [10**16, 10**17) is scaled again.  The
+    tie test compares err with floor(err) + 0.5, both exact; the fraction
+    err - floor(err) could itself round onto 0.5 (err = -(0.5 - 2**-54)).
+    """
+    e = np.floor(np.log10(a)).astype(np.int64)
+    n, err, floor_err = _floor_scaled(a, e)
+    while len(off := np.flatnonzero((n - 10**16).view(np.uint64) >= 9 * 10**16)):
+        e[off] += np.where(n[off] < 10**16, -1, 1)
+        n[off], err[off], floor_err[off] = _floor_scaled(a[off], e[off])
+    half = floor_err + 0.5
+    n += (err > half) | ((err == half) & (n & 1).astype(bool))
+    carry = n == 10**17
+    n[carry] = 10**16
+    return n, e + carry
+
+
+def _groups(v: np.ndarray, count: int) -> list[np.ndarray]:
+    """The last ``count`` four-digit groups of each v (int64), most
+    significant first; the first holds all the digits above the others."""
+    groups = []
+    for _ in range(count - 1):
+        top = v // 10**4
+        groups.append(v - top * 10**4)
+        v = top
+    return [v, *reversed(groups)]
+
+
+def _fixed_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.17g" % v`` of each v of x (1e-4 <= |v| < 1e16), as one row of
+    ``_word_table()`` words: a minus sign (a column only when some v is
+    negative), the integer part in right-aligned groups, the point and any
+    zeros after it, 16 fraction digits in four groups and the 17th in a word
+    of its own.  Also the bitwise or of each column, which marks the bytes
+    in use."""
+    n, e = _digits17(np.abs(x))
+    # The integer part, and the fraction's digits left-aligned in 17.
+    k = np.minimum(16 - e, 17)
+    whole = n // _POW10_INT[k]
+    frac = (n - whole * _POW10_INT[k]) * _POW10_INT[17 - k]
+    ints = (max(int(e.max(initial=0)), 0) + 4) // 4
+    negative = x < 0
+    signed = int(negative.any())
+    words = np.empty((len(x), signed + ints + 6), np.uint32)
+    seen = np.empty(words.shape[1], np.uint32)
+
+    table = _word_table()
+
+    def put(j: int, index: np.ndarray) -> None:
+        words[:, j] = column = table[index]
+        seen[j] = np.bitwise_or.reduce(column)
+
+    if signed:
+        put(0, _SIGN + negative)
+    lead = np.ones(len(x), bool)
+    units = signed + ints - 1
+    for j, group in enumerate(_groups(whole, ints), start=signed):
+        put(j, group + np.where(lead, _UNITS if j == units else _LEAD, _PLAIN))
+        lead &= group == 0
+    high = frac // 10
+    last = frac - high * 10
+    put(-1, _TRAIL + 1000 * last)
+    tail = last == 0
+    for j, group in reversed(list(enumerate(_groups(high, 4), start=units + 2))):
+        put(j, group + np.where(tail, _TRAIL, _PLAIN))
+        tail &= group == 0
+    put(units + 1, _POINT + np.where(tail, 4, np.maximum(-e - 1, 0)))
+    return words, seen
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each double v of x, as the rows of a uint8 matrix
+    padded with NUL bytes, trimmed of the columns blank in every row."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    magnitude = np.abs(x)
+    fixed = (magnitude >= _FIXED_MIN) & (magnitude < _FIXED_MAX)
+    rest = np.flatnonzero(~fixed)
+    words, seen = _fixed_words(np.where(fixed, x, 1.0) if len(rest) else x)
+    text = words.view(np.uint8)
+    if len(rest):
+        values = x[rest].tolist()
+        texts = np.array(("%.17g " * len(values) % tuple(values)).split(),
+                         dtype=f"S{text.shape[1]}")
+        text[rest] = texts.view(np.uint8).reshape(len(values), -1)
+        seen |= np.bitwise_or.reduce(words[rest], axis=0)
+    used = np.flatnonzero(seen.view(np.uint8))
+    return text[:, used[0]:used[-1] + 1] if len(used) else text[:, :0]
+
+
 def csv_stamps(times: np.ndarray) -> np.ndarray:
-    """The time stamps of ``csv_rows``: each time formatted once as
-    ``%.17g``, which a re-parse turns back into the same double."""
-    return np.array(list(map("%.17g".__mod__, times.tolist())), dtype=object)
+    """The time stamps of ``csv_rows``: each time's ``%.17g`` text, which a
+    re-parse turns back into the same double, as one row of a uint8 matrix
+    padded with NUL bytes.  Times are formatted ``CSV_BLOCK`` at a time."""
+    starts = range(0, len(times), CSV_BLOCK)
+    texts = [_g17(times[k:k + CSV_BLOCK]) for k in starts]
+    stamps = np.zeros((len(times), max((t.shape[1] for t in texts), default=0)),
+                      np.uint8)
+    for k, text in zip(starts, texts):
+        stamps[k:k + len(text), :text.shape[1]] = text
+    return stamps
 
 
 def csv_rows(stamps: np.ndarray, ids: list[str],
              values: np.ndarray) -> Iterator[str]:
-    """CSV rows ``<stamp>,<id>,value`` of samples, one joined string per block.
+    """CSV rows ``<stamp>,<id>,value`` of samples, one string per block.
 
     ``values`` is (samples, len(ids)) and ``stamps`` the ``csv_stamps`` of
     the sample times; sample k gives one row per id, in order, each stamped
-    with ``stamps[k]``.  Values are written as ``%.17g``.  A block of
-    samples is one ``%``-template, the row template with the ids baked in
-    repeated once per sample, filled from one object array of stamps and
-    values interleaved row by row.  Blocks are sized by values: at most
-    ``CSV_BLOCK`` unless a single sample is wider, and at least one sample,
-    so the transient floats and strings stay bounded whatever the length.
+    with ``stamps[k]``.  Values are written as ``%.17g``, by ``_g17``.  A
+    block of samples is one uint8 matrix of rows ``[stamp | ,id, | value |
+    newline]``, each part NUL-padded to its widest text, and its text is
+    that matrix with the NUL bytes deleted, decoded once.
+
+    Blocks are sized by values: at most ``CSV_BLOCK`` unless a single
+    sample is wider, and at least one sample.  Beside the text, a block's
+    transient memory peaks at about 120 bytes a value, in the formatter's
+    int64 and float64 arrays of the exact product; the row matrix and the
+    text after it are smaller.  That is about 120 * ``CSV_BLOCK`` bytes,
+    1 MB, whatever the number of samples.
     """
     m = len(ids)
-    template = "".join("%%s,%s,%%.17g\n" % i for i in ids)
+    labels = np.array([f",{i}," for i in ids], dtype=bytes)
+    labels = labels.view(np.uint8).reshape(m, labels.itemsize)
     # Samples per block: CSV_BLOCK over the width rounded up to a power of
     # two, by a shift rather than a division, so width 0 needs no case of
     # its own (its blocks are empty strings).
     step = max(1, CSV_BLOCK >> (m - 1).bit_length())
     for k in range(0, len(stamps), step):
-        rows = values[k:k + step]
-        block = np.empty((len(rows), m, 2), dtype=object)
-        block[:, :, 0] = stamps[k:k + step, None]
-        block[:, :, 1] = rows
-        yield template * len(rows) % tuple(block.ravel().tolist())
+        stamp = stamps[k:k + step]
+        text = _g17(values[k:k + step])
+        ws, wl, wv = stamp.shape[1], labels.shape[1], text.shape[1]
+        width = ws + wl + wv + 1
+        block = bytearray(len(stamp) * m * width)
+        rows = np.frombuffer(block, np.uint8).reshape(len(stamp), m, width)
+        rows[:, :, :ws] = stamp[:, None]
+        rows[:, :, ws:ws + wl] = labels
+        rows[:, :, ws + wl:-1] = text.reshape(len(stamp), m, wv)
+        rows[:, :, -1] = ord("\n")
+        del rows, text      # only the block's bytes stay for the text
+        yield block.translate(None, b"\0").decode("ascii")
 
 
 def emit_trajectory(traj: Trajectory) -> str:
@@ -370,11 +564,12 @@ def emit_trajectory(traj: Trajectory) -> str:
 
     Rows run time-major, then by agent, then by dimension.  Agents and
     dimensions are 1-based plain integers; times and values are written as
-    ``%.17g``, enough digits to reproduce the binary doubles exactly on
-    re-parse (``parse_trajectory``).  Each time is formatted once
-    (``csv_stamps``) and the rows go through ``csv_rows`` in blocks of at
-    most ``CSV_BLOCK`` values, so the transient memory beside the text
-    itself stays bounded whatever the trajectory's length.
+    ``%.17g`` (byte for byte, by the array formatter ``_g17``), enough
+    digits to reproduce the binary doubles exactly on re-parse
+    (``parse_trajectory``).  Each time is formatted once (``csv_stamps``)
+    and the rows go through ``csv_rows`` in blocks of at most ``CSV_BLOCK``
+    values, so the transient memory beside the text itself stays bounded
+    whatever the trajectory's length.
     """
     ids = [f"{agent},{dim}" for agent in range(1, traj.n + 1)
            for dim in range(1, traj.d + 1)]
@@ -395,7 +590,7 @@ def _plain_columns(text: str) -> Optional[tuple[np.ndarray, ...]]:
     comments), goes to the row-by-row parser.
     """
     head = _TRAJECTORY_HEADER + "\n"
-    if not (isinstance(text, str) and text.startswith(head) and text.isascii()):
+    if not (text.startswith(head) and text.isascii()):
         return None
     body = text[len(head):].encode("ascii")
     if body.translate(None, _PLAIN_CSV) or not body.strip(b"\n"):
@@ -432,9 +627,11 @@ def _row_columns(text: str) -> tuple[np.ndarray, ...]:
         raise NetworkFileError(f"agent or dim id out of range: {exc}") from exc
 
 
-def parse_trajectory(text: str) -> Trajectory:
-    """Read a trajectory CSV as ``emit_trajectory`` writes it; raises
-    ``NetworkFileError`` naming the first problem."""
+def parse_trajectory(text: str | bytes) -> Trajectory:
+    """Read a trajectory CSV as ``emit_trajectory`` writes it, given as str
+    or as UTF-8 bytes; raises ``NetworkFileError`` naming the first
+    problem."""
+    text = _decoded(text)
     columns = _plain_columns(text)
     t, agent, dim, value = columns if columns is not None else _row_columns(text)
     if min(agent.min(), dim.min()) < 1:

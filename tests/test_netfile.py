@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,9 +334,13 @@ class TestTrajectoryCsv:
         with pytest.raises(NetworkFileError, match="header|start"):
             parse_trajectory("time,agent,dim,value\n0,1,1,0.5")
 
-    def test_bytes_rejected_as_a_header_mismatch(self):
-        with pytest.raises(NetworkFileError, match="needs header"):
-            parse_trajectory(b"t,agent,dim,value\n0,1,1,1\n")
+    def test_bytes_are_read_as_utf8_text(self):
+        text = "t,agent,dim,value\n0,1,1,1\n0.5,1,1,-2.5\n"
+        again = parse_trajectory(text.encode())
+        assert_same_doubles(again.times, parse_trajectory(text).times)
+        assert_same_doubles(again.states, np.array([[[1.0]], [[-2.5]]]))
+        with pytest.raises(NetworkFileError, match="not UTF-8"):
+            parse_trajectory(text.encode() + b"\xff")
 
     def test_header_only_rejected(self):
         with pytest.raises(NetworkFileError, match="and rows"):
@@ -442,3 +447,84 @@ class TestTrajectoryWriter:
         again = parse_trajectory(text)
         assert_same_doubles(again.times, traj.times)
         assert_same_doubles(again.states, traj.states)
+
+
+def percent_17g(x):
+    """``"%.17g" % v`` of each double of x, by netfile's array formatter,
+    2**16 values at a time."""
+    texts = []
+    for k in range(0, len(x), 1 << 16):
+        text = netfile._g17(x[k:k + (1 << 16)])
+        rows = np.column_stack([text, np.full(len(text), ord("\n"), np.uint8)])
+        texts += rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return texts
+
+
+def python_17g(x):
+    return ("%.17g\n" * len(x) % tuple(x.tolist())).split("\n")[:-1]
+
+
+def tie_doubles(rng, count):
+    """Doubles halfway between two 17-digit texts: m / 2**j with m odd has
+    exactly j decimals, the last a 5, so with j = 17 - d, for values in
+    [10**d, 10**(d + 1)), it has 18 significant digits."""
+    d = rng.integers(-4, 16, count)
+    j = 17 - d
+    low = np.ceil(10.0 ** d * 2.0 ** j)
+    high = np.minimum(10.0 ** (d + 1) * 2.0 ** j, 2.0 ** 53)
+    m = np.floor(low + rng.random(count) * (high - low)).astype(np.int64) | 1
+    ties = m / 2.0 ** j
+    keep = (ties >= 10.0 ** d) & (ties < 10.0 ** (d + 1))
+    return ties[keep]
+
+
+class TestPercent17g:
+    """The array formatter of trajectory and tempo CSV writes exactly what
+    ``"%.17g" %`` writes."""
+
+    @given(hnp.arrays(np.float64, st.integers(0, 50), elements=CSV_DOUBLES))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_percent_format(self, x):
+        assert percent_17g(x) == python_17g(x)
+
+    def test_ties(self):
+        ties = np.array([123456789012345.125, 123456789012345.375, 0.5 ** 60 * 3])
+        assert percent_17g(ties) == python_17g(ties)
+        assert percent_17g(ties[:2]) == ["123456789012345.12", "123456789012345.38"]
+
+    def test_sweep_of_ties_powers_of_ten_and_range_edges(self):
+        rng = np.random.default_rng(2025)
+        near = [10.0 ** np.arange(-5, 18), np.array([1e-4, 1e16])]
+        for anchor in list(near):
+            below = above = anchor
+            for _ in range(8):
+                below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+                near += [below, above]
+        x = np.concatenate([
+            tie_doubles(rng, 450_000), *near,
+            rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-6, 18, 420_000)])
+        x.view(np.uint64)[rng.random(len(x)) < 0.5] ^= np.uint64(1 << 63)
+        got, want = percent_17g(x), python_17g(x)
+        assert len(got) == len(x) > 900_000
+        assert got == want, next((v, g, w) for v, g, w in zip(x, got, want) if g != w)
+
+    def test_transient_memory_per_block(self, monkeypatch):
+        # The bound csv_rows's docstring states: about 120 bytes a value
+        # beside the text, here checked with room to spare.
+        monkeypatch.setattr(netfile, "CSV_BLOCK", 1 << 12)
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(4096, 24)) * 30
+        stamps = csv_stamps(np.arange(4096) * 0.01)
+        rows = csv_rows(stamps, [f"{k},1" for k in range(24)], values)
+        tracemalloc.start()
+        try:
+            transient = []
+            for block in rows:
+                now, peak = tracemalloc.get_traced_memory()
+                transient.append(peak - now)
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert len(transient) == 32       # 128 samples a block
+        assert max(transient) < 160 * netfile.CSV_BLOCK
