@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .blocks import ClassificationError
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
-                       empirical_rate, fit_window, simulate)
+                       fitted_rate, simulate)
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, is_connected,
                      structural_balance_partition)
@@ -306,10 +306,8 @@ def _rate_of(long: Trajectory, fit_h: float) -> tuple[float, float]:
     """Fitted decay rate over [0, fit_h] toward the run's final state, and
     the mean time of the samples it was fitted on."""
     keep = long.times <= fit_h + 1e-12
-    window = Trajectory(long.times[keep], long.states[keep])
-    rate = empirical_rate(window, long.states[-1])
-    _, usable = fit_window(window, long.states[-1])
-    return rate, float(window.times[usable].mean())
+    return fitted_rate(Trajectory(long.times[keep], long.states[keep]),
+                       long.states[-1])
 
 
 def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:

@@ -245,6 +245,12 @@ def empirical_rate(traj: Trajectory, target: np.ndarray) -> float:
     :func:`fit_window`, negated.  Raises when fewer than two samples are
     above the floor, and when the error does not decay.
     """
+    return fitted_rate(traj, target)[0]
+
+
+def fitted_rate(traj: Trajectory, target: np.ndarray) -> tuple[float, float]:
+    """:func:`empirical_rate`, and the mean time of the samples it was
+    fitted on, from one :func:`fit_window`."""
     errs, usable = fit_window(traj, target)
     if int(usable.sum()) < 2:
         raise SimulationError("error signal already at numerical floor; "
@@ -253,4 +259,4 @@ def empirical_rate(traj: Trajectory, target: np.ndarray) -> float:
     if e[-1] >= errs[0]:
         raise SimulationError("error signal is not converging toward the target")
     slope = np.polyfit(t, np.log(e), 1)[0]
-    return float(-slope)
+    return float(-slope), float(t.mean())

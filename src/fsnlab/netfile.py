@@ -5,6 +5,12 @@ false), ``edges``, and optional ``name``, ``leaders``, ``inputs``, ``x0``.
 Unknown keys are rejected so typos fail loudly.  Serialization round-trips:
 parsing what we emit reproduces the parsed model exactly.
 
+Network and arc documents are read by ``orjson``.  When orjson refuses the
+text, or the document it reads fails a check, the json module reads it
+again and its result is the answer: a refusal, or a document only json
+reads (NaN and infinity literals, integers past 64 bits, lone surrogate
+escapes).  So every refusal and its message is the json module's.
+
 Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
 v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
 for magnitudes in [1e-4, 1e16), and by one batched ``"%.17g"`` call for
@@ -20,9 +26,10 @@ from functools import cache
 from importlib import resources
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
+import orjson
 
 from .dynamics import Trajectory, as_columns
 from .graphs import (MAX_NODES, DirectedNetwork, GraphError, LeaderLink,
@@ -98,6 +105,31 @@ def _json_object(text: str | bytes) -> dict:
     return doc
 
 
+_Doc = TypeVar("_Doc")
+
+
+def _read(text: str | bytes, build: Callable[[dict], _Doc]) -> _Doc:
+    """``build`` of the document object in ``text`` as the json module
+    reads it, built from orjson's reading wherever that is the same.
+
+    orjson's reading is built first.  When orjson refuses the text (NaN
+    and infinity literals, numbers past the float range, lone surrogate
+    escapes), its top level is not an object, or ``build`` refuses what it
+    read (``NetworkFileError`` is a ``ValueError``), the json module reads
+    the text again and that reading is built, so every refusal is json's.
+    orjson reads an integer past 64 bits as a float, rounded as ``float``
+    rounds the integer, which ``build`` refuses where an integer is
+    required.
+    """
+    try:
+        doc = orjson.loads(text)
+        if type(doc) is dict:
+            return build(doc)
+    except (ValueError, RecursionError):
+        pass
+    return build(_json_object(text))
+
+
 def _node_count(doc: dict) -> int:
     n = _as_int(doc["n"], "n")
     _require(n >= 1, "n", f"must be positive, got {n}")
@@ -139,7 +171,12 @@ def parse_network_file(
         text: str | bytes,
 ) -> tuple[Network, Optional[SemiAutonomousConfig], Optional[np.ndarray]]:
     """Parse a network document into (Network, config or None, x0 or None)."""
-    doc = _json_object(text)
+    return _read(text, _network)
+
+
+def _network(
+        doc: dict,
+) -> tuple[Network, Optional[SemiAutonomousConfig], Optional[np.ndarray]]:
     _only_keys(doc, {"name", "n", "directed", "edges", "leaders", "inputs", "x0"},
                "document")
     _require("n" in doc, "document", "missing required key 'n'")
@@ -238,7 +275,10 @@ def serialize_network(net: Network, cfg: Optional[SemiAutonomousConfig] = None,
 
 
 def parse_arc_file(text: str | bytes) -> DirectedNetwork:
-    doc = _json_object(text)
+    return _read(text, _arcs)
+
+
+def _arcs(doc: dict) -> DirectedNetwork:
     _only_keys(doc, {"name", "n", "arcs"}, "document")
     _require("n" in doc and "arcs" in doc, "document", "needs keys 'n' and 'arcs'")
     n = _node_count(doc)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,14 +638,14 @@ class TestCompareNoiseFloor:
 
     def _compare(self, capsys, monkeypatch, name, perturb):
         rates = []
-        fit, resolve = cli.empirical_rate, cli._resolve_x0
-        monkeypatch.setattr(cli, "empirical_rate",
+        fit, resolve = cli.fitted_rate, cli._resolve_x0
+        monkeypatch.setattr(cli, "fitted_rate",
                             lambda traj, target: rates.append(fit(traj, target))
                             or rates[-1])
         monkeypatch.setattr(cli, "_resolve_x0",
                             lambda net, cfg, x0: perturb(resolve(net, cfg, x0)))
         code, out, _ = run(capsys, "compare", name)
-        return code, out.splitlines()[-1], np.array(rates)
+        return code, out.splitlines()[-1], np.array([rate for rate, _ in rates])
 
     @pytest.mark.parametrize("seed", [1, 4, 7, 11])
     @pytest.mark.parametrize("name", FIXTURES)
@@ -661,7 +665,7 @@ class TestCompareNoiseFloor:
     def test_failed_rate_fit_is_a_failed_check(self, capsys, monkeypatch):
         def no_fit(traj, target):
             raise cli.SimulationError("error signal already at numerical floor")
-        monkeypatch.setattr(cli, "empirical_rate", no_fit)
+        monkeypatch.setattr(cli, "fitted_rate", no_fit)
         code, out, _ = run(capsys, "compare", "g8")
         assert code == 1
         assert "rate fit failed: error signal already at numerical floor" in out
@@ -873,3 +877,16 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "cmd_compare",
                             lambda args: 42 if args.network == "g8" else 0)
         assert run(capsys, "compare", "g8")[0] == 42
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    """Importing the CLI, which every command and the benchmark's set-up
+    pay for, loads neither scipy nor networkx (the tests' oracles)."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, fsnlab.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "fsnlab.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("scipy", "networkx")] == []

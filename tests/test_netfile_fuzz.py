@@ -5,6 +5,10 @@ a trajectory CSV), applies a few random mutations and feeds the result to
 the parser.  Whatever the mutation, only ``NetworkFileError`` may escape,
 an accepted document must parse to exactly the records the ``json`` module
 reads from it, and the CLI must end in exit code 0, 1 or 2.
+
+The network and arc parsers read documents with orjson and fall back on
+the json module; their result must be the json-only reading, bit for bit,
+and their refusals json's, message for message.
 """
 
 import contextlib
@@ -12,13 +16,17 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import orjson
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsnlab import (FIXTURE_NAMES, NetworkFileError, Trajectory,
-                    emit_trajectory, parse_arc_file, parse_network_file,
+from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Network, NetworkFileError,
+                    Trajectory, emit_trajectory, parse_arc_file, parse_network_file,
                     parse_trajectory)
 from fsnlab.cli import main
 from fsnlab.netfile import _plain_columns, _row_columns, fixture_text
@@ -201,3 +209,157 @@ def test_analyze_exits_with_a_documented_code(text):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["analyze", path])
     assert code in (0, 1, 2)
+
+
+# Differential check of the orjson reading against the json-only reading.
+
+def _reading(parse, text):
+    """What ``parse`` makes of ``text``, as bytes and reprs that are equal
+    only for bit-equal arrays: the graph, config and x0 it returns, or the
+    type and message of what it raises."""
+    try:
+        result = parse(text)
+    except Exception as exc:     # a refusal is a reading too
+        return type(exc), str(exc)
+    graph, cfg, x0 = result if isinstance(result, tuple) else (result, None, None)
+    return (type(graph), graph.n, graph.name,
+            *[(a.dtype.str, a.tobytes()) for a in (graph.i, graph.j, graph.w)],
+            repr(cfg), None if x0 is None else (x0.dtype.str, x0.shape, x0.tobytes()))
+
+
+def _json_only_reading(parse, text):
+    """``_reading`` with orjson refusing every text, so the json module
+    reads each document."""
+    with mock.patch.object(orjson, "loads", side_effect=ValueError("refused")):
+        return _reading(parse, text)
+
+
+def assert_reads_as_json(parse, text):
+    assert _reading(parse, text) == _json_only_reading(parse, text)
+
+
+@given(mutated(NETWORK_BASES), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_network_reading_is_the_json_reading(text, as_bytes):
+    assert_reads_as_json(parse_network_file, text.encode() if as_bytes else text)
+
+
+@given(mutated(ARC_BASES), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_arc_reading_is_the_json_reading(text, as_bytes):
+    assert_reads_as_json(parse_arc_file, text.encode() if as_bytes else text)
+
+
+SLOT = "\0slot"
+NETWORK_SLOTS = [("n",), ("edges", 0, "i"), ("edges", 0, "j"), ("edges", 0, "w"),
+                 ("leaders", 0, "node"), ("leaders", 0, "input"),
+                 ("leaders", 0, "sign"), ("inputs", 0, 1), ("x0", 2, 1)]
+ARC_SLOTS = [("n",), ("arcs", 0, "follower"), ("arcs", 0, "followed"),
+             ("arcs", 0, "w")]
+LITERALS = [str(v) for v in (
+    2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 2049, -2**63, -2**63 - 1, -2**64,
+    10**20, -10**20, 10**400, -10**400, 2**1024 - 2**970, 2**1024 - 2**970 - 1)]
+LITERALS += ["1e20", "-1e20", "1e400", "-1e400", "NaN", "Infinity", "-Infinity",
+             "7" * 5000, "1" * 400 + ".5"]
+
+
+def _with_literal(doc, path, literal):
+    """The JSON text of ``doc`` with the value at ``path`` written as
+    ``literal``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = SLOT
+    return json.dumps(doc).replace(json.dumps(SLOT), literal)
+
+
+G8_WITH_X0 = dict(json.loads(fixture_text("g8")), x0=[[0.5, 0.25, 2.0]] * 8)
+T12 = json.loads(fixture_text("t12"))
+
+
+@pytest.mark.parametrize("literal", LITERALS)
+def test_numbers_past_64_bits_or_the_float_range_read_as_json(literal):
+    for path in NETWORK_SLOTS:
+        assert_reads_as_json(parse_network_file, _with_literal(G8_WITH_X0, path, literal))
+    assert_reads_as_json(parse_network_file, _with_literal(T12, ("x0", 3), literal))
+    for path in ARC_SLOTS:
+        assert_reads_as_json(parse_arc_file, _with_literal(ARC_BASES[0], path, literal))
+
+
+def _odd_texts():
+    """Documents that orjson and json may read apart: lone surrogate escapes,
+    duplicate keys, deep nesting, bytes that are not UTF-8, and a BOM."""
+    arc = json.dumps(ARC_BASES[2])
+    for name in ["\\ud800", "\\udfff", "a\\ud800b", "\\ude00\\ud83d",
+                 "\\ud83d\\ude00", "\\u00e9"]:
+        yield arc.replace('"x"', f'"{name}"')
+    yield arc.replace('"x"', '"\ud800"')         # a lone surrogate in the str
+    yield '{"n": 2, "n": 3, "arcs": [], "name": "a", "name": "b"}'
+    yield arc.replace('"w": -2', '"w": -2, "w": 4')
+    yield arc.replace('"arcs": [', '"arcs": [], "arcs": [')
+    for depth in range(1000, 1031):
+        nest = "[" * depth + "]" * depth
+        yield nest
+        yield arc.replace('"x"', nest)
+        yield arc.replace("-2", nest)
+    data = arc.encode()
+    for bad in [b"\xff", b"\x80", b"\xc0\xaf", b"\xed\xa0\x80", b"\xe2\x82",
+                b"\xf4\x90\x80\x80", "\u00e9".encode()]:
+        yield data.replace(b'"x"', b'"' + bad + b'"')
+    yield b"\xef\xbb\xbf" + data
+    yield "\ufeff" + arc
+    yield data + b"\xff"
+
+
+@pytest.mark.parametrize("parse", [parse_network_file, parse_arc_file])
+def test_surrogates_duplicates_nesting_and_encodings_read_as_json(parse):
+    for text in _odd_texts():
+        assert_reads_as_json(parse, text)
+
+
+def _halfway_literals(count: int, seed: int) -> list[str]:
+    """Decimal literals at the exact midpoint of two adjacent doubles, and
+    one digit above and below it, for normal and subnormal doubles of
+    either sign."""
+    rng = np.random.default_rng(seed)
+    bits = np.concatenate([
+        rng.integers(1, 0x7FEF_FFFF_FFFF_FFFF, count, dtype=np.int64),
+        rng.integers(1, 1 << 52, count // 4, dtype=np.int64),
+        rng.integers(0x3F50_0000_0000_0000, 0x4090_0000_0000_0000, count,
+                     dtype=np.int64)])
+    lows = bits.view(np.float64)
+    literals = []
+    for k, (low, high) in enumerate(zip(lows, np.nextafter(lows, np.inf))):
+        mid = (Fraction(float(low)) + Fraction(float(high))) / 2
+        shift = mid.denominator.bit_length() - 1      # mid = N / 2**shift
+        digits, exp = mid.numerator * 5**shift, -shift
+        sign = "-" if k % 2 else ""
+        for d, e in [(digits, exp), (digits * 10 + 1, exp - 1),
+                     (digits * 10 - 1, exp - 1)]:
+            text = str(d)
+            literals.append(f"{sign}{text}e{e}" if k % 3 else
+                            f"{sign}{text[0]}.{text[1:] or '0'}e{e + len(text) - 1}")
+    return literals
+
+
+def test_halfway_decimal_literals_read_as_json():
+    literals = _halfway_literals(1000, 20)
+    for k in range(0, len(literals), 500):
+        chunk = literals[k:k + 500]
+        arcs = ", ".join(f'{{"follower": {a + 2}, "followed": 1, "w": {w}}}'
+                         for a, w in enumerate(chunk))
+        text = f'{{"n": {len(chunk) + 1}, "arcs": [{arcs}]}}'
+        assert _reading(parse_arc_file, text)[0] is DirectedNetwork
+        assert_reads_as_json(parse_arc_file, text)
+        text = f'{{"n": {len(chunk)}, "edges": [], "x0": [{", ".join(chunk)}]}}'
+        assert _reading(parse_network_file, text)[0] is Network
+        assert_reads_as_json(parse_network_file, text)
+
+
+def test_well_formed_documents_need_no_json_module():
+    with mock.patch.object(json, "loads", side_effect=AssertionError):
+        for name in FIXTURE_NAMES:
+            parse_network_file(fixture_text(name))
+        for base in ARC_BASES:
+            parse_arc_file(json.dumps(base, indent=2).encode())
