@@ -305,9 +305,9 @@ def _verification_runs(G, drive, x0, h: float) -> tuple[Trajectory, Trajectory]:
 def _rate_of(long: Trajectory, fit_h: float) -> tuple[float, float]:
     """Fitted decay rate over [0, fit_h] toward the run's final state, and
     the mean time of the samples it was fitted on."""
-    keep = long.times <= fit_h + 1e-12
-    return fitted_rate(Trajectory(long.times[keep], long.states[keep]),
-                       long.states[-1])
+    # The times ascend, so the samples up to fit_h are a prefix: views.
+    k = int(np.searchsorted(long.times, fit_h + 1e-12, side="right"))
+    return fitted_rate(Trajectory(long.times[:k], long.states[:k]), long.states[-1])
 
 
 def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:

@@ -5,27 +5,32 @@ false), ``edges``, and optional ``name``, ``leaders``, ``inputs``, ``x0``.
 Unknown keys are rejected so typos fail loudly.  Serialization round-trips:
 parsing what we emit reproduces the parsed model exactly.
 
+orjson is the number codec in both directions, and the code it stands in
+for stays as the path for every value it cannot write or read exactly.
 Network and arc documents are read by ``orjson``.  When orjson refuses the
 text, or the document it reads fails a check, the json module reads it
 again and its result is the answer: a refusal, or a document only json
 reads (NaN and infinity literals, integers past 64 bits, lone surrogate
-escapes).  So every refusal and its message is the json module's.
+escapes).  So every refusal and its message is the json module's.  Their
+records are read as columns behind exact-type gates (``_records``).  JSON
+is written as the json module writes it (``json_text``), the numbers of a
+container by one ``orjson.dumps`` (``_json_numbers``).
 
 Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
 v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
 for magnitudes in [1e-4, 1e16), and by one batched ``"%.17g"`` call for
-every other double.  ``parse_trajectory`` reads them back bit for bit.
+every other double.  ``parse_trajectory`` reads them back bit for bit, a
+body of plain numbers by ``orjson.loads`` in blocks (``_plain_columns``).
 """
 
 from __future__ import annotations
 
-import io
 import json
-import sys
 from functools import cache
 from importlib import resources
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 import numpy as np
@@ -39,7 +44,6 @@ FIXTURE_NAMES = ("g6", "g8", "g8-signed", "g12", "t12")
 CSV_BLOCK = 1 << 13     # values formatted per block by csv_rows
 
 _TRAJECTORY_HEADER = "t,agent,dim,value"
-_CSV_DTYPE = [("t", "f8"), ("agent", "i8"), ("dim", "i8"), ("value", "f8")]
 _PLAIN_CSV = b"0123456789+-.eE,\n"     # every byte of a plain-number CSV body
 
 # float.__repr__ of the non-finite floats, as the json module spells them.
@@ -143,28 +147,81 @@ def _records(raws: list, field: str, kind: str, a: str,
     """The ``a`` ids, ``b`` ids and weights (default 1.0) of the records of
     an edge or arc list, as three columns.
 
-    A record of exactly the right types (a dict of known keys, exact-int
-    ids, a float weight or an int within the float range) is read
-    directly; any other goes through the per-field checks, which raise a
-    ``NetworkFileError`` naming its first bad field.
+    The columns are read by C-level ``map``s, the ids by ``itemgetter``
+    and the weights by ``dict.get``, behind exact-type gates: every record
+    a dict of both ids and at most a weight, every id an int, every weight
+    a float or an int that ``float`` converts.  When a gate fails, the
+    per-record checks find the first bad field and raise a
+    ``NetworkFileError`` naming it.
     """
-    keys = frozenset({a, b, "w"})
+    try:
+        if set(map(type, raws)) <= {dict}:
+            ia, ib = list(map(itemgetter(a), raws)), list(map(itemgetter(b), raws))
+            ws = list(map(dict.get, raws, repeat("w"), repeat(1.0)))
+            weighted = sum(map(dict.__contains__, raws, repeat("w")))
+            kinds = set(map(type, ws))
+            # A record that holds both ids has no other key than "w"
+            # exactly when its length is 2, or 3 with a weight.
+            if (sum(map(len, raws)) == 2 * len(raws) + weighted
+                    and set(map(type, ia)) | set(map(type, ib)) <= {int}
+                    and kinds <= {float, int}):
+                return ia, ib, ws if int not in kinds else list(map(float, ws))
+    except (KeyError, OverflowError):    # an id missing, a weight past the floats
+        pass
+    return _checked_records(raws, field, kind, a, b)
+
+
+def _checked_records(raws: list, field: str, kind: str, a: str,
+                     b: str) -> tuple[list[int], list[int], list[float]]:
+    """:func:`_records`, one record at a time through the per-field checks."""
+    keys = {a, b, "w"}
     ia, ib, ws = [], [], []
     for k, raw in enumerate(raws):
-        if not (type(raw) is dict and raw.keys() <= keys
-                and type(i := raw.get(a)) is int and type(j := raw.get(b)) is int
-                and (type(w := raw.get("w", 1.0)) is float
-                     or type(w) is int and abs(w) <= sys.float_info.max)):
-            where = f"{field}[{k}]"
-            _require(isinstance(raw, dict), where, f"each {kind} must be an object")
-            _only_keys(raw, keys, where)
-            _require(a in raw and b in raw, where, f"needs keys '{a}' and '{b}'")
-            i, j = _as_int(raw[a], f"{where}.{a}"), _as_int(raw[b], f"{where}.{b}")
-            w = _as_number(raw.get("w", 1.0), f"{where}.w")
-        ia.append(i)
-        ib.append(j)
-        ws.append(float(w))
+        where = f"{field}[{k}]"
+        _require(isinstance(raw, dict), where, f"each {kind} must be an object")
+        _only_keys(raw, keys, where)
+        _require(a in raw and b in raw, where, f"needs keys '{a}' and '{b}'")
+        ia.append(_as_int(raw[a], f"{where}.{a}"))
+        ib.append(_as_int(raw[b], f"{where}.{b}"))
+        ws.append(_as_number(raw.get("w", 1.0), f"{where}.w"))
     return ia, ib, ws
+
+
+def _number_table(raw: list) -> Optional[np.ndarray]:
+    """The float array of ``x0`` as written, a list of numbers (one column)
+    or of equal-length nonempty lists of numbers (rows), read as one column
+    of cells by C-level ``map``s behind exact-type gates: every cell a
+    float or an int that ``float`` converts.  None when a gate fails; the
+    per-row checks then find the first bad entry."""
+    kinds = set(map(type, raw))
+    if kinds <= {float, int}:
+        cells, width = raw, 1
+    elif kinds == {list} and len(widths := set(map(len, raw))) == 1 and 0 not in widths:
+        cells, width = list(chain.from_iterable(raw)), widths.pop()
+    else:
+        return None
+    if not set(map(type, cells)) <= {float, int}:
+        return None
+    try:
+        return np.array(list(map(float, cells))).reshape(len(raw), width)
+    except OverflowError:
+        return None
+
+
+def _checked_table(raw: list) -> np.ndarray:
+    """:func:`_number_table`, one entry at a time through the per-entry
+    checks."""
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
+        return np.array([[_as_number(v, f"x0[{k}]")] for k, v in enumerate(raw)])
+    rows = []
+    for k, row in enumerate(raw):
+        where = f"x0[{k}]"
+        _require(isinstance(row, list) and row, where,
+                 "each row must be a nonempty vector")
+        rows.append([_as_number(v, f"{where}[{p}]") for p, v in enumerate(row)])
+    widths = {len(r) for r in rows}
+    _require(len(widths) == 1, "x0", f"ragged rows: widths {sorted(widths)}")
+    return np.array(rows)
 
 
 def parse_network_file(
@@ -235,20 +292,9 @@ def _network(
         raw = doc["x0"]
         _require(isinstance(raw, list) and len(raw) == n, "x0",
                  f"must list one row per node ({n})")
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in raw):
-            x0 = np.array([[_as_number(v, f"x0[{k}]")] for k, v in enumerate(raw)])
-        else:
-            rows = []
-            for k, row in enumerate(raw):
-                where = f"x0[{k}]"
-                _require(isinstance(row, list) and row, where,
-                         "each row must be a nonempty vector")
-                rows.append([_as_number(v, f"{where}[{p}]")
-                             for p, v in enumerate(row)])
-            widths = {len(r) for r in rows}
-            _require(len(widths) == 1, "x0", f"ragged rows: widths {sorted(widths)}")
-            x0 = np.array(rows)
+        x0 = _number_table(raw)
+        if x0 is None:
+            x0 = _checked_table(raw)
         if cfg is not None and cfg.d is not None:
             _require(x0.shape[1] == cfg.d, "x0",
                      f"dimension {x0.shape[1]} != input dimension {cfg.d}")
@@ -271,7 +317,7 @@ def serialize_network(net: Network, cfg: Optional[SemiAutonomousConfig] = None,
             doc["inputs"] = [list(u) for u in cfg.inputs]
     if x0 is not None:
         doc["x0"] = [list(map(float, row)) for row in as_columns(x0)]
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def parse_arc_file(text: str | bytes) -> DirectedNetwork:
@@ -297,8 +343,8 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
     of ``{"name", "n", "arcs": [{"follower", "followed", "w"}, ...]}``.
 
     Each arc fills one ``%``-template; the weights are written together,
-    as :func:`json_text` writes a list of scalars (a float by
-    ``float.__repr__``), which is how the json module writes them.
+    as :func:`json_text` writes a list of numbers (``_json_numbers``),
+    which is how the json module writes them.
     """
     weights = _json_items(dnet.w.tolist(), "")
     arcs = ",\n".join([_ARC_TEMPLATE % arc for arc in
@@ -332,9 +378,9 @@ def json_text(value) -> str:
 
     The items of a container that holds only scalars are written by one
     ``map``, and a list of equal-length rows of numbers (a table) by one
-    ``%``-template.  Ints and floats are written by ``repr``, which is
-    ``float.__repr__`` for a float, with NaN and the infinities spelled as
-    json spells them.
+    ``%``-template.  Ints and floats are written as ``repr`` writes them,
+    with NaN and the infinities spelled as json spells them, those of one
+    container by one ``orjson.dumps`` (``_json_numbers``).
     """
     return _json_value(value, "\n")
 
@@ -380,9 +426,39 @@ def _json_items(values, inner: str) -> Iterable[str]:
     return [_json_value(v, inner) for v in values]
 
 
+_ORJSON_TINY = ("0.0000", "-0.0000")     # orjson's fixed notation below 1e-4
+
+
 def _json_numbers(values) -> list[str]:
-    texts = list(map(repr, values))
-    return list(map(_JSON_FLOAT_WORDS.get, texts, texts))
+    """The json module's texts of ints and floats (exact types): ``repr``,
+    with NaN and the infinities spelled as json spells them.
+
+    One ``orjson.dumps`` of the container writes them all.  Its text of an
+    int is ``repr``'s, and of a float the same shortest digits, but it
+    writes NaN and the infinities as ``null``, exponents as ``1e16`` where
+    ``repr`` writes ``1e+16``, and magnitudes below 1e-4 that ``repr``
+    writes with an exponent in fixed notation (``0.00001``).  Only texts
+    that hold ``e`` or ``null``, or start with ``0.0000`` after an optional
+    minus sign, are written again by ``repr``.  orjson refuses an int past
+    64 bits; then every value is written by ``repr``.
+    """
+    values = values if type(values) is list else list(values)
+    if not values:
+        return []
+    try:
+        joined = orjson.dumps(values).decode("ascii")[1:-1]
+    except orjson.JSONEncodeError:
+        return list(map(_repr_number, values))
+    texts = joined.split(",")
+    if "e" not in joined and "n" not in joined and "0.0000" not in joined:
+        return texts
+    return [_repr_number(v) if "e" in t or "n" in t or t.startswith(_ORJSON_TINY)
+            else t for t, v in zip(texts, values)]
+
+
+def _repr_number(value) -> str:
+    text = repr(value)
+    return _JSON_FLOAT_WORDS.get(text, text)
 
 
 # "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is
@@ -619,39 +695,76 @@ def emit_trajectory(traj: Trajectory) -> str:
 
 
 def _plain_columns(text: str) -> Optional[tuple[np.ndarray, ...]]:
-    """The (t, agent, dim, value) float columns of a trajectory CSV whose
-    body holds only plain numbers, read by ``np.loadtxt``; None for any
-    other text, or when ``loadtxt`` refuses it.
+    """The (t, agent, dim, value) float columns of a trajectory CSV, read
+    in blocks; None when the text is not ASCII, does not start with the
+    header line, has no rows, or holds a line the row parser refuses.
 
-    On such a body (digits, signs, points, exponents, commas and newlines,
-    at least one row) ``loadtxt`` reads each field as ``float`` and ``int``
-    do, and refuses what they refuse.  Any other text, such as ``nan``
-    values, spaces or ``#`` lines (which ``loadtxt`` would skip as
-    comments), goes to the row-by-row parser.
+    The body is cut at newlines into blocks of about ``CSV_BLOCK`` values
+    (at its mean length of a value), and each block's rows, read by
+    ``_block_rows``, go into one array allocated for all the lines, so the
+    transient memory beside that array is about one block's.
     """
     head = _TRAJECTORY_HEADER + "\n"
     if not (text.startswith(head) and text.isascii()):
         return None
-    body = text[len(head):].encode("ascii")
-    if body.translate(None, _PLAIN_CSV) or not body.strip(b"\n"):
-        return None
+    stop = len(text) - text.endswith("\n")
+    lines = text.count("\n", len(head), stop) + 1
+    size = max(1, CSV_BLOCK * (stop - len(head)) // (4 * lines))
+    rows = np.empty((lines, 4))
+    k, pos = 0, len(head)
+    while pos < stop:
+        end = text.find("\n", pos + size, stop)
+        end = stop if end < 0 else end
+        block = _block_rows(text[pos:end])
+        if block is None:
+            return None
+        rows[k:k + len(block)] = block
+        k, pos = k + len(block), end + 1
+    return tuple(rows[:k].T) if k else None
+
+
+def _block_rows(chunk: str) -> Optional[np.ndarray]:
+    """The rows of some lines of a trajectory body, as a (rows, 4) float
+    array; None when the row parser refuses one of them.
+
+    Lines of plain numbers (digits, signs, points, exponents, commas and
+    newlines) are read by one ``orjson.loads``, of the lines with each
+    newline written as ``,null,``.  The nulls must come after every fourth
+    number, so each line holds four, and every agent and dim must be an
+    int (the sum of ints is an int), as ``int`` requires.  A JSON number
+    is a text that ``float`` reads, and orjson rounds it as ``float`` does,
+    except that ``-0`` reads as the int 0, whose sign is lost.  Lines that
+    are not plain, that orjson refuses, that fail a gate or that hold a
+    ``-0`` field are read by the row parser.
+    """
+    data = chunk.encode("ascii")
+    if not data.translate(None, _PLAIN_CSV):
+        breaks = data.count(b"\n")
+        doc = b"[" + data.replace(b"\n", b",null,") + b"]"
+        try:
+            flat = orjson.loads(doc)
+        except orjson.JSONDecodeError:
+            flat = []
+        if (len(flat) == 5 * breaks + 4 and flat[4::5].count(None) == breaks
+                and type(sum(flat[1::5])) is int and type(sum(flat[2::5])) is int):
+            del flat[4::5]
+            rows = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
+            # A zero and a minus sign: is some field -0?
+            if not (b"-" in data and not rows.all() and (
+                    b",-0," in doc or doc.startswith(b"[-0,") or doc.endswith(b",-0]"))):
+                return rows
     try:
-        rows = np.loadtxt(io.BytesIO(body), delimiter=",", dtype=_CSV_DTYPE,
-                          comments=None, ndmin=1)
-    except (ValueError, OverflowError):
+        return _number_rows([ln for ln in chunk.splitlines() if ln.strip()])
+    except NetworkFileError:    # the row parser of the whole text names it
         return None
-    return (rows["t"], rows["agent"].astype(float), rows["dim"].astype(float),
-            rows["value"])
 
 
-def _row_columns(text: str) -> tuple[np.ndarray, ...]:
-    """The (t, agent, dim, value) float columns of a trajectory CSV, read
-    line by line; raises on the first bad line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != _TRAJECTORY_HEADER:
-        raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
+def _number_rows(lines: list[str], first: int = 1) -> np.ndarray:
+    """The rows of trajectory lines, numbered from ``first``, as a (rows, 4)
+    float array, each field read by ``float`` or ``int``; raises on the
+    first bad line."""
     rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in enumerate(lines, start=first):
         parts = ln.split(",")
         if len(parts) != 4:
             raise NetworkFileError(f"line {k}: expected 4 columns, got {len(parts)}")
@@ -661,10 +774,19 @@ def _row_columns(text: str) -> tuple[np.ndarray, ...]:
         except ValueError as exc:
             raise NetworkFileError(f"line {k}: {exc}") from exc
     try:
-        return tuple(np.fromiter(
-            chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4).T)
+        return np.fromiter(chain.from_iterable(rows), float,
+                           4 * len(rows)).reshape(-1, 4)
     except OverflowError as exc:
         raise NetworkFileError(f"agent or dim id out of range: {exc}") from exc
+
+
+def _row_columns(text: str) -> tuple[np.ndarray, ...]:
+    """The (t, agent, dim, value) float columns of a trajectory CSV, read
+    line by line; raises on the first bad line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2 or lines[0] != _TRAJECTORY_HEADER:
+        raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
+    return tuple(_number_rows(lines[1:], 2).T)
 
 
 def parse_trajectory(text: str | bytes) -> Trajectory:

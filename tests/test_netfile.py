@@ -16,7 +16,7 @@ from fsnlab import (FIXTURE_NAMES, Arc, DirectedNetwork, NetworkFileError,
                     simulate)
 from fsnlab import netfile
 from fsnlab.cli import main
-from fsnlab.graphs import Edge, Network
+from fsnlab.graphs import Edge, LeaderLink, Network, SemiAutonomousConfig
 from fsnlab.model import Model
 from fsnlab.netfile import csv_rows, csv_stamps, fixture_text, json_text
 
@@ -131,6 +131,35 @@ class TestParsing:
         with pytest.raises(NetworkFileError, match="unknown keys"):
             parse_network_file(doc)
 
+    @pytest.mark.parametrize("records,message", [
+        ('{"i": 1, "j": 2}, {"i": 2, "j": 3, "x": 1}', r"edges\[1\]: unknown keys \['x'\]"),
+        ('{"i": 1, "j": 2, "w": 2}, {"i": 2, "j": 3, "w": 1, "W": 1}',
+         r"edges\[1\]: unknown keys \['W'\]"),
+        ('{"i": 1, "j": 2, "w": 1}, {"i": 2, "w": 1}', r"edges\[1\]: needs keys 'i' and 'j'"),
+        ('{"i": 1, "j": 2}, [2, 3]', r"edges\[1\]: each edge must be an object"),
+        ('{"i": 1, "j": 2.0}', r"edges\[0\]\.j: expected an integer, got 2\.0"),
+        ('{"i": true, "j": 2}', r"edges\[0\]\.i: expected an integer, got True"),
+        ('{"i": 1, "j": 2, "w": false}', r"edges\[0\]\.w: expected a number, got False"),
+        ('{"i": 1, "j": 2, "w": 1}, {"i": 2, "j": 3, "w": "1"}',
+         r"edges\[1\]\.w: expected a number, got '1'"),
+    ])
+    def test_bad_record_is_named(self, records, message):
+        with pytest.raises(NetworkFileError, match=f"^{message}$"):
+            parse_network_file('{"n": 3, "edges": [%s]}' % records)
+
+    @pytest.mark.parametrize("x0,message", [
+        ("[[1, 2], [], [3, 4]]", r"x0\[1\]: each row must be a nonempty vector"),
+        ("[[], [], []]", r"x0\[0\]: each row must be a nonempty vector"),
+        ("[[1], [2, 3], [4]]", r"x0: ragged rows: widths \[1, 2\]"),
+        ("[1, [2], 3]", r"x0\[0\]: each row must be a nonempty vector"),
+        ("[1, 2, true]", r"x0\[0\]: each row must be a nonempty vector"),
+        ("[[1], [2], [null]]", r"x0\[2\]\[0\]: expected a number, got None"),
+        ("[1, 2, %s]" % ("9" * 400), r"x0\[2\]: integer of 1329 bits is too large for a float"),
+    ])
+    def test_bad_x0_entry_is_named(self, x0, message):
+        with pytest.raises(NetworkFileError, match=f"^{message}$"):
+            parse_network_file('{"n": 3, "edges": [], "x0": %s}' % x0)
+
     def test_directed_true_rejected(self):
         doc = '{"n": 2, "directed": true, "edges": [{"i": 1, "j": 2}]}'
         with pytest.raises(NetworkFileError, match="undirected"):
@@ -169,6 +198,46 @@ class TestRoundTrip:
             assert x02 is None
         else:
             assert np.array_equal(x02, x0)
+
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_serialize_network_is_json_dumps(self, n, data):
+        """The network document is ``json.dumps(doc, indent=2)`` byte for
+        byte, with leaders, inputs and x0."""
+        weights = st.one_of(st.floats(-1e300, 1e300).filter(bool),
+                            st.sampled_from([5e-324, -1e-5, 1e16, 0.1, -2.0]))
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n),
+                                             weights),
+                                   max_size=12, unique_by=lambda t: frozenset(t[:2])))
+        edges = tuple(Edge(i, j, w) for i, j, w in pairs if i != j)
+        name = data.draw(st.text(max_size=6))
+        net = Network(n, edges, name=name)
+        cfg = x0 = None
+        d = data.draw(st.integers(1, 3))
+        numbers = st.floats(allow_nan=False, allow_infinity=False)
+        if data.draw(st.booleans()):
+            nodes = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n,
+                                       unique=True))
+            m = data.draw(st.integers(1, 3))
+            links = tuple(LeaderLink(v, data.draw(st.integers(1, m)),
+                                     data.draw(st.sampled_from([1, -1])))
+                          for v in nodes)
+            m = max(link.input_index for link in links)
+            inputs = (tuple(tuple(data.draw(st.lists(numbers, min_size=d, max_size=d)))
+                            for _ in range(m)) if data.draw(st.booleans()) else None)
+            cfg = SemiAutonomousConfig(m, links, inputs)
+        if data.draw(st.booleans()):
+            x0 = data.draw(hnp.arrays(np.float64, (n, d), elements=numbers))
+        doc = {"name": name, "n": n, "directed": False,
+               "edges": [{"i": e.i, "j": e.j, "w": e.w} for e in net.edges]}
+        if cfg is not None:
+            doc["leaders"] = [{"node": l.node, "input": l.input_index, "sign": l.sign}
+                              for l in cfg.leader_links]
+            if cfg.inputs is not None:
+                doc["inputs"] = [list(u) for u in cfg.inputs]
+        if x0 is not None:
+            doc["x0"] = [list(map(float, row)) for row in x0]
+        assert serialize_network(net, cfg, x0) == json.dumps(doc, indent=2) + "\n"
 
     def test_arc_file_round_trip(self):
         from fsnlab import Arc, DirectedNetwork
@@ -223,6 +292,39 @@ class TestRoundTrip:
     @settings(max_examples=300, deadline=None)
     def test_json_text_is_json_dumps(self, value):
         assert json_text(value) == json.dumps(value, indent=2)
+
+    def test_number_texts_are_the_json_modules(self):
+        # orjson writes the numbers, repr only the texts where it may
+        # differ; on a seeded sweep every text is the json module's.
+        rng = np.random.default_rng(27)
+        logs = [rng.uniform(lo, hi, 150_000) for lo, hi in
+                [(-5.5, -4.5), (-4.5, -3.5), (15.5, 16.5)]]
+        floats = np.concatenate([
+            rng.integers(0, 2**64, 1_000_000, dtype=np.uint64).view(np.float64),
+            *[10.0 ** x for x in logs],
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072009e-308,
+             1e-5, 1e-4, 1e16, 1.7976931348623157e308]])
+        floats.view(np.uint64)[rng.random(len(floats)) < 0.5] ^= np.uint64(1 << 63)
+        assert np.isnan(floats).sum() > 100 and np.isinf(floats).sum() >= 2
+        assert ((floats != 0) & (np.abs(floats) < 2.2250738585072014e-308)).sum() > 100
+        for k in range(0, len(floats), 1 << 16):
+            values = floats[k:k + (1 << 16)].tolist()
+            assert netfile._json_numbers(values) == json.dumps(values)[1:-1].split(", ")
+        ints = [0, 2**63 - 1, -(2**63 - 1), -2**63, 2**63, 2**64 - 1]
+        for values in [ints, ints + [2**64], ints + [-2**63 - 1], [2.5, 2**64, -0.0]]:
+            assert netfile._json_numbers(values) == json.dumps(values)[1:-1].split(", ")
+            assert netfile._json_numbers(tuple(values)) == list(map(json.dumps, values))
+
+    def test_bools_are_not_written_as_numbers(self, monkeypatch):
+        numbers = netfile._json_numbers
+
+        def only_numbers(values):
+            assert set(map(type, values)) <= {int, float}
+            return numbers(values)
+        monkeypatch.setattr(netfile, "_json_numbers", only_numbers)
+        for value in [[True, 1, 2.5], [False, 0], {"a": True, "b": 1},
+                      [[True, 1], [0, 2.5]], [[1, 2.5], [0, -1]], (1, 0.0, False)]:
+            assert json_text(value) == json.dumps(value, indent=2)
 
     def test_arc_file_rejects_duplicates(self):
         doc = ('{"n": 2, "arcs": [{"follower": 1, "followed": 2}, '
@@ -364,6 +466,40 @@ class TestTrajectoryCsv:
         with pytest.raises(NetworkFileError, match="sample 2: "):
             parse_trajectory("t,agent,dim,value\n0,1,1,0.5\n0,2,1,0.5\n"
                              "1,2,1,0.5\n1,2,1,0.5\n")
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,1,1\n0,1,1,1,1\n", "line 2: expected 4 columns, got 3"),
+        ("0,1,1,1,1\n0,1,1\n", "line 2: expected 4 columns, got 5"),
+        ("0,1,1,0.5\n0,2,1,0.5,1\n0,1,1\n", "line 3: expected 4 columns, got 5"),
+        ("0,1.0,1,0.5\n", "line 2: invalid literal for int"),
+        ("0,1,1e0,0.5\n", "line 2: invalid literal for int"),
+        ("0,1,1,0.5\n0,2,1,0.5\n\n0.5,1,1,0.5\n0.5,2,1,1.\n0.5,3,1,x\n",
+         "line 6: could not convert"),
+    ])
+    def test_plain_lines_the_row_parser_refuses(self, body, message):
+        # Lines of other widths can add up to whole rows of four numbers.
+        with pytest.raises(NetworkFileError, match=f"^{message}"):
+            parse_trajectory("t,agent,dim,value\n" + body)
+
+    @pytest.mark.parametrize("block", [8, 1 << 13])
+    def test_negative_zero_in_a_plain_body_round_trips(self, block, monkeypatch):
+        # JSON reads -0 as the int 0: a reader of JSON numbers loses the
+        # sign that float("-0") keeps.  The body holds no inf or nan, so it
+        # is all plain numbers, and with 8-value blocks -0 falls in some
+        # blocks only.
+        monkeypatch.setattr(netfile, "CSV_BLOCK", block)
+        times = np.array([-0.0, 0.0, 0.25, 1.0, 2.0, 3.5])
+        states = np.random.default_rng(4).normal(size=(6, 3, 2))
+        states[0, 1, 0] = states[3, 2, 1] = states[5, 0, 0] = -0.0
+        states[1, 0, 1] = states[4, 1, 1] = 0.0
+        traj = Trajectory(times, states)
+        text = emit_trajectory(traj)
+        assert text.startswith("t,agent,dim,value\n-0,1,1,")
+        assert "\n-0,2,1,-0\n" in text and "\n1,3,2,-0\n" in text
+        assert netfile._plain_columns(text) is not None
+        again = parse_trajectory(text)
+        assert np.array_equal(again.times.view(np.uint64), times.view(np.uint64))
+        assert np.array_equal(again.states.view(np.uint64), states.view(np.uint64))
 
 
 class TestTrajectoryWriter:
@@ -528,3 +664,26 @@ class TestPercent17g:
             tracemalloc.stop()
         assert len(transient) == 32       # 128 samples a block
         assert max(transient) < 160 * netfile.CSV_BLOCK
+
+
+class TestTrajectoryReader:
+    def test_transient_memory_per_block(self, monkeypatch):
+        # The plain-number reader holds one block's JSON text, Python
+        # numbers and array at a time beside the array of all the rows:
+        # about 80 bytes a value, here checked with room to spare.  A
+        # reader of the whole body at once would take 24 times that.
+        monkeypatch.setattr(netfile, "CSV_BLOCK", 1 << 12)
+        rng = np.random.default_rng(9)
+        traj = Trajectory(np.arange(4096) * 0.01, rng.normal(size=(4096, 8, 3)) * 30)
+        text = emit_trajectory(traj)
+        tracemalloc.start()
+        try:
+            columns = netfile._plain_columns(text)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert columns is not None and len(columns[0]) == 24 * 4096
+        assert now >= 32 * len(columns[0])         # the rows it returns
+        assert peak - now < 120 * netfile.CSV_BLOCK
+        again = parse_trajectory(text)
+        assert np.array_equal(again.states, traj.states)

@@ -163,8 +163,9 @@ def test_trajectory_parser_refuses_or_reads_a_trajectory(text):
 @st.composite
 def plain_trajectory(draw):
     """The base trajectory CSV with cells replaced by short strings of the
-    characters a plain-number body may hold, or by cells that ``float`` or
-    ``int`` read and ``np.loadtxt`` does not, or reads differently."""
+    characters a plain-number body may hold, by ``-0`` cells, whose sign a
+    JSON reading loses, or by cells that ``float`` or ``int`` read and a
+    JSON reading does not, or reads differently."""
     lines = TRAJECTORY_BASE.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, len(lines) - 1))
@@ -172,7 +173,9 @@ def plain_trajectory(draw):
         cells[draw(st.integers(0, len(cells) - 1))] = draw(st.one_of(
             st.text("0123456789+-.eE,\n", max_size=5),
             st.sampled_from(["-nan", "nan", "inf", "1_0", " 1", "1\x0c1", "\u0663",
-                             "# 1", "1\r\n1"])))
+                             "# 1", "1\r\n1", "-0", "-0", "-0.0", "-0e0", "+0",
+                             "01", "1.", ".5", "1e400", "-1e-400",
+                             "18446744073709551616", "-9223372036854775809"])))
         lines[k] = ",".join(cells)
     return "\n".join(lines) + "\n"
 
@@ -180,8 +183,8 @@ def plain_trajectory(draw):
 @given(st.one_of(plain_trajectory(), mutated_trajectory()))
 @settings(max_examples=300, deadline=None)
 def test_plain_number_reader_agrees_with_the_row_parser(text):
-    """``np.loadtxt`` never accepts a document the row parser refuses, and
-    reads the same doubles whenever both accept."""
+    """The block reader of plain numbers never accepts a document the row
+    parser refuses, and reads the same doubles whenever both accept."""
     fast = _plain_columns(text)
     try:
         slow = _row_columns(text)
@@ -355,6 +358,18 @@ def test_halfway_decimal_literals_read_as_json():
         text = f'{{"n": {len(chunk)}, "edges": [], "x0": [{", ".join(chunk)}]}}'
         assert _reading(parse_network_file, text)[0] is Network
         assert_reads_as_json(parse_network_file, text)
+
+
+def test_halfway_decimal_literals_read_as_float_in_a_trajectory():
+    literals = _halfway_literals(1000, 21)
+    literals += [str(v) for v in (2**53 + 1, 2**63 + 1025, 2**64 - 1, 2**64 + 2049,
+                                  -2**63 - 1025, 10**30 + 1)]
+    body = "".join(f"{t},1,1,{v}\n" for t, v in zip(literals, reversed(literals)))
+    text = "t,agent,dim,value\n" + body
+    fast, slow = _plain_columns(text), _row_columns(text)
+    assert fast is not None
+    for a, b in zip(fast, slow):
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64), b.view(np.uint64))
 
 
 def test_well_formed_documents_need_no_json_module():
