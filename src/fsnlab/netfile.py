@@ -187,43 +187,6 @@ def _checked_records(raws: list, field: str, kind: str, a: str,
     return ia, ib, ws
 
 
-def _number_table(raw: list) -> Optional[np.ndarray]:
-    """The float array of ``x0`` as written, a list of numbers (one column)
-    or of equal-length nonempty lists of numbers (rows), read as one column
-    of cells by C-level ``map``s behind exact-type gates: every cell a
-    float or an int that ``float`` converts.  None when a gate fails; the
-    per-row checks then find the first bad entry."""
-    kinds = set(map(type, raw))
-    if kinds <= {float, int}:
-        cells, width = raw, 1
-    elif kinds == {list} and len(widths := set(map(len, raw))) == 1 and 0 not in widths:
-        cells, width = list(chain.from_iterable(raw)), widths.pop()
-    else:
-        return None
-    if not set(map(type, cells)) <= {float, int}:
-        return None
-    try:
-        return np.array(list(map(float, cells))).reshape(len(raw), width)
-    except OverflowError:
-        return None
-
-
-def _checked_table(raw: list) -> np.ndarray:
-    """:func:`_number_table`, one entry at a time through the per-entry
-    checks."""
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw):
-        return np.array([[_as_number(v, f"x0[{k}]")] for k, v in enumerate(raw)])
-    rows = []
-    for k, row in enumerate(raw):
-        where = f"x0[{k}]"
-        _require(isinstance(row, list) and row, where,
-                 "each row must be a nonempty vector")
-        rows.append([_as_number(v, f"{where}[{p}]") for p, v in enumerate(row)])
-    widths = {len(r) for r in rows}
-    _require(len(widths) == 1, "x0", f"ragged rows: widths {sorted(widths)}")
-    return np.array(rows)
-
-
 def parse_network_file(
         text: str | bytes,
 ) -> tuple[Network, Optional[SemiAutonomousConfig], Optional[np.ndarray]]:
@@ -292,9 +255,20 @@ def _network(
         raw = doc["x0"]
         _require(isinstance(raw, list) and len(raw) == n, "x0",
                  f"must list one row per node ({n})")
-        x0 = _number_table(raw)
-        if x0 is None:
-            x0 = _checked_table(raw)
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in raw):
+            x0 = np.array([[_as_number(v, f"x0[{k}]")] for k, v in enumerate(raw)])
+        else:
+            rows = []
+            for k, row in enumerate(raw):
+                where = f"x0[{k}]"
+                _require(isinstance(row, list) and row, where,
+                         "each row must be a nonempty vector")
+                rows.append([_as_number(v, f"{where}[{p}]")
+                             for p, v in enumerate(row)])
+            widths = {len(r) for r in rows}
+            _require(len(widths) == 1, "x0", f"ragged rows: widths {sorted(widths)}")
+            x0 = np.array(rows)
         if cfg is not None and cfg.d is not None:
             _require(x0.shape[1] == cfg.d, "x0",
                      f"dimension {x0.shape[1]} != input dimension {cfg.d}")
@@ -695,14 +669,16 @@ def emit_trajectory(traj: Trajectory) -> str:
 
 
 def _plain_columns(text: str) -> Optional[tuple[np.ndarray, ...]]:
-    """The (t, agent, dim, value) float columns of a trajectory CSV, read
-    in blocks; None when the text is not ASCII, does not start with the
-    header line, has no rows, or holds a line the row parser refuses.
+    """The (t, agent, dim, value) float columns of a trajectory CSV whose
+    body is lines of four plain numbers, read in blocks; None for any other
+    text, which the row parser reads whole, as it does a body with a block
+    that orjson refuses, that fails a gate or that holds a ``-0`` field.
 
     The body is cut at newlines into blocks of about ``CSV_BLOCK`` values
     (at its mean length of a value), and each block's rows, read by
     ``_block_rows``, go into one array allocated for all the lines, so the
-    transient memory beside that array is about one block's.
+    transient memory beside that array is about one block's.  A block read
+    holds only newlines as line breaks, so the blocks' rows fill the array.
     """
     head = _TRAJECTORY_HEADER + "\n"
     if not (text.startswith(head) and text.isascii()):
@@ -724,8 +700,9 @@ def _plain_columns(text: str) -> Optional[tuple[np.ndarray, ...]]:
 
 
 def _block_rows(chunk: str) -> Optional[np.ndarray]:
-    """The rows of some lines of a trajectory body, as a (rows, 4) float
-    array; None when the row parser refuses one of them.
+    """The rows of some lines of a trajectory body, as a (lines, 4) float
+    array; None when they are not all lines of four plain numbers that
+    orjson reads as ``float`` and ``int`` do.
 
     Lines of plain numbers (digits, signs, points, exponents, commas and
     newlines) are read by one ``orjson.loads``, of the lines with each
@@ -733,38 +710,38 @@ def _block_rows(chunk: str) -> Optional[np.ndarray]:
     number, so each line holds four, and every agent and dim must be an
     int (the sum of ints is an int), as ``int`` requires.  A JSON number
     is a text that ``float`` reads, and orjson rounds it as ``float`` does,
-    except that ``-0`` reads as the int 0, whose sign is lost.  Lines that
-    are not plain, that orjson refuses, that fail a gate or that hold a
-    ``-0`` field are read by the row parser.
+    except that ``-0`` reads as the int 0, whose sign is lost: a ``-0``
+    field also gives None.
     """
     data = chunk.encode("ascii")
-    if not data.translate(None, _PLAIN_CSV):
-        breaks = data.count(b"\n")
-        doc = b"[" + data.replace(b"\n", b",null,") + b"]"
-        try:
-            flat = orjson.loads(doc)
-        except orjson.JSONDecodeError:
-            flat = []
-        if (len(flat) == 5 * breaks + 4 and flat[4::5].count(None) == breaks
-                and type(sum(flat[1::5])) is int and type(sum(flat[2::5])) is int):
-            del flat[4::5]
-            rows = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
-            # A zero and a minus sign: is some field -0?
-            if not (b"-" in data and not rows.all() and (
-                    b",-0," in doc or doc.startswith(b"[-0,") or doc.endswith(b",-0]"))):
-                return rows
-    try:
-        return _number_rows([ln for ln in chunk.splitlines() if ln.strip()])
-    except NetworkFileError:    # the row parser of the whole text names it
+    if data.translate(None, _PLAIN_CSV):
         return None
+    breaks = data.count(b"\n")
+    doc = b"[" + data.replace(b"\n", b",null,") + b"]"
+    try:
+        flat = orjson.loads(doc)
+    except orjson.JSONDecodeError:
+        return None
+    if not (len(flat) == 5 * breaks + 4 and flat[4::5].count(None) == breaks
+            and type(sum(flat[1::5])) is int and type(sum(flat[2::5])) is int):
+        return None
+    del flat[4::5]
+    rows = np.fromiter(flat, float, len(flat)).reshape(-1, 4)
+    # A zero and a minus sign: is some field -0?
+    if b"-" in data and not rows.all() and (
+            b",-0," in doc or doc.startswith(b"[-0,") or doc.endswith(b",-0]")):
+        return None
+    return rows
 
 
-def _number_rows(lines: list[str], first: int = 1) -> np.ndarray:
-    """The rows of trajectory lines, numbered from ``first``, as a (rows, 4)
-    float array, each field read by ``float`` or ``int``; raises on the
-    first bad line."""
+def _row_columns(text: str) -> tuple[np.ndarray, ...]:
+    """The (t, agent, dim, value) float columns of a trajectory CSV, read
+    line by line; raises on the first bad line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) < 2 or lines[0] != _TRAJECTORY_HEADER:
+        raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
     rows = []
-    for k, ln in enumerate(lines, start=first):
+    for k, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != 4:
             raise NetworkFileError(f"line {k}: expected 4 columns, got {len(parts)}")
@@ -774,19 +751,10 @@ def _number_rows(lines: list[str], first: int = 1) -> np.ndarray:
         except ValueError as exc:
             raise NetworkFileError(f"line {k}: {exc}") from exc
     try:
-        return np.fromiter(chain.from_iterable(rows), float,
-                           4 * len(rows)).reshape(-1, 4)
+        return tuple(np.fromiter(
+            chain.from_iterable(rows), float, 4 * len(rows)).reshape(-1, 4).T)
     except OverflowError as exc:
         raise NetworkFileError(f"agent or dim id out of range: {exc}") from exc
-
-
-def _row_columns(text: str) -> tuple[np.ndarray, ...]:
-    """The (t, agent, dim, value) float columns of a trajectory CSV, read
-    line by line; raises on the first bad line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != _TRAJECTORY_HEADER:
-        raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
-    return tuple(_number_rows(lines[1:], 2).T)
 
 
 def parse_trajectory(text: str | bytes) -> Trajectory:

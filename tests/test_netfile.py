@@ -471,22 +471,41 @@ class TestTrajectoryCsv:
         ("0,1,1\n0,1,1,1,1\n", "line 2: expected 4 columns, got 3"),
         ("0,1,1,1,1\n0,1,1\n", "line 2: expected 4 columns, got 5"),
         ("0,1,1,0.5\n0,2,1,0.5,1\n0,1,1\n", "line 3: expected 4 columns, got 5"),
+        ("0,1,1,0.5\n0,2,1,0.5,7,8,9,1,2\n", "line 3: expected 4 columns, got 9"),
+        ("0,1,1,\r0.5\n0,2,1,0.5\n", "line 2: could not convert string to float: ''"),
         ("0,1.0,1,0.5\n", "line 2: invalid literal for int"),
         ("0,1,1e0,0.5\n", "line 2: invalid literal for int"),
         ("0,1,1,0.5\n0,2,1,0.5\n\n0.5,1,1,0.5\n0.5,2,1,1.\n0.5,3,1,x\n",
          "line 6: could not convert"),
     ])
     def test_plain_lines_the_row_parser_refuses(self, body, message):
-        # Lines of other widths can add up to whole rows of four numbers.
+        # Lines of other widths can add up to whole rows of four numbers,
+        # and JSON reads a carriage return, where str.splitlines breaks a
+        # line, as a space.
         with pytest.raises(NetworkFileError, match=f"^{message}"):
             parse_trajectory("t,agent,dim,value\n" + body)
+
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85"])
+    @pytest.mark.parametrize("block", [8, 1 << 13])
+    def test_other_line_breaks_read_as_newlines(self, brk, block, monkeypatch):
+        # str.splitlines breaks lines at these too, so the row parser reads
+        # whole rows after them; the blocks hold newlines only.
+        monkeypatch.setattr(netfile, "CSV_BLOCK", block)
+        rows = ["0,1,1,0.5", "0,2,1,0.25", "1,1,1,0.5", "1,2,1,-3"]
+        want = parse_trajectory("t,agent,dim,value\n" + "\n".join(rows) + "\n")
+        for k in range(1, len(rows)):
+            text = ("t,agent,dim,value\n" + "\n".join(rows[:k]) + brk
+                    + "\n".join(rows[k:]) + "\n")
+            got = parse_trajectory(text)
+            assert_same_doubles(got.times, want.times)
+            assert_same_doubles(got.states, want.states)
 
     @pytest.mark.parametrize("block", [8, 1 << 13])
     def test_negative_zero_in_a_plain_body_round_trips(self, block, monkeypatch):
         # JSON reads -0 as the int 0: a reader of JSON numbers loses the
         # sign that float("-0") keeps.  The body holds no inf or nan, so it
-        # is all plain numbers, and with 8-value blocks -0 falls in some
-        # blocks only.
+        # is all plain numbers, and with 8-value blocks -0 falls first,
+        # last or within some blocks only.
         monkeypatch.setattr(netfile, "CSV_BLOCK", block)
         times = np.array([-0.0, 0.0, 0.25, 1.0, 2.0, 3.5])
         states = np.random.default_rng(4).normal(size=(6, 3, 2))
@@ -496,7 +515,7 @@ class TestTrajectoryCsv:
         text = emit_trajectory(traj)
         assert text.startswith("t,agent,dim,value\n-0,1,1,")
         assert "\n-0,2,1,-0\n" in text and "\n1,3,2,-0\n" in text
-        assert netfile._plain_columns(text) is not None
+        assert netfile._plain_columns(text) is None     # read by the row parser
         again = parse_trajectory(text)
         assert np.array_equal(again.times.view(np.uint64), times.view(np.uint64))
         assert np.array_equal(again.states.view(np.uint64), states.view(np.uint64))

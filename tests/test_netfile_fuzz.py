@@ -164,8 +164,9 @@ def test_trajectory_parser_refuses_or_reads_a_trajectory(text):
 def plain_trajectory(draw):
     """The base trajectory CSV with cells replaced by short strings of the
     characters a plain-number body may hold, by ``-0`` cells, whose sign a
-    JSON reading loses, or by cells that ``float`` or ``int`` read and a
-    JSON reading does not, or reads differently."""
+    JSON reading loses, by cells that ``float`` or ``int`` read and a JSON
+    reading does not, or reads differently, or by cells that end a line
+    with a line break other than a newline."""
     lines = TRAJECTORY_BASE.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, len(lines) - 1))
@@ -175,7 +176,8 @@ def plain_trajectory(draw):
             st.sampled_from(["-nan", "nan", "inf", "1_0", " 1", "1\x0c1", "\u0663",
                              "# 1", "1\r\n1", "-0", "-0", "-0.0", "-0e0", "+0",
                              "01", "1.", ".5", "1e400", "-1e-400",
-                             "18446744073709551616", "-9223372036854775809"])))
+                             "18446744073709551616", "-9223372036854775809",
+                             "0.5\r0,9,1,0.5", "0.5\x0c0,9,1,0.5"])))
         lines[k] = ",".join(cells)
     return "\n".join(lines) + "\n"
 
