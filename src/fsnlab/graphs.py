@@ -501,32 +501,28 @@ def structural_balance_partition(
 
     Returns (V1, V2) with node 1 anchored in V1, or None when no such
     bipartition exists.  An all-positive graph yields an empty V2.
+
+    One search of Harary's signed double cover decides it: node u has a
+    "+" copy and a "-" copy, a positive edge joins copies of equal sign
+    and a negative edge copies of opposite sign.  From node 1's "+" copy
+    the search reaches a copy of every node exactly when the network is
+    connected, and then both copies of some node exactly when a cycle has
+    an odd number of negative edges.  Otherwise V1 holds the nodes whose "+"
+    copy it reached and V2 those whose "-" copy it reached.
     """
-    disconnected = GraphError("balance partition requires a connected network")
-    if len(net.w) < net.n - 1:
-        raise disconnected
-    # Color a depth-first tree from node 1, each node by its parent's
-    # color and the sign of the tree edge, then test every edge.
-    indptr, cols, edge = (a.tolist() for a in net.adjacency)
-    negative = net.w < 0
-    flip = negative.tolist()
-    colors = [-1] * net.n
-    colors[0] = 0
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for k in range(indptr[u], indptr[u + 1]):
-            v = cols[k]
-            if colors[v] < 0:
-                colors[v] = colors[u] ^ flip[edge[k]]
-                stack.append(v)
-    if -1 in colors:
-        raise disconnected
-    color = np.array(colors, dtype=bool)
-    if ((color[net.i - 1] ^ color[net.j - 1]) != negative).any():
+    n = net.n
+    indptr, cols, edge = net.adjacency
+    # Row u is node u's "+" copy, row u + n its "-" copy.
+    flip = n * (net.w < 0)[edge]
+    seen = np.array(_reach(np.concatenate((indptr, indptr[1:] + len(cols))),
+                           np.concatenate((cols + flip, cols + n - flip)), [0]))
+    plus, minus = seen[:n], seen[n:]
+    if not (plus | minus).all():
+        raise GraphError("balance partition requires a connected network")
+    if (plus & minus).any():
         return None
-    return (frozenset((np.flatnonzero(~color) + 1).tolist()),
-            frozenset((np.flatnonzero(color) + 1).tolist()))
+    return (frozenset((np.flatnonzero(plus) + 1).tolist()),
+            frozenset((np.flatnonzero(minus) + 1).tolist()))
 
 
 def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network:

@@ -114,8 +114,8 @@ class Model:
         whose eigen checks would fail on it first; a disconnected wiring is
         left to the solve, which names the missing leader."""
         if self.signed and self.cfg is not None and is_connected(
-                augmented_signed_network(self.net, self.cfg)):
-            _check_balanced(self.net, self.cfg)
+                augmented := augmented_signed_network(self.net, self.cfg)):
+            _check_balanced(augmented)
 
     @cached_property
     def gauge(self) -> np.ndarray:

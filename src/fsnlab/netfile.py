@@ -413,8 +413,8 @@ def _json_numbers(values) -> list[str]:
     ``repr`` writes ``1e+16``, and magnitudes below 1e-4 that ``repr``
     writes with an exponent in fixed notation (``0.00001``).  Only texts
     that hold ``e`` or ``null``, or start with ``0.0000`` after an optional
-    minus sign, are written again by ``repr``.  orjson refuses an int past
-    64 bits; then every value is written by ``repr``.
+    minus sign, are written again by :func:`_json_scalar`.  orjson refuses
+    an int past 64 bits; then every value is written by it.
     """
     values = values if type(values) is list else list(values)
     if not values:
@@ -422,17 +422,12 @@ def _json_numbers(values) -> list[str]:
     try:
         joined = orjson.dumps(values).decode("ascii")[1:-1]
     except orjson.JSONEncodeError:
-        return list(map(_repr_number, values))
+        return list(map(_json_scalar, values))
     texts = joined.split(",")
     if "e" not in joined and "n" not in joined and "0.0000" not in joined:
         return texts
-    return [_repr_number(v) if "e" in t or "n" in t or t.startswith(_ORJSON_TINY)
+    return [_json_scalar(v) if "e" in t or "n" in t or t.startswith(_ORJSON_TINY)
             else t for t, v in zip(texts, values)]
-
-
-def _repr_number(value) -> str:
-    text = repr(value)
-    return _JSON_FLOAT_WORDS.get(text, text)
 
 
 # "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is
@@ -737,11 +732,12 @@ def _block_rows(chunk: str) -> Optional[np.ndarray]:
 def _row_columns(text: str) -> tuple[np.ndarray, ...]:
     """The (t, agent, dim, value) float columns of a trajectory CSV, read
     line by line; raises on the first bad line."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or lines[0] != _TRAJECTORY_HEADER:
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if len(lines) < 2 or lines[0][1] != _TRAJECTORY_HEADER:
         raise NetworkFileError("trajectory needs header 't,agent,dim,value' and rows")
     rows = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise NetworkFileError(f"line {k}: expected 4 columns, got {len(parts)}")

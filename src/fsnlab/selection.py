@@ -47,10 +47,11 @@ def _edge_arcs(net: Network, keep: np.ndarray, name: str) -> DirectedNetwork:
         np.repeat(net.w, 2)[keep], name)
 
 
-def _check_balanced(net: Network, cfg: SemiAutonomousConfig) -> None:
-    """Refuse a signed network or input wiring that, taken together, is not
-    structurally balanced; the test needs the two together connected."""
-    if structural_balance_partition(augmented_signed_network(net, cfg)) is None:
+def _check_balanced(augmented: Network) -> None:
+    """Refuse a signed network and input wiring, taken together as their
+    :func:`augmented_signed_network`, that is not structurally balanced;
+    the test needs it connected."""
+    if structural_balance_partition(augmented) is None:
         raise GraphError("network plus input wiring is not structurally balanced")
 
 
@@ -64,7 +65,7 @@ def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
         if node > net.n:
             raise GraphError(f"leader node {node} outside 1..{net.n}")
     if net.is_signed or cfg.is_signed:
-        _check_balanced(net, cfg)
+        _check_balanced(augmented_signed_network(net, cfg))
         v1 = np.abs(v1)
     if float(v1.min()) <= 0:
         raise GraphError("principal eigenvector must be strictly positive")

@@ -611,6 +611,19 @@ class TestCompare:
             "  g_1,6: none (both entries sit at zero: no eigenvector limit)",
             "all checks passed"]
 
+    def test_original_rate_band_is_the_base_tolerance(self, capsys, tmp_path):
+        # Node 1 with three legs of 5 nodes, leg 1's weights 1 + 5.6e-7: the
+        # original generator has a near-repeated simple eigenvalue, and
+        # being symmetric it is never defective, so its band stays 10%.
+        path = tmp_path / "spider16.json"
+        path.write_text(json.dumps({"n": 16, "edges": [
+            {"i": 1 if k == 0 else 2 + 5 * leg + k - 1, "j": 2 + 5 * leg + k,
+             "w": 1 + 5.6e-7 if leg == 0 else 1.0}
+            for leg in range(3) for k in range(5)]}))
+        code, out, err = run(capsys, "compare", str(path))
+        assert (code, err) == (0, "")
+        assert "original 0.08117 (predicted 0.08101, tol 10%)" in out
+
     def test_unbalanced_autonomous_network_is_refused_before_simulating(
             self, capsys, tmp_path, monkeypatch):
         runs = []

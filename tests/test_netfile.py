@@ -476,7 +476,7 @@ class TestTrajectoryCsv:
         ("0,1.0,1,0.5\n", "line 2: invalid literal for int"),
         ("0,1,1e0,0.5\n", "line 2: invalid literal for int"),
         ("0,1,1,0.5\n0,2,1,0.5\n\n0.5,1,1,0.5\n0.5,2,1,1.\n0.5,3,1,x\n",
-         "line 6: could not convert"),
+         "line 7: could not convert"),
     ])
     def test_plain_lines_the_row_parser_refuses(self, body, message):
         # Lines of other widths can add up to whole rows of four numbers,

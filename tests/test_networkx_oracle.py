@@ -2,15 +2,15 @@
 
 Trees with chords and graphs split into several components (a tree with
 some of its edges removed, plus chords) are checked for connectivity,
-blocks and cut nodes, reachability along retained arcs, and strongly
-connected components of the arc digraph.
+blocks and cut nodes, reachability along retained arcs, strongly
+connected components of the arc digraph, and structural balance.
 """
 
 import numpy as np
 import pytest
 
-from fsnlab import (DirectedNetwork, Network, block_cut_tree, is_connected,
-                    reachable_from)
+from fsnlab import (DirectedNetwork, GraphError, Network, block_cut_tree,
+                    is_connected, reachable_from, structural_balance_partition)
 from fsnlab.selection import _strong_components
 
 nx = pytest.importorskip("networkx")
@@ -96,3 +96,62 @@ def check_arcs(rng) -> None:
     assert {frozenset((np.flatnonzero(comp == c) + 1).tolist())
             for c in range(comp.max() + 1)} == {
         frozenset(c) for c in nx.strongly_connected_components(arcs)}
+
+
+def balance_oracle(net: Network):
+    """Structural balance by contraction: the components of the positive
+    edges become single nodes, and the network is balanced when no
+    negative edge lies inside one and the negative edges between them form
+    a bipartite graph.  Returns the sides of that 2-colouring, node 1's
+    side first, None when unbalanced, or the refusal message when the
+    network is disconnected (refused before an unbalanced one); and
+    whether the contraction test alone finds it balanced."""
+    positive, negative = nx.Graph(), nx.Graph()
+    positive.add_nodes_from(range(1, net.n + 1))
+    for a, b, w in net.edges:
+        (positive if w > 0 else negative).add_edge(a, b)
+    comp = {v: k for k, c in enumerate(nx.connected_components(positive))
+            for v in c}
+    contracted = nx.Graph()
+    contracted.add_nodes_from(set(comp.values()))
+    contracted.add_edges_from((comp[a], comp[b]) for a, b in negative.edges)
+    balanced = (nx.number_of_selfloops(contracted) == 0
+                and nx.is_bipartite(contracted))
+    if not nx.is_connected(nx.compose(positive, negative)):
+        return "balance partition requires a connected network", balanced
+    if not balanced:
+        return None, balanced
+    color = nx.bipartite.color(contracted)
+    side = [frozenset(v for v in comp if (color[comp[v]] == color[comp[1]]) == s)
+            for s in (True, False)]
+    return tuple(side), balanced
+
+
+def signed_graph(rng) -> Network:
+    """A :func:`random_graph` signed by a random gauge (balanced) or by
+    independent random signs."""
+    net = random_graph(rng)
+    if rng.random() < 0.5:
+        sigma = rng.choice([-1.0, 1.0], size=net.n)
+        signs = sigma[net.i - 1] * sigma[net.j - 1]
+    else:
+        signs = rng.choice([-1.0, 1.0], size=len(net.w))
+    return Network.from_arrays(net.n, net.i, net.j, signs * net.w)
+
+
+def test_structural_balance():
+    outcomes = {"sides": 0, "unbalanced": 0, "disconnected": 0,
+                "disconnected and unbalanced": 0}
+    for seed in SEEDS:
+        net = signed_graph(np.random.default_rng([seed, 2]))
+        want, balanced = balance_oracle(net)
+        try:
+            got = structural_balance_partition(net)
+        except GraphError as exc:
+            got = str(exc)
+        assert got == want, seed
+        outcomes["sides" if isinstance(want, tuple) else
+                 "unbalanced" if want is None else
+                 "disconnected" if balanced else
+                 "disconnected and unbalanced"] += 1
+    assert min(outcomes.values()) > 0.05 * len(SEEDS), outcomes
