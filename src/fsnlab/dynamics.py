@@ -90,13 +90,19 @@ def as_columns(x) -> np.ndarray:
 
 def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
              method: str) -> tuple[np.ndarray, np.ndarray]:
-    """R, c of one step x <- R x + c of x' = forcing - G x (see the module)."""
-    A = -dt * generator
-    eye = np.eye(generator.shape[0])
-    S = eye  # sum_{k<K} A^k / (k+1)! by Horner
-    for j in range({"euler": 1, "rk4": 4}[method], 1, -1):
-        S = eye + (A @ S) / j
-    return eye + A @ S, dt * (S @ forcing)
+    """R, c of one step x <- R x + c of x' = forcing - G x (see the module).
+
+    A step too large for the generator's scale gives inf or NaN entries,
+    without a numpy warning; :func:`step_powers` carries them into its
+    stacks, where the callers refuse them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = -dt * generator
+        eye = np.eye(generator.shape[0])
+        S = eye  # sum_{k<K} A^k / (k+1)! by Horner
+        for j in range({"euler": 1, "rk4": 4}[method], 1, -1):
+            S = eye + (A @ S) / j
+        return eye + A @ S, dt * (S @ forcing)
 
 
 def step_powers(R: np.ndarray, c: np.ndarray,
@@ -105,13 +111,20 @@ def step_powers(R: np.ndarray, c: np.ndarray,
 
     Row block k-1 of ``P @ x + C`` is the state k steps of x <- R x + c
     after x, so one product advances b steps.  Each power and offset is
-    one multiplication by R from the previous one.
+    one multiplication by R from the previous one, written into its row
+    block of the preallocated stacks, and each offset then adds c in
+    place.  Powers that leave the float range come back as inf or NaN
+    entries without a numpy warning; the callers refuse them.
     """
-    powers, offsets = [R], [c]
-    for _ in range(b - 1):
-        powers.append(R @ powers[-1])
-        offsets.append(R @ offsets[-1] + c)
-    return np.vstack(powers), np.vstack(offsets)
+    n = R.shape[0]
+    P, C = np.empty((b * n, n)), np.empty((b * n, c.shape[1]))
+    P[:n], C[:n] = R, c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n, b * n, n):
+            np.matmul(R, P[k - n:k], out=P[k:k + n])
+            offset = np.matmul(R, C[k - n:k], out=C[k:k + n])
+            offset += c
+    return P, C
 
 
 def simulate(generator: np.ndarray,
@@ -131,7 +144,9 @@ def simulate(generator: np.ndarray,
     stepping x <- R x + c one at a time to a few units of roundoff per
     block.  Forward Euler is rejected up front when dt exceeds the safe
     bound 1/(2 max_ii G), which a Gershgorin argument turns into a
-    stability guarantee for Laplacian-type generators.
+    stability guarantee for Laplacian-type generators.  A step map whose
+    stacked powers leave the float range is refused before stepping, and
+    a run whose last state does is refused after it.
     """
     G = np.asarray(generator, dtype=float)
     n = G.shape[0]
@@ -169,12 +184,19 @@ def simulate(generator: np.ndarray,
     states[0] = x0
     for dim in range(d):
         P, C = step_powers(R, c[:, [dim]], block)
+        if not (np.isfinite(P).all() and np.isfinite(C).all()):
+            raise SimulationError(f"{cfg.method} steps of dt={cfg.dt} leave the "
+                                  f"float range on this generator; take a smaller dt")
         x = x0[:, [dim]]
-        for start in range(0, steps, block):
-            m = min(block, steps - start)
-            run = (P[:m * n] @ x + C[:m * n]).reshape(m, n)
-            states[start + 1:start + 1 + m, :, dim] = run
-            x = run[-1][:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, steps, block):
+                m = min(block, steps - start)
+                run = (P[:m * n] @ x + C[:m * n]).reshape(m, n)
+                states[start + 1:start + 1 + m, :, dim] = run
+                x = run[-1][:, None]
+    if not np.isfinite(states[-1]).all():
+        raise SimulationError(f"states left the float range within {steps} steps "
+                              f"of dt={cfg.dt}; take a smaller dt")
     times = np.arange(steps + 1) * cfg.dt
     return Trajectory(times, states)
 

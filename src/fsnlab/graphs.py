@@ -526,15 +526,20 @@ def structural_balance_partition(
 
 
 def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network:
-    """Graph plus one extra node per input, wired to leaders with the link sign.
+    """Graph plus one extra node per input that some leader reads, wired to
+    its leaders with the link sign.
 
     Used to test structural balance of the leader wiring together with the
-    network itself; input nodes get ids n+1 .. n+m.
+    network itself.  The inputs read get ids n+1, n+2, ... in input order;
+    an input no leader reads drives nothing and gets no node, which would
+    leave the augmented network disconnected.
     """
     links = cfg.leader_links
+    read, slot = np.unique([link.input_index for link in links],
+                           return_inverse=True)
     return Network.from_arrays(
-        net.n + cfg.m,
+        net.n + len(read),
         np.concatenate((net.i, [link.node for link in links])),
-        np.concatenate((net.j, [net.n + link.input_index for link in links])),
+        np.concatenate((net.j, net.n + 1 + slot)),
         np.concatenate((net.w, [float(link.sign) for link in links])),
         name=f"{net.name}+inputs")

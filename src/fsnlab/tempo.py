@@ -101,8 +101,10 @@ def distributed_select(model: Model, x0: np.ndarray,
 
     Raises when ``delta`` or ``eps`` is not finite and positive, when x0
     does not fit the network, when a signed leader network and its input
-    wiring are not structurally balanced (before the first round), and
-    when some estimate is still above its floor after ``round_cap`` rounds.
+    wiring are not structurally balanced (before the first round), when
+    the RK4 steps of ``delta`` leave the float range, when some estimate
+    is still above its floor after ``round_cap`` rounds, and when the run
+    ends with an arc that never had an estimate above its floor.
     """
     net, drive = model.net, model.drive
     x0 = as_columns(x0)
@@ -139,8 +141,14 @@ def distributed_select(model: Model, x0: np.ndarray,
         if not (math.isfinite(value) and value > 0):
             raise TempoError(f"{name} must be finite and positive, got {value}")
     model.check_balanced()      # refuse by name before any round runs
-    return _settle(net, model.generator(), forcing, x0, observable, eps, delta,
-                   cap if round_cap is None else round_cap, hint)
+    dnet, report = _settle(net, model.generator(), forcing, x0, observable,
+                           eps, delta, cap if round_cap is None else round_cap,
+                           hint)
+    unknown = [(e.follower, e.followed) for e in report.entries if e.g is None]
+    if unknown:
+        raise TempoError(f"arcs {unknown} got no estimate above the noise floor "
+                         f"(delta={delta}, eps={eps})")
+    return dnet, report
 
 
 def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
@@ -170,16 +178,28 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     Rounds are stepped ``BLOCK`` at a time (fewer on large networks, so
     the stack holds at most 2**20 doubles): the states of a block are one
     product of the stacked powers of :func:`step_powers` with the last
-    state of the block before, plus the matching stacked offsets.  The
-    bookkeeping runs once per super-block of consecutive blocks, as many
-    as keep the per-arc and per-coordinate arrays of a pass (arcs x rounds
-    and agents x d x rounds) within ``SPAN_ELEMENTS`` doubles, and at
-    least one.  It lays the super-block out agent-major, so that reading
-    an arc's two agents copies whole rows, takes the observable, the
-    running maximum and the floor test over all its rounds, and then
-    applies the termination rule block by block: the arcs decide on
-    their last estimate before the first block with none above its floor,
-    and the rounds computed after that block are discarded.
+    state of the block before, written in place, plus the matching
+    stacked offsets.  The bookkeeping runs once per super-block of
+    consecutive blocks, as many as keep the per-arc and per-coordinate
+    arrays of a pass (arcs x rounds and agents x d x rounds) within
+    ``SPAN_ELEMENTS`` doubles, and at least one.  It lays the super-block
+    out agent-major, so that reading an arc's two agents copies whole
+    rows, and takes the observable over all its rounds.
+
+    A certificate in O(n L) for L rounds comes first: with b_i the
+    largest |x_i| seen up to the super-block's end and l_j the least
+    |obs_j| in it, every arc (i, j) with l_j > (u / eps) max(b_i, b_j) is
+    above its floor in every round, since no running maximum in the
+    super-block exceeds b and rounding a product by the positive u / eps
+    is monotone.  When it holds for every arc, each arc's estimate is
+    that of the last round, bit for bit what the full test gives.  Only
+    otherwise does the super-block pay for the running maximum and the
+    per-arc floor test over all its rounds, and then the termination rule
+    block by block: the arcs decide on their last estimate before the
+    first block with none above its floor, and the rounds computed after
+    that block are discarded.  A NaN fails the certificate.  States that
+    leave the float range are refused after the stepping of their
+    super-block, as are step stacks that do.
     ``observable`` maps the differences of a super-block, agents x d x
     rounds, to agents x rounds.  numpy reduces that strided d axis in
     coordinate order, so for d >= 8 a norm may differ in its last bits
@@ -193,44 +213,64 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
     P, C = step_powers(R, c, block)
+    if not (np.isfinite(P).all() and np.isfinite(C).all()):
+        raise TempoError(f"RK4 steps of delta={delta} leave the float range "
+                         f"on this network; take a smaller delta")
     span = block * max(1, SPAN_ELEMENTS // (block * max(m, n * d)))
+    per_state = UNIT_ROUNDOFF / eps    # the floor per unit of state
 
     g = np.zeros(m)
     last = np.zeros(m, dtype=int)
     unsettled = np.ones(m, dtype=bool)      # arcs above their floor in the last block
     cur, peak = x0, np.abs(x0).max(axis=1)
-    for start in range(0, round_cap, span):
-        length = min(span, round_cap - start)
-        x = np.empty(((length + 1) * n, d))
-        x[:n] = cur
-        firsts = np.arange(0, length, block)
-        for s in firsts.tolist():
-            b = min(block, length - s)
-            np.add(P[:b * n] @ cur, C[:b * n], out=x[(s + 1) * n:(s + b + 1) * n])
-            cur = x[(s + b) * n:(s + b + 1) * n]
-        xt = np.ascontiguousarray(x.reshape(length + 1, n * d).T)
-        xt = xt.reshape(n, d, length + 1)       # agents x d x rounds
-        obs = observable(xt[:, :, 1:] - xt[:, :, :-1])
-        seen = np.abs(xt).max(axis=1)
-        seen[:, 0] = peak
-        seen = np.maximum.accumulate(seen, axis=1)
-        peak = seen[:, -1]
-        above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
-        quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
-        done = quiet.any()
-        end = firsts[quiet.argmax()] if done else length
-        if end:
-            k = end - 1 - above[:, end - 1::-1].argmax(axis=1)
-            hit = above[np.arange(m), k]
-            k = k[hit]
-            g[hit] = obs[arc_i[hit], k] / obs[arc_j[hit], k]
-            last[hit] = start + 1 + k
-        if done:
-            break
-        unsettled = above[:, firsts[-1]:].any(axis=1)
-    else:
-        raise TempoError(f"agents {sorted(set((arc_i[unsettled] + 1).tolist()))} did "
-                         f"not settle within {round_cap} rounds{stall_hint}")
+    # Growing states may overflow the observable before the states
+    # themselves; the finiteness check after the stepping refuses them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, round_cap, span):
+            length = min(span, round_cap - start)
+            x = np.empty(((length + 1) * n, d))
+            x[:n] = cur
+            firsts = np.arange(0, length, block)
+            for s in firsts.tolist():
+                b = min(block, length - s)
+                states = np.matmul(P[:b * n], cur, out=x[(s + 1) * n:(s + b + 1) * n])
+                states += C[:b * n]
+                cur = x[(s + b) * n:(s + b + 1) * n]
+            if not np.isfinite(cur).all():
+                raise TempoError(f"states left the float range by round "
+                                 f"{start + length}; take a smaller delta than {delta}")
+            xt = np.ascontiguousarray(x.reshape(length + 1, n * d).T)
+            xt = xt.reshape(n, d, length + 1)       # agents x d x rounds
+            obs = observable(xt[:, :, 1:] - xt[:, :, :-1])
+            seen = np.abs(xt).max(axis=1)
+            bound = np.maximum(peak, seen.max(axis=1))
+            low = np.abs(obs).min(axis=1)
+            if (low[arc_j] > per_state * np.maximum(bound[arc_i], bound[arc_j])).all():
+                # Every arc is above its floor in every round of the super-block.
+                g = obs[arc_i, -1] / obs[arc_j, -1]
+                last[:] = start + length
+                unsettled[:] = True
+                peak = bound
+                continue
+            seen[:, 0] = peak
+            seen = np.maximum.accumulate(seen, axis=1)
+            peak = seen[:, -1]
+            above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
+            quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
+            done = quiet.any()
+            end = firsts[quiet.argmax()] if done else length
+            if end:
+                k = end - 1 - above[:, end - 1::-1].argmax(axis=1)
+                hit = above[np.arange(m), k]
+                k = k[hit]
+                g[hit] = obs[arc_i[hit], k] / obs[arc_j[hit], k]
+                last[hit] = start + 1 + k
+            if done:
+                break
+            unsettled = above[:, firsts[-1]:].any(axis=1)
+        else:
+            raise TempoError(f"agents {sorted(set((arc_i[unsettled] + 1).tolist()))} did "
+                             f"not settle within {round_cap} rounds{stall_hint}")
 
     rounds = np.zeros(n, dtype=int)
     np.maximum.at(rounds, arc_i, last)

@@ -247,6 +247,21 @@ class TestSimulate:
         assert code == 1
         assert "unstable" in err
 
+    @pytest.mark.parametrize("dt, horizon, message", [
+        # RK4 is unstable on g6 at dt = 10: the states overflow.
+        ("10", "1000", "states left the float range within 100 steps of "
+                       "dt=10.0; take a smaller dt"),
+        # The step map itself overflows.
+        ("1e80", "1e82", "rk4 steps of dt=1e+80 leave the float range on this "
+                         "generator; take a smaller dt")])
+    def test_step_past_the_float_range_is_refused(self, dt, horizon, message,
+                                                  capsys, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "simulate", "g6", "--dt", dt,
+                             "--horizon", horizon, "--out", str(out_csv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_csv.exists()
+
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "g8", "--dt", "nan"], ["simulate", "g8", "--horizon", "nan"],
@@ -443,6 +458,30 @@ class TestDistributedSelect:
         assert code == 1
         assert "must be finite and positive" in err
 
+    @pytest.mark.parametrize("delta, message", [
+        ("10", "RK4 steps of delta=10.0 leave the float range on this "
+               "network; take a smaller delta"),
+        ("2", "states left the float range by round 640; take a smaller "
+              "delta than 2.0")])
+    def test_step_past_the_float_range_is_refused(self, delta, message,
+                                                  capsys):
+        code, out, err = run(capsys, "distributed-select", "g8",
+                             "--delta", delta)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("net, flags, arcs, suffix", [
+        ("g8", ["--delta", "1e-300"], "(1, 6), (2, 3), (2, 6)",
+         "(delta=1e-300, eps=0.0001)"),
+        ("t12", ["--fan-tree", "--eps", "1e-300"], "(1, 4), (1, 11), (1, 12)",
+         "(delta=0.01, eps=1e-300)")])
+    def test_run_without_an_estimate_is_refused(self, net, flags, arcs,
+                                                suffix, capsys):
+        # Every difference is below its floor from the first round on.
+        code, out, err = run(capsys, "distributed-select", net, *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: arcs [{arcs}, ")
+        assert err.endswith(f"] got no estimate above the noise floor {suffix}\n")
+
     def test_tree_with_zero_block_is_refused(self, capsys, tmp_path):
         code, _, err = run(capsys, "distributed-select", spider_file(tmp_path),
                            "--fan-tree")
@@ -523,6 +562,33 @@ class TestSignedDistributedSelect:
         assert (code, out) == (1, "")
         assert err == ("error: network plus input wiring is not "
                        "structurally balanced\n")
+
+
+def unused_input_file(tmp_path, w):
+    """The path 1-2-3-4 with edge 1-2 of weight ``w`` and one leader on
+    node 1, wired to input 1 of two."""
+    path = tmp_path / f"unused-input{w:+g}.json"
+    path.write_text(json.dumps({
+        "n": 4, "edges": [{"i": 1, "j": 2, "w": w}, {"i": 2, "j": 3},
+                          {"i": 3, "j": 4}],
+        "leaders": [{"node": 1, "input": 1}], "inputs": [[1.0], [2.0]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--mode", "signed-san-fsn"], ["compare"], ["distributed-select"]])
+def test_signed_wiring_with_an_unused_input_runs(argv, capsys, tmp_path):
+    # An input no leader reads is no node of the balance test; the signed
+    # file keeps the arcs san-fsn keeps on its w = +1 copy.
+    want = tmp_path / "want.json"
+    assert run(capsys, "select", unused_input_file(tmp_path, 1.0),
+               "--mode", "san-fsn", "--out", str(want))[0] == 0
+    code, out, err = run(capsys, argv[0], unused_input_file(tmp_path, -1.0),
+                         *argv[1:])
+    assert (code, err) == (0, "")
+    shown = {tuple(map(int, line.split()[:3:2])) for line in out.splitlines()
+             if " <- " in line}
+    assert shown == parse_arc_file(want.read_text()).arc_set
 
 
 @pytest.mark.parametrize("argv", [

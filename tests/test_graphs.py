@@ -341,6 +341,18 @@ class TestAugmented:
         assert len(aug.edges) == len(net.edges) + len(cfg.leader_links)
         assert aug.weights[(4, 9)] == -1.0
 
+    def test_input_no_leader_reads_gets_no_node(self):
+        # Only input 2 of three is read: it becomes node n + 1, and the
+        # augmented network stays connected.
+        net = Network(3, (Edge(1, 2, -1.0), Edge(2, 3)))
+        cfg = SemiAutonomousConfig(3, (LeaderLink(3, 2, -1),),
+                                   ((1.0,), (2.0,), (3.0,)))
+        aug = augmented_signed_network(net, cfg)
+        assert aug.n == 4 and is_connected(aug)
+        assert aug.weights[(3, 4)] == -1.0
+        assert structural_balance_partition(aug) == (frozenset({1, 4}),
+                                                     frozenset({2, 3}))
+
 
 def reference_network_check(n, edges):
     """The per-edge check the array validation replaced, as the reference."""

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -691,7 +692,7 @@ def settle_cases(draw):
         net = random_connected_net(rng, n)
         cfg = random_leader_cfg(rng, n, d=d)
     x0 = rng.random((n, d))
-    eps = draw(st.sampled_from([1e-3, 1e-4, 1e-5]))
+    eps = draw(st.sampled_from([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]))
     span = settle_span(net, d)
     cap = draw(st.one_of(st.none(), st.sampled_from(
         [1, BLOCK - 1, BLOCK, BLOCK + 1, span - 1, span, span + 1,
@@ -746,6 +747,131 @@ def test_super_blocked_settle_names_agents_of_the_last_block(cap, g8, t12):
     with mock.patch.object(tempo, "_settle", per_block_settle):
         assert got == outcome(run, *args, round_cap=cap)
     assert "did not settle" in got
+
+
+def edited_observable(monkeypatch, edit):
+    """Make the leader observable call ``edit(index, obs)`` on the values of
+    each super-block (agents x rounds, ``index`` counting super-blocks from
+    0) before the engine sees them."""
+    norm, index = tempo._norm_over_d, itertools.count()
+
+    def observable(dx):
+        obs = norm(dx)
+        edit(next(index), obs)
+        return obs
+
+    monkeypatch.setattr(tempo, "_norm_over_d", observable)
+
+
+def settle_paths(model, x0, monkeypatch):
+    """The report of a run, and per super-block whether it took the full
+    floor test: every super-block takes the observable once, and only the
+    ones the certificate does not cover run ``_above_floor``."""
+    full, floor_test = [], tempo._above_floor
+
+    def above_floor(*args):
+        full[-1] = True
+        return floor_test(*args)
+
+    edited_observable(monkeypatch, lambda index, obs: full.append(False))
+    monkeypatch.setattr(tempo, "_above_floor", above_floor)
+    got = outcome(distributed_select, model, x0)
+    monkeypatch.undo()
+    return got, full
+
+
+def test_g8_takes_both_settle_paths(g8, monkeypatch):
+    # The certified super-blocks come first; the last ones, where arcs go
+    # quiet, take the full test.  Both give the per-block loop's report.
+    net, cfg, _ = g8
+    x0 = np.random.default_rng(7).random((8, 3))
+    got, full = settle_paths(Model(net, cfg), x0, monkeypatch)
+    with mock.patch.object(tempo, "_settle", per_block_settle):
+        assert got == outcome(distributed_select, Model(net, cfg), x0)
+    assert not full[0] and full[-1]
+
+
+def test_certified_super_block_with_rising_states(g8, monkeypatch):
+    # Inputs of ten times the leaders' x0 rows lift the states well above
+    # x0 within the first super-block, so its running maximum rises while
+    # the certificate, which bounds it by the super-block's largest state,
+    # holds.
+    net, cfg, _ = g8
+    x0 = np.random.default_rng(7).random((8, 3))
+    cfg = dataclasses.replace(cfg, inputs=tuple(
+        tuple((10 * x0[link.node - 1]).tolist()) for link in cfg.leader_links))
+    model = Model(net, cfg)
+    got, full = settle_paths(model, x0, monkeypatch)
+    with mock.patch.object(tempo, "_settle", per_block_settle):
+        assert got == outcome(distributed_select, model, x0)
+    assert got[1].entries and not full[0] and full[-1]
+    span = settle_span(net, 3)
+    traj = simulate(model.generator(), model.drive, x0,
+                    SimulationConfig(dt=0.01, horizon=0.01 * span))
+    peak = np.abs(traj.states).max(axis=(0, 2))
+    assert (peak > 2 * np.abs(x0).max(axis=1)).any()
+
+
+def test_quiet_block_ends_a_super_block_whose_last_round_is_above(
+        g8, monkeypatch):
+    # Every arc is above its floor in the first super-block's last round,
+    # but its second block is quiet: the run ends there and every arc
+    # decides on round 64.  A certificate that read the last round alone
+    # would run on.
+    net, cfg, _ = g8
+    x0 = np.random.default_rng(7).random((8, 3))
+
+    def quiet(index, obs):
+        if index == 0:
+            obs[:, BLOCK:2 * BLOCK] = 0.0
+
+    edited_observable(monkeypatch, quiet)
+    _, report = distributed_select(Model(net, cfg), x0)
+    assert {e.rounds for e in report.entries} == {BLOCK}
+
+
+def test_run_ending_at_a_super_block_boundary_keeps_the_certified_estimates(
+        g8, monkeypatch):
+    # The first super-block is certified and the second one's first block
+    # is quiet: every arc decides on the certified super-block's last round.
+    net, cfg, _ = g8
+    x0 = np.random.default_rng(7).random((8, 3))
+    first = []
+
+    def quiet_second(index, obs):
+        if index == 0:
+            first.append(obs.copy())
+        else:
+            obs[:, :BLOCK] = 0.0
+
+    edited_observable(monkeypatch, quiet_second)
+    _, report = distributed_select(Model(net, cfg), x0)
+    obs = first[0]
+    assert {e.rounds for e in report.entries} == {settle_span(net, 3)}
+    assert [e.g for e in report.entries] == [
+        obs[e.follower - 1, -1] / obs[e.followed - 1, -1] for e in report.entries]
+
+
+def test_round_cap_after_a_certified_super_block_names_every_agent(
+        g8, monkeypatch):
+    # Agent 6's differences drop below the floor in the last block of the
+    # first super-block, so it takes the full test and its last block
+    # leaves out agents 1 and 5, whose only neighbor is 6.  The second
+    # super-block is certified again and ends at the cap: every arc was
+    # above its floor in its last block.
+    net, cfg, _ = g8
+    x0 = np.random.default_rng(7).random((8, 3))
+    span = settle_span(net, 3)
+
+    def dip(index, obs):
+        if index == 0:
+            obs[5, -BLOCK:] = 0.0
+
+    edited_observable(monkeypatch, dip)
+    with pytest.raises(TempoError) as exc:
+        distributed_select(Model(net, cfg), x0, round_cap=2 * span)
+    assert str(exc.value) == (f"agents [1, 2, 3, 4, 5, 6, 7, 8] did not settle "
+                              f"within {2 * span} rounds (delta=0.01, eps=0.0001)")
 
 
 def _agent_major(x):
