@@ -13,7 +13,7 @@ from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                      Network, SemiAutonomousConfig, augmented_signed_network,
                      is_connected, laplacian, perturbed_laplacian,
                      reduced_laplacian, structural_balance_partition)
-from .spectral import (EigenPair, SpectralError, entry_ratio, fiedler_pair,
+from .spectral import (EigenPair, SpectralError, fiedler_pair,
                        principal_pair_perturbed, sign_normalize,
                        smallest_eigenpairs, symmetric_eigh)
 from .blocks import (BlockDecomposition, ClassificationError,
@@ -21,8 +21,7 @@ from .blocks import (BlockDecomposition, ClassificationError,
 from .selection import (ffn_san, fsn_fan, fsn_san, reachable_from,
                         reachable_from_inputs, reduced_spectrum)
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
-                       empirical_rate, fan_fsn_consensus_value, simulate,
-                       steady_state_san)
+                       fan_fsn_consensus_value, simulate, steady_state_san)
 from .model import Model
 from .tempo import (TempoError, TempoEstimate, TempoReport, distributed_select,
                     g_ratio_series)

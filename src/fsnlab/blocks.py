@@ -10,7 +10,7 @@ signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
@@ -157,9 +157,7 @@ class FiedlerClassification:
 
     ``case`` is "core-block" when a single block mixes positive and
     negative nodes, or "core-node" when instead a single zero cut node
-    separates them.  ``violations`` lists monotonicity defects of cut-node
-    entries along tree paths away from the core (within tolerance they are
-    empty; large defects raise instead).
+    separates them.
     """
 
     node_sign: tuple[int, ...]          # index 0 = node 1; values -1, 0, +1
@@ -168,8 +166,6 @@ class FiedlerClassification:
     decomposition: BlockDecomposition
     core_block: Optional[int] = None
     core_node: Optional[int] = None
-    eps_zero: float = 0.0
-    violations: tuple[str, ...] = ()
 
     @property
     def core_nodes(self) -> frozenset[int]:
@@ -200,14 +196,14 @@ def classify_fiedler(decomp: BlockDecomposition,
     Exactly one of the two admissible sign patterns must hold; anything
     else means the eigenvector is unusable (a repeated eigenvalue or a
     wrong vector) and raises.  An entry is zero within
-    :func:`default_eps_zero`.
+    :func:`default_eps_zero`.  Every other block must then carry one sign
+    (or only zeros), and cut-node entries must not shrink in magnitude or
+    flip sign away from the core by more than 10 times that tolerance.
     """
     v2 = np.asarray(v2, dtype=float)
     if len(v2) != decomp.n:
         raise ClassificationError(f"vector length {len(v2)} != n={decomp.n}")
-    eps_zero = default_eps_zero(v2)
     sign = np.where(zero_entries(v2), 0, np.where(v2 > 0, 1, -1))
-    signs = tuple(sign.tolist())
 
     # Block memberships, and the count of each sign per block.
     sizes = [len(members) for members in decomp.blocks]
@@ -220,17 +216,9 @@ def classify_fiedler(decomp: BlockDecomposition,
     if len(mixed) > 1:
         raise ClassificationError(
             f"{len(mixed)} blocks mix positive and negative nodes; expected one")
-
+    core_block = core_node = None
     if len(mixed) == 1:
-        core = int(mixed[0])
-        labels = _labels(pos, neg, zero)
-        labels[core] = "core"
-        bad = np.flatnonzero(labels == "")
-        if len(bad):
-            raise ClassificationError(f"block {sorted(decomp.blocks[bad[0]])} "
-                                      "mixes signs outside the core block")
-        cls = FiedlerClassification(signs, tuple(labels.tolist()), "core-block",
-                                    decomp, core_block=core, eps_zero=eps_zero)
+        core_block, where = int(mixed[0]), "outside the core block"
     else:
         # A zero cut node touches a nonzero node when one of its blocks has one.
         cut = np.zeros(decomp.n + 1, dtype=bool)
@@ -242,34 +230,38 @@ def classify_fiedler(decomp: BlockDecomposition,
             raise ClassificationError(
                 f"expected exactly one zero cut node adjacent to nonzero nodes, "
                 f"found {candidates}")
-        w = candidates[0]
-        zero[of[member == w]] -= 1      # the core node is exempt from its blocks
-        labels = _labels(pos, neg, zero)
-        bad = np.flatnonzero(labels == "")
-        if len(bad):
-            raise ClassificationError(f"block {sorted(decomp.blocks[bad[0]])} "
-                                      "mixes signs away from the core node")
-        cls = FiedlerClassification(signs, tuple(labels.tolist()), "core-node",
-                                    decomp, core_node=w, eps_zero=eps_zero)
+        core_node, where = candidates[0], "away from the core node"
+        zero[of[member == core_node]] -= 1   # the core node is exempt from its blocks
 
-    violations = _audit_monotonicity(cls, v2)
-    if any(v[0] > 10 * eps_zero for v in violations):
-        worst = max(v[0] for v in violations)
+    labels = _labels(pos, neg, zero)
+    if core_block is not None:
+        labels[core_block] = "core"
+    bad = np.flatnonzero(labels == "")
+    if len(bad):
+        raise ClassificationError(f"block {sorted(decomp.blocks[bad[0]])} "
+                                  f"mixes signs {where}")
+    cls = FiedlerClassification(
+        tuple(sign.tolist()), tuple(labels.tolist()),
+        "core-node" if core_block is None else "core-block", decomp,
+        core_block=core_block, core_node=core_node)
+    worst = _audit_monotonicity(cls, v2)
+    if worst > 10 * default_eps_zero(v2):
         raise ClassificationError(
             f"cut-node entries violate monotonicity away from the core "
             f"by {worst:.3e} (> 10*eps_zero); eigenvector unusable")
-    return replace(cls, violations=tuple(v[1] for v in violations))
+    return cls
 
 
-def _audit_monotonicity(cls: FiedlerClassification,
-                        v2: np.ndarray) -> list[tuple[float, str]]:
-    """Check |v2| over cut nodes never shrinks walking away from the core.
+def _audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
+    """The worst defect of |v2| over cut nodes shrinking walking away from
+    the core, 0.0 when there is none above :func:`default_eps_zero`.
 
-    Returns (defect magnitude, description) pairs; sub-tolerance noise is
-    reported, larger defects make classify_fiedler raise.
+    A defect is the drop in magnitude from the previous cut node on the
+    path, plus the magnitude when the two entries have opposite nonzero
+    signs.
     """
     decomp = cls.decomposition
-    eps = cls.eps_zero
+    eps = default_eps_zero(v2)
     values = v2.tolist()
     # Bipartite tree nodes: blocks 0..B-1, then the cut nodes (``cut``
     # lists their ids) in the order of their first link.
@@ -286,7 +278,7 @@ def _audit_monotonicity(cls: FiedlerClassification,
 
     B = len(decomp.blocks)
     root = cls.core_block if cls.case == "core-block" else slot[cls.core_node]
-    out: list[tuple[float, str]] = []
+    worst = 0.0
     # DFS carrying the last cut-node entry seen on the path from the root.
     stack = [(root, None)]
     seen = [False] * len(adj)
@@ -294,18 +286,16 @@ def _audit_monotonicity(cls: FiedlerClassification,
     while stack:
         node, last = stack.pop()
         if node >= B and node != root:
-            c = cut[node - B]
-            val = values[c - 1]
+            val = values[cut[node - B] - 1]
             if last is not None:
                 drop = abs(last) - abs(val)
                 opposite = abs(last) > eps and abs(val) > eps and last * val < 0
                 if drop > eps or opposite:
-                    out.append((max(drop, 0.0) + (abs(val) if opposite else 0.0),
-                                f"cut node {c}: |{val:.6f}| after "
-                                f"|{last:.6f}| on a path leaving the core"))
+                    worst = max(worst, max(drop, 0.0)
+                                + (abs(val) if opposite else 0.0))
             last = val
         for nxt in adj[node]:
             if not seen[nxt]:
                 seen[nxt] = True
                 stack.append((nxt, last))
-    return out
+    return worst

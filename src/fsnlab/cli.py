@@ -32,8 +32,9 @@ from .model import EIG_TOL, MODES, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       csv_stamps, emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
-from .spectral import SpectralError, entry_ratio, zero_entries
-from .tempo import TempoError, distributed_select, g_ratio_series
+from .spectral import SpectralError, zero_entries
+from .tempo import (DEFAULT_DELTA, DEFAULT_EPS, TempoError, distributed_select,
+                    g_ratio_series)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -80,15 +81,15 @@ def _print_arcs(dnet: DirectedNetwork) -> None:
 def _reference(vec: np.ndarray, i: int, j: int,
                signed: bool) -> tuple[Optional[float], str]:
     """The eigenvector limit of agent i's sampled tempo for neighbor j:
-    :func:`entry_ratio`'s v_i/v_j if ``signed``, else its magnitude.  With
+    v_i/v_j if ``signed``, else its magnitude, and 0 with v_i zero.  With
     v_j zero there is none, and the second value says why: the ratio
     diverges, or both entries sit in a zero block, whose sampled ratio
-    follows another mode."""
+    follows another mode.  An entry is zero as :func:`zero_entries` says."""
     zero = zero_entries(vec)
     if zero[j - 1]:
         return None, ("none (both entries sit at zero: no eigenvector limit)"
                       if zero[i - 1] else "diverges (neighbor sits at a zero entry)")
-    ref = entry_ratio(vec, i, j)
+    ref = 0.0 if zero[i - 1] else float(vec[i - 1] / vec[j - 1])
     return (ref if signed else abs(ref)), ""
 
 
@@ -297,8 +298,8 @@ def _verification_horizon(rate: float) -> float:
 def _verification_runs(G, drive, x0, h: float) -> tuple[Trajectory, Trajectory]:
     """One simulation to 1.5 * h, and its first h as a run of its own; the
     endpoint of the long run serves :func:`_rate_of` as converged target."""
-    long = simulate(G, drive, x0, SimulationConfig(dt=0.01, horizon=1.5 * h))
-    k = SimulationConfig(dt=0.01, horizon=h).steps + 1
+    long = simulate(G, drive, x0, SimulationConfig(horizon=1.5 * h))
+    k = SimulationConfig(horizon=h).steps + 1
     return Trajectory(long.times[:k], long.states[:k]), long
 
 
@@ -445,9 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="integrate the network dynamics")
     m.add_argument("network")
     m.add_argument("--reduced", help="arc-list JSON of a reduced network")
-    m.add_argument("--dt", type=float, default=0.01)
-    m.add_argument("--horizon", type=float, default=60.0)
-    m.add_argument("--method", choices=["euler", "rk4"], default="rk4")
+    m.add_argument("--dt", type=float, default=SimulationConfig.dt)
+    m.add_argument("--horizon", type=float, default=SimulationConfig.horizon)
+    m.add_argument("--method", choices=["euler", "rk4"],
+                   default=SimulationConfig.method)
     m.add_argument("--out", required=True, help="trajectory CSV path")
 
     t = sub.add_parser("tempo", help="sampled relative-tempo series")
@@ -455,17 +457,17 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--pairs", required=True, help="e.g. 7:3,7:6,7:8")
     t.add_argument("--first-component", action="store_true",
                    help="signed first-coordinate ratio instead of norm ratio")
-    t.add_argument("--dt", type=float, default=0.01)
-    t.add_argument("--horizon", type=float, default=60.0)
+    t.add_argument("--dt", type=float, default=SimulationConfig.dt)
+    t.add_argument("--horizon", type=float, default=SimulationConfig.horizon)
     t.add_argument("--out", help="write the series CSV here")
 
     d = sub.add_parser("distributed-select",
                        help="neighbor selection from sampled data only")
     d.add_argument("network")
-    d.add_argument("--delta", type=float, default=0.01,
+    d.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                    help="simulated time between sampling rounds "
                         "(finite, positive)")
-    d.add_argument("--eps", type=float, default=1e-4,
+    d.add_argument("--eps", type=float, default=DEFAULT_EPS,
                    help="relative accuracy of each tempo estimate: it is "
                         "updated while the neighbor's sample difference "
                         "exceeds unit roundoff times the largest state seen, "

@@ -230,23 +230,26 @@ def fan_fsn_consensus_value(x0: np.ndarray,
     return x0[[m - 1 for m in members], :].mean(axis=0)
 
 
-def fit_window(traj: Trajectory,
-               target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Errors e(t) = ||x(t) - target|| per sample, and the mask to fit.
+def fitted_rate(traj: Trajectory, target: np.ndarray) -> tuple[float, float]:
+    """Exponential rate fitted to the error signal above its rounding
+    floor, and the mean time of the samples it was fitted on.
 
-    The window is chosen by error level, not by time: the later half of
-    the samples up to the last one whose error is above the rounding
-    floor ``NOISE_FLOOR`` u max|x| (u the unit roundoff, max|x| the
-    largest state or target entry), and of those only the ones above it.
-    A stepped state carries a rounding error of about u max|x| per step
-    that does not decay in a neutral direction (a consensus value).
-    Measured against a simulated endpoint, the error of the bundled
-    fixtures' verification runs levels off at 4e3 u max|x| or less, and
-    even a drift of u max|x| per step would stay under 1e5 u max|x| over
-    the 90,000 steps of the longest verification run.  The multiple 1e6
-    keeps every fitted sample ten times above that bound and 250 times
-    above the measured level, and a relative perturbation of 1e-13 of the
-    states moves the lowest fitted sample by about 1e-3 of itself.
+    The rate is the negated least-squares slope of log e(t), with
+    e(t) = ||x(t) - target|| per sample.  The samples fitted are chosen by
+    error level, not by time: the later half of the samples up to the last
+    one whose error is above the rounding floor ``NOISE_FLOOR`` u max|x|
+    (u the unit roundoff, max|x| the largest state or target entry), and
+    of those only the ones above it.  A stepped state carries a rounding
+    error of about u max|x| per step that does not decay in a neutral
+    direction (a consensus value).  Measured against a simulated endpoint,
+    the error of the bundled fixtures' verification runs levels off at
+    4e3 u max|x| or less, and even a drift of u max|x| per step would stay
+    under 1e5 u max|x| over the 90,000 steps of the longest verification
+    run.  The multiple 1e6 keeps every fitted sample ten times above that
+    bound and 250 times above the measured level, and a relative
+    perturbation of 1e-13 of the states moves the lowest fitted sample by
+    about 1e-3 of itself.  Raises when fewer than two samples are above
+    the floor, and when the error does not decay.
     """
     target = as_columns(target)
     errs = np.linalg.norm(
@@ -257,23 +260,6 @@ def fit_window(traj: Trajectory,
     last = len(errs) - 1 - int(np.argmax(above[::-1]))
     usable = np.zeros_like(above)
     usable[last // 2:last + 1] = above[last // 2:last + 1]
-    return errs, usable
-
-
-def empirical_rate(traj: Trajectory, target: np.ndarray) -> float:
-    """Exponential rate fitted to the error signal above its rounding floor.
-
-    Least-squares slope of log ||x(t) - target|| over the samples of
-    :func:`fit_window`, negated.  Raises when fewer than two samples are
-    above the floor, and when the error does not decay.
-    """
-    return fitted_rate(traj, target)[0]
-
-
-def fitted_rate(traj: Trajectory, target: np.ndarray) -> tuple[float, float]:
-    """:func:`empirical_rate`, and the mean time of the samples it was
-    fitted on, from one :func:`fit_window`."""
-    errs, usable = fit_window(traj, target)
     if int(usable.sum()) < 2:
         raise SimulationError("error signal already at numerical floor; "
                               "nothing above it to fit")

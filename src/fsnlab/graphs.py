@@ -118,6 +118,13 @@ class _Graph:
     _ordered: bool          # (i, j) and (j, i) differ; only i carries the load
     _finite_nonzero: bool   # a weight must be finite and nonzero
 
+    def __init__(self, n: int, records: Iterable = (), name: str = ""):
+        """The graph of ``Edge`` (or ``Arc``) records, validated; a refusal
+        names the first bad record."""
+        records = tuple(records)
+        self._build(n, [list(map(attrgetter(f), records))
+                        for f in self._record._fields], name)
+
     @classmethod
     def from_arrays(cls, n: int, i, j, w, name: str = ""):
         """The graph of parallel id and weight columns (arrays or lists),
@@ -269,10 +276,6 @@ class Network(_Graph):
     _record, _word, _loop = Edge, "edge", "self-loop"
     _ordered, _finite_nonzero = False, True
 
-    def __init__(self, n: int, edges: Iterable[Edge] = (), name: str = ""):
-        edges = tuple(edges)
-        self._build(n, [list(map(attrgetter(f), edges)) for f in "ijw"], name)
-
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         return self._records()
@@ -392,10 +395,6 @@ class DirectedNetwork(_Graph):
 
     _record, _word, _loop = Arc, "arc", "self-arc"
     _ordered, _finite_nonzero = True, False
-
-    def __init__(self, n: int, arcs: Iterable[Arc] = (), name: str = ""):
-        arcs = tuple(arcs)
-        self._build(n, [list(map(attrgetter(f), arcs)) for f in Arc._fields], name)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:

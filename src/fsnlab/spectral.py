@@ -11,7 +11,6 @@ of magnitude inside the default gap tolerance 1e-8 * |M|.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -180,22 +179,3 @@ def fiedler_pair(L: np.ndarray,
             f"second eigenvalue {lam2.value:.3e} is numerically zero; "
             "the network is disconnected")
     return EigenPair(lam2.value, sign_normalize(lam2.vector), lam2.is_simple)
-
-
-def entry_ratio(v: np.ndarray, i: int, j: int) -> float:
-    """Ratio of eigenvector entries v[i]/v[j] with 1-based indices.
-
-    Total by convention: a zero denominator yields a signed infinity
-    carrying the numerator's sign, and 0/0 yields 1 (such pairs only occur
-    inside regions whose edges are retained unconditionally).
-    """
-    v = np.asarray(v, dtype=float)
-    num, den = float(v[i - 1]), float(v[j - 1])
-    num_zero, den_zero = zero_entries(v)[[i - 1, j - 1]]
-    if den_zero:
-        if num_zero:
-            return 1.0
-        return math.inf if num > 0 else -math.inf
-    if num_zero:
-        return 0.0
-    return num / den

@@ -3,6 +3,8 @@ import pytest
 
 from fsnlab import (ClassificationError, Edge, GraphError, Network,
                     block_cut_tree, classify_fiedler, fiedler_pair, laplacian)
+from fsnlab.blocks import _audit_monotonicity
+from fsnlab.spectral import default_eps_zero
 
 from conftest import random_connected_net
 
@@ -123,7 +125,7 @@ class TestClassifyFiedler:
             cls = classify_fiedler(block_cut_tree(net), pair.vector)
             assert cls.case in ("core-block", "core-node")
             assert (cls.core_block is None) != (cls.core_node is None)
-            assert not cls.violations
+            assert _audit_monotonicity(cls, pair.vector) == 0.0
 
     def test_garbage_vector_rejected(self, g12):
         net, _, _ = g12
@@ -134,6 +136,13 @@ class TestClassifyFiedler:
         with pytest.raises(ClassificationError):
             classify_fiedler(decomp, fake)
 
+    def test_cut_entries_shrinking_away_from_the_core_are_refused(self):
+        # Node 4 is the core node; cut node 6 shrinks after cut node 5.
+        net = Network(7, [Edge(k, k + 1) for k in range(1, 7)])
+        v = np.array([-1.0, -0.7, -0.3, 0.0, 0.5, 0.2, 0.9])
+        with pytest.raises(ClassificationError, match="violate monotonicity"):
+            classify_fiedler(block_cut_tree(net), v)
+
     def test_monotone_cut_entries_along_t12_paths(self, t12):
         net, _, _ = t12
         decomp = block_cut_tree(net)
@@ -141,4 +150,4 @@ class TestClassifyFiedler:
         cls = classify_fiedler(decomp, pair.vector)
         # Walking 6 -> 4 -> 1: magnitudes of cut entries must not shrink.
         v = pair.vector
-        assert abs(v[0]) >= abs(v[3]) - cls.eps_zero
+        assert abs(v[0]) >= abs(v[3]) - default_eps_zero(v)

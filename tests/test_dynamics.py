@@ -5,13 +5,13 @@ import pytest
 
 from fsnlab import (Arc, DirectedNetwork, Edge, Network,
                     SimulationConfig, SimulationError, Trajectory,
-                    block_cut_tree, classify_fiedler, empirical_rate,
+                    block_cut_tree, classify_fiedler,
                     fan_fsn_consensus_value, fiedler_pair, fsn_fan, fsn_san,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
                     reduced_laplacian, simulate, steady_state_san)
 
 from fsnlab import dynamics
-from fsnlab.dynamics import step_powers
+from fsnlab.dynamics import fitted_rate, step_powers
 
 from conftest import T12_FSN, random_connected_net, random_leader_cfg
 
@@ -340,7 +340,7 @@ class TestEmpiricalRate:
         x0 = np.random.default_rng(13).random((8, 3))
         target = steady_state_san(L_B, B, u)
         traj = simulate(L_B, (B, u), x0, SimulationConfig(horizon=60.0))
-        rate = empirical_rate(traj, target)
+        rate = fitted_rate(traj, target)[0]
         assert abs(rate - 0.1414) < 0.1 * 0.1414
 
     def test_g8_reduced_rate_close_to_one(self, g8):
@@ -354,13 +354,13 @@ class TestEmpiricalRate:
         target = long.states[-1]
         keep = long.times <= 60.0
         window = Trajectory(long.times[keep], long.states[keep])
-        rate = empirical_rate(window, target)
+        rate = fitted_rate(window, target)[0]
         assert abs(rate - 1.0) < 0.1
 
     def test_k2_autonomous_rate(self):
         x0 = np.array([0.0, 1.0])
         traj = simulate(laplacian(K2), None, x0, SimulationConfig(horizon=15.0))
-        rate = empirical_rate(traj, np.array([0.5, 0.5]))
+        rate = fitted_rate(traj, np.array([0.5, 0.5]))[0]
         assert abs(rate - 2.0) < 0.2
 
     def test_non_converging_signal_flagged(self):
@@ -368,7 +368,7 @@ class TestEmpiricalRate:
         states = np.ones((11, 2, 1))
         traj = Trajectory(times, states)
         with pytest.raises(SimulationError):
-            empirical_rate(traj, np.zeros((2, 1)))
+            fitted_rate(traj, np.zeros((2, 1)))
 
 
 class TestBipartiteConsensus:

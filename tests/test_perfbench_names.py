@@ -1,16 +1,20 @@
-"""Every package name the benchmark harness reads must still resolve.
+"""Every package name the benchmark harness reads must still resolve, and
+every name the package exports must be read by the package or the harness.
 
 The scripts under ``perfbench/`` import names from ``fsnlab`` and its
 submodules and read attributes of the modules they import.  A change that
 renames or removes one of them fails here, in the test suite, rather than
-as a benchmark run that cannot start.
+as a benchmark run that cannot start.  An export that neither the package
+nor the harness reads is code only tests run, and fails here too.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
+PACKAGE = ROOT / "src" / "fsnlab"
 
 
 def package_reads(tree: ast.AST) -> set[str]:
@@ -57,3 +61,42 @@ def test_benchmark_reads_only_names_that_resolve():
         except (ImportError, AttributeError):
             missing.append(dotted)
     assert reads and not missing
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """Names the module body binds by import or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def reads_outside_own_def(node: ast.AST,
+                          enclosing: frozenset = frozenset()) -> set[str]:
+    """Names loaded, as a name or an attribute, anywhere but inside a
+    ``def`` or ``class`` of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing |= {node.name}
+    reads = set()
+    if isinstance(getattr(node, "ctx", None), ast.Load):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None and name not in enclosing:
+            reads.add(name)
+    for child in ast.iter_child_nodes(node):
+        reads |= reads_outside_own_def(child, enclosing)
+    return reads
+
+
+def test_every_export_is_read_by_the_package_or_the_benchmark():
+    reads = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name != "__init__.py":
+            reads |= reads_outside_own_def(ast.parse(module.read_text(), str(module)))
+    for script in SCRIPTS:
+        reads |= {dotted.rsplit(".", 1)[-1] for dotted in
+                  package_reads(ast.parse(script.read_text(), str(script)))}
+    names = exported(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert names and sorted(names - reads) == []

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsnlab import (EigenPair, Edge, LeaderLink, Network, SemiAutonomousConfig,
-                    SpectralError, entry_ratio, fiedler_pair, symmetric_eigh,
+                    SpectralError, fiedler_pair, symmetric_eigh,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
                     sign_normalize, smallest_eigenpairs)
+from fsnlab.cli import _reference
 from fsnlab.spectral import _check_residual, zero_entries
 
 from conftest import G8_V1, T12_V2, random_connected_net, random_leader_cfg
@@ -260,33 +261,37 @@ def _induced_connected(net, keep):
 
 
 class TestEntryRatio:
+    """The eigenvector entry ratios that the tempo checks compare with."""
+
     def test_g8_ratio_7_3(self, g8):
         net, cfg, _ = g8
         v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
-        assert abs(entry_ratio(v1, 7, 3) - 1.0577) < 1e-3
+        assert abs(_reference(v1, 7, 3, True)[0] - 1.0577) < 1e-3
 
     def test_identity_pair(self):
-        assert entry_ratio(np.array([0.3, 0.4]), 2, 2) == 1.0
+        assert _reference(np.array([0.3, 0.4]), 2, 2, True) == (1.0, "")
 
-    def test_zero_denominator_keeps_numerator_sign(self):
+    def test_zero_denominator_has_no_reference(self):
         v = np.array([0.5, 0.0, -0.5])
-        assert entry_ratio(v, 1, 2) == math.inf
-        assert entry_ratio(v, 3, 2) == -math.inf
+        for i in (1, 3):
+            assert _reference(v, i, 2, True) == (
+                None, "diverges (neighbor sits at a zero entry)")
 
-    def test_zero_over_zero_is_one(self):
+    def test_zero_over_zero_has_no_reference(self):
         v = np.array([0.0, 0.0, 1.0])
-        assert entry_ratio(v, 1, 2) == 1.0
+        assert _reference(v, 1, 2, True) == (
+            None, "none (both entries sit at zero: no eigenvector limit)")
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_zero_entries_is_relative_to_the_largest(self, scale):
         v = scale * np.array([1.0, -1e-8, 1.1e-8, 0.0])
         assert zero_entries(v).tolist() == [False, True, False, True]
-        assert [math.isinf(entry_ratio(v, 1, j)) for j in (2, 3, 4)] == [
+        assert [_reference(v, 1, j, True)[0] is None for j in (2, 3, 4)] == [
             True, False, True]
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     @settings(max_examples=60, deadline=None)
     def test_total_on_arbitrary_entries(self, a, b):
         v = np.array([a, b, 1.0])
-        r = entry_ratio(v, 1, 2)
-        assert not math.isnan(r)
+        ref, reason = _reference(v, 1, 2, True)
+        assert reason if ref is None else math.isfinite(ref) and not reason

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
                     SimulationConfig, TempoError, block_cut_tree,
-                    classify_fiedler, distributed_select, entry_ratio,
+                    classify_fiedler, distributed_select,
                     fiedler_pair, fsn_fan, fsn_san,
                     g_ratio_series, laplacian, perturbed_laplacian,
                     principal_pair_perturbed, simulate)
@@ -19,6 +19,7 @@ from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
 from fsnlab import tempo
 from fsnlab.dynamics import BLOCK, UNIT_ROUNDOFF, step_map, step_powers
 from fsnlab.graphs import DirectedNetwork
+from fsnlab.spectral import zero_entries
 
 from oracles import tempo_limit_from_eigvec, tempo_limit_oracle
 from conftest import (G6_FSN, G8_FSN, T12_FSN, random_connected_net,
@@ -58,7 +59,7 @@ class TestTempoLimit:
         # An entry 1e-10 of the largest is zero to the selections as well.
         for small in (0.0, 1e-10):
             v = np.array([1.0, small])
-            assert entry_ratio(v, 1, 2) == math.inf
+            assert zero_entries(v).tolist() == [False, True]
             with pytest.raises(TempoError, match="zero"):
                 tempo_limit_from_eigvec(v, [1], [2])
 
