@@ -10,13 +10,13 @@ signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .graphs import GraphError, Network
+from .graphs import GraphError, Network, _csr
 from .spectral import default_eps_zero, zero_entries
 
 
@@ -24,35 +24,40 @@ class ClassificationError(ValueError):
     """Fiedler sign pattern does not match either admissible case."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
-    """Blocks, cut nodes, and the bipartite tree linking them.
+    """Blocks and cut nodes of a connected network, as arrays.
 
-    ``tree_links`` pairs a block index with a cut node contained in it.
-    Blocks are ordered by their smallest member so the decomposition is
-    stable under re-runs.  ``edge_keys`` holds the sorted keys
-    (lo - 1) * n + (hi - 1) of the decomposed network's edges {lo < hi},
-    and ``edge_block`` the block of each.
+    Blocks are ordered by their smallest member, so the decomposition is
+    stable under re-runs.  Block b holds the nodes
+    ``member[start[b]:start[b + 1]]``, ascending; ``edge_block`` is the
+    block of each edge (i[k], j[k]) of the decomposed network, whose edge
+    arrays ``i`` and ``j`` are kept; ``is_cut`` marks the cut nodes by id
+    (entry 0 is unused).  ``blocks``, ``cut_nodes`` and ``member_block``
+    are views built from the arrays when first read.
     """
 
     n: int
-    blocks: tuple[frozenset[int], ...]
-    cut_nodes: frozenset[int]
-    tree_links: tuple[tuple[int, int], ...]
-    edge_keys: np.ndarray = field(compare=False, repr=False)
-    edge_block: np.ndarray = field(compare=False, repr=False)
+    i: np.ndarray
+    j: np.ndarray
+    member: np.ndarray
+    start: np.ndarray
+    edge_block: np.ndarray
+    is_cut: np.ndarray
 
-    def blocks_of_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Index of the block of each edge (i[k], j[k]) of the network."""
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        keys = (lo - 1) * self.n + (hi - 1)
-        pos = np.searchsorted(self.edge_keys, keys)
-        found = (lo >= 1) & (hi <= self.n) & (pos < len(self.edge_keys))
-        found[found] = self.edge_keys[pos[found]] == keys[found]
-        if not found.all():
-            k = int(np.argmin(found))
-            raise GraphError(f"no block contains edge ({i[k]},{j[k]})")
-        return self.edge_block[pos]
+    @cached_property
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        ids, bounds = self.member.tolist(), self.start.tolist()
+        return tuple(frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def cut_nodes(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.is_cut).tolist())
+
+    @cached_property
+    def member_block(self) -> np.ndarray:
+        """The block of each entry of ``member``."""
+        return np.repeat(np.arange(len(self.start) - 1), np.diff(self.start))
 
 
 def block_cut_tree(net: Network) -> BlockDecomposition:
@@ -66,8 +71,9 @@ def block_cut_tree(net: Network) -> BlockDecomposition:
     if len(net.w) < n - 1:
         raise disconnected
     if n == 1:
-        none = np.zeros(0, dtype=np.intp)
-        return BlockDecomposition(1, (frozenset({1}),), frozenset(), (), none, none)
+        return BlockDecomposition(1, net.i, net.j, np.ones(1, dtype=np.intp),
+                                  np.array([0, 1]), np.zeros(0, dtype=np.intp),
+                                  np.zeros(2, dtype=bool))
     indptr, cols, edge = (a.tolist() for a in net.adjacency)
     nxt = indptr[:-1]               # next CSR entry to scan, per node
     disc = [0] * n                  # discovery time from 1; 0 = unvisited
@@ -77,7 +83,7 @@ def block_cut_tree(net: Network) -> BlockDecomposition:
     edge_stack: list[int] = []
     block = [0] * len(net.w)        # block of each edge, in completion order
     blocks_done = 0
-    cut_nodes: set[int] = set()
+    is_cut = [False] * (n + 1)      # by node id
     disc[0] = low[0] = 1
     timer = 2
     root_children = 0
@@ -115,43 +121,32 @@ def block_cut_tree(net: Network) -> BlockDecomposition:
                 del edge_stack[at[u]:]
                 blocks_done += 1
                 if p != 0 or root_children > 1:
-                    cut_nodes.add(p + 1)
+                    is_cut[p + 1] = True
     if timer <= n:
         raise disconnected
 
     block = np.array(block, dtype=np.intp)
-    # The (block, node) incidences, sorted by block, then node.
+    # The (block, node) incidences, sorted by block, then node, without
+    # repeats (a sort and a mask: np.unique takes many times as long).
     inc = np.sort(np.concatenate((block * n + net.i - 1, block * n + net.j - 1)))
-    inc = inc[_run_starts(inc)]
-    of, node = inc // n, inc % n + 1
-    starts = np.flatnonzero(_run_starts(of))
+    new = np.ones(len(inc), dtype=bool)
+    new[1:] = inc[1:] != inc[:-1]
+    of, node = np.divmod(inc[new], n)
+    node += 1
+    sizes = np.bincount(of)
+    first = np.cumsum(sizes) - sizes
     # Two blocks share at most one node, so the two smallest members of a
     # block order it as its whole sorted member list does.
-    order = np.lexsort((node[starts + 1], node[starts]))
-    rank = np.empty(len(order), dtype=np.intp)
+    order = np.lexsort((node[first + 1], node[first]))
+    rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    ids, bounds = node.tolist(), np.append(starts, len(node)).tolist()
-    blocks = tuple(frozenset(ids[bounds[b]:bounds[b + 1]]) for b in order.tolist())
-    is_cut = np.zeros(n + 1, dtype=bool)
-    is_cut[list(cut_nodes)] = True
-    link = np.flatnonzero(is_cut[node])
-    link = link[np.lexsort((node[link], rank[of[link]]))]
-    links = tuple(zip(rank[of[link]].tolist(), node[link].tolist()))
-    lo, hi = np.minimum(net.i, net.j), np.maximum(net.i, net.j)
-    keys = (lo - 1) * n + (hi - 1)
-    by_key = np.argsort(keys)
-    return BlockDecomposition(n, blocks, frozenset(cut_nodes), links,
-                              keys[by_key], rank[block[by_key]])
+    return BlockDecomposition(
+        n, net.i, net.j, node[np.argsort(rank[of], kind="stable")],
+        np.concatenate(([0], np.cumsum(sizes[order]))), rank[block],
+        np.array(is_cut))
 
 
-def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
-    """Mask of the entries that differ from their predecessor."""
-    first = np.ones(len(sorted_values), dtype=bool)
-    first[1:] = sorted_values[1:] != sorted_values[:-1]
-    return first
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiedlerClassification:
     """Per-node signs, per-block labels, and the located core.
 
@@ -160,8 +155,8 @@ class FiedlerClassification:
     separates them.
     """
 
-    node_sign: tuple[int, ...]          # index 0 = node 1; values -1, 0, +1
-    block_labels: tuple[str, ...]       # positive | negative | zero | core
+    node_sign: np.ndarray               # index 0 = node 1; values -1, 0, +1
+    block_labels: np.ndarray            # positive | negative | zero | core
     case: str                           # "core-block" | "core-node"
     decomposition: BlockDecomposition
     core_block: Optional[int] = None
@@ -169,17 +164,16 @@ class FiedlerClassification:
 
     @property
     def core_nodes(self) -> frozenset[int]:
-        if self.case == "core-block":
-            return self.decomposition.blocks[self.core_block]
-        return frozenset({self.core_node})
+        if self.case == "core-node":
+            return frozenset({self.core_node})
+        d, b = self.decomposition, self.core_block
+        return frozenset(d.member[d.start[b]:d.start[b + 1]].tolist())
 
     @property
     def zero_block_nodes(self) -> frozenset[int]:
-        out: set[int] = set()
-        for b, label in enumerate(self.block_labels):
-            if label == "zero":
-                out |= self.decomposition.blocks[b]
-        return frozenset(out)
+        d = self.decomposition
+        zero = self.block_labels[d.member_block] == "zero"
+        return frozenset(d.member[zero].tolist())
 
 
 def _labels(pos: np.ndarray, neg: np.ndarray, zero: np.ndarray) -> np.ndarray:
@@ -205,11 +199,10 @@ def classify_fiedler(decomp: BlockDecomposition,
         raise ClassificationError(f"vector length {len(v2)} != n={decomp.n}")
     sign = np.where(zero_entries(v2), 0, np.where(v2 > 0, 1, -1))
 
-    # Block memberships, and the count of each sign per block.
-    sizes = [len(members) for members in decomp.blocks]
-    member = np.fromiter(chain.from_iterable(decomp.blocks), np.intp, sum(sizes))
-    of = np.repeat(np.arange(len(sizes)), sizes)
-    pos, neg, zero = (np.bincount(of[sign[member - 1] == s], minlength=len(sizes))
+    # The sign of each block entry, and the count of each sign per block.
+    member, of, blocks = decomp.member, decomp.member_block, len(decomp.start) - 1
+    entry = sign[member - 1]
+    pos, neg, zero = (np.bincount(of[entry == s], minlength=blocks)
                       for s in (1, -1, 0))
     mixed = np.flatnonzero((pos > 0) & (neg > 0))
 
@@ -221,10 +214,7 @@ def classify_fiedler(decomp: BlockDecomposition,
         core_block, where = int(mixed[0]), "outside the core block"
     else:
         # A zero cut node touches a nonzero node when one of its blocks has one.
-        cut = np.zeros(decomp.n + 1, dtype=bool)
-        cut[list(decomp.cut_nodes)] = True
-        touching = (cut[member] & (sign[member - 1] == 0)
-                    & (pos + neg > 0)[of])
+        touching = decomp.is_cut[member] & (entry == 0) & (pos + neg > 0)[of]
         candidates = sorted(set(member[touching].tolist()))
         if len(candidates) != 1:
             raise ClassificationError(
@@ -238,11 +228,10 @@ def classify_fiedler(decomp: BlockDecomposition,
         labels[core_block] = "core"
     bad = np.flatnonzero(labels == "")
     if len(bad):
-        raise ClassificationError(f"block {sorted(decomp.blocks[bad[0]])} "
+        raise ClassificationError(f"block {member[of == bad[0]].tolist()} "
                                   f"mixes signs {where}")
     cls = FiedlerClassification(
-        tuple(sign.tolist()), tuple(labels.tolist()),
-        "core-node" if core_block is None else "core-block", decomp,
+        sign, labels, "core-node" if core_block is None else "core-block", decomp,
         core_block=core_block, core_node=core_node)
     worst = _audit_monotonicity(cls, v2)
     if worst > 10 * default_eps_zero(v2):
@@ -263,30 +252,25 @@ def _audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
     decomp = cls.decomposition
     eps = default_eps_zero(v2)
     values = v2.tolist()
-    # Bipartite tree nodes: blocks 0..B-1, then the cut nodes (``cut``
-    # lists their ids) in the order of their first link.
-    adj: list[list[int]] = [[] for _ in decomp.blocks]
-    cut: list[int] = []
-    slot: dict[int, int] = {}
-    for b, c in decomp.tree_links:
-        if c not in slot:
-            slot[c] = len(adj)
-            adj.append([])
-            cut.append(c)
-        adj[b].append(slot[c])
-        adj[slot[c]].append(b)
+    # Bipartite tree nodes: blocks 0..B-1, then node v as B + v - 1, linked
+    # to its blocks when it is a cut node.
+    B = len(decomp.start) - 1
+    link = decomp.is_cut[decomp.member]
+    blk, cut = decomp.member_block[link], B + decomp.member[link] - 1
+    indptr, adj, _ = _csr(B + decomp.n, np.concatenate((blk, cut)),
+                          np.concatenate((cut, blk)))
+    ptr, adj = indptr.tolist(), adj.tolist()
 
-    B = len(decomp.blocks)
-    root = cls.core_block if cls.case == "core-block" else slot[cls.core_node]
+    root = cls.core_block if cls.case == "core-block" else B + cls.core_node - 1
     worst = 0.0
     # DFS carrying the last cut-node entry seen on the path from the root.
     stack = [(root, None)]
-    seen = [False] * len(adj)
+    seen = [False] * len(ptr)
     seen[root] = True
     while stack:
         node, last = stack.pop()
         if node >= B and node != root:
-            val = values[cut[node - B] - 1]
+            val = values[node - B]
             if last is not None:
                 drop = abs(last) - abs(val)
                 opposite = abs(last) > eps and abs(val) > eps and last * val < 0
@@ -294,7 +278,7 @@ def _audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
                     worst = max(worst, max(drop, 0.0)
                                 + (abs(val) if opposite else 0.0))
             last = val
-        for nxt in adj[node]:
+        for nxt in adj[ptr[node]:ptr[node + 1]]:
             if not seen[nxt]:
                 seen[nxt] = True
                 stack.append((nxt, last))

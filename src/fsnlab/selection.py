@@ -19,7 +19,7 @@ from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, _bump_leaders, _reach,
                      augmented_signed_network, structural_balance_partition)
 from .blocks import FiedlerClassification
-from .spectral import symmetric_eigh
+from .spectral import _SYMMETRY_TOL, symmetric_eigh
 
 EPS_TIE = 1e-10
 
@@ -116,22 +116,25 @@ def fsn_fan(net: Network, v2: np.ndarray,
     positive or negative block the arc (i <- j) survives when the entry
     ratio exceeds 1 or is negative.  A neighbor sitting exactly at zero (a
     core node) is always retained by its nonzero neighbors, never the other
-    way around.
+    way around.  ``cls`` must classify a network with the same node count
+    and the same edge arrays, in the same order.
     """
     v2 = np.asarray(v2, dtype=float)
     if len(v2) != net.n:
         raise GraphError(f"eigenvector length {len(v2)} != n={net.n}")
-    labels = np.array(cls.block_labels)
-    both = ((labels == "core") | (labels == "zero"))[
-        cls.decomposition.blocks_of_edges(net.i, net.j)]
-    sign = np.array(cls.node_sign)
+    decomp = cls.decomposition
+    if not (decomp.n == net.n and np.array_equal(decomp.i, net.i)
+            and np.array_equal(decomp.j, net.j)):
+        raise GraphError("classification was built from a different edge list")
+    labels = cls.block_labels
+    both = ((labels == "core") | (labels == "zero"))[decomp.edge_block]
 
     # Row 0 tests the arcs (i <- j), row 1 the arcs (j <- i), so the
     # reversed rows hold the followed nodes.  A zero follower is dropped; a
     # zero followed node is retained, and so is a neighbor of the other
     # sign, whose ratio is negative.
     ends = np.stack((net.i, net.j)) - 1
-    s, v = sign[ends], v2[ends]
+    s, v = cls.node_sign[ends], v2[ends]
     keep = (s != 0) & ((s[::-1] == 0) | (s != s[::-1]) | _follows(v, v[::-1]))
     return _edge_arcs(net, both | keep, f"{net.name}-fsn")
 
@@ -236,7 +239,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
         block[np.searchsorted(nodes, follower[arcs]),
               np.searchsorted(nodes, followed[arcs])] -= w[arcs]
         sym_defect = float(np.abs(block - block.T).max())
-        if sym_defect > 1e-9 * float(np.abs(block).max()):
+        if sym_defect > _SYMMETRY_TOL * float(np.abs(block).max()):
             raise GraphError(
                 "strongly connected component has an asymmetric generator "
                 "block; spectrum cannot be read structurally")

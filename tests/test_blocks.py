@@ -73,7 +73,7 @@ class TestBlockCutTree:
             net = random_connected_net(rng, int(rng.integers(2, 13)))
             decomp = block_cut_tree(net)
             assert (len(decomp.blocks) + len(decomp.cut_nodes) - 1
-                    == len(decomp.tree_links))
+                    == decomp.is_cut[decomp.member].sum())
 
 
 class TestClassifyFiedler:
@@ -110,8 +110,8 @@ class TestClassifyFiedler:
         assert cls.case == "core-node"
         assert cls.core_node == 3
         assert cls.zero_block_nodes == frozenset({3, 6, 7})
-        [block] = decomp.blocks_of_edges(np.array([6]), np.array([7]))
-        assert cls.block_labels[block] == "zero"
+        [k] = np.flatnonzero((net.i == 6) & (net.j == 7))
+        assert cls.block_labels[decomp.edge_block[k]] == "zero"
 
     def test_exactly_one_case_on_random_graphs(self):
         rng = np.random.default_rng(12)

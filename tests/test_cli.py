@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,7 +53,26 @@ def unbalanced_triangle_file(tmp_path):
     return str(path)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _noise_free(text):
+    """The text with the smallest Laplacian eigenvalue, zero up to a
+    rounding the LAPACK build decides, printed as 0."""
+    return re.sub(r"(spectrum \(smallest \d+\): )([^,]+)",
+                  lambda m: m[1] + ("0" if abs(float(m[2])) < 1e-12 else m[2]),
+                  text)
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("name", ["g6", "g8", "g8-signed", "g12", "t12"])
+    def test_fixture_stdout_is_the_golden_text(self, name, capsys):
+        # The blocks and cut nodes lines print the decomposition's views.
+        code, out, err = run(capsys, "analyze", name)
+        assert (code, err) == (0, "")
+        golden = (GOLDEN / f"analyze-{name}.txt").read_text()
+        assert _noise_free(out) == _noise_free(golden)
+
     def test_g8_summary(self, capsys):
         code, out, _ = run(capsys, "analyze", "g8")
         assert code == 0
@@ -958,14 +978,44 @@ class TestParserReuse:
         assert run(capsys, "compare", "g8")[0] == 42
 
 
-def test_cli_import_loads_no_scipy_or_networkx():
-    """Importing the CLI, which every command and the benchmark's set-up
-    pay for, loads neither scipy nor networkx (the tests' oracles)."""
+def loaded_modules(script, *args):
+    """The modules loaded in a fresh interpreter after ``script``, which
+    reads ``args`` from sys.argv and prints nothing itself."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, fsnlab.cli; print(*sys.modules)"],
+    return subprocess.run(
+        [sys.executable, "-c", script + "\nprint(*sys.modules)", *args],
         env=env, capture_output=True, text=True, check=True).stdout.split()
+
+
+def oracle_modules(loaded):
+    return [m for m in loaded if m.split(".")[0] in ("scipy", "networkx")]
+
+
+def test_cli_import_loads_no_scipy_or_networkx():
+    """Importing the CLI, which every command and the benchmark's set-up
+    pay for, loads neither scipy nor networkx (the tests' oracles)."""
+    loaded = loaded_modules("import sys, fsnlab.cli")
     assert "fsnlab.cli" in loaded
-    assert [m for m in loaded if m.split(".")[0] in ("scipy", "networkx")] == []
+    assert oracle_modules(loaded) == []
+
+
+def test_commands_load_no_scipy_or_networkx(tmp_path):
+    """Nor does running each command: scipy alone would cost every
+    benchmark workload its memory bound."""
+    runs = [["analyze", "g12"],
+            ["select", "g8", "--mode", "san-fsn"],
+            ["select", "g12", "--mode", "fan-fsn"],
+            ["simulate", "g8", "--horizon", "5", "--out", str(tmp_path / "x.csv")],
+            ["tempo", "g8", "--pairs", "7:3"],
+            ["distributed-select", "t12", "--fan-tree"],
+            ["compare", "g8"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from fsnlab.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "assert codes == [0] * len(codes), codes")
+    loaded = loaded_modules(script, json.dumps(runs))
+    assert "fsnlab.tempo" in loaded
+    assert oracle_modules(loaded) == []

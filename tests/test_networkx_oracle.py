@@ -67,10 +67,12 @@ def check_blocks(net: Network, g) -> None:
     assert decomp.cut_nodes == frozenset(nx.articulation_points(g))
     want = {frozenset(c) for c in nx.biconnected_components(g)} or {frozenset({1})}
     assert set(decomp.blocks) == want and len(decomp.blocks) == len(want)
-    blocks = decomp.blocks_of_edges(net.i, net.j)
-    for e, b in zip(net.edges, blocks):
-        assert {e.i, e.j} <= decomp.blocks[b]
-    assert np.array_equal(decomp.blocks_of_edges(net.j, net.i), blocks)
+    holder = {}
+    for edges in nx.biconnected_component_edges(g):
+        nodes = frozenset(v for e in edges for v in e)
+        holder.update((frozenset(e), nodes) for e in edges)
+    for e, b in zip(net.edges, decomp.edge_block.tolist()):
+        assert decomp.blocks[b] == holder[frozenset((e.i, e.j))]
 
 
 def test_reachability_and_strong_components():

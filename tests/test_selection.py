@@ -21,7 +21,7 @@ from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     reduced_laplacian)
 from fsnlab import cli
 from fsnlab.model import EIG_TOL, MODES, Model
-from fsnlab.spectral import SpectralError, symmetric_eigh
+from fsnlab.spectral import _SYMMETRY_TOL, SpectralError, symmetric_eigh
 
 from test_perfbench_names import SCRIPTS, package_reads
 from oracles import (diameter, fiedler_lower_bound, reduced_symmetric_fiedler,
@@ -141,6 +141,24 @@ class TestFsnFan:
         dnet, _, cls = fan_selection(net)
         for a, b in ((3, 6), (6, 3), (3, 7), (7, 3), (6, 7), (7, 6)):
             assert (a, b) in dnet.arc_set
+
+    def test_classification_of_another_edge_list_is_refused(self, g12):
+        # Each edge's block is read by edge index, so only the classified
+        # network's own edge arrays, in their order, are accepted.
+        net, _, _ = g12
+        _, pair, cls = fan_selection(net)
+        edges = net.edges
+        for other in (Network(12, edges[::-1]), Network(12, edges[1:] + edges[:1]),
+                      Network(13, edges + (Edge(12, 13),))):
+            with pytest.raises(GraphError, match="different edge list"):
+                fsn_fan(other, np.resize(pair.vector, other.n), cls)
+        assert fsn_fan(Network(12, edges), pair.vector, cls).arc_set == G12_FSN
+
+    def test_fan_reduction_leaves_the_block_views_unbuilt(self, g12):
+        net, _, _ = g12
+        model = Model(net, None)
+        model.reduce("fan-fsn")
+        assert {"blocks", "cut_nodes"}.isdisjoint(vars(model.blocks))
 
 
 class TestFsnSignedSan:
@@ -625,6 +643,16 @@ class TestReducedSpectrumOracle:
         # scale may let its block pass as symmetric.
         w = 10.0**exponent
         dnet = DirectedNetwork(3, (Arc(1, 2, w), Arc(2, 3, w), Arc(3, 1, w)))
+        with pytest.raises(GraphError, match="asymmetric generator block"):
+            reduced_spectrum(dnet)
+
+    @pytest.mark.parametrize("defect", [5e-10, 5e-9])
+    def test_asymmetric_block_is_refused_at_the_solver_tolerance(self, defect):
+        # Above the eigensolver's symmetry tolerance the block is refused
+        # by reduced_spectrum itself, before the solver sees it.
+        assert defect > _SYMMETRY_TOL
+        dnet = DirectedNetwork(3, (Arc(1, 2, 1.0), Arc(2, 1, 1.0 + defect),
+                                   Arc(3, 1, 1.0)))
         with pytest.raises(GraphError, match="asymmetric generator block"):
             reduced_spectrum(dnet)
 
