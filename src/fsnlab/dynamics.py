@@ -146,7 +146,8 @@ def simulate(generator: np.ndarray,
     bound 1/(2 max_ii G), which a Gershgorin argument turns into a
     stability guarantee for Laplacian-type generators.  A step map whose
     stacked powers leave the float range is refused before stepping, and
-    a run whose last state does is refused after it.
+    a run whose last state does is refused after it.  A run whose states
+    do not fit in memory is refused before any step.
     """
     G = np.asarray(generator, dtype=float)
     n = G.shape[0]
@@ -180,7 +181,12 @@ def simulate(generator: np.ndarray,
 
     steps = cfg.steps
     block = max(1, min(BLOCK, steps // max(n, 1), 2**20 // max(n, 1)**2))
-    states = np.empty((steps + 1, n, d))
+    try:
+        states = np.empty((steps + 1, n, d))
+    except (ValueError, MemoryError):
+        raise SimulationError(f"the states of {steps:.4g} steps of dt={cfg.dt} "
+                              f"do not fit in memory; take a larger dt or a "
+                              f"shorter horizon") from None
     states[0] = x0
     for dim in range(d):
         P, C = step_powers(R, c[:, [dim]], block)

@@ -5,16 +5,18 @@ false), ``edges``, and optional ``name``, ``leaders``, ``inputs``, ``x0``.
 Unknown keys are rejected so typos fail loudly.  Serialization round-trips:
 parsing what we emit reproduces the parsed model exactly.
 
-orjson is the number codec in both directions, and the code it stands in
-for stays as the path for every value it cannot write or read exactly.
-Network and arc documents are read by ``orjson``.  When orjson refuses the
-text, or the document it reads fails a check, the json module reads it
-again and its result is the answer: a refusal, or a document only json
-reads (NaN and infinity literals, integers past 64 bits, lone surrogate
-escapes).  So every refusal and its message is the json module's.  Their
-records are read as columns behind exact-type gates (``_records``).  JSON
-is written as the json module writes it (``json_text``), the numbers of a
-container by one ``orjson.dumps`` (``_json_numbers``).
+One rule holds in both directions: orjson reads and writes JSON, and the
+json module reads or writes whatever orjson cannot match.  Network and arc
+documents are read by ``orjson``.  When orjson refuses the text, or the
+document it reads fails a check, the json module reads it again and its
+result is the answer: a refusal, or a document only json reads (NaN and
+infinity literals, integers past 64 bits, lone surrogate escapes).  So
+every refusal and its message is the json module's.  Their records are
+read as columns behind exact-type gates (``_records``).  Network documents,
+arc lists and reports are written by ``json_text`` as ``json.dumps(value,
+indent=2)`` writes them: by orjson's indenting encoder, with the number
+texts it spells unlike ``repr`` written again, or by the json module when
+the value holds what orjson writes otherwise (None, NaN, escapes).
 
 Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
 v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
@@ -26,12 +28,12 @@ body of plain numbers by ``orjson.loads`` in blocks (``_plain_columns``).
 from __future__ import annotations
 
 import json
+import re
 from functools import cache
 from importlib import resources
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterator, Optional, TypeVar
 
 import numpy as np
 import orjson
@@ -45,12 +47,6 @@ CSV_BLOCK = 1 << 13     # values formatted per block by csv_rows
 
 _TRAJECTORY_HEADER = "t,agent,dim,value"
 _PLAIN_CSV = b"0123456789+-.eE,\n"     # every byte of a plain-number CSV body
-
-# float.__repr__ of the non-finite floats, as the json module spells them.
-_JSON_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-_ARC_TEMPLATE = ('    {\n      "follower": %d,\n      "followed": %d,\n'
-                 '      "w": %s\n    }')
 
 
 class NetworkFileError(ValueError):
@@ -283,7 +279,8 @@ def _network(
 def serialize_network(net: Network, cfg: Optional[SemiAutonomousConfig] = None,
                       x0: Optional[np.ndarray] = None) -> str:
     doc: dict = {"name": net.name, "n": net.n, "directed": False}
-    doc["edges"] = [{"i": e.i, "j": e.j, "w": e.w} for e in net.edges]
+    doc["edges"] = [{"i": i, "j": j, "w": w} for i, j, w in
+                    zip(net.i.tolist(), net.j.tolist(), net.w.tolist())]
     if cfg is not None:
         doc["leaders"] = [{"node": l.node, "input": l.input_index, "sign": l.sign}
                           for l in cfg.leader_links]
@@ -313,121 +310,56 @@ def _arcs(doc: dict) -> DirectedNetwork:
 
 
 def serialize_arcs(dnet: DirectedNetwork) -> str:
-    """The arc document, byte for byte ``json.dumps(doc, indent=2) + "\\n"``
-    of ``{"name", "n", "arcs": [{"follower", "followed", "w"}, ...]}``.
-
-    Each arc fills one ``%``-template; the weights are written together,
-    as :func:`json_text` writes a list of numbers (``_json_numbers``),
-    which is how the json module writes them.
-    """
-    weights = _json_items(dnet.w.tolist(), "")
-    arcs = ",\n".join([_ARC_TEMPLATE % arc for arc in
-                        zip(dnet.i.tolist(), dnet.j.tolist(), weights)])
-    return '{\n  "name": %s,\n  "n": %d,\n  "arcs": %s\n}\n' % (
-        json.dumps(dnet.name), dnet.n, f"[\n{arcs}\n  ]" if arcs else "[]")
+    """The arc document ``{"name", "n", "arcs": [{"follower", "followed",
+    "w"}, ...]}`` as :func:`json_text` writes it, plus a newline."""
+    arcs = [{"follower": i, "followed": j, "w": w} for i, j, w in
+            zip(dnet.i.tolist(), dnet.j.tolist(), dnet.w.tolist())]
+    return json_text({"name": dnet.name, "n": dnet.n, "arcs": arcs}) + "\n"
 
 
-# The writer of each scalar type, as json.dumps writes it.
-_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
-                 float: lambda value: _JSON_FLOAT_WORDS.get(
-                     text := float.__repr__(value), text),
-                 bool: {True: "true", False: "false"}.get,
-                 type(None): lambda value: "null"}
-
-
-def _json_scalar(value) -> str:
-    writer = _JSON_SCALARS.get(type(value))
-    if writer is not None:
-        return writer(value)
-    for base in (str, int, float):      # a subclass is written as its base
-        if isinstance(value, base):
-            return _JSON_SCALARS[base](value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+# Where orjson's number texts differ from repr's: exponents, which orjson
+# writes as "e-8" and "e16" for repr's "e-08" and "e+16", and magnitudes
+# below 1e-4 that orjson writes in fixed notation ("0.00001").  Each
+# pattern starts with a literal, which re skips to.
+_EXPONENT, _TINY = re.compile(r"e[-+]?[0-9]+"), re.compile(r"0\.0000[0-9]*")
 
 
 def json_text(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for a value built of
     dicts with string keys, lists, tuples, strings, ints, floats, bools and
-    None, without the json module's pure-Python indenting encoder.
+    None.
 
-    The items of a container that holds only scalars are written by one
-    ``map``, and a list of equal-length rows of numbers (a table) by one
-    ``%``-template.  Ints and floats are written as ``repr`` writes them,
-    with NaN and the infinities spelled as json spells them, those of one
-    container by one ``orjson.dumps`` (``_json_numbers``).
+    One ``orjson.dumps`` with ``OPT_INDENT_2`` writes the json module's
+    layout.  Its text of an int is ``repr``'s and of a float the same
+    shortest digits, so outside strings only exponents are spelled again,
+    as ``repr`` spells them, and numbers written as ``0.0000...`` are
+    written again by ``repr``.  The json module writes the value when
+    orjson refuses it (ints past 64 bits, keys that are not strings) or
+    its text holds ``null`` (None, NaN, the infinities), a backslash (an
+    escaped quote would hide where a string ends) or a byte json escapes
+    (DEL, non-ASCII).
     """
-    return _json_value(value, "\n")
-
-
-def _json_value(value, indent: str) -> str:
-    """:func:`json_text` of a value that starts after ``indent``, a newline
-    and the indentation of its line."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = [k + ": " + v for k, v in zip(
-            map(encode_basestring_ascii, value),
-            _json_items(value.values(), inner))]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        # A table, equal-length rows of ints and floats, is written from
-        # one %-template.
-        cells = (list(chain.from_iterable(value))
-                 if set(map(type, value)) <= {list, tuple}
-                 and len(widths := set(map(len, value))) == 1 else [])
-        if cells and set(map(type, cells)) <= {int, float}:
-            cell = inner + "  "
-            row = "[" + cell + ("," + cell).join(["%s"] * widths.pop()) + inner + "]"
-            body = ("," + inner).join([row] * len(value)) % tuple(_json_numbers(cells))
-        else:
-            body = ("," + inner).join(_json_items(value, inner))
-        return "[" + inner + body + indent + "]"
-    return _json_scalar(value)
-
-
-def _json_items(values, inner: str) -> Iterable[str]:
-    """The texts of the items of one container, each starting after
-    ``inner``."""
-    kinds = set(map(type, values))
-    if kinds <= {int, float}:
-        return _json_numbers(values)
-    if kinds <= _JSON_SCALARS.keys():
-        return map(_json_scalar, values)
-    return [_json_value(v, inner) for v in values]
-
-
-_ORJSON_TINY = ("0.0000", "-0.0000")     # orjson's fixed notation below 1e-4
-
-
-def _json_numbers(values) -> list[str]:
-    """The json module's texts of ints and floats (exact types): ``repr``,
-    with NaN and the infinities spelled as json spells them.
-
-    One ``orjson.dumps`` of the container writes them all.  Its text of an
-    int is ``repr``'s, and of a float the same shortest digits, but it
-    writes NaN and the infinities as ``null``, exponents as ``1e16`` where
-    ``repr`` writes ``1e+16``, and magnitudes below 1e-4 that ``repr``
-    writes with an exponent in fixed notation (``0.00001``).  Only texts
-    that hold ``e`` or ``null``, or start with ``0.0000`` after an optional
-    minus sign, are written again by :func:`_json_scalar`.  orjson refuses
-    an int past 64 bits; then every value is written by it.
-    """
-    values = values if type(values) is list else list(values)
-    if not values:
-        return []
     try:
-        joined = orjson.dumps(values).decode("ascii")[1:-1]
+        raw = orjson.dumps(value, option=orjson.OPT_INDENT_2)
     except orjson.JSONEncodeError:
-        return list(map(_json_scalar, values))
-    texts = joined.split(",")
-    if "e" not in joined and "n" not in joined and "0.0000" not in joined:
-        return texts
-    return [_json_scalar(v) if "e" in t or "n" in t or t.startswith(_ORJSON_TINY)
-            else t for t, v in zip(texts, values)]
+        raw = b"null"                   # so the json module writes it
+    if b"null" in raw or b"\\" in raw or b"\x7f" in raw or not raw.isascii():
+        return json.dumps(value, indent=2)
+    text = raw.decode("ascii")
+    parts, done, seen, quotes = [], 0, 0, 0
+    for spot, end in sorted(m.span() for p in (_EXPONENT, _TINY)
+                            for m in p.finditer(text)):
+        quotes += text.count('"', seen, spot)   # with no backslash, each quote
+        seen = spot                             # opens or closes a string
+        if quotes % 2:
+            continue
+        if text[spot] == "e":
+            parts += text[done:spot], "e%+03d" % int(text[spot + 1:end])
+        else:
+            start = text.rfind(" ", 0, spot) + 1    # a number follows a space
+            parts += text[done:start], repr(float(text[start:end]))
+        done = end
+    return "".join(parts) + text[done:]
 
 
 # "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is

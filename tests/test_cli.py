@@ -4,14 +4,16 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from fsnlab import (DirectedNetwork, Network, SimulationConfig, TempoReport,
-                    g_ratio_series, load_fixture, parse_arc_file,
-                    parse_trajectory, serialize_network, simulate)
-from fsnlab import cli, tempo
+from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Network, SimulationConfig,
+                    TempoReport, g_ratio_series, load_fixture, parse_arc_file,
+                    parse_network_file, parse_trajectory, serialize_network,
+                    simulate)
+from fsnlab import cli, netfile, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
 from fsnlab.netfile import fixture_text
@@ -301,8 +303,16 @@ def test_non_finite_simulation_time_is_refused(argv, capsys, tmp_path):
     # 6e14 samples: the state array is larger than any address space, so
     # the allocation is refused at once and no memory is touched.
     (["simulate", "g8", "--dt", "1e-13"], "error: "),
-    (["tempo", "g8", "--pairs", "7:3", "--dt", "1e-13"], "error: ")],
-    ids=["steps-overflow", "simulate-memory", "tempo-memory"])
+    (["tempo", "g8", "--pairs", "7:3", "--dt", "1e-13"], "error: "),
+    # 1e300 samples: more than numpy can index.
+    (["simulate", "g8", "--dt", "1e-300", "--horizon", "1"],
+     "error: the states of 1e+300 steps of dt=1e-300 do not fit in memory; "
+     "take a larger dt or a shorter horizon\n"),
+    (["tempo", "g8", "--pairs", "7:3", "--dt", "1e-300", "--horizon", "1"],
+     "error: the states of 1e+300 steps of dt=1e-300 do not fit in memory; "
+     "take a larger dt or a shorter horizon\n")],
+    ids=["steps-overflow", "simulate-memory", "tempo-memory",
+         "simulate-dimension", "tempo-dimension"])
 def test_impossible_step_count_is_refused(argv, message, capsys, tmp_path):
     out_csv = tmp_path / "x.csv"
     code, _, err = run(capsys, *argv, "--out", str(out_csv))
@@ -910,15 +920,58 @@ DEFINED_SELECTIONS = ([(name, mode) for name in ("g6", "g8")
                          ("g12", "fan-fsn"), ("t12", "fan-fsn")])
 
 
-@pytest.mark.parametrize("name, mode", DEFINED_SELECTIONS)
+def leader_network_128_file(tmp_path):
+    """A connected leader network of 128 nodes with random weights: a path
+    plus chords, two leaders on one input."""
+    rng = np.random.default_rng(128)
+    pairs = {(k, k + 1) for k in range(1, 128)}
+    pairs |= {tuple(sorted(p)) for p in rng.integers(1, 129, (200, 2)).tolist()
+              if p[0] != p[1]}
+    path = tmp_path / "n128.json"
+    path.write_text(json.dumps({"n": 128, "edges": [
+        {"i": i, "j": j, "w": rng.uniform(0.1, 10.0)} for i, j in sorted(pairs)],
+        "leaders": [{"node": 1, "input": 1}, {"node": 100, "input": 1}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, mode", DEFINED_SELECTIONS + [
+    ("n128", mode) for mode in ("san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn")])
 def test_report_file_is_json_dumps_of_the_reduction(name, mode, capsys, tmp_path):
-    report = tmp_path / "report.json"
-    code, _, _ = run(capsys, "select", name, "--mode", mode,
-                     "--report", str(report))
+    """orjson alone writes the report and the arc list: a None or NaN that
+    crept into a report would put every select on the json module's
+    pure-Python indenting encoder."""
+    if name == "n128":
+        name = leader_network_128_file(tmp_path)
+    arcs, report = tmp_path / "arcs.json", tmp_path / "report.json"
+    with mock.patch.object(netfile.json, "dumps",
+                           side_effect=AssertionError("json.dumps called")):
+        code, _, _ = run(capsys, "select", name, "--mode", mode,
+                         "--out", str(arcs), "--report", str(report))
     assert code in (0, 1)
-    net, cfg, _ = load_fixture(name)
-    want = json.dumps(Model(net, cfg).reduce(mode)[1], indent=2) + "\n"
-    assert report.read_text() == want
+    net, cfg, _ = (load_fixture(name) if name in FIXTURE_NAMES
+                   else parse_network_file(Path(name).read_text()))
+    dnet, want = Model(net, cfg).reduce(mode)
+    assert report.read_text() == json.dumps(want, indent=2) + "\n"
+    assert parse_arc_file(arcs.read_text()) == dnet
+
+
+def test_report_the_json_module_writes(capsys, tmp_path):
+    """A report whose network name holds a backslash and a non-ASCII
+    letter is written by the json module, with its escapes."""
+    net, cfg, x0 = load_fixture("g8")
+    path = tmp_path / "named.json"
+    path.write_text(serialize_network(
+        Network.from_arrays(net.n, net.i, net.j, net.w, name="r\u00e9seau\\1e5"),
+        cfg, x0))
+    report = tmp_path / "report.json"
+    with mock.patch.object(netfile.json, "dumps", wraps=json.dumps) as dumps:
+        code, _, _ = run(capsys, "select", str(path), "--mode", "san-fsn",
+                         "--report", str(report))
+    assert code == 0 and dumps.called
+    named, cfg, _ = parse_network_file(path.read_text())
+    want = Model(named, cfg).reduce("san-fsn")[1]
+    assert want["network"] == "r\u00e9seau\\1e5"
+    assert report.read_text() == json.dumps(want, indent=2) + "\n"
 
 
 class TestParserReuse:

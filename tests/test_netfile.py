@@ -2,6 +2,7 @@ import json
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ JSON_NUMBERS = st.one_of(
     st.integers(-10**30, 10**30), st.floats(),
     st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan,
                      math.inf, -math.inf]))
-# Lists of equal-length rows of numbers, which json_text writes as a table.
+# Lists of equal-length rows of numbers, as x0 and inputs hold them.
 JSON_TABLES = st.integers(1, 4).flatmap(lambda k: st.lists(
     st.lists(JSON_NUMBERS, min_size=k, max_size=k)
     | st.tuples(*[JSON_NUMBERS] * k), min_size=1, max_size=5))
@@ -34,6 +35,21 @@ JSON_VALUES = st.recursive(
     lambda items: (st.lists(items, max_size=5)
                    | st.lists(items, max_size=5).map(tuple)
                    | st.dictionaries(st.text(), items, max_size=5)),
+    max_leaves=30)
+
+# Values orjson writes exactly, so json_text needs no json module for them:
+# finite numbers within 64 bits, no None, and ASCII strings without a
+# quote, a backslash or a byte json escapes, some holding number texts.
+ORJSON_STRINGS = (st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                        blacklist_characters='"\\'), max_size=8)
+                  .filter(lambda s: "null" not in s)
+                  | st.sampled_from(["1e5", "0.00001", ": 1e-8", "x 1e+16", "-0.0000"]))
+ORJSON_VALUES = st.recursive(
+    st.booleans() | st.integers(-2**63, 2**64 - 1) | ORJSON_STRINGS
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda items: (st.lists(items, max_size=5)
+                   | st.lists(items, max_size=5).map(tuple)
+                   | st.dictionaries(ORJSON_STRINGS, items, max_size=5)),
     max_leaves=30)
 
 
@@ -288,14 +304,19 @@ class TestRoundTrip:
               "scalars": [10**40, -10**40, True, False, None, ""],
               "strings": ["\u00e9\u4e2d\U0001f600", "\x00\x1f\x7f\"\\/\n\t"]})
     @example([(1, 2.0), (3, 4.0)])
-    @example({"": [0], "0": [0]})     # dict values that would make a table
+    @example(["\x7f", {"a\x7fb": 1e-5}])     # DEL: json escapes it, orjson not
+    @example(['a "quoted" 1e5', 1e-5, {'"': 1e16}])    # escaped quotes
+    @example({"": [0], "0": [0]})     # dict values of equal-length rows
     @settings(max_examples=300, deadline=None)
     def test_json_text_is_json_dumps(self, value):
         assert json_text(value) == json.dumps(value, indent=2)
 
     def test_number_texts_are_the_json_modules(self):
-        # orjson writes the numbers, repr only the texts where it may
-        # differ; on a seeded sweep every text is the json module's.
+        # orjson writes the numbers, and only the texts where they may
+        # differ from repr's are spelled again; on a seeded sweep every
+        # text is the json module's.
+        # Finite floats are written by orjson in chunks of their own; the
+        # json module writes the non-finite ones and ints past 64 bits.
         rng = np.random.default_rng(27)
         logs = [rng.uniform(lo, hi, 150_000) for lo, hi in
                 [(-5.5, -4.5), (-4.5, -3.5), (15.5, 16.5)]]
@@ -307,24 +328,26 @@ class TestRoundTrip:
         floats.view(np.uint64)[rng.random(len(floats)) < 0.5] ^= np.uint64(1 << 63)
         assert np.isnan(floats).sum() > 100 and np.isinf(floats).sum() >= 2
         assert ((floats != 0) & (np.abs(floats) < 2.2250738585072014e-308)).sum() > 100
-        for k in range(0, len(floats), 1 << 16):
-            values = floats[k:k + (1 << 16)].tolist()
-            assert netfile._json_numbers(values) == json.dumps(values)[1:-1].split(", ")
+        finite = floats[np.isfinite(floats)]
         ints = [0, 2**63 - 1, -(2**63 - 1), -2**63, 2**63, 2**64 - 1]
-        for values in [ints, ints + [2**64], ints + [-2**63 - 1], [2.5, 2**64, -0.0]]:
-            assert netfile._json_numbers(values) == json.dumps(values)[1:-1].split(", ")
-            assert netfile._json_numbers(tuple(values)) == list(map(json.dumps, values))
+        chunks = [finite[k:k + (1 << 16)].tolist()
+                  for k in range(0, len(finite), 1 << 16)]
+        chunks += [floats[~np.isfinite(floats)].tolist(), ints, tuple(ints),
+                   ints + [2**64], ints + [-2**63 - 1], [2.5, 2**64, -0.0]]
+        for values in chunks:
+            texts = [t.strip() for t in json_text(values)[1:-1].split(",")]
+            assert texts == json.dumps(values)[1:-1].split(", ")
 
-    def test_bools_are_not_written_as_numbers(self, monkeypatch):
-        numbers = netfile._json_numbers
-
-        def only_numbers(values):
-            assert set(map(type, values)) <= {int, float}
-            return numbers(values)
-        monkeypatch.setattr(netfile, "_json_numbers", only_numbers)
-        for value in [[True, 1, 2.5], [False, 0], {"a": True, "b": 1},
-                      [[True, 1], [0, 2.5]], [[1, 2.5], [0, -1]], (1, 0.0, False)]:
-            assert json_text(value) == json.dumps(value, indent=2)
+    @given(ORJSON_VALUES)
+    @example({"1e5": [1e-5, "0.00001", {": 1e-8": 1e16}], "a, 0.00001": -1e-300,
+              "ints": [2**64 - 1, -2**63, 0], "e": [True, False, "e-", "-0.0000"],
+              "0.0000 inside": [10.00001, -100.00002, 1.00001e-7]})
+    @settings(max_examples=200, deadline=None)
+    def test_orjson_alone_writes_what_it_writes_exactly(self, value):
+        want = json.dumps(value, indent=2)
+        with mock.patch.object(netfile.json, "dumps",
+                               side_effect=AssertionError("json.dumps called")):
+            assert json_text(value) == want
 
     def test_arc_file_rejects_duplicates(self):
         doc = ('{"n": 2, "arcs": [{"follower": 1, "followed": 2}, '
