@@ -188,11 +188,11 @@ def cmd_simulate(args) -> int:
         raise NetworkFileError(
             f"arc file has n={dnet.n}, network has n={net.n}")
     model = Model(net, cfg)
-    G, drive = model.generator(dnet), model.drive
+    G, forcing = model.generator(dnet), model.forcing
     tag = model.tag + ("-reduced" if dnet is not None else "")
     x0 = _resolve_x0(net, cfg, x0)
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon, method=args.method)
-    traj = simulate(G, drive, x0, simcfg)
+    traj = simulate(G, forcing, x0, simcfg)
     final = traj.states[-1]
     spread = float(np.abs(final - final.mean(axis=0)).max())
     print(f"{tag}: {simcfg.steps} steps of {args.method}, dt={args.dt}, "
@@ -220,11 +220,11 @@ def cmd_tempo(args) -> int:
         if not (1 <= i <= net.n and 1 <= j <= net.n):
             raise NetworkFileError(f"pair {i}:{j} outside 1..{net.n}")
     model = Model(net, cfg)
-    G, drive = model.generator(), model.drive
+    G, forcing = model.generator(), model.forcing
     x0 = _resolve_x0(net, cfg, x0)
     simcfg = SimulationConfig(dt=args.dt, horizon=args.horizon)
     vec = model.tempo_vector    # refuses an unbalanced network before simulating
-    traj = simulate(G, drive, x0, simcfg)
+    traj = simulate(G, forcing, x0, simcfg)
 
     rows = ["t,follower,followed,value\n"]
     stamps = csv_stamps(traj.times[1:]) if args.out else None
@@ -295,20 +295,12 @@ def _verification_horizon(rate: float) -> float:
     return float(min(600.0, max(60.0, 9.0 / max(rate, 1e-3))))
 
 
-def _verification_runs(G, drive, x0, h: float) -> tuple[Trajectory, Trajectory]:
+def _verification_runs(G, forcing, x0, h: float) -> tuple[Trajectory, Trajectory]:
     """One simulation to 1.5 * h, and its first h as a run of its own; the
-    endpoint of the long run serves :func:`_rate_of` as converged target."""
-    long = simulate(G, drive, x0, SimulationConfig(horizon=1.5 * h))
+    endpoint of the long run is the converged target of the rate fit."""
+    long = simulate(G, forcing, x0, SimulationConfig(horizon=1.5 * h))
     k = SimulationConfig(horizon=h).steps + 1
     return Trajectory(long.times[:k], long.states[:k]), long
-
-
-def _rate_of(long: Trajectory, fit_h: float) -> tuple[float, float]:
-    """Fitted decay rate over [0, fit_h] toward the run's final state, and
-    the mean time of the samples it was fitted on."""
-    # The times ascend, so the samples up to fit_h are a prefix: views.
-    k = int(np.searchsorted(long.times, fit_h + 1e-12, side="right"))
-    return fitted_rate(Trajectory(long.times[:k], long.states[:k]), long.states[-1])
 
 
 def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:
@@ -350,11 +342,11 @@ def cmd_compare(args) -> int:
     _print_arcs(dnet)
 
     x0 = _resolve_x0(net, cfg, x0)
-    G0, G1, drive = model.generator(), model.generator(dnet), model.drive
+    G0, G1, forcing = model.generator(), model.generator(dnet), model.forcing
     h0 = _verification_horizon(lam_orig)
     h1 = _verification_horizon(lam_red)
-    traj0, long0 = _verification_runs(G0, drive, x0, h0)
-    traj1, long1 = _verification_runs(G1, drive, x0, h1)
+    traj0, long0 = _verification_runs(G0, forcing, x0, h0)
+    traj1, long1 = _verification_runs(G1, forcing, x0, h1)
 
     if cfg is not None:
         err0, err1 = (float(np.abs(traj.states[-1] - model.limit(G, x0)).max())
@@ -384,7 +376,8 @@ def cmd_compare(args) -> int:
         checks["consensus_value"] = err < SIM_TOL
 
     try:
-        (rate0, _), (rate1, t1) = _rate_of(long0, h0), _rate_of(long1, h1)
+        rate0, _ = fitted_rate(traj0, long0.states[-1])
+        rate1, t1 = fitted_rate(traj1, long1.states[-1])
     except SimulationError as exc:
         print(f"rate fit failed: {exc}")
         checks["rate_fit"] = False

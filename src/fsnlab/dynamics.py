@@ -1,23 +1,26 @@
 """Fixed-step simulation of diffusive network dynamics.
 
-All models integrate x' = -(G (x) I_d) x [+ (B (x) I_d) u] for a generator
-G that is a Laplacian of any sign (sum |w| on the diagonal), leader-
-perturbed or not, or a reduced directed generator.  On this linear system
-one fixed step of size dt is exactly the affine map x <- R x + c, with
-A = -dt G, R = sum_{k<=K} A^k / k! and c = dt sum_{k<K} A^k / (k+1)! B u:
+All models integrate x' = f - G x for a generator G that is a Laplacian of
+any sign (sum |w| on the diagonal), leader-perturbed or not, or a reduced
+directed generator, and a forcing f: the n-by-d array B u of the leaders'
+inputs u wired in by B, or none without leaders.  On this linear system one
+fixed step of size dt is exactly the affine map x <- R x + c, with
+A = -dt G, R = sum_{k<=K} A^k / k! and c = dt sum_{k<K} A^k / (k+1)! f:
 K = 4 is classical RK4 and K = 1 forward Euler.  The Kronecker structure
-is never materialized: the d coordinates evolve independently, each column
-on its own, so a d-dimensional run is exactly d one-dimensional runs.  A
-column advances b steps per product with the stacked powers of the step
-map (:func:`step_powers`), which moves states by a few units of roundoff
-against stepping one at a time.
+is never materialized: the d coordinates evolve independently.  One
+stepper, :class:`Stepper`, advances a state b steps per product with the
+stacked powers of the step map (:func:`step_powers`), which moves states
+by a few units of roundoff against stepping one at a time.
+:func:`simulate` runs it one column at a time, so a d-dimensional run is
+exactly d one-dimensional runs; the distributed engine
+(:func:`fsnlab.tempo.distributed_select`) runs it on all columns at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -94,7 +97,7 @@ def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
 
     A step too large for the generator's scale gives inf or NaN entries,
     without a numpy warning; :func:`step_powers` carries them into its
-    stacks, where the callers refuse them.
+    stacks, which :class:`Stepper` refuses.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         A = -dt * generator
@@ -114,7 +117,7 @@ def step_powers(R: np.ndarray, c: np.ndarray,
     one multiplication by R from the previous one, written into its row
     block of the preallocated stacks, and each offset then adds c in
     place.  Powers that leave the float range come back as inf or NaN
-    entries without a numpy warning; the callers refuse them.
+    entries without a numpy warning.
     """
     n = R.shape[0]
     P, C = np.empty((b * n, n)), np.empty((b * n, c.shape[1]))
@@ -127,27 +130,74 @@ def step_powers(R: np.ndarray, c: np.ndarray,
     return P, C
 
 
-def simulate(generator: np.ndarray,
-             drive: Optional[tuple[np.ndarray, np.ndarray]],
+class Stepper:
+    """x <- R x + c advanced ``block`` steps per product of the stacks of
+    :func:`step_powers`, which it builds once and refuses, by raising
+    ``refusal``, when they leave the float range."""
+
+    def __init__(self, R: np.ndarray, c: np.ndarray, block: int,
+                 refusal: Exception):
+        self.block = block
+        self._P, self._C = step_powers(R, c, block)
+        if not (np.isfinite(self._P).all() and np.isfinite(self._C).all()):
+            raise refusal
+
+    def advance(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the states after x into the rows of ``out``, n per step
+        and ``block`` steps per product, and return the last one.
+
+        Each product is written in place into its rows of ``out``, which
+        may be a strided view; the state carried to the next product is
+        contiguous, a copy where those rows are not.  States that leave
+        the float range come back as inf or NaN without a numpy warning;
+        the callers refuse them.
+        """
+        n, rows = x.shape[0], self._P.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(out), rows):
+                stop = min(start + rows, len(out))
+                run = np.matmul(self._P[:stop - start], x, out=out[start:stop])
+                run += self._C[:stop - start]
+                x = np.ascontiguousarray(out[stop - n:stop])
+        return x
+
+
+def steppers(generator: np.ndarray, forcing: np.ndarray, dt: float,
+             method: str, groups: Iterable, refusal: Exception,
+             steps: Optional[int] = None) -> Iterator[Stepper]:
+    """A :class:`Stepper` of x' = forcing - G x per group of state columns.
+
+    The step map R, c is built once, from all columns; each group's stacks
+    then hold its own columns of c.  The block is b = max(1, min(``BLOCK``,
+    steps // n, 2**20 // n**2)), without the middle term when ``steps`` is
+    None: the stack holds at most 2**20 doubles, and building it costs
+    (b - 1) n^3 flops, which b <= steps // n keeps below the steps n^2 of
+    the stepping it replaces.
+    """
+    R, c = step_map(generator, forcing, dt, method)
+    n = max(generator.shape[0], 1)
+    cap = BLOCK if steps is None else steps // n
+    block = max(1, min(BLOCK, cap, 2**20 // n**2))
+    for columns in groups:
+        yield Stepper(R, c[:, columns], block, refusal)
+
+
+def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],
              x0: np.ndarray,
              cfg: SimulationConfig = SimulationConfig()) -> Trajectory:
-    """Integrate the network ODE from x0 and record every step.
+    """Integrate x' = forcing - G x from x0 and record every step.
 
-    ``drive`` is (B, u) for leader-driven models and None for autonomous
-    ones.  The step map R, c is built once.  Each state column then
-    advances on its own, b = max(1, min(``BLOCK``, steps // n,
-    2**20 // n**2)) steps per product with the stacks of
-    :func:`step_powers`, built from that column's offset alone so that
-    columns never share a product.  Building the stack costs (b - 1) n^3
-    flops, which b <= steps // n keeps below the steps n^2 of the stepping
-    it replaces; the stack holds at most 2**20 doubles.  States agree with
-    stepping x <- R x + c one at a time to a few units of roundoff per
-    block.  Forward Euler is rejected up front when dt exceeds the safe
-    bound 1/(2 max_ii G), which a Gershgorin argument turns into a
-    stability guarantee for Laplacian-type generators.  A step map whose
-    stacked powers leave the float range is refused before stepping, and
-    a run whose last state does is refused after it.  A run whose states
-    do not fit in memory is refused before any step.
+    ``forcing`` is the n-by-d array B u of a leader-driven model and None
+    for an autonomous one.  Each state column advances on its own, with a
+    :class:`Stepper` of its own column of the step map's offset (see
+    :func:`steppers`), so that columns never share a product; the states
+    agree with stepping x <- R x + c one at a time to a few units of
+    roundoff per block.  Forward Euler is rejected up front when dt
+    exceeds the safe bound 1/(2 max_ii G), which a Gershgorin argument
+    turns into a stability guarantee for Laplacian-type generators.  A
+    step map whose stacked powers leave the float range is refused before
+    stepping, and a run whose last state does is refused after it.  A run
+    whose states do not fit in memory is refused before any step.
     """
     G = np.asarray(generator, dtype=float)
     n = G.shape[0]
@@ -157,30 +207,17 @@ def simulate(generator: np.ndarray,
     if x0.shape[0] != n:
         raise SimulationError(f"x0 has {x0.shape[0]} rows, generator has n={n}")
     d = x0.shape[1]
-
-    if drive is None:
-        forcing = np.zeros((n, d))
-    else:
-        B, u = np.asarray(drive[0], dtype=float), np.asarray(drive[1], dtype=float)
-        if (B.ndim != 2 or u.ndim != 2 or B.shape[0] != n
-                or B.shape[1] != u.shape[0]):
-            raise SimulationError(
-                f"drive shapes B{B.shape} and u{u.shape} do not match n={n}: "
-                f"need B (n, m) and u (m, d)")
-        forcing = B @ u
-        if forcing.shape[1] != d:
-            raise SimulationError(
-                f"input dimension {forcing.shape[1]} != state dimension {d}")
+    forcing = np.zeros((n, d)) if forcing is None else np.asarray(forcing, dtype=float)
+    if forcing.shape != (n, d):
+        raise SimulationError(f"forcing of shape {forcing.shape} does not match "
+                              f"n={n} and the state dimension d={d}")
 
     max_diag = float(G.diagonal().max()) if n else 0.0
     if cfg.method == "euler" and max_diag > 0 and cfg.dt >= 1.0 / (2.0 * max_diag):
         raise SimulationError(
             f"Euler step dt={cfg.dt} unstable: needs dt < {1.0/(2.0*max_diag):.4g} "
             f"for this generator")
-    R, c = step_map(G, forcing, cfg.dt, cfg.method)
-
     steps = cfg.steps
-    block = max(1, min(BLOCK, steps // max(n, 1), 2**20 // max(n, 1)**2))
     try:
         states = np.empty((steps + 1, n, d))
     except (ValueError, MemoryError):
@@ -188,18 +225,12 @@ def simulate(generator: np.ndarray,
                               f"do not fit in memory; take a larger dt or a "
                               f"shorter horizon") from None
     states[0] = x0
-    for dim in range(d):
-        P, C = step_powers(R, c[:, [dim]], block)
-        if not (np.isfinite(P).all() and np.isfinite(C).all()):
-            raise SimulationError(f"{cfg.method} steps of dt={cfg.dt} leave the "
-                                  f"float range on this generator; take a smaller dt")
-        x = x0[:, [dim]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, steps, block):
-                m = min(block, steps - start)
-                run = (P[:m * n] @ x + C[:m * n]).reshape(m, n)
-                states[start + 1:start + 1 + m, :, dim] = run
-                x = run[-1][:, None]
+    refusal = SimulationError(f"{cfg.method} steps of dt={cfg.dt} leave the "
+                              f"float range on this generator; take a smaller dt")
+    columns = steppers(G, forcing, cfg.dt, cfg.method, ([k] for k in range(d)),
+                       refusal, steps)
+    for dim, stepper in enumerate(columns):
+        stepper.advance(x0[:, [dim]], states[1:, :, dim].reshape(-1, 1))
     if not np.isfinite(states[-1]).all():
         raise SimulationError(f"states left the float range within {steps} steps "
                               f"of dt={cfg.dt}; take a smaller dt")
@@ -207,18 +238,15 @@ def simulate(generator: np.ndarray,
     return Trajectory(times, states)
 
 
-def steady_state_san(L_B: np.ndarray, B: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Closed-form limit of a leader-driven network: solve L_B X = B u.
+def steady_state_san(L_B: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    """Closed-form limit of a leader-driven network: solve L_B X = forcing.
 
     With identical input vectors every agent converges to that common
     input; heterogeneous inputs yield a point in their convex hull per
     agent.
     """
-    L_B = np.asarray(L_B, dtype=float)
-    B = np.asarray(B, dtype=float)
-    u = as_columns(u)
     try:
-        return np.linalg.solve(L_B, B @ u)
+        return np.linalg.solve(np.asarray(L_B, dtype=float), as_columns(forcing))
     except np.linalg.LinAlgError as exc:
         raise SimulationError(f"perturbed Laplacian is singular: {exc}") from exc
 

@@ -295,13 +295,8 @@ class Network(_Graph):
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         indptr, cols, _ = self.adjacency
-        return _row_tuples(indptr, cols)
-
-    @cached_property
-    def weights(self) -> dict[tuple[int, int], float]:
-        """Weight lookup for both orientations of every edge."""
-        i, j, w = self.i.tolist(), self.j.tolist(), self.w.tolist()
-        return {**dict(zip(zip(i, j), w)), **dict(zip(zip(j, i), w))}
+        ids, ptr = (cols + 1).tolist(), indptr.tolist()
+        return {u + 1: tuple(ids[ptr[u]:ptr[u + 1]]) for u in range(self.n)}
 
     @property
     def is_signed(self) -> bool:
@@ -311,12 +306,6 @@ class Network(_Graph):
         """The same topology with all weights replaced by their magnitude."""
         return Network.from_arrays(self.n, self.i, self.j, np.abs(self.w),
                                    name=self.name)
-
-
-def _row_tuples(indptr: np.ndarray, cols: np.ndarray) -> dict[int, tuple[int, ...]]:
-    """Per 1-based node, the 1-based ids of its CSR row."""
-    ids, ptr = (cols + 1).tolist(), indptr.tolist()
-    return {u + 1: tuple(ids[ptr[u]:ptr[u + 1]]) for u in range(len(ptr) - 1)}
 
 
 @dataclass(frozen=True)
@@ -416,40 +405,31 @@ class DirectedNetwork(_Graph):
         travels, 0-based: (indptr, follower, arc index)."""
         return _csr(self.n, self.j - 1, self.i - 1)
 
-    @cached_property
-    def retained(self) -> dict[int, tuple[int, ...]]:
-        """Per node, the neighbors it still follows."""
-        indptr, cols, _ = self.successors
-        return _row_tuples(indptr, cols)
 
+def _fill(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dense n x n Laplacian of arcs i -> j (0-based) of weights w:
+    -w at (i, j), and on row i's diagonal the sum of its |w| taken in arc
+    order, as an arc-by-arc ``L[i, i] += |w|`` takes it.
 
-def _with_diagonal(L: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Set L's diagonal to the sums of ``w`` per 0-based node, each sum
-    taken in entry order as an entry-by-entry ``L[u, u] += w`` takes it."""
-    L.flat[::L.shape[0] + 1] = np.bincount(nodes, weights=w, minlength=L.shape[0])
-    return L
-
-
-def _dense_zeros(n: int) -> np.ndarray:
-    """The n x n zero matrix a dense Laplacian builder fills.
-
-    Raises GraphError, naming n and the bytes needed, when it cannot be
-    allocated.
+    Raises GraphError, naming n and the bytes needed, when the matrix
+    cannot be allocated.
     """
     try:
-        return np.zeros((n, n))
+        L = np.zeros((n, n))
     except MemoryError:
         raise GraphError(f"the dense {n} x {n} Laplacian needs {8 * n * n} "
                          "bytes, more than can be allocated") from None
+    L[i, j] -= w
+    L.flat[::n + 1] = np.bincount(i, weights=np.abs(w), minlength=n)
+    return L
 
 
 def laplacian(net: Network) -> np.ndarray:
-    """Graph Laplacian: sum |w| on the diagonal, -w off it (also signed)."""
+    """Graph Laplacian: sum |w| on the diagonal, -w off it (also signed);
+    the :func:`_fill` of both orientations of every edge, in edge order."""
     i, j = net.i - 1, net.j - 1
-    L = _dense_zeros(net.n)
-    L[i, j] = L[j, i] = -net.w
-    return _with_diagonal(L, np.stack((i, j), axis=1).ravel(),
-                          np.repeat(np.abs(net.w), 2))
+    return _fill(net.n, np.stack((i, j), axis=1).ravel(),
+                 np.stack((j, i), axis=1).ravel(), np.repeat(net.w, 2))
 
 
 def perturbed_laplacian(net: Network, cfg: SemiAutonomousConfig) -> np.ndarray:
@@ -476,10 +456,7 @@ def reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
 
     Rows of agents that retain nobody are zero.
     """
-    i, j = dnet.i - 1, dnet.j - 1
-    L = _dense_zeros(dnet.n)
-    L[i, j] -= dnet.w
-    return _with_diagonal(L, i, np.abs(dnet.w))
+    return _fill(dnet.n, dnet.i - 1, dnet.j - 1, dnet.w)
 
 
 def is_connected(net: Network) -> bool:

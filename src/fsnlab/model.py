@@ -2,8 +2,10 @@
 
 The paper applies one rule, follow the slower neighbor, to leader-driven
 (SAN), autonomous (FAN) and signed networks.  :class:`Model` settles which
-of these a network is once and supplies the matrices, eigenpairs,
-selections and limits that depend on it, so the command-line front end
+of these a network is once and supplies what depends on it: the linear
+system x' = f - G x that the simulations and the distributed engine step
+(the generator G and the forcing f = B u, none without leaders), the
+eigenpairs, the selections and the limits.  So the command-line front end
 does not choose them by kind itself.
 """
 
@@ -41,7 +43,7 @@ class Model:
     The kind is signed or unsigned (negative edge weights or repelling
     leader links) and leader-driven (SAN) or autonomous (FAN, ``cfg`` is
     None).  Every kind-dependent choice the commands make comes from here:
-    the dynamics generator, the drive, the selection eigenpair and the
+    the dynamics generator, the forcing, the selection eigenpair and the
     vector the sampled tempo approaches, the reduction for a selection
     mode, and the predicted limit.
     """
@@ -64,11 +66,12 @@ class Model:
         return G if self.cfg is None else _bump_leaders(G, self.cfg)
 
     @property
-    def drive(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """(B, u) of a leader-driven network, None for an autonomous one."""
+    def forcing(self) -> Optional[np.ndarray]:
+        """The n-by-d forcing B u of a leader-driven network, the leaders'
+        inputs u wired in by B; None for an autonomous one."""
         if self.cfg is None:
             return None
-        return self.cfg.input_matrix(self.net.n), self.cfg.input_vectors()
+        return self.cfg.input_matrix(self.net.n) @ self.cfg.input_vectors()
 
     def spectrum(self, k: int) -> list[EigenPair]:
         """The k smallest eigenpairs of the network's Laplacian.  On an
@@ -202,7 +205,7 @@ class Model:
         by :attr:`gauge`, one row per node: sigma * (that value from
         sigma * x0)."""
         if self.cfg is not None:
-            return steady_state_san(G, *self.drive)
+            return steady_state_san(G, self.forcing)
         if not self.net.is_signed:
             return fan_fsn_consensus_value(x0, self.classification)
         sigma = self.gauge

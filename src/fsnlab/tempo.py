@@ -19,8 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import (BLOCK, UNIT_ROUNDOFF, Trajectory, as_columns,
-                       step_map, step_powers)
+from .dynamics import UNIT_ROUNDOFF, Trajectory, as_columns, steppers
 from .graphs import DirectedNetwork, Network, is_connected
 from .model import Model
 from .spectral import zero_entries
@@ -82,14 +81,15 @@ def distributed_select(model: Model, x0: np.ndarray,
     """Distributed slower-neighbor selection from sampled state data.
 
     Rounds are synchronous: every ``delta`` of simulated time each agent
-    receives its neighbors' new samples of x' = B u - G x (G and B u from
-    ``model``) and updates a ratio per neighbor while that neighbor's
-    sample difference is above the noise floor (see :func:`_settle`);
-    ``eps`` is the relative accuracy each estimate is resolved to.  With
-    leaders the ratio is of difference norms, which a gauge D = diag(+-1)
-    of a balanced signed network leaves unchanged; an agent keeps the
-    neighbors whose last estimate exceeds 1 + ``DEFAULT_TIE_MARGIN``, a
-    margin that drops symmetric pairs (true ratio 1) from both sides.
+    receives its neighbors' new samples of x' = f - G x (G and the
+    forcing f = B u from ``model``) and updates a ratio per neighbor while
+    that neighbor's sample difference is above the noise floor (see
+    :func:`_settle`); ``eps`` is the relative accuracy each estimate is
+    resolved to.  With leaders the ratio is of difference norms, which a
+    gauge D = diag(+-1) of a balanced signed network leaves unchanged; an
+    agent keeps the neighbors whose last estimate exceeds
+    1 + ``DEFAULT_TIE_MARGIN``, a margin that drops symmetric pairs (true
+    ratio 1) from both sides.
     Without leaders the ratio is of signed first coordinates, and an
     estimate below -``DEFAULT_TIE_MARGIN`` is kept too: a zero-entry core
     neighbor's difference falls below the floor first, so its follower's
@@ -106,9 +106,9 @@ def distributed_select(model: Model, x0: np.ndarray,
     is still above its floor after ``round_cap`` rounds, and when the run
     ends with an arc that never had an estimate above its floor.
     """
-    net, drive = model.net, model.drive
+    net, forcing = model.net, model.forcing
     x0 = as_columns(x0)
-    if drive is None:
+    if forcing is None:
         if len(net.w) != net.n - 1 or not is_connected(net):
             raise TempoError("distributed autonomous selection needs a tree")
         if net.is_signed:
@@ -131,11 +131,10 @@ def distributed_select(model: Model, x0: np.ndarray,
     else:
         if not is_connected(net):
             raise TempoError("distributed selection requires a connected network")
-        B, u = drive
-        if x0.shape != (net.n, u.shape[1]):
+        if x0.shape != forcing.shape:
             raise TempoError(f"x0 shape {x0.shape} does not match "
-                             f"(n={net.n}, d={u.shape[1]})")
-        forcing, observable = B @ u, _norm_over_d
+                             f"(n={net.n}, d={forcing.shape[1]})")
+        observable = _norm_over_d
         cap, hint = ROUND_CAP, f" (delta={delta}, eps={eps})"
     for name, value in (("eps", eps), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
@@ -158,14 +157,14 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     """The decide-and-retain loop of :func:`distributed_select`.
 
     Every round advances x' = forcing - G x by one RK4 step of ``delta``,
-    applied as its affine map (:func:`step_map`), and reduces each agent's
-    sample difference to one ``observable`` value.  Agent i's estimate for
-    neighbor j is g = obs_i / obs_j, updated in every round where
-    |obs_j| > u M_ij / eps, with u the unit roundoff and M_ij the largest
-    |x_i|, |x_j| seen so far (over coordinates and rounds, data agent i
-    has).  A difference of two states of size M carries a rounding error
-    of about u M, so above that floor obs_j, and with it g, is resolved to
-    a relative accuracy of about eps; below it g would be noise.  The
+    applied as its affine map, and reduces each agent's sample difference
+    to one ``observable`` value.  Agent i's estimate for neighbor j is
+    g = obs_i / obs_j, updated in every round where |obs_j| > u M_ij / eps,
+    with u the unit roundoff and M_ij the largest |x_i|, |x_j| seen so far
+    (over coordinates and rounds, data agent i has).  A difference of two
+    states of size M carries a rounding error of about u M, so above that
+    floor obs_j, and with it g, is resolved to a relative accuracy of about
+    eps; below it g would be noise.  The
     running maximum keeps the floor from sinking with states that decay
     toward zero.  Each arc decides on its last such estimate, and an
     agent's ``rounds`` is the round of its last estimate.  The run ends
@@ -175,16 +174,14 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     difference norm is never negative, so only the first case can hold
     for it.
 
-    Rounds are stepped ``BLOCK`` at a time (fewer on large networks, so
-    the stack holds at most 2**20 doubles): the states of a block are one
-    product of the stacked powers of :func:`step_powers` with the last
-    state of the block before, written in place, plus the matching
-    stacked offsets.  The bookkeeping runs once per super-block of
-    consecutive blocks, as many as keep the per-arc and per-coordinate
-    arrays of a pass (arcs x rounds and agents x d x rounds) within
-    ``SPAN_ELEMENTS`` doubles, and at least one.  It lays the super-block
-    out agent-major, so that reading an arc's two agents copies whole
-    rows, and takes the observable over all its rounds.
+    One :class:`~fsnlab.dynamics.Stepper` steps all d columns, a block of
+    rounds per product, writing the states in place.  The bookkeeping
+    runs once per super-block of consecutive blocks, as many as keep the
+    per-arc and per-coordinate arrays of a pass (arcs x rounds and
+    agents x d x rounds) within ``SPAN_ELEMENTS`` doubles, and at least
+    one.  It lays the super-block out agent-major, so that reading an
+    arc's two agents copies whole rows, and takes the observable over all
+    its rounds.
 
     A certificate in O(n L) for L rounds comes first: with b_i the
     largest |x_i| seen up to the super-block's end and l_j the least
@@ -197,9 +194,9 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     per-arc floor test over all its rounds, and then the termination rule
     block by block: the arcs decide on their last estimate before the
     first block with none above its floor, and the rounds computed after
-    that block are discarded.  A NaN fails the certificate.  States that
-    leave the float range are refused after the stepping of their
-    super-block, as are step stacks that do.
+    that block are discarded.  A NaN fails the certificate.  Step stacks
+    that leave the float range are refused before the first round, and
+    states that do after the stepping of their super-block.
     ``observable`` maps the differences of a super-block, agents x d x
     rounds, to agents x rounds.  numpy reduces that strided d axis in
     coordinate order, so for d >= 8 a norm may differ in its last bits
@@ -210,12 +207,10 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     arc_i = np.repeat(np.arange(n), np.diff(indptr))
     m = len(arc_j)
 
-    R, c = step_map(G, forcing, delta, "rk4")
-    block = max(1, min(BLOCK, 2**20 // n**2))
-    P, C = step_powers(R, c, block)
-    if not (np.isfinite(P).all() and np.isfinite(C).all()):
-        raise TempoError(f"RK4 steps of delta={delta} leave the float range "
-                         f"on this network; take a smaller delta")
+    stepper, = steppers(G, forcing, delta, "rk4", [slice(None)], TempoError(
+        f"RK4 steps of delta={delta} leave the float range on this network; "
+        f"take a smaller delta"))
+    block = stepper.block
     span = block * max(1, SPAN_ELEMENTS // (block * max(m, n * d)))
     per_state = UNIT_ROUNDOFF / eps    # the floor per unit of state
 
@@ -230,12 +225,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             length = min(span, round_cap - start)
             x = np.empty(((length + 1) * n, d))
             x[:n] = cur
-            firsts = np.arange(0, length, block)
-            for s in firsts.tolist():
-                b = min(block, length - s)
-                states = np.matmul(P[:b * n], cur, out=x[(s + 1) * n:(s + b + 1) * n])
-                states += C[:b * n]
-                cur = x[(s + b) * n:(s + b + 1) * n]
+            cur = stepper.advance(cur, x[n:])
             if not np.isfinite(cur).all():
                 raise TempoError(f"states left the float range by round "
                                  f"{start + length}; take a smaller delta than {delta}")
@@ -256,6 +246,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             seen = np.maximum.accumulate(seen, axis=1)
             peak = seen[:, -1]
             above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
+            firsts = np.arange(0, length, block)
             quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
             done = quiet.any()
             end = firsts[quiet.argmax()] if done else length

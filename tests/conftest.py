@@ -73,6 +73,11 @@ def random_connected_net(rng, n, extra=None, weights=None):
     return Network(n, tuple(edges))
 
 
+def edge_weight(net, a, b):
+    """The weight of the edge joining a and b, in either orientation."""
+    return next(e.w for e in net.edges if {e.i, e.j} == {a, b})
+
+
 def random_leader_cfg(rng, n, d=1, homogeneous=False):
     """Random nonempty leader set, one input per leader."""
     k = int(rng.integers(1, n + 1))

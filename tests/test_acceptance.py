@@ -86,7 +86,7 @@ def test_criterion_4_tempo_numbers(g8):
     x0 = np.random.default_rng(7).random((8, 3))
     start = time.perf_counter()
     traj = simulate(perturbed_laplacian(net, cfg),
-                    (cfg.input_matrix(8), cfg.input_vectors()), x0,
+                    cfg.input_matrix(8) @ cfg.input_vectors(), x0,
                     SimulationConfig(dt=0.01, horizon=60.0))
     elapsed = time.perf_counter() - start
     k10 = int(np.argmin(np.abs(traj.times - 10.0)))
@@ -168,7 +168,7 @@ def test_criterion_8_signed_suite(g8_signed):
     for link in cfg.leader_links:
         G[link.node - 1, link.node - 1] += 1.0
     x0 = np.random.default_rng(15).random((8, 3))
-    traj = simulate(G, (cfg.input_matrix(8), cfg.input_vectors()), x0,
+    traj = simulate(G, cfg.input_matrix(8) @ cfg.input_vectors(), x0,
                     SimulationConfig(dt=0.01, horizon=60.0))
     final = traj.states[-1]
     u0 = np.array([0.7, 0.8, 0.9])

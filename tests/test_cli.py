@@ -426,7 +426,7 @@ class TestTempo:
         net, cfg, _ = load_fixture("g8")
         model = Model(net, cfg)
         x0 = np.random.default_rng(7).random((net.n, cfg.d))
-        traj = simulate(model.generator(), model.drive, x0, SimulationConfig())
+        traj = simulate(model.generator(), model.forcing, x0, SimulationConfig())
         rows = ["t,follower,followed,value"]
         for i, j in [(7, 3), (7, 6), (7, 8)]:
             for k, v in enumerate(g_ratio_series(traj, i, j, first_component)):

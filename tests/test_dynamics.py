@@ -48,7 +48,7 @@ class TestSimulate:
         net, cfg, _ = g8
         L_B, B, u = san_system(net, cfg)
         x0 = np.random.default_rng(7).random((8, 3))
-        traj = simulate(L_B, (B, u), x0, SimulationConfig(horizon=80.0))
+        traj = simulate(L_B, B @ u, x0, SimulationConfig(horizon=80.0))
         assert np.abs(traj.states[-1] - np.array([0.7, 0.8, 0.9])).max() < 1e-3
 
     def test_k2_average_consensus(self):
@@ -72,16 +72,16 @@ class TestSimulate:
         net, cfg, x0 = request.getfixturevalue(name.replace("-", "_"))
         if cfg is not None:
             G = perturbed_laplacian(net, cfg)
-            drive = (cfg.input_matrix(net.n), cfg.input_vectors())
+            f = cfg.input_matrix(net.n) @ cfg.input_vectors()
             d = cfg.d
         else:
-            G, drive, d = laplacian(net), None, 1
+            G, f, d = laplacian(net), None, 1
         if x0 is None:
             x0 = np.random.default_rng(8).random((net.n, d))
         cfg_e = SimulationConfig(dt=0.01, horizon=20.0, method="euler")
         cfg_r = SimulationConfig(dt=0.01, horizon=20.0, method="rk4")
-        xe = simulate(G, drive, x0, cfg_e).states[-1]
-        xr = simulate(G, drive, x0, cfg_r).states[-1]
+        xe = simulate(G, f, x0, cfg_e).states[-1]
+        xr = simulate(G, f, x0, cfg_r).states[-1]
         assert np.abs(xe - xr).max() < 5 * 0.01
 
     @pytest.mark.parametrize("method", ["euler", "rk4"])
@@ -98,16 +98,16 @@ class TestSimulate:
         else:
             net, cfg, x0 = request.getfixturevalue(name.replace("-", "_"))
         if cfg is None:
-            G, drive, d = laplacian(net), None, 1
+            G, f, d = laplacian(net), None, 1
         else:
             G = perturbed_laplacian(net, cfg)
-            drive = (cfg.input_matrix(net.n), cfg.input_vectors())
+            f = cfg.input_matrix(net.n) @ cfg.input_vectors()
             d = cfg.d
         if x0 is None:
             x0 = np.random.default_rng(8).random((net.n, d))
-        forcing = np.zeros_like(x0) if drive is None else drive[0] @ drive[1]
+        forcing = np.zeros_like(x0) if f is None else f
         sim = SimulationConfig(dt=0.01, horizon=horizon, method=method)
-        got = simulate(G, drive, x0, sim).states
+        got = simulate(G, f, x0, sim).states
         step = ref_step_euler if method == "euler" else ref_step_rk4
         want = np.empty_like(got)
         want[0] = x0
@@ -124,9 +124,9 @@ class TestSimulate:
         L_B, B, u = san_system(net, cfg)
         x0 = np.random.default_rng(16).random((8, 3))
         cfg_sim = SimulationConfig(dt=0.02, horizon=5.0)
-        full = simulate(L_B, (B, u), x0, cfg_sim)
+        full = simulate(L_B, B @ u, x0, cfg_sim)
         for dim in range(3):
-            single = simulate(L_B, (B, u[:, [dim]]), x0[:, [dim]], cfg_sim)
+            single = simulate(L_B, B @ u[:, [dim]], x0[:, [dim]], cfg_sim)
             assert np.array_equal(single.states[:, :, 0],
                                   full.states[:, :, dim])
 
@@ -144,16 +144,19 @@ class TestSimulate:
         net, cfg, _ = g8
         L_B, B, u = san_system(net, cfg)
         with pytest.raises(SimulationError, match="dimension"):
-            simulate(L_B, (B, u), np.zeros((8, 2)), SimulationConfig())
+            simulate(L_B, B @ u, np.zeros((8, 2)), SimulationConfig())
 
-    @pytest.mark.parametrize("which,shapes", [
-        ("u", "B(8, 2) and u(2,)"), ("B", "B(8,) and u(1, 3)")])
-    def test_one_dimensional_drive_rejected(self, g8, which, shapes):
+    @pytest.mark.parametrize("shape", [(8,), (7, 1), (8, 2), (8, 1, 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_forcing_of_another_shape_rejected(self, g8, shape):
+        # Only an n-by-d forcing is taken: not a 1-D one, nor one of
+        # another n, d or rank.
         net, cfg, _ = g8
-        L_B, B, _ = san_system(net, cfg)
-        drive = (B, np.ones(2)) if which == "u" else (B[:, 0], np.ones((1, 3)))
-        with pytest.raises(SimulationError, match=re.escape(shapes)):
-            simulate(L_B, drive, np.zeros((8, 1)), SimulationConfig())
+        L_B, _, _ = san_system(net, cfg)
+        with pytest.raises(SimulationError, match=re.escape(
+                f"forcing of shape {shape} does not match n=8 and the state "
+                f"dimension d=1")):
+            simulate(L_B, np.ones(shape), np.zeros((8, 1)), SimulationConfig())
 
     def test_trajectory_shape_and_times(self):
         traj = simulate(laplacian(K2), None, np.array([1.0, 0.0]),
@@ -183,7 +186,7 @@ class TestBlockStepping:
         x0 = np.random.default_rng(21).random((8, 3))
         sim = SimulationConfig(dt=0.01, horizon=0.01 * steps, method=method)
         assert sim.steps == steps
-        got = simulate(L_B, (B, u), x0, sim).states
+        got = simulate(L_B, B @ u, x0, sim).states
         step = ref_step_euler if method == "euler" else ref_step_rk4
         want = stepped(L_B, B @ u, x0, sim.dt, steps, step)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
@@ -199,7 +202,7 @@ class TestBlockStepping:
         # 6900 steps, so that steps // n does not bind before 2**20 // n**2.
         sim = SimulationConfig(dt=0.01, horizon=69.0)
         assert sim.steps // n >= 2**20 // n**2
-        got = simulate(L_B, (B, u), x0, sim).states
+        got = simulate(L_B, B @ u, x0, sim).states
         want = stepped(L_B, B @ u, x0, sim.dt, sim.steps, ref_step_rk4)
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -240,37 +243,37 @@ class TestSteadyState:
     def test_homogeneous_input_replicated(self, g8):
         net, cfg, _ = g8
         L_B, B, u = san_system(net, cfg)
-        out = steady_state_san(L_B, B, u)
+        out = steady_state_san(L_B, B @ u)
         assert np.abs(out - np.array([0.7, 0.8, 0.9])).max() < 1e-12
 
     def test_zero_input_gives_zero_state(self, g8):
         net, cfg, _ = g8
         L_B, B, _ = san_system(net, cfg)
-        assert np.abs(steady_state_san(L_B, B, np.zeros((2, 3)))).max() == 0.0
+        assert np.abs(steady_state_san(L_B, B @ np.zeros((2, 3)))).max() == 0.0
 
     def test_heterogeneous_inputs_stay_in_hull(self, g8):
         net, cfg, _ = g8
         L_B, B, _ = san_system(net, cfg)
         u = np.array([[0.0], [1.0]])
-        out = steady_state_san(L_B, B, u)
+        out = steady_state_san(L_B, B @ u)
         assert out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12
         # Cross-check against a long simulation.
-        traj = simulate(L_B, (B, u), np.zeros((8, 1)),
+        traj = simulate(L_B, B @ u, np.zeros((8, 1)),
                         SimulationConfig(horizon=100.0))
         assert np.abs(traj.states[-1] - out).max() < 1e-4
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SimulationError, match="singular"):
-            steady_state_san(laplacian(K2), np.zeros((2, 1)), np.zeros((1, 1)))
+            steady_state_san(laplacian(K2), np.zeros((2, 1)) @ np.zeros((1, 1)))
 
     def test_simulation_error_bounded_by_spectral_decay(self, g8):
         net, cfg, _ = g8
         L_B, B, u = san_system(net, cfg)
         pair = principal_pair_perturbed(L_B)
         x0 = np.random.default_rng(10).random((8, 3))
-        target = steady_state_san(L_B, B, u)
+        target = steady_state_san(L_B, B @ u)
         for horizon in (10.0, 20.0, 40.0):
-            traj = simulate(L_B, (B, u), x0, SimulationConfig(horizon=horizon))
+            traj = simulate(L_B, B @ u, x0, SimulationConfig(horizon=horizon))
             err = np.abs(traj.states[-1] - target).max()
             c0 = np.linalg.norm(x0 - target)
             assert err <= 1.01 * c0 * np.exp(-pair.value * horizon) + 1e-12
@@ -338,8 +341,8 @@ class TestEmpiricalRate:
         net, cfg, _ = g8
         L_B, B, u = san_system(net, cfg)
         x0 = np.random.default_rng(13).random((8, 3))
-        target = steady_state_san(L_B, B, u)
-        traj = simulate(L_B, (B, u), x0, SimulationConfig(horizon=60.0))
+        target = steady_state_san(L_B, B @ u)
+        traj = simulate(L_B, B @ u, x0, SimulationConfig(horizon=60.0))
         rate = fitted_rate(traj, target)[0]
         assert abs(rate - 0.1414) < 0.1 * 0.1414
 
@@ -350,7 +353,7 @@ class TestEmpiricalRate:
         G = reduced_generator(dnet, cfg)
         B, u = cfg.input_matrix(8), cfg.input_vectors()
         x0 = np.random.default_rng(14).random((8, 3))
-        long = simulate(G, (B, u), x0, SimulationConfig(horizon=90.0))
+        long = simulate(G, B @ u, x0, SimulationConfig(horizon=90.0))
         target = long.states[-1]
         keep = long.times <= 60.0
         window = Trajectory(long.times[keep], long.states[keep])
@@ -379,7 +382,7 @@ class TestBipartiteConsensus:
         G = reduced_generator(dnet, cfg)
         B, u = cfg.input_matrix(8), cfg.input_vectors()
         x0 = np.random.default_rng(15).random((8, 3))
-        traj = simulate(G, (B, u), x0, SimulationConfig(horizon=60.0))
+        traj = simulate(G, B @ u, x0, SimulationConfig(horizon=60.0))
         final = traj.states[-1]
         u0 = np.array([0.7, 0.8, 0.9])
         for node in (1, 2, 5, 6):

@@ -16,7 +16,8 @@ from fsnlab.selection import fsn_san
 from fsnlab.spectral import principal_pair_perturbed
 
 from oracles import diameter, gauge_matrix
-from conftest import T12_FSN, random_connected_net, random_balanced_signed_net
+from conftest import (T12_FSN, edge_weight, random_connected_net,
+                      random_balanced_signed_net)
 
 K2 = Network(2, (Edge(1, 2),))
 PATH3 = Network(3, (Edge(1, 2), Edge(2, 3)))
@@ -113,11 +114,13 @@ class TestNetworkModel:
         assert net.edges == (Edge(1, 2, 1.0), Edge(2, 3, -2.5))
         assert [type(v) for v in net.edges[0]] == [int, int, float]
         assert net.neighbors == {1: (2,), 2: (1, 3), 3: (2,)}
-        assert net.weights == {(1, 2): 1.0, (2, 1): 1.0, (2, 3): -2.5, (3, 2): -2.5}
+        assert (net.i.tolist(), net.j.tolist(), net.w.tolist()) == ([1, 2], [2, 3],
+                                                                [1.0, -2.5])
         dnet = DirectedNetwork.from_arrays(3, np.array([2, 2]), np.array([3, 1]),
                                            np.array([1.0, 2.0]))
         assert dnet.arcs == (Arc(2, 3, 1.0), Arc(2, 1, 2.0))
-        assert dnet.retained == {1: (), 2: (1, 3), 3: ()}
+        assert (dnet.i.tolist(), dnet.j.tolist(), dnet.w.tolist()) == ([2, 2], [3, 1],
+                                                                   [1.0, 2.0])
         assert dnet.arc_set == {(2, 3), (2, 1)}
 
     def test_immutable(self):
@@ -339,7 +342,7 @@ class TestAugmented:
         aug = augmented_signed_network(net, cfg)
         assert aug.n == net.n + cfg.m
         assert len(aug.edges) == len(net.edges) + len(cfg.leader_links)
-        assert aug.weights[(4, 9)] == -1.0
+        assert edge_weight(aug, 4, 9) == -1.0
 
     def test_input_no_leader_reads_gets_no_node(self):
         # Only input 2 of three is read: it becomes node n + 1, and the
@@ -349,7 +352,7 @@ class TestAugmented:
                                    ((1.0,), (2.0,), (3.0,)))
         aug = augmented_signed_network(net, cfg)
         assert aug.n == 4 and is_connected(aug)
-        assert aug.weights[(3, 4)] == -1.0
+        assert edge_weight(aug, 3, 4) == -1.0
         assert structural_balance_partition(aug) == (frozenset({1, 4}),
                                                      frozenset({2, 3}))
 

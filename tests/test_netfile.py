@@ -451,7 +451,7 @@ class TestTrajectoryCsv:
         net, cfg, _ = load_fixture("g8")
         from fsnlab import perturbed_laplacian
         traj = simulate(perturbed_laplacian(net, cfg),
-                        (cfg.input_matrix(8), cfg.input_vectors()),
+                        cfg.input_matrix(8) @ cfg.input_vectors(),
                         np.zeros((8, 3)), SimulationConfig(dt=0.01, horizon=60.0))
         assert len(traj.times) == 6001
 
@@ -554,7 +554,7 @@ class TestTrajectoryWriter:
         net, cfg, _ = load_fixture(name)
         model = Model(net, cfg)
         x0 = np.random.default_rng(5).random((net.n, d))
-        traj = simulate(model.generator(), model.drive, x0,
+        traj = simulate(model.generator(), model.forcing, x0,
                         SimulationConfig(horizon=12.0))
         assert emit_trajectory(traj) == ref_emit_trajectory(traj)
 

@@ -26,7 +26,7 @@ from fsnlab.spectral import _SYMMETRY_TOL, SpectralError, symmetric_eigh
 from test_perfbench_names import SCRIPTS, package_reads
 from oracles import (diameter, fiedler_lower_bound, reduced_symmetric_fiedler,
                      tree_diameter_bound)
-from conftest import (G6_FSN, G8_FFN, G8_FSN, G12_FSN, T12_FSN,
+from conftest import (G6_FSN, G8_FFN, G8_FSN, G12_FSN, T12_FSN, edge_weight,
                       random_balanced_signed_net, random_connected_net,
                       random_leader_cfg, random_tree)
 
@@ -47,7 +47,7 @@ def fan_selection(net):
 
 
 def is_acyclic(dnet):
-    out = dnet.retained
+    out = {u: [b for a, b in dnet.arc_set if a == u] for u in range(1, dnet.n + 1)}
     state = {i: 0 for i in range(1, dnet.n + 1)}  # 0 new, 1 open, 2 done
     for s in state:
         if state[s]:
@@ -133,7 +133,7 @@ class TestFsnFan:
         dnet, _, cls = fan_selection(net)
         assert cls.case == "core-node" and cls.core_node == 3
         assert (2, 3) in dnet.arc_set and (4, 3) in dnet.arc_set
-        assert not dnet.retained[3]
+        assert 3 not in dnet.i.tolist()
 
     def test_zero_block_stays_bidirectional(self):
         net = Network(7, (Edge(1, 2), Edge(2, 3), Edge(3, 4), Edge(4, 5),
@@ -404,7 +404,7 @@ class TestSignedProperties:
             dnet_u = fsn_san(absnet, cfg, san_pair(absnet, cfg).vector)
             assert dnet_s.arc_set == dnet_u.arc_set
             for arc in dnet_s.arcs:
-                assert abs(arc.w) == absnet.weights[(arc.follower, arc.followed)]
+                assert abs(arc.w) == edge_weight(absnet, arc.follower, arc.followed)
 
     def test_unsigned_rules_accept_signed_pair(self):
         # fsn_san and ffn_san take the signed network and the pair of its

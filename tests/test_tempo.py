@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,14 +22,14 @@ from fsnlab.graphs import DirectedNetwork
 from fsnlab.spectral import zero_entries
 
 from oracles import tempo_limit_from_eigvec, tempo_limit_oracle
-from conftest import (G6_FSN, G8_FSN, T12_FSN, random_connected_net,
+from conftest import (G6_FSN, G8_FSN, T12_FSN, edge_weight, random_connected_net,
                       random_leader_cfg, random_tree)
 
 
 def san_traj(net, cfg, x0, horizon=60.0, dt=0.01):
     L_B = perturbed_laplacian(net, cfg)
-    drive = (cfg.input_matrix(net.n), cfg.input_vectors())
-    return simulate(L_B, drive, x0, SimulationConfig(dt=dt, horizon=horizon))
+    forcing = cfg.input_matrix(net.n) @ cfg.input_vectors()
+    return simulate(L_B, forcing, x0, SimulationConfig(dt=dt, horizon=horizon))
 
 
 def at_time(traj, series, t):
@@ -328,7 +328,7 @@ class TestSampledTempoMatchesEigvec:
                 continue
             horizon = min(300.0, max(20.0, 14.0 / gap))
             x0 = rng.random((n, 1))
-            traj = simulate(L_B, (cfg.input_matrix(n), cfg.input_vectors()),
+            traj = simulate(L_B, cfg.input_matrix(n) @ cfg.input_vectors(),
                             x0, SimulationConfig(dt=0.05, horizon=horizon))
             edge = net.edges[int(rng.integers(0, len(net.edges)))]
             series = g_ratio_series(traj, edge.i, edge.j)
@@ -392,7 +392,7 @@ class TestDistributedFanTree:
         x0 = np.random.default_rng(9).random(5)
         dnet, _ = distributed_select(Model(net, None), x0)
         assert dnet.arc_set == ref.arc_set
-        assert not dnet.retained[3]
+        assert 3 not in dnet.i.tolist()
 
     def test_signed_tree_rejected_with_cause(self):
         net = Network(6, tuple(Edge(i, i + 1, -1.0 if i == 3 else 1.0)
@@ -807,7 +807,7 @@ def test_certified_super_block_with_rising_states(g8, monkeypatch):
         assert got == outcome(distributed_select, model, x0)
     assert got[1].entries and not full[0] and full[-1]
     span = settle_span(net, 3)
-    traj = simulate(model.generator(), model.drive, x0,
+    traj = simulate(model.generator(), model.forcing, x0,
                     SimulationConfig(dt=0.01, horizon=0.01 * span))
     peak = np.abs(traj.states).max(axis=(0, 2))
     assert (peak > 2 * np.abs(x0).max(axis=1)).any()
@@ -873,6 +873,46 @@ def test_round_cap_after_a_certified_super_block_names_every_agent(
         distributed_select(Model(net, cfg), x0, round_cap=2 * span)
     assert str(exc.value) == (f"agents [1, 2, 3, 4, 5, 6, 7, 8] did not settle "
                               f"within {2 * span} rounds (delta=0.01, eps=0.0001)")
+
+
+def engine_and_simulated_estimates(model, x0, delta):
+    """Per arc, the engine's estimate and the one ``g_ratio_series`` holds
+    at its agent's last round on a ``simulate`` run of the same steps: a
+    whole number of full blocks of ``BLOCK`` steps, at least BLOCK n (so
+    that simulate's block is not capped by steps // n) and at least the
+    engine's rounds."""
+    _, report = distributed_select(model, x0, delta)
+    rounds = max(e.rounds for e in report.entries)
+    steps = BLOCK * -(-max(BLOCK * model.net.n, rounds) // BLOCK)
+    sim = SimulationConfig(dt=delta, horizon=delta * steps)
+    assert sim.steps == steps
+    traj = simulate(model.generator(), model.forcing, x0, sim)
+    return [(e.g, g_ratio_series(traj, e.follower, e.followed)[e.rounds - 1])
+            for e in report.entries]
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.02, 0.05])
+def test_engine_steps_g6_as_simulate_does(g6, delta):
+    net, cfg, _ = g6
+    x0 = np.random.default_rng(6).random((net.n, 1))
+    pairs = engine_and_simulated_estimates(Model(net, cfg), x0, delta)
+    assert pairs and all(g == held for g, held in pairs)
+
+
+@given(st.integers(3, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.01, 0.02, 0.05]))
+@settings(max_examples=40, deadline=None)
+def test_engine_steps_as_simulate_does(n, seed, delta):
+    # Both step x' = f - G x with the same step map and full blocks, so
+    # every estimate is the simulated one bit for bit.
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(rng, n)
+    model = Model(net, random_leader_cfg(rng, n, d=1))
+    try:
+        pairs = engine_and_simulated_estimates(model, rng.random((n, 1)), delta)
+    except TempoError:
+        assume(False)
+    assert pairs and all(g == held for g, held in pairs)
 
 
 def _agent_major(x):
@@ -956,7 +996,7 @@ def test_gauged_leader_network_runs_as_the_unsigned_one(case):
     dnet, report = distributed_select(Model(signed, signed_cfg),
                                       side[:, None] * x0)
     assert report == distributed_select(Model(net, cfg), x0)[1]
-    assert all(a.w == signed.weights[(a.follower, a.followed)]
+    assert all(a.w == edge_weight(signed, a.follower, a.followed)
                for a in dnet.arcs)
     pair = principal_pair_perturbed(perturbed_laplacian(signed, signed_cfg))
     v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
