@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import GraphError, Network, _csr
-from .spectral import default_eps_zero, zero_entries
+from .thresholds import AUDIT_FACTOR, eig_tol, zero_entries
 
 
 class ClassificationError(ValueError):
@@ -189,10 +189,10 @@ def classify_fiedler(decomp: BlockDecomposition,
 
     Exactly one of the two admissible sign patterns must hold; anything
     else means the eigenvector is unusable (a repeated eigenvalue or a
-    wrong vector) and raises.  An entry is zero within
-    :func:`default_eps_zero`.  Every other block must then carry one sign
-    (or only zeros), and cut-node entries must not shrink in magnitude or
-    flip sign away from the core by more than 10 times that tolerance.
+    wrong vector) and raises.  An entry is zero as :func:`zero_entries`
+    says.  Every other block must then carry one sign (or only zeros), and
+    cut-node entries must not shrink in magnitude or flip sign away from
+    the core by more than ``AUDIT_FACTOR`` times that tolerance.
     """
     v2 = np.asarray(v2, dtype=float)
     if len(v2) != decomp.n:
@@ -234,23 +234,23 @@ def classify_fiedler(decomp: BlockDecomposition,
         sign, labels, "core-node" if core_block is None else "core-block", decomp,
         core_block=core_block, core_node=core_node)
     worst = _audit_monotonicity(cls, v2)
-    if worst > 10 * default_eps_zero(v2):
+    if worst > AUDIT_FACTOR * eig_tol(v2):
         raise ClassificationError(
             f"cut-node entries violate monotonicity away from the core "
-            f"by {worst:.3e} (> 10*eps_zero); eigenvector unusable")
+            f"by {worst:.3e} (> {AUDIT_FACTOR}*eps_zero); eigenvector unusable")
     return cls
 
 
 def _audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
     """The worst defect of |v2| over cut nodes shrinking walking away from
-    the core, 0.0 when there is none above :func:`default_eps_zero`.
+    the core, 0.0 when there is none above :func:`~fsnlab.thresholds.eig_tol`.
 
     A defect is the drop in magnitude from the previous cut node on the
     path, plus the magnitude when the two entries have opposite nonzero
     signs.
     """
     decomp = cls.decomposition
-    eps = default_eps_zero(v2)
+    eps = eig_tol(v2)
     values = v2.tolist()
     # Bipartite tree nodes: blocks 0..B-1, then node v as B + v - 1, linked
     # to its blocks when it is a cut node.

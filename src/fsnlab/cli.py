@@ -28,21 +28,19 @@ from .dynamics import (SimulationConfig, SimulationError, Trajectory,
 from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, is_connected,
                      structural_balance_partition)
-from .model import EIG_TOL, MODES, Model
+from .model import MODES, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       csv_stamps, emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
-from .spectral import SpectralError, zero_entries
-from .tempo import (DEFAULT_DELTA, DEFAULT_EPS, TempoError, distributed_select,
-                    g_ratio_series)
+from .spectral import SpectralError
+from .tempo import DEFAULT_DELTA, TempoError, distributed_select, g_ratio_series
+from .thresholds import (DEFAULT_EPS, EIG_TOL, HORIZON_CLAMP, HORIZON_E_FOLDINGS,
+                         HORIZON_RATE_FLOOR, MULTIPLICITY_TOL, RANK_TOL, RATE_GUARD,
+                         RATE_TOL, SIM_TOL, TEMPO_TOL, tempo_agrees, zero_entries)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
-
-SIM_TOL = 1e-3          # convergence verification threshold
-RATE_TOL = 0.10         # relative tolerance on fitted rates
-TEMPO_TOL = 0.02        # tolerance on sampled tempo vs eigen ratio
 
 
 def _load(source: str):
@@ -243,7 +241,7 @@ def cmd_tempo(args) -> int:
             continue
         if np.isnan(final):
             unheld.append(f"{i}:{j}")
-        elif not abs(final - ref) <= TEMPO_TOL * max(1.0, abs(ref)):
+        elif not tempo_agrees(final, ref):
             far = True
     if args.out:
         Path(args.out).write_text("".join(rows))
@@ -290,9 +288,11 @@ def cmd_distributed_select(args) -> int:
 
 
 def _verification_horizon(rate: float) -> float:
-    """Simulated time for the error to decay by nine e-foldings, well below
-    the check tolerance, clamped to [60, 600]."""
-    return float(min(600.0, max(60.0, 9.0 / max(rate, 1e-3))))
+    """Simulated time for the error to decay by ``HORIZON_E_FOLDINGS``
+    e-foldings, well below the check tolerance, clamped to ``HORIZON_CLAMP``."""
+    least, most = HORIZON_CLAMP
+    rate = max(rate, HORIZON_RATE_FLOOR)
+    return float(min(most, max(least, HORIZON_E_FOLDINGS / rate)))
 
 
 def _verification_runs(G, forcing, x0, h: float) -> tuple[Trajectory, Trajectory]:
@@ -315,10 +315,10 @@ def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:
     """
     n = G.shape[0]
     eigs = np.linalg.eigvals(G).real
-    algebraic = int(np.sum(np.abs(eigs - lam) < 1e-6 * max(1.0, abs(lam))))
-    geometric = n - np.linalg.matrix_rank(G - lam * np.eye(n), tol=1e-9)
+    algebraic = int(np.sum(np.abs(eigs - lam) < MULTIPLICITY_TOL * max(1.0, abs(lam))))
+    geometric = n - np.linalg.matrix_rank(G - lam * np.eye(n), tol=RANK_TOL)
     depth = max(1, algebraic - max(int(geometric), 1) + 1)
-    return RATE_TOL + (depth - 1) / max(lam * t_fit, 1e-9)
+    return RATE_TOL + (depth - 1) / max(lam * t_fit, RATE_GUARD)
 
 
 def cmd_compare(args) -> int:
@@ -401,7 +401,7 @@ def cmd_compare(args) -> int:
         if ref is None:
             print(f"  g_{hub},{j}: {reason}")
             continue
-        ok = abs(settled - ref) <= TEMPO_TOL * max(1.0, ref)
+        ok = tempo_agrees(settled, ref)
         flag = "" if ok else "  <-- off"
         print(f"  g_{hub},{j}: t=10 {sampled10:.4f}, settled {settled:.4f}, "
               f"eigen {ref:.4f}{flag}")

@@ -20,15 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .blocks import FiedlerClassification
+from .thresholds import NOISE_FLOOR, UNIT_ROUNDOFF
 
-
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
-NOISE_FLOOR = 1e6      # multiple of u max|x| below which an error is noise
 BLOCK = 64             # steps advanced per product of stacked step powers
 
 
@@ -108,9 +106,10 @@ def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
         return eye + A @ S, dt * (S @ forcing)
 
 
-def step_powers(R: np.ndarray, c: np.ndarray,
-                b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks P = [R; R^2; ...; R^b] and C = [c; R c + c; ...] of b steps.
+def step_powers(R: np.ndarray, offsets: list[np.ndarray],
+                b: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Stack P = [R; R^2; ...; R^b] of b steps, built once, and for each
+    offset c of ``offsets`` its stack C = [c; R c + c; ...].
 
     Row block k-1 of ``P @ x + C`` is the state k steps of x <- R x + c
     after x, so one product advances b steps.  Each power and offset is
@@ -120,27 +119,25 @@ def step_powers(R: np.ndarray, c: np.ndarray,
     entries without a numpy warning.
     """
     n = R.shape[0]
-    P, C = np.empty((b * n, n)), np.empty((b * n, c.shape[1]))
-    P[:n], C[:n] = R, c
+    P, stacks = np.empty((b * n, n)), [np.empty((b * n, c.shape[1])) for c in offsets]
+    P[:n] = R
+    for C, c in zip(stacks, offsets):
+        C[:n] = c
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n, b * n, n):
             np.matmul(R, P[k - n:k], out=P[k:k + n])
-            offset = np.matmul(R, C[k - n:k], out=C[k:k + n])
-            offset += c
-    return P, C
+            for C, c in zip(stacks, offsets):
+                offset = np.matmul(R, C[k - n:k], out=C[k:k + n])
+                offset += c
+    return P, stacks
 
 
 class Stepper:
-    """x <- R x + c advanced ``block`` steps per product of the stacks of
-    :func:`step_powers`, which it builds once and refuses, by raising
-    ``refusal``, when they leave the float range."""
+    """x <- R x + c advanced ``block`` steps per product of its stacks P
+    and C from :func:`step_powers`."""
 
-    def __init__(self, R: np.ndarray, c: np.ndarray, block: int,
-                 refusal: Exception):
-        self.block = block
-        self._P, self._C = step_powers(R, c, block)
-        if not (np.isfinite(self._P).all() and np.isfinite(self._C).all()):
-            raise refusal
+    def __init__(self, P: np.ndarray, C: np.ndarray, block: int):
+        self.block, self._P, self._C = block, P, C
 
     def advance(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the states after x into the rows of ``out``, n per step
@@ -164,22 +161,25 @@ class Stepper:
 
 def steppers(generator: np.ndarray, forcing: np.ndarray, dt: float,
              method: str, groups: Iterable, refusal: Exception,
-             steps: Optional[int] = None) -> Iterator[Stepper]:
-    """A :class:`Stepper` of x' = forcing - G x per group of state columns.
+             steps: Optional[int] = None) -> list[Stepper]:
+    """A :class:`Stepper` of x' = forcing - G x per group of state columns;
+    raises ``refusal`` when a stack leaves the float range.
 
-    The step map R, c is built once, from all columns; each group's stacks
-    then hold its own columns of c.  The block is b = max(1, min(``BLOCK``,
-    steps // n, 2**20 // n**2)), without the middle term when ``steps`` is
-    None: the stack holds at most 2**20 doubles, and building it costs
-    (b - 1) n^3 flops, which b <= steps // n keeps below the steps n^2 of
-    the stepping it replaces.
+    The step map R, c and the power stack P are built once, from all
+    columns; each group's offset stack holds its own columns of c.  The
+    block is b = max(1, min(``BLOCK``, steps // n, 2**20 // n**2)), without
+    the middle term when ``steps`` is None: the stack holds at most 2**20
+    doubles, and building it costs (b - 1) n^3 flops, which b <= steps // n
+    keeps below the steps n^2 of the stepping it replaces.
     """
     R, c = step_map(generator, forcing, dt, method)
     n = max(generator.shape[0], 1)
     cap = BLOCK if steps is None else steps // n
     block = max(1, min(BLOCK, cap, 2**20 // n**2))
-    for columns in groups:
-        yield Stepper(R, c[:, columns], block, refusal)
+    P, stacks = step_powers(R, [c[:, columns] for columns in groups], block)
+    if not all(np.isfinite(a).all() for a in (P, *stacks)):
+        raise refusal
+    return [Stepper(P, C, block) for C in stacks]
 
 
 def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],

@@ -28,8 +28,8 @@ from .selection import (_check_balanced, ffn_san, fsn_fan, fsn_san,
                         reachable_from, reachable_from_inputs, reduced_spectrum)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
                        principal_pair_perturbed, smallest_eigenpairs)
+from .thresholds import EIG_TOL
 
-EIG_TOL = 1e-8          # eigen residual bound the solver enforces
 MODES = ("san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn")   # selection modes
 
 

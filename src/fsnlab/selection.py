@@ -19,17 +19,8 @@ from .graphs import (DirectedNetwork, GraphError, Network,
                      SemiAutonomousConfig, _bump_leaders, _reach,
                      augmented_signed_network, structural_balance_partition)
 from .blocks import FiedlerClassification
-from .spectral import _SYMMETRY_TOL, symmetric_eigh
-
-EPS_TIE = 1e-10
-
-
-def _follows(vi: np.ndarray, vj: np.ndarray) -> np.ndarray:
-    """Strictly-greater ratio test with a symmetric tie guard of ``EPS_TIE``,
-    entry by entry; a zero denominator never follows."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = vi / vj
-    return (vj != 0) & (r > 1.0) & ~(np.abs(r - 1.0) < EPS_TIE)
+from .spectral import symmetric_eigh
+from .thresholds import SYMMETRY_TOL, follows
 
 
 def _edge_arcs(net: Network, keep: np.ndarray, name: str) -> DirectedNetwork:
@@ -80,7 +71,7 @@ def _ratio_arcs(net: Network, v: np.ndarray,
     if faster:
         ends = ends[::-1]
     suffix = "ffn" if faster else "fsn"
-    return _edge_arcs(net, _follows(ends, ends[::-1]), f"{net.name}-{suffix}")
+    return _edge_arcs(net, follows(ends, ends[::-1]), f"{net.name}-{suffix}")
 
 
 def fsn_san(net: Network, cfg: SemiAutonomousConfig,
@@ -135,7 +126,7 @@ def fsn_fan(net: Network, v2: np.ndarray,
     # sign, whose ratio is negative.
     ends = np.stack((net.i, net.j)) - 1
     s, v = cls.node_sign[ends], v2[ends]
-    keep = (s != 0) & ((s[::-1] == 0) | (s != s[::-1]) | _follows(v, v[::-1]))
+    keep = (s != 0) & ((s[::-1] == 0) | (s != s[::-1]) | follows(v, v[::-1]))
     return _edge_arcs(net, both | keep, f"{net.name}-fsn")
 
 
@@ -239,7 +230,7 @@ def reduced_spectrum(dnet: DirectedNetwork,
         block[np.searchsorted(nodes, follower[arcs]),
               np.searchsorted(nodes, followed[arcs])] -= w[arcs]
         sym_defect = float(np.abs(block - block.T).max())
-        if sym_defect > _SYMMETRY_TOL * float(np.abs(block).max()):
+        if sym_defect > SYMMETRY_TOL * float(np.abs(block).max()):
             raise GraphError(
                 "strongly connected component has an asymmetric generator "
                 "block; spectrum cannot be read structurally")

@@ -6,7 +6,7 @@ signed network it is the gauge image of the pair of the magnitude network.
 Several selection rules are undefined when the relevant eigenvalue is
 repeated; detecting a repeat needs eigenvalues accurate to O(u * |M|), u the
 unit roundoff, which the backward-stable LAPACK solver delivers, eight orders
-of magnitude inside the default gap tolerance 1e-8 * |M|.
+of magnitude inside the gap tolerance 1e-8 * |M| (``EIG_TOL``).
 """
 
 from __future__ import annotations
@@ -16,36 +16,11 @@ from typing import Optional
 
 import numpy as np
 
+from .thresholds import EPS_POS, NORM_TOL, SYMMETRY_TOL, eig_tol
+
 
 class SpectralError(ValueError):
     """Eigen-computation failed or a spectral precondition is violated."""
-
-
-# Tolerance policies, one module policy per thresholded decision, read by
-# every function that makes it: is an eigenvalue simple or zero
-# (default_eps_gap), is an eigenvector entry zero (default_eps_zero, as
-# zero_entries applies it), is a principal eigenvector positive (EPS_POS).
-# The first two scale with the matrix (or vector) magnitude and have no
-# absolute floor, so multiplying every weight by a constant changes none of
-# these decisions.
-def default_eps_gap(M: np.ndarray) -> float:
-    return 1e-8 * float(np.abs(M).max())
-
-
-def default_eps_zero(v: np.ndarray) -> float:
-    return 1e-8 * float(np.abs(v).max())
-
-
-def zero_entries(v: np.ndarray) -> np.ndarray:
-    """Mask of the entries of v that are zero within :func:`default_eps_zero`."""
-    v = np.asarray(v, dtype=float)
-    return np.abs(v) <= default_eps_zero(v)
-
-
-EPS_POS = 1e-10
-
-_RESIDUAL_FACTOR = 1e-8
-_SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,20 +40,20 @@ class EigenPair:
         vec = np.asarray(self.vector, dtype=float)
         object.__setattr__(self, "vector", vec)
         nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > 1e-10:
-            raise SpectralError(f"eigenvector norm {nrm} is not 1 within 1e-10")
+        if abs(nrm - 1.0) > NORM_TOL:
+            raise SpectralError(f"eigenvector norm {nrm} is not 1 within {NORM_TOL:g}")
 
 
 def sign_normalize(v: np.ndarray) -> np.ndarray:
     """Flip the global sign so the largest-magnitude entry is positive.
 
-    Ties go to the first index within :func:`default_eps_zero` of the maximum
-    magnitude, so rounding noise in tied entries cannot pick the sign; the
-    convention is idempotent under repeated application.
+    Ties go to the first index within :func:`~fsnlab.thresholds.eig_tol`
+    of the maximum magnitude, so rounding noise in tied entries cannot pick
+    the sign; the convention is idempotent under repeated application.
     """
     v = np.asarray(v, dtype=float)
     mag = np.abs(v)
-    k = int(np.argmax(mag >= mag.max() - default_eps_zero(v)))
+    k = int(np.argmax(mag >= mag.max() - eig_tol(v)))
     return -v if v[k] < 0 else v.copy()
 
 
@@ -99,7 +74,7 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(M).all():
         raise SpectralError("matrix has non-finite entries")
     asym = float(np.abs(M - M.T).max()) if n else 0.0
-    if asym > _SYMMETRY_TOL * float(np.abs(M).max()):
+    if asym > SYMMETRY_TOL * float(np.abs(M).max()):
         raise SpectralError(f"matrix is not symmetric: |M - M^T| = {asym:.3e}")
     try:
         w, V = np.linalg.eigh(M if asym == 0.0 else (M + M.T) / 2.0)
@@ -113,7 +88,7 @@ def symmetric_eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_residual(M: np.ndarray, pair: EigenPair) -> None:
     res = float(np.abs(M @ pair.vector - pair.value * pair.vector).max())
-    bound = _RESIDUAL_FACTOR * float(np.abs(M).max())
+    bound = eig_tol(M)
     if not res <= bound:    # a NaN residual fails too
         raise SpectralError(f"eigen residual {res:.3e} exceeds {bound:.3e}")
 
@@ -125,7 +100,7 @@ def smallest_eigenpairs(M: np.ndarray, k: int) -> list[EigenPair]:
         raise SpectralError(f"k={k} outside 1..{M.shape[0]}")
     w, V = symmetric_eigh(M)
     # apart[i]: w[i-1] and w[i] are separated (the ends have no neighbor).
-    apart = np.concatenate(([True], np.diff(w) > default_eps_gap(M), [True]))
+    apart = np.concatenate(([True], np.diff(w) > eig_tol(M), [True]))
     pairs = []
     for idx in range(k):
         simple = bool(apart[idx] and apart[idx + 1])
@@ -146,7 +121,7 @@ def principal_pair_perturbed(L_B: np.ndarray) -> EigenPair:
     vector that is not positive.
     """
     pair = smallest_eigenpairs(L_B, 1)[0]
-    if pair.value <= default_eps_gap(L_B):
+    if pair.value <= eig_tol(L_B):
         raise SpectralError(
             f"smallest eigenvalue {pair.value:.3e} is not positive; "
             "the network is disconnected or has no leader")
@@ -174,7 +149,7 @@ def fiedler_pair(L: np.ndarray,
     if L.shape[0] < 2:
         raise SpectralError("Fiedler pair needs at least two nodes")
     lam2 = (pairs or smallest_eigenpairs(L, 2))[1]
-    if lam2.value <= default_eps_gap(L):
+    if lam2.value <= eig_tol(L):
         raise SpectralError(
             f"second eigenvalue {lam2.value:.3e} is numerically zero; "
             "the network is disconnected")

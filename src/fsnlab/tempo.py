@@ -19,14 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import UNIT_ROUNDOFF, Trajectory, as_columns, steppers
+from .dynamics import Trajectory, as_columns, steppers
 from .graphs import DirectedNetwork, Network, is_connected
 from .model import Model
-from .spectral import zero_entries
+from .thresholds import (DEFAULT_EPS, UNIT_ROUNDOFF, above_floor, retains,
+                         zero_entries)
 
 DEFAULT_DELTA = 0.01
-DEFAULT_EPS = 1e-4
-DEFAULT_TIE_MARGIN = 0.02
 ROUND_CAP = 100_000
 SPAN_ELEMENTS = 2**14  # doubles per array of one super-block of _settle
 
@@ -53,7 +52,7 @@ def g_ratio_series(traj: Trajectory, i: int, j: int,
     x = np.array([traj.states[:, a - 1].T for a in (i, j)])
     obs = observable(np.diff(x))
     seen = np.maximum.accumulate(np.abs(x).max(axis=1), axis=1)[:, 1:]
-    above = _above_floor(obs, seen, 0, 1, DEFAULT_EPS)
+    above = above_floor(obs, seen, 0, 1, DEFAULT_EPS)
     ratio = np.divide(obs[0], obs[1], out=np.full(len(above), np.nan),
                       where=above)
     k = np.maximum.accumulate(np.where(above, np.arange(len(above)), -1))
@@ -88,10 +87,10 @@ def distributed_select(model: Model, x0: np.ndarray,
     resolved to.  With leaders the ratio is of difference norms, which a
     gauge D = diag(+-1) of a balanced signed network leaves unchanged; an
     agent keeps the neighbors whose last estimate exceeds
-    1 + ``DEFAULT_TIE_MARGIN``, a margin that drops symmetric pairs (true
-    ratio 1) from both sides.
+    1 + ``TIE_MARGIN``, a margin that drops symmetric pairs (true ratio 1)
+    from both sides (:func:`~fsnlab.thresholds.retains`).
     Without leaders the ratio is of signed first coordinates, and an
-    estimate below -``DEFAULT_TIE_MARGIN`` is kept too: a zero-entry core
+    estimate below -``TIE_MARGIN`` is kept too: a zero-entry core
     neighbor's difference falls below the floor first, so its follower's
     last ratio is large and it is kept.  That case is restricted to trees
     with nonnegative weights, a simple Fiedler value and no edge joining
@@ -169,10 +168,9 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     toward zero.  Each arc decides on its last such estimate, and an
     agent's ``rounds`` is the round of its last estimate.  The run ends
     after the first block of rounds in which no arc is above its floor.
-    An agent keeps the neighbors whose estimate exceeds
-    1 + ``DEFAULT_TIE_MARGIN`` or lies below -``DEFAULT_TIE_MARGIN``; a
-    difference norm is never negative, so only the first case can hold
-    for it.
+    An agent keeps the neighbors whose estimate exceeds 1 + ``TIE_MARGIN``
+    or lies below -``TIE_MARGIN``; a difference norm is never negative, so
+    only the first case can hold for it.
 
     One :class:`~fsnlab.dynamics.Stepper` steps all d columns, a block of
     rounds per product, writing the states in place.  The bookkeeping
@@ -245,7 +243,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             seen[:, 0] = peak
             seen = np.maximum.accumulate(seen, axis=1)
             peak = seen[:, -1]
-            above = _above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
+            above = above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
             firsts = np.arange(0, length, block)
             quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
             done = quiet.any()
@@ -265,27 +263,15 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
 
     rounds = np.zeros(n, dtype=int)
     np.maximum.at(rounds, arc_i, last)
-    entries = []
-    for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
-        ga = float(g[a]) if last[a] else None
-        retained = ga is not None and (ga > 1.0 + DEFAULT_TIE_MARGIN
-                                       or ga < -DEFAULT_TIE_MARGIN)
-        entries.append(TempoEstimate(i + 1, j + 1, ga, int(rounds[i]), retained))
-    kept = np.array([e.retained for e in entries], dtype=bool)
+    kept = (last > 0) & retains(g)
+    columns = (a.tolist() for a in (arc_i + 1, arc_j + 1, g, last,
+                                    rounds[arc_i], kept))
+    entries = tuple(TempoEstimate(i, j, ga if k else None, r, keep)
+                    for i, j, ga, k, r, keep in zip(*columns))
     dnet = DirectedNetwork.from_arrays(n, arc_i[kept] + 1, arc_j[kept] + 1,
                                        net.w[edge[kept]],
                                        name=f"{net.name}-fsn-distributed")
-    return dnet, TempoReport(tuple(entries))
-
-
-def _above_floor(obs: np.ndarray, seen: np.ndarray, i, j,
-                 eps: float) -> np.ndarray:
-    """The noise-floor test |obs_j| > u M_ij / eps on rows i and j (indices
-    or index arrays) of ``obs`` and of the running maxima ``seen``; gathered
-    here, the rows live no longer than needed."""
-    scale = np.maximum(seen[i], seen[j])
-    scale *= UNIT_ROUNDOFF / eps
-    return np.abs(obs)[j] > scale
+    return dnet, TempoReport(entries)
 
 
 def _first_coordinate(dx: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 
 from fsnlab.graphs import (DirectedNetwork, GraphError, Network, is_connected,
                            reduced_laplacian)
-from fsnlab.spectral import default_eps_gap, default_eps_zero, symmetric_eigh
+from fsnlab.spectral import symmetric_eigh
+from fsnlab.thresholds import eig_tol
 from fsnlab.tempo import TempoError
 
 
@@ -105,7 +106,7 @@ def tempo_limit_from_eigvec(v: np.ndarray, group1: Iterable[int],
     """Entry-norm ratio ||v[group1]|| / ||v[group2]|| with 1-based groups.
 
     Raises when the second group's norm is zero within
-    :func:`default_eps_zero`, the test the selections apply to one entry.
+    :func:`~fsnlab.thresholds.eig_tol`, the test the selections apply to one entry.
     """
     v = np.asarray(v, dtype=float)
     idx1 = [i - 1 for i in group1]
@@ -113,7 +114,7 @@ def tempo_limit_from_eigvec(v: np.ndarray, group1: Iterable[int],
     if not idx1 or not idx2:
         raise TempoError("both groups must be nonempty")
     den = float(np.linalg.norm(v[idx2]))
-    if den <= default_eps_zero(v):
+    if den <= eig_tol(v):
         raise TempoError("second group selects only zero entries")
     return float(np.linalg.norm(v[idx1])) / den
 
@@ -131,7 +132,7 @@ def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],
     """
     M = np.asarray(M, dtype=float)
     x0 = np.asarray(x0, dtype=float).ravel()
-    eps_gap = default_eps_gap(M)
+    eps_gap = eig_tol(M)
     w, V = symmetric_eigh(M)
     nonzero = [i for i in range(len(w)) if abs(w[i]) > eps_gap]
     if not nonzero:

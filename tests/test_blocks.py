@@ -4,7 +4,7 @@ import pytest
 from fsnlab import (ClassificationError, Edge, GraphError, Network,
                     block_cut_tree, classify_fiedler, fiedler_pair, laplacian)
 from fsnlab.blocks import _audit_monotonicity
-from fsnlab.spectral import default_eps_zero
+from fsnlab.thresholds import eig_tol
 
 from conftest import random_connected_net
 
@@ -150,4 +150,4 @@ class TestClassifyFiedler:
         cls = classify_fiedler(decomp, pair.vector)
         # Walking 6 -> 4 -> 1: magnitudes of cut entries must not shrink.
         v = pair.vector
-        assert abs(v[0]) >= abs(v[3]) - default_eps_zero(v)
+        assert abs(v[0]) >= abs(v[3]) - eig_tol(v)

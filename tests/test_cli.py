@@ -17,7 +17,7 @@ from fsnlab import cli, netfile, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
 from fsnlab.netfile import fixture_text
-from fsnlab.tempo import DEFAULT_EPS
+from fsnlab.thresholds import DEFAULT_EPS, TEMPO_TOL
 
 from conftest import G8_FSN, G12_FSN
 from oracles import tempo_limit_from_eigvec
@@ -97,6 +97,34 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", path3_file(tmp_path))
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == "Fiedler classification: core node 2"
+
+
+# The thresholded decisions of select, tempo and distributed-select, pinned
+# as the stdout of each run at FSNLAB_SEED=7: every mode a fixture accepts,
+# and the tempo pairs and distributed runs of perfbench's fixtures-cli.
+ALL_MODES = ("san-fsn", "san-ffn", "signed-san-fsn", "fan-fsn")
+GOLDEN_RUNS = [
+    *[(f"select-{name}-{mode}", ["select", name, "--mode", mode])
+      for name, modes in (("g6", ALL_MODES), ("g8", ALL_MODES),
+                          ("g8-signed", ALL_MODES[2:]), ("g12", ALL_MODES[3:]),
+                          ("t12", ALL_MODES[3:]))
+      for mode in modes],
+    *[(f"tempo-{name}", ["tempo", name, "--pairs", pairs])
+      for name, pairs in (("g6", "2:1,2:3,2:5"), ("g8", "7:3,7:6,7:8"),
+                          ("g8-signed", "3:2,3:4,3:6,3:7,3:8"),
+                          ("g12", "6:4,6:5,6:7,6:8,6:9,6:10"),
+                          ("t12", "4:1,4:2,4:3,4:5,4:6"))],
+    ("distributed-select-g8", ["distributed-select", "g8"]),
+    ("distributed-select-t12-fan-tree", ["distributed-select", "t12", "--fan-tree"]),
+]
+
+
+@pytest.mark.parametrize("golden,argv", GOLDEN_RUNS, ids=[g for g, _ in GOLDEN_RUNS])
+def test_decision_stdout_is_the_golden_text(golden, argv, capsys, monkeypatch):
+    monkeypatch.setenv("FSNLAB_SEED", "7")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{golden}.txt").read_text()
 
 
 @pytest.mark.parametrize("case", ["network-is-directory", "network-not-utf8",
@@ -337,7 +365,7 @@ class TestTempo:
         assert "-0.30" in out
 
     def test_first_component_zero_neighbor_diverges(self, capsys, tmp_path):
-        # Entry 1 is zero within default_eps_zero (7.6e-17 of 0.6), so the
+        # Entry 1 is zero within eig_tol (7.6e-17 of 0.6), so the
         # ratio has no limit to check against, as in norm mode.
         code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
                            "2:1", "--first-component")
@@ -831,7 +859,7 @@ class TestHeldEstimate:
         for p, (i, j) in enumerate(pairs):
             last = float(rows[(p + 1) * steps - 1].rsplit(",", 1)[1])
             ref = tempo_limit_from_eigvec(vec, [i], [j])
-            assert abs(last - ref) <= cli.TEMPO_TOL * max(1.0, ref)
+            assert abs(last - ref) <= TEMPO_TOL * max(1.0, ref)
 
     @pytest.mark.parametrize("seed", [13, 39])
     def test_held_finals_survive_roundoff_perturbation(self, seed, capsys,

@@ -212,9 +212,9 @@ class TestBlockStepping:
         # so with steps < 2 n a stack of more than one power never pays.
         built = []
 
-        def spy(R, c, size):
+        def spy(R, offsets, size):
             built.append(size)
-            return step_powers(R, c, size)
+            return step_powers(R, offsets, size)
 
         monkeypatch.setattr(dynamics, "step_powers", spy)
         rng = np.random.default_rng(n)
@@ -223,12 +223,32 @@ class TestBlockStepping:
                  SimulationConfig(dt=0.01, horizon=0.01 * steps))
         assert built == [1]
 
+    def test_power_stack_is_built_once_per_run(self, g8, monkeypatch):
+        # P depends on R alone: a d = 3 run builds it once, with an offset
+        # stack per state column, and each column steps as a d = 1 run does.
+        calls = []
+
+        def spy(R, offsets, size):
+            calls.append([c.shape for c in offsets])
+            return step_powers(R, offsets, size)
+
+        monkeypatch.setattr(dynamics, "step_powers", spy)
+        net, cfg, _ = g8
+        L_B, B, u = san_system(net, cfg)
+        x0 = np.random.default_rng(7).random((8, 3))
+        sim = SimulationConfig(dt=0.01, horizon=5.0)
+        got = simulate(L_B, B @ u, x0, sim).states
+        assert calls == [[(8, 1)] * 3]
+        for dim in range(3):
+            one = simulate(L_B, B @ u[:, [dim]], x0[:, [dim]], sim).states
+            assert np.array_equal(got[:, :, [dim]], one)
+
     def test_step_powers_are_matrix_power_stacks(self):
         rng = np.random.default_rng(23)
         n, b = 5, 7
         R = np.eye(n) + 0.1 * rng.standard_normal((n, n))
         c = rng.standard_normal((n, 2))
-        P, C = step_powers(R, c, b)
+        P, (C,) = step_powers(R, [c], b)
         assert P.shape == (b * n, n) and C.shape == (b * n, 2)
         offset = np.zeros_like(c)
         for k in range(1, b + 1):

@@ -20,8 +20,9 @@ from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
                     reachable_from, reachable_from_inputs, reduced_spectrum,
                     reduced_laplacian)
 from fsnlab import cli
-from fsnlab.model import EIG_TOL, MODES, Model
-from fsnlab.spectral import _SYMMETRY_TOL, SpectralError, symmetric_eigh
+from fsnlab.model import MODES, Model
+from fsnlab.spectral import SpectralError, symmetric_eigh
+from fsnlab.thresholds import EIG_TOL, SYMMETRY_TOL
 
 from test_perfbench_names import SCRIPTS, package_reads
 from oracles import (diameter, fiedler_lower_bound, reduced_symmetric_fiedler,
@@ -650,7 +651,7 @@ class TestReducedSpectrumOracle:
     def test_asymmetric_block_is_refused_at_the_solver_tolerance(self, defect):
         # Above the eigensolver's symmetry tolerance the block is refused
         # by reduced_spectrum itself, before the solver sees it.
-        assert defect > _SYMMETRY_TOL
+        assert defect > SYMMETRY_TOL
         dnet = DirectedNetwork(3, (Arc(1, 2, 1.0), Arc(2, 1, 1.0 + defect),
                                    Arc(3, 1, 1.0)))
         with pytest.raises(GraphError, match="asymmetric generator block"):

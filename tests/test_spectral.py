@@ -10,7 +10,8 @@ from fsnlab import (EigenPair, Edge, LeaderLink, Network, SemiAutonomousConfig,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
                     sign_normalize, smallest_eigenpairs)
 from fsnlab.cli import _reference
-from fsnlab.spectral import _check_residual, zero_entries
+from fsnlab.spectral import _check_residual
+from fsnlab.thresholds import zero_entries
 
 from conftest import G8_V1, T12_V2, random_connected_net, random_leader_cfg
 

@@ -17,9 +17,9 @@ from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
                     principal_pair_perturbed, simulate)
 
 from fsnlab import tempo
-from fsnlab.dynamics import BLOCK, UNIT_ROUNDOFF, step_map, step_powers
+from fsnlab.dynamics import BLOCK, step_map, step_powers
 from fsnlab.graphs import DirectedNetwork
-from fsnlab.spectral import zero_entries
+from fsnlab.thresholds import DEFAULT_EPS, TIE_MARGIN, UNIT_ROUNDOFF, zero_entries
 
 from oracles import tempo_limit_from_eigvec, tempo_limit_oracle
 from conftest import (G6_FSN, G8_FSN, T12_FSN, edge_weight, random_connected_net,
@@ -109,7 +109,7 @@ class TestGRatioSeries:
             obs = (dx[:, 0] if first_component
                    else [math.sqrt(sum(v * v for v in row.tolist()))
                          for row in dx])
-            if abs(obs[1]) > peak * (UNIT_ROUNDOFF / tempo.DEFAULT_EPS):
+            if abs(obs[1]) > peak * (UNIT_ROUNDOFF / DEFAULT_EPS):
                 held = obs[0] / obs[1]
             else:
                 below += 1
@@ -621,7 +621,7 @@ def per_block_settle(net, G, forcing, x0, observable, eps, delta,
 
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
-    P, C = step_powers(R, c, block)
+    P, (C,) = step_powers(R, [c], block)
 
     g = np.zeros(len(arc_j))
     last = np.zeros(len(arc_j), dtype=int)
@@ -651,8 +651,8 @@ def per_block_settle(net, G, forcing, x0, observable, eps, delta,
     entries = []
     for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
         ga = float(g[a]) if last[a] else None
-        retained = ga is not None and (ga > 1.0 + tempo.DEFAULT_TIE_MARGIN
-                                       or ga < -tempo.DEFAULT_TIE_MARGIN)
+        retained = ga is not None and (ga > 1.0 + TIE_MARGIN
+                                       or ga < -TIE_MARGIN)
         entries.append(tempo.TempoEstimate(i + 1, j + 1, ga, int(rounds[i]),
                                            retained))
     kept = np.array([e.retained for e in entries], dtype=bool)
@@ -767,15 +767,15 @@ def edited_observable(monkeypatch, edit):
 def settle_paths(model, x0, monkeypatch):
     """The report of a run, and per super-block whether it took the full
     floor test: every super-block takes the observable once, and only the
-    ones the certificate does not cover run ``_above_floor``."""
-    full, floor_test = [], tempo._above_floor
+    ones the certificate does not cover run ``above_floor``."""
+    full, floor_test = [], tempo.above_floor
 
     def above_floor(*args):
         full[-1] = True
         return floor_test(*args)
 
     edited_observable(monkeypatch, lambda index, obs: full.append(False))
-    monkeypatch.setattr(tempo, "_above_floor", above_floor)
+    monkeypatch.setattr(tempo, "above_floor", above_floor)
     got = outcome(distributed_select, model, x0)
     monkeypatch.undo()
     return got, full
