@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import GraphError, Network, _csr
+from .graphs import GraphError, Network, _csr, _reach
 from .thresholds import AUDIT_FACTOR, eig_tol, zero_entries
 
 
@@ -247,11 +247,12 @@ def _audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
 
     A defect is the drop in magnitude from the previous cut node on the
     path, plus the magnitude when the two entries have opposite nonzero
-    signs.
+    signs.  One search from the core over the bipartite tree of blocks and
+    cut nodes finds every path: a cut node's grandparent in its search
+    tree is the previous cut node, unless it is the core.
     """
     decomp = cls.decomposition
     eps = eig_tol(v2)
-    values = v2.tolist()
     # Bipartite tree nodes: blocks 0..B-1, then node v as B + v - 1, linked
     # to its blocks when it is a cut node.
     B = len(decomp.start) - 1
@@ -259,27 +260,13 @@ def _audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
     blk, cut = decomp.member_block[link], B + decomp.member[link] - 1
     indptr, adj, _ = _csr(B + decomp.n, np.concatenate((blk, cut)),
                           np.concatenate((cut, blk)))
-    ptr, adj = indptr.tolist(), adj.tolist()
-
     root = cls.core_block if cls.case == "core-block" else B + cls.core_node - 1
-    worst = 0.0
-    # DFS carrying the last cut-node entry seen on the path from the root.
-    stack = [(root, None)]
-    seen = [False] * len(ptr)
-    seen[root] = True
-    while stack:
-        node, last = stack.pop()
-        if node >= B and node != root:
-            val = values[node - B]
-            if last is not None:
-                drop = abs(last) - abs(val)
-                opposite = abs(last) > eps and abs(val) > eps and last * val < 0
-                if drop > eps or opposite:
-                    worst = max(worst, max(drop, 0.0)
-                                + (abs(val) if opposite else 0.0))
-            last = val
-        for nxt in adj[ptr[node]:ptr[node + 1]]:
-            if not seen[nxt]:
-                seen[nxt] = True
-                stack.append((nxt, last))
-    return worst
+    tree = _reach(indptr, adj, [root])
+    node = B + np.flatnonzero(decomp.is_cut[1:])
+    prev = tree[tree[node]]
+    on_path = (node != root) & (prev != root)
+    val, last = v2[node[on_path] - B], v2[prev[on_path] - B]
+    drop = np.abs(last) - np.abs(val)
+    opposite = (np.abs(last) > eps) & (np.abs(val) > eps) & (last * val < 0)
+    defect = np.maximum(drop, 0.0) + np.where(opposite, np.abs(val), 0.0)
+    return float(defect[(drop > eps) | opposite].max(initial=0.0))

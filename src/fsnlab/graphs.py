@@ -83,23 +83,24 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray):
     return indptr, cols[order], order
 
 
-def _reach(indptr: np.ndarray, cols: np.ndarray, start) -> list[bool]:
-    """Per node (0-based), whether it is reachable from the ``start`` nodes
-    along CSR rows: a depth-first search over the rows as Python lists."""
+def _reach(indptr: np.ndarray, cols: np.ndarray, start) -> np.ndarray:
+    """The depth-first search tree from the ``start`` nodes along CSR rows
+    (read as Python lists), 0-based: per node, the node it was reached
+    from, itself for a start node and -1 for one not reached."""
     ptr, nbr = indptr.tolist(), cols.tolist()
-    seen = [False] * (len(ptr) - 1)
+    tree = [-1] * (len(ptr) - 1)
     stack = []
     for s in start:
-        if not seen[s]:
-            seen[s] = True
+        if tree[s] < 0:
+            tree[s] = s
             stack.append(s)
     while stack:
         u = stack.pop()
         for v in nbr[ptr[u]:ptr[u + 1]]:
-            if not seen[v]:
-                seen[v] = True
+            if tree[v] < 0:
+                tree[v] = u
                 stack.append(v)
-    return seen
+    return np.array(tree)
 
 
 class _Graph:
@@ -468,7 +469,7 @@ def is_connected(net: Network) -> bool:
     if len(net.w) < net.n - 1:
         return False
     indptr, cols, _ = net.adjacency
-    return all(_reach(indptr, cols, [0]))
+    return bool((_reach(indptr, cols, [0]) >= 0).all())
 
 
 def structural_balance_partition(
@@ -490,8 +491,8 @@ def structural_balance_partition(
     indptr, cols, edge = net.adjacency
     # Row u is node u's "+" copy, row u + n its "-" copy.
     flip = n * (net.w < 0)[edge]
-    seen = np.array(_reach(np.concatenate((indptr, indptr[1:] + len(cols))),
-                           np.concatenate((cols + flip, cols + n - flip)), [0]))
+    seen = _reach(np.concatenate((indptr, indptr[1:] + len(cols))),
+                  np.concatenate((cols + flip, cols + n - flip)), [0]) >= 0
     plus, minus = seen[:n], seen[n:]
     if not (plus | minus).all():
         raise GraphError("balance partition requires a connected network")

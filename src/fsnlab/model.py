@@ -133,10 +133,12 @@ class Model:
     @property
     def tempo_vector(self) -> np.ndarray:
         """The eigenvector whose entry ratios the sampled tempo approaches:
-        that of :meth:`pair`, on a signed autonomous network times
-        :attr:`gauge` (so this refuses an unbalanced one), since its states
-        are the gauge image of those of |W|, whose Fiedler vector that is."""
-        vec = self.pair().vector
+        that of :meth:`pair`, refused when not simple, on a signed autonomous
+        network times :attr:`gauge` (so this refuses an unbalanced one), as
+        its states are the gauge image of those of |W|, whose Fiedler vector that is."""
+        if not (pair := self.pair()).is_simple:
+            raise SpectralError("selection eigenvalue repeated; tempo limit undefined")
+        vec = pair.vector
         if self.cfg is None and self.net.is_signed:
             vec = self.gauge[:, 0] * vec
         return vec

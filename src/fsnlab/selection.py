@@ -141,7 +141,7 @@ def reachable_from(dnet: DirectedNetwork, sources: Iterable[int]) -> dict[int, b
             raise GraphError(f"source {s} outside 1..{dnet.n}")
         start.append(s - 1)
     indptr, cols, _ = dnet.followers
-    return dict(zip(range(1, dnet.n + 1), _reach(indptr, cols, start)))
+    return dict(zip(range(1, dnet.n + 1), (_reach(indptr, cols, start) >= 0).tolist()))
 
 
 def reachable_from_inputs(dnet: DirectedNetwork,

@@ -188,7 +188,8 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     super-block exceeds b and rounding a product by the positive u / eps
     is monotone.  When it holds for every arc, each arc's estimate is
     that of the last round, bit for bit what the full test gives.  Only
-    otherwise does the super-block pay for the running maximum and the
+    otherwise, or on a network with no arcs (whose first block is quiet,
+    so the run ends in round 0), does the super-block pay for the running maximum and the
     per-arc floor test over all its rounds, and then the termination rule
     block by block: the arcs decide on their last estimate before the
     first block with none above its floor, and the rounds computed after
@@ -233,7 +234,8 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             seen = np.abs(xt).max(axis=1)
             bound = np.maximum(peak, seen.max(axis=1))
             low = np.abs(obs).min(axis=1)
-            if (low[arc_j] > per_state * np.maximum(bound[arc_i], bound[arc_j])).all():
+            if m and (low[arc_j] > per_state
+                      * np.maximum(bound[arc_i], bound[arc_j])).all():
                 # Every arc is above its floor in every round of the super-block.
                 g = obs[arc_i, -1] / obs[arc_j, -1]
                 last[:] = start + length

@@ -3,7 +3,8 @@
 None of these is run by a command: they are independent checks (a
 breadth-first diameter, the explicit gauge matrix, the symmetrized Fiedler
 data and lower bound of the rate certificate, the tree-diameter bound, the
-entry-norm tempo limit of an eigenvector and the closed-form tempo limit)
+entry-norm tempo limit of an eigenvector, the closed-form tempo limit and a
+path-carrying search of the Fiedler monotonicity audit)
 kept next to the tests that use them.
 """
 
@@ -15,8 +16,9 @@ from typing import Iterable
 
 import numpy as np
 
-from fsnlab.graphs import (DirectedNetwork, GraphError, Network, is_connected,
-                           reduced_laplacian)
+from fsnlab.blocks import FiedlerClassification
+from fsnlab.graphs import (DirectedNetwork, GraphError, Network, _csr,
+                           is_connected, reduced_laplacian)
 from fsnlab.spectral import symmetric_eigh
 from fsnlab.thresholds import eig_tol
 from fsnlab.tempo import TempoError
@@ -158,3 +160,50 @@ def tempo_limit_oracle(M: np.ndarray, x0: np.ndarray, group1: Iterable[int],
         raise TempoError("second group has no component on the dominant "
                          "eigenspace; the limit formula degenerates")
     return math.sqrt(num / den)
+
+
+def audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
+    """The worst defect of |v2| over cut nodes shrinking walking away from
+    the core, 0.0 when there is none above :func:`~fsnlab.thresholds.eig_tol`.
+
+    A defect is the drop in magnitude from the previous cut node on the
+    path, plus the magnitude when the two entries have opposite nonzero
+    signs.  A stack search of the bipartite block-cut tree carries the last
+    cut-node entry down each path: the reference that
+    ``blocks._audit_monotonicity``, which reads a search tree, is checked
+    against.
+    """
+    decomp = cls.decomposition
+    eps = eig_tol(v2)
+    values = v2.tolist()
+    # Bipartite tree nodes: blocks 0..B-1, then node v as B + v - 1, linked
+    # to its blocks when it is a cut node.
+    B = len(decomp.start) - 1
+    link = decomp.is_cut[decomp.member]
+    blk, cut = decomp.member_block[link], B + decomp.member[link] - 1
+    indptr, adj, _ = _csr(B + decomp.n, np.concatenate((blk, cut)),
+                          np.concatenate((cut, blk)))
+    ptr, adj = indptr.tolist(), adj.tolist()
+
+    root = cls.core_block if cls.case == "core-block" else B + cls.core_node - 1
+    worst = 0.0
+    # DFS carrying the last cut-node entry seen on the path from the root.
+    stack = [(root, None)]
+    seen = [False] * len(ptr)
+    seen[root] = True
+    while stack:
+        node, last = stack.pop()
+        if node >= B and node != root:
+            val = values[node - B]
+            if last is not None:
+                drop = abs(last) - abs(val)
+                opposite = abs(last) > eps and abs(val) > eps and last * val < 0
+                if drop > eps or opposite:
+                    worst = max(worst, max(drop, 0.0)
+                                + (abs(val) if opposite else 0.0))
+            last = val
+        for nxt in adj[ptr[node]:ptr[node + 1]]:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, last))
+    return worst

@@ -7,6 +7,7 @@ from fsnlab.blocks import _audit_monotonicity
 from fsnlab.thresholds import eig_tol
 
 from conftest import random_connected_net
+from oracles import audit_monotonicity
 
 PATH3 = Network(3, (Edge(1, 2), Edge(2, 3)))
 
@@ -20,6 +21,22 @@ def winged_path():
     """
     return Network(7, (Edge(1, 2), Edge(2, 3), Edge(3, 4), Edge(4, 5),
                        Edge(3, 6), Edge(3, 7), Edge(6, 7)))
+
+
+def weight(rng):
+    return rng.uniform(0.5, 2.0)
+
+
+def mirrored_net(rng, k):
+    """Two copies of a random k-node graph whose copies of one node are
+    joined to a centre node 2k + 1 by equal weights: the mirror symmetry
+    puts the centre at a zero entry of every antisymmetric eigenvector."""
+    half = random_connected_net(rng, k, extra=int(rng.integers(0, k // 3 + 1)),
+                                weights=weight)
+    a, w = int(rng.integers(1, k + 1)), weight(rng)
+    return Network(2 * k + 1, [*half.edges, *(Edge(e.i + k, e.j + k, e.w)
+                                              for e in half.edges),
+                               Edge(a, 2 * k + 1, w), Edge(a + k, 2 * k + 1, w)])
 
 
 class TestBlockCutTree:
@@ -126,6 +143,37 @@ class TestClassifyFiedler:
             assert cls.case in ("core-block", "core-node")
             assert (cls.core_block is None) != (cls.core_node is None)
             assert _audit_monotonicity(cls, pair.vector) == 0.0
+
+    def test_audit_equals_the_path_carrying_search(self):
+        # The audit of perturbed Fiedler vectors (each entry scaled by
+        # 1 + N(0, 0.3), one sign in ten flipped) against the reference
+        # search, on classifications classify_fiedler accepts: random
+        # trees plus up to n/3 chords (core blocks, n = 3..40) and, at odd
+        # n, mirrored doubles of such graphs (core nodes).
+        rng = np.random.default_rng(13)
+        cases = {"core-block": 0, "core-node": 0}
+        defects = 0
+        while min(cases.values()) < 150:
+            n = int(rng.integers(3, 41))
+            if n % 2 and cases["core-node"] < 150:
+                net = mirrored_net(rng, n // 2)
+            else:
+                chords = int(rng.integers(0, n // 3 + 1))
+                net = random_connected_net(rng, n, extra=chords, weights=weight)
+            pair = fiedler_pair(laplacian(net))
+            if not pair.is_simple:
+                continue
+            try:
+                cls = classify_fiedler(block_cut_tree(net), pair.vector)
+            except ClassificationError:
+                continue
+            cases[cls.case] += 1
+            v = pair.vector * (1.0 + rng.normal(0.0, 0.3, net.n))
+            v[rng.random(net.n) < 0.1] *= -1.0
+            audit = _audit_monotonicity(cls, v)
+            assert audit == audit_monotonicity(cls, v)
+            defects += audit != 0.0
+        assert defects > sum(cases.values()) / 2
 
     def test_garbage_vector_rejected(self, g12):
         net, _, _ = g12

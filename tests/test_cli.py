@@ -358,6 +358,24 @@ class TestTempo:
         assert "1.0576" in out or "1.05767" in out
         assert series.read_text().startswith("t,follower,followed,value")
 
+    @pytest.mark.parametrize("flags", [[], ["--first-component"]])
+    @pytest.mark.parametrize("edges", [
+        [(k, k % 5 + 1, 1.0) for k in range(1, 6)],     # the 5-cycle
+        [(1, k, 1.0) for k in range(2, 6)],             # the 5-node star
+        [(1, k, (-1.0) ** k) for k in range(2, 6)]],    # gauged: |W| the star
+        ids=["cycle", "star", "signed-star"])
+    def test_repeated_fiedler_value_is_refused(self, edges, flags, capsys,
+                                               tmp_path):
+        # lambda2 has an eigenspace, not one vector the ratios approach.
+        path, series = tmp_path / "net.json", tmp_path / "g.csv"
+        path.write_text(json.dumps({"n": 5, "edges": [
+            {"i": i, "j": j, "w": w} for i, j, w in edges]}))
+        code, out, err = run(capsys, "tempo", str(path), "--pairs", "1:2,2:3",
+                             "--out", str(series), *flags)
+        assert (code, out) == (1, "")
+        assert err == "error: selection eigenvalue repeated; tempo limit undefined\n"
+        assert not series.exists()
+
     def test_first_component_mode(self, capsys):
         code, out, _ = run(capsys, "tempo", "t12", "--pairs", "4:6",
                            "--first-component")
@@ -413,8 +431,8 @@ class TestTempo:
 
     def test_first_component_two_zero_entries_have_no_limit(self, capsys,
                                                           tmp_path):
-        # Entries 6 and 1 both sit in the zero block: 0/0 = 1 is only
-        # entry_ratio's convention, so the sampled ratio is not checked.
+        # Entries 6 and 1 both sit in the zero block: cli._reference gives
+        # their 0/0 no limit, so the sampled ratio is not checked.
         code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
                            "6:1", "--first-component")
         assert code == 0
@@ -507,6 +525,15 @@ class TestDistributedSelect:
         code, out, _ = run(capsys, "distributed-select", "t12", "--fan-tree")
         assert code == 0
         assert "matches the centralized construction" in out
+
+    def test_network_without_arcs_settles_at_once(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n": 1, "edges": [], "inputs": [[1.0]],
+                                    "leaders": [{"node": 1, "input": 1}]}))
+        code, out, err = run(capsys, "distributed-select", str(path))
+        assert (code, err) == (0, "")
+        assert out == ("settled after 0 rounds (delta=0.01, eps=0.0001)\n"
+                       "matches the centralized construction\n")
 
     @pytest.mark.parametrize("flags", [["--delta", "0"], ["--eps", "-1"],
                                        ["--fan-tree", "--eps", "nan"]])

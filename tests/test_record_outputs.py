@@ -1,0 +1,38 @@
+"""The same-outputs recorder, tools/record_outputs.py, run on one fixture at
+one seed: every command is recorded, with the temporary directory spelled
+``$TMP`` and each written file by its sha256."""
+
+import hashlib
+import importlib.util
+import os
+from pathlib import Path
+
+from fsnlab.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location(
+    "record_outputs", ROOT / "tools" / "record_outputs.py")
+record_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record_outputs)
+
+
+def test_g6_at_one_seed_records_every_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("FSNLAB_SEED", "3")
+    records = record_outputs.record(ROOT / "src", fixtures=("g6",), seeds=("7",))
+    assert os.environ["FSNLAB_SEED"] == "3"
+    assert [r["argv"] for r in records] == record_outputs.commands("g6", "2:1,2:3,2:5")
+    assert all(r["seed"] == "7" and r["exit"] in (0, 1) for r in records)
+    assert "/tmp" not in str(records)
+
+    select = records[2]
+    assert select["argv"][:4] == ["select", "g6", "--mode", "san-fsn"]
+    assert (select["exit"], select["stderr"]) == (0, "")
+    assert "wrote arcs to $TMP/arcs.json\n" in select["stdout"]
+    assert sorted(select["files"]) == ["arcs.json", "report.json"]
+
+    # The record is of what the command writes: the same run by hand gives
+    # the same file.
+    monkeypatch.setenv("FSNLAB_SEED", "7")
+    out = tmp_path / "arcs.json"
+    assert main(["select", "g6", "--mode", "san-fsn", "--out", str(out)]) == 0
+    assert select["files"]["arcs.json"] == hashlib.sha256(out.read_bytes()).hexdigest()

@@ -183,6 +183,14 @@ class TestAlgorithm1:
         for e in report.entries:
             assert abs(e.g - 1.0) < 0.02
 
+    def test_network_without_arcs_ends_at_once(self):
+        # A lone leader: no arc is ever above its floor, so the first block
+        # is quiet; no super-block counts as certified for an empty arc set.
+        net = Network(1, ())
+        cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1),), ((1.0,),))
+        dnet, report = distributed_select(Model(net, cfg), np.zeros((1, 1)))
+        assert dnet.arc_set == frozenset() and report.entries == ()
+
     def test_report_is_deterministic(self, g6):
         net, cfg, _ = g6
         x0 = np.random.default_rng(2).random((6, 1))
