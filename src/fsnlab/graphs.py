@@ -18,7 +18,6 @@ graph Laplacian, its leader-perturbed form and the reduced Laplacian.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -161,25 +160,18 @@ class _Graph:
             raise self._refusal(n, cols)
         self._store(n, name, arrays)
 
-    def _loads(self, i, j, a) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct nodes and each one's load, the sum of the magnitudes
-        ``a`` of its records (an arc's goes to its follower) in record
-        order, numbered densely so no array spans 1..n.  The array checks
-        need this only when len(a) * max(a) reaches ``_LOAD_BOUND``: below
-        it every such sum is finite, since rounding grows a sum of k terms
-        by at most a factor (1 + u)^k."""
-        if not self._ordered:
-            i, a = np.stack((i, j), axis=1).ravel(), np.repeat(a, 2)
-        with np.errstate(over="ignore"):
-            distinct, dense = np.unique(i, return_inverse=True)
-            return distinct, np.bincount(dense, weights=a)
+    def _broken(self, i, j, w, n) -> bool:
+        """Whether the records break a rule: a self-loop, an id outside
+        1..n, an edge weight that is zero or not finite, a duplicate, or a
+        node whose load, the sum of the magnitudes of its records' weights
+        in record order (an arc's goes to its follower), is not finite.
 
-    def _broken(self, i, j, w, n) -> Optional[str]:
-        """The first rule the records break, in the order self-loop, range,
-        weight, duplicate, load (a node's sum of |w| is not finite); None
-        when they break none."""
+        The loads are summed only when len(w) * max|w| reaches
+        ``_LOAD_BOUND``: below it every such sum is finite, since rounding
+        grows a sum of k terms by at most a factor (1 + u)^k.  They are
+        numbered densely, so no array spans 1..n."""
         if not len(w):
-            return None
+            return False
         if self._ordered:
             lo, hi = i, j
             low, high = min(i.min(), j.min()), max(i.max(), j.max())
@@ -188,65 +180,60 @@ class _Graph:
             low, high = lo.min(), hi.max()
         a = np.abs(w)
         top = float(a.max())
-        if not (lo != hi).all():
-            return "self-loop"
-        if not (low >= 1 and high <= n):
-            return "range"
         # a.min() > 0 and top < inf also fail on a NaN.
-        if self._finite_nonzero and not (a.min() > 0 and top < math.inf):
-            return "weight"
+        if not ((lo != hi).all() and low >= 1 and high <= n) or (
+                self._finite_nonzero and not (a.min() > 0 and top < math.inf)):
+            return True
         keys = np.sort(lo * n + hi)
-        if not (keys[1:] != keys[:-1]).all():
-            return "duplicate"
-        finite = len(a) * top < _LOAD_BOUND or np.isfinite(
-            self._loads(i, j, a)[1]).all()
-        return None if finite else "load"
+        if (keys[1:] == keys[:-1]).any():
+            return True
+        if len(a) * top < _LOAD_BOUND:
+            return False
+        if not self._ordered:
+            i, a = np.stack((i, j), axis=1).ravel(), np.repeat(a, 2)
+        with np.errstate(over="ignore"):
+            loads = np.bincount(np.unique(i, return_inverse=True)[1], weights=a)
+        return not np.isfinite(loads).all()
 
     def _refusal(self, n: int, cols) -> GraphError:
-        """The refusal of the first bad record of columns the array checks
-        failed: an id that is not an integer, else the first rule of
-        :meth:`_broken` it breaks.  A bisection finds the shortest prefix
-        :meth:`_broken` refuses; its arrays hold 0 for an id that is not an
-        integer and NaN for a weight that is not a number, which breaks the
-        weight rule of an edge and the load rule of an arc."""
+        """The refusal of the first bad record of columns :meth:`_broken`
+        or the array conversion refused, from one pass over the records in
+        order.  Each record is checked for, in turn: an id that is not an
+        integer, a self-loop, an id outside 1..n, a weight that is not a
+        number (for an edge, also zero or not finite), a duplicate, and a
+        load of one of its ends that is no longer finite."""
         word, ints = self._word, (int, np.integer)
         i, j, w = (c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols)
-        m = len(w)
-        if not len(i) == len(j) == m:
-            return GraphError(f"{word}s cannot be stored as arrays")
-        ids = [[int(x) if isinstance(x, ints) else 0 for x in c] for c in (i, j)]
-        try:
-            ids = np.array(ids, dtype=np.int64)
-        except OverflowError:           # ids past int64 stay Python ints
-            ids = np.array(ids, dtype=object)
-        numbers = []        # None for a weight that is not a number
-        for x in w:
-            try:
-                numbers.append(None if isinstance(x, (str, bytes)) else float(x))
-            except (TypeError, ValueError, OverflowError):
-                numbers.append(None)
-        arrays = [*ids, np.array(numbers, dtype=float)]
-        r = bisect_left(range(1, m + 1), True, key=lambda p: bool(
-            self._broken(*(c[:p] for c in arrays), n)))
-        if r == m:
-            return GraphError(f"{word}s cannot be stored as arrays")
-        a, b = i[r], j[r]
-        if not (isinstance(a, ints) and isinstance(b, ints)):
-            return GraphError(f"{word} ({a},{b}) has a node id that is not an integer")
-        prefix = [c[:r + 1] for c in arrays]
-        rule = self._broken(*prefix, n)
-        if rule == "load" and numbers[r] is not None:
-            # Record r took the load of one of its ends past the float range.
-            nodes, loads = self._loads(*prefix[:2], np.abs(prefix[2]))
-            node = a if a in nodes[~np.isfinite(loads)].tolist() else b
-            ends = zip(i) if self._ordered else zip(i, j)
-            weights = [x for x, e in zip(w, ends) if node in e]
-            return GraphError(f"node {node}: the magnitudes of its weights "
-                              f"{weights} do not sum to a finite float")
-        return GraphError({"self-loop": f"{self._loop} at node {a}",
-                           "range": f"{word} ({a},{b}) outside 1..{n}",
-                           "duplicate": f"duplicate {word} ({a},{b})"}.get(
-            rule, f"{word} ({a},{b}) has invalid weight {w[r]}"))
+        if len(i) == len(j) == len(w):
+            seen, load = set(), {}
+            for a, b, x in zip(i, j, w):
+                if not (isinstance(a, ints) and isinstance(b, ints)):
+                    return GraphError(f"{word} ({a},{b}) has a node id that is "
+                                      "not an integer")
+                if a == b:
+                    return GraphError(f"{self._loop} at node {a}")
+                if not (1 <= a <= n and 1 <= b <= n):
+                    return GraphError(f"{word} ({a},{b}) outside 1..{n}")
+                try:
+                    magnitude = None if isinstance(x, (str, bytes)) else abs(float(x))
+                except (TypeError, ValueError, OverflowError):
+                    magnitude = None
+                if magnitude is None or self._finite_nonzero and not (
+                        0 < magnitude < math.inf):
+                    return GraphError(f"{word} ({a},{b}) has invalid weight {x}")
+                key = (a, b) if self._ordered or a < b else (b, a)
+                if key in seen:
+                    return GraphError(f"duplicate {word} ({a},{b})")
+                seen.add(key)
+                for node in (a,) if self._ordered else (a, b):
+                    load[node] = load.get(node, 0.0) + magnitude
+                    if not math.isfinite(load[node]):
+                        ends = zip(i) if self._ordered else zip(i, j)
+                        weights = [y for y, e in zip(w, ends) if node in e]
+                        return GraphError(f"node {node}: the magnitudes of its "
+                                          f"weights {weights} do not sum to a "
+                                          "finite float")
+        return GraphError(f"{word}s cannot be stored as arrays")
 
     def _records(self) -> tuple:
         """The records view built from the arrays, as Python ints and floats."""
@@ -367,11 +354,21 @@ class SemiAutonomousConfig:
     def d(self) -> Optional[int]:
         return len(self.inputs[0]) if self.inputs is not None else None
 
-    def input_matrix(self, n: int) -> np.ndarray:
-        """Signed n-by-m incidence of leaders onto inputs."""
-        B = np.zeros((n, self.m))
+    def leader_rows(self, n: int) -> np.ndarray:
+        """The leaders' 0-based rows in a network of n nodes, in link order;
+        raises GraphError naming the first leader node outside 1..n."""
         for link in self.leader_links:
-            B[link.node - 1, link.input_index - 1] = link.sign
+            if not 1 <= link.node <= n:
+                raise GraphError(f"leader node {link.node} outside 1..{n}")
+        return np.array([link.node for link in self.leader_links]) - 1
+
+    def input_matrix(self, n: int) -> np.ndarray:
+        """Signed n-by-m incidence of leaders onto inputs: the sign of each
+        leader's link at its :meth:`leader_rows` row and its input's column."""
+        B = np.zeros((n, self.m))
+        links = self.leader_links
+        B[self.leader_rows(n), [link.input_index - 1 for link in links]] = [
+            link.sign for link in links]
         return B
 
     def input_vectors(self) -> np.ndarray:
@@ -444,11 +441,7 @@ def _bump_leaders(L: np.ndarray, cfg: SemiAutonomousConfig) -> np.ndarray:
 
     L is a matrix, or the vector of its diagonal.
     """
-    n = L.shape[0]
-    for link in cfg.leader_links:
-        if link.node > n:
-            raise GraphError(f"leader node {link.node} outside 1..{n}")
-        L[(link.node - 1,) * L.ndim] += 1.0
+    L[(cfg.leader_rows(L.shape[0]),) * L.ndim] += 1.0
     return L
 
 
@@ -516,7 +509,7 @@ def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network
                            return_inverse=True)
     return Network.from_arrays(
         net.n + len(read),
-        np.concatenate((net.i, [link.node for link in links])),
+        np.concatenate((net.i, cfg.leader_rows(net.n) + 1)),
         np.concatenate((net.j, net.n + 1 + slot)),
         np.concatenate((net.w, [float(link.sign) for link in links])),
         name=f"{net.name}+inputs")

@@ -15,8 +15,9 @@ every refusal and its message is the json module's.  Their records are
 read as columns behind exact-type gates (``_records``).  Network documents,
 arc lists and reports are written by ``json_text`` as ``json.dumps(value,
 indent=2)`` writes them: by orjson's indenting encoder, with the number
-texts it spells unlike ``repr`` written again, or by the json module when
-the value holds what orjson writes otherwise (None, NaN, escapes).
+texts it spells unlike ``repr`` written again and the characters it writes
+raw but json escapes (DEL, non-ASCII) escaped, or by the json module when
+the value holds what orjson writes otherwise (None, NaN, backslash escapes).
 
 Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
 v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
@@ -164,14 +165,17 @@ def _records(raws: list, field: str, kind: str, a: str,
                 return ia, ib, ws if int not in kinds else list(map(float, ws))
     except (KeyError, OverflowError):    # an id missing, a weight past the floats
         pass
-    return _checked_records(raws, field, kind, a, b)
+    return _checked_records(raws, field, kind, a, b, "w", _as_number, 1.0)
 
 
-def _checked_records(raws: list, field: str, kind: str, a: str,
-                     b: str) -> tuple[list[int], list[int], list[float]]:
-    """:func:`_records`, one record at a time through the per-field checks."""
-    keys = {a, b, "w"}
-    ia, ib, ws = [], [], []
+def _checked_records(raws: list, field: str, kind: str, a: str, b: str, c: str,
+                     read: Callable, default) -> tuple[list, list, list]:
+    """The ``a``, ``b`` (integers) and ``c`` (``default`` when absent, read
+    by ``read``) columns of the records of ``field``, one record at a time;
+    a ``NetworkFileError`` names the first bad field.  Leaders come here,
+    and edges and arcs when a gate of :func:`_records` fails."""
+    keys = {a, b, c}
+    ia, ib, ic = [], [], []
     for k, raw in enumerate(raws):
         where = f"{field}[{k}]"
         _require(isinstance(raw, dict), where, f"each {kind} must be an object")
@@ -179,8 +183,8 @@ def _checked_records(raws: list, field: str, kind: str, a: str,
         _require(a in raw and b in raw, where, f"needs keys '{a}' and '{b}'")
         ia.append(_as_int(raw[a], f"{where}.{a}"))
         ib.append(_as_int(raw[b], f"{where}.{b}"))
-        ws.append(_as_number(raw.get("w", 1.0), f"{where}.w"))
-    return ia, ib, ws
+        ic.append(read(raw.get(c, default), f"{where}.{c}"))
+    return ia, ib, ic
 
 
 def parse_network_file(
@@ -212,18 +216,10 @@ def _network(
     if "leaders" in doc:
         _require(isinstance(doc["leaders"], list) and doc["leaders"],
                  "leaders", "must be a nonempty list")
-        links = []
-        for k, raw in enumerate(doc["leaders"]):
-            where = f"leaders[{k}]"
-            _require(isinstance(raw, dict), where, "each leader must be an object")
-            _only_keys(raw, {"node", "input", "sign"}, where)
-            _require("node" in raw and "input" in raw, where,
-                     "needs keys 'node' and 'input'")
-            links.append(LeaderLink(_as_int(raw["node"], f"{where}.node"),
-                                    _as_int(raw["input"], f"{where}.input"),
-                                    _as_int(raw.get("sign", 1), f"{where}.sign")))
+        nodes, indices, signs = _checked_records(
+            doc["leaders"], "leaders", "leader", "node", "input", "sign", _as_int, 1)
         inputs = None
-        m = max(link.input_index for link in links)
+        m = max(indices)
         if "inputs" in doc:
             _require(isinstance(doc["inputs"], list) and doc["inputs"],
                      "inputs", "must be a nonempty list")
@@ -236,13 +232,13 @@ def _network(
                                     for p, v in enumerate(raw)))
             m = max(m, len(inputs))
         try:
-            cfg = SemiAutonomousConfig(m, tuple(links),
+            cfg = SemiAutonomousConfig(m, tuple(map(LeaderLink, nodes, indices, signs)),
                                        tuple(inputs) if inputs else None)
         except GraphError as exc:
             raise NetworkFileError(f"leaders: {exc}") from exc
-        for k, link in enumerate(links):
-            _require(1 <= link.node <= n, f"leaders[{k}].node",
-                     f"node {link.node} outside 1..{n}")
+        k = next((k for k, node in enumerate(nodes) if not 1 <= node <= n), None)
+        if k is not None:
+            raise NetworkFileError(f"leaders[{k}].node: node {nodes[k]} outside 1..{n}")
     elif "inputs" in doc:
         raise NetworkFileError("inputs: present without any leaders")
 
@@ -322,6 +318,10 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
 # below 1e-4 that orjson writes in fixed notation ("0.00001").  Each
 # pattern starts with a literal, which re skips to.
 _EXPONENT, _TINY = re.compile(r"e[-+]?[0-9]+"), re.compile(r"0\.0000[0-9]*")
+# Runs of the characters orjson writes raw and json escapes: DEL and every
+# one beyond ASCII.  JSON's own syntax is ASCII, so they occur only in
+# strings.  (A negated class: the range up to U+10FFFF compiles 20x slower.)
+_ESCAPED = re.compile("[^\x00-\x7e]+")
 
 
 def json_text(value) -> str:
@@ -333,19 +333,21 @@ def json_text(value) -> str:
     layout.  Its text of an int is ``repr``'s and of a float the same
     shortest digits, so outside strings only exponents are spelled again,
     as ``repr`` spells them, and numbers written as ``0.0000...`` are
-    written again by ``repr``.  The json module writes the value when
-    orjson refuses it (ints past 64 bits, keys that are not strings) or
-    its text holds ``null`` (None, NaN, the infinities), a backslash (an
-    escaped quote would hide where a string ends) or a byte json escapes
-    (DEL, non-ASCII).
+    written again by ``repr``.  Then each run of characters orjson writes
+    raw and json escapes (DEL, non-ASCII) is written by the escaper that
+    ``json.dumps`` calls, ``json.encoder.encode_basestring_ascii``.  The
+    json module writes the value when orjson refuses it (ints past 64
+    bits, keys that are not strings, lone surrogates) or its text holds
+    ``null`` (None, NaN, the infinities) or a backslash (an escaped quote
+    would hide where a string ends).
     """
     try:
         raw = orjson.dumps(value, option=orjson.OPT_INDENT_2)
     except orjson.JSONEncodeError:
         raw = b"null"                   # so the json module writes it
-    if b"null" in raw or b"\\" in raw or b"\x7f" in raw or not raw.isascii():
+    if b"null" in raw or b"\\" in raw:
         return json.dumps(value, indent=2)
-    text = raw.decode("ascii")
+    text = raw.decode()
     parts, done, seen, quotes = [], 0, 0, 0
     for spot, end in sorted(m.span() for p in (_EXPONENT, _TINY)
                             for m in p.finditer(text)):
@@ -359,7 +361,11 @@ def json_text(value) -> str:
             start = text.rfind(" ", 0, spot) + 1    # a number follows a space
             parts += text[done:start], repr(float(text[start:end]))
         done = end
-    return "".join(parts) + text[done:]
+    text = "".join(parts) + text[done:]
+    if raw.isascii() and b"\x7f" not in raw:
+        return text
+    escape = json.encoder.encode_basestring_ascii       # quotes its result
+    return _ESCAPED.sub(lambda m: escape(m[0])[1:-1], text)
 
 
 # "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is

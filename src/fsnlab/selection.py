@@ -52,9 +52,7 @@ def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
     v1 = np.asarray(v1, dtype=float)
     if len(v1) != net.n:
         raise GraphError(f"eigenvector length {len(v1)} != n={net.n}")
-    for node in cfg.leader_nodes:
-        if node > net.n:
-            raise GraphError(f"leader node {node} outside 1..{net.n}")
+    cfg.leader_rows(net.n)              # refuses a leader outside 1..n
     if net.is_signed or cfg.is_signed:
         _check_balanced(augmented_signed_network(net, cfg))
         v1 = np.abs(v1)

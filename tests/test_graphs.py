@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
+from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink, Model,
                     Network, SemiAutonomousConfig, augmented_signed_network,
-                    is_connected, laplacian, perturbed_laplacian,
-                    reduced_laplacian, structural_balance_partition)
+                    distributed_select, is_connected, laplacian,
+                    perturbed_laplacian, reduced_laplacian, reduced_spectrum,
+                    structural_balance_partition)
 from fsnlab.graphs import MAX_NODES
 from fsnlab.selection import fsn_san
 from fsnlab.spectral import principal_pair_perturbed
@@ -192,6 +193,31 @@ class TestPerturbedLaplacian:
             assert np.array_equal(bump.diagonal(), expectation)
 
 
+# Every library entry point that reads a leader's row, on PATH3.
+LEADER_ROW_READERS = {
+    "perturbed_laplacian": perturbed_laplacian,
+    "reduced_spectrum": lambda net, cfg: reduced_spectrum(
+        DirectedNetwork(3, (Arc(2, 1), Arc(3, 2))), cfg),
+    "Model.select": lambda net, cfg: Model(net, cfg).select(),
+    "Model.forcing": lambda net, cfg: Model(net, cfg).forcing,
+    "Model.generator": lambda net, cfg: Model(net, cfg).generator(),
+    "distributed_select": lambda net, cfg: distributed_select(
+        Model(net, cfg), np.zeros((3, 1))),
+    "fsn_san": lambda net, cfg: fsn_san(net, cfg, np.ones(3)),
+    "augmented_signed_network": augmented_signed_network,
+}
+
+
+@pytest.mark.parametrize("node", [0, -1, 4])
+@pytest.mark.parametrize("read", LEADER_ROW_READERS.values(), ids=LEADER_ROW_READERS)
+def test_leader_node_outside_the_network_is_refused(read, node):
+    # Node 0 and -1 used to index the last rows from the end, and node 4
+    # past the last row.
+    cfg = SemiAutonomousConfig(1, (LeaderLink(node, 1),), ((1.0,),))
+    with pytest.raises(GraphError, match=rf"^leader node {node} outside 1\.\.3$"):
+        read(PATH3, cfg)
+
+
 class TestSignedLaplacian:
     def test_single_negative_edge(self):
         net = Network(2, (Edge(1, 2, -1.0),))
@@ -361,11 +387,13 @@ def reference_network_check(n, edges):
     """The per-edge check the array validation replaced, as the reference."""
     seen, load = set(), {}
     for e in edges:
+        if not (isinstance(e.i, int) and isinstance(e.j, int)):
+            return f"edge ({e.i},{e.j}) has a node id that is not an integer"
         if e.i == e.j:
             return f"self-loop at node {e.i}"
         if not (1 <= e.i <= n and 1 <= e.j <= n):
             return f"edge ({e.i},{e.j}) outside 1..{n}"
-        if e.w == 0 or not math.isfinite(e.w):
+        if not isinstance(e.w, (int, float)) or e.w == 0 or not math.isfinite(e.w):
             return f"edge ({e.i},{e.j}) has invalid weight {e.w}"
         if e.key() in seen:
             return f"duplicate edge ({e.i},{e.j})"
@@ -380,10 +408,15 @@ def reference_network_check(n, edges):
 def reference_arc_check(n, arcs):
     seen, load = set(), {}
     for a in arcs:
+        if not (isinstance(a.follower, int) and isinstance(a.followed, int)):
+            return (f"arc ({a.follower},{a.followed}) has a node id that is "
+                    "not an integer")
         if a.follower == a.followed:
             return f"self-arc at node {a.follower}"
         if not (1 <= a.follower <= n and 1 <= a.followed <= n):
             return f"arc ({a.follower},{a.followed}) outside 1..{n}"
+        if not isinstance(a.w, (int, float)):
+            return f"arc ({a.follower},{a.followed}) has invalid weight {a.w}"
         if (a.follower, a.followed) in seen:
             return f"duplicate arc ({a.follower},{a.followed})"
         seen.add((a.follower, a.followed))
@@ -393,11 +426,12 @@ def reference_arc_check(n, arcs):
     return None
 
 
+# Mostly integer ids, with about one in twelve not an integer or past int64.
+IDS = st.sampled_from([*range(-1, 7)] * 4 + [1.5, "2", 2**70])
 WEIGHTS = st.one_of(st.sampled_from([1.0, -2.0, 0.0, -0.0, 1e308, -1e308, 9e307,
-                                     math.inf, math.nan]),
+                                     math.inf, math.nan, "x", None, 1 + 2j]),
                     st.floats(-3, 3))
-RECORDS = st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6), WEIGHTS),
-                   max_size=10)
+RECORDS = st.lists(st.tuples(IDS, IDS, WEIGHTS), max_size=10)
 
 
 @given(st.integers(1, 5), RECORDS)

@@ -38,9 +38,11 @@ JSON_VALUES = st.recursive(
     max_leaves=30)
 
 # Values orjson writes exactly, so json_text needs no json module for them:
-# finite numbers within 64 bits, no None, and ASCII strings without a
-# quote, a backslash or a byte json escapes, some holding number texts.
-ORJSON_STRINGS = (st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+# finite numbers within 64 bits, no None, and strings without a C0 control
+# character, a lone surrogate, a quote or a backslash, some holding number
+# texts, some DEL or characters beyond ASCII, which json_text escapes as
+# json does.
+ORJSON_STRINGS = (st.text(st.characters(min_codepoint=0x20, blacklist_categories=["Cs"],
                                         blacklist_characters='"\\'), max_size=8)
                   .filter(lambda s: "null" not in s)
                   | st.sampled_from(["1e5", "0.00001", ": 1e-8", "x 1e+16", "-0.0000"]))
@@ -342,6 +344,10 @@ class TestRoundTrip:
     @example({"1e5": [1e-5, "0.00001", {": 1e-8": 1e16}], "a, 0.00001": -1e-300,
               "ints": [2**64 - 1, -2**63, 0], "e": [True, False, "e-", "-0.0000"],
               "0.0000 inside": [10.00001, -100.00002, 1.00001e-7]})
+    @example({"name": "r\u00e9seau", "n": 3, "arcs": [
+        {"follower": 1, "followed": 2, "w": 1e-5},
+        {"follower": 3, "followed": 2, "w": 2.5}]})
+    @example(["\x7f", {"a\x7fb \u2028\U0001f600 1e5": 1e16}, "\u00e9\u4e2d 0.00001"])
     @settings(max_examples=200, deadline=None)
     def test_orjson_alone_writes_what_it_writes_exactly(self, value):
         want = json.dumps(value, indent=2)

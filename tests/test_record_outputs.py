@@ -20,9 +20,17 @@ def test_g6_at_one_seed_records_every_command(tmp_path, monkeypatch):
     monkeypatch.setenv("FSNLAB_SEED", "3")
     records = record_outputs.record(ROOT / "src", fixtures=("g6",), seeds=("7",))
     assert os.environ["FSNLAB_SEED"] == "3"
-    assert [r["argv"] for r in records] == record_outputs.commands("g6", "2:1,2:3,2:5")
-    assert all(r["seed"] == "7" and r["exit"] in (0, 1) for r in records)
     assert "/tmp" not in str(records)
+    commands = record_outputs.commands("g6", "2:1,2:3,2:5")
+    records, refused = records[:len(commands)], records[len(commands):]
+    assert [r["argv"] for r in records] == commands
+    assert all(r["seed"] == "7" and r["exit"] in (0, 1) for r in records)
+
+    # Every refusal exits 2 and says why; its input is in the record.
+    assert [r["argv"] for r in refused] == [a for a, _ in record_outputs.refusals()]
+    assert all(r["exit"] == 2 and r["stderr"].startswith("error: ") for r in refused)
+    assert refused[0]["stderr"] == "error: edges: self-loop at node 2\n"
+    assert sorted(refused[0]["files"]) == ["self-loop.json"]
 
     select = records[2]
     assert select["argv"][:4] == ["select", "g6", "--mode", "san-fsn"]

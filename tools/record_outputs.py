@@ -17,10 +17,17 @@ seed:
 - ``distributed-select`` with ``--out``, with ``--fan-tree`` and with
   ``--eps 1e-6``.
 
+Then, at the first seed, the refusals: ``analyze`` of each of a fixed set
+of bad network documents (a self-loop, a duplicate edge, an id outside
+1..n, a zero weight, a node whose weights overflow, a fractional id, and
+leader records without an input, with sign 2, on node 0 and n+1, and
+twice on one node), and ``simulate g6 --reduced`` of an arc list with a
+self-arc (``refusals``).
+
 OUT.json lists, per command, its arguments, seed, exit code, stdout,
-stderr and the sha256 of every file it wrote; each command writes into a
-fresh temporary directory, which the record spells ``$TMP``.  Record two
-trees and compare:
+stderr and the sha256 of every file in its directory after it ran (its
+input documents too); each command runs in a fresh temporary directory,
+which the record spells ``$TMP``.  Record two trees and compare:
 
     python tools/record_outputs.py ../parent/src parent.json
     python tools/record_outputs.py src change.json
@@ -37,6 +44,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 FIXTURES = ("g6", "g8", "g8-signed", "g12", "t12")
 SEEDS = ("7", "11")
@@ -69,11 +77,49 @@ def commands(name: str, pairs: str) -> list[list[str]]:
     ]
 
 
-def run(main, argv: list[str], seed: str) -> dict:
-    """One command's exit code, stdout, stderr and written files."""
+def _network(edges: list[tuple], leaders: Optional[list[dict]] = None) -> str:
+    """A three-node network document of (i, j[, w]) edges and leader records."""
+    doc = {"n": 3, "edges": [dict(zip("ijw", e)) for e in edges]}
+    if leaders:
+        doc["leaders"] = leaders
+    return json.dumps(doc)
+
+
+def refusals() -> list[tuple[list[str], dict[str, str]]]:
+    """The refused commands: each one's arguments and the documents, by
+    file name, written into its ``$TMP`` before it runs."""
+    path = [(1, 2), (2, 3)]
+    networks = {
+        "self-loop": _network([(1, 2), (2, 2)]),
+        "duplicate-edge": _network([(1, 2), (2, 1)]),
+        "id-outside": _network([(1, 2), (2, 4)]),
+        "zero-weight": _network([(1, 2, 0.0), (2, 3)]),
+        "load-overflow": _network([(1, 2, 1e308), (2, 3, 1e308)]),
+        "fractional-id": _network([(1, 2), (2, 1.5)]),
+        "leader-without-input": _network(path, [{"node": 1}]),
+        "leader-sign-2": _network(path, [{"node": 1, "input": 1, "sign": 2}]),
+        "leader-node-0": _network(path, [{"node": 0, "input": 1}]),
+        "leader-node-4": _network(path, [{"node": 4, "input": 1}]),
+        "duplicate-leader": _network(path, [{"node": 1, "input": 1},
+                                            {"node": 1, "input": 1}]),
+    }
+    self_arc = json.dumps({"n": 6, "arcs": [{"follower": 1, "followed": 2},
+                                            {"follower": 3, "followed": 3}]})
+    return [*[(["analyze", f"$TMP/{name}.json"], {f"{name}.json": text})
+              for name, text in networks.items()],
+            (["simulate", "g6", "--reduced", "$TMP/self-arc.json",
+              "--out", "$TMP/traj.csv"], {"self-arc.json": self_arc})]
+
+
+def run(main, argv: list[str], seed: str,
+        inputs: Optional[dict[str, str]] = None) -> dict:
+    """One command's exit code, stdout, stderr and the files in its
+    directory, into which ``inputs`` (text by file name) are written first."""
     os.environ["FSNLAB_SEED"] = seed
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (inputs or {}).items():
+            Path(tmp, name).write_text(text)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([a.replace("$TMP", tmp) for a in argv])
         files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -84,8 +130,8 @@ def run(main, argv: list[str], seed: str) -> dict:
 
 
 def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
-    """The records of every command on ``fixtures`` at ``seeds``, with the
-    package imported from ``src``."""
+    """The records of every command on ``fixtures`` at ``seeds``, then of
+    the refusals at the first seed, with the package imported from ``src``."""
     sys.path.insert(0, str(Path(src).resolve()))
     import fsnlab
     from fsnlab import load_fixture
@@ -96,8 +142,9 @@ def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
 
     seed = os.environ.get("FSNLAB_SEED")
     try:
-        return [run(main, argv, s) for s in seeds for name in fixtures
-                for argv in commands(name, hub_pairs(load_fixture(name)[0]))]
+        return [*[run(main, argv, s) for s in seeds for name in fixtures
+                  for argv in commands(name, hub_pairs(load_fixture(name)[0]))],
+                *[run(main, argv, seeds[0], inputs) for argv, inputs in refusals()]]
     finally:
         if seed is None:
             os.environ.pop("FSNLAB_SEED", None)
