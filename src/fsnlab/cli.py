@@ -397,7 +397,7 @@ def cmd_compare(args) -> int:
     for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
         series = g_ratio_series(traj0, hub, j)
         sampled10, settled = float(series[k10 - 1]), float(series[-1])
-        ref, reason = _reference(vec, hub, j, False)
+        ref, reason = _reference(model.tempo_vector, hub, j, False)
         if ref is None:
             print(f"  g_{hub},{j}: {reason}")
             continue

@@ -318,16 +318,21 @@ class SemiAutonomousConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "leader_links", tuple(self.leader_links))
+        integer = lambda v: np.issubdtype(type(v), np.integer)  # False for a bool
+        if not integer(self.m):
+            raise GraphError(f"input count must be an integer, got {self.m!r}")
         if self.m < 1:
             raise GraphError(f"input count must be positive, got {self.m}")
         if not self.leader_links:
             raise GraphError("at least one leader is required")
         seen = set()
         for link in self.leader_links:
+            if not integer(link.node):
+                raise GraphError(f"leader node {link.node!r} is not an integer")
             if link.node in seen:
                 raise GraphError(f"node {link.node} appears as leader twice")
             seen.add(link.node)
-            if not 1 <= link.input_index <= self.m:
+            if not (integer(link.input_index) and 1 <= link.input_index <= self.m):
                 raise GraphError(
                     f"leader {link.node} references input {link.input_index}, "
                     f"valid range is 1..{self.m}")

@@ -61,9 +61,10 @@ def g_ratio_series(traj: Trajectory, i: int, j: int,
 
 @dataclass(frozen=True)
 class TempoEstimate:
+    """One arc's decision (see :func:`_settle`); ``g`` is always a float."""
     follower: int
     followed: int
-    g: Optional[float]
+    g: float
     rounds: int
     retained: bool
 
@@ -95,8 +96,8 @@ def distributed_select(model: Model, x0: np.ndarray,
     last ratio is large and it is kept.  That case is restricted to trees
     with nonnegative weights, a simple Fiedler value and no edge joining
     two zero entries.  ``round_cap`` defaults to ``ROUND_CAP`` with leaders
-    and twice that without.  An entry's ``rounds`` is the round of its
-    agent's last estimate.
+    and twice that without.  An entry's ``g`` is its arc's last estimate, a
+    float, and its ``rounds`` the round of its agent's last estimate.
 
     Raises when ``delta`` or ``eps`` is not finite and positive, when x0
     does not fit the network, when a signed leader network and its input
@@ -139,14 +140,8 @@ def distributed_select(model: Model, x0: np.ndarray,
         if not (math.isfinite(value) and value > 0):
             raise TempoError(f"{name} must be finite and positive, got {value}")
     model.check_balanced()      # refuse by name before any round runs
-    dnet, report = _settle(net, model.generator(), forcing, x0, observable,
-                           eps, delta, cap if round_cap is None else round_cap,
-                           hint)
-    unknown = [(e.follower, e.followed) for e in report.entries if e.g is None]
-    if unknown:
-        raise TempoError(f"arcs {unknown} got no estimate above the noise floor "
-                         f"(delta={delta}, eps={eps})")
-    return dnet, report
+    return _settle(net, model.generator(), forcing, x0, observable, eps, delta,
+                   cap if round_cap is None else round_cap, hint)
 
 
 def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
@@ -163,11 +158,13 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     (over coordinates and rounds, data agent i has).  A difference of two
     states of size M carries a rounding error of about u M, so above that
     floor obs_j, and with it g, is resolved to a relative accuracy of about
-    eps; below it g would be noise.  The
-    running maximum keeps the floor from sinking with states that decay
-    toward zero.  Each arc decides on its last such estimate, and an
-    agent's ``rounds`` is the round of its last estimate.  The run ends
-    after the first block of rounds in which no arc is above its floor.
+    eps; below it g would be noise.  The running maximum keeps the floor
+    from sinking with states that decay toward zero.  Each arc decides on
+    its last such estimate, and an agent's ``rounds`` is the round of its
+    last estimate.  The run ends after the first block of rounds in which
+    no arc is above its floor; it is refused past ``round_cap`` rounds,
+    naming the agents of the arcs with an estimate in the final block, and
+    if an arc never had an estimate, so every returned g is a float.
     An agent keeps the neighbors whose estimate exceeds 1 + ``TIE_MARGIN``
     or lies below -``TIE_MARGIN``; a difference norm is never negative, so
     only the first case can hold for it.
@@ -214,8 +211,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     per_state = UNIT_ROUNDOFF / eps    # the floor per unit of state
 
     g = np.zeros(m)
-    last = np.zeros(m, dtype=int)
-    unsettled = np.ones(m, dtype=bool)      # arcs above their floor in the last block
+    last = np.zeros(m, dtype=int)       # round of each arc's estimate, 0 for none
     cur, peak = x0, np.abs(x0).max(axis=1)
     # Growing states may overflow the observable before the states
     # themselves; the finiteness check after the stepping refuses them.
@@ -237,43 +233,41 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             if m and (low[arc_j] > per_state
                       * np.maximum(bound[arc_i], bound[arc_j])).all():
                 # Every arc is above its floor in every round of the super-block.
-                g = obs[arc_i, -1] / obs[arc_j, -1]
-                last[:] = start + length
-                unsettled[:] = True
-                peak = bound
-                continue
-            seen[:, 0] = peak
-            seen = np.maximum.accumulate(seen, axis=1)
-            peak = seen[:, -1]
-            above = above_floor(obs, seen[:, 1:], arc_i, arc_j, eps)
-            firsts = np.arange(0, length, block)
-            quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
-            done = quiet.any()
-            end = firsts[quiet.argmax()] if done else length
-            if end:
+                k, hit, done = np.full(m, length - 1), np.ones(m, dtype=bool), False
+            else:
+                seen[:, 0] = peak
+                above = above_floor(obs, np.maximum.accumulate(seen, axis=1)[:, 1:],
+                                    arc_i, arc_j, eps)
+                firsts = np.arange(0, length, block)
+                quiet = ~np.logical_or.reduceat(above.any(axis=0), firsts)
+                done = quiet.any()
+                end = firsts[quiet.argmax()] if done else length
+                if end == 0:
+                    break
                 k = end - 1 - above[:, end - 1::-1].argmax(axis=1)
                 hit = above[np.arange(m), k]
-                k = k[hit]
-                g[hit] = obs[arc_i[hit], k] / obs[arc_j[hit], k]
-                last[hit] = start + 1 + k
+            g[hit] = obs[arc_i[hit], k[hit]] / obs[arc_j[hit], k[hit]]
+            last[hit] = start + 1 + k[hit]
+            peak = bound        # the running maximum at the super-block's end
             if done:
                 break
-            unsettled = above[:, firsts[-1]:].any(axis=1)
         else:
-            raise TempoError(f"agents {sorted(set((arc_i[unsettled] + 1).tolist()))} did "
+            stalled = arc_i[last > (round_cap - 1) // block * block]  # in the last block
+            raise TempoError(f"agents {sorted(set((stalled + 1).tolist()))} did "
                              f"not settle within {round_cap} rounds{stall_hint}")
+    if not last.all():
+        unknown = list(zip(*(np.array([arc_i, arc_j])[:, last == 0] + 1).tolist()))
+        raise TempoError(f"arcs {unknown} got no estimate above the noise floor "
+                         f"(delta={delta}, eps={eps})")
 
     rounds = np.zeros(n, dtype=int)
     np.maximum.at(rounds, arc_i, last)
-    kept = (last > 0) & retains(g)
-    columns = (a.tolist() for a in (arc_i + 1, arc_j + 1, g, last,
-                                    rounds[arc_i], kept))
-    entries = tuple(TempoEstimate(i, j, ga if k else None, r, keep)
-                    for i, j, ga, k, r, keep in zip(*columns))
+    kept = retains(g)
+    columns = (a.tolist() for a in (arc_i + 1, arc_j + 1, g, rounds[arc_i], kept))
     dnet = DirectedNetwork.from_arrays(n, arc_i[kept] + 1, arc_j[kept] + 1,
                                        net.w[edge[kept]],
                                        name=f"{net.name}-fsn-distributed")
-    return dnet, TempoReport(entries)
+    return dnet, TempoReport(tuple(TempoEstimate(*e) for e in zip(*columns)))
 
 
 def _first_coordinate(dx: np.ndarray) -> np.ndarray:

@@ -9,10 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Network, SimulationConfig,
-                    TempoReport, g_ratio_series, load_fixture, parse_arc_file,
-                    parse_network_file, parse_trajectory, serialize_network,
-                    simulate)
+from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Edge, Network,
+                    SimulationConfig, TempoReport, g_ratio_series, load_fixture,
+                    parse_arc_file, parse_network_file, parse_trajectory,
+                    serialize_network, simulate)
 from fsnlab import cli, netfile, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
@@ -784,6 +784,29 @@ class TestCompare:
         assert (code, runs) == (1, [])
         assert "structurally balanced" in err
         assert "retained" not in out
+
+    @pytest.mark.parametrize("name, leaders", [
+        *[(name, True) for name in FIXTURE_NAMES], ("g8-signed", False),
+        ("k4", False)])
+    def test_compare_and_tempo_share_one_eigenvector_limit(self, name, leaders):
+        # compare's hub references read tempo_vector, as tempo does.  It is
+        # pair().vector times the gauge on a signed network without leaders,
+        # and the gauge cancels in the magnitude of a ratio.
+        if name == "k4":
+            net = Network(4, tuple(Edge(i, j, w) for i, j, w in [
+                (1, 2, 1.54), (1, 3, 0.94), (1, 4, 0.5), (2, 3, 1.96),
+                (2, 4, 0.95), (3, 4, 0.97)]))
+            model = Model(net, None)
+        else:
+            net, cfg, _ = load_fixture(name)
+            model = Model(net, cfg if leaders else None)
+        indptr, nbr, _ = net.adjacency
+        hub = int(np.argmax(np.diff(indptr))) + 1
+        for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
+            assert (cli._reference(model.tempo_vector, hub, j, False)
+                    == cli._reference(model.pair().vector, hub, j, False))
+        gauged = name == "g8-signed" and not leaders
+        assert gauged != np.array_equal(model.tempo_vector, model.pair().vector)
 
 
 FIXTURES = ["g6", "g8", "g8-signed", "g12", "t12"]

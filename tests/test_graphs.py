@@ -218,6 +218,31 @@ def test_leader_node_outside_the_network_is_refused(read, node):
         read(PATH3, cfg)
 
 
+@pytest.mark.parametrize("m, node, index, text", [
+    (1, 1.5, 1, "leader node 1.5 is not an integer"),
+    (1, 2.0, 1, "leader node 2.0 is not an integer"),
+    (1, np.float64(2.0), 1, "leader node np.float64(2.0) is not an integer"),
+    (1, True, 1, "leader node True is not an integer"),
+    (1, 1, 1.0, "leader 1 references input 1.0, valid range is 1..1"),
+    (1, 1, True, "leader 1 references input True, valid range is 1..1"),
+    (1.0, 1, 1, "input count must be an integer, got 1.0"),
+    (True, 1, 1, "input count must be an integer, got True"),
+])
+def test_leader_wiring_that_is_not_an_integer_is_refused(m, node, index, text):
+    # These used to pass the config and fail late: a bare IndexError in
+    # perturbed_laplacian, Model.forcing or input_matrix, a TypeError for
+    # m = 1.0, an edge named for a leader in augmented_signed_network, and
+    # node True read as node 1.
+    with pytest.raises(GraphError, match=f"^{re.escape(text)}$"):
+        SemiAutonomousConfig(m, (LeaderLink(node, index),), ((1.0,),))
+
+
+def test_numpy_integer_leader_wiring_is_accepted():
+    cfg = SemiAutonomousConfig(np.int64(1), (LeaderLink(np.int32(2), np.int64(1)),))
+    bump = perturbed_laplacian(PATH3, cfg) - laplacian(PATH3)
+    assert np.array_equal(bump.diagonal(), [0, 1, 0])
+
+
 class TestSignedLaplacian:
     def test_single_negative_edge(self):
         net = Network(2, (Edge(1, 2, -1.0),))

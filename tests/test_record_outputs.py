@@ -22,9 +22,20 @@ def test_g6_at_one_seed_records_every_command(tmp_path, monkeypatch):
     assert os.environ["FSNLAB_SEED"] == "3"
     assert "/tmp" not in str(records)
     commands = record_outputs.commands("g6", "2:1,2:3,2:5")
-    records, refused = records[:len(commands)], records[len(commands):]
+    failing = record_outputs.failing_checks()
+    records, checks, refused = (records[:len(commands)],
+                                records[len(commands):len(commands) + len(failing)],
+                                records[len(commands) + len(failing):])
     assert [r["argv"] for r in records] == commands
     assert all(r["seed"] == "7" and r["exit"] in (0, 1) for r in records)
+
+    # Each failing check exits 1 with a FAILED line, for every command that
+    # checks sampled data; its input is in the record.
+    assert [r["argv"] for r in checks] == [a for a, _ in failing]
+    assert all(r["exit"] == 1 and any(line.startswith("FAILED") for line in
+                                      r["stdout"].splitlines()) for r in checks)
+    assert {r["argv"][0] for r in checks} == {"tempo", "compare", "distributed-select"}
+    assert [sorted(r["files"]) for r in checks] == [sorted(i) for _, i in failing]
 
     # Every refusal exits 2 and says why; its input is in the record.
     assert [r["argv"] for r in refused] == [a for a, _ in record_outputs.refusals()]

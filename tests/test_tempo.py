@@ -653,14 +653,18 @@ def per_block_settle(net, G, forcing, x0, observable, eps, delta,
     else:
         raise TempoError(f"agents {sorted(set((arc_i[hit] + 1).tolist()))} did "
                          f"not settle within {round_cap} rounds{stall_hint}")
+    unknown = [(i + 1, j + 1) for i, j, k in zip(arc_i.tolist(), arc_j.tolist(),
+                                                 last.tolist()) if not k]
+    if unknown:
+        raise TempoError(f"arcs {unknown} got no estimate above the noise floor "
+                         f"(delta={delta}, eps={eps})")
 
     rounds = np.zeros(n, dtype=int)
     np.maximum.at(rounds, arc_i, last)
     entries = []
     for a, (i, j) in enumerate(zip(arc_i.tolist(), arc_j.tolist())):
-        ga = float(g[a]) if last[a] else None
-        retained = ga is not None and (ga > 1.0 + TIE_MARGIN
-                                       or ga < -TIE_MARGIN)
+        ga = float(g[a])
+        retained = ga > 1.0 + TIE_MARGIN or ga < -TIE_MARGIN
         entries.append(tempo.TempoEstimate(i + 1, j + 1, ga, int(rounds[i]),
                                            retained))
     kept = np.array([e.retained for e in entries], dtype=bool)

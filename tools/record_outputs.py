@@ -17,6 +17,13 @@ seed:
 - ``distributed-select`` with ``--out``, with ``--fan-tree`` and with
   ``--eps 1e-6``.
 
+Then, at both seeds, five commands whose sampled checks fail and exit 1
+(``failing_checks``): ``compare`` and ``tempo`` on the hub pairs, with
+and without ``--first-component``, of a weighted K4 whose tempo has not
+settled; ``distributed-select`` of a leader network with a near-tie; and
+``tempo`` of a path that starts at consensus, where no sample rises above
+the noise floor and one limit diverges.
+
 Then, at the first seed, the refusals: ``analyze`` of each of a fixed set
 of bad network documents (a self-loop, a duplicate edge, an id outside
 1..n, a zero weight, a node whose weights overflow, a fractional id, and
@@ -111,6 +118,35 @@ def refusals() -> list[tuple[list[str], dict[str, str]]]:
               "--out", "$TMP/traj.csv"], {"self-arc.json": self_arc})]
 
 
+def failing_checks() -> list[tuple[list[str], dict[str, str]]]:
+    """The commands whose sampled checks fail, each with the document
+    written into its ``$TMP``: on a weighted K4 the hub's sampled tempo is
+    far from its eigenvector limit at the default horizon; on a leader
+    network with a near-tie the distributed rule drops an arc the
+    centralized one keeps; and on a path at consensus no difference rises
+    above the noise floor, and agent 1's limit for neighbor 2 diverges."""
+    def doc(n: int, edges: list[tuple], **rest) -> dict:
+        return {"n": n, "edges": [dict(zip("ijw", e)) for e in edges], **rest}
+
+    docs = {
+        "k4": doc(4, [(1, 2, 1.54), (1, 3, 0.94), (1, 4, 0.5), (2, 3, 1.96),
+                      (2, 4, 0.95), (3, 4, 0.97)], x0=[0.89, 0.59, 0.47, 0.77]),
+        "leader": doc(5, [(1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)],
+                      leaders=[{"node": 4, "input": 1}], inputs=[[1.0]],
+                      x0=[0.63, 0.9, 0.78, 0.23, 0.3]),
+        "consensus": doc(3, [(1, 2), (2, 3)], x0=[0.5, 0.5, 0.5]),
+    }
+    hub = ["--pairs", "1:2,1:3,1:4"]
+    return [([command, f"$TMP/{name}.json", *rest],
+             {f"{name}.json": json.dumps(docs[name])})
+            for command, name, *rest in (
+                ("compare", "k4"),
+                ("tempo", "k4", *hub),
+                ("tempo", "k4", *hub, "--first-component"),
+                ("distributed-select", "leader"),
+                ("tempo", "consensus", "--pairs", "1:2,2:1"))]
+
+
 def run(main, argv: list[str], seed: str,
         inputs: Optional[dict[str, str]] = None) -> dict:
     """One command's exit code, stdout, stderr and the files in its
@@ -130,8 +166,9 @@ def run(main, argv: list[str], seed: str,
 
 
 def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
-    """The records of every command on ``fixtures`` at ``seeds``, then of
-    the refusals at the first seed, with the package imported from ``src``."""
+    """The records of every command on ``fixtures`` at ``seeds``, of the
+    failing checks at ``seeds``, then of the refusals at the first seed,
+    with the package imported from ``src``."""
     sys.path.insert(0, str(Path(src).resolve()))
     import fsnlab
     from fsnlab import load_fixture
@@ -144,6 +181,8 @@ def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
     try:
         return [*[run(main, argv, s) for s in seeds for name in fixtures
                   for argv in commands(name, hub_pairs(load_fixture(name)[0]))],
+                *[run(main, argv, s, inputs) for s in seeds
+                  for argv, inputs in failing_checks()],
                 *[run(main, argv, seeds[0], inputs) for argv, inputs in refusals()]]
     finally:
         if seed is None:
