@@ -53,24 +53,47 @@ class Arc(NamedTuple):
     w: float = 1.0
 
 
+# Not a weight, although a float cast would take it.
+_NOT_NUMBERS = (str, bytes, bool, np.bool_)
+
+
+def _integer(v) -> bool:
+    """Whether ``v`` is an int or a numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _columns(i, j, w) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Copies of the id and weight columns as int64 and float arrays, or
     None when an id is not an int64 or a weight not a real number.  A
-    string is not one, although a float cast would parse it."""
+    string or a bool is not one, although a cast would take it."""
+    cols = (i, j, w)
     try:
         i, j, w = np.asarray(i), np.asarray(j), np.asarray(w)
-        if w.dtype.kind not in "biufO" or w.dtype.kind == "O" and any(
-                isinstance(x, (str, bytes)) for x in w.flat):
+        if w.dtype.kind not in "iufO" or w.dtype.kind == "O" and any(
+                isinstance(x, _NOT_NUMBERS) for x in w.flat):
             return None
         w = w.astype(float)
+        ids = []
+        for a in (i, j):
+            if a.size and a.dtype.kind not in "iu" or a.ndim != 1:
+                return None
+            ids.append(a.astype(np.int64))
+        if not (ids[0].shape == ids[1].shape == w.shape
+                and all(map(_bool_free, cols, (*ids, w)))):
+            return None
     except (TypeError, ValueError, OverflowError):
         return None
-    ids = []
-    for a in (i, j):
-        if a.size and a.dtype.kind not in "iu" or a.ndim != 1:
-            return None
-        ids.append(a.astype(np.int64))
-    return (*ids, w) if ids[0].shape == ids[1].shape == w.shape else None
+    return (*ids, w)
+
+
+def _bool_free(column, cast: np.ndarray) -> bool:
+    """Whether no entry of ``column`` is a bool, which numpy casts among
+    numbers to 0 or 1: only the entries that ``cast`` reads as 0 or 1 are
+    looked at, by type, at C level."""
+    if isinstance(column, np.ndarray):
+        return True
+    at = np.flatnonzero((cast == 0) | (cast == 1)).tolist()
+    return {bool, np.bool_}.isdisjoint(map(type, map(column.__getitem__, at)))
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -202,12 +225,12 @@ class _Graph:
         integer, a self-loop, an id outside 1..n, a weight that is not a
         number (for an edge, also zero or not finite), a duplicate, and a
         load of one of its ends that is no longer finite."""
-        word, ints = self._word, (int, np.integer)
+        word = self._word
         i, j, w = (c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols)
         if len(i) == len(j) == len(w):
             seen, load = set(), {}
             for a, b, x in zip(i, j, w):
-                if not (isinstance(a, ints) and isinstance(b, ints)):
+                if not (_integer(a) and _integer(b)):
                     return GraphError(f"{word} ({a},{b}) has a node id that is "
                                       "not an integer")
                 if a == b:
@@ -215,7 +238,7 @@ class _Graph:
                 if not (1 <= a <= n and 1 <= b <= n):
                     return GraphError(f"{word} ({a},{b}) outside 1..{n}")
                 try:
-                    magnitude = None if isinstance(x, (str, bytes)) else abs(float(x))
+                    magnitude = None if isinstance(x, _NOT_NUMBERS) else abs(float(x))
                 except (TypeError, ValueError, OverflowError):
                     magnitude = None
                 if magnitude is None or self._finite_nonzero and not (
@@ -318,8 +341,7 @@ class SemiAutonomousConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "leader_links", tuple(self.leader_links))
-        integer = lambda v: np.issubdtype(type(v), np.integer)  # False for a bool
-        if not integer(self.m):
+        if not _integer(self.m):
             raise GraphError(f"input count must be an integer, got {self.m!r}")
         if self.m < 1:
             raise GraphError(f"input count must be positive, got {self.m}")
@@ -327,16 +349,16 @@ class SemiAutonomousConfig:
             raise GraphError("at least one leader is required")
         seen = set()
         for link in self.leader_links:
-            if not integer(link.node):
+            if not _integer(link.node):
                 raise GraphError(f"leader node {link.node!r} is not an integer")
             if link.node in seen:
                 raise GraphError(f"node {link.node} appears as leader twice")
             seen.add(link.node)
-            if not (integer(link.input_index) and 1 <= link.input_index <= self.m):
+            if not (_integer(link.input_index) and 1 <= link.input_index <= self.m):
                 raise GraphError(
                     f"leader {link.node} references input {link.input_index}, "
                     f"valid range is 1..{self.m}")
-            if link.sign not in (-1, 1):
+            if not (_integer(link.sign) and link.sign in (-1, 1)):
                 raise GraphError(f"leader sign must be +1 or -1, got {link.sign}")
         if self.inputs is not None:
             inputs = tuple(tuple(float(v) for v in u) for u in self.inputs)

@@ -80,12 +80,23 @@ class TestNetworkModel:
         with pytest.raises(GraphError, match=r"\(1.5,2\) has a node id that is "
                                              "not an integer"):
             make(3, (record(1, 2), record(1.5, 2)))
+        # A bool is not an id, although numpy casts it to 0 or 1 among ints
+        # and an all-bool column to a bool array.
+        word = "edge" if make is Network else "arc"
+        for bad in (True, False, np.True_):
+            message = rf"^{word} \({bad},2\) has a node id that is not an integer$"
+            for build in (lambda: make(3, (record(bad, 2), record(2, 3))),
+                          lambda: make.from_arrays(3, [bad, 2], [2, 3], [1.0, 1.0]),
+                          lambda: make.from_arrays(3, np.array([bad]), [2], [1.0])):
+                with pytest.raises(GraphError, match=message):
+                    build()
 
     @pytest.mark.parametrize("make,record", [(Network, Edge), (DirectedNetwork, Arc)])
-    @pytest.mark.parametrize("w", ["heavy", None, "1.5", b"2", 1 + 2j])
+    @pytest.mark.parametrize("w", ["heavy", None, "1.5", b"2", 1 + 2j, True, np.True_])
     def test_weight_that_is_not_a_number_is_refused(self, make, record, w):
-        # A string is refused even where a float cast would parse it, and a
-        # complex number even where one would drop its imaginary part.
+        # A string is refused even where a float cast would parse it, a
+        # complex number even where one would drop its imaginary part, and a
+        # bool even where it would read as 1.0.
         text = re.escape(str(w))
         for build in (lambda: make(3, (record(1, 2), record(2, 3, w))),
                       lambda: make.from_arrays(3, [1, 2], [2, 3], [1.0, w]),
@@ -237,8 +248,16 @@ def test_leader_wiring_that_is_not_an_integer_is_refused(m, node, index, text):
         SemiAutonomousConfig(m, (LeaderLink(node, index),), ((1.0,),))
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, np.True_, -1.0])
+def test_leader_sign_that_is_not_an_integer_is_refused(sign):
+    # True and 1.0 used to pass the test `sign in (-1, 1)` and be stored.
+    with pytest.raises(GraphError, match=f"^leader sign must be \\+1 or -1, got {sign}$"):
+        SemiAutonomousConfig(1, (LeaderLink(1, 1, sign),), ((1.0,),))
+
+
 def test_numpy_integer_leader_wiring_is_accepted():
-    cfg = SemiAutonomousConfig(np.int64(1), (LeaderLink(np.int32(2), np.int64(1)),))
+    cfg = SemiAutonomousConfig(np.int64(1), (LeaderLink(np.int32(2), np.int64(1),
+                                                        np.int8(1)),))
     bump = perturbed_laplacian(PATH3, cfg) - laplacian(PATH3)
     assert np.array_equal(bump.diagonal(), [0, 1, 0])
 
@@ -408,17 +427,25 @@ class TestAugmented:
                                                      frozenset({2, 3}))
 
 
+def integer(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def reference_network_check(n, edges):
     """The per-edge check the array validation replaced, as the reference."""
     seen, load = set(), {}
     for e in edges:
-        if not (isinstance(e.i, int) and isinstance(e.j, int)):
+        if not (integer(e.i) and integer(e.j)):
             return f"edge ({e.i},{e.j}) has a node id that is not an integer"
         if e.i == e.j:
             return f"self-loop at node {e.i}"
         if not (1 <= e.i <= n and 1 <= e.j <= n):
             return f"edge ({e.i},{e.j}) outside 1..{n}"
-        if not isinstance(e.w, (int, float)) or e.w == 0 or not math.isfinite(e.w):
+        if not number(e.w) or e.w == 0 or not math.isfinite(e.w):
             return f"edge ({e.i},{e.j}) has invalid weight {e.w}"
         if e.key() in seen:
             return f"duplicate edge ({e.i},{e.j})"
@@ -433,14 +460,14 @@ def reference_network_check(n, edges):
 def reference_arc_check(n, arcs):
     seen, load = set(), {}
     for a in arcs:
-        if not (isinstance(a.follower, int) and isinstance(a.followed, int)):
+        if not (integer(a.follower) and integer(a.followed)):
             return (f"arc ({a.follower},{a.followed}) has a node id that is "
                     "not an integer")
         if a.follower == a.followed:
             return f"self-arc at node {a.follower}"
         if not (1 <= a.follower <= n and 1 <= a.followed <= n):
             return f"arc ({a.follower},{a.followed}) outside 1..{n}"
-        if not isinstance(a.w, (int, float)):
+        if not number(a.w):
             return f"arc ({a.follower},{a.followed}) has invalid weight {a.w}"
         if (a.follower, a.followed) in seen:
             return f"duplicate arc ({a.follower},{a.followed})"
@@ -451,10 +478,11 @@ def reference_arc_check(n, arcs):
     return None
 
 
-# Mostly integer ids, with about one in twelve not an integer or past int64.
-IDS = st.sampled_from([*range(-1, 7)] * 4 + [1.5, "2", 2**70])
+# Mostly integer ids, with about one in seven not an integer or past int64.
+IDS = st.sampled_from([*range(-1, 7)] * 4 + [1.5, "2", 2**70, True, False])
 WEIGHTS = st.one_of(st.sampled_from([1.0, -2.0, 0.0, -0.0, 1e308, -1e308, 9e307,
-                                     math.inf, math.nan, "x", None, 1 + 2j]),
+                                     math.inf, math.nan, "x", None, 1 + 2j,
+                                     True, False]),
                     st.floats(-3, 3))
 RECORDS = st.lists(st.tuples(IDS, IDS, WEIGHTS), max_size=10)
 

@@ -1,5 +1,6 @@
-"""Record what the command-line front end prints and writes, so that two
-source trees can be checked for the same outputs.
+"""Record what the command-line front end prints and writes: the committed
+record ``tests/records.json`` pins every command's output, and tier-1
+(``tests/test_record_outputs.py``) runs the commands again and compares.
 
     python tools/record_outputs.py SRC OUT.json
 
@@ -17,6 +18,11 @@ seed:
 - ``distributed-select`` with ``--out``, with ``--fan-tree`` and with
   ``--eps 1e-6``.
 
+Then, at the first seed, the 19 decision runs (``DECISIONS``): ``select``
+in every mode a fixture accepts, ``tempo`` on perfbench's pairs and two
+``distributed-select`` runs, none with ``--out``, whose stdout pins each
+thresholded decision.
+
 Then, at both seeds, five commands whose sampled checks fail and exit 1
 (``failing_checks``): ``compare`` and ``tempo`` on the hub pairs, with
 and without ``--first-component``, of a weighted K4 whose tempo has not
@@ -26,32 +32,45 @@ the noise floor and one limit diverges.
 
 Then, at the first seed, the refusals: ``analyze`` of each of a fixed set
 of bad network documents (a self-loop, a duplicate edge, an id outside
-1..n, a zero weight, a node whose weights overflow, a fractional id, and
-leader records without an input, with sign 2, on node 0 and n+1, and
-twice on one node), and ``simulate g6 --reduced`` of an arc list with a
-self-arc (``refusals``).
+1..n, a zero weight, a node whose weights overflow, a fractional id, a
+bool id, a bool weight, and leader records without an input, with sign 2,
+on node 0 and n+1, and twice on one node), and ``simulate g6 --reduced``
+of an arc list with a self-arc (``refusals``).
 
-OUT.json lists, per command, its arguments, seed, exit code, stdout,
-stderr and the sha256 of every file in its directory after it ran (its
-input documents too); each command runs in a fresh temporary directory,
-which the record spells ``$TMP``.  Record two trees and compare:
+OUT.json holds the ``fingerprint`` of the interpreter that ran the
+commands (the Python, numpy and orjson versions and OpenBLAS's
+configuration string, which names the core its kernels run on) and the
+``records``: per command, its arguments, seed, exit code, stdout, stderr
+and the sha256 of every file in its directory after it ran (its input
+documents too).  Each command runs in a fresh temporary directory, which
+the record spells ``$TMP``.  A change meant to change an output re-records
+the committed file:
 
-    python tools/record_outputs.py ../parent/src parent.json
-    python tools/record_outputs.py src change.json
-    diff parent.json change.json
+    python tools/record_outputs.py src tests/records.json
+
+and the diff of that file shows what moved.  The record holds only for
+its fingerprint: under another one the tier-1 check fails and names the
+field, and the file is re-recorded there from a commit whose outputs are
+trusted.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import difflib
 import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
+import orjson
 
 FIXTURES = ("g6", "g8", "g8-signed", "g12", "t12")
 SEEDS = ("7", "11")
@@ -84,6 +103,27 @@ def commands(name: str, pairs: str) -> list[list[str]]:
     ]
 
 
+# The runs whose stdout pins the thresholded decisions of select, tempo and
+# distributed-select at the first seed, with no --out: every mode a fixture
+# accepts, and the tempo pairs and distributed runs of perfbench's
+# fixtures-cli.
+ALL_MODES = ("san-fsn", "san-ffn", "signed-san-fsn", "fan-fsn")
+DECISIONS = [
+    *[["select", name, "--mode", mode]
+      for name, modes in (("g6", ALL_MODES), ("g8", ALL_MODES),
+                          ("g8-signed", ALL_MODES[2:]), ("g12", ALL_MODES[3:]),
+                          ("t12", ALL_MODES[3:]))
+      for mode in modes],
+    *[["tempo", name, "--pairs", pairs]
+      for name, pairs in (("g6", "2:1,2:3,2:5"), ("g8", "7:3,7:6,7:8"),
+                          ("g8-signed", "3:2,3:4,3:6,3:7,3:8"),
+                          ("g12", "6:4,6:5,6:7,6:8,6:9,6:10"),
+                          ("t12", "4:1,4:2,4:3,4:5,4:6"))],
+    ["distributed-select", "g8"],
+    ["distributed-select", "t12", "--fan-tree"],
+]
+
+
 def _network(edges: list[tuple], leaders: Optional[list[dict]] = None) -> str:
     """A three-node network document of (i, j[, w]) edges and leader records."""
     doc = {"n": 3, "edges": [dict(zip("ijw", e)) for e in edges]}
@@ -103,6 +143,8 @@ def refusals() -> list[tuple[list[str], dict[str, str]]]:
         "zero-weight": _network([(1, 2, 0.0), (2, 3)]),
         "load-overflow": _network([(1, 2, 1e308), (2, 3, 1e308)]),
         "fractional-id": _network([(1, 2), (2, 1.5)]),
+        "bool-id": _network([(True, 2), (2, 3)]),
+        "bool-weight": _network([(1, 2, True), (2, 3)]),
         "leader-without-input": _network(path, [{"node": 1}]),
         "leader-sign-2": _network(path, [{"node": 1, "input": 1, "sign": 2}]),
         "leader-node-0": _network(path, [{"node": 0, "input": 1}]),
@@ -167,8 +209,9 @@ def run(main, argv: list[str], seed: str,
 
 def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
     """The records of every command on ``fixtures`` at ``seeds``, of the
-    failing checks at ``seeds``, then of the refusals at the first seed,
-    with the package imported from ``src``."""
+    decision runs at the first seed, of the failing checks at ``seeds``,
+    then of the refusals at the first seed, with the package imported from
+    ``src``."""
     sys.path.insert(0, str(Path(src).resolve()))
     import fsnlab
     from fsnlab import load_fixture
@@ -181,6 +224,7 @@ def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
     try:
         return [*[run(main, argv, s) for s in seeds for name in fixtures
                   for argv in commands(name, hub_pairs(load_fixture(name)[0]))],
+                *[run(main, argv, seeds[0]) for argv in DECISIONS],
                 *[run(main, argv, s, inputs) for s in seeds
                   for argv, inputs in failing_checks()],
                 *[run(main, argv, seeds[0], inputs) for argv, inputs in refusals()]]
@@ -191,9 +235,68 @@ def record(src: str, fixtures=FIXTURES, seeds=SEEDS) -> list[dict]:
             os.environ["FSNLAB_SEED"] = seed
 
 
+def _openblas_config() -> str:
+    """OpenBLAS's configuration string as the loaded library reports it:
+    under DYNAMIC_ARCH it names the core picked at run time, whose kernels
+    decide the last bits of every eigensolve.  numpy's build-time string
+    (which names the core of the build host) where the library is not
+    numpy's bundled one."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        blas = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_config"):
+            if hasattr(blas, symbol):
+                get = getattr(blas, symbol)
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return np.__config__.CONFIG["Build Dependencies"]["blas"].get(
+        "openblas configuration", "none")
+
+
+def fingerprint() -> dict[str, str]:
+    """The versions and the BLAS core that a record holds only for: the
+    same source gives other last digits under another of them."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "orjson": orjson.__version__,
+            "openblas configuration": _openblas_config()}
+
+
+def differences(recorded: dict, running: dict) -> list[str]:
+    """What moved from the ``recorded`` document to the ``running`` one:
+    each fingerprint field that differs, then per command its argv and seed
+    with the exit codes, a unified diff of stdout and stderr and the files
+    whose sha256 moved.  Empty when the two agree."""
+    moved = [f"fingerprint {field!r}: recorded {recorded['fingerprint'].get(field)!r}, "
+             f"running {value!r}" for field, value in running["fingerprint"].items()
+             if recorded["fingerprint"].get(field) != value]
+    key = lambda r: (tuple(r["argv"]), r["seed"])
+    name = lambda r: f"{' '.join(r['argv'])} (FSNLAB_SEED={r['seed']})"
+    old = {key(r): r for r in recorded["records"]}
+    new = {key(r): r for r in running["records"]}
+    for r in recorded["records"]:
+        s = new.get(key(r))
+        if s is None:
+            moved.append(f"{name(r)}: recorded but not run")
+            continue
+        lines = [] if r["exit"] == s["exit"] else [f"exit {r['exit']}, now {s['exit']}"]
+        for stream in ("stdout", "stderr"):
+            # Lines keep their ends, so that a lost final newline shows too.
+            lines += [line.rstrip("\n") for line in difflib.unified_diff(
+                r[stream].splitlines(True), s[stream].splitlines(True),
+                f"recorded {stream}", f"running {stream}")]
+        files = sorted(f for f in r["files"].keys() | s["files"].keys()
+                       if r["files"].get(f) != s["files"].get(f))
+        if files:
+            lines.append(f"sha256 moved: {', '.join(files)}")
+        if lines:
+            moved.append("\n".join([name(r), *lines]))
+    return moved + [f"{name(s)}: run but not recorded"
+                    for s in running["records"] if key(s) not in old]
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     records = record(sys.argv[1])
-    Path(sys.argv[2]).write_text(json.dumps(records, indent=1) + "\n")
+    document = {"fingerprint": fingerprint(), "records": records}
+    Path(sys.argv[2]).write_text(json.dumps(document, indent=1) + "\n")
     print(f"{len(records)} records written to {sys.argv[2]}")
