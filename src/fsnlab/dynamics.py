@@ -7,20 +7,19 @@ inputs u wired in by B, or none without leaders.  On this linear system one
 fixed step of size dt is exactly the affine map x <- R x + c, with
 A = -dt G, R = sum_{k<=K} A^k / k! and c = dt sum_{k<K} A^k / (k+1)! f:
 K = 4 is classical RK4 and K = 1 forward Euler.  The Kronecker structure
-is never materialized: the d coordinates evolve independently.  One
-stepper, :class:`Stepper`, advances a state b steps per product with the
-stacked powers of the step map (:func:`step_powers`), which moves states
-by a few units of roundoff against stepping one at a time.
-:func:`simulate` runs it one column at a time, so a d-dimensional run is
-exactly d one-dimensional runs; the distributed engine
-(:func:`fsnlab.tempo.distributed_select`) runs it on all columns at once.
+is never materialized: the d coordinates are the columns of one n-by-d
+state.  One stepper, :class:`Stepper`, advances all of them b steps per
+product with the stacked powers of the step map, which moves states by a
+few units of roundoff against stepping one at a time.  :func:`simulate`
+and the distributed engine (:func:`fsnlab.tempo.distributed_select`) both
+run it, so a simulated trajectory holds the engine's states bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -89,6 +88,17 @@ def as_columns(x) -> np.ndarray:
     return x[:, None] if x.ndim == 1 else x
 
 
+def initial_state(x0, error: type[Exception]) -> np.ndarray:
+    """x0 as columns; raises ``error`` naming its first entry that is not
+    finite, which no step could carry."""
+    x0 = as_columns(x0)
+    if not np.isfinite(x0).all():
+        at = tuple(np.argwhere(~np.isfinite(x0))[0])
+        raise error(f"x0{''.join(f'[{k}]' for k in at)}: expected a finite "
+                    f"number, got {x0[at]}")
+    return x0
+
+
 def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
              method: str) -> tuple[np.ndarray, np.ndarray]:
     """R, c of one step x <- R x + c of x' = forcing - G x (see the module).
@@ -106,80 +116,62 @@ def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
         return eye + A @ S, dt * (S @ forcing)
 
 
-def step_powers(R: np.ndarray, offsets: list[np.ndarray],
-                b: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Stack P = [R; R^2; ...; R^b] of b steps, built once, and for each
-    offset c of ``offsets`` its stack C = [c; R c + c; ...].
+def step_powers(R: np.ndarray, c: np.ndarray,
+                b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks P = [R; R^2; ...; R^b] and C = [c; R c + c; ...] of b steps
+    of x <- R x + c: row block k-1 of ``P @ x + C`` is the state k steps
+    after x, so one product advances b steps.
 
-    Row block k-1 of ``P @ x + C`` is the state k steps of x <- R x + c
-    after x, so one product advances b steps.  Each power and offset is
-    one multiplication by R from the previous one, written into its row
-    block of the preallocated stacks, and each offset then adds c in
-    place.  Powers that leave the float range come back as inf or NaN
-    entries without a numpy warning.
+    Each power and offset is one multiplication by R from the previous
+    one, written into its row block of the preallocated stacks, and each
+    offset then adds c in place.  Powers that leave the float range come
+    back as inf or NaN entries without a numpy warning.
     """
     n = R.shape[0]
-    P, stacks = np.empty((b * n, n)), [np.empty((b * n, c.shape[1])) for c in offsets]
-    P[:n] = R
-    for C, c in zip(stacks, offsets):
-        C[:n] = c
+    P, C = np.empty((b * n, n)), np.empty((b * n, c.shape[1]))
+    P[:n], C[:n] = R, c
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n, b * n, n):
             np.matmul(R, P[k - n:k], out=P[k:k + n])
-            for C, c in zip(stacks, offsets):
-                offset = np.matmul(R, C[k - n:k], out=C[k:k + n])
-                offset += c
-    return P, stacks
+            offset = np.matmul(R, C[k - n:k], out=C[k:k + n])
+            offset += c
+    return P, C
 
 
 class Stepper:
-    """x <- R x + c advanced ``block`` steps per product of its stacks P
-    and C from :func:`step_powers`."""
+    """x' = forcing - G x stepped, all state columns at once, ``block``
+    steps per product of the stacks of its step map, which construction
+    builds once and refuses with ``refusal`` when they leave the float range.
 
-    def __init__(self, P: np.ndarray, C: np.ndarray, block: int):
-        self.block, self._P, self._C = block, P, C
+    The block is b = max(1, min(``BLOCK``, steps // n, 2**20 // n**2)),
+    without the middle term when ``steps`` is None: the stack holds at most
+    2**20 doubles, and building it costs (b - 1) n^3 flops, which
+    b <= steps // n keeps below the steps n^2 of the stepping it replaces.
+    """
+
+    def __init__(self, generator: np.ndarray, forcing: np.ndarray, dt: float,
+                 method: str, refusal: Exception, steps: Optional[int] = None):
+        R, c = step_map(generator, forcing, dt, method)
+        n = max(generator.shape[0], 1)
+        cap = BLOCK if steps is None else steps // n
+        self.block = max(1, min(BLOCK, cap, 2**20 // n**2))
+        self._P, self._C = step_powers(R, c, self.block)
+        if not (np.isfinite(self._P).all() and np.isfinite(self._C).all()):
+            raise refusal
 
     def advance(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the states after x into the rows of ``out``, n per step
-        and ``block`` steps per product, and return the last one.
-
-        Each product is written in place into its rows of ``out``, which
-        may be a strided view; the state carried to the next product is
-        contiguous, a copy where those rows are not.  States that leave
-        the float range come back as inf or NaN without a numpy warning;
-        the callers refuse them.
-        """
+        """Write the states after x into the contiguous rows of ``out``, n
+        per step and ``block`` steps per product, and return the last one,
+        a view of ``out``.  States that leave the float range come back as
+        inf or NaN without a numpy warning; the callers refuse them."""
         n, rows = x.shape[0], self._P.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(out), rows):
                 stop = min(start + rows, len(out))
                 run = np.matmul(self._P[:stop - start], x, out=out[start:stop])
                 run += self._C[:stop - start]
-                x = np.ascontiguousarray(out[stop - n:stop])
+                x = out[stop - n:stop]
         return x
-
-
-def steppers(generator: np.ndarray, forcing: np.ndarray, dt: float,
-             method: str, groups: Iterable, refusal: Exception,
-             steps: Optional[int] = None) -> list[Stepper]:
-    """A :class:`Stepper` of x' = forcing - G x per group of state columns;
-    raises ``refusal`` when a stack leaves the float range.
-
-    The step map R, c and the power stack P are built once, from all
-    columns; each group's offset stack holds its own columns of c.  The
-    block is b = max(1, min(``BLOCK``, steps // n, 2**20 // n**2)), without
-    the middle term when ``steps`` is None: the stack holds at most 2**20
-    doubles, and building it costs (b - 1) n^3 flops, which b <= steps // n
-    keeps below the steps n^2 of the stepping it replaces.
-    """
-    R, c = step_map(generator, forcing, dt, method)
-    n = max(generator.shape[0], 1)
-    cap = BLOCK if steps is None else steps // n
-    block = max(1, min(BLOCK, cap, 2**20 // n**2))
-    P, stacks = step_powers(R, [c[:, columns] for columns in groups], block)
-    if not all(np.isfinite(a).all() for a in (P, *stacks)):
-        raise refusal
-    return [Stepper(P, C, block) for C in stacks]
 
 
 def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],
@@ -188,22 +180,23 @@ def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],
     """Integrate x' = forcing - G x from x0 and record every step.
 
     ``forcing`` is the n-by-d array B u of a leader-driven model and None
-    for an autonomous one.  Each state column advances on its own, with a
-    :class:`Stepper` of its own column of the step map's offset (see
-    :func:`steppers`), so that columns never share a product; the states
-    agree with stepping x <- R x + c one at a time to a few units of
-    roundoff per block.  Forward Euler is rejected up front when dt
-    exceeds the safe bound 1/(2 max_ii G), which a Gershgorin argument
-    turns into a stability guarantee for Laplacian-type generators.  A
-    step map whose stacked powers leave the float range is refused before
-    stepping, and a run whose last state does is refused after it.  A run
-    whose states do not fit in memory is refused before any step.
+    for an autonomous one.  One :class:`Stepper` advances all d state
+    columns in one product per block, as the distributed engine does, so
+    the states are the engine's bit for bit; they agree with stepping
+    x <- R x + c one at a time to a few units of roundoff per block.  An
+    x0 with an entry that is not finite is refused, and so is forward
+    Euler when dt exceeds the safe bound 1/(2 max_ii G), which a
+    Gershgorin argument turns into a stability guarantee for
+    Laplacian-type generators.  A step map whose stacked powers leave the
+    float range is refused before stepping, and a run whose last state
+    does is refused after it.  A run whose states do not fit in memory is
+    refused before any step.
     """
     G = np.asarray(generator, dtype=float)
     n = G.shape[0]
     if G.shape != (n, n):
         raise SimulationError(f"generator must be square, got {G.shape}")
-    x0 = as_columns(x0)
+    x0 = initial_state(x0, SimulationError)
     if x0.shape[0] != n:
         raise SimulationError(f"x0 has {x0.shape[0]} rows, generator has n={n}")
     d = x0.shape[1]
@@ -227,10 +220,8 @@ def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],
     states[0] = x0
     refusal = SimulationError(f"{cfg.method} steps of dt={cfg.dt} leave the "
                               f"float range on this generator; take a smaller dt")
-    columns = steppers(G, forcing, cfg.dt, cfg.method, ([k] for k in range(d)),
-                       refusal, steps)
-    for dim, stepper in enumerate(columns):
-        stepper.advance(x0[:, [dim]], states[1:, :, dim].reshape(-1, 1))
+    Stepper(G, forcing, cfg.dt, cfg.method, refusal, steps).advance(
+        x0, states[1:].reshape(-1, d))
     if not np.isfinite(states[-1]).all():
         raise SimulationError(f"states left the float range within {steps} steps "
                               f"of dt={cfg.dt}; take a smaller dt")

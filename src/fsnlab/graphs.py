@@ -226,7 +226,11 @@ class _Graph:
         number (for an edge, also zero or not finite), a duplicate, and a
         load of one of its ends that is no longer finite."""
         word = self._word
-        i, j, w = (c.tolist() if isinstance(c, np.ndarray) else list(c) for c in cols)
+        try:
+            i, j, w = (list(c.tolist() if isinstance(c, np.ndarray) else c)
+                       for c in cols)
+        except TypeError:       # a column that is not a sequence
+            i = j = w = ()
         if len(i) == len(j) == len(w):
             seen, load = set(), {}
             for a, b, x in zip(i, j, w):
@@ -363,6 +367,9 @@ class SemiAutonomousConfig:
         if self.inputs is not None:
             inputs = tuple(tuple(float(v) for v in u) for u in self.inputs)
             object.__setattr__(self, "inputs", inputs)
+            for k, u in enumerate(inputs):
+                if not all(map(math.isfinite, u)):
+                    raise GraphError(f"input vector {k + 1} is not finite: {u}")
             if len(inputs) != self.m:
                 raise GraphError(f"expected {self.m} input vectors, got {len(inputs)}")
             dims = {len(u) for u in inputs}

@@ -29,6 +29,7 @@ body of plain numbers by ``orjson.loads`` in blocks (``_plain_columns``).
 from __future__ import annotations
 
 import json
+import math
 import re
 from functools import cache
 from importlib import resources
@@ -79,6 +80,13 @@ def _as_number(value, where: str) -> float:
         raise NetworkFileError(
             f"{where}: integer of {value.bit_length()} bits is too large "
             "for a float") from None
+
+
+def _as_finite(value, where: str) -> float:
+    number = _as_number(value, where)
+    _require(math.isfinite(number), where,
+             f"expected a finite number, got {number!r}")
+    return number
 
 
 def _decoded(text: str | bytes) -> str:
@@ -228,7 +236,7 @@ def _network(
                 where = f"inputs[{k}]"
                 _require(isinstance(raw, list) and raw, where,
                          "each input must be a nonempty vector")
-                inputs.append(tuple(_as_number(v, f"{where}[{p}]")
+                inputs.append(tuple(_as_finite(v, f"{where}[{p}]")
                                     for p, v in enumerate(raw)))
             m = max(m, len(inputs))
         try:
@@ -249,14 +257,14 @@ def _network(
                  f"must list one row per node ({n})")
         if all(isinstance(v, (int, float)) and not isinstance(v, bool)
                for v in raw):
-            x0 = np.array([[_as_number(v, f"x0[{k}]")] for k, v in enumerate(raw)])
+            x0 = np.array([[_as_finite(v, f"x0[{k}]")] for k, v in enumerate(raw)])
         else:
             rows = []
             for k, row in enumerate(raw):
                 where = f"x0[{k}]"
                 _require(isinstance(row, list) and row, where,
                          "each row must be a nonempty vector")
-                rows.append([_as_number(v, f"{where}[{p}]")
+                rows.append([_as_finite(v, f"{where}[{p}]")
                              for p, v in enumerate(row)])
             widths = {len(r) for r in rows}
             _require(len(widths) == 1, "x0", f"ragged rows: widths {sorted(widths)}")

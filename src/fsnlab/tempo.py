@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, as_columns, steppers
+from .dynamics import Stepper, Trajectory, initial_state
 from .graphs import DirectedNetwork, Network, is_connected
 from .model import Model
 from .thresholds import (DEFAULT_EPS, UNIT_ROUNDOFF, above_floor, retains,
@@ -100,14 +100,15 @@ def distributed_select(model: Model, x0: np.ndarray,
     float, and its ``rounds`` the round of its agent's last estimate.
 
     Raises when ``delta`` or ``eps`` is not finite and positive, when x0
-    does not fit the network, when a signed leader network and its input
-    wiring are not structurally balanced (before the first round), when
-    the RK4 steps of ``delta`` leave the float range, when some estimate
-    is still above its floor after ``round_cap`` rounds, and when the run
-    ends with an arc that never had an estimate above its floor.
+    has an entry that is not finite or does not fit the network, when a
+    signed leader network and its input wiring are not structurally
+    balanced (before the first round), when the RK4 steps of ``delta``
+    leave the float range, when some estimate is still above its floor
+    after ``round_cap`` rounds, and when the run ends with an arc that
+    never had an estimate above its floor.
     """
     net, forcing = model.net, model.forcing
-    x0 = as_columns(x0)
+    x0 = initial_state(x0, TempoError)
     if forcing is None:
         if len(net.w) != net.n - 1 or not is_connected(net):
             raise TempoError("distributed autonomous selection needs a tree")
@@ -203,7 +204,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     arc_i = np.repeat(np.arange(n), np.diff(indptr))
     m = len(arc_j)
 
-    stepper, = steppers(G, forcing, delta, "rk4", [slice(None)], TempoError(
+    stepper = Stepper(G, forcing, delta, "rk4", TempoError(
         f"RK4 steps of delta={delta} leave the float range on this network; "
         f"take a smaller delta"))
     block = stepper.block

@@ -107,6 +107,16 @@ class TestNetworkModel:
         with pytest.raises(GraphError, match=rf"\(1,2\) has invalid weight {text}$"):
             make.from_arrays(3, [1, 2], [2, 3], np.array([w, w]))
 
+    @pytest.mark.parametrize("make", [Network, DirectedNetwork])
+    @pytest.mark.parametrize("columns", [(1, 2, 1.0), (None, None, None),
+                                         (np.array(1), np.array(2), np.array(1.0))],
+                             ids=["scalars", "nones", "0-d-arrays"])
+    def test_columns_that_are_not_sequences_are_refused(self, make, columns):
+        # These used to raise a bare TypeError from the refusal's own pass.
+        word = "edge" if make is Network else "arc"
+        with pytest.raises(GraphError, match=f"^{word}s cannot be stored as arrays$"):
+            make.from_arrays(3, *columns)
+
     @pytest.mark.parametrize("make,record", [(Network, Edge), (DirectedNetwork, Arc)])
     def test_first_bad_record_wins_over_a_later_non_integer_id(self, make, record):
         loop = "self-loop" if make is Network else "self-arc"
@@ -253,6 +263,16 @@ def test_leader_sign_that_is_not_an_integer_is_refused(sign):
     # True and 1.0 used to pass the test `sign in (-1, 1)` and be stored.
     with pytest.raises(GraphError, match=f"^leader sign must be \\+1 or -1, got {sign}$"):
         SemiAutonomousConfig(1, (LeaderLink(1, 1, sign),), ((1.0,),))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_input_that_is_not_finite_is_refused(value):
+    # Such an input used to be stored, and its forcing to run into states
+    # refused as having left the float range.
+    with pytest.raises(GraphError, match=re.escape(
+            f"input vector 2 is not finite: (0.5, {value})")):
+        SemiAutonomousConfig(2, (LeaderLink(1, 1), LeaderLink(2, 2)),
+                             ((0.5, 0.5), (0.5, value)))
 
 
 def test_numpy_integer_leader_wiring_is_accepted():

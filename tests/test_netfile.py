@@ -435,6 +435,38 @@ def test_unreadable_number_or_nesting_is_refused(case, tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+PATH_DOC = '{"n": 3, "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}], %s}'
+NON_FINITE = {
+    "x0-nan": ('"x0": [0.1, NaN, 0.3]', "x0[1]: expected a finite number, got nan"),
+    "x0-row-inf": ('"x0": [[0.1], [0.2], [Infinity]]',
+                   "x0[2][0]: expected a finite number, got inf"),
+    "x0-past-the-floats": ('"x0": [0.1, 1e400, 0.3]',
+                           "x0[1]: expected a finite number, got inf"),
+    "inputs-inf": ('"leaders": [{"node": 1, "input": 1}], '
+                   '"inputs": [[0.5, -Infinity]]',
+                   "inputs[0][1]: expected a finite number, got -inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_state_or_input_is_refused(case, tmp_path, capsys):
+    """An x0 or inputs entry is a finite number, and a command that reads
+    the file exits 2 naming the field.  Such entries used to be read:
+    simulate then failed with the advice to take a smaller dt, and select
+    ran on an infinite input."""
+    fields, message = NON_FINITE[case]
+    text = PATH_DOC % fields
+    with pytest.raises(NetworkFileError) as exc:
+        parse_network_file(text)
+    assert str(exc.value) == message
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    for argv in (["simulate", str(path), "--out", str(tmp_path / "x.csv")],
+                 ["select", str(path), "--mode", "san-fsn"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestTrajectoryCsv:
     def test_single_step_row_count(self):
         net = Network(2, (Edge(1, 2),))

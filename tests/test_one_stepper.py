@@ -1,8 +1,8 @@
-"""Block stepping lives in one module: ``fsnlab.dynamics`` builds the
-stacked step powers, refuses them when they leave the float range and
+"""Block stepping lives in one module: ``fsnlab.dynamics.Stepper`` builds
+the stacked step powers, refuses them when they leave the float range and
 advances states with them, and the distributed engine in ``fsnlab.tempo``
-only calls its stepper.  A second copy of the stepping in the engine fails
-here."""
+reaches stepping only through it.  A second copy of the stepping in the
+engine fails here."""
 
 import ast
 from pathlib import Path
@@ -22,6 +22,6 @@ def imported_or_read(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_tempo_takes_no_block_stepping_from_dynamics():
+def test_tempo_steps_only_through_stepper():
     names = imported_or_read(ast.parse(TEMPO.read_text(), str(TEMPO)))
-    assert "steppers" in names and not names & STEPPING
+    assert "Stepper" in names and not names & STEPPING

@@ -312,6 +312,22 @@ class TestAlgorithm1:
                                              f"positive, got {value}$"):
             run(*args, **{arg: value})
 
+    @pytest.mark.parametrize("kind", ["leaders", "tree"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_x0_that_is_not_finite_is_refused(self, g8, t12, kind, value):
+        # Such an x0 used to run and be refused as states that left the
+        # float range, with the advice to take a smaller delta.
+        if kind == "leaders":
+            net, cfg, _ = g8
+            x0 = np.random.default_rng(7).random((8, 3))
+        else:
+            net, cfg, x0 = t12
+            x0 = np.array(x0, dtype=float).reshape(net.n, -1)
+        x0[2, 0] = value
+        with pytest.raises(TempoError, match=rf"^x0\[2\]\[0\]: expected a finite "
+                                             rf"number, got {value}$"):
+            distributed_select(Model(net, cfg), x0)
+
 
 class TestSampledTempoMatchesEigvec:
     def test_settled_g_on_random_networks(self):
@@ -629,7 +645,7 @@ def per_block_settle(net, G, forcing, x0, observable, eps, delta,
 
     R, c = step_map(G, forcing, delta, "rk4")
     block = max(1, min(BLOCK, 2**20 // n**2))
-    P, (C,) = step_powers(R, [c], block)
+    P, C = step_powers(R, c, block)
 
     g = np.zeros(len(arc_j))
     last = np.zeros(len(arc_j), dtype=int)
@@ -904,24 +920,28 @@ def engine_and_simulated_estimates(model, x0, delta):
 
 
 @pytest.mark.parametrize("delta", [0.01, 0.02, 0.05])
-def test_engine_steps_g6_as_simulate_does(g6, delta):
-    net, cfg, _ = g6
-    x0 = np.random.default_rng(6).random((net.n, 1))
+@pytest.mark.parametrize("name", ["g6", "g8", "g8-signed"])
+def test_engine_steps_g6_as_simulate_does(name, delta, request):
+    # g6 has d = 1 and g8, g8-signed d = 3: a simulated run steps all
+    # coordinates in one product, as the engine does.
+    net, cfg, _ = request.getfixturevalue(name.replace("-", "_"))
+    x0 = np.random.default_rng(6).random((net.n, cfg.d))
     pairs = engine_and_simulated_estimates(Model(net, cfg), x0, delta)
     assert pairs and all(g == held for g, held in pairs)
 
 
-@given(st.integers(3, 12), st.integers(0, 2**32 - 1),
+@given(st.integers(3, 12), st.integers(1, 3), st.integers(0, 2**32 - 1),
        st.sampled_from([0.01, 0.02, 0.05]))
 @settings(max_examples=40, deadline=None)
-def test_engine_steps_as_simulate_does(n, seed, delta):
-    # Both step x' = f - G x with the same step map and full blocks, so
-    # every estimate is the simulated one bit for bit.
+def test_engine_steps_as_simulate_does(n, d, seed, delta):
+    # Both step x' = f - G x with the same step map and full blocks, all
+    # d coordinates in one product, so every estimate is the simulated
+    # one bit for bit.
     rng = np.random.default_rng(seed)
     net = random_connected_net(rng, n)
-    model = Model(net, random_leader_cfg(rng, n, d=1))
+    model = Model(net, random_leader_cfg(rng, n, d=d))
     try:
-        pairs = engine_and_simulated_estimates(model, rng.random((n, 1)), delta)
+        pairs = engine_and_simulated_estimates(model, rng.random((n, d)), delta)
     except TempoError:
         assume(False)
     assert pairs and all(g == held for g, held in pairs)

@@ -33,8 +33,9 @@ the noise floor and one limit diverges.
 Then, at the first seed, the refusals: ``analyze`` of each of a fixed set
 of bad network documents (a self-loop, a duplicate edge, an id outside
 1..n, a zero weight, a node whose weights overflow, a fractional id, a
-bool id, a bool weight, and leader records without an input, with sign 2,
-on node 0 and n+1, and twice on one node), and ``simulate g6 --reduced``
+bool id, a bool weight, leader records without an input, with sign 2,
+on node 0 and n+1, and twice on one node, an ``x0`` holding NaN and an
+input of -Infinity), and ``simulate g6 --reduced``
 of an arc list with a self-arc (``refusals``).
 
 OUT.json holds the ``fingerprint`` of the interpreter that ran the
@@ -62,6 +63,7 @@ import difflib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -124,9 +126,11 @@ DECISIONS = [
 ]
 
 
-def _network(edges: list[tuple], leaders: Optional[list[dict]] = None) -> str:
-    """A three-node network document of (i, j[, w]) edges and leader records."""
-    doc = {"n": 3, "edges": [dict(zip("ijw", e)) for e in edges]}
+def _network(edges: list[tuple], leaders: Optional[list[dict]] = None,
+             **rest) -> str:
+    """A three-node network document of (i, j[, w]) edges, leader records
+    and the other fields in ``rest``."""
+    doc = {"n": 3, "edges": [dict(zip("ijw", e)) for e in edges], **rest}
     if leaders:
         doc["leaders"] = leaders
     return json.dumps(doc)
@@ -151,6 +155,9 @@ def refusals() -> list[tuple[list[str], dict[str, str]]]:
         "leader-node-4": _network(path, [{"node": 4, "input": 1}]),
         "duplicate-leader": _network(path, [{"node": 1, "input": 1},
                                             {"node": 1, "input": 1}]),
+        "x0-nan": _network(path, x0=[0.1, math.nan, 0.3]),
+        "input-minus-infinity": _network(path, [{"node": 1, "input": 1}],
+                                         inputs=[[-math.inf]]),
     }
     self_arc = json.dumps({"n": 6, "arcs": [{"follower": 1, "followed": 2},
                                             {"follower": 3, "followed": 3}]})
