@@ -33,10 +33,10 @@ from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       csv_stamps, emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
 from .spectral import SpectralError
-from .tempo import DEFAULT_DELTA, TempoError, distributed_select, g_ratio_series
+from .tempo import DEFAULT_DELTA, TempoError, distributed_select, sampled_tempo
 from .thresholds import (DEFAULT_EPS, EIG_TOL, HORIZON_CLAMP, HORIZON_E_FOLDINGS,
                          HORIZON_RATE_FLOOR, MULTIPLICITY_TOL, RANK_TOL, RATE_GUARD,
-                         RATE_TOL, SIM_TOL, TEMPO_TOL, tempo_agrees, zero_entries)
+                         RATE_TOL, SIM_TOL, TEMPO_TOL)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -74,21 +74,6 @@ def _fmt(value: float, tol: float) -> str:
 def _print_arcs(dnet: DirectedNetwork) -> None:
     print("".join([f"  {i} <- {j}   w={w:g}\n" for i, j, w in zip(
         dnet.i.tolist(), dnet.j.tolist(), dnet.w.tolist())]), end="")
-
-
-def _reference(vec: np.ndarray, i: int, j: int,
-               signed: bool) -> tuple[Optional[float], str]:
-    """The eigenvector limit of agent i's sampled tempo for neighbor j:
-    v_i/v_j if ``signed``, else its magnitude, and 0 with v_i zero.  With
-    v_j zero there is none, and the second value says why: the ratio
-    diverges, or both entries sit in a zero block, whose sampled ratio
-    follows another mode.  An entry is zero as :func:`zero_entries` says."""
-    zero = zero_entries(vec)
-    if zero[j - 1]:
-        return None, ("none (both entries sit at zero: no eigenvector limit)"
-                      if zero[i - 1] else "diverges (neighbor sits at a zero entry)")
-    ref = 0.0 if zero[i - 1] else float(vec[i - 1] / vec[j - 1])
-    return (ref if signed else abs(ref)), ""
 
 
 # ---------------------------------------------------------------- analyze
@@ -226,23 +211,19 @@ def cmd_tempo(args) -> int:
 
     rows = ["t,follower,followed,value\n"]
     stamps = csv_stamps(traj.times[1:]) if args.out else None
-    far, unheld = False, []
+    far, unheld = [], []
     print(f"{'pair':>7}  {'sampled g (final)':>18}  {'eigvec ratio':>12}")
     for i, j in pairs:
-        series = g_ratio_series(traj, i, j, args.first_component)
+        series, limit, agrees = sampled_tempo(traj, vec, i, j, args.first_component)
         if args.out:
             rows.extend(csv_rows(stamps, [f"{i},{j}"], series[:, None]))
         final = float(series[-1])
-        ref, reason = _reference(vec, i, j, args.first_component)
         held = ("none (no sample above the noise floor)" if np.isnan(final)
                 else f"{final:.6g}")
-        print(f"{i:>3}:{j:<3}  {held:>18}  {reason or f'{ref:>12.6g}'}")
-        if ref is None:
-            continue
-        if np.isnan(final):
-            unheld.append(f"{i}:{j}")
-        elif not tempo_agrees(final, ref):
-            far = True
+        print(f"{i:>3}:{j:<3}  {held:>18}  "
+              f"{limit if agrees is None else f'{limit:>12.6g}'}")
+        if agrees is False:
+            (unheld if np.isnan(final) else far).append(f"{i}:{j}")
     if args.out:
         Path(args.out).write_text("".join(rows))
         print(f"wrote series to {args.out}")
@@ -395,17 +376,13 @@ def cmd_compare(args) -> int:
           f"ratio, tol {TEMPO_TOL:g} on the settled value):")
     k10 = int(np.argmin(np.abs(traj0.times - 10.0)))
     for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
-        series = g_ratio_series(traj0, hub, j)
-        sampled10, settled = float(series[k10 - 1]), float(series[-1])
-        ref, reason = _reference(model.tempo_vector, hub, j, False)
-        if ref is None:
-            print(f"  g_{hub},{j}: {reason}")
+        series, limit, agrees = sampled_tempo(traj0, model.tempo_vector, hub, j)
+        if agrees is None:
+            print(f"  g_{hub},{j}: {limit}")
             continue
-        ok = tempo_agrees(settled, ref)
-        flag = "" if ok else "  <-- off"
-        print(f"  g_{hub},{j}: t=10 {sampled10:.4f}, settled {settled:.4f}, "
-              f"eigen {ref:.4f}{flag}")
-        checks[f"tempo_{hub}_{j}"] = ok
+        print(f"  g_{hub},{j}: t=10 {series[k10 - 1]:.4f}, settled {series[-1]:.4f}, "
+              f"eigen {limit:.4f}{'' if agrees else '  <-- off'}")
+        checks[f"tempo_{hub}_{j}"] = agrees
 
     failed = [k for k, v in checks.items() if not v]
     if failed:

@@ -91,12 +91,16 @@ def as_columns(x) -> np.ndarray:
 def initial_state(x0, error: type[Exception]) -> np.ndarray:
     """x0 as columns; raises ``error`` naming its first entry that is not
     finite, which no step could carry."""
-    x0 = as_columns(x0)
-    if not np.isfinite(x0).all():
-        at = tuple(np.argwhere(~np.isfinite(x0))[0])
-        raise error(f"x0{''.join(f'[{k}]' for k in at)}: expected a finite "
-                    f"number, got {x0[at]}")
-    return x0
+    return _finite(as_columns(x0), "x0", error)
+
+
+def _finite(a: np.ndarray, name: str, error: type[Exception]) -> np.ndarray:
+    """``a``; raises ``error`` naming its first entry that is not finite."""
+    if not np.isfinite(a).all():
+        at = tuple(np.argwhere(~np.isfinite(a))[0])
+        raise error(f"{name}{''.join(f'[{k}]' for k in at)}: expected a finite "
+                    f"number, got {a[at]}")
+    return a
 
 
 def step_map(generator: np.ndarray, forcing: np.ndarray, dt: float,
@@ -184,13 +188,13 @@ def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],
     columns in one product per block, as the distributed engine does, so
     the states are the engine's bit for bit; they agree with stepping
     x <- R x + c one at a time to a few units of roundoff per block.  An
-    x0 with an entry that is not finite is refused, and so is forward
-    Euler when dt exceeds the safe bound 1/(2 max_ii G), which a
-    Gershgorin argument turns into a stability guarantee for
-    Laplacian-type generators.  A step map whose stacked powers leave the
-    float range is refused before stepping, and a run whose last state
-    does is refused after it.  A run whose states do not fit in memory is
-    refused before any step.
+    x0, generator or forcing with an entry that is not finite is refused,
+    naming the entry, and so is forward Euler when dt exceeds the safe
+    bound 1/(2 max_ii G), which a Gershgorin argument turns into a
+    stability guarantee for Laplacian-type generators.  A step map whose
+    stacked powers leave the float range is refused before stepping, and
+    a run whose last state does is refused after it.  A run whose states
+    do not fit in memory is refused before any step.
     """
     G = np.asarray(generator, dtype=float)
     n = G.shape[0]
@@ -204,6 +208,8 @@ def simulate(generator: np.ndarray, forcing: Optional[np.ndarray],
     if forcing.shape != (n, d):
         raise SimulationError(f"forcing of shape {forcing.shape} does not match "
                               f"n={n} and the state dimension d={d}")
+    for name, a in (("generator", G), ("forcing", forcing)):
+        _finite(a, name, SimulationError)
 
     max_diag = float(G.diagonal().max()) if n else 0.0
     if cfg.method == "euler" and max_diag > 0 and cfg.dt >= 1.0 / (2.0 * max_diag):

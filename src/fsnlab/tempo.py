@@ -6,9 +6,10 @@ eigenvector that dominates the derivative decay.  Agents can therefore rank
 their neighbors from sampled data alone: each agent keeps a per-neighbor
 ratio of successive sample differences, updates it while the neighbor's
 difference stands above the rounding noise of the states (a floor of unit
-roundoff times the largest state seen, over ``eps``), and
-decides on the last such estimate.  :func:`g_ratio_series` gives, under
-the same floor, the estimate held at each sample of a simulated trajectory.
+roundoff times the largest state seen, over ``eps``), and decides on the
+last such estimate.  :func:`g_ratio_series` gives, under the same floor,
+the estimate held at each sample of a simulated trajectory, and
+:func:`sampled_tempo` checks its last value against the eigenvector limit.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Stepper, Trajectory, initial_state
-from .graphs import DirectedNetwork, Network, is_connected
+from .graphs import DirectedNetwork, Network, _integer, is_connected
 from .model import Model
-from .thresholds import (DEFAULT_EPS, UNIT_ROUNDOFF, above_floor, retains,
+from .thresholds import (DEFAULT_EPS, above_floor, retains, tempo_agrees,
                          zero_entries)
 
 DEFAULT_DELTA = 0.01
@@ -42,8 +43,12 @@ def g_ratio_series(traj: Trajectory, i: int, j: int,
     its signed first coordinate (opposite-moving agents, the two ends of a
     core pair, then show a negative limit).  Entry k is obs_i / obs_j of the
     last step into samples 1..k+1 whose obs_j is above the noise floor at
-    ``DEFAULT_EPS``, NaN before the first such step.
+    ``DEFAULT_EPS``, NaN before the first such step.  An agent id that is
+    not an integer (a bool is not one) or lies outside 1..n is refused.
     """
+    for a in (i, j):
+        if not (_integer(a) and 1 <= a <= traj.n):
+            raise TempoError(f"agent id {a!r} is not an integer in 1..{traj.n}")
     if len(traj.times) < 2:
         raise TempoError("trajectory too short for difference ratios")
     observable = _first_coordinate if first_component else _norm_over_d
@@ -57,6 +62,27 @@ def g_ratio_series(traj: Trajectory, i: int, j: int,
                       where=above)
     k = np.maximum.accumulate(np.where(above, np.arange(len(above)), -1))
     return np.where(k >= 0, ratio[k], np.nan)
+
+
+def sampled_tempo(traj: Trajectory, vec: np.ndarray, i: int, j: int,
+                  first_component: bool = False,
+                  ) -> tuple[np.ndarray, float | str, Optional[bool]]:
+    """Agent i's :func:`g_ratio_series` for neighbor j, the eigenvector limit
+    in ``vec`` (``Model.tempo_vector``): v_i/v_j with ``first_component``,
+    else its magnitude, 0 with v_i zero; and whether the last held value
+    :func:`~fsnlab.thresholds.tempo_agrees` with it.  With v_j zero there is
+    no limit: the text that stands for it says why (the ratio diverges, or
+    both entries sit in a zero block, whose sampled ratio follows another
+    mode) and the verdict is None.  An entry is zero as :func:`zero_entries`
+    says."""
+    series = g_ratio_series(traj, i, j, first_component)
+    zero = zero_entries(vec)
+    if zero[j - 1]:
+        return series, ("none (both entries sit at zero: no eigenvector limit)"
+                        if zero[i - 1] else "diverges (neighbor sits at a zero entry)"), None
+    ratio = 0.0 if zero[i - 1] else float(vec[i - 1] / vec[j - 1])
+    limit = ratio if first_component else abs(ratio)
+    return series, limit, bool(tempo_agrees(series[-1], limit))
 
 
 @dataclass(frozen=True)
@@ -179,21 +205,21 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
     arc's two agents copies whole rows, and takes the observable over all
     its rounds.
 
-    A certificate in O(n L) for L rounds comes first: with b_i the
-    largest |x_i| seen up to the super-block's end and l_j the least
-    |obs_j| in it, every arc (i, j) with l_j > (u / eps) max(b_i, b_j) is
-    above its floor in every round, since no running maximum in the
-    super-block exceeds b and rounding a product by the positive u / eps
-    is monotone.  When it holds for every arc, each arc's estimate is
-    that of the last round, bit for bit what the full test gives.  Only
-    otherwise, or on a network with no arcs (whose first block is quiet,
-    so the run ends in round 0), does the super-block pay for the running maximum and the
+    A certificate in O(n L) for L rounds comes first: with b_i the largest
+    |x_i| seen up to the super-block's end and l_j the least |obs_j| in it,
+    every arc (i, j) whose l_j is above the floor of b (``above_floor``) is
+    above it in every round, since no running maximum in the super-block
+    exceeds b and rounding a product by the positive u / eps is monotone.
+    When it holds for every arc, each arc's estimate is that of the last
+    round, bit for bit what the full test gives.  Only otherwise, or on a
+    network with no arcs (whose first block is quiet, so the run ends in
+    round 0), does the super-block pay for the running maximum and the
     per-arc floor test over all its rounds, and then the termination rule
-    block by block: the arcs decide on their last estimate before the
-    first block with none above its floor, and the rounds computed after
-    that block are discarded.  A NaN fails the certificate.  Step stacks
-    that leave the float range are refused before the first round, and
-    states that do after the stepping of their super-block.
+    block by block: the arcs decide on their last estimate before the first
+    block with none above its floor, and the rounds computed after that
+    block are discarded.  A NaN fails the certificate.  Step stacks that
+    leave the float range are refused before the first round, and states
+    that do after the stepping of their super-block.
     ``observable`` maps the differences of a super-block, agents x d x
     rounds, to agents x rounds.  numpy reduces that strided d axis in
     coordinate order, so for d >= 8 a norm may differ in its last bits
@@ -209,7 +235,6 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
         f"take a smaller delta"))
     block = stepper.block
     span = block * max(1, SPAN_ELEMENTS // (block * max(m, n * d)))
-    per_state = UNIT_ROUNDOFF / eps    # the floor per unit of state
 
     g = np.zeros(m)
     last = np.zeros(m, dtype=int)       # round of each arc's estimate, 0 for none
@@ -231,8 +256,7 @@ def _settle(net: Network, G: np.ndarray, forcing: np.ndarray, x0: np.ndarray,
             seen = np.abs(xt).max(axis=1)
             bound = np.maximum(peak, seen.max(axis=1))
             low = np.abs(obs).min(axis=1)
-            if m and (low[arc_j] > per_state
-                      * np.maximum(bound[arc_i], bound[arc_j])).all():
+            if m and above_floor(low, bound, arc_i, arc_j, eps).all():
                 # Every arc is above its floor in every round of the super-block.
                 k, hit, done = np.full(m, length - 1), np.ones(m, dtype=bool), False
             else:

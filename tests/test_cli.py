@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Edge, Network,
-                    SimulationConfig, TempoReport, g_ratio_series, load_fixture,
-                    parse_arc_file, parse_network_file, parse_trajectory,
-                    serialize_network, simulate)
+                    SimulationConfig, TempoReport, Trajectory, g_ratio_series,
+                    load_fixture, parse_arc_file, parse_network_file,
+                    parse_trajectory, serialize_network, simulate)
 from fsnlab import cli, netfile, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
 from fsnlab.netfile import fixture_text
+from fsnlab.tempo import sampled_tempo
 from fsnlab.thresholds import DEFAULT_EPS, TEMPO_TOL
 
 from conftest import G8_FSN, G12_FSN
@@ -383,7 +384,7 @@ class TestTempo:
 
     def test_first_component_two_zero_entries_have_no_limit(self, capsys,
                                                           tmp_path):
-        # Entries 6 and 1 both sit in the zero block: cli._reference gives
+        # Entries 6 and 1 both sit in the zero block: sampled_tempo gives
         # their 0/0 no limit, so the sampled ratio is not checked.
         code, out, _ = run(capsys, "tempo", spider_file(tmp_path), "--pairs",
                            "6:1", "--first-component")
@@ -754,9 +755,10 @@ class TestCompare:
             model = Model(net, cfg if leaders else None)
         indptr, nbr, _ = net.adjacency
         hub = int(np.argmax(np.diff(indptr))) + 1
+        traj = Trajectory(np.arange(2.0), np.arange(2.0 * net.n).reshape(2, -1, 1))
         for j in (nbr[indptr[hub - 1]:indptr[hub]] + 1).tolist():
-            assert (cli._reference(model.tempo_vector, hub, j, False)
-                    == cli._reference(model.pair().vector, hub, j, False))
+            assert (sampled_tempo(traj, model.tempo_vector, hub, j)[1:]
+                    == sampled_tempo(traj, model.pair().vector, hub, j)[1:])
         gauged = name == "g8-signed" and not leaders
         assert gauged != np.array_equal(model.tempo_vector, model.pair().vector)
 
@@ -871,7 +873,7 @@ class TestHeldEstimate:
         # relative.  At these seeds the last raw ratio above an absolute
         # 1e-14 moved by more (1.9e-3 and 1.8e-3).
         monkeypatch.setenv("FSNLAB_SEED", str(seed))
-        series, resolve = cli.g_ratio_series, cli._resolve_x0
+        check, resolve = cli.sampled_tempo, cli._resolve_x0
         pairs = ",".join(f"{i}:{j}" for i, j in g12_hub_pairs())
         signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=(12, 1))
 
@@ -879,11 +881,11 @@ class TestHeldEstimate:
             got = []
 
             def record(*args):
-                held = series(*args)
-                got.append(held[-1])
-                return held
+                checked = check(*args)
+                got.append(checked[0][-1])
+                return checked
 
-            monkeypatch.setattr(cli, "g_ratio_series", record)
+            monkeypatch.setattr(cli, "sampled_tempo", record)
             monkeypatch.setattr(cli, "_resolve_x0", lambda net, cfg, x0:
                                 resolve(net, cfg, x0) * (1 + scale * signs))
             assert run(capsys, "tempo", "g12", "--pairs", pairs)[0] == 0

@@ -154,6 +154,17 @@ class TestSimulate:
                                                   rf"finite number, got {value}$"):
             simulate(laplacian(K2), None, [0.5, value], SimulationConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["generator", "forcing"])
+    def test_generator_or_forcing_that_is_not_finite_is_refused(self, name, value):
+        # Such an entry used to be refused as rk4 steps that leave the float
+        # range, with the advice to take a smaller dt, which no dt follows.
+        G, forcing = laplacian(K2), np.ones((2, 1))
+        (G if name == "generator" else forcing)[1, 0] = value
+        with pytest.raises(SimulationError, match=rf"^{name}\[1\]\[0\]: expected "
+                                                  rf"a finite number, got {value}$"):
+            simulate(G, forcing, [0.5, 0.25], SimulationConfig(dt=0.01, horizon=1.0))
+
     def test_trajectory_shape_and_times(self):
         traj = simulate(laplacian(K2), None, np.array([1.0, 0.0]),
                         SimulationConfig(dt=0.5, horizon=2.0))

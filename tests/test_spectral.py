@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from fsnlab import (EigenPair, Edge, LeaderLink, Network, SemiAutonomousConfig,
                     SpectralError, fiedler_pair, symmetric_eigh,
                     laplacian, perturbed_laplacian, principal_pair_perturbed,
-                    sign_normalize, smallest_eigenpairs)
-from fsnlab.cli import _reference
+                    Trajectory, sign_normalize, smallest_eigenpairs)
 from fsnlab.spectral import _check_residual
+from fsnlab.tempo import sampled_tempo
 from fsnlab.thresholds import zero_entries
 
 from conftest import G8_V1, T12_V2, random_connected_net, random_leader_cfg
@@ -261,38 +261,46 @@ def _induced_connected(net, keep):
     return seen == keep
 
 
+def limit(v, i, j):
+    """The signed eigenvector limit that ``sampled_tempo`` checks pair i:j
+    against, and "", or None and the text saying why there is none."""
+    traj = Trajectory(np.arange(2.0), np.arange(2.0 * len(v)).reshape(2, -1, 1))
+    _, lim, agrees = sampled_tempo(traj, v, i, j, True)
+    return (None, lim) if agrees is None else (lim, "")
+
+
 class TestEntryRatio:
     """The eigenvector entry ratios that the tempo checks compare with."""
 
     def test_g8_ratio_7_3(self, g8):
         net, cfg, _ = g8
         v1 = principal_pair_perturbed(perturbed_laplacian(net, cfg)).vector
-        assert abs(_reference(v1, 7, 3, True)[0] - 1.0577) < 1e-3
+        assert abs(limit(v1, 7, 3)[0] - 1.0577) < 1e-3
 
     def test_identity_pair(self):
-        assert _reference(np.array([0.3, 0.4]), 2, 2, True) == (1.0, "")
+        assert limit(np.array([0.3, 0.4]), 2, 2) == (1.0, "")
 
     def test_zero_denominator_has_no_reference(self):
         v = np.array([0.5, 0.0, -0.5])
         for i in (1, 3):
-            assert _reference(v, i, 2, True) == (
+            assert limit(v, i, 2) == (
                 None, "diverges (neighbor sits at a zero entry)")
 
     def test_zero_over_zero_has_no_reference(self):
         v = np.array([0.0, 0.0, 1.0])
-        assert _reference(v, 1, 2, True) == (
+        assert limit(v, 1, 2) == (
             None, "none (both entries sit at zero: no eigenvector limit)")
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_zero_entries_is_relative_to_the_largest(self, scale):
         v = scale * np.array([1.0, -1e-8, 1.1e-8, 0.0])
         assert zero_entries(v).tolist() == [False, True, False, True]
-        assert [_reference(v, 1, j, True)[0] is None for j in (2, 3, 4)] == [
+        assert [limit(v, 1, j)[0] is None for j in (2, 3, 4)] == [
             True, False, True]
 
     @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
     @settings(max_examples=60, deadline=None)
     def test_total_on_arbitrary_entries(self, a, b):
         v = np.array([a, b, 1.0])
-        ref, reason = _reference(v, 1, 2, True)
+        ref, reason = limit(v, 1, 2)
         assert reason if ref is None else math.isfinite(ref) and not reason

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -125,6 +126,28 @@ class TestGRatioSeries:
         traj = Trajectory(np.array([0.0, 1.0, 2.0]), states)
         series = g_ratio_series(traj, 1, 2)
         assert np.isnan(series).all()
+
+    @pytest.mark.parametrize("i, j, bad", [
+        (0, 1, 0), (1, 0, 0), (-1, 2, -1), (4, 1, 4), (1, 4, 4), (1.0, 2, 1.0),
+        (True, 2, True), (2, np.bool_(False), np.bool_(False)), ("1", 2, "1")])
+    @pytest.mark.parametrize("check", ["series", "sampled_tempo"])
+    def test_agent_id_it_cannot_read_is_refused(self, i, j, bad, check):
+        # Ids 0 and -1 used to wrap round to agents 3 and 2, 4 and 1.0
+        # raised a bare IndexError, and True read agent 1.
+        from fsnlab import Trajectory
+        traj = Trajectory(np.arange(3.0), np.arange(9.0).reshape(3, 3, 1) ** 2)
+        with pytest.raises(TempoError, match=rf"^agent id {re.escape(repr(bad))} "
+                                             rf"is not an integer in 1\.\.3$"):
+            if check == "series":
+                g_ratio_series(traj, i, j)
+            else:
+                tempo.sampled_tempo(traj, np.ones(3), i, j)
+
+    def test_numpy_integer_ids_are_read(self):
+        from fsnlab import Trajectory
+        traj = Trajectory(np.arange(3.0), np.arange(9.0).reshape(3, 3, 1) ** 2)
+        assert (g_ratio_series(traj, np.int64(3), np.int32(1)).tobytes()
+                == g_ratio_series(traj, 3, 1).tobytes())
 
 
 class TestFirstComponentRatio:
@@ -794,13 +817,15 @@ def edited_observable(monkeypatch, edit):
 
 def settle_paths(model, x0, monkeypatch):
     """The report of a run, and per super-block whether it took the full
-    floor test: every super-block takes the observable once, and only the
-    ones the certificate does not cover run ``above_floor``."""
+    floor test: every super-block takes the observable once, and runs
+    ``above_floor`` on one least difference per agent for the certificate;
+    only the ones the certificate does not cover run it again on every
+    round (agents x rounds)."""
     full, floor_test = [], tempo.above_floor
 
-    def above_floor(*args):
-        full[-1] = True
-        return floor_test(*args)
+    def above_floor(obs, *args):
+        full[-1] |= np.ndim(obs) == 2
+        return floor_test(obs, *args)
 
     edited_observable(monkeypatch, lambda index, obs: full.append(False))
     monkeypatch.setattr(tempo, "above_floor", above_floor)
