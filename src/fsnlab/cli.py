@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -32,11 +33,12 @@ from .model import MODES, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       csv_stamps, emit_trajectory, fixture_text, json_text,
                       parse_arc_file, parse_network_file, serialize_arcs)
+from .selection import reduced_spectrum
 from .spectral import SpectralError
 from .tempo import DEFAULT_DELTA, TempoError, distributed_select, sampled_tempo
 from .thresholds import (DEFAULT_EPS, EIG_TOL, HORIZON_CLAMP, HORIZON_E_FOLDINGS,
-                         HORIZON_RATE_FLOOR, MULTIPLICITY_TOL, RANK_TOL, RATE_GUARD,
-                         RATE_TOL, SIM_TOL, TEMPO_TOL)
+                         HORIZON_RATE_FLOOR, RANK_TOL, RATE_GUARD, RATE_TOL,
+                         SIM_TOL, TEMPO_TOL, same_eigenvalue)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -60,7 +62,7 @@ def _resolve_x0(net: Network, cfg: Optional[SemiAutonomousConfig],
     if x0 is None:
         d = cfg.d if cfg is not None and cfg.d is not None else 1
         seed = os.environ.get("FSNLAB_SEED", "7")
-        if not seed.isdecimal():
+        if not (seed.isascii() and seed.isdecimal()):
             raise NetworkFileError(
                 f"FSNLAB_SEED must be a non-negative integer, got {seed!r}")
         x0 = np.random.default_rng(int(seed)).random((net.n, d))
@@ -115,19 +117,22 @@ def cmd_analyze(args) -> int:
               + "; ".join(str(sorted(b)) for b in decomp.blocks))
         print(f"cut nodes: {sorted(decomp.cut_nodes)}")
         fied = model.pair("fan-fsn")
-        print(f"Fiedler value {fied.value:.6g}, "
-              f"{'simple' if fied.is_simple else 'repeated (flagged)'}")
-        if fied.is_simple:
-            try:
-                cls = model.classification
-            except ClassificationError as exc:
-                print(f"Fiedler classification failed: {exc}")
-                return EXIT_VERIFY
-            if cls.case == "core-block":
-                core = sorted(decomp.blocks[cls.core_block])
-                print(f"Fiedler classification: core block {core}")
-            else:
-                print(f"Fiedler classification: core node {cls.core_node}")
+        try:
+            model.simple_pair("fan-fsn")    # the pair is read: refuses only a repeat
+        except SpectralError:
+            print(f"Fiedler value {fied.value:.6g}, repeated (flagged)")
+            return EXIT_OK
+        print(f"Fiedler value {fied.value:.6g}, simple")
+        try:
+            cls = model.classification
+        except ClassificationError as exc:
+            print(f"Fiedler classification failed: {exc}")
+            return EXIT_VERIFY
+        if cls.case == "core-block":
+            core = sorted(decomp.blocks[cls.core_block])
+            print(f"Fiedler classification: core block {core}")
+        else:
+            print(f"Fiedler classification: core node {cls.core_node}")
     return EXIT_OK
 
 
@@ -193,12 +198,11 @@ def cmd_tempo(args) -> int:
     net, cfg, x0 = _load(args.network)
     pairs = []
     for chunk in args.pairs.split(","):
-        try:
-            i, j = chunk.strip().split(":")
-            pairs.append((int(i), int(j)))
-        except ValueError as exc:
+        ids = re.fullmatch(r"\s*([0-9]+)\s*:\s*([0-9]+)\s*", chunk, re.ASCII)
+        if ids is None:
             raise NetworkFileError(
-                f"--pairs expects 'i:j,i:j,...', bad chunk {chunk!r}") from exc
+                f"--pairs expects 'i:j,i:j,...', bad chunk {chunk!r}")
+        pairs.append((int(ids[1]), int(ids[2])))
     for i, j in pairs:
         if not (1 <= i <= net.n and 1 <= j <= net.n):
             raise NetworkFileError(f"pair {i}:{j} outside 1..{net.n}")
@@ -284,10 +288,10 @@ def _verification_runs(G, forcing, x0, h: float) -> tuple[Trajectory, Trajectory
     return Trajectory(long.times[:k], long.states[:k]), long
 
 
-def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:
-    """Acceptance band for a reduced generator's fitted rate against its
-    predicted eigenvalue.  The original generator is symmetric, never
-    defective, and gets the base tolerance ``RATE_TOL``.
+def _rate_tolerance(G: np.ndarray, eigs: np.ndarray, lam: float, t_fit: float) -> float:
+    """Acceptance band for a reduced generator's fitted rate against lam,
+    one of its eigenvalues ``eigs``.  The original generator is symmetric,
+    never defective, and gets the base tolerance ``RATE_TOL``.
 
     A defective eigenvalue decays like t^(depth-1) e^(-lam t), which biases
     the fitted slope low by about (depth-1)/t_fit, t_fit the mean time of
@@ -295,8 +299,7 @@ def _rate_tolerance(G: np.ndarray, lam: float, t_fit: float) -> float:
     of the base tolerance.
     """
     n = G.shape[0]
-    eigs = np.linalg.eigvals(G).real
-    algebraic = int(np.sum(np.abs(eigs - lam) < MULTIPLICITY_TOL * max(1.0, abs(lam))))
+    algebraic = int(np.count_nonzero(same_eigenvalue(eigs, lam, G)))
     geometric = n - np.linalg.matrix_rank(G - lam * np.eye(n), tol=RANK_TOL)
     depth = max(1, algebraic - max(int(geometric), 1) + 1)
     return RATE_TOL + (depth - 1) / max(lam * t_fit, RATE_GUARD)
@@ -363,7 +366,7 @@ def cmd_compare(args) -> int:
         print(f"rate fit failed: {exc}")
         checks["rate_fit"] = False
     else:
-        tol1 = _rate_tolerance(G1, lam_red, t1)
+        tol1 = _rate_tolerance(G1, reduced_spectrum(dnet, cfg), lam_red, t1)
         print(f"fitted decay rates: original {rate0:.4g} (predicted {lam_orig:.4g}"
               f", tol {RATE_TOL:.0%}), reduced {rate1:.4g} (predicted {lam_red:.4g}"
               f", tol {tol1:.0%})")

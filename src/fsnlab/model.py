@@ -130,15 +130,20 @@ class Model:
         sigma[[i - 1 for i in partition[1]]] = -1.0
         return sigma
 
+    def simple_pair(self, mode: Optional[str] = None) -> EigenPair:
+        """:meth:`pair`, refused when its value repeats: no one vector to read."""
+        if not (pair := self.pair(mode)).is_simple:
+            raise SpectralError("selection eigenvalue repeated; the selection "
+                                "rule and the tempo limit are undefined")
+        return pair
+
     @property
     def tempo_vector(self) -> np.ndarray:
         """The eigenvector whose entry ratios the sampled tempo approaches:
-        that of :meth:`pair`, refused when not simple, on a signed autonomous
-        network times :attr:`gauge` (so this refuses an unbalanced one), as
-        its states are the gauge image of those of |W|, whose Fiedler vector that is."""
-        if not (pair := self.pair()).is_simple:
-            raise SpectralError("selection eigenvalue repeated; tempo limit undefined")
-        vec = pair.vector
+        that of :meth:`simple_pair`, on a signed autonomous network times
+        :attr:`gauge` (so this refuses an unbalanced one), as its states are
+        the gauge image of those of |W|, whose Fiedler vector that is."""
+        vec = self.simple_pair().vector
         if self.cfg is None and self.net.is_signed:
             vec = self.gauge[:, 0] * vec
         return vec
@@ -159,9 +164,7 @@ class Model:
         if mode == "fan-fsn":
             if self.net.is_signed:
                 self.gauge      # refuses an unbalanced network
-            if not pair.is_simple:
-                raise SpectralError("second eigenvalue repeated; selection undefined")
-            return fsn_fan(self.net, pair.vector, self.classification)
+            return fsn_fan(self.net, self.simple_pair(mode).vector, self.classification)
         rule = ffn_san if mode == "san-ffn" else fsn_san
         return rule(self.net, self.cfg, pair.vector)
 

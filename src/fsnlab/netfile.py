@@ -687,6 +687,10 @@ def _row_columns(text: str) -> tuple[np.ndarray, ...]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise NetworkFileError(f"line {k}: expected 4 columns, got {len(parts)}")
+        # float and int would read 1_0 as 10, and any script's digits and spaces
+        if "_" in ln or not ln.isascii():
+            raise NetworkFileError(f"line {k}: a field holds '_' or a non-ASCII "
+                                   f"character: {ln!r}")
         try:
             rows.append((float(parts[0]), int(parts[1]), int(parts[2]),
                          float(parts[3])))

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .thresholds import EPS_POS, NORM_TOL, SYMMETRY_TOL, eig_tol
+from .thresholds import EPS_POS, NORM_TOL, SYMMETRY_TOL, eig_tol, same_eigenvalue
 
 
 class SpectralError(ValueError):
@@ -27,9 +27,9 @@ class SpectralError(ValueError):
 class EigenPair:
     """One eigenvalue with its unit eigenvector.
 
-    ``is_simple`` records whether the eigenvalue is numerically separated
-    from the rest of the spectrum; constructions based on the eigenvector
-    are undefined when it is False.
+    ``is_simple`` records whether no other eigenvalue is the same value
+    (:func:`~fsnlab.thresholds.same_eigenvalue`); constructions based on
+    the eigenvector are undefined when it is False.
     """
 
     value: float
@@ -100,7 +100,7 @@ def smallest_eigenpairs(M: np.ndarray, k: int) -> list[EigenPair]:
         raise SpectralError(f"k={k} outside 1..{M.shape[0]}")
     w, V = symmetric_eigh(M)
     # apart[i]: w[i-1] and w[i] are separated (the ends have no neighbor).
-    apart = np.concatenate(([True], np.diff(w) > eig_tol(M), [True]))
+    apart = np.concatenate(([True], ~same_eigenvalue(w[1:], w[:-1], M), [True]))
     pairs = []
     for idx in range(k):
         simple = bool(apart[idx] and apart[idx + 1])
@@ -140,11 +140,10 @@ def fiedler_pair(L: np.ndarray,
     """Second-smallest eigenpair of a graph Laplacian.
 
     Raises when the graph is disconnected (second eigenvalue numerically
-    zero).  A repeated second eigenvalue is not an error: the pair comes
-    back with ``is_simple`` False and the caller must treat vector-based
-    constructions as undefined.  ``pairs``, when given, are at least the
-    two smallest eigenpairs of L from :func:`smallest_eigenpairs`, which
-    then is not run again.
+    zero).  A repeated second eigenvalue comes back with ``is_simple``
+    False, which ``Model.simple_pair`` refuses.  ``pairs``, when given, are
+    at least the two smallest eigenpairs of L from
+    :func:`smallest_eigenpairs`, which then is not run again.
     """
     if L.shape[0] < 2:
         raise SpectralError("Fiedler pair needs at least two nodes")

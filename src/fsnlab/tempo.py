@@ -141,11 +141,7 @@ def distributed_select(model: Model, x0: np.ndarray,
         if net.is_signed:
             raise TempoError("distributed autonomous selection needs nonnegative "
                              "weights; the tree has antagonistic (negative) links")
-        pair = model.pair("fan-fsn")
-        if not pair.is_simple:
-            raise TempoError("second Laplacian eigenvalue is repeated; "
-                             "the selection rule is undefined on this tree")
-        zero = zero_entries(pair.vector)
+        zero = zero_entries(model.simple_pair("fan-fsn").vector)
         both = zero[net.i - 1] & zero[net.j - 1]
         if both.any():
             i, j = net.i[both][0], net.j[both][0]

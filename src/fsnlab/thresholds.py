@@ -23,7 +23,6 @@ NOISE_FLOOR = 1e6       # relative, times u max|x|: an error below it is roundin
 SIM_TOL = 1e-3          # absolute: distance from the predicted limit deemed converged
 RATE_TOL = 0.10         # relative to the predicted rate: a fitted rate's band
 TEMPO_TOL = 0.02        # relative to max(1, |ref|): a settled sampled tempo's band
-MULTIPLICITY_TOL = 1e-6  # relative to max(1, |lam|): eigenvalues repeating lam
 RANK_TOL = 1e-9         # absolute: singular values of G - lam I counted as zero
 RATE_GUARD = 1e-9       # absolute: least lam t_fit a defective rate band divides by
 HORIZON_RATE_FLOOR = 1e-3  # absolute: least rate that sizes a verification horizon
@@ -34,6 +33,11 @@ HORIZON_CLAMP = (60.0, 600.0)  # absolute: least and greatest verification horiz
 def eig_tol(x) -> float:
     """``EIG_TOL`` times the largest |entry| of x, with no absolute floor."""
     return EIG_TOL * float(np.abs(x).max())
+
+
+def same_eigenvalue(a, b, M) -> np.ndarray:
+    """Eigenvalues a and b of M repeat: within :func:`eig_tol` of M, entrywise."""
+    return np.abs(a - b) <= eig_tol(M)
 
 
 def zero_entries(v) -> np.ndarray:

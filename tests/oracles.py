@@ -3,8 +3,9 @@
 None of these is run by a command: they are independent checks (a
 breadth-first diameter, the explicit gauge matrix, the symmetrized Fiedler
 data and lower bound of the rate certificate, the tree-diameter bound, the
-entry-norm tempo limit of an eigenvector, the closed-form tempo limit and a
-path-carrying search of the Fiedler monotonicity audit)
+entry-norm tempo limit of an eigenvector, the closed-form tempo limit, a
+path-carrying search of the Fiedler monotonicity audit and the Jordan depth
+of a reduced generator's eigenvalue from a general eigensolve)
 kept next to the tests that use them.
 """
 
@@ -20,7 +21,7 @@ from fsnlab.blocks import FiedlerClassification
 from fsnlab.graphs import (DirectedNetwork, GraphError, Network, _csr,
                            is_connected, reduced_laplacian)
 from fsnlab.spectral import symmetric_eigh
-from fsnlab.thresholds import eig_tol
+from fsnlab.thresholds import RANK_TOL, eig_tol
 from fsnlab.tempo import TempoError
 
 
@@ -207,3 +208,16 @@ def audit_monotonicity(cls: FiedlerClassification, v2: np.ndarray) -> float:
                 seen[nxt] = True
                 stack.append((nxt, last))
     return worst
+
+
+def jordan_depth(G: np.ndarray, lam: float) -> int:
+    """The Jordan depth of an eigenvalue lam of a reduced generator G, as the
+    rate band of ``compare`` counted it from a general eigensolve: the
+    eigenvalues of ``numpy.linalg.eigvals`` within 1e-6 max(1, |lam|) of lam
+    (the algebraic multiplicity), less the geometric multiplicity, the
+    nullity of G - lam I at ``RANK_TOL``, plus one; at least 1."""
+    n = G.shape[0]
+    eigs = np.linalg.eigvals(G).real
+    algebraic = int(np.sum(np.abs(eigs - lam) < 1e-6 * max(1.0, abs(lam))))
+    geometric = n - np.linalg.matrix_rank(G - lam * np.eye(n), tol=RANK_TOL)
+    return max(1, algebraic - max(int(geometric), 1) + 1)

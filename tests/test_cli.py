@@ -8,19 +8,22 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Edge, Network,
-                    SimulationConfig, TempoReport, Trajectory, g_ratio_series,
-                    load_fixture, parse_arc_file, parse_network_file,
-                    parse_trajectory, serialize_network, simulate)
+from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Edge, LeaderLink, Network,
+                    SemiAutonomousConfig, SimulationConfig, TempoReport,
+                    Trajectory, g_ratio_series, load_fixture, parse_arc_file,
+                    parse_network_file, parse_trajectory, serialize_network,
+                    simulate)
 from fsnlab import cli, netfile, tempo
 from fsnlab.cli import main
 from fsnlab.model import Model
 from fsnlab.netfile import fixture_text
+from fsnlab.selection import reduced_spectrum
+from fsnlab.spectral import SpectralError
 from fsnlab.tempo import sampled_tempo
-from fsnlab.thresholds import DEFAULT_EPS, TEMPO_TOL
+from fsnlab.thresholds import DEFAULT_EPS, RATE_GUARD, RATE_TOL, TEMPO_TOL
 
 from conftest import G8_FSN, G12_FSN
-from oracles import tempo_limit_from_eigvec
+from oracles import jordan_depth, tempo_limit_from_eigvec
 
 
 def run(capsys, *argv):
@@ -235,7 +238,7 @@ class TestSimulate:
         assert (code, out, err) == (2, "", "error: x0: dimension 2 != input "
                                            "dimension 3\n")
 
-    @pytest.mark.parametrize("seed", ["abc", "-1"])
+    @pytest.mark.parametrize("seed", ["abc", "-1", "\u0663", "\uff13", "1_0"])
     def test_malformed_seed_is_refused(self, seed, capsys, tmp_path,
                                        monkeypatch):
         monkeypatch.setenv("FSNLAB_SEED", seed)
@@ -326,7 +329,8 @@ class TestTempo:
         code, out, err = run(capsys, "tempo", str(path), "--pairs", "1:2,2:3",
                              "--out", str(series), *flags)
         assert (code, out) == (1, "")
-        assert err == "error: selection eigenvalue repeated; tempo limit undefined\n"
+        assert err == ("error: selection eigenvalue repeated; the selection rule "
+                       "and the tempo limit are undefined\n")
         assert not series.exists()
 
     def test_first_component_mode(self, capsys):
@@ -410,6 +414,22 @@ class TestTempo:
     def test_bad_pair_spec(self, capsys):
         code, _, err = run(capsys, "tempo", "g8", "--pairs", "7;3")
         assert code == 2
+
+    @pytest.mark.parametrize("chunk", [
+        "7-3", "1_0:1", "7:1_0", "\u0661:2", "7:\uff13", "+7:3", "7:3:6",
+        "\u00a07:3"])
+    def test_pair_ids_are_ascii_digits(self, chunk, capsys, monkeypatch):
+        # int() would read 1_0 as 10 and any script's digits and spaces.
+        runs = []
+        monkeypatch.setattr(cli, "simulate", lambda *args: runs.append(args))
+        code, out, err = run(capsys, "tempo", "g8", "--pairs", f"7:6,{chunk}")
+        assert (code, out, err, runs) == (
+            2, "", f"error: --pairs expects 'i:j,i:j,...', bad chunk {chunk!r}\n", [])
+
+    def test_spaces_around_a_pair_are_read(self, capsys):
+        code, out, err = run(capsys, "tempo", "g8", "--pairs", " 7:3 , 7 : 6\t")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, "tempo", "g8", "--pairs", "7:3,7:6")[1]
 
     @pytest.mark.parametrize("first_component", [False, True])
     def test_series_csv_bytes(self, first_component, capsys, tmp_path,
@@ -714,6 +734,37 @@ class TestCompare:
         assert rows[2:] == [
             "  g_1,6: none (both entries sit at zero: no eigenvector limit)",
             "all checks passed"]
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "uniform"])
+    def test_rate_band_depth_is_that_of_a_general_eigensolve(self, weighted):
+        # Every reduction of a connected atlas graph with 2-5 nodes, without
+        # leaders and with one leader on each node in turn: the band counts
+        # the reduced spectrum's repeats of lambda under the gap rule, and
+        # its depth is the one a general eigensolve gives at 1e-6.
+        nx = pytest.importorskip("networkx")
+        rng, t_fit, depths = np.random.default_rng(2), 10.0, []
+        for graph in nx.graph_atlas_g()[:52]:       # the graphs of 0-5 nodes
+            n = graph.number_of_nodes()
+            if n < 2 or not nx.is_connected(graph):
+                continue
+            net = Network(n, tuple(
+                Edge(a + 1, b + 1, float(rng.uniform(0.5, 2.0)) if weighted else 1.0)
+                for a, b in graph.edges))
+            for cfg in [None, *(SemiAutonomousConfig(1, (LeaderLink(k, 1),), ((1.0,),))
+                                for k in range(1, n + 1))]:
+                model = Model(net, cfg)
+                try:
+                    dnet, report = model.reduce()
+                except SpectralError:       # a repeated lambda2: no reduction
+                    continue
+                lam = report["reduced"]["lambda2" if cfg is None else "lambda1"]["value"]
+                G = model.generator(dnet)
+                depth = jordan_depth(G, lam)
+                assert cli._rate_tolerance(G, reduced_spectrum(dnet, cfg), lam, t_fit) \
+                    == RATE_TOL + (depth - 1) / max(lam * t_fit, RATE_GUARD)
+                depths.append(depth)
+        # Unit weights repeat eigenvalues: their bands widen up to depth 5.
+        assert len(depths) > 150 and (weighted or set(depths) == {1, 2, 3, 4, 5})
 
     def test_original_rate_band_is_the_base_tolerance(self, capsys, tmp_path):
         # Node 1 with three legs of 5 nodes, leg 1's weights 1 + 5.6e-7: the

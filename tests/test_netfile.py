@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 from unittest import mock
@@ -545,6 +546,27 @@ class TestTrajectoryCsv:
         # line, as a space.
         with pytest.raises(NetworkFileError, match=f"^{message}"):
             parse_trajectory("t,agent,dim,value\n" + body)
+
+    @pytest.mark.parametrize("row", [
+        "1,1,1,1_0.5",          # float reads 10.5
+        "1_0,1,1,0.5", "1,1,1_0,0.5", "1,1,1,0.5\u00a0",
+        "1,\u0661,1,0.5",        # an Arabic-Indic one: int reads agent 1
+        "1,1,1,\uff10.5",        # a fullwidth zero
+        "\u0661,1,1,inf"])
+    def test_underscore_or_non_ascii_field_is_refused(self, row):
+        text = "t,agent,dim,value\n0,1,1,0.5\n" + row + "\n"
+        with pytest.raises(NetworkFileError, match=re.escape(
+                f"line 3: a field holds '_' or a non-ASCII character: {row!r}")):
+            parse_trajectory(text)
+        with pytest.raises(NetworkFileError, match="^line 3: "):
+            parse_trajectory(text.encode())
+
+    def test_spaces_signs_and_words_are_still_read(self):
+        # The forms float and int read in ASCII: the row parser keeps them.
+        traj = parse_trajectory("t,agent,dim,value\n 0 , +1,1 ,-Infinity\n"
+                                "1e0,1,1,nan\n2.,1,1,+0.25e1\n")
+        assert_same_doubles(traj.times, np.array([0.0, 1.0, 2.0]))
+        assert_same_doubles(traj.states.ravel(), np.array([-np.inf, np.nan, 2.5]))
 
     @pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85"])
     @pytest.mark.parametrize("block", [8, 1 << 13])

@@ -20,6 +20,7 @@ from fsnlab import (Edge, Model, Network, SemiAutonomousConfig, LeaderLink,
 from fsnlab import tempo
 from fsnlab.dynamics import BLOCK, step_map, step_powers
 from fsnlab.graphs import DirectedNetwork
+from fsnlab.spectral import SpectralError
 from fsnlab.thresholds import DEFAULT_EPS, TIE_MARGIN, UNIT_ROUNDOFF, zero_entries
 
 from oracles import tempo_limit_from_eigvec, tempo_limit_oracle
@@ -403,10 +404,24 @@ class TestDistributedFanTree:
         assert max(e.rounds for e in report.entries) > 0
 
     def test_star_rejected(self):
+        # Model.simple_pair's refusal, which select and tempo give too.
         star = Network(4, (Edge(1, 2), Edge(1, 3), Edge(1, 4)))
         x0 = np.random.default_rng(1).random(4)
-        with pytest.raises(TempoError, match="repeated"):
+        with pytest.raises(SpectralError, match="^selection eigenvalue repeated; "
+                           "the selection rule and the tempo limit are undefined$"):
             distributed_select(Model(star, None), x0)
+
+    def test_x0_with_other_rows_than_the_tree_is_refused(self):
+        path = Network(4, tuple(Edge(i, i + 1) for i in range(1, 4)))
+        with pytest.raises(TempoError, match=r"^x0 has 3 rows, tree has n=4$"):
+            distributed_select(Model(path, None), np.arange(3.0))
+
+    @pytest.mark.parametrize("shape", [(8, 2), (7, 3), (8, 1)])
+    def test_x0_of_another_shape_than_the_forcing_is_refused(self, g8, shape):
+        net, cfg, _ = g8
+        with pytest.raises(TempoError, match=re.escape(
+                f"x0 shape {shape} does not match (n=8, d=3)")):
+            distributed_select(Model(net, cfg), np.zeros(shape))
 
     def test_zero_block_rejected(self):
         # Fiedler value 0.382 is simple; the vector is zero on nodes 1 and 6.
@@ -714,10 +729,11 @@ def per_block_settle(net, G, forcing, x0, observable, eps, delta,
 
 
 def outcome(run, *args, **kwargs):
-    """(arcs, report) of a run, or the text of the TempoError it raised."""
+    """(arcs, report) of a run, or the text of the TempoError or
+    SpectralError it raised."""
     try:
         dnet, report = run(*args, **kwargs)
-    except TempoError as exc:
+    except (TempoError, SpectralError) as exc:
         return str(exc)
     arcs = (dnet.n, dnet.name, dnet.i.tolist(), dnet.j.tolist(),
             dnet.w.tolist())

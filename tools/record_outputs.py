@@ -30,13 +30,25 @@ settled; ``distributed-select`` of a leader network with a near-tie; and
 ``tempo`` of a path that starts at consensus, where no sample rises above
 the noise floor and one limit diverges.
 
-Then, at the first seed, the refusals: ``analyze`` of each of a fixed set
-of bad network documents (a self-loop, a duplicate edge, an id outside
-1..n, a zero weight, a node whose weights overflow, a fractional id, a
-bool id, a bool weight, leader records without an input, with sign 2,
-on node 0 and n+1, and twice on one node, an ``x0`` holding NaN and an
-input of -Infinity), and ``simulate g6 --reduced``
-of an arc list with a self-arc (``refusals``).
+Then, at the first seed, the refusals (``refusals``): ``analyze`` of each
+of a fixed set of bad network documents (a self-loop, a duplicate edge, an
+id outside 1..n, a zero weight, a node whose weights overflow, a fractional
+id, a bool id, a bool weight, leader records without an input, with sign
+2, on node 0 and n+1, and twice on one node, an ``x0`` holding NaN and an
+input of -Infinity), and ``simulate g6 --reduced`` of an arc list with a
+self-arc; then the refusals the commands document:
+
+- a repeated selection value: ``select --mode fan-fsn`` of the 5-cycle,
+  ``tempo`` of the 5-node star and ``distributed-select --fan-tree`` of
+  the 4-node star;
+- ``select --mode fan-fsn`` of a disconnected network and of an
+  unbalanced signed triangle, and ``select --mode san-fsn`` of a leader
+  network with an isolated node;
+- ``distributed-select --fan-tree`` of the path at consensus below, where
+  no arc gets an estimate above the noise floor;
+- ``tempo g8`` with ``--pairs`` 7-3, 7:99 and 1_0:1;
+- ``analyze nosuch``, ``simulate g6 --reduced`` of an arc list with n = 3
+  and ``simulate g6 --method euler --dt 1``.
 
 OUT.json holds the ``fingerprint`` of the interpreter that ran the
 commands (the Python, numpy and orjson versions and OpenBLAS's
@@ -126,11 +138,16 @@ DECISIONS = [
 ]
 
 
+# A path at consensus: no sample difference rises above the noise floor.
+CONSENSUS = {"n": 3, "edges": [{"i": 1, "j": 2}, {"i": 2, "j": 3}],
+             "x0": [0.5, 0.5, 0.5]}
+
+
 def _network(edges: list[tuple], leaders: Optional[list[dict]] = None,
-             **rest) -> str:
-    """A three-node network document of (i, j[, w]) edges, leader records
-    and the other fields in ``rest``."""
-    doc = {"n": 3, "edges": [dict(zip("ijw", e)) for e in edges], **rest}
+             n: int = 3, **rest) -> str:
+    """A network document of n nodes (3 by default), (i, j[, w]) edges,
+    leader records and the other fields in ``rest``."""
+    doc = {"n": n, "edges": [dict(zip("ijw", e)) for e in edges], **rest}
     if leaders:
         doc["leaders"] = leaders
     return json.dumps(doc)
@@ -161,10 +178,36 @@ def refusals() -> list[tuple[list[str], dict[str, str]]]:
     }
     self_arc = json.dumps({"n": 6, "arcs": [{"follower": 1, "followed": 2},
                                             {"follower": 3, "followed": 3}]})
+    three_nodes = json.dumps({"n": 3, "arcs": [{"follower": 1, "followed": 2}]})
+    documents = {
+        "cycle5": _network([(k, k % 5 + 1) for k in range(1, 6)], n=5),
+        "star5": _network([(1, k) for k in range(2, 6)], n=5),
+        "star4": _network([(1, k) for k in range(2, 5)], n=4),
+        "disconnected": _network([(1, 2), (3, 4)], n=4),
+        "unbalanced": _network([(1, 2), (2, 3), (1, 3, -1.0)]),
+        "isolated": _network([(1, 2)], [{"node": 1, "input": 1}]),
+        "consensus": json.dumps(CONSENSUS)}
+    documented = [
+        ("select", "cycle5", "--mode", "fan-fsn"),
+        ("tempo", "star5", "--pairs", "1:2"),
+        ("distributed-select", "star4", "--fan-tree"),
+        ("select", "disconnected", "--mode", "fan-fsn"),
+        ("select", "unbalanced", "--mode", "fan-fsn"),
+        ("select", "isolated", "--mode", "san-fsn"),
+        ("distributed-select", "consensus", "--fan-tree")]
     return [*[(["analyze", f"$TMP/{name}.json"], {f"{name}.json": text})
               for name, text in networks.items()],
             (["simulate", "g6", "--reduced", "$TMP/self-arc.json",
-              "--out", "$TMP/traj.csv"], {"self-arc.json": self_arc})]
+              "--out", "$TMP/traj.csv"], {"self-arc.json": self_arc}),
+            *[([command, f"$TMP/{name}.json", *rest], {f"{name}.json": documents[name]})
+              for command, name, *rest in documented],
+            *[(["tempo", "g8", "--pairs", pairs], {})
+              for pairs in ("7-3", "7:99", "1_0:1")],
+            (["analyze", "nosuch"], {}),
+            (["simulate", "g6", "--reduced", "$TMP/three-nodes.json",
+              "--out", "$TMP/traj.csv"], {"three-nodes.json": three_nodes}),
+            (["simulate", "g6", "--method", "euler", "--dt", "1",
+              "--out", "$TMP/traj.csv"], {})]
 
 
 def failing_checks() -> list[tuple[list[str], dict[str, str]]]:
@@ -183,7 +226,7 @@ def failing_checks() -> list[tuple[list[str], dict[str, str]]]:
         "leader": doc(5, [(1, 2), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)],
                       leaders=[{"node": 4, "input": 1}], inputs=[[1.0]],
                       x0=[0.63, 0.9, 0.78, 0.23, 0.3]),
-        "consensus": doc(3, [(1, 2), (2, 3)], x0=[0.5, 0.5, 0.5]),
+        "consensus": CONSENSUS,
     }
     hub = ["--pairs", "1:2,1:3,1:4"]
     return [([command, f"$TMP/{name}.json", *rest],
