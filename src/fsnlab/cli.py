@@ -73,6 +73,15 @@ def _fmt(value: float, tol: float) -> str:
     return f"{value:.6g} (tol {tol:g})"
 
 
+def _title(net: Network, args) -> str:
+    """The network's name, or the argument it was read from, with each
+    character the stdout encoding cannot hold written as a backslash escape
+    (a name may hold a lone surrogate, and a locale may be ASCII)."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    return (net.name or args.network).encode(
+        encoding, "backslashreplace").decode(encoding)
+
+
 def _print_arcs(dnet: DirectedNetwork) -> None:
     print("".join([f"  {i} <- {j}   w={w:g}\n" for i, j, w in zip(
         dnet.i.tolist(), dnet.j.tolist(), dnet.w.tolist())]), end="")
@@ -84,7 +93,7 @@ def _print_arcs(dnet: DirectedNetwork) -> None:
 def cmd_analyze(args) -> int:
     net, cfg, _ = _load(args.network)
     model = Model(net, cfg)
-    print(f"network {net.name or args.network}: n={net.n}, "
+    print(f"network {_title(net, args)}: n={net.n}, "
           f"{len(net.w)} edges, {'signed' if net.is_signed else 'unsigned'}")
     connected = is_connected(net)
     print(f"connected: {connected}")
@@ -154,10 +163,10 @@ def cmd_select(args) -> int:
     print("reachability: " + ("all nodes reachable" if not unreachable
                               else f"unreachable nodes {unreachable}"))
     if args.out:
-        Path(args.out).write_text(serialize_arcs(dnet))
+        Path(args.out).write_text(serialize_arcs(dnet), encoding="utf-8")
         print(f"wrote arcs to {args.out}")
     if args.report:
-        Path(args.report).write_text(json_text(report) + "\n")
+        Path(args.report).write_text(json_text(report) + "\n", encoding="utf-8")
         print(f"wrote report to {args.report}")
     failed = [k for k, v in report["checks"].items() if not v]
     if failed:
@@ -186,7 +195,7 @@ def cmd_simulate(args) -> int:
     print(f"{tag}: {simcfg.steps} steps of {args.method}, dt={args.dt}, "
           f"horizon={args.horizon}")
     print(f"final state spread around mean: {spread:.3e}")
-    Path(args.out).write_text(emit_trajectory(traj))
+    Path(args.out).write_text(emit_trajectory(traj), encoding="utf-8")
     print(f"wrote trajectory to {args.out}")
     return EXIT_OK
 
@@ -229,7 +238,7 @@ def cmd_tempo(args) -> int:
         if agrees is False:
             (unheld if np.isnan(final) else far).append(f"{i}:{j}")
     if args.out:
-        Path(args.out).write_text("".join(rows))
+        Path(args.out).write_text("".join(rows), encoding="utf-8")
         print(f"wrote series to {args.out}")
     if unheld:
         print(f"FAILED: no sampled tempo for {', '.join(unheld)}: no sample "
@@ -257,7 +266,7 @@ def cmd_distributed_select(args) -> int:
     print(f"settled after {rounds} rounds (delta={args.delta}, eps={args.eps})")
     _print_arcs(dnet)
     if args.out:
-        Path(args.out).write_text(serialize_arcs(dnet))
+        Path(args.out).write_text(serialize_arcs(dnet), encoding="utf-8")
         print(f"wrote arcs to {args.out}")
     if dnet.arc_set == reference.arc_set:
         print("matches the centralized construction")
@@ -309,7 +318,7 @@ def cmd_compare(args) -> int:
     net, cfg, x0 = _load(args.network)
     model = Model(net, cfg)
     checks: dict[str, bool] = {}
-    print(f"=== {net.name or args.network}: n={net.n}, {len(net.w)} edges, "
+    print(f"=== {_title(net, args)}: n={net.n}, {len(net.w)} edges, "
           f"{'signed ' if model.signed else ''}{'SAN' if cfg else 'FAN'} ===")
 
     dnet, report = model.reduce()

@@ -20,8 +20,8 @@ from .blocks import (BlockDecomposition, FiedlerClassification,
                      block_cut_tree, classify_fiedler)
 from .dynamics import as_columns, fan_fsn_consensus_value, steady_state_san
 from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, _bump_leaders,
-                     augmented_signed_network, is_connected, laplacian,
+                     SemiAutonomousConfig, _bump_leaders, _reach,
+                     augmented_signed_network, laplacian,
                      perturbed_laplacian, reduced_laplacian,
                      structural_balance_partition)
 from .selection import (_check_balanced, ffn_san, fsn_fan, fsn_san,
@@ -86,7 +86,8 @@ class Model:
     def pair(self, mode: Optional[str] = None) -> EigenPair:
         """Selection eigenpair of a mode, by default of the model's own.
         Refuses a mode not in ``MODES``; the unsigned leader-driven modes
-        refuse a signed network, then a signed leader wiring."""
+        refuse a signed network, then a signed leader wiring, and every
+        leader-driven mode a disconnected network, then an unbalanced one."""
         mode = mode or self.mode
         if mode not in self._pairs:
             net, cfg = self.net, self.cfg
@@ -100,25 +101,34 @@ class Model:
             elif cfg is None:
                 raise GraphError(f"mode {mode} needs leaders in the input file")
             else:
-                if mode == "signed-san-fsn":
-                    self.check_balanced()
-                elif net.is_signed:
+                if mode != "signed-san-fsn" and net.is_signed:
                     raise GraphError("network has negative weights; "
                                      "use the signed variant")
-                elif cfg.is_signed:
+                if mode != "signed-san-fsn" and cfg.is_signed:
                     raise GraphError("leader link with negative sign; "
                                      "use the signed variant")
+                self.check_connected()
+                self.check_balanced()
                 pair = principal_pair_perturbed(perturbed_laplacian(net, cfg))
             self._pairs[mode] = pair
         return self._pairs[mode]
 
+    def check_connected(self) -> None:
+        """Refuse a network in pieces by name, before a leader-driven solve,
+        which would refuse it as a repeated or non-positive eigenpair."""
+        indptr, cols, _ = self.net.adjacency
+        unreached = np.flatnonzero(_reach(indptr, cols, [0]) < 0) + 1
+        if len(unreached):
+            raise GraphError(f"network is disconnected: nodes {unreached.tolist()} "
+                             "are not reachable from node 1")
+
     def check_balanced(self) -> None:
         """Refuse an unbalanced signed leader wiring by name, before a solve
-        whose eigen checks would fail on it first; a disconnected wiring is
-        left to the solve, which names the missing leader."""
-        if self.signed and self.cfg is not None and is_connected(
-                augmented := augmented_signed_network(self.net, self.cfg)):
-            _check_balanced(augmented)
+        whose eigen checks would fail on it first.  The network must be
+        connected (:meth:`check_connected`); so then is the wiring, as each
+        input node it adds is wired to a leader."""
+        if self.signed and self.cfg is not None:
+            _check_balanced(augmented_signed_network(self.net, self.cfg))
 
     @cached_property
     def gauge(self) -> np.ndarray:

@@ -13,11 +13,12 @@ result is the answer: a refusal, or a document only json reads (NaN and
 infinity literals, integers past 64 bits, lone surrogate escapes).  So
 every refusal and its message is the json module's.  Their records are
 read as columns behind exact-type gates (``_records``).  Network documents,
-arc lists and reports are written by ``json_text`` as ``json.dumps(value,
-indent=2)`` writes them: by orjson's indenting encoder, with the number
-texts it spells unlike ``repr`` written again and the characters it writes
-raw but json escapes (DEL, non-ASCII) escaped, or by the json module when
-the value holds what orjson writes otherwise (None, NaN, backslash escapes).
+arc lists and reports are written by ``json_text``, whose contract is the
+value, not the spelling: ``json.loads`` of the text equals the value
+written, floats bit for bit.  The text is orjson's, as UTF-8, or the json
+module's when orjson refuses the value (ints past 64 bits, keys that are
+not strings, lone surrogates) or writes ``null`` (for None, NaN and the
+infinities).  The command-line front end writes every file as UTF-8.
 
 Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
 v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from functools import cache
 from importlib import resources
 from itertools import chain, repeat
@@ -321,59 +321,15 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
     return json_text({"name": dnet.name, "n": dnet.n, "arcs": arcs}) + "\n"
 
 
-# Where orjson's number texts differ from repr's: exponents, which orjson
-# writes as "e-8" and "e16" for repr's "e-08" and "e+16", and magnitudes
-# below 1e-4 that orjson writes in fixed notation ("0.00001").  Each
-# pattern starts with a literal, which re skips to.
-_EXPONENT, _TINY = re.compile(r"e[-+]?[0-9]+"), re.compile(r"0\.0000[0-9]*")
-# Runs of the characters orjson writes raw and json escapes: DEL and every
-# one beyond ASCII.  JSON's own syntax is ASCII, so they occur only in
-# strings.  (A negated class: the range up to U+10FFFF compiles 20x slower.)
-_ESCAPED = re.compile("[^\x00-\x7e]+")
-
-
 def json_text(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for a value built of
-    dicts with string keys, lists, tuples, strings, ints, floats, bools and
-    None.
-
-    One ``orjson.dumps`` with ``OPT_INDENT_2`` writes the json module's
-    layout.  Its text of an int is ``repr``'s and of a float the same
-    shortest digits, so outside strings only exponents are spelled again,
-    as ``repr`` spells them, and numbers written as ``0.0000...`` are
-    written again by ``repr``.  Then each run of characters orjson writes
-    raw and json escapes (DEL, non-ASCII) is written by the escaper that
-    ``json.dumps`` calls, ``json.encoder.encode_basestring_ascii``.  The
-    json module writes the value when orjson refuses it (ints past 64
-    bits, keys that are not strings, lone surrogates) or its text holds
-    ``null`` (None, NaN, the infinities) or a backslash (an escaped quote
-    would hide where a string ends).
-    """
+    """The JSON text of ``value``, indented by two spaces, which
+    ``json.loads`` reads back as ``value`` (tuples as lists): orjson's, or
+    the json module's where orjson refuses the value or writes ``null``."""
     try:
-        raw = orjson.dumps(value, option=orjson.OPT_INDENT_2)
+        text = orjson.dumps(value, option=orjson.OPT_INDENT_2)
     except orjson.JSONEncodeError:
-        raw = b"null"                   # so the json module writes it
-    if b"null" in raw or b"\\" in raw:
         return json.dumps(value, indent=2)
-    text = raw.decode()
-    parts, done, seen, quotes = [], 0, 0, 0
-    for spot, end in sorted(m.span() for p in (_EXPONENT, _TINY)
-                            for m in p.finditer(text)):
-        quotes += text.count('"', seen, spot)   # with no backslash, each quote
-        seen = spot                             # opens or closes a string
-        if quotes % 2:
-            continue
-        if text[spot] == "e":
-            parts += text[done:spot], "e%+03d" % int(text[spot + 1:end])
-        else:
-            start = text.rfind(" ", 0, spot) + 1    # a number follows a space
-            parts += text[done:start], repr(float(text[start:end]))
-        done = end
-    text = "".join(parts) + text[done:]
-    if raw.isascii() and b"\x7f" not in raw:
-        return text
-    escape = json.encoder.encode_basestring_ascii       # quotes its result
-    return _ESCAPED.sub(lambda m: escape(m[0])[1:-1], text)
+    return json.dumps(value, indent=2) if b"null" in text else text.decode()
 
 
 # "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is

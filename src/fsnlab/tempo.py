@@ -127,8 +127,8 @@ def distributed_select(model: Model, x0: np.ndarray,
 
     Raises when ``delta`` or ``eps`` is not finite and positive, when x0
     has an entry that is not finite or does not fit the network, when a
-    signed leader network and its input wiring are not structurally
-    balanced (before the first round), when the RK4 steps of ``delta``
+    leader network is disconnected, or a signed one and its input wiring
+    are not structurally balanced (before the first round), when the RK4 steps of ``delta``
     leave the float range, when some estimate is still above its floor
     after ``round_cap`` rounds, and when the run ends with an arc that
     never had an estimate above its floor.
@@ -152,8 +152,7 @@ def distributed_select(model: Model, x0: np.ndarray,
         forcing, observable = np.zeros_like(x0), _first_coordinate
         cap, hint = 2 * ROUND_CAP, "; the ratio sign may not be separating on this tree"
     else:
-        if not is_connected(net):
-            raise TempoError("distributed selection requires a connected network")
+        model.check_connected()
         if x0.shape != forcing.shape:
             raise TempoError(f"x0 shape {x0.shape} does not match "
                              f"(n={net.n}, d={forcing.shape[1]})")

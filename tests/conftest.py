@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,20 @@ def random_balanced_signed_net(rng, n):
         Edge(e.i, e.j, e.w if sides[e.i] == sides[e.j] else -e.w)
         for e in base.edges)
     return Network(n, edges), sides[1:]
+
+
+def same_json_value(got, want) -> bool:
+    """Whether ``got``, a value read back from JSON, is ``want``: of the
+    same JSON types, with its dict keys in the same order, its floats bit
+    for bit (any NaN matches any NaN) and its tuples as lists."""
+    if type(want) is float:
+        return type(got) is float and (
+            got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+            or math.isnan(got) and math.isnan(want))
+    if isinstance(want, (list, tuple)):
+        return (type(got) is list and len(got) == len(want)
+                and all(map(same_json_value, got, want)))
+    if isinstance(want, dict):
+        return (type(got) is dict and list(got) == list(want)
+                and all(map(same_json_value, got.values(), want.values())))
+    return type(got) is type(want) and got == want

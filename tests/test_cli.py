@@ -6,6 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 
 from fsnlab import (FIXTURE_NAMES, DirectedNetwork, Edge, LeaderLink, Network,
@@ -22,7 +23,7 @@ from fsnlab.spectral import SpectralError
 from fsnlab.tempo import sampled_tempo
 from fsnlab.thresholds import DEFAULT_EPS, RATE_GUARD, RATE_TOL, TEMPO_TOL
 
-from conftest import G8_FSN, G12_FSN
+from conftest import G8_FSN, G12_FSN, same_json_value
 from oracles import jordan_depth, tempo_limit_from_eigvec
 
 
@@ -188,7 +189,8 @@ class TestSelect:
 
     def test_leaderless_signed_component_is_refused(self, capsys, tmp_path):
         # Two antagonistic pairs, a leader on the first only: the perturbed
-        # Laplacian is singular, whatever the signs.
+        # Laplacian is singular, whatever the signs, and the refusal names
+        # the pair that no leader reaches before any solve.
         path = tmp_path / "pairs.json"
         path.write_text(json.dumps({"n": 4, "edges": [
             {"i": 1, "j": 2, "w": -1.0}, {"i": 3, "j": 4, "w": -1.0}],
@@ -196,9 +198,26 @@ class TestSelect:
         code, out, err = run(capsys, "select", str(path),
                              "--mode", "signed-san-fsn")
         assert (code, out) == (1, "")
-        assert err.startswith("error: smallest eigenvalue ")
-        assert err.endswith("is not positive; the network is disconnected "
-                            "or has no leader\n")
+        assert err == ("error: network is disconnected: nodes [3, 4] are not "
+                       "reachable from node 1\n")
+
+    @pytest.mark.parametrize("w", [1.0, 2.0])
+    @pytest.mark.parametrize("argv", [
+        ["select", "--mode", "san-fsn"], ["select", "--mode", "san-ffn"],
+        ["select", "--mode", "signed-san-fsn"], ["distributed-select"],
+        ["analyze"]])
+    def test_leader_network_in_two_pieces_is_refused_by_name(self, capsys,
+                                                             tmp_path, argv, w):
+        # Each piece has a leader.  With equal weights the solve would see a
+        # repeated eigenvalue, with unequal ones a vector with zero entries.
+        path = tmp_path / "pieces.json"
+        path.write_text(json.dumps({"n": 4, "edges": [
+            {"i": 1, "j": 2}, {"i": 3, "j": 4, "w": w}],
+            "leaders": [{"node": 1, "input": 1}, {"node": 3, "input": 1}],
+            "inputs": [[1.0]]}))
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (1, "error: network is disconnected: nodes [3, 4] "
+                                  "are not reachable from node 1\n")
 
 
 class TestSimulate:
@@ -1020,7 +1039,8 @@ def leader_network_128_file(tmp_path):
 @pytest.mark.parametrize("name, mode", DEFINED_SELECTIONS + [
     ("n128", mode) for mode in ("san-fsn", "san-ffn", "fan-fsn", "signed-san-fsn")])
 def test_report_file_is_json_dumps_of_the_reduction(name, mode, capsys, tmp_path):
-    """orjson alone writes the report and the arc list: a None or NaN that
+    """orjson alone writes the report and the arc list, and the report
+    reads back as the reduction's, floats bit for bit: a None or NaN that
     crept into a report would put every select on the json module's
     pure-Python indenting encoder."""
     if name == "n128":
@@ -1034,27 +1054,89 @@ def test_report_file_is_json_dumps_of_the_reduction(name, mode, capsys, tmp_path
     net, cfg, _ = (load_fixture(name) if name in FIXTURE_NAMES
                    else parse_network_file(Path(name).read_text()))
     dnet, want = Model(net, cfg).reduce(mode)
-    assert report.read_text() == json.dumps(want, indent=2) + "\n"
-    assert parse_arc_file(arcs.read_text()) == dnet
+    text = report.read_bytes().decode("utf-8")
+    assert text == orjson.dumps(want, option=orjson.OPT_INDENT_2).decode() + "\n"
+    assert same_json_value(json.loads(text), want)
+    assert parse_arc_file(arcs.read_bytes()) == dnet
 
 
-def test_report_the_json_module_writes(capsys, tmp_path):
-    """A report whose network name holds a backslash and a non-ASCII
-    letter is written by the json module, with its escapes."""
+def named_g8_file(tmp_path, name):
     net, cfg, x0 = load_fixture("g8")
     path = tmp_path / "named.json"
     path.write_text(serialize_network(
-        Network.from_arrays(net.n, net.i, net.j, net.w, name="r\u00e9seau\\1e5"),
-        cfg, x0))
-    report = tmp_path / "report.json"
-    with mock.patch.object(netfile.json, "dumps", wraps=json.dumps) as dumps:
+        Network.from_arrays(net.n, net.i, net.j, net.w, name=name), cfg, x0),
+        encoding="utf-8")
+    return path
+
+
+def test_report_of_a_backslash_and_accent_name_is_utf8(capsys, tmp_path):
+    """A report and an arc list whose network name holds a backslash and a
+    non-ASCII letter are written by orjson, as UTF-8, and read back equal."""
+    path = named_g8_file(tmp_path, "r\u00e9seau\\1e5")
+    arcs, report = tmp_path / "arcs.json", tmp_path / "report.json"
+    with mock.patch.object(netfile.json, "dumps",
+                           side_effect=AssertionError("json.dumps called")):
         code, _, _ = run(capsys, "select", str(path), "--mode", "san-fsn",
-                         "--report", str(report))
-    assert code == 0 and dumps.called
-    named, cfg, _ = parse_network_file(path.read_text())
-    want = Model(named, cfg).reduce("san-fsn")[1]
+                         "--out", str(arcs), "--report", str(report))
+    assert code == 0
+    named, cfg, _ = parse_network_file(path.read_bytes())
+    dnet, want = Model(named, cfg).reduce("san-fsn")
     assert want["network"] == "r\u00e9seau\\1e5"
-    assert report.read_text() == json.dumps(want, indent=2) + "\n"
+    assert '"r\u00e9seau\\\\1e5"'.encode() in report.read_bytes()
+    assert same_json_value(json.loads(report.read_bytes().decode("utf-8")), want)
+    assert parse_arc_file(arcs.read_bytes()) == dnet
+
+
+def process_env(**extra):
+    """os.environ with ``extra`` set and this package's source first on
+    PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(cli.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_cli_process(env, *argv):
+    """``fsnlab argv`` in a fresh interpreter, with ``env`` over os.environ;
+    returns (exit code, stdout, stderr) as text decoded with replacement."""
+    done = subprocess.run([sys.executable, "-m", "fsnlab.cli", *argv],
+                          env=process_env(**env), capture_output=True)
+    return (done.returncode, done.stdout.decode("utf-8", "replace"),
+            done.stderr.decode("utf-8", "replace"))
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_ascii_locale_analyze_escapes_a_non_ascii_name(tmp_path):
+    code, out, err = run_cli_process(
+        ASCII_LOCALE, "analyze", str(named_g8_file(tmp_path, "r\u00e9seau")))
+    assert (code, err) == (0, "")
+    assert out.startswith("network r\\xe9seau: n=8, 10 edges, unsigned\n")
+
+
+def test_ascii_locale_select_writes_utf8_files(tmp_path):
+    path = named_g8_file(tmp_path, "r\u00e9seau")
+    arcs, report = tmp_path / "arcs.json", tmp_path / "report.json"
+    code, _, err = run_cli_process(ASCII_LOCALE, "select", str(path), "--mode",
+                                   "san-fsn", "--out", str(arcs), "--report", str(report))
+    assert (code, err) == (0, "")
+    net, cfg, _ = parse_network_file(path.read_bytes())
+    dnet, want = Model(net, cfg).reduce("san-fsn")
+    assert same_json_value(json.loads(report.read_bytes().decode("utf-8")), want)
+    assert parse_arc_file(arcs.read_bytes()) == dnet
+    assert dnet.name == "r\u00e9seau-fsn"
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_a_lone_surrogate_name_is_printed_escaped(command, tmp_path):
+    """The reader accepts a lone surrogate escape in a name; no encoding
+    writes it, so it is printed as its escape."""
+    path = tmp_path / "surrogate.json"
+    path.write_text('{"name": "a\\ud800b", "n": 2, "directed": false, '
+                    '"edges": [{"i": 1, "j": 2}]}')
+    code, out, err = run_cli_process({"PYTHONUTF8": "1"}, command, str(path))
+    assert (code, err) == (0, "")
+    assert "a\\ud800b: n=2, 1 edges" in out.splitlines()[0]
 
 
 class TestParserReuse:
@@ -1117,12 +1199,9 @@ class TestParserReuse:
 def loaded_modules(script, *args):
     """The modules loaded in a fresh interpreter after ``script``, which
     reads ``args`` from sys.argv and prints nothing itself."""
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-c", script + "\nprint(*sys.modules)", *args],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+        env=process_env(), capture_output=True, text=True, check=True).stdout.split()
 
 
 def oracle_modules(loaded):
