@@ -10,9 +10,9 @@ their neighbors from sampled trajectories alone.
 __version__ = "0.1.0"
 
 from .graphs import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink,
-                     Network, SemiAutonomousConfig, augmented_signed_network,
-                     is_connected, laplacian, perturbed_laplacian,
-                     reduced_laplacian, structural_balance_partition)
+                     Network, SemiAutonomousConfig, laplacian,
+                     perturbed_laplacian, reduced_laplacian,
+                     structural_balance_partition)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
                        principal_pair_perturbed, sign_normalize,
                        smallest_eigenpairs, symmetric_eigh)

@@ -26,9 +26,7 @@ from . import __version__
 from .blocks import ClassificationError
 from .dynamics import (SimulationConfig, SimulationError, Trajectory,
                        fitted_rate, simulate)
-from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, is_connected,
-                     structural_balance_partition)
+from .graphs import DirectedNetwork, GraphError, Network, SemiAutonomousConfig
 from .model import MODES, Model
 from .netfile import (FIXTURE_NAMES, NetworkFileError, csv_rows,
                       csv_stamps, emit_trajectory, fixture_text, json_text,
@@ -95,7 +93,8 @@ def cmd_analyze(args) -> int:
     model = Model(net, cfg)
     print(f"network {_title(net, args)}: n={net.n}, "
           f"{len(net.w)} edges, {'signed' if net.is_signed else 'unsigned'}")
-    connected = is_connected(net)
+    # Fewer than n - 1 edges leave a network in pieces, known without a search.
+    connected = len(net.w) >= net.n - 1 and not model.cover.unreached
     print(f"connected: {connected}")
 
     pairs = model.spectrum(min(net.n, 3))
@@ -105,13 +104,12 @@ def cmd_analyze(args) -> int:
           f"(residual tol {EIG_TOL:g})")
 
     if net.is_signed and connected:
-        part = structural_balance_partition(net)
+        part = model.cover.partition()
         if part is None:
             print("structural balance: unbalanced")
         else:
-            v1s = sorted(part[0])
-            v2s = sorted(part[1])
-            print(f"structural balance: balanced, partition {v1s} | {v2s}")
+            print("structural balance: balanced, partition "
+                  f"{sorted(part[0])} | {sorted(part[1])}")
 
     if cfg is not None:
         pair = model.pair()

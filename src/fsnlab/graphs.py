@@ -12,7 +12,8 @@ selection) work on these arrays and on a CSR adjacency built from them on
 first use; the tuples of ``Edge`` or ``Arc`` records and the per-node
 dicts are views, built only when read.  Every Laplacian has sum |w| on its
 diagonal and -w off it, for every sign, and one builder per matrix: the
-graph Laplacian, its leader-perturbed form and the reduced Laplacian.
+graph Laplacian, its leader-perturbed form and the reduced Laplacian.  One
+search, :func:`signed_cover`, decides connectivity and balance.
 """
 
 from __future__ import annotations
@@ -487,32 +488,48 @@ def reduced_laplacian(dnet: DirectedNetwork) -> np.ndarray:
     return _fill(dnet.n, dnet.i - 1, dnet.j - 1, dnet.w)
 
 
-def is_connected(net: Network) -> bool:
-    """Whether every node is reachable from node 1.
+class SignedCover(NamedTuple):
+    """The copies of each node that one :func:`signed_cover` search reached."""
 
-    A network with fewer than n - 1 edges is disconnected; it is answered
-    without a traversal.
-    """
-    if len(net.w) < net.n - 1:
-        return False
-    indptr, cols, _ = net.adjacency
-    return bool((_reach(indptr, cols, [0]) >= 0).all())
+    plus: np.ndarray
+    minus: np.ndarray
+
+    @property
+    def unreached(self) -> list[int]:
+        """The nodes no copy of which was reached: none on a connected network."""
+        return (np.flatnonzero(~(self.plus | self.minus)) + 1).tolist()
+
+    def check_connected(self) -> None:
+        """Refuse a network in pieces, naming its :attr:`unreached` nodes."""
+        if unreached := self.unreached:
+            raise GraphError(f"network is disconnected: nodes {unreached} "
+                             "are not reachable from node 1")
+
+    def partition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+        """(V1, V2), the nodes whose "+" and whose "-" copy was reached, or None
+        when a node had both (unbalanced); refuses a network in pieces first."""
+        self.check_connected()
+        if (self.plus & self.minus).any():
+            return None
+        return tuple(frozenset((np.flatnonzero(s) + 1).tolist()) for s in self)
+
+    def check_wiring(self, cfg: SemiAutonomousConfig) -> None:
+        """Refuse a network in pieces, then a leader wiring unbalanced with it
+        (each input a node wired to its leaders by the link sign): balanced when
+        the network is and no column of D B (gauge D, input matrix B) has two signs."""
+        DB = np.where(self.plus, 1, -1)[:, None] * cfg.input_matrix(len(self.plus))
+        if self.partition() is None or ((DB > 0).any(0) & (DB < 0).any(0)).any():
+            raise GraphError("network plus input wiring is not structurally balanced")
 
 
-def structural_balance_partition(
-        net: Network) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    """Two-color the nodes so positive edges join same-color endpoints.
+def signed_cover(net: Network) -> SignedCover:
+    """One search of Harary's signed double cover from node 1's "+" copy.
 
-    Returns (V1, V2) with node 1 anchored in V1, or None when no such
-    bipartition exists.  An all-positive graph yields an empty V2.
-
-    One search of Harary's signed double cover decides it: node u has a
-    "+" copy and a "-" copy, a positive edge joins copies of equal sign
-    and a negative edge copies of opposite sign.  From node 1's "+" copy
-    the search reaches a copy of every node exactly when the network is
-    connected, and then both copies of some node exactly when a cycle has
-    an odd number of negative edges.  Otherwise V1 holds the nodes whose "+"
-    copy it reached and V2 those whose "-" copy it reached.
+    Node u has a "+" copy and a "-" copy, a positive edge joins copies of
+    equal sign and a negative edge copies of opposite sign.  The search
+    reaches a copy of every node exactly when the network is connected,
+    and then both copies of some node exactly when a cycle has an odd
+    number of negative edges; otherwise the copies reached are the sides.
     """
     n = net.n
     indptr, cols, edge = net.adjacency
@@ -520,30 +537,15 @@ def structural_balance_partition(
     flip = n * (net.w < 0)[edge]
     seen = _reach(np.concatenate((indptr, indptr[1:] + len(cols))),
                   np.concatenate((cols + flip, cols + n - flip)), [0]) >= 0
-    plus, minus = seen[:n], seen[n:]
-    if not (plus | minus).all():
+    return SignedCover(seen[:n], seen[n:])
+
+
+def structural_balance_partition(
+        net: Network) -> Optional[tuple[frozenset[int], frozenset[int]]]:
+    """The two sides (V1, V2) of a balanced network, node 1 in V1, that
+    positive edges do not cross and negative ones do, or None when it is
+    not balanced: the :meth:`SignedCover.partition` of :func:`signed_cover`."""
+    cover = signed_cover(net)
+    if cover.unreached:
         raise GraphError("balance partition requires a connected network")
-    if (plus & minus).any():
-        return None
-    return (frozenset((np.flatnonzero(plus) + 1).tolist()),
-            frozenset((np.flatnonzero(minus) + 1).tolist()))
-
-
-def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network:
-    """Graph plus one extra node per input that some leader reads, wired to
-    its leaders with the link sign.
-
-    Used to test structural balance of the leader wiring together with the
-    network itself.  The inputs read get ids n+1, n+2, ... in input order;
-    an input no leader reads drives nothing and gets no node, which would
-    leave the augmented network disconnected.
-    """
-    links = cfg.leader_links
-    read, slot = np.unique([link.input_index for link in links],
-                           return_inverse=True)
-    return Network.from_arrays(
-        net.n + len(read),
-        np.concatenate((net.i, cfg.leader_rows(net.n) + 1)),
-        np.concatenate((net.j, net.n + 1 + slot)),
-        np.concatenate((net.w, [float(link.sign) for link in links])),
-        name=f"{net.name}+inputs")
+    return cover.partition()

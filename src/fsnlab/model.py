@@ -20,12 +20,11 @@ from .blocks import (BlockDecomposition, FiedlerClassification,
                      block_cut_tree, classify_fiedler)
 from .dynamics import as_columns, fan_fsn_consensus_value, steady_state_san
 from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, _bump_leaders, _reach,
-                     augmented_signed_network, laplacian,
-                     perturbed_laplacian, reduced_laplacian,
-                     structural_balance_partition)
-from .selection import (_check_balanced, ffn_san, fsn_fan, fsn_san,
-                        reachable_from, reachable_from_inputs, reduced_spectrum)
+                     SemiAutonomousConfig, SignedCover, _bump_leaders,
+                     laplacian, perturbed_laplacian, reduced_laplacian,
+                     signed_cover)
+from .selection import (ffn_san, fsn_fan, fsn_san, reachable_from,
+                        reachable_from_inputs, reduced_spectrum)
 from .spectral import (EigenPair, SpectralError, fiedler_pair,
                        principal_pair_perturbed, smallest_eigenpairs)
 from .thresholds import EIG_TOL
@@ -86,8 +85,8 @@ class Model:
     def pair(self, mode: Optional[str] = None) -> EigenPair:
         """Selection eigenpair of a mode, by default of the model's own.
         Refuses a mode not in ``MODES``; the unsigned leader-driven modes
-        refuse a signed network, then a signed leader wiring, and every
-        leader-driven mode a disconnected network, then an unbalanced one."""
+        refuse a signed network, then a signed leader wiring, every mode a
+        disconnected network, then the leader-driven ones an unbalanced one."""
         mode = mode or self.mode
         if mode not in self._pairs:
             net, cfg = self.net, self.cfg
@@ -95,8 +94,10 @@ class Model:
                 raise GraphError(f"unknown mode {mode!r}; valid modes: "
                                  + ", ".join(MODES))
             if mode == "fan-fsn":
+                # Built first: a network too large for it is refused unsearched.
                 L, pairs = (self._laplacian_pairs
                             or (laplacian(net.absolute()), None))
+                self.check_connected()
                 pair = fiedler_pair(L, pairs)
             elif cfg is None:
                 raise GraphError(f"mode {mode} needs leaders in the input file")
@@ -113,32 +114,28 @@ class Model:
             self._pairs[mode] = pair
         return self._pairs[mode]
 
+    @cached_property
+    def cover(self) -> SignedCover:
+        """The one structural search, :func:`~fsnlab.graphs.signed_cover`."""
+        return signed_cover(self.net)
+
     def check_connected(self) -> None:
-        """Refuse a network in pieces by name, before a leader-driven solve,
-        which would refuse it as a repeated or non-positive eigenpair."""
-        indptr, cols, _ = self.net.adjacency
-        unreached = np.flatnonzero(_reach(indptr, cols, [0]) < 0) + 1
-        if len(unreached):
-            raise GraphError(f"network is disconnected: nodes {unreached.tolist()} "
-                             "are not reachable from node 1")
+        """Refuse a network in pieces by name, before any solve."""
+        self.cover.check_connected()
 
     def check_balanced(self) -> None:
-        """Refuse an unbalanced signed leader wiring by name, before a solve
-        whose eigen checks would fail on it first.  The network must be
-        connected (:meth:`check_connected`); so then is the wiring, as each
-        input node it adds is wired to a leader."""
+        """Refuse an unbalanced signed leader wiring by name, before any solve."""
         if self.signed and self.cfg is not None:
-            _check_balanced(augmented_signed_network(self.net, self.cfg))
+            self.cover.check_wiring(self.cfg)
 
     @cached_property
     def gauge(self) -> np.ndarray:
-        """The balance gauge sigma = +-1 as a column; refuses an unbalanced network."""
-        if (partition := structural_balance_partition(self.net)) is None:
+        """The balance gauge sigma = +-1 as a column, -1 where :attr:`cover`
+        reached the "-" copy; refuses a network in pieces, then an unbalanced one."""
+        if self.cover.partition() is None:
             raise GraphError("signed network is not structurally balanced; "
                              "its consensus limit is undefined")
-        sigma = np.ones((self.net.n, 1))
-        sigma[[i - 1 for i in partition[1]]] = -1.0
-        return sigma
+        return np.where(self.cover.minus, -1.0, 1.0)[:, None]
 
     def simple_pair(self, mode: Optional[str] = None) -> EigenPair:
         """:meth:`pair`, refused when its value repeats: no one vector to read."""

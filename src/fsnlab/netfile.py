@@ -324,12 +324,14 @@ def serialize_arcs(dnet: DirectedNetwork) -> str:
 def json_text(value) -> str:
     """The JSON text of ``value``, indented by two spaces, which
     ``json.loads`` reads back as ``value`` (tuples as lists): orjson's, or
-    the json module's where orjson refuses the value or writes ``null``."""
+    the json module's where orjson refuses the value or writes a null token,
+    the whole text or one after a space before a comma or a newline."""
     try:
         text = orjson.dumps(value, option=orjson.OPT_INDENT_2)
     except orjson.JSONEncodeError:
         return json.dumps(value, indent=2)
-    return json.dumps(value, indent=2) if b"null" in text else text.decode()
+    null = text == b"null" or b" null," in text or b" null\n" in text
+    return json.dumps(value, indent=2) if null else text.decode()
 
 
 # "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is

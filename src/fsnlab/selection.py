@@ -16,8 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .graphs import (DirectedNetwork, GraphError, Network,
-                     SemiAutonomousConfig, _bump_leaders, _reach,
-                     augmented_signed_network, structural_balance_partition)
+                     SemiAutonomousConfig, _bump_leaders, _reach, signed_cover)
 from .blocks import FiedlerClassification
 from .spectral import symmetric_eigh
 from .thresholds import SYMMETRY_TOL, follows
@@ -38,14 +37,6 @@ def _edge_arcs(net: Network, keep: np.ndarray, name: str) -> DirectedNetwork:
         np.repeat(net.w, 2)[keep], name)
 
 
-def _check_balanced(augmented: Network) -> None:
-    """Refuse a signed network and input wiring, taken together as their
-    :func:`augmented_signed_network`, that is not structurally balanced;
-    the test needs it connected."""
-    if structural_balance_partition(augmented) is None:
-        raise GraphError("network plus input wiring is not structurally balanced")
-
-
 def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
                              v1: np.ndarray) -> np.ndarray:
     """v1, or its magnitudes on a balanced signed wiring; refused unless positive."""
@@ -54,7 +45,7 @@ def _checked_positive_vector(net: Network, cfg: SemiAutonomousConfig,
         raise GraphError(f"eigenvector length {len(v1)} != n={net.n}")
     cfg.leader_rows(net.n)              # refuses a leader outside 1..n
     if net.is_signed or cfg.is_signed:
-        _check_balanced(augmented_signed_network(net, cfg))
+        signed_cover(net).check_wiring(cfg)
         v1 = np.abs(v1)
     if float(v1.min()) <= 0:
         raise GraphError("principal eigenvector must be strictly positive")
@@ -78,7 +69,8 @@ def fsn_san(net: Network, cfg: SemiAutonomousConfig,
 
     ``v1`` is the principal eigenvector of the perturbed Laplacian; the arc
     (i <- j) survives exactly when |v1[i]|/|v1[j]| > 1.  A signed network
-    plus its input wiring must be structurally balanced: its gauge
+    must be connected, and with its input wiring structurally balanced
+    (:meth:`~fsnlab.graphs.SignedCover.check_wiring`): its gauge
     D = diag(+-1) then maps v1 onto the positive vector of the magnitude
     network, so the rule keeps that network's arcs.  An unsigned v1 must
     be positive.  The result is acyclic because retained arcs strictly

@@ -116,9 +116,9 @@ def principal_pair_perturbed(L_B: np.ndarray) -> EigenPair:
     For a connected network with at least one leader this eigenvalue is
     strictly positive and simple, and the sign-normalized vector is D v for
     a positive v and the balance gauge D = diag(+-1), D = I when unsigned.
-    Violations (disconnected network, no leader, a zero entry, or a
-    non-Laplacian matrix) raise; the selection rules refuse an unsigned
-    vector that is not positive.
+    ``Model`` refuses a network in pieces or unbalanced before the solve;
+    the refusals here of a value not positive or repeated and of a zero
+    entry stay, as the guard of the solve's accuracy.
     """
     pair = smallest_eigenpairs(L_B, 1)[0]
     if pair.value <= eig_tol(L_B):
@@ -139,11 +139,11 @@ def fiedler_pair(L: np.ndarray,
                  pairs: Optional[list[EigenPair]] = None) -> EigenPair:
     """Second-smallest eigenpair of a graph Laplacian.
 
-    Raises when the graph is disconnected (second eigenvalue numerically
-    zero).  A repeated second eigenvalue comes back with ``is_simple``
-    False, which ``Model.simple_pair`` refuses.  ``pairs``, when given, are
-    at least the two smallest eigenpairs of L from
-    :func:`smallest_eigenpairs`, which then is not run again.
+    Raises on a second eigenvalue numerically zero, as of a graph in
+    pieces, which ``Model`` refuses by name first; this stays as an
+    accuracy guard.  A repeated one comes back with ``is_simple`` False,
+    which ``Model.simple_pair`` refuses.  ``pairs``, when given, are at
+    least L's two smallest eigenpairs, which then are not computed again.
     """
     if L.shape[0] < 2:
         raise SpectralError("Fiedler pair needs at least two nodes")

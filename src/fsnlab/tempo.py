@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import Stepper, Trajectory, initial_state
-from .graphs import DirectedNetwork, Network, _integer, is_connected
+from .graphs import DirectedNetwork, Network, _integer
 from .model import Model
 from .thresholds import (DEFAULT_EPS, above_floor, retains, tempo_agrees,
                          zero_entries)
@@ -125,18 +125,18 @@ def distributed_select(model: Model, x0: np.ndarray,
     and twice that without.  An entry's ``g`` is its arc's last estimate, a
     float, and its ``rounds`` the round of its agent's last estimate.
 
-    Raises when ``delta`` or ``eps`` is not finite and positive, when x0
-    has an entry that is not finite or does not fit the network, when a
-    leader network is disconnected, or a signed one and its input wiring
-    are not structurally balanced (before the first round), when the RK4 steps of ``delta``
-    leave the float range, when some estimate is still above its floor
-    after ``round_cap`` rounds, and when the run ends with an arc that
-    never had an estimate above its floor.
+    Raises when ``delta`` or ``eps`` is not finite and positive, when x0 has
+    an entry that is not finite or does not fit the network, when the network
+    is in pieces, leaderless and not a tree, or unbalanced with its leader
+    wiring (before any round), when RK4 steps of ``delta`` leave the float
+    range, when an estimate is still above its floor after ``round_cap``
+    rounds, and when an arc never had an estimate above its floor.
     """
     net, forcing = model.net, model.forcing
     x0 = initial_state(x0, TempoError)
+    model.check_connected()
     if forcing is None:
-        if len(net.w) != net.n - 1 or not is_connected(net):
+        if len(net.w) != net.n - 1:
             raise TempoError("distributed autonomous selection needs a tree")
         if net.is_signed:
             raise TempoError("distributed autonomous selection needs nonnegative "
@@ -152,7 +152,6 @@ def distributed_select(model: Model, x0: np.ndarray,
         forcing, observable = np.zeros_like(x0), _first_coordinate
         cap, hint = 2 * ROUND_CAP, "; the ratio sign may not be separating on this tree"
     else:
-        model.check_connected()
         if x0.shape != forcing.shape:
             raise TempoError(f"x0 shape {x0.shape} does not match "
                              f"(n={net.n}, d={forcing.shape[1]})")

@@ -1,12 +1,14 @@
 """Reference computations the test suites compare the library against.
 
 None of these is run by a command: they are independent checks (a
-breadth-first diameter, the explicit gauge matrix, the symmetrized Fiedler
-data and lower bound of the rate certificate, the tree-diameter bound, the
-entry-norm tempo limit of an eigenvector, the closed-form tempo limit, a
-path-carrying search of the Fiedler monotonicity audit and the Jordan depth
-of a reduced generator's eigenvalue from a general eigensolve)
-kept next to the tests that use them.
+connectivity search of the network itself, the network augmented by one
+node per input wired to its leaders, whose structural balance partition
+is the reference of the leader wiring rule, a breadth-first diameter, the
+explicit gauge matrix, the symmetrized Fiedler data and lower bound of the
+rate certificate, the tree-diameter bound, the entry-norm tempo limit of
+an eigenvector, the closed-form tempo limit, a path-carrying search of the
+Fiedler monotonicity audit and the Jordan depth of a reduced generator's
+eigenvalue from a general eigensolve) kept next to the tests that use them.
 """
 
 from __future__ import annotations
@@ -18,11 +20,44 @@ from typing import Iterable
 import numpy as np
 
 from fsnlab.blocks import FiedlerClassification
-from fsnlab.graphs import (DirectedNetwork, GraphError, Network, _csr,
-                           is_connected, reduced_laplacian)
+from fsnlab.graphs import (DirectedNetwork, GraphError, Network,
+                           SemiAutonomousConfig, _csr, _reach, reduced_laplacian)
 from fsnlab.spectral import symmetric_eigh
 from fsnlab.thresholds import RANK_TOL, eig_tol
 from fsnlab.tempo import TempoError
+
+
+def is_connected(net: Network) -> bool:
+    """Whether every node is reachable from node 1, by one search of the
+    network itself.
+
+    A network with fewer than n - 1 edges is disconnected; it is answered
+    without a traversal.
+    """
+    if len(net.w) < net.n - 1:
+        return False
+    indptr, cols, _ = net.adjacency
+    return bool((_reach(indptr, cols, [0]) >= 0).all())
+
+
+def augmented_signed_network(net: Network, cfg: SemiAutonomousConfig) -> Network:
+    """Graph plus one extra node per input that some leader reads, wired to
+    its leaders with the link sign: the network whose structural balance is
+    that of the network and its leader wiring taken together.
+
+    The inputs read get ids n+1, n+2, ... in input order; an input no
+    leader reads drives nothing and gets no node, which would leave the
+    augmented network disconnected.
+    """
+    links = cfg.leader_links
+    read, slot = np.unique([link.input_index for link in links],
+                           return_inverse=True)
+    return Network.from_arrays(
+        net.n + len(read),
+        np.concatenate((net.i, cfg.leader_rows(net.n) + 1)),
+        np.concatenate((net.j, net.n + 1 + slot)),
+        np.concatenate((net.w, [float(link.sign) for link in links])),
+        name=f"{net.name}+inputs")
 
 
 def diameter(net: Network) -> int:

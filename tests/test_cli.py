@@ -219,6 +219,21 @@ class TestSelect:
         assert (code, err) == (1, "error: network is disconnected: nodes [3, 4] "
                                   "are not reachable from node 1\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["select", "--mode", "fan-fsn"], ["tempo", "--pairs", "1:2"], ["compare"],
+        ["distributed-select", "--fan-tree"]])
+    def test_network_in_two_pieces_without_leaders_is_refused_by_name(
+            self, capsys, tmp_path, argv):
+        # Refused before any solve; the autonomous selection used to read
+        # the disconnection off a zero second eigenvalue, and the tree
+        # engine refused the network as not a tree.
+        path = tmp_path / "pieces.json"
+        path.write_text(json.dumps({"n": 4, "edges": [{"i": 1, "j": 2},
+                                                      {"i": 3, "j": 4}]}))
+        code, _, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (1, "error: network is disconnected: nodes [3, 4] "
+                                  "are not reachable from node 1\n")
+
 
 class TestSimulate:
     def test_writes_csv(self, capsys, tmp_path):

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsnlab import (Arc, DirectedNetwork, Edge, GraphError, LeaderLink, Model,
-                    Network, SemiAutonomousConfig, augmented_signed_network,
-                    distributed_select, is_connected, laplacian,
-                    perturbed_laplacian, reduced_laplacian, reduced_spectrum,
-                    structural_balance_partition)
-from fsnlab.graphs import MAX_NODES
-from fsnlab.selection import fsn_san
+                    Network, SemiAutonomousConfig, distributed_select,
+                    laplacian, perturbed_laplacian, reduced_laplacian,
+                    reduced_spectrum, structural_balance_partition)
+from fsnlab.graphs import MAX_NODES, signed_cover
+from fsnlab.selection import ffn_san, fsn_san
 from fsnlab.spectral import principal_pair_perturbed
 
-from oracles import diameter, gauge_matrix
+from oracles import (augmented_signed_network, diameter, gauge_matrix,
+                     is_connected)
 from conftest import (T12_FSN, edge_weight, random_connected_net,
                       random_balanced_signed_net)
 
@@ -225,7 +225,8 @@ LEADER_ROW_READERS = {
     "distributed_select": lambda net, cfg: distributed_select(
         Model(net, cfg), np.zeros((3, 1))),
     "fsn_san": lambda net, cfg: fsn_san(net, cfg, np.ones(3)),
-    "augmented_signed_network": augmented_signed_network,
+    "augmented_signed_network": augmented_signed_network,     # the oracle's
+    "SignedCover.check_wiring": lambda net, cfg: signed_cover(net).check_wiring(cfg),
 }
 
 
@@ -445,6 +446,55 @@ class TestAugmented:
         assert edge_weight(aug, 3, 4) == -1.0
         assert structural_balance_partition(aug) == (frozenset({1, 4}),
                                                      frozenset({2, 3}))
+
+
+class TestWiringBalance:
+    """The leader wiring rule, read off the network's own signed cover,
+    against the balance of the augmented network of tests/oracles.py."""
+
+    def test_refuses_exactly_where_the_augmented_network_is_unbalanced(self):
+        rng = np.random.default_rng(47)
+        draws, refused = 2000, 0
+        for _ in range(draws):
+            n = int(rng.integers(2, 10))
+            net = random_connected_net(rng, n)
+            sigma = rng.choice([-1, 1], size=n)
+            signs = (sigma[net.i - 1] * sigma[net.j - 1] if rng.random() < 0.5
+                     else rng.choice([-1, 1], size=len(net.w)))   # gauge or random
+            net = Network.from_arrays(n, net.i, net.j, signs * net.w)
+            m = int(rng.integers(1, 4))
+            nodes = rng.permutation(n)[:rng.integers(1, n + 1)] + 1
+            inputs = rng.integers(1, m + 1, size=len(nodes))
+            tau = rng.choice([-1, 1], size=m + 1)
+            links = (sigma[nodes - 1] * tau[inputs] if rng.random() < 0.5
+                     else rng.choice([-1, 1], size=len(nodes)))
+            cfg = SemiAutonomousConfig(m, tuple(
+                LeaderLink(int(a), int(k), int(s)) for a, k, s in zip(nodes, inputs, links)))
+            want = structural_balance_partition(augmented_signed_network(net, cfg)) is None
+            try:
+                Model(net, cfg).check_balanced()
+            except GraphError as exc:
+                assert str(exc) == "network plus input wiring is not structurally balanced"
+                assert want
+                refused += 1
+            else:
+                assert not want
+        assert 0.3 * draws <= refused <= 0.7 * draws
+
+    @pytest.mark.parametrize("refuse", [
+        lambda net, cfg: fsn_san(net, cfg, np.ones(4)),
+        lambda net, cfg: ffn_san(net, cfg, np.ones(4)),
+        lambda net, cfg: Model(net, cfg).check_balanced()],
+        ids=["fsn_san", "ffn_san", "Model.check_balanced"])
+    def test_network_in_pieces_is_refused_as_disconnected(self, refuse):
+        # The input node would join the two pieces into a balanced tree, and
+        # read as a side, the unreached leader 3 would make the wiring look
+        # unbalanced: neither is the cause.
+        net = Network(4, (Edge(1, 2, -1.0), Edge(3, 4, -1.0)))
+        cfg = SemiAutonomousConfig(1, (LeaderLink(1, 1), LeaderLink(3, 1)), ((1.0,),))
+        with pytest.raises(GraphError, match=r"^network is disconnected: nodes "
+                                             r"\[3, 4\] are not reachable from node 1$"):
+            refuse(net, cfg)
 
 
 def integer(v):

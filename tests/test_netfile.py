@@ -43,10 +43,11 @@ JSON_VALUES = st.recursive(
 
 # Values orjson writes, so json_text needs no json module for them: finite
 # numbers within 64 bits, no None, and strings without a lone surrogate or
-# the text null, some holding number texts, quotes, backslashes, control
-# characters, DEL or characters beyond ASCII.
+# the text " null,", which looks like a null token to json_text; some hold
+# the word null, number texts, quotes, backslashes, control characters, DEL
+# or characters beyond ASCII.
 ORJSON_STRINGS = (st.text(st.characters(blacklist_categories=["Cs"]), max_size=8)
-                  .filter(lambda s: "null" not in s)
+                  .filter(lambda s: " null," not in s)
                   | st.sampled_from(["1e5", "0.00001", ": 1e-8", 'a "q" \\', "-0.0000"]))
 ORJSON_VALUES = st.recursive(
     st.booleans() | st.integers(-2**63, 2**64 - 1) | ORJSON_STRINGS
@@ -314,6 +315,11 @@ class TestRoundTrip:
     @example(["\x7f", {"a\x7fb": 1e-5}])
     @example(['a "quoted" 1e5', 1e-5, {'"': 1e16}])
     @example({"": [0], "0": [0]})     # dict values of equal-length rows
+    # A null token alone, first, last and deep, each where a string says null.
+    @example(None)
+    @example(math.nan)
+    @example([None, "null", " null,", {"null": [[math.inf]], "x": -math.inf}])
+    @example({"name": "null-net", "arcs": [{"w": math.nan}, {"w": None}]})
     @settings(max_examples=300, deadline=None)
     def test_json_text_reads_back_the_value(self, value):
         assert same_json_value(json.loads(json_text(value)), value)
@@ -351,10 +357,16 @@ class TestRoundTrip:
         {"follower": 1, "followed": 2, "w": 1e-5},
         {"follower": 3, "followed": 2, "w": 2.5}]})
     @example(["\x7f", {"a\x7fb \u2028\U0001f600 1e5": 1e16}, "\u00e9\u4e2d 0.00001"])
+    @example({"name": "null-net", "n": 2, "arcs": [
+        {"follower": 1, "followed": 2, "w": 0.5}]})
+    @example({"null": "null", "null-net": ["nullable", "a: null", " null"],
+              "nullable": {"null": [1, "null"]}, "a: null": "null\nnull,"})
+    @example("null")
     @settings(max_examples=200, deadline=None)
     def test_orjson_alone_writes_what_it_writes_exactly(self, value):
-        """A value whose orjson text holds no null is orjson's indented
-        text, without a call to the json module."""
+        """A value whose orjson text holds no null token is orjson's
+        indented text, without a call to the json module, also where a
+        name, a key or a string holds the word null."""
         with mock.patch.object(netfile.json, "dumps",
                                side_effect=AssertionError("json.dumps called")):
             text = json_text(value)

@@ -44,6 +44,12 @@ self-arc; then the refusals the commands document:
 - ``select --mode fan-fsn`` of a disconnected network and of an
   unbalanced signed triangle, and ``select --mode san-fsn`` of a leader
   network with an isolated node;
+- ``compare``, ``tempo --pairs 1:2`` and ``distributed-select
+  --fan-tree`` of that disconnected network, refused by name before any
+  solve;
+- ``select --mode signed-san-fsn`` of the unsigned path 1-2-3 whose ends
+  lead one input with opposite signs, a leader wiring that is not
+  structurally balanced;
 - ``distributed-select --fan-tree`` of the path at consensus below, where
   no arc gets an estimate above the noise floor;
 - ``tempo g8`` with ``--pairs`` 7-3, 7:99 and 1_0:1;
@@ -186,6 +192,8 @@ def refusals() -> list[tuple[list[str], dict[str, str]]]:
         "disconnected": _network([(1, 2), (3, 4)], n=4),
         "unbalanced": _network([(1, 2), (2, 3), (1, 3, -1.0)]),
         "isolated": _network([(1, 2)], [{"node": 1, "input": 1}]),
+        "split-wiring": _network(path, [{"node": 1, "input": 1},
+                                        {"node": 3, "input": 1, "sign": -1}]),
         "consensus": json.dumps(CONSENSUS)}
     documented = [
         ("select", "cycle5", "--mode", "fan-fsn"),
@@ -194,6 +202,10 @@ def refusals() -> list[tuple[list[str], dict[str, str]]]:
         ("select", "disconnected", "--mode", "fan-fsn"),
         ("select", "unbalanced", "--mode", "fan-fsn"),
         ("select", "isolated", "--mode", "san-fsn"),
+        ("compare", "disconnected"),
+        ("tempo", "disconnected", "--pairs", "1:2"),
+        ("distributed-select", "disconnected", "--fan-tree"),
+        ("select", "split-wiring", "--mode", "signed-san-fsn"),
         ("distributed-select", "consensus", "--fan-tree")]
     return [*[(["analyze", f"$TMP/{name}.json"], {f"{name}.json": text})
               for name, text in networks.items()],
