@@ -31,6 +31,7 @@ import numpy as np
 # size an index can address; a larger n is refused before any per-node work.
 MAX_NODES = math.isqrt(np.iinfo(np.intp).max // 8)
 _LOAD_BOUND = np.finfo(float).max / 4
+_NAMED_UNREACHED = 10   # unreached nodes a refusal names; it counts the rest
 
 
 class GraphError(ValueError):
@@ -500,9 +501,12 @@ class SignedCover(NamedTuple):
         return (np.flatnonzero(~(self.plus | self.minus)) + 1).tolist()
 
     def check_connected(self) -> None:
-        """Refuse a network in pieces, naming its :attr:`unreached` nodes."""
+        """Refuse a network in pieces, naming its first :attr:`unreached`
+        nodes and counting the rest, so the message stays short."""
         if unreached := self.unreached:
-            raise GraphError(f"network is disconnected: nodes {unreached} "
+            nodes, rest = unreached[:_NAMED_UNREACHED], unreached[_NAMED_UNREACHED:]
+            more = f" and {len(rest)} more" if rest else ""
+            raise GraphError(f"network is disconnected: nodes {nodes}{more} "
                              "are not reachable from node 1")
 
     def partition(self) -> Optional[tuple[frozenset[int], frozenset[int]]]:

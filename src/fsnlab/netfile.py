@@ -20,18 +20,19 @@ module's when orjson refuses the value (ints past 64 bits, keys that are
 not strings, lone surrogates) or writes ``null`` (for None, NaN and the
 infinities).  The command-line front end writes every file as UTF-8.
 
-Trajectory and tempo CSV hold times and values as the bytes of ``"%.17g" %
-v``, written from array arithmetic by ``_g17``: exactly, in fixed notation,
-for magnitudes in [1e-4, 1e16), and by one batched ``"%.17g"`` call for
-every other double.  ``parse_trajectory`` reads them back bit for bit, a
-body of plain numbers by ``orjson.loads`` in blocks (``_plain_columns``).
+Trajectory and tempo CSV follow the same rule, and their contract too is
+the value: ``float`` of a field, and ``parse_trajectory`` of the file, give
+back every double bit for bit.  Times and values are written by
+``csv_stamps``: orjson's shortest round-trip texts, and ``repr``'s for NaN
+and the infinities, which orjson writes as ``null``.  ``parse_trajectory``
+reads a body of plain numbers by ``orjson.loads`` in blocks
+(``_plain_columns``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from functools import cache
 from importlib import resources
 from itertools import chain, repeat
 from operator import itemgetter
@@ -334,231 +335,72 @@ def json_text(value) -> str:
     return json.dumps(value, indent=2) if null else text.decode()
 
 
-# "%.17g" of many doubles at once.  A double x with 1e-4 <= |x| < 1e16 is
-# written in fixed notation, which "%.17g" uses for every such x: its 17
-# significant digits, the integer n in [10**16, 10**17), and its decimal
-# exponent e come from array arithmetic that is exact (_digits17), and the
-# text from four-digit words looked up in _word_table().  Every other
-# double (0, -0, NaN, the infinities, subnormals, and magnitudes outside
-# that range) is written by one batched "%.17g" call.
-_FIXED_MIN, _FIXED_MAX = 1e-4, 1e16
-_POW10 = np.array([10.0 ** k for k in range(22)])   # exact: 5**21 < 2**53
-_POW10_INT = np.array([10 ** k for k in range(18)], np.int64)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of doubles into hi + lo, each of at most 26
-    significant bits, so that products of two halves are exact."""
-    c = a * 134217729.0             # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
-
-
-@cache
-def _word_table() -> np.ndarray:
-    """The words that ``_fixed_words`` writes, four ASCII bytes each read
-    as one uint32, a blank written as NUL (the rows of a CSV block are
-    joined with their NULs deleted).  Built on first use, so commands that
-    write no CSV never build it.
-
-    From _PLAIN, _LEAD, _UNITS and _TRAIL on, the four-digit group k: in
-    full, with leading zeros blank (0 is all blank), as the units group of
-    an integer part (0 is "   0"), and with trailing zeros blank (0 is all
-    blank, 1000 * d the single digit d).  From _POINT, the point followed
-    by 0 to 3 zeros, then blank; from _SIGN, blank and then a minus sign.
-    """
-    k = np.arange(10000, dtype=np.int16)[:, None]
-    place = np.array([1000, 100, 10, 1], np.int16)
-    digits = (k // place % 10 + ord("0")).astype(np.uint8)
-    groups = [digits, np.where(k < place, 0, digits),
-              np.where(k < place * [1, 1, 1, 0], 0, digits),
-              np.where(k % (10 * place) == 0, 0, digits)]
-    marks = np.frombuffer(b".\0\0\0.0\0\0.00\0.000" + bytes(11) + b"-", np.uint8)
-    return np.concatenate([*groups, marks.reshape(-1, 4)]).view(np.uint32).ravel()
-
-
-_PLAIN, _LEAD, _UNITS, _TRAIL, _POINT, _SIGN = 0, 10000, 20000, 30000, 40000, 40005
-
-
-def _floor_scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, ...]:
-    """floor(a * 10**(16 - e)) as int64 when the product is at least 2**53,
-    with err and floor(err) for the exact product p + err.
-
-    p = fl(a * 10**k) and err = a * 10**k - p (Dekker's product: 10**k
-    and a are split in halves whose products are exact), so for p >= 2**53,
-    an integer, the floor is p + floor(err).  A smaller product (e too
-    large) gives a result below 10**16, which is all its callers test.
-    """
-    k = 16 - e
-    p = a * _POW10[k]
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    floor_err = np.floor(err)
-    return p.astype(np.int64) + floor_err.astype(np.int64), err, floor_err
-
-
-def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 17 significant digits (int64 in [10**16, 10**17)) and decimal
-    exponent of each a in [1e-4, 1e16), rounded as "%.17g" rounds: to
-    nearest, ties to even, a carry to 10**17 moving into the exponent.
-
-    log10 can miss the exponent by one next to a power of ten, so each
-    value whose floor falls outside [10**16, 10**17) is scaled again.  The
-    tie test compares err with floor(err) + 0.5, both exact; the fraction
-    err - floor(err) could itself round onto 0.5 (err = -(0.5 - 2**-54)).
-    """
-    e = np.floor(np.log10(a)).astype(np.int64)
-    n, err, floor_err = _floor_scaled(a, e)
-    while len(off := np.flatnonzero((n - 10**16).view(np.uint64) >= 9 * 10**16)):
-        e[off] += np.where(n[off] < 10**16, -1, 1)
-        n[off], err[off], floor_err[off] = _floor_scaled(a[off], e[off])
-    half = floor_err + 0.5
-    n += (err > half) | ((err == half) & (n & 1).astype(bool))
-    carry = n == 10**17
-    n[carry] = 10**16
-    return n, e + carry
-
-
-def _groups(v: np.ndarray, count: int) -> list[np.ndarray]:
-    """The last ``count`` four-digit groups of each v (int64), most
-    significant first; the first holds all the digits above the others."""
-    groups = []
-    for _ in range(count - 1):
-        top = v // 10**4
-        groups.append(v - top * 10**4)
-        v = top
-    return [v, *reversed(groups)]
-
-
-def _fixed_words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``"%.17g" % v`` of each v of x (1e-4 <= |v| < 1e16), as one row of
-    ``_word_table()`` words: a minus sign (a column only when some v is
-    negative), the integer part in right-aligned groups, the point and any
-    zeros after it, 16 fraction digits in four groups and the 17th in a word
-    of its own.  Also the bitwise or of each column, which marks the bytes
-    in use."""
-    n, e = _digits17(np.abs(x))
-    # The integer part, and the fraction's digits left-aligned in 17.
-    k = np.minimum(16 - e, 17)
-    whole = n // _POW10_INT[k]
-    frac = (n - whole * _POW10_INT[k]) * _POW10_INT[17 - k]
-    ints = (max(int(e.max(initial=0)), 0) + 4) // 4
-    negative = x < 0
-    signed = int(negative.any())
-    words = np.empty((len(x), signed + ints + 6), np.uint32)
-    seen = np.empty(words.shape[1], np.uint32)
-
-    table = _word_table()
-
-    def put(j: int, index: np.ndarray) -> None:
-        words[:, j] = column = table[index]
-        seen[j] = np.bitwise_or.reduce(column)
-
-    if signed:
-        put(0, _SIGN + negative)
-    lead = np.ones(len(x), bool)
-    units = signed + ints - 1
-    for j, group in enumerate(_groups(whole, ints), start=signed):
-        put(j, group + np.where(lead, _UNITS if j == units else _LEAD, _PLAIN))
-        lead &= group == 0
-    high = frac // 10
-    last = frac - high * 10
-    put(-1, _TRAIL + 1000 * last)
-    tail = last == 0
-    for j, group in reversed(list(enumerate(_groups(high, 4), start=units + 2))):
-        put(j, group + np.where(tail, _TRAIL, _PLAIN))
-        tail &= group == 0
-    put(units + 1, _POINT + np.where(tail, 4, np.maximum(-e - 1, 0)))
-    return words, seen
-
-
-def _g17(x: np.ndarray) -> np.ndarray:
-    """``"%.17g" % v`` of each double v of x, as the rows of a uint8 matrix
-    padded with NUL bytes, trimmed of the columns blank in every row."""
+def csv_stamps(x: np.ndarray) -> list[bytes]:
+    """The CSV text of each double of ``x``, as ASCII bytes: orjson's, the
+    shortest text that ``float`` reads back as the same double, or for NaN
+    and the infinities, which orjson writes as ``null``, ``repr``'s
+    (``nan``, ``inf``, ``-inf``).  ``csv_rows`` writes its stamps and its
+    values with it; each ``CSV_BLOCK`` values are one ``orjson.dumps`` call,
+    split at its commas."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    magnitude = np.abs(x)
-    fixed = (magnitude >= _FIXED_MIN) & (magnitude < _FIXED_MAX)
-    rest = np.flatnonzero(~fixed)
-    words, seen = _fixed_words(np.where(fixed, x, 1.0) if len(rest) else x)
-    text = words.view(np.uint8)
-    if len(rest):
-        values = x[rest].tolist()
-        texts = np.array(("%.17g " * len(values) % tuple(values)).split(),
-                         dtype=f"S{text.shape[1]}")
-        text[rest] = texts.view(np.uint8).reshape(len(values), -1)
-        seen |= np.bitwise_or.reduce(words[rest], axis=0)
-    used = np.flatnonzero(seen.view(np.uint8))
-    return text[:, used[0]:used[-1] + 1] if len(used) else text[:, :0]
+    texts = []
+    for k in range(0, len(x), CSV_BLOCK):
+        texts += orjson.dumps(x[k:k + CSV_BLOCK],
+                              option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    for k in np.flatnonzero(~np.isfinite(x)).tolist():
+        texts[k] = repr(float(x[k])).encode()
+    return texts
 
 
-def csv_stamps(times: np.ndarray) -> np.ndarray:
-    """The time stamps of ``csv_rows``: each time's ``%.17g`` text, which a
-    re-parse turns back into the same double, as one row of a uint8 matrix
-    padded with NUL bytes.  Times are formatted ``CSV_BLOCK`` at a time."""
-    starts = range(0, len(times), CSV_BLOCK)
-    texts = [_g17(times[k:k + CSV_BLOCK]) for k in starts]
-    stamps = np.zeros((len(times), max((t.shape[1] for t in texts), default=0)),
-                      np.uint8)
-    for k, text in zip(starts, texts):
-        stamps[k:k + len(text), :text.shape[1]] = text
-    return stamps
-
-
-def csv_rows(stamps: np.ndarray, ids: list[str],
+def csv_rows(stamps: list[bytes], ids: list[str],
              values: np.ndarray) -> Iterator[str]:
     """CSV rows ``<stamp>,<id>,value`` of samples, one string per block.
 
     ``values`` is (samples, len(ids)) and ``stamps`` the ``csv_stamps`` of
     the sample times; sample k gives one row per id, in order, each stamped
-    with ``stamps[k]``.  Values are written as ``%.17g``, by ``_g17``.  A
-    block of samples is one uint8 matrix of rows ``[stamp | ,id, | value |
-    newline]``, each part NUL-padded to its widest text, and its text is
-    that matrix with the NUL bytes deleted, decoded once.
+    with ``stamps[k]``.  Values are written by ``csv_stamps``.  A block of
+    samples is one bytes ``%`` template, ``b"%s,<id>,%s\n"`` per id and
+    sample, filled with the stamp and value texts and decoded once.
 
     Blocks are sized by values: at most ``CSV_BLOCK`` unless a single
     sample is wider, and at least one sample.  Beside the text, a block's
-    transient memory peaks at about 120 bytes a value, in the formatter's
-    int64 and float64 arrays of the exact product; the row matrix and the
-    text after it are smaller.  That is about 120 * ``CSV_BLOCK`` bytes,
-    1 MB, whatever the number of samples.
+    transient memory peaks at about 50 bytes a value with 24 ids (90 with
+    2000 ids, whose template is longer), in the value texts, the template
+    and its fields: under 100 * ``CSV_BLOCK`` bytes, 800 kB, whatever the
+    number of samples.
     """
     m = len(ids)
-    labels = np.array([f",{i}," for i in ids], dtype=bytes)
-    labels = labels.view(np.uint8).reshape(m, labels.itemsize)
+    row = b"".join([b"%s," + i.encode() + b",%s\n" for i in ids])
     # Samples per block: CSV_BLOCK over the width rounded up to a power of
     # two, by a shift rather than a division, so width 0 needs no case of
     # its own (its blocks are empty strings).
     step = max(1, CSV_BLOCK >> (m - 1).bit_length())
     for k in range(0, len(stamps), step):
         stamp = stamps[k:k + step]
-        text = _g17(values[k:k + step])
-        ws, wl, wv = stamp.shape[1], labels.shape[1], text.shape[1]
-        width = ws + wl + wv + 1
-        block = bytearray(len(stamp) * m * width)
-        rows = np.frombuffer(block, np.uint8).reshape(len(stamp), m, width)
-        rows[:, :, :ws] = stamp[:, None]
-        rows[:, :, ws:ws + wl] = labels
-        rows[:, :, ws + wl:-1] = text.reshape(len(stamp), m, wv)
-        rows[:, :, -1] = ord("\n")
-        del rows, text      # only the block's bytes stay for the text
-        yield block.translate(None, b"\0").decode("ascii")
+        s = len(stamp)
+        fields = [b""] * (2 * s * m)
+        fields[1::2] = csv_stamps(values[k:k + step])
+        # Each stamp goes in m fields: one slice a sample or one an id,
+        # whichever is fewer Python steps.
+        if s < m:
+            for j in range(s):
+                fields[2 * j * m:2 * (j + 1) * m:2] = [stamp[j]] * m
+        else:
+            for j in range(m):
+                fields[2 * j::2 * m] = stamp
+        yield (row * s % tuple(fields)).decode("ascii")
 
 
 def emit_trajectory(traj: Trajectory) -> str:
     """Trajectory as CSV: header ``t,agent,dim,value``, then one row per value.
 
     Rows run time-major, then by agent, then by dimension.  Agents and
-    dimensions are 1-based plain integers; times and values are written as
-    ``%.17g`` (byte for byte, by the array formatter ``_g17``), enough
-    digits to reproduce the binary doubles exactly on re-parse
-    (``parse_trajectory``).  Each time is formatted once (``csv_stamps``)
-    and the rows go through ``csv_rows`` in blocks of at most ``CSV_BLOCK``
-    values, so the transient memory beside the text itself stays bounded
-    whatever the trajectory's length.
+    dimensions are 1-based plain integers; times and values are written by
+    ``csv_stamps``, texts that ``parse_trajectory`` reads back as the same
+    doubles, bit for bit, NaN as NaN.  Each time is written once
+    (``csv_stamps``) and the rows go through ``csv_rows`` in blocks of at
+    most ``CSV_BLOCK`` values, so the transient memory beside the text
+    itself stays bounded whatever the trajectory's length.
     """
     ids = [f"{agent},{dim}" for agent in range(1, traj.n + 1)
            for dim in range(1, traj.d + 1)]

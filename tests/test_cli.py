@@ -219,6 +219,21 @@ class TestSelect:
         assert (code, err) == (1, "error: network is disconnected: nodes [3, 4] "
                                   "are not reachable from node 1\n")
 
+    def test_refusal_names_ten_unreached_nodes_and_counts_the_rest(
+            self, capsys, tmp_path):
+        # 99,998 nodes that no leader reaches: the message names the first
+        # ten, not all of them, which made a 689 kB stderr line.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 100_000, "edges": [{"i": 1, "j": 2}],
+                                    "leaders": [{"node": 1, "input": 1}],
+                                    "inputs": [[1.0]]}))
+        code, out, err = run(capsys, "select", str(path), "--mode", "san-fsn")
+        assert (code, out) == (1, "")
+        assert err == ("error: network is disconnected: nodes [3, 4, 5, 6, 7, 8, "
+                       "9, 10, 11, 12] and 99988 more are not reachable from "
+                       "node 1\n")
+        assert len(err.encode()) < 300
+
     @pytest.mark.parametrize("argv", [
         ["select", "--mode", "fan-fsn"], ["tempo", "--pairs", "1:2"], ["compare"],
         ["distributed-select", "--fan-tree"]])
@@ -468,8 +483,9 @@ class TestTempo:
     @pytest.mark.parametrize("first_component", [False, True])
     def test_series_csv_bytes(self, first_component, capsys, tmp_path,
                               monkeypatch):
-        # The CSV must hold exactly the rows the original per-row f-string
-        # loop wrote, rebuilt here from the same trajectory.
+        # The CSV must hold the rows of each pair's series in turn, each
+        # time and value the double of the same trajectory bit for bit,
+        # and any NaN written nan.
         monkeypatch.setenv("FSNLAB_SEED", "7")
         path = tmp_path / "g.csv"
         argv = ["tempo", "g8", "--pairs", "7:3,7:6,7:8", "--out", str(path)]
@@ -480,11 +496,22 @@ class TestTempo:
         model = Model(net, cfg)
         x0 = np.random.default_rng(7).random((net.n, cfg.d))
         traj = simulate(model.generator(), model.forcing, x0, SimulationConfig())
-        rows = ["t,follower,followed,value"]
-        for i, j in [(7, 3), (7, 6), (7, 8)]:
-            for k, v in enumerate(g_ratio_series(traj, i, j, first_component)):
-                rows.append(f"{traj.times[k+1]:.17g},{i},{j},{v:.17g}")
-        assert path.read_text() == "\n".join(rows) + "\n"
+        pairs = [(7, 3), (7, 6), (7, 8)]
+        series = np.concatenate([g_ratio_series(traj, i, j, first_component)
+                                 for i, j in pairs])
+        head, *rows = path.read_text().splitlines()
+        fields = np.array([row.split(",") for row in rows])
+        assert head == "t,follower,followed,value"
+        assert fields.shape == (len(series), 4)
+        assert fields[:, 1:3].tolist() == [
+            [str(i), str(j)] for i, j in pairs for _ in traj.times[1:]]
+        times = np.tile(traj.times[1:], len(pairs))
+        for column, want in ((fields[:, 0], times), (fields[:, 3], series)):
+            got = np.array(column.tolist(), dtype=float)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+            assert set(column[nan].tolist()) <= {"nan"}
         assert code == 0
 
     @pytest.mark.parametrize("flags", [[], ["--first-component"]])

@@ -36,10 +36,6 @@ EXEMPT_CONSTANTS = {
     ("tempo", "DEFAULT_DELTA"):
         "the default time between sampling rounds: a step length the engine "
         "advances by, never compared with",
-    ("netfile", "_FIXED_MIN"):
-        "with _FIXED_MAX, the range [1e-4, 1e16) of magnitudes that %.17g "
-        "writes in fixed notation, a property of the format",
-    ("netfile", "_FIXED_MAX"): "see _FIXED_MIN",
 }
 EXEMPT_NUMBERS = {
     ("dynamics", "simulate", 2.0):
@@ -47,8 +43,6 @@ EXEMPT_NUMBERS = {
         "property of the method, not a tolerance",
     ("netfile", "_records", 2):
         "an edge record that holds only its two ids has two keys",
-    ("netfile", "_word_table", 10):
-        "the decimal place values of a four-digit word",
     ("netfile", "_block_rows", 5):
         "a CSV row reads as five JSON values, four numbers and a null",
 }
